@@ -4,15 +4,15 @@ Not a paper table — this benchmarks the *adversary layer* at
 production team sizes (the ROADMAP's 1% of a million users is ~10k
 malicious clients; the full scale here runs 2k):
 
-* **Round throughput.** The batch engine with its
+* **Round throughput.** One round of the adversary layer through a
   :class:`~repro.attacks.cohort.MaliciousCohort` (struct-of-arrays
   counters, shared Δ-Norm observation ledger, per-distinct-mined-set
-  PIECK-IPE payloads, stacked uploads) versus the identical engine
-  with the cohort detached (per-object ``participate`` calls — the
-  pre-cohort path).  Acceptance: ``>= 3x`` faster per round at the
-  full scale of 2k malicious clients (``>= 2x`` at smoke scale, where
-  the benign half of the round weighs more), with **bit-identical**
-  final model state.
+  PIECK-IPE payloads, stacked uploads) versus the reference API it
+  replaces: a plain ``participate`` loop over an independently built
+  client list, both against the model of a simulation that trains
+  alongside.  Acceptance: ``>= 3x`` faster per round at the full
+  scale of 2k malicious clients (``>= 2x`` at smoke scale), with
+  **bit-identical** uploads every round.
 * **O(1) item-matrix copies.** The shared observation ledger must
   snapshot each round's item matrix at most once regardless of team
   size: the ``snapshot_copies`` counter is asserted equal for a small
@@ -20,12 +20,9 @@ malicious clients; the full scale here runs 2k):
   bound on a mining-phase round proves the cohort allocates a small
   constant number of item matrices — not the one-copy-per-sampled-
   client retention the per-object trackers used to pay.
-* **Anti-fallback guard** (the CI smoke's reason to exist, mirroring
-  the defended-path and state-scale guards): the cohort-backed engine
-  must report ``object_malicious_rounds == 0`` (and the benign side
-  ``stacked_rounds == 0`` / ``materialized_rounds == 0``) after real
-  training rounds — the batched adversary never silently degrades to
-  the per-object loop.
+* **Server guard**: the simulation training alongside must report
+  ``materialized_rounds == 0`` — cohort uploads reach the server as
+  stacked tensors, never as materialised per-client objects.
 
 Run with::
 
@@ -43,7 +40,9 @@ import tracemalloc
 import numpy as np
 
 from _harness import emit_bench_json
+from repro.attacks.cohort import MaliciousCohort
 from repro.attacks.mining import CohortMiner
+from repro.attacks.registry import build_malicious_clients
 from repro.config import (
     AttackConfig,
     DatasetConfig,
@@ -89,64 +88,83 @@ def _config(num_benign: int, num_malicious: int, users_per_round: int) -> Experi
     )
 
 
-def _build_sims(dataset, config) -> tuple[FederatedSimulation, FederatedSimulation]:
-    """Two identical batch-engine sims; the second drops its cohort.
+def _build_team(sim: FederatedSimulation) -> list:
+    """A fresh malicious team, built exactly like the simulation's own."""
+    return build_malicious_clients(
+        sim.attack_cfg.name,
+        dataset=sim.dataset,
+        config=sim.attack_cfg,
+        targets=sim.targets,
+        embedding_dim=sim.config.model.embedding_dim,
+        num_malicious=len(sim.malicious_clients),
+        first_user_id=sim.dataset.num_users,
+        seed=sim.config.seed,
+    )
 
-    Both run the store-backed benign path, so the measured difference
-    is exactly the adversary layer: cohort ``compute_uploads`` versus
-    the per-object ``participate`` loop.
-    """
-    cohort_sim = FederatedSimulation(config, dataset=dataset, engine="batch")
-    object_sim = FederatedSimulation(config, dataset=dataset, engine="batch")
-    assert cohort_sim.malicious_cohort is not None
-    object_sim._batch_engine.cohort = None
-    return cohort_sim, object_sim
+
+def _same_upload(upload, update) -> bool:
+    if upload is None or update is None:
+        return upload is update
+    return (
+        upload.user_id == update.user_id
+        and np.array_equal(upload.item_ids, update.item_ids)
+        and np.array_equal(upload.item_grads, update.item_grads)
+        and len(upload.param_grads) == len(update.param_grads)
+        and all(
+            np.array_equal(got, ref)
+            for got, ref in zip(upload.param_grads, update.param_grads)
+        )
+    )
 
 
 def _measure_rounds(
-    cohort_sim: FederatedSimulation,
-    object_sim: FederatedSimulation,
-    rounds: int,
-) -> tuple[float, float, int]:
-    """Interleaved (cohort s/round, object s/round, sampled malicious)."""
+    sim: FederatedSimulation, rounds: int
+) -> tuple[float, float, int, int]:
+    """Interleaved adversary-layer medians over a training run.
+
+    Returns ``(cohort s/round, object s/round, sampled malicious,
+    distinct IPE payloads of the last round)``.  ``sim`` only supplies
+    the trajectory: each round both teams compute their uploads
+    against its round-start model, then it trains the round (through
+    its own cohort) to move the model on.
+    """
+    cohort = MaliciousCohort(_build_team(sim))
+    objects = _build_team(sim)
+    train_cfg = sim.config.train
     cohort_times: list[float] = []
     object_times: list[float] = []
-    num_benign = cohort_sim.dataset.num_users
+    num_benign = sim.dataset.num_users
     sampled_malicious = 0
     for round_idx in range(rounds + 2):
-        sampled = cohort_sim.server.sample_users(
-            cohort_sim.total_users,
-            cohort_sim.config.train.users_per_round,
-            round_idx,
+        sampled = sim.server.sample_users(
+            sim.total_users, train_cfg.users_per_round, round_idx
         )
-        sampled_malicious = max(
-            sampled_malicious, int(np.count_nonzero(sampled >= num_benign))
-        )
-        for sim, times in (
-            (cohort_sim, cohort_times),
-            (object_sim, object_times),
-        ):
-            started = time.perf_counter()
-            sim._batch_engine.run_round(round_idx, sampled)
-            times.append(time.perf_counter() - started)
+        rows = sampled[sampled >= num_benign] - num_benign
+        sampled_malicious = max(sampled_malicious, len(rows))
 
-    # Same rounds, same samples -> the two adversary paths must leave
-    # bit-identical global models (the cohort's core contract).
-    assert np.array_equal(
-        cohort_sim.model.item_embeddings, object_sim.model.item_embeddings
-    ), "cohort path diverged from the per-object reference"
-    # Anti-fallback guards.
-    engine = cohort_sim._batch_engine
-    assert engine.object_malicious_rounds == 0, (
-        "cohort-backed engine silently ran the per-object malicious loop"
-    )
-    assert engine.stacked_rounds == 0
-    assert cohort_sim.server.materialized_rounds == 0
-    assert object_sim._batch_engine.object_malicious_rounds == rounds + 2
+        started = time.perf_counter()
+        uploads = cohort.compute_uploads(sim.model, train_cfg, round_idx, rows)
+        cohort_times.append(time.perf_counter() - started)
+
+        started = time.perf_counter()
+        updates = [
+            objects[int(row)].participate(sim.model, train_cfg, round_idx)
+            for row in rows
+        ]
+        object_times.append(time.perf_counter() - started)
+
+        # Same round, same model -> the two adversary paths must emit
+        # bit-identical uploads (the cohort's core contract).
+        assert all(map(_same_upload, uploads, updates)), (
+            f"round {round_idx}: cohort diverged from the per-object reference"
+        )
+        sim.run_round(round_idx)
+    assert sim.server.materialized_rounds == 0
     return (
         float(np.median(cohort_times[2:])),
         float(np.median(object_times[2:])),
         sampled_malicious,
+        cohort.last_round_payloads,
     )
 
 
@@ -174,7 +192,7 @@ def _measure_mining_peak(dataset, config) -> tuple[int, int]:
     ``(num_items, dim)`` copy per sampled client per round; the
     cohort's ledger must stay far below that.
     """
-    sim = FederatedSimulation(config, dataset=dataset, engine="batch")
+    sim = FederatedSimulation(config, dataset=dataset)
     cohort = sim.malicious_cohort
     num_benign = dataset.num_users
     item_bytes = dataset.num_items * EMBEDDING_DIM * 8
@@ -219,13 +237,12 @@ def run_attack_scale(smoke: bool = False) -> tuple[str, dict, dict]:
     )
     config = _config(num_benign, num_malicious, users_per_round)
 
-    cohort_sim, object_sim = _build_sims(dataset, config)
-    assert cohort_sim.malicious_cohort.num_clients == num_malicious
-    cohort_spr, object_spr, sampled_malicious = _measure_rounds(
-        cohort_sim, object_sim, rounds
+    sim = FederatedSimulation(config, dataset=dataset)
+    assert sim.malicious_cohort.num_clients == num_malicious
+    cohort_spr, object_spr, sampled_malicious, payload_dedup = _measure_rounds(
+        sim, rounds
     )
     speedup = object_spr / cohort_spr
-    payload_dedup = cohort_sim.malicious_cohort.last_round_payloads
 
     small_copies, large_copies = _measure_copy_independence(num_items)
     mining_peak, peak_bound = _measure_mining_peak(dataset, config)
@@ -244,7 +261,7 @@ def run_attack_scale(smoke: bool = False) -> tuple[str, dict, dict]:
         f"IPE payload dedup (last round): {payload_dedup} distinct mined sets "
         f"optimised for {sampled_malicious} sampled clients",
         f"acceptance: round >= {speedup_floor:.1f}x, copies independent of team "
-        f"size, peak < bound, bit-identical models, zero fallback rounds",
+        f"size, peak < bound, bit-identical uploads, zero materialised rounds",
     ]
     checks = {
         "speedup": speedup,
@@ -279,7 +296,6 @@ def run_attack_scale(smoke: bool = False) -> tuple[str, dict, dict]:
             "per_object_retention_bound_bytes": peak_bound,
         },
         "ipe_payloads_last_round": payload_dedup,
-        "object_malicious_rounds_on_cohort_path": 0,
     }
     return "\n".join(lines), checks, payload
 

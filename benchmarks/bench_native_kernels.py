@@ -27,7 +27,7 @@ floor-enforced scenario, bit-identical (spot-checked over the first rounds befor
 timing), and must not have fallen back to numpy silently — zero
 ``kernel_fallback_rounds`` on every engine and zero counted
 ``fallback_calls`` on the backend (the same anti-fallback contract as
-``stacked_rounds`` / ``materialized_rounds``).
+``materialized_rounds``).
 
 Run with::
 

@@ -10,24 +10,22 @@ simulation at production user counts:
   and embedding draw per user).  Acceptance: ``>= 5x`` faster at the
   full scale of 100k users (``>= 2x`` at smoke scale, where fixed
   overheads weigh more), with bit-identical state.
-* **Round hand-off.** The batch engine's store path (fancy-indexed
-  gather/scatter on the store arrays) versus its object fallback
-  running on *standalone* clients (owned attribute arrays — the true
-  pre-store layout).  The state layer itself must never be slower
+* **Round hand-off.** The batch engine on the store (fancy-indexed
+  gather/scatter on the store arrays) versus the reference API on
+  *standalone* clients (owned attribute arrays — the true pre-store
+  layout): one ``participate`` call per sampled client into
+  ``Server.apply_updates``, on its own copy of the model, which must
+  end bit-identical.  The state layer itself must never be slower
   than object stacking (typically ~1.2-1.7x faster at 100k users);
-  the full round — dominated by negative sampling and the local step,
-  identical on both paths — must not regress (``>= 0.9x`` within
-  measurement noise).
+  the full round must not regress (``>= 0.9x``).
 * **Evaluation memory.** The chunked streaming evaluation must stay
   well under the dense ``num_users x num_items`` score matrix it
   replaces (asserted via ``tracemalloc``): peak traced memory below
   half (smoke) / a quarter (full) of the dense-scores footprint, i.e.
   no ``U x I`` array is ever materialised.
-* **Anti-fallback guard** (the CI smoke's reason to exist, mirroring
-  the PR 2 defended-path guard): the store-backed engine must report
-  ``stacked_rounds == 0`` and the server ``materialized_rounds == 0``
-  after real training rounds — the store path never silently degrades
-  to per-object stacking.
+* **Server guard**: the server must report ``materialized_rounds ==
+  0`` after real training rounds — store-backed rounds reach it as
+  stacked tensors, never as materialised per-client objects.
 
 Run with::
 
@@ -38,6 +36,7 @@ Run with::
 
 from __future__ import annotations
 
+import copy
 import sys
 import time
 import tracemalloc
@@ -47,8 +46,8 @@ import numpy as np
 from _harness import emit_bench_json
 from repro.config import DatasetConfig, ExperimentConfig, ModelConfig, TrainConfig
 from repro.datasets.synthetic import generate_longtail_dataset
-from repro.federated.batch_engine import BatchClientEngine
 from repro.federated.client import BenignClient
+from repro.federated.server import Server
 from repro.federated.simulation import FederatedSimulation
 from repro.federated.state import ClientStateStore
 
@@ -119,38 +118,38 @@ def _measure_construction(dataset) -> tuple[float, float, list[BenignClient]]:
 def _measure_rounds(
     sim: FederatedSimulation, clients: list[BenignClient], rounds: int
 ) -> tuple[float, float]:
-    """Interleaved (store s/round, object-fallback s/round) medians.
+    """Interleaved (store s/round, per-object s/round) medians.
 
-    The fallback engine runs on *standalone* clients — owned
-    attribute arrays, exactly the pre-store layout — so the ratio
-    measures the store against the real object-per-user baseline, not
-    against store-backed views.
+    The object side is the reference API on *standalone* clients —
+    owned attribute arrays, exactly the pre-store layout — training
+    its own copy of the model, so the ratio measures the store-backed
+    engine against the real object-per-user baseline and the two
+    models can be compared afterwards.
     """
-    object_engine = BatchClientEngine(
-        sim.model,
-        sim.server,
-        clients,
-        sim.malicious_clients,
-        sim.config.train,
-        sim.config.seed,
-    )
+    train_cfg = sim.config.train
+    object_model = copy.deepcopy(sim.model)
+    object_server = Server(object_model, train_cfg.lr, seed=sim.config.seed)
     store_times: list[float] = []
     object_times: list[float] = []
     for round_idx in range(rounds + 2):
         sampled = sim.server.sample_users(
-            sim.total_users, sim.config.train.users_per_round, round_idx
+            sim.total_users, train_cfg.users_per_round, round_idx
         )
-        for engine, times in (
-            (sim._batch_engine, store_times),
-            (object_engine, object_times),
-        ):
-            started = time.perf_counter()
-            engine.run_round(round_idx, sampled)
-            times.append(time.perf_counter() - started)
-    assert sim._batch_engine.stacked_rounds == 0, (
-        "store-backed engine silently fell back to per-object stacking"
+        started = time.perf_counter()
+        sim._batch_engine.run_round(round_idx, sampled)
+        store_times.append(time.perf_counter() - started)
+
+        started = time.perf_counter()
+        object_server.apply_updates(
+            [
+                clients[int(user)].participate(object_model, train_cfg, round_idx)
+                for user in sampled
+            ]
+        )
+        object_times.append(time.perf_counter() - started)
+    assert np.array_equal(sim.model.item_embeddings, object_model.item_embeddings), (
+        "store-backed rounds diverged from the per-object reference"
     )
-    assert object_engine.stacked_rounds == rounds + 2
     assert sim.server.materialized_rounds == 0
     return (
         float(np.median(store_times[2:])),
@@ -227,7 +226,7 @@ def run_state_scale(smoke: bool = False) -> tuple[str, dict, dict]:
     construction_speedup = object_seconds / store_seconds
 
     sim = FederatedSimulation(
-        _config(users_per_round, eval_chunk), dataset=dataset, engine="batch"
+        _config(users_per_round, eval_chunk), dataset=dataset
     )
     store_spr, object_spr = _measure_rounds(sim, clients, rounds=8)
     round_ratio = object_spr / store_spr
@@ -251,7 +250,7 @@ def run_state_scale(smoke: bool = False) -> tuple[str, dict, dict]:
         f"(dense scores alone would be {dense_scores_bytes / 2**20:.0f} MiB)",
         f"acceptance: construction >= {construction_floor:.1f}x, round >= "
         f"{ROUND_FLOOR:.1f}x, gather >= {GATHER_FLOOR:.1f}x, eval peak < dense/"
-        f"{peak_divisor}, zero stacked/materialised rounds",
+        f"{peak_divisor}, bit-identical models, zero materialised rounds",
     ]
     checks = {
         "construction_speedup": construction_speedup,
@@ -291,7 +290,6 @@ def run_state_scale(smoke: bool = False) -> tuple[str, dict, dict]:
             "peak_bytes": eval_peak,
             "dense_scores_bytes": dense_scores_bytes,
         },
-        "stacked_rounds_on_store_path": 0,
         "materialized_rounds_on_store_path": 0,
     }
     return "\n".join(lines), checks, payload

@@ -25,7 +25,7 @@ Commands
 
 ``fsck``
     Walk a cache/checkpoint/result tree and verify every digest-
-    stamped file; report verified / legacy / corrupt counts, and with
+    stamped file; report verified / corrupt counts, and with
     ``--repair`` move corrupt files aside (quarantine) so the next
     sweep re-executes them instead of tripping over them.
 

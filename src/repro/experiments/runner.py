@@ -8,11 +8,6 @@ percentages.  Table and figure scripts in ``benchmarks/`` call
 :func:`run_cell` once per cell, sharing a pre-generated dataset across
 the cells of one table so that only the attack/defense axis varies —
 exactly how the paper's tables are constructed.
-
-Cells run on the vectorised batch-client engine by default; pass
-``engine="loop"`` to use the reference per-client implementation (both
-produce bit-identical results, see
-:mod:`repro.federated.batch_engine`).
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ def run_cells(
     *,
     dataset: InteractionDataset | None = None,
     ks: tuple[int, ...] | None = None,
-    engine: str = "batch",
 ) -> tuple[Cell, ...]:
     """Train one experiment once, evaluate every cutoff in ``ks``.
 
@@ -60,7 +54,7 @@ def run_cells(
     ks = (config.train.top_k,) if ks is None else tuple(ks)
     if not ks:
         raise ValueError("ks must contain at least one cutoff")
-    sim = FederatedSimulation(config, dataset=dataset, engine=engine)
+    sim = FederatedSimulation(config, dataset=dataset)
     result: SimulationResult = sim.run()
     cells: list[Cell] = []
     for k in ks:
@@ -78,7 +72,6 @@ def run_cell(
     dataset: InteractionDataset | None = None,
     k: int | None = None,
     ks: tuple[int, ...] | None = None,
-    engine: str = "batch",
 ) -> Cell | tuple[Cell, ...]:
     """Run one experiment and return its ER/HR cell(s) (percent).
 
@@ -86,13 +79,11 @@ def run_cell(
     cells of a table (the paper's tables vary attack/defense, not the
     data). ``k`` overrides the evaluation cutoff (Table V); ``ks``
     evaluates a whole tuple of cutoffs from one training run and
-    returns a matching tuple of cells. ``engine`` selects the
-    execution engine (``"batch"`` default, ``"loop"`` for the
-    reference implementation).
+    returns a matching tuple of cells.
     """
     if ks is not None:
         if k is not None:
             raise ValueError("pass either k or ks, not both")
-        return run_cells(config, dataset=dataset, ks=ks, engine=engine)
+        return run_cells(config, dataset=dataset, ks=ks)
     ks_single = (config.train.top_k,) if k is None else (k,)
-    return run_cells(config, dataset=dataset, ks=ks_single, engine=engine)[0]
+    return run_cells(config, dataset=dataset, ks=ks_single)[0]

@@ -27,8 +27,8 @@ module parallelises one layer up:
   written through :mod:`repro.persistence` (atomically, with a sha256
   digest verified on every read) as each cell finishes.
 
-Per-cell determinism already holds (both engines are bit-identical and
-seeded), so parallel execution order cannot leak into results: a cell's
+Per-cell determinism already holds (every stream is seeded per cell),
+so parallel execution order cannot leak into results: a cell's
 value depends only on its spec and its dataset, never on which worker
 ran it or when.  The parity suite in ``tests/test_sweep.py`` asserts
 byte-identical cells between the pooled and sequential paths, and
@@ -97,7 +97,10 @@ __all__ = [
 #: v5: ExperimentConfig grew an AsyncConfig (``asynchrony``), so every
 #: asynchrony parameter enters every key; synchronous values are
 #: unchanged but the key layout is not.
-CACHE_VERSION = "sweep-v5"
+#: v6: cells no longer carry an ``engine`` (every cell runs the batch
+#: engine; the loop engine is a test reference only), so the key
+#: layout lost that field; values are unchanged.
+CACHE_VERSION = "sweep-v6"
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,6 @@ class CellSpec:
     kind: str = "er_hr"
     #: Kind-specific extra parameters (hashed into the cache key).
     payload: tuple = ()
-    engine: str = "batch"
 
 
 @dataclass(frozen=True)
@@ -203,9 +205,7 @@ def _run_er_hr(spec: CellSpec, dataset: InteractionDataset) -> list[list[float]]
     Returns ``[[er_percent, hr_percent], ...]`` — one pair per K, in
     ``spec.ks`` order — exactly the numbers :class:`Cell` formats.
     """
-    cells = run_cells(
-        spec.config, dataset=dataset, ks=spec.ks, engine=spec.engine
-    )
+    cells = run_cells(spec.config, dataset=dataset, ks=spec.ks)
     return [[cell.er, cell.hr] for cell in cells]
 
 
@@ -217,7 +217,7 @@ def _run_pkl_ucr(spec: CellSpec, dataset: InteractionDataset) -> dict[str, list[
     (:meth:`~repro.datasets.base.InteractionDataset.covered_users`)
     instead of a per-user Python loop.
     """
-    sim = FederatedSimulation(spec.config, dataset=dataset, engine=spec.engine)
+    sim = FederatedSimulation(spec.config, dataset=dataset)
     sim.run()
     ranking = dataset.popularity_ranking()
     users = sim.user_embedding_matrix()
@@ -313,7 +313,7 @@ def cell_cache_key(spec: CellSpec, dataset_fp: str) -> str:
     """Content address of one cell result.
 
     The key covers everything the result depends on: the code-version
-    tag, the cell kind and engine, the full experiment config, the
+    tag, the cell kind, the full experiment config, the
     evaluation cutoffs, the kind payload and the dataset fingerprint.
     Any difference in any of them yields a different key.
 
@@ -334,7 +334,6 @@ def cell_cache_key(spec: CellSpec, dataset_fp: str) -> str:
     record = {
         "version": CACHE_VERSION,
         "kind": spec.kind,
-        "engine": spec.engine,
         "ks": list(ks),
         "payload": list(spec.payload),
         "config": config_record,

@@ -179,7 +179,7 @@ class StalenessAggregator:
                 result.stale_dropped += 1
                 continue
             if delay > 0:
-                deferred = DeferredUpload(
+                update = DeferredUpload(
                     user_id=update.user_id,
                     item_ids=update.item_ids,
                     item_grads=update.item_grads,
@@ -187,14 +187,7 @@ class StalenessAggregator:
                     malicious=update.malicious,
                     discount=self.discount**delay,
                     origin_round=origin,
-                )
-                update = ClientUpdate(
-                    user_id=update.user_id,
-                    item_ids=update.item_ids,
-                    item_grads=deferred.discounted_grads(),
-                    param_grads=deferred.discounted_params(),
-                    malicious=update.malicious,
-                )
+                ).as_update()
                 result.stale_applied += 1
                 result.max_delay = max(result.max_delay, delay)
             kept.append(update)

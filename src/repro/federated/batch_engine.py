@@ -29,37 +29,30 @@ passes over all sampled participants at once:
    segment.
 3. **Hand-off.** All uploads (the benign gradient rows — already
    row-aligned in participation order — plus whatever the round's
-   malicious clients emitted, spliced in at their sampled positions)
-   are assembled into one dense
-   :class:`~repro.federated.update_batch.UpdateBatch` and handed to
+   malicious clients emitted, spliced in at their sampled positions by
+   :meth:`UpdateBatch.concat
+   <repro.federated.update_batch.UpdateBatch.concat>`) travel as one
+   dense :class:`~repro.federated.update_batch.UpdateBatch` to
    :meth:`~repro.federated.server.Server.apply_batch`, which runs the
    whole server side — audit log, defense filters, robust or fused-sum
    aggregation — on the stacked tensors.  No per-client
    :class:`ClientUpdate` objects are materialised for any registry
    defense, filter, or audit configuration.
 
-The malicious half of the round runs through an attached
-:class:`~repro.attacks.cohort.MaliciousCohort` (the default for every
-batch-engine simulation with an attack): all sampled malicious
+Each step has one implementation.  The malicious half of the round
+runs through the simulation's
+:class:`~repro.attacks.cohort.MaliciousCohort`: all sampled malicious
 clients' uploads are computed in one batched pass over the team's
 struct-of-arrays state and splice into the ``UpdateBatch`` as
-:class:`~repro.attacks.cohort.CohortUpload` views — again with no
-``ClientUpdate`` materialisation.  Without a cohort the engine falls
-back to the per-object ``participate`` loop, counted in
-``object_malicious_rounds`` so CI can assert the cohort path never
-silently degrades.
-
-Client state enters and leaves the round through a
-:class:`~repro.federated.state.ClientStateStore` when one is attached
-(the default for every simulation): participant embeddings are
-*gathered* from the store's dense user matrix by fancy indexing,
+:class:`~repro.attacks.cohort.CohortUpload` views.  Client state
+enters and leaves through the simulation's store
+(:class:`~repro.federated.state.ClientStateStore` or its sharded
+twin): participant embeddings are *gathered* by fancy indexing,
 positives are zero-copy CSR slices, per-client learning rates come
 from the store's vectorised cache, and the updated embeddings are
-*scattered* back in one assignment.  Without a store the engine falls
-back to stacking ``BenignClient`` objects row by row — the original
-object-per-user path, kept as the benchmark baseline and counted in
-``stacked_rounds`` so CI can assert the store path never silently
-degrades to it.
+*scattered* back in one assignment.  The local step itself is the
+module-level :func:`_compute_benign_stacks`, run in-process or — the
+same code object — by the :class:`ProcessRoundExecutor`'s workers.
 
 Bit-exactness is a design invariant, not an approximation: every RNG
 stream, every row-wise op, and every reduction matches the loop engine
@@ -74,23 +67,16 @@ exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro import kernels
 from repro.config import TrainConfig
 from repro.datasets.sampling import sample_local_batches, sample_negatives_batch
-from repro.federated.client import BenignClient
-from repro.federated.payload import ClientUpdate
 from repro.federated.server import Server
+from repro.federated.shards import ShardedStateStore
 from repro.federated.update_batch import UpdateBatch
 from repro.models.base import RecommenderModel, segment_starts
 from repro.rng import spawn_batch
-
-if TYPE_CHECKING:
-    from repro.attacks.cohort import CohortUpload
 
 __all__ = ["BatchClientEngine", "ProcessRoundExecutor"]
 
@@ -194,6 +180,78 @@ def _bpr_stacks_fn(
     return merged_ids, merged_lengths, merged, result.user_grads
 
 
+def _all_owners(num_clients: int, param_stacks: list[np.ndarray]) -> np.ndarray:
+    """``param_owners`` when every client (or none) owns a stack row."""
+    return np.arange(num_clients if param_stacks else 0, dtype=np.int64)
+
+
+def _bpr_param_stacks(
+    model: RecommenderModel, regs: list | None
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Zero parameter stacks for the regularised BPR edge case.
+
+    The BPR upload itself carries no interaction-parameter gradients;
+    a client contributes one only when its defense regularizer emits a
+    ``param_grad_terms`` correction — mirrored here by allocating zero
+    rows for exactly the regularised clients (the terms are added in
+    :func:`_apply_regularizers`).
+    """
+    params = model.interaction_params()
+    owners = np.array(
+        [
+            row
+            for row, reg in enumerate(regs or ())
+            if getattr(reg, "param_grad_terms", None) is not None
+        ],
+        dtype=np.int64,
+    )
+    if not params or not len(owners):
+        return [], np.empty(0, dtype=np.int64)
+    stacks = [np.zeros((len(owners),) + p.shape, dtype=p.dtype) for p in params]
+    return stacks, owners
+
+
+def _apply_regularizers(
+    model: RecommenderModel,
+    regs: list,
+    user_vecs: np.ndarray,
+    item_ids: np.ndarray,
+    lengths: np.ndarray,
+    item_grads: np.ndarray,
+    user_grads: np.ndarray,
+    param_stacks: list[np.ndarray],
+    param_owners: np.ndarray,
+) -> None:
+    """Add each client's defense gradient terms to the batch result.
+
+    Mirrors the regularizer hook sequence of
+    :meth:`BenignClient.participate` on each client's row segment of
+    the stacked tensors (``user_vecs`` rows are the pre-update
+    embeddings the reference hooks see); the hooks themselves are
+    already vectorised, so this per-client pass costs one hook call
+    per defended client.
+    """
+    item_matrix = model.item_embeddings
+    has_params = bool(model.interaction_params())
+    starts = segment_starts(lengths)
+    stack_row = {int(owner): j for j, owner in enumerate(param_owners)}
+    for row, regularizer in enumerate(regs):
+        if regularizer is None:
+            continue
+        seg = slice(int(starts[row]), int(starts[row]) + int(lengths[row]))
+        ids = item_ids[seg]
+        item_grads[seg] += regularizer.item_grad_terms(ids, item_matrix)
+        user_grads[row] += regularizer.user_grad_term(
+            user_vecs[row], item_matrix
+        )
+        param_hook = getattr(regularizer, "param_grad_terms", None)
+        if param_hook is not None and has_params and row in stack_row:
+            extra = param_hook(model, ids)
+            if extra:
+                for index, term in enumerate(extra):
+                    param_stacks[index][stack_row[row]] += term
+
+
 def _compute_benign_stacks(
     model: RecommenderModel,
     train_cfg: TrainConfig,
@@ -201,58 +259,60 @@ def _compute_benign_stacks(
     store,
     benign_ids: np.ndarray,
     round_idx: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """One store-backed benign local step for a participant subset.
+    regs: list | None = None,
+) -> tuple[
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray], np.ndarray
+]:
+    """The benign local step for a participant subset — the only one.
 
-    Returns ``(new_users, item_ids, lengths, item_grads, param_stacks)``
-    with rows in ``benign_ids`` order, *without* scattering the updated
-    embeddings (the caller owns all store writes — pure reads are what
-    make worker retry after a SIGKILL trivially bit-identical).
+    Returns ``(new_users, item_ids, lengths, item_grads, param_stacks,
+    param_owners)`` with rows in ``benign_ids`` order, *without*
+    scattering the updated embeddings (the caller owns all store
+    writes — pure reads are what make worker retry after a SIGKILL
+    trivially bit-identical).
 
-    Every per-client quantity is a pure function of
-    ``(seed, user_id, round_idx)`` and the frozen round-start model, so
-    computing a subset here equals slicing the full-cohort computation:
-    the exact property the multi-process executor's parity suite pins.
-    Regularized stores never reach this path (the executor rejects
-    them; the in-process engine keeps its own regularizer sequence).
+    ``regs`` holds the participants' defense regularizers (``None``
+    entries for undefended clients), or is ``None`` when nobody carries
+    one.  Without regularizers every per-client quantity is a pure
+    function of ``(seed, user_id, round_idx)`` and the frozen
+    round-start model, so computing a subset equals slicing the
+    full-cohort computation: the exact property the multi-process
+    executor's parity suite pins.  Regularizers are mutable per-user
+    objects of the calling process, which is why the executor's workers
+    never receive any.
     """
     user_vecs = store.gather_rows(benign_ids)
     positives_list = store.positives_list(benign_ids)
+    if regs is not None:
+        for reg in regs:
+            if reg is not None:
+                reg.observe(model.item_embeddings)
     rngs = spawn_batch(seed, ("client-round",), benign_ids, (round_idx,))
     if train_cfg.loss == "bpr":
         item_ids, lengths, item_grads, user_grads = _bpr_stacks_fn(
             model, positives_list, rngs, user_vecs
         )
-        param_stacks: list[np.ndarray] = []
+        param_stacks, param_owners = _bpr_param_stacks(model, regs)
     else:
+        # Any non-BPR loss trains with BCE, exactly like the reference
+        # client.
         item_ids, lengths, item_grads, user_grads, param_stacks = (
             _bce_stacks_fn(model, train_cfg, positives_list, rngs, user_vecs)
         )
+        param_owners = _all_owners(len(benign_ids), param_stacks)
+    if regs is not None:
+        _apply_regularizers(
+            model, regs, user_vecs, item_ids, lengths,
+            item_grads, user_grads, param_stacks, param_owners,
+        )
+    # Local personalised-model update: u <- u - eta * grad_u, for the
+    # whole participant stack at once.
     if train_cfg.client_lr_range is None:
-        lrs: np.ndarray | float = train_cfg.effective_client_lr
-        new_users = user_vecs - lrs * user_grads
+        new_users = user_vecs - train_cfg.effective_client_lr * user_grads
     else:
         lrs = store.client_lrs_for(train_cfg.client_lr_range, benign_ids)
         new_users = user_vecs - lrs[:, None] * user_grads
-    return new_users, item_ids, lengths, item_grads, param_stacks
-
-
-@dataclass
-class _RoundBatch:
-    """The benign half of one round, in ragged row-stack layout."""
-
-    item_ids: np.ndarray  # (total_rows,)
-    lengths: np.ndarray  # (clients,)
-    starts: np.ndarray  # (clients,) row offset of each client's segment
-    item_grads: np.ndarray  # (total_rows, dim)
-    param_stacks: list[np.ndarray] = field(default_factory=list)
-    #: Client rows (participation order) that contribute parameter
-    #: gradients; row ``j`` of every stack belongs to client
-    #: ``param_owners[j]``.  All clients under BCE on a parametric
-    #: model; only regularised clients under BPR.
-    param_owners: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64)
-    )
+    return new_users, item_ids, lengths, item_grads, param_stacks, param_owners
 
 
 class BatchClientEngine:
@@ -262,41 +322,29 @@ class BatchClientEngine:
         self,
         model: RecommenderModel,
         server: Server,
-        benign_clients: list[BenignClient],
-        malicious_clients: list,
+        state,
+        cohort,
         train_cfg: TrainConfig,
         seed: int,
         *,
-        state=None,
-        cohort=None,
         kernel_backend=None,
         fault_controller=None,
         executor=None,
     ):
         self.model = model
         self.server = server
-        self.benign_clients = benign_clients
-        self.malicious_clients = malicious_clients
-        self.train_cfg = train_cfg
-        self.seed = seed
         #: The struct-of-arrays client state this engine gathers from
-        #: and scatters to; ``None`` selects the object-per-user
-        #: fallback path.
+        #: and scatters to.
         self.state = state
         #: The team-level :class:`~repro.attacks.cohort.MaliciousCohort`
         #: executing all sampled malicious clients per round in one
-        #: batched pass; ``None`` selects the per-object ``participate``
-        #: fallback loop.
+        #: batched pass; ``None`` when the run has no adversary.
         self.cohort = cohort
-        #: Rounds that ran on the object-per-user fallback (stacking
-        #: ``BenignClient`` attributes row by row instead of indexing
-        #: the store).  The state-scale CI smoke asserts this stays
-        #: zero for store-backed simulations.
+        self.train_cfg = train_cfg
+        self.seed = seed
+        # Always zero: the fallbacks these counted are gone.  Kept only
+        # because benchmarks/ledger/runner.py reads both on every run.
         self.stacked_rounds = 0
-        #: Rounds whose malicious participants ran through the
-        #: per-object ``participate`` loop instead of the cohort.  The
-        #: attack-scale CI smoke asserts this stays zero for
-        #: cohort-backed simulations.
         self.object_malicious_rounds = 0
         #: Resolved kernel backend (:func:`repro.kernels.resolve`) every
         #: round runs under; ``None`` defers to the caller's dispatch
@@ -304,8 +352,7 @@ class BatchClientEngine:
         self.kernel_backend = kernel_backend
         #: Rounds in which the kernel backend served at least one
         #: dispatched call through its numpy fallback (unsupported
-        #: dtype) — the same anti-fallback contract as the two counters
-        #: above: a native-backend run that quietly degrades must be
+        #: dtype): a native-backend run that quietly degrades must be
         #: visible, and the native bench asserts this stays zero.
         self.kernel_fallback_rounds = 0
         #: Optional :class:`~repro.federated.faults.FaultController`
@@ -327,12 +374,6 @@ class BatchClientEngine:
     # ------------------------------------------------------------------
     # Round execution
     # ------------------------------------------------------------------
-
-    @property
-    def num_benign(self) -> int:
-        if self.state is not None:
-            return self.state.num_users
-        return len(self.benign_clients)
 
     def run_round(self, round_idx: int, sampled: np.ndarray) -> None:
         """Execute one communication round for the sampled user ids.
@@ -382,47 +423,47 @@ class BatchClientEngine:
         self.server.apply_batch(round_batch)
 
     def _compute_round(self, round_idx: int, sampled: np.ndarray) -> UpdateBatch:
-        num_benign = self.num_benign
-        sampled_list = [int(user_id) for user_id in sampled]
-        benign_ids = np.array(
-            [u for u in sampled_list if u < num_benign], dtype=np.int64
-        )
+        sampled = np.asarray(sampled, dtype=np.int64)
+        num_benign = self.state.num_users
+        is_benign = sampled < num_benign
+        mal_positions = np.flatnonzero(~is_benign)
 
         # Malicious participants run before the benign tensor pass (the
         # global model is frozen within a round, so this is
-        # order-equivalent to the interleaved reference loop): one
-        # batched cohort pass when a MaliciousCohort is attached
-        # (CohortUpload views), the per-object participate loop
-        # otherwise (materialised ClientUpdate objects).
-        malicious_by_pos: dict[int, "ClientUpdate | CohortUpload"] = {}
-        mal_positions = [
-            (pos, user_id - num_benign)
-            for pos, user_id in enumerate(sampled_list)
-            if user_id >= num_benign
-        ]
-        if mal_positions and self.cohort is not None:
+        # order-equivalent to the interleaved reference loop), as one
+        # batched cohort pass yielding CohortUpload views (or None for
+        # a client that uploads nothing this round).
+        uploads: list = []
+        if len(mal_positions):
             uploads = self.cohort.compute_uploads(
                 self.model,
                 self.train_cfg,
                 round_idx,
-                np.array([row for _, row in mal_positions], dtype=np.int64),
+                sampled[mal_positions] - num_benign,
             )
-            for (pos, _), upload in zip(mal_positions, uploads):
-                if upload is not None:
-                    malicious_by_pos[pos] = upload
-        elif mal_positions:
-            self.object_malicious_rounds += 1
-            for pos, row in mal_positions:
-                update = self.malicious_clients[row].participate(
-                    self.model, self.train_cfg, round_idx
-                )
-                if update is not None:
-                    malicious_by_pos[pos] = update
+        benign = self._benign_batch_step(sampled[is_benign], round_idx)
 
-        batch = self._benign_batch_step(benign_ids, round_idx)
-        return self._assemble(
-            sampled_list, num_benign, benign_ids, malicious_by_pos, batch
-        )
+        # Splice each malicious upload in at its sampled position,
+        # cutting the benign stack into a handful of contiguous runs:
+        # the batch's client order — and therefore every downstream
+        # float accumulation — is exactly the reference engine's upload
+        # order.  A round without malicious uploads is the benign batch
+        # itself (zero copies).
+        parts: list[UpdateBatch] = []
+        run_begin = 0
+        for seen, (pos, upload) in enumerate(zip(mal_positions, uploads)):
+            if upload is None:
+                continue
+            run_end = int(pos) - seen  # benign clients sampled before pos
+            if run_end > run_begin:
+                parts.append(benign.client_slice(run_begin, run_end))
+                run_begin = run_end
+            parts.append(UpdateBatch.from_updates([upload]))
+        if not parts:
+            return benign
+        if benign.num_clients > run_begin:
+            parts.append(benign.client_slice(run_begin, benign.num_clients))
+        return UpdateBatch.concat(parts)
 
     # ------------------------------------------------------------------
     # Benign local training, batched
@@ -430,340 +471,51 @@ class BatchClientEngine:
 
     def _benign_batch_step(
         self, benign_ids: np.ndarray, round_idx: int
-    ) -> _RoundBatch:
+    ) -> UpdateBatch:
         """Run every sampled benign client's local step in one batch.
 
         Participant state enters as one embedding gather plus zero-copy
-        CSR positive slices when a store is attached; the object
-        fallback stacks the same values attribute by attribute.  Both
-        feed the identical stacked arithmetic below, and the store
-        writes results back as one scatter instead of a per-object
-        assignment loop.
+        CSR positive slices; the stacks are computed in-process or by
+        the executor's workers, and either way this method performs the
+        single scatter that commits the round.  Returns the benign
+        clients' uploads, already row-aligned in participation order.
         """
         store = self.state
         if not len(benign_ids):
             zero = np.empty(0, dtype=np.int64)
-            return _RoundBatch(
-                zero, zero, zero, np.empty((0, self.model.embedding_dim))
+            return UpdateBatch(
+                zero, zero, np.empty((0, self.model.embedding_dim)), zero
             )
-
-        if store is not None and not store.has_regularizers:
-            # The regularizer-free store path is a pure function of
-            # (seed, ids, round, model) — run it in-process or farm it
-            # to the executor's workers; either way the engine owns the
-            # single scatter that commits the round.
-            if self.executor is not None:
-                new_users, item_ids, lengths, item_grads, param_stacks = (
-                    self.executor.compute(benign_ids, round_idx)
-                )
-                self.process_rounds += 1
-            else:
-                new_users, item_ids, lengths, item_grads, param_stacks = (
-                    _compute_benign_stacks(
-                        self.model, self.train_cfg, self.seed,
-                        store, benign_ids, round_idx,
-                    )
-                )
-            store.scatter_rows(benign_ids, new_users)
-            param_owners = (
-                np.arange(len(benign_ids), dtype=np.int64)
-                if param_stacks
-                else np.empty(0, dtype=np.int64)
+        regs = None
+        if store.has_regularizers:
+            regs = [store.regularizer(int(u)) for u in benign_ids]
+            if all(reg is None for reg in regs):
+                regs = None
+        if self.executor is None:
+            result = _compute_benign_stacks(
+                self.model, self.train_cfg, self.seed,
+                store, benign_ids, round_idx, regs,
             )
-            return _RoundBatch(
-                item_ids, lengths, segment_starts(lengths),
-                item_grads, param_stacks, param_owners,
-            )
-        if self.executor is not None:
-            # Regularizers appeared after executor construction (or the
-            # store vanished): refusing beats silently computing rounds
-            # on a different path than the one the user asked for.
+        elif regs is None:
+            result = self.executor.compute(benign_ids, round_idx)
+            self.process_rounds += 1
+        else:
+            # Regularizers appeared after executor construction:
+            # refusing beats silently computing around them.
             raise RuntimeError(
                 "ProcessRoundExecutor cannot run this round: per-user "
                 "regularizer state lives only in the parent process"
             )
-
-        if store is not None:
-            regs = [store.regularizer(int(u)) for u in benign_ids]
-            user_vecs = store.gather_rows(benign_ids)
-            positives_list = store.positives_list(benign_ids)
-            clients = None
-        else:
-            self.stacked_rounds += 1
-            clients = [self.benign_clients[int(u)] for u in benign_ids]
-            regs = [client.regularizer for client in clients]
-            user_vecs = np.stack([client.user_embedding for client in clients])
-            positives_list = [client.positive_items for client in clients]
-        if regs is not None and not any(reg is not None for reg in regs):
-            regs = None
-        if regs is not None:
-            for reg in regs:
-                if reg is not None:
-                    reg.observe(self.model.item_embeddings)
-
-        rngs = spawn_batch(self.seed, ("client-round",), benign_ids, (round_idx,))
-        if self.train_cfg.loss == "bpr":
-            item_ids, lengths, item_grads, user_grads = self._bpr_stacks(
-                positives_list, rngs, user_vecs
-            )
-            param_stacks, param_owners = self._bpr_param_stacks(regs)
-        else:
-            # Any non-BPR loss trains with BCE, exactly like the
-            # reference client.
-            item_ids, lengths, item_grads, user_grads, param_stacks = (
-                self._bce_stacks(positives_list, rngs, user_vecs)
-            )
-            param_owners = (
-                np.arange(len(benign_ids), dtype=np.int64)
-                if param_stacks
-                else np.empty(0, dtype=np.int64)
-            )
-        starts = segment_starts(lengths)
-
-        if regs is not None:
-            self._apply_regularizers(
-                regs, user_vecs, item_ids, lengths, starts,
-                item_grads, user_grads, param_stacks, param_owners,
-            )
-
-        # Local personalised-model update: u <- u - eta * grad_u, for the
-        # whole participant stack at once.
-        if self.train_cfg.client_lr_range is None:
-            lrs: np.ndarray | float = self.train_cfg.effective_client_lr
-            new_users = user_vecs - lrs * user_grads
-        else:
-            if store is not None:
-                lrs = store.client_lrs_for(
-                    self.train_cfg.client_lr_range, benign_ids
-                )
-            else:
-                lrs = np.array(
-                    [client._client_lr(self.train_cfg) for client in clients]
-                )
-            new_users = user_vecs - lrs[:, None] * user_grads
-        if store is not None:
-            store.scatter_rows(benign_ids, new_users)
-        else:
-            for client, row in zip(clients, new_users):
-                client.user_embedding = row
-
-        return _RoundBatch(
-            item_ids, lengths, starts, item_grads, param_stacks, param_owners
-        )
-
-    def _bce_stacks(
-        self,
-        positives_list: list[np.ndarray],
-        rngs: list[np.random.Generator],
-        user_vecs: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-        """Stacked BCE local batches and gradients for all clients."""
-        return _bce_stacks_fn(
-            self.model, self.train_cfg, positives_list, rngs, user_vecs
-        )
-
-    def _bpr_stacks(
-        self,
-        positives_list: list[np.ndarray],
-        rngs: list[np.random.Generator],
-        user_vecs: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked BPR pairs, trained and merged to per-client uploads.
-
-        Delegates to :func:`_bpr_stacks_fn` — the shared pure function
-        the multi-process executor's workers also run.
-        """
-        return _bpr_stacks_fn(self.model, positives_list, rngs, user_vecs)
-
-    def _bpr_param_stacks(
-        self, regs: list | None
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Zero parameter stacks for the regularised BPR edge case.
-
-        The BPR upload itself carries no interaction-parameter
-        gradients; a client contributes one only when its defense
-        regularizer emits a ``param_grad_terms`` correction — mirrored
-        here by allocating zero rows for exactly the regularised
-        clients (the terms are added in :meth:`_apply_regularizers`).
-        """
-        params = self.model.interaction_params()
-        if not params or regs is None:
-            return [], np.empty(0, dtype=np.int64)
-        owners = np.array(
-            [
-                row
-                for row, reg in enumerate(regs)
-                if reg is not None
-                and getattr(reg, "param_grad_terms", None) is not None
-            ],
-            dtype=np.int64,
-        )
-        if not len(owners):
-            return [], owners
-        stacks = [
-            np.zeros((len(owners),) + p.shape, dtype=p.dtype) for p in params
-        ]
-        return stacks, owners
-
-    def _apply_regularizers(
-        self,
-        regs: list,
-        user_vecs: np.ndarray,
-        item_ids: np.ndarray,
-        lengths: np.ndarray,
-        starts: np.ndarray,
-        item_grads: np.ndarray,
-        user_grads: np.ndarray,
-        param_stacks: list[np.ndarray],
-        param_owners: np.ndarray,
-    ) -> None:
-        """Add each client's defense gradient terms to the batch result.
-
-        Mirrors the regularizer hook sequence of
-        :meth:`BenignClient.participate` on each client's row segment of
-        the stacked tensors (``user_vecs`` rows are the pre-update
-        embeddings the reference hooks see); the hooks themselves are
-        already vectorised, so this per-client pass costs one hook call
-        per defended client.
-        """
-        item_matrix = self.model.item_embeddings
-        has_params = bool(self.model.interaction_params())
-        stack_row = {int(owner): j for j, owner in enumerate(param_owners)}
-        for row, regularizer in enumerate(regs):
-            if regularizer is None:
-                continue
-            seg = slice(int(starts[row]), int(starts[row]) + int(lengths[row]))
-            ids = item_ids[seg]
-            item_grads[seg] += regularizer.item_grad_terms(ids, item_matrix)
-            user_grads[row] += regularizer.user_grad_term(
-                user_vecs[row], item_matrix
-            )
-            param_hook = getattr(regularizer, "param_grad_terms", None)
-            if param_hook is not None and has_params and row in stack_row:
-                extra = param_hook(self.model, ids)
-                if extra:
-                    for index, term in enumerate(extra):
-                        param_stacks[index][stack_row[row]] += term
-
-    # ------------------------------------------------------------------
-    # Server hand-off
-    # ------------------------------------------------------------------
-
-    def _assemble(
-        self,
-        sampled_list: list[int],
-        num_benign: int,
-        benign_ids: np.ndarray,
-        malicious_by_pos: dict[int, ClientUpdate | CohortUpload],
-        batch: _RoundBatch,
-    ) -> UpdateBatch:
-        """Splice benign stacks and malicious uploads into one UpdateBatch.
-
-        The benign gradient rows already sit in participation order, so
-        a round without malicious uploads wraps the training stacks
-        with zero copies; otherwise malicious uploads are spliced in at
-        their sampled positions (splitting the benign stack into a
-        handful of contiguous runs), keeping the batch's client order —
-        and therefore every downstream float accumulation — exactly the
-        reference engine's upload order.
-
-        ``malicious_by_pos`` values only need the upload attributes
-        (``user_id`` / ``item_ids`` / ``item_grads`` / ``param_grads``
-        / ``malicious``): the cohort path passes
-        :class:`~repro.attacks.cohort.CohortUpload` views into its
-        stacked round arrays, the fallback path real ``ClientUpdate``
-        objects.
-        """
-        num_params = len(self.model.interaction_params())
-        if not malicious_by_pos:
-            return UpdateBatch(
-                user_ids=benign_ids,
-                item_ids=batch.item_ids,
-                item_grads=batch.item_grads,
-                lengths=batch.lengths,
-                param_stacks=batch.param_stacks if num_params else [],
-                param_owners=batch.param_owners if num_params else np.empty(0, dtype=np.int64),
-                malicious=np.zeros(len(benign_ids), dtype=bool),
-            )
-
-        run_starts = batch.starts
-        run_lengths = batch.lengths
-        owners = batch.param_owners
-        user_chunks: list[np.ndarray] = []
-        length_chunks: list[np.ndarray] = []
-        mal_chunks: list[np.ndarray] = []
-        id_chunks: list[np.ndarray] = []
-        grad_chunks: list[np.ndarray] = []
-        param_chunks: list[list[np.ndarray]] = [[] for _ in range(num_params)]
-        owner_chunks: list[np.ndarray] = []
-        benign_row = 0  # index of the next benign client
-        run_begin = 0  # first benign client of the current contiguous run
-        inserted = 0  # malicious uploads spliced in so far
-
-        def flush_run(end: int) -> None:
-            nonlocal run_begin
-            if end > run_begin:
-                lo = int(run_starts[run_begin])
-                hi = int(run_starts[end - 1] + run_lengths[end - 1])
-                id_chunks.append(batch.item_ids[lo:hi])
-                grad_chunks.append(batch.item_grads[lo:hi])
-                user_chunks.append(benign_ids[run_begin:end])
-                length_chunks.append(run_lengths[run_begin:end])
-                mal_chunks.append(np.zeros(end - run_begin, dtype=bool))
-                if num_params and len(owners):
-                    olo, ohi = np.searchsorted(owners, (run_begin, end))
-                    if ohi > olo:
-                        owner_chunks.append(owners[olo:ohi] + inserted)
-                        for index, stack in enumerate(batch.param_stacks):
-                            param_chunks[index].append(stack[olo:ohi])
-            run_begin = end
-
-        for pos, user_id in enumerate(sampled_list):
-            if user_id < num_benign:
-                benign_row += 1
-                continue
-            update = malicious_by_pos.get(pos)
-            if update is None:
-                continue
-            flush_run(benign_row)
-            client_pos = benign_row + inserted
-            user_chunks.append(np.array([update.user_id], dtype=np.int64))
-            length_chunks.append(np.array([len(update.item_ids)], dtype=np.int64))
-            mal_chunks.append(np.array([update.malicious], dtype=bool))
-            id_chunks.append(update.item_ids)
-            grad_chunks.append(update.item_grads)
-            # Parameter uploads against a parameter-free model are
-            # ignored, exactly like the reference server path.
-            if update.param_grads and num_params:
-                owner_chunks.append(np.array([client_pos], dtype=np.int64))
-                for index, grad in enumerate(update.param_grads):
-                    param_chunks[index].append(grad[None])
-            inserted += 1
-        flush_run(benign_row)
-
-        param_stacks = [
-            np.concatenate(chunks) for chunks in param_chunks if chunks
-        ]
+        new_users, item_ids, lengths, item_grads, param_stacks, param_owners = result
+        store.scatter_rows(benign_ids, new_users)
         return UpdateBatch(
-            user_ids=np.concatenate(user_chunks)
-            if user_chunks
-            else np.empty(0, dtype=np.int64),
-            item_ids=np.concatenate(id_chunks)
-            if id_chunks
-            else np.empty(0, dtype=np.int64),
-            item_grads=np.concatenate(grad_chunks, axis=0)
-            if grad_chunks
-            else np.empty((0, self.model.embedding_dim)),
-            lengths=np.concatenate(length_chunks)
-            if length_chunks
-            else np.empty(0, dtype=np.int64),
+            user_ids=benign_ids,
+            item_ids=item_ids,
+            item_grads=item_grads,
+            lengths=lengths,
             param_stacks=param_stacks,
-            param_owners=np.concatenate(owner_chunks)
-            if owner_chunks
-            else np.empty(0, dtype=np.int64),
-            malicious=np.concatenate(mal_chunks)
-            if mal_chunks
-            else np.empty(0, dtype=bool),
+            param_owners=param_owners,
+            malicious=np.zeros(len(benign_ids), dtype=bool),
         )
 
 
@@ -843,8 +595,6 @@ def _round_worker_main(
     re-dispatch at any point without bit-drift.
     """
     if manifest_json is not None:
-        from repro.federated.shards import ShardedStateStore
-
         store = ShardedStateStore.attach(manifest_json, shard_ids=shard_ids)
     while True:
         try:
@@ -857,12 +607,14 @@ def _round_worker_main(
         with kernels.use(kernel_backend) as backend:
             fallbacks_before = backend.fallback_calls
             mirror.load_into(model)
-            result = _compute_benign_stacks(
+            # param_owners stays behind: without regularizers it is
+            # all clients or none, which the parent re-derives.
+            *stacks, _ = _compute_benign_stacks(
                 model, train_cfg, seed, store, benign_ids, round_idx
             )
             fallbacks = backend.fallback_calls - fallbacks_before
         try:
-            conn.send((round_idx,) + result + (fallbacks,))
+            conn.send((round_idx, *stacks, fallbacks))
         except (BrokenPipeError, OSError):  # parent died mid-round
             return
 
@@ -938,8 +690,7 @@ class ProcessRoundExecutor:
     ):
         if num_workers < 2:
             raise ValueError("ProcessRoundExecutor needs num_workers >= 2")
-        backend = getattr(store, "backend", None)
-        if backend not in ("shm", "mmap"):
+        if not isinstance(store, ShardedStateStore):
             raise ValueError(
                 "ProcessRoundExecutor requires a ShardedStateStore "
                 "(shared segments are what make worker reads see live "
@@ -968,7 +719,7 @@ class ProcessRoundExecutor:
         self._bounds = store.manifest.bounds()
         self._ctx = multiprocessing.get_context("fork")
         manifest_json = (
-            store.manifest.to_json() if backend == "shm" else None
+            store.manifest.to_json() if store.backend == "shm" else None
         )
         # One mirror shared by every worker; created before the forks
         # so the anonymous mapping is inherited.
@@ -1001,8 +752,13 @@ class ProcessRoundExecutor:
 
     def compute(
         self, benign_ids: np.ndarray, round_idx: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-        """One round's benign stacks, reassembled in participation order."""
+    ) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray], np.ndarray
+    ]:
+        """One round's benign stacks, reassembled in participation order.
+
+        Same tuple as :func:`_compute_benign_stacks` on the full cohort.
+        """
         if self._closed:
             raise RuntimeError("executor is closed")
         self._mirror.publish(self.model)
@@ -1075,7 +831,8 @@ class ProcessRoundExecutor:
             np.concatenate([r[4][index] for r in replies])[order]
             for index in range(num_param_stacks)
         ]
-        return new_users, item_ids, lengths, item_grads, param_stacks
+        param_owners = _all_owners(len(benign_ids), param_stacks)
+        return new_users, item_ids, lengths, item_grads, param_stacks, param_owners
 
     # -- lifecycle ------------------------------------------------------
 

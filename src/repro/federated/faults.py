@@ -166,6 +166,16 @@ class DeferredUpload:
             grad * grad.dtype.type(self.discount) for grad in self.param_grads
         ]
 
+    def as_update(self) -> ClientUpdate:
+        """The upload as it reaches the server: staleness discount applied."""
+        return ClientUpdate.trusted(
+            user_id=self.user_id,
+            item_ids=self.item_ids,
+            item_grads=self.discounted_grads(),
+            param_grads=self.discounted_params(),
+            malicious=self.malicious,
+        )
+
 
 class StalenessBuffer:
     """Holds deferred uploads keyed by their arrival round.
@@ -360,49 +370,12 @@ class FaultController:
         if not keep.all():
             batch = batch.select_clients(keep)
         if arrivals:
-            batch = self._splice_arrivals(batch, arrivals)
+            stale = UpdateBatch.from_updates(
+                [arrival.as_update() for arrival in arrivals]
+            )
+            batch = UpdateBatch.concat([batch, stale])
             self.stale_applied += len(arrivals)
         return batch
-
-    def _splice_arrivals(
-        self, batch: UpdateBatch, arrivals: list[DeferredUpload]
-    ) -> UpdateBatch:
-        """Append stale uploads after the round's own uploads."""
-        user_ids = [batch.user_ids]
-        item_ids = [batch.item_ids]
-        item_grads = [batch.item_grads]
-        lengths = [batch.lengths]
-        malicious = [batch.malicious]
-        num_params = len(batch.param_stacks) or max(
-            (len(a.param_grads) for a in arrivals), default=0
-        )
-        param_chunks: list[list[np.ndarray]] = [
-            [batch.param_stacks[i]] if batch.param_stacks else []
-            for i in range(num_params)
-        ]
-        owner_chunks = [batch.param_owners]
-        next_pos = batch.num_clients
-        for arrival in arrivals:
-            user_ids.append(np.array([arrival.user_id], dtype=np.int64))
-            item_ids.append(arrival.item_ids)
-            item_grads.append(arrival.discounted_grads())
-            lengths.append(np.array([len(arrival.item_ids)], dtype=np.int64))
-            malicious.append(np.array([arrival.malicious], dtype=bool))
-            if arrival.param_grads:
-                owner_chunks.append(np.array([next_pos], dtype=np.int64))
-                for index, grad in enumerate(arrival.discounted_params()):
-                    param_chunks[index].append(grad[None])
-            next_pos += 1
-        param_stacks = [np.concatenate(chunks) for chunks in param_chunks if chunks]
-        return UpdateBatch(
-            user_ids=np.concatenate(user_ids),
-            item_ids=np.concatenate(item_ids),
-            item_grads=np.concatenate(item_grads, axis=0),
-            lengths=np.concatenate(lengths),
-            param_stacks=param_stacks,
-            param_owners=np.concatenate(owner_chunks),
-            malicious=np.concatenate(malicious),
-        )
 
     # ------------------------------------------------------------------
     # Loop-engine path

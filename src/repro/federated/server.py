@@ -8,21 +8,18 @@ interaction parameter) by ``param <- param - eta * Agg(grads)``.
 An optional *update filter* hook lets server-side defenses such as
 NormBound pre-process whole client uploads before aggregation.
 
-Three ingestion paths produce bit-identical results:
+Two ingestion paths produce bit-identical results:
 
-* :meth:`Server.apply_updates` — the reference path: one
+* :meth:`Server.apply_batch` — what every batch-engine round goes
+  through, whatever the configuration: the whole round arrives as one
+  dense :class:`UpdateBatch`; audit, filters and aggregation (one fused
+  :func:`~repro.federated.aggregation.scatter_sum` and a single dense
+  SGD step under plain sum, grouped ``aggregate_stacks`` kernels under
+  robust aggregation) all run on the stacked tensors.
+* :meth:`Server.apply_updates` — the reference the parity suites
+  compare against (``FederatedSimulation(engine="loop")``): one
   :class:`ClientUpdate` per participant, gradients grouped per item,
   one ``Agg`` call per touched item.
-* :meth:`Server.apply_batch` — the batched path used by the
-  batch-client engine for *every* configuration: the whole round
-  arrives as one dense :class:`UpdateBatch`; audit, filters and
-  aggregation (fused scatter under plain sum, grouped
-  ``aggregate_stacks`` kernels under robust aggregation) all run on
-  the stacked tensors.
-* :meth:`Server.apply_scatter` — the bare fused-sum kernel behind the
-  undefended case: pre-concatenated gradient rows land in one dense
-  delta buffer via :func:`~repro.federated.aggregation.scatter_sum`
-  and the server takes a single dense SGD step.
 """
 
 from __future__ import annotations
@@ -121,47 +118,6 @@ class Server:
 
         self._apply_item_updates(updates)
         self._apply_param_updates(updates)
-
-    def apply_scatter(
-        self,
-        item_ids: np.ndarray,
-        item_grads: np.ndarray,
-        param_stacks: Sequence[np.ndarray] = (),
-    ) -> None:
-        """Apply one fused round update from pre-concatenated gradients.
-
-        ``item_ids``/``item_grads`` are the row-aligned concatenation of
-        every participant's upload, in participation order (padding rows
-        with zero gradients are harmless); ``param_stacks`` holds one
-        ``(contributors, *param_shape)`` stack per interaction
-        parameter. Requires a scatter-capable (plain sum) aggregator
-        and no update filter; under those conditions the result is
-        bit-identical to :meth:`apply_updates` on the equivalent
-        per-client updates, while doing one ``np.add.at`` and one dense
-        SGD step instead of per-item grouping.
-        """
-        if not self.aggregator.supports_scatter:
-            raise ValueError(
-                "apply_scatter requires a sum aggregator; robust "
-                "aggregators need per-item contributor stacks"
-            )
-        if self.update_filter is not None:
-            raise ValueError("apply_scatter cannot run server update filters")
-        if self.audit_log is not None:
-            raise ValueError(
-                "apply_scatter has no per-client updates to audit; use "
-                "apply_updates when an audit log is attached"
-            )
-        if len(item_ids):
-            buffer = scatter_sum(item_ids, item_grads, self.model.num_items)
-            self.model.item_embeddings += -self.lr * buffer
-        params = self.model.interaction_params()
-        if params and param_stacks:
-            deltas = [
-                -self.lr * self.aggregator.aggregate(stack)
-                for stack in param_stacks
-            ]
-            self.model.apply_param_update(deltas)
 
     def apply_batch(self, batch: UpdateBatch) -> None:
         """Apply one round from a dense :class:`UpdateBatch`.

@@ -54,6 +54,7 @@ import weakref
 
 import numpy as np
 
+from repro.federated.state import ClientStoreBase, pack_csr
 from repro.rng import spawn_first_uniform, spawn_normal_rows
 
 __all__ = [
@@ -394,7 +395,7 @@ class _Shard:
         self.lr = lr
 
 
-class ShardedStateStore:
+class ShardedStateStore(ClientStoreBase):
     """Drop-in :class:`ClientStateStore` backed by per-shard segments.
 
     Implements the exact store surface the batch engine, the
@@ -415,15 +416,12 @@ class ShardedStateStore:
         created: bool,
     ):
         self.manifest = manifest
+        super().__init__(manifest.seed, regularizer_factory)
         self.num_items = manifest.num_items
-        self._seed = manifest.seed
         self._segments = segments
         self._shards = shards
         self._bounds = manifest.bounds()
         self._created = created
-        self._regularizer_factory = regularizer_factory
-        self._regularizers: dict[int, object] = {}
-        self._client_lr_cache: tuple[tuple[float, float], np.ndarray] | None = None
         self._closed = False
         # Covers explicit close, garbage collection and interpreter
         # exit: the creator unlinks, attachers merely unmap.
@@ -455,53 +453,7 @@ class ShardedStateStore:
         per-user ``spawn_normal_rows`` stream, just restricted to its
         own id range.
         """
-        if hasattr(train_pos, "csr_arrays"):
-            indptr, indices = train_pos.csr_arrays()
-        else:
-            num_users = len(train_pos)
-            lengths = np.fromiter(
-                (len(items) for items in train_pos),
-                dtype=np.int64,
-                count=num_users,
-            )
-            indptr = np.zeros(num_users + 1, dtype=np.int64)
-            np.cumsum(lengths, out=indptr[1:])
-            indices = (
-                np.ascontiguousarray(np.concatenate(train_pos), dtype=np.int64)
-                if num_users
-                else np.empty(0, dtype=np.int64)
-            )
-        return cls.from_csr(
-            indptr,
-            indices,
-            num_items,
-            embedding_dim,
-            seed=seed,
-            init_scale=init_scale,
-            regularizer_factory=regularizer_factory,
-            num_shards=num_shards,
-            backend=backend,
-            lr_range=lr_range,
-            config_digest=config_digest,
-        )
-
-    @classmethod
-    def from_csr(
-        cls,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        num_items: int,
-        embedding_dim: int,
-        *,
-        seed: int = 0,
-        init_scale: float = 0.1,
-        regularizer_factory=None,
-        num_shards: int = 1,
-        backend: str = "shm",
-        lr_range: tuple[float, float] | None = None,
-        config_digest: str = "",
-    ) -> "ShardedStateStore":
-        """Build directly from global CSR arrays (no ragged list)."""
+        indptr, indices = pack_csr(train_pos)
         num_users = len(indptr) - 1
         bounds = shard_bounds(num_users, num_shards)
         token = uuid.uuid4().hex[:12]
@@ -671,12 +623,14 @@ class ShardedStateStore:
     def _shard_for_user(self, user_id: int) -> _Shard:
         if not 0 <= user_id < self.num_users:
             raise IndexError(f"user id {user_id} out of range")
-        s = int(_shard_of(self._bounds, np.asarray([user_id]))[0])
+        return self._attached(int(_shard_of(self._bounds, np.asarray([user_id]))[0]))
+
+    def _attached(self, s: int) -> _Shard:
         try:
             return self._shards[s]
         except KeyError:
             raise KeyError(
-                f"shard {s} (user {user_id}) is not attached here; "
+                f"shard {s} is not attached here; "
                 f"attached: {self.attached_shard_ids}"
             ) from None
 
@@ -688,12 +642,7 @@ class ShardedStateStore:
         out = np.empty((len(ids), self.embedding_dim), dtype=np.float64)
         owners = _shard_of(self._bounds, ids)
         for s in np.unique(owners):
-            shard = self._shards.get(int(s))
-            if shard is None:
-                raise KeyError(
-                    f"shard {int(s)} is not attached here; "
-                    f"attached: {self.attached_shard_ids}"
-                )
+            shard = self._attached(int(s))
             sel = owners == s
             out[sel] = shard.emb[ids[sel] - shard.lo]
         return out
@@ -704,12 +653,7 @@ class ShardedStateStore:
         rows = np.asarray(rows)
         owners = _shard_of(self._bounds, ids)
         for s in np.unique(owners):
-            shard = self._shards.get(int(s))
-            if shard is None:
-                raise KeyError(
-                    f"shard {int(s)} is not attached here; "
-                    f"attached: {self.attached_shard_ids}"
-                )
+            shard = self._attached(int(s))
             sel = owners == s
             shard.emb[ids[sel] - shard.lo] = rows[sel]
 
@@ -741,23 +685,11 @@ class ShardedStateStore:
             cursor = stop
         return out
 
-    def snapshot_embeddings(self) -> np.ndarray:
-        """Dense copy of the full matrix (checkpoint capture)."""
-        return np.ascontiguousarray(self.embedding_block(0, self.num_users))
-
     def load_embeddings(self, matrix: np.ndarray) -> None:
         """Restore every shard from a dense checkpoint copy."""
-        if matrix.shape != (self.num_users, self.embedding_dim):
-            raise ValueError(
-                f"embedding snapshot shape {matrix.shape} does not match "
-                f"store ({self.num_users}, {self.embedding_dim})"
-            )
+        self._check_snapshot_shape(matrix)
         for s in range(self.manifest.num_shards):
-            shard = self._shards.get(s)
-            if shard is None:
-                raise KeyError(
-                    f"cannot restore shard {s}: not attached here"
-                )
+            shard = self._attached(s)
             shard.emb[...] = matrix[shard.lo : shard.hi]
 
     # -- CSR positives --------------------------------------------------
@@ -770,9 +702,6 @@ class ShardedStateStore:
 
     def positives_list(self, user_ids: np.ndarray) -> list[np.ndarray]:
         return [self.positives(int(user_id)) for user_id in user_ids]
-
-    def to_ragged(self) -> list[np.ndarray]:
-        return [self.positives(u).copy() for u in range(self.num_users)]
 
     def train_mask_block(self, lo: int, hi: int) -> np.ndarray:
         """Boolean ``(hi - lo, num_items)`` training-interaction mask."""
@@ -793,9 +722,7 @@ class ShardedStateStore:
 
     def client_lrs(self, lr_range: tuple[float, float]) -> np.ndarray:
         """Every client's fixed local learning rate (needs all shards)."""
-        low, high = lr_range
-        if not 0 < low <= high:
-            raise ValueError("client_lr_range must satisfy 0 < low <= high")
+        low, high = self._checked_lr_range(lr_range)
         if self._client_lr_cache is None or self._client_lr_cache[0] != (low, high):
             self._client_lr_cache = (
                 (low, high),
@@ -807,9 +734,7 @@ class ShardedStateStore:
         self, lr_range: tuple[float, float], user_ids: np.ndarray
     ) -> np.ndarray:
         """The given users' rates, served from segments when possible."""
-        low, high = lr_range
-        if not 0 < low <= high:
-            raise ValueError("client_lr_range must satisfy 0 < low <= high")
+        low, high = self._checked_lr_range(lr_range)
         ids = np.asarray(user_ids, dtype=np.int64)
         if self.manifest.lr_range == (float(low), float(high)):
             out = np.empty(len(ids), dtype=np.float64)
@@ -834,25 +759,6 @@ class ShardedStateStore:
                 float(np.log(high)),
             )
         )
-
-    # -- regularizers (per-user Python state, creator-process only) -----
-
-    @property
-    def has_regularizers(self) -> bool:
-        return self._regularizer_factory is not None or bool(self._regularizers)
-
-    def regularizer(self, user_id: int):
-        try:
-            return self._regularizers[user_id]
-        except KeyError:
-            if self._regularizer_factory is None:
-                return None
-            regularizer = self._regularizer_factory()
-            self._regularizers[user_id] = regularizer
-            return regularizer
-
-    def set_regularizer(self, user_id: int, regularizer) -> None:
-        self._regularizers[user_id] = regularizer
 
 
 # ----------------------------------------------------------------------
@@ -894,18 +800,18 @@ class CSRRaggedList:
 
 
 class EmbeddingMatrixView:
-    """Sliceable user-embedding facade over a sharded store.
+    """Sliceable user-embedding facade over a client state store.
 
     Streaming evaluation (``model.score_blocks``) only needs ``len()``
     and contiguous ``[lo:hi]`` slices; this adapter serves both from
-    :meth:`ShardedStateStore.embedding_block` without ever
-    materialising the dense ``num_users x dim`` matrix, so the
-    block-wise scores are bit-identical to the dense store's.
+    the store's ``embedding_block`` without ever materialising a dense
+    ``num_users x dim`` matrix the store does not already hold, so the
+    block-wise scores do not depend on where the rows live.
     """
 
     __slots__ = ("_store",)
 
-    def __init__(self, store: "ShardedStateStore"):
+    def __init__(self, store: ClientStoreBase):
         self._store = store
 
     def __len__(self) -> int:

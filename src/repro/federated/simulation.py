@@ -6,23 +6,18 @@ malicious clients (Section III-B), a server with plain-sum or robust
 aggregation, and periodic evaluation of attack effectiveness (ER@K)
 and recommendation performance (HR@K).
 
-Two execution engines run the identical protocol:
-
-* ``engine="batch"`` (default) — the vectorised
-  :class:`~repro.federated.batch_engine.BatchClientEngine`: all sampled
-  clients' local steps (BCE or BPR) run as stacked tensor ops and the
-  server consumes the round as one dense
-  :class:`~repro.federated.update_batch.UpdateBatch` — fused scatter
-  when undefended, grouped batched kernels for robust aggregators,
-  batched filters and audit otherwise;
-* ``engine="loop"`` — the reference implementation: one pure-Python
-  ``participate`` call per sampled client, per-item grouped
-  aggregation.
-
-Both engines draw from the same per-client RNG streams and perform
-bit-identical arithmetic, so trajectories are identical for a given
-seed (asserted by the parity suite); the batch engine is simply an
-order of magnitude faster at production round sizes.
+Rounds execute on the vectorised
+:class:`~repro.federated.batch_engine.BatchClientEngine`: all sampled
+clients' local steps (BCE or BPR) run as stacked tensor ops and the
+server consumes the round as one dense
+:class:`~repro.federated.update_batch.UpdateBatch` — fused scatter
+when undefended, grouped batched kernels for robust aggregators,
+batched filters and audit otherwise.  ``engine="loop"`` selects the
+reference implementation instead — one pure-Python ``participate``
+call per sampled client, per-item grouped aggregation — which exists
+for the parity suites to compare against: both draw from the same
+per-client RNG streams and perform bit-identical arithmetic, so
+trajectories are identical for a given seed.
 
 All benign client state is held by one struct-of-arrays
 :class:`~repro.federated.state.ClientStateStore` (dense user-embedding
@@ -114,10 +109,6 @@ class FederatedSimulation:
         audit: bool = False,
         engine: str = "batch",
     ):
-        if engine not in ("loop", "batch"):
-            raise ValueError(
-                f"unknown engine {engine!r}; expected 'loop' or 'batch'"
-            )
         self.engine = engine
         self.config = config
         # Resolve the kernel backend up front so a missing native
@@ -126,6 +117,10 @@ class FederatedSimulation:
         # scope.
         self.kernel_backend = kernels.resolve(config.train.kernels)
         self.dataset = dataset if dataset is not None else load_dataset(config.dataset)
+        regularizer_factory = client_regularizer_factory(
+            config.defense, self.dataset.num_items
+        )
+        self._reject_unsupported(regularizer_factory is not None)
         self.model = build_model(
             config.model.kind,
             self.dataset.num_items,
@@ -141,9 +136,6 @@ class FederatedSimulation:
         self.attack_cfg = attack_cfg
         self.targets = self._select_targets(attack_cfg)
 
-        regularizer_factory = client_regularizer_factory(
-            config.defense, self.dataset.num_items
-        )
         # All benign client state lives in one struct-of-arrays store
         # (embedding matrix + CSR interactions), initialised
         # bit-identically to the object-per-user draws; the object API
@@ -153,12 +145,6 @@ class FederatedSimulation:
         # sharding is a pure throughput/footprint knob).
         sharding = config.sharding
         if sharding.enabled:
-            if sharding.shared_memory and not shared_memory_available():
-                raise RuntimeError(
-                    "sharding.shared_memory=True but /dev/shm is not "
-                    "available; set shared_memory=False for the "
-                    "anonymous-mmap backend"
-                )
             self.state = ShardedStateStore.build(
                 self.dataset.train_pos,
                 self.dataset.num_items,
@@ -233,27 +219,13 @@ class FederatedSimulation:
             if engine == "batch" and self.malicious_clients
             else None
         )
-        # Multi-process round executor: benign stacks are computed by
-        # per-shard worker processes reading the shared segments, and
-        # the parent performs the single scatter — bit-identical to the
-        # in-process path.  The combination constraints are rejected
-        # loudly (never silently degraded): the executor needs the
-        # batched wave math and a shared (not copy-on-write) store, and
-        # client-side regularizers are mutable per-user Python objects
-        # that cannot cross the process boundary.
-        if sharding.uses_executor:
-            if engine != "batch":
-                raise ValueError(
-                    "sharding.round_workers >= 2 requires engine='batch' "
-                    "(the loop engine has no multi-process counterpart)"
-                )
-            if config.asynchrony.enabled:
-                raise ValueError(
-                    "sharding.round_workers >= 2 and asynchrony are "
-                    "mutually exclusive: the event loop drives waves "
-                    "in-process"
-                )
-            self.executor = ProcessRoundExecutor(
+        # Multi-process round executor — a compute provider under the
+        # batch engine, synchronous or asynchronous: benign stacks are
+        # computed by per-shard worker processes reading the shared
+        # segments, and the parent performs the single scatter —
+        # bit-identical to the in-process path.
+        self.executor = (
+            ProcessRoundExecutor(
                 self.model,
                 config.train,
                 config.seed,
@@ -261,18 +233,17 @@ class FederatedSimulation:
                 sharding.round_workers,
                 kernel_backend=self.kernel_backend,
             )
-        else:
-            self.executor = None
+            if sharding.uses_executor
+            else None
+        )
         self._batch_engine = (
             BatchClientEngine(
                 self.model,
                 self.server,
-                self.benign_clients,
-                self.malicious_clients,
+                self.state,
+                self.malicious_cohort,
                 config.train,
                 config.seed,
-                state=self.state,
-                cohort=self.malicious_cohort,
                 kernel_backend=self.kernel_backend,
                 fault_controller=self.fault_controller,
                 executor=self.executor,
@@ -280,26 +251,10 @@ class FederatedSimulation:
             if engine == "batch"
             else None
         )
-        # The asynchronous event-driven mode wraps the batch engine
-        # (whose per-wave math and RNG streams it reuses verbatim); the
-        # reference loop has no async counterpart, and the synchronous
-        # fault layer models churn/latency its own way — combining the
-        # two would double-apply a failure model, so both are rejected
-        # loudly rather than silently composed.
-        if config.asynchrony.enabled:
-            if engine != "batch":
-                raise ValueError(
-                    "asynchronous federation requires engine='batch' "
-                    "(the event loop reuses the batched wave math)"
-                )
-            if config.faults.injects_faults:
-                raise ValueError(
-                    "asynchrony and fault injection are mutually "
-                    "exclusive: model churn/latency via AsyncConfig "
-                    "(server-side min_quorum / max_upload_norm still "
-                    "apply)"
-                )
-            self._async_engine = AsyncFederationEngine(
+        # The asynchronous event-driven mode wraps the batch engine,
+        # whose per-wave math and RNG streams it reuses verbatim.
+        self._async_engine = (
+            AsyncFederationEngine(
                 batch_engine=self._batch_engine,
                 server=self.server,
                 config=config.asynchrony,
@@ -307,8 +262,56 @@ class FederatedSimulation:
                 total_users=self.total_users,
                 seed=config.seed,
             )
-        else:
-            self._async_engine = None
+            if config.asynchrony.enabled
+            else None
+        )
+
+    def _reject_unsupported(self, client_regularized: bool) -> None:
+        """Refuse unsupported combinations before anything is allocated.
+
+        Every exclusion is rejected loudly here — never silently
+        degraded mid-run, and never after the store's shared-memory
+        segments exist (an exception would keep them linked for as
+        long as it is referenced).  One reason per exclusion.
+        """
+        config, engine = self.config, self.engine
+        if engine not in ("loop", "batch"):
+            raise ValueError(
+                f"unknown engine {engine!r}; expected 'loop' or 'batch'"
+            )
+        sharding = config.sharding
+        if (
+            sharding.enabled
+            and sharding.shared_memory
+            and not shared_memory_available()
+        ):
+            raise RuntimeError(
+                "sharding.shared_memory=True but /dev/shm is not "
+                "available; set shared_memory=False for the "
+                "anonymous-mmap backend"
+            )
+        if engine != "batch" and (
+            sharding.uses_executor or config.asynchrony.enabled
+        ):
+            raise ValueError(
+                "sharding.round_workers >= 2 and asynchronous federation "
+                "require engine='batch': the reference loop has no "
+                "batched wave math for workers or the event loop to reuse"
+            )
+        if sharding.uses_executor and client_regularized:
+            raise ValueError(
+                "sharding.round_workers >= 2 cannot execute client-side "
+                "regularization: per-user regularizer state lives only "
+                "in the parent process. Run this config in-process "
+                "(round_workers=0)."
+            )
+        if config.asynchrony.enabled and config.faults.injects_faults:
+            raise ValueError(
+                "asynchrony and fault injection are mutually "
+                "exclusive: both model churn/latency, and composing "
+                "them would apply a failure model twice; use AsyncConfig "
+                "(server-side min_quorum / max_upload_norm still apply)"
+            )
 
     def close(self) -> None:
         """Release round workers and shared-memory segments.
@@ -320,9 +323,7 @@ class FederatedSimulation:
         """
         if self.executor is not None:
             self.executor.close()
-        closer = getattr(self.state, "close", None)
-        if closer is not None:
-            closer()
+        self.state.close()
 
     def __enter__(self) -> "FederatedSimulation":
         return self
@@ -421,8 +422,7 @@ class FederatedSimulation:
         previous survivors), and — when ``resume`` is true and one
         exists — picks up from the newest *intact* checkpoint instead
         of round 0: a torn or corrupt file is quarantined and skipped
-        in favour of the next-oldest survivor (a legacy rolling
-        ``checkpoint.pkl`` is honoured as a final fallback).  The
+        in favour of the next-oldest survivor.  The
         resume contract is bit-identity: a run resumed at round ``r``
         produces exactly the model, metrics and fault/async accounting
         of the uninterrupted run (everything per-round is derived
@@ -571,8 +571,6 @@ class FederatedSimulation:
                 "quorum_dropped_uploads": self.server.quorum_dropped_uploads,
             },
             "engine_counters": {
-                "stacked_rounds": engine.stacked_rounds,
-                "object_malicious_rounds": engine.object_malicious_rounds,
                 "kernel_fallback_rounds": engine.kernel_fallback_rounds,
                 "process_rounds": engine.process_rounds,
             }
@@ -635,7 +633,6 @@ class FederatedSimulation:
             setattr(self.server, name, value)
         engine = self._batch_engine
         if engine is not None:
-            engine.malicious_clients = clients
             engine.cohort = cohort
             if payload["engine_counters"] is not None:
                 for name, value in payload["engine_counters"].items():
@@ -690,12 +687,7 @@ class FederatedSimulation:
         snapshot assembled at call time.  Either way the result is
         read-only so stale callers cannot corrupt client state.
         """
-        matrix = getattr(self.state, "user_embeddings", None)
-        if matrix is None:
-            snapshot = self.state.snapshot_embeddings()
-            snapshot.flags.writeable = False
-            return snapshot
-        view = matrix.view()
+        view = self.state.embedding_block(0, self.dataset.num_users).view()
         view.flags.writeable = False
         return view
 
@@ -736,14 +728,11 @@ class FederatedSimulation:
         er_eligible = np.zeros(len(self.targets), dtype=np.int64)
         hr_hits = 0
         hr_total = 0
-        user_matrix = getattr(self.state, "user_embeddings", None)
-        if user_matrix is None:
-            # Sharded store: stream blocks straight out of the shard
-            # segments (same rows, same block boundaries — scores are
-            # bit-identical to the dense pass).
-            user_matrix = EmbeddingMatrixView(self.state)
+        # Blocks stream straight out of the store (for a sharded one,
+        # out of the shard segments): same rows, same block boundaries,
+        # so scores do not depend on where the rows live.
         for lo, hi, scores in self.model.score_blocks(
-            user_matrix, self._eval_block_users()
+            EmbeddingMatrixView(self.state), self._eval_block_users()
         ):
             train_mask = self.state.train_mask_block(lo, hi)
             hits, eligible = exposure_counts_at_k(

@@ -46,7 +46,13 @@ import numpy as np
 
 from repro.rng import spawn_first_uniform, spawn_normal_rows
 
-__all__ = ["ClientStateStore", "ClientViewList", "row_composite_indices"]
+__all__ = [
+    "ClientStoreBase",
+    "ClientStateStore",
+    "ClientViewList",
+    "pack_csr",
+    "row_composite_indices",
+]
 
 
 def row_composite_indices(user_ids: np.ndarray, dim: int) -> np.ndarray:
@@ -63,7 +69,102 @@ def row_composite_indices(user_ids: np.ndarray, dim: int) -> np.ndarray:
     return (ids[:, None] * np.int64(dim) + offsets).reshape(-1)
 
 
-class ClientStateStore:
+def pack_csr(train_pos) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` int64 CSR arrays of ragged positive lists.
+
+    A CSR-backed ragged facade (the shared-memory attach path) hands
+    over its arrays directly instead of re-concatenating a million
+    per-user slices.
+    """
+    if hasattr(train_pos, "csr_arrays"):
+        indptr, indices = train_pos.csr_arrays()
+        return (
+            np.ascontiguousarray(indptr, dtype=np.int64),
+            np.ascontiguousarray(indices, dtype=np.int64),
+        )
+    num_users = len(train_pos)
+    lengths = np.fromiter(
+        (len(items) for items in train_pos), dtype=np.int64, count=num_users
+    )
+    indptr = np.zeros(num_users + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = (
+        np.ascontiguousarray(np.concatenate(train_pos), dtype=np.int64)
+        if num_users
+        else np.empty(0, dtype=np.int64)
+    )
+    return indptr, indices
+
+
+class ClientStoreBase:
+    """What the dense and the sharded store share verbatim.
+
+    Subclasses provide ``num_users`` / ``embedding_dim`` / ``positives``
+    and the array access API; this base holds the per-user Python state
+    (lazy defense regularizers) and the argument checks.
+    """
+
+    def __init__(self, seed: int, regularizer_factory):
+        self._seed = seed
+        self._regularizer_factory = regularizer_factory
+        self._regularizers: dict[int, object] = {}
+        self._client_lr_cache: tuple[tuple[float, float], np.ndarray] | None = None
+
+    def close(self) -> None:
+        """Release what the store holds outside the heap (nothing here)."""
+
+    def snapshot_embeddings(self) -> np.ndarray:
+        """Dense copy of the full embedding matrix (checkpoints)."""
+        return np.array(self.embedding_block(0, self.num_users), order="C")
+
+    def to_ragged(self) -> list[np.ndarray]:
+        """Per-user positive-item arrays (copies) — CSR round-trip."""
+        return [self.positives(user_id).copy() for user_id in range(self.num_users)]
+
+    @staticmethod
+    def _checked_lr_range(lr_range: tuple[float, float]) -> tuple[float, float]:
+        low, high = lr_range
+        if not 0 < low <= high:
+            raise ValueError("client_lr_range must satisfy 0 < low <= high")
+        return low, high
+
+    def _check_snapshot_shape(self, matrix: np.ndarray) -> None:
+        if matrix.shape != (self.num_users, self.embedding_dim):
+            raise ValueError(
+                f"embedding snapshot shape {matrix.shape} does not match "
+                f"store ({self.num_users}, {self.embedding_dim})"
+            )
+
+    # -- defense regularizers (inherently per-user mutable state) --------
+
+    @property
+    def has_regularizers(self) -> bool:
+        """Whether any client may carry a defense regularizer."""
+        return self._regularizer_factory is not None or bool(self._regularizers)
+
+    def regularizer(self, user_id: int):
+        """The user's defense regularizer, created lazily (or ``None``).
+
+        Lazy creation is behaviour-preserving: a fresh regularizer only
+        accumulates state through ``observe`` calls, which happen when
+        the client participates — exactly when this accessor first
+        runs for the user.
+        """
+        try:
+            return self._regularizers[user_id]
+        except KeyError:
+            if self._regularizer_factory is None:
+                return None
+            regularizer = self._regularizer_factory()
+            self._regularizers[user_id] = regularizer
+            return regularizer
+
+    def set_regularizer(self, user_id: int, regularizer) -> None:
+        """Install (or clear) one user's regularizer explicitly."""
+        self._regularizers[user_id] = regularizer
+
+
+class ClientStateStore(ClientStoreBase):
     """Flat-array state for the whole benign client population."""
 
     def __init__(
@@ -87,10 +188,7 @@ class ClientStateStore:
         self.train_indptr = train_indptr
         self.train_indices = train_indices
         self.num_items = num_items
-        self._seed = seed
-        self._regularizer_factory = regularizer_factory
-        self._regularizers: dict[int, object] = {}
-        self._client_lr_cache: tuple[tuple[float, float], np.ndarray] | None = None
+        super().__init__(seed, regularizer_factory)
 
     # ------------------------------------------------------------------
     # Construction
@@ -123,26 +221,7 @@ class ClientStateStore:
             embedding_dim,
             scale=init_scale,
         )
-        if hasattr(train_pos, "csr_arrays"):
-            # CSR-backed ragged facade (shared-memory attach path):
-            # adopt its arrays directly instead of re-concatenating a
-            # million per-user slices.
-            indptr, indices = train_pos.csr_arrays()
-            indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-            indices = np.ascontiguousarray(indices, dtype=np.int64)
-        else:
-            lengths = np.fromiter(
-                (len(items) for items in train_pos),
-                dtype=np.int64,
-                count=num_users,
-            )
-            indptr = np.zeros(num_users + 1, dtype=np.int64)
-            np.cumsum(lengths, out=indptr[1:])
-            indices = (
-                np.ascontiguousarray(np.concatenate(train_pos), dtype=np.int64)
-                if num_users
-                else np.empty(0, dtype=np.int64)
-            )
+        indptr, indices = pack_csr(train_pos)
         return cls(
             embeddings,
             indptr,
@@ -214,17 +293,9 @@ class ClientStateStore:
         """
         return self.user_embeddings[lo:hi]
 
-    def snapshot_embeddings(self) -> np.ndarray:
-        """Dense copy of the full embedding matrix (checkpoints)."""
-        return np.ascontiguousarray(self.user_embeddings).copy()
-
     def load_embeddings(self, matrix: np.ndarray) -> None:
         """Restore the full embedding matrix from a checkpoint copy."""
-        if matrix.shape != (self.num_users, self.embedding_dim):
-            raise ValueError(
-                f"embedding snapshot shape {matrix.shape} does not match "
-                f"store ({self.num_users}, {self.embedding_dim})"
-            )
+        self._check_snapshot_shape(matrix)
         self.user_embeddings[...] = matrix
 
     def positives(self, user_id: int) -> np.ndarray:
@@ -241,10 +312,6 @@ class ClientStateStore:
             indices[indptr[user_id] : indptr[user_id + 1]]
             for user_id in user_ids
         ]
-
-    def to_ragged(self) -> list[np.ndarray]:
-        """Per-user positive-item arrays (copies) — CSR round-trip."""
-        return [self.positives(user_id).copy() for user_id in range(self.num_users)]
 
     def train_mask_block(self, lo: int, hi: int) -> np.ndarray:
         """Boolean ``(hi - lo, num_items)`` training-interaction mask.
@@ -273,9 +340,7 @@ class ClientStateStore:
         the result (the draws are round-independent).  Bit-identical to
         the scalar reference, asserted by the parity suite.
         """
-        low, high = lr_range
-        if not 0 < low <= high:
-            raise ValueError("client_lr_range must satisfy 0 < low <= high")
+        low, high = self._checked_lr_range(lr_range)
         if self._client_lr_cache is None or self._client_lr_cache[0] != (low, high):
             draws = spawn_first_uniform(
                 self._seed,
@@ -297,36 +362,6 @@ class ClientStateStore:
         ``(num_users,)`` vector in one process.
         """
         return self.client_lrs(lr_range)[np.asarray(user_ids)]
-
-    # ------------------------------------------------------------------
-    # Defense regularizers (inherently per-user mutable state)
-    # ------------------------------------------------------------------
-
-    @property
-    def has_regularizers(self) -> bool:
-        """Whether any client may carry a defense regularizer."""
-        return self._regularizer_factory is not None or bool(self._regularizers)
-
-    def regularizer(self, user_id: int):
-        """The user's defense regularizer, created lazily (or ``None``).
-
-        Lazy creation is behaviour-preserving: a fresh regularizer only
-        accumulates state through ``observe`` calls, which happen when
-        the client participates — exactly when this accessor first
-        runs for the user.
-        """
-        try:
-            return self._regularizers[user_id]
-        except KeyError:
-            if self._regularizer_factory is None:
-                return None
-            regularizer = self._regularizer_factory()
-            self._regularizers[user_id] = regularizer
-            return regularizer
-
-    def set_regularizer(self, user_id: int, regularizer) -> None:
-        """Install (or clear) one user's regularizer explicitly."""
-        self._regularizers[user_id] = regularizer
 
 
 class ClientViewList:

@@ -17,9 +17,13 @@ Layout invariants (everything downstream relies on them):
 * within a client's segment, rows keep that client's upload row order
   (so any per-item regrouping that is stable in row order reproduces
   the reference engine's per-item contributor stacks exactly);
-* ``param_owners`` lists, in upload order, the client positions that
-  contributed interaction-parameter gradients; ``param_stacks[i][j]``
-  is the ``i``-th parameter gradient of client ``param_owners[j]``;
+* ``param_owners`` lists, in upload order (so ascending), the client
+  positions that contributed interaction-parameter gradients;
+  ``param_stacks[i][j]`` is the ``i``-th parameter gradient of client
+  ``param_owners[j]``.  Cutting and joining batches moves these
+  positions — only :meth:`UpdateBatch.client_slice`,
+  :meth:`UpdateBatch.concat` and :meth:`UpdateBatch.select_clients`
+  do that;
 * ``malicious`` is ground-truth bookkeeping mirrored from
   ``ClientUpdate.malicious`` — read by the audit log and analysis
   code only, never by a defense.
@@ -33,6 +37,7 @@ stacks without copying.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -179,6 +184,73 @@ class UpdateBatch:
             param_stacks=param_stacks,
             param_owners=np.asarray(param_owners, dtype=np.int64),
             malicious=self.malicious[keep],
+        )
+
+    # ------------------------------------------------------------------
+    # Splicing — the one place that shifts ``param_owners`` positions
+    # ------------------------------------------------------------------
+
+    def client_slice(self, lo: int, hi: int) -> "UpdateBatch":
+        """Clients ``[lo, hi)`` as a batch of zero-copy views.
+
+        Relies on ``param_owners`` being ascending (the upload-order
+        invariant above); the slice's owners are rebased to its own
+        client positions.
+        """
+        row_lo = int(self.lengths[:lo].sum())
+        row_hi = row_lo + int(self.lengths[lo:hi].sum())
+        owner_lo, owner_hi = np.searchsorted(self.param_owners, (lo, hi))
+        return UpdateBatch(
+            user_ids=self.user_ids[lo:hi],
+            item_ids=self.item_ids[row_lo:row_hi],
+            item_grads=self.item_grads[row_lo:row_hi],
+            lengths=self.lengths[lo:hi],
+            param_stacks=[
+                stack[owner_lo:owner_hi] for stack in self.param_stacks
+            ],
+            param_owners=self.param_owners[owner_lo:owner_hi] - lo,
+            malicious=self.malicious[lo:hi],
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["UpdateBatch"]) -> "UpdateBatch":
+        """The parts' clients laid end to end, in ``parts`` order.
+
+        Every array is one ``np.concatenate`` over the parts in order,
+        so the result's bytes depend only on the sequence of client
+        uploads, not on how it was cut into parts.  Parts without
+        parameter stacks contribute none; the others' ``param_owners``
+        shift by the number of clients before them.  A single part is
+        returned as is (same object, zero copies).
+        """
+        if len(parts) == 1:
+            return parts[0]
+        offsets = segment_starts(
+            np.array([part.num_clients for part in parts], dtype=np.int64)
+        )
+        with_params = [
+            (part, offset)
+            for part, offset in zip(parts, offsets)
+            if part.param_stacks
+        ]
+        num_params = len(with_params[0][0].param_stacks) if with_params else 0
+        return cls(
+            user_ids=np.concatenate([part.user_ids for part in parts]),
+            item_ids=np.concatenate([part.item_ids for part in parts]),
+            item_grads=np.concatenate(
+                [part.item_grads for part in parts], axis=0
+            ),
+            lengths=np.concatenate([part.lengths for part in parts]),
+            param_stacks=[
+                np.concatenate([part.param_stacks[i] for part, _ in with_params])
+                for i in range(num_params)
+            ],
+            param_owners=np.concatenate(
+                [part.param_owners + offset for part, offset in with_params]
+            )
+            if with_params
+            else np.empty(0, dtype=np.int64),
+            malicious=np.concatenate([part.malicious for part in parts]),
         )
 
     # ------------------------------------------------------------------

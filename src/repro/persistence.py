@@ -24,10 +24,11 @@ the data.  Loaders verify the digest on read and **quarantine** files
 that fail it (atomically moved aside to ``<name>.quarantined``, so the
 corruption specimen survives for inspection while the loader reports a
 miss or a structured :class:`IntegrityError` instead of silently
-trusting flipped bits).  Files written before the digest existed are
-still readable ("legacy") — integrity is additive, never a forced
-cache invalidation.  ``fsck_paths`` (surfaced as ``repro fsck``) walks
-a tree and reports the verified / legacy / corrupt split.
+trusting flipped bits).  A recognised artifact *without* a valid
+digest gets the same treatment — this repo wrote such files only in
+its own history, and everything here is regenerable.  ``fsck_paths``
+(surfaced as ``repro fsck``) walks a tree and reports the verified /
+corrupt split.
 """
 
 from __future__ import annotations
@@ -81,11 +82,6 @@ __all__ = [
 #: sha256 digest of exactly those bytes, so torn or bit-flipped
 #: checkpoints are detected (and quarantined) instead of resumed from.
 CHECKPOINT_VERSION = "ckpt-v3"
-
-#: Checkpoint versions :func:`load_checkpoint` still understands.
-#: ``ckpt-v2`` predates the digest: its payload is stored as a live
-#: object and loads without verification ("legacy digestless").
-_COMPAT_CHECKPOINT_VERSIONS = frozenset({"ckpt-v2", CHECKPOINT_VERSION})
 
 #: Suffix appended (atomically, via ``os.replace``) to files that fail
 #: their integrity check.  A quarantined file is out of every loader's
@@ -173,8 +169,6 @@ def save_json_digested(
 
 #: Versioned checkpoint filenames: ``checkpoint-r<next_round>.pkl``.
 _CHECKPOINT_PREFIX = "checkpoint-r"
-#: Pre-retention rolling checkpoint name, honoured on resume only.
-_LEGACY_CHECKPOINT = "checkpoint.pkl"
 
 
 def _replace_into(path: str, write) -> None:
@@ -228,8 +222,8 @@ def load_result(path: str, *, quarantine: bool = True) -> SimulationResult:
     Verify-on-read: a torn file or a digest mismatch raises
     :class:`IntegrityError` (after quarantining the specimen unless
     ``quarantine`` is false) — corrupt metrics must never load as if
-    they were measurements.  Digestless files from before the
-    integrity layer still load.
+    they were measurements.  A file without a digest is not trusted
+    either.
     """
     try:
         with open(path) as handle:
@@ -243,10 +237,12 @@ def load_result(path: str, *, quarantine: bool = True) -> SimulationResult:
         ) from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path} is not a simulation result")
-    if "sha256" in payload and not verify_json_digest(payload):
+    if not verify_json_digest(payload):
         moved = quarantine_file(path) if quarantine else None
         raise IntegrityError(
-            f"{path} failed its sha256 digest check", quarantined_to=moved
+            f"{path} carries no valid sha256 digest (digestless results "
+            f"predate save_result's integrity format; re-run to regenerate)",
+            quarantined_to=moved,
         )
     return SimulationResult(
         exposure=payload["exposure"],
@@ -299,7 +295,6 @@ def load_checkpoint(path: str, *, quarantine: bool = True) -> dict[str, Any]:
     instead of crashing or resuming from flipped bits.  Foreign files
     and incompatible versions raise a plain ``ValueError`` and are
     left untouched — an unreadable-by-design file is not corruption.
-    Legacy ``ckpt-v2`` checkpoints (digestless) still load.
     """
     try:
         with open(path, "rb") as handle:
@@ -317,25 +312,22 @@ def load_checkpoint(path: str, *, quarantine: bool = True) -> dict[str, Any]:
     if not isinstance(envelope, dict) or "payload" not in envelope:
         raise ValueError(f"{path} is not a simulation checkpoint")
     version = envelope.get("version")
-    if version not in _COMPAT_CHECKPOINT_VERSIONS:
+    if version != CHECKPOINT_VERSION:
         raise ValueError(
             f"checkpoint version {version!r} does not match "
             f"{CHECKPOINT_VERSION!r}; re-run from scratch"
         )
-    if version == CHECKPOINT_VERSION:
-        payload_bytes = envelope["payload"]
-        digest = envelope.get("sha256")
-        if not isinstance(payload_bytes, bytes) or (
-            digest != hashlib.sha256(payload_bytes).hexdigest()
-        ):
-            moved = quarantine_file(path) if quarantine else None
-            raise IntegrityError(
-                f"{path} failed its sha256 digest check",
-                quarantined_to=moved,
-            )
-        return pickle.loads(payload_bytes)
-    # Legacy digestless envelope: the payload is a live object.
-    return envelope["payload"]
+    payload_bytes = envelope["payload"]
+    digest = envelope.get("sha256")
+    if not isinstance(payload_bytes, bytes) or (
+        digest != hashlib.sha256(payload_bytes).hexdigest()
+    ):
+        moved = quarantine_file(path) if quarantine else None
+        raise IntegrityError(
+            f"{path} failed its sha256 digest check",
+            quarantined_to=moved,
+        )
+    return pickle.loads(payload_bytes)
 
 
 def checkpoint_path(directory: str, next_round: int) -> str:
@@ -366,32 +358,19 @@ def list_checkpoints(directory: str) -> list[tuple[int, str]]:
 
 
 def latest_checkpoint(directory: str) -> str | None:
-    """Newest resumable checkpoint in ``directory``, or ``None``.
-
-    Versioned checkpoints win (the highest round); a legacy rolling
-    ``checkpoint.pkl`` written before retention existed is honoured
-    when no versioned file is present.
-    """
+    """Newest versioned checkpoint in ``directory``, or ``None``."""
     versioned = list_checkpoints(directory)
-    if versioned:
-        return versioned[-1][1]
-    legacy = os.path.join(directory, _LEGACY_CHECKPOINT)
-    return legacy if os.path.exists(legacy) else None
+    return versioned[-1][1] if versioned else None
 
 
 def resumable_checkpoints(directory: str) -> list[str]:
-    """Every resume candidate in ``directory``, best first.
+    """Every resume candidate in ``directory``, newest first.
 
-    Versioned checkpoints newest-first, then the legacy rolling
-    ``checkpoint.pkl`` when present.  The resume path walks this list
-    so a quarantined (corrupt) newest checkpoint degrades to the
-    previous survivor instead of aborting the run.
+    The resume path walks this list so a quarantined (corrupt) newest
+    checkpoint degrades to the previous survivor instead of aborting
+    the run.
     """
-    candidates = [path for _, path in reversed(list_checkpoints(directory))]
-    legacy = os.path.join(directory, _LEGACY_CHECKPOINT)
-    if os.path.exists(legacy):
-        candidates.append(legacy)
-    return candidates
+    return [path for _, path in reversed(list_checkpoints(directory))]
 
 
 def prune_checkpoints(directory: str, keep: int) -> list[str]:
@@ -437,9 +416,6 @@ def read_sweep_entry(
 
     ``"verified"``
         Digest present and matching; ``entry`` is trustworthy.
-    ``"legacy"``
-        Structurally valid entry from before the digest existed;
-        loaded, but unverifiable.
     ``"missing"``
         No file; ``entry`` is ``None``.
     ``"foreign"``
@@ -447,8 +423,9 @@ def read_sweep_entry(
         treated as a miss but never quarantined: this loader does not
         move files it cannot positively identify as its own rot.
     ``"quarantined"``
-        Torn/undecodable JSON, or a digest mismatch: the file was
-        atomically moved aside (unless ``quarantine`` is false) and
+        Torn/undecodable JSON, or an entry without a matching digest
+        (mismatched, or digestless from before the format carried
+        one): the file was atomically moved aside (unless ``quarantine`` is false) and
         ``entry`` is ``None``, so the caller re-executes the cell.
     """
     try:
@@ -466,8 +443,6 @@ def read_sweep_entry(
         return None, "quarantined"
     if not isinstance(payload, dict) or "key" not in payload or "values" not in payload:
         return None, "foreign"
-    if "sha256" not in payload:
-        return payload, "legacy"
     if not verify_json_digest(payload):
         if quarantine:
             quarantine_file(path)
@@ -550,7 +525,6 @@ class FsckReport:
 
     scanned: int = 0
     verified: int = 0
-    legacy: int = 0
     corrupt: int = 0
     repaired: int = 0
     quarantined_found: int = 0
@@ -572,7 +546,7 @@ class FsckReport:
     def summary(self) -> str:
         line = (
             f"{self.scanned} files: {self.verified} verified, "
-            f"{self.legacy} legacy (digestless), {self.corrupt} corrupt"
+            f"{self.corrupt} corrupt"
         )
         if self.repaired:
             line += f" ({self.repaired} moved to *{QUARANTINE_SUFFIX})"
@@ -600,7 +574,11 @@ def _iter_files(root: str) -> Iterator[str]:
 
 
 def _fsck_json(path: str) -> str:
-    """Classify one JSON artifact: verified / legacy / corrupt / skipped."""
+    """Classify one JSON artifact: verified / corrupt / skipped.
+
+    An artifact this harness recognises as its own but which carries no
+    digest is corrupt: nothing here writes digestless files any more.
+    """
     try:
         with open(path) as handle:
             payload = json.load(handle)
@@ -615,7 +593,7 @@ def _fsck_json(path: str) -> str:
         or {"exposure", "hit_ratio", "rounds_run"} <= set(payload)  # result
         or "bench" in payload  # BENCH_*.json
     )
-    return "legacy" if known else "skipped"
+    return "corrupt" if known else "skipped"
 
 
 def _fsck_checkpoint(path: str) -> str:
@@ -626,17 +604,15 @@ def _fsck_checkpoint(path: str) -> str:
         return "corrupt"
     if not isinstance(envelope, dict) or "payload" not in envelope:
         return "skipped"
-    version = envelope.get("version")
-    if version == CHECKPOINT_VERSION:
-        payload_bytes = envelope.get("payload")
-        digest = envelope.get("sha256")
-        ok = isinstance(payload_bytes, bytes) and digest == hashlib.sha256(
-            payload_bytes
-        ).hexdigest()
-        return "verified" if ok else "corrupt"
-    if version in _COMPAT_CHECKPOINT_VERSIONS:
-        return "legacy"
-    return "skipped"
+    # Any envelope of ours that load_checkpoint would refuse — a torn
+    # digest or a version it no longer reads — is corrupt.
+    payload_bytes = envelope.get("payload")
+    ok = (
+        envelope.get("version") == CHECKPOINT_VERSION
+        and isinstance(payload_bytes, bytes)
+        and envelope.get("sha256") == hashlib.sha256(payload_bytes).hexdigest()
+    )
+    return "verified" if ok else "corrupt"
 
 
 def _fsck_shm(report: FsckReport, *, repair: bool) -> None:
@@ -664,10 +640,10 @@ def fsck_paths(root: str, *, repair: bool = False) -> FsckReport:
 
     Sweep-cache entries, result JSONs and ``BENCH_*.json`` files are
     verified against their embedded sha256; checkpoints against the
-    digest of their payload bytes.  Digestless-but-recognised files
-    count as *legacy*; files this harness never wrote (or cannot
-    verify, like ``.npz`` model archives) are *skipped*, never
-    flagged.  With ``repair=True`` every corrupt file is atomically
+    digest of their payload bytes.  Recognised files without a valid
+    digest (including checkpoint versions no longer read) count as
+    *corrupt*; files this harness never wrote (or cannot verify, like
+    ``.npz`` model archives) are *skipped*, never flagged.  With ``repair=True`` every corrupt file is atomically
     quarantined (``*.quarantined``) so subsequent sweeps and resumes
     re-execute instead of tripping on it; fsck itself never mutates
     anything else.
@@ -701,8 +677,6 @@ def fsck_paths(root: str, *, repair: bool = False) -> FsckReport:
                 report.repaired += 1
         elif status == "verified":
             report.verified += 1
-        elif status == "legacy":
-            report.legacy += 1
         else:
             report.skipped += 1
     return report

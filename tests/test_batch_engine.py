@@ -30,6 +30,7 @@ from repro.federated.aggregation import SumAggregator, scatter_sum
 from repro.federated.payload import ClientUpdate
 from repro.federated.server import Server
 from repro.federated.simulation import FederatedSimulation
+from repro.federated.update_batch import UpdateBatch
 from repro.models.base import build_model, segment_sums
 from repro.models.losses import bce_loss_and_grad
 from repro.rng import (
@@ -255,6 +256,7 @@ class TestScatter:
         assert np.all(dense[untouched] == 0.0)
 
     def test_apply_scatter_matches_apply_updates(self):
+        # The fused scatter_sum path of apply_batch vs the grouped reference.
         rng = np.random.default_rng(1)
         updates = []
         for user_id in range(9):
@@ -266,22 +268,8 @@ class TestScatter:
         model_a = build_model("mf", 30, 6, seed=2)
         model_b = build_model("mf", 30, 6, seed=2)
         Server(model_a, lr=0.5).apply_updates(updates)
-        Server(model_b, lr=0.5).apply_scatter(
-            np.concatenate([u.item_ids for u in updates]),
-            np.concatenate([u.item_grads for u in updates]),
-        )
+        Server(model_b, lr=0.5).apply_batch(UpdateBatch.from_updates(updates))
         assert np.array_equal(model_a.item_embeddings, model_b.item_embeddings)
-
-    def test_apply_scatter_guards(self):
-        from repro.defenses.robust import MedianAggregator
-
-        model = build_model("mf", 10, 4, seed=0)
-        robust = Server(model, lr=1.0, aggregator=MedianAggregator())
-        with pytest.raises(ValueError, match="sum aggregator"):
-            robust.apply_scatter(np.array([0]), np.zeros((1, 4)))
-        filtered = Server(model, lr=1.0, update_filter=lambda updates: updates)
-        with pytest.raises(ValueError, match="filter"):
-            filtered.apply_scatter(np.array([0]), np.zeros((1, 4)))
 
     def test_sum_aggregator_advertises_scatter(self):
         from repro.defenses.robust import MedianAggregator
@@ -342,9 +330,10 @@ def test_segment_sums_matches_slice_sums():
         start += int(length)
 
 
-def test_runner_engine_switch(tiny_mf_config):
-    from repro.experiments.runner import run_cell
+def test_run_cell_matches_loop_reference(tiny_mf_config):
+    from repro.experiments.runner import Cell, run_cell
 
-    loop_cell = run_cell(tiny_mf_config, engine="loop")
-    batch_cell = run_cell(tiny_mf_config, engine="batch")
-    assert loop_cell == batch_cell
+    loop = FederatedSimulation(tiny_mf_config, engine="loop").run()
+    assert run_cell(tiny_mf_config) == Cell(
+        er=100.0 * loop.exposure, hr=100.0 * loop.hit_ratio
+    )

@@ -282,26 +282,27 @@ class TestRetention:
         )
         _assert_identical(_final_state(resumed, result), ref_state)
 
-    def test_legacy_rolling_checkpoint_resumes(self, tiny_dataset, tmp_path):
-        # A pre-retention run left a single rolling checkpoint.pkl;
-        # resume must pick it up when no versioned file exists.
+    def test_rolling_checkpoint_name_is_not_a_resume_candidate(
+        self, tiny_dataset, tmp_path
+    ):
+        # The pre-retention rolling name ``checkpoint.pkl`` is no
+        # longer read: it is neither the latest checkpoint nor a
+        # resume candidate, so a run over such a directory starts at
+        # round 0 and writes its own versioned files.
         cfg = _config("mf")
-        reference = FederatedSimulation(cfg, tiny_dataset)
-        ref_state = _final_state(reference, reference.run())
-
         ckpt_dir = str(tmp_path / "ckpt")
         first = FederatedSimulation(cfg, tiny_dataset)
         first.run(rounds=4, checkpoint_dir=ckpt_dir, checkpoint_every=2)
-        newest = persistence.latest_checkpoint(ckpt_dir)
-        legacy = os.path.join(ckpt_dir, "checkpoint.pkl")
-        os.replace(newest, legacy)
+        rolling = os.path.join(ckpt_dir, "checkpoint.pkl")
+        os.replace(persistence.latest_checkpoint(ckpt_dir), rolling)
         for _, stale in persistence.list_checkpoints(ckpt_dir):
             os.unlink(stale)
-        assert persistence.latest_checkpoint(ckpt_dir) == legacy
+        assert persistence.latest_checkpoint(ckpt_dir) is None
+        assert persistence.resumable_checkpoints(ckpt_dir) == []
 
-        resumed = FederatedSimulation(cfg, tiny_dataset)
-        result = resumed.run(checkpoint_dir=ckpt_dir, checkpoint_every=2)
-        _assert_identical(_final_state(resumed, result), ref_state)
+        restarted = FederatedSimulation(cfg, tiny_dataset)
+        restarted.run(rounds=2, checkpoint_dir=ckpt_dir, checkpoint_every=2)
+        assert [r for r, _ in persistence.list_checkpoints(ckpt_dir)] == [2]
 
     def test_prune_rejects_bad_keep(self, tmp_path):
         with pytest.raises(ValueError, match="keep"):
@@ -348,11 +349,15 @@ class TestCorruptionFallback:
             persistence.load_checkpoint(path)
         assert os.path.exists(path + persistence.QUARANTINE_SUFFIX)
 
-    def test_legacy_v2_checkpoint_still_loads(self, tmp_path):
+    def test_v2_checkpoint_is_refused_by_name(self, tmp_path):
         path = str(tmp_path / "checkpoint.pkl")
         with open(path, "wb") as handle:
             pickle.dump({"version": "ckpt-v2", "payload": {"round": 6}}, handle)
-        assert persistence.load_checkpoint(path)["round"] == 6
+        with pytest.raises(ValueError, match="ckpt-v2") as caught:
+            persistence.load_checkpoint(path)
+        # Unreadable by design, not rot: left in place, not quarantined.
+        assert not isinstance(caught.value, persistence.IntegrityError)
+        assert os.path.exists(path)
 
     def test_resume_falls_back_past_corrupt_newest(self, tiny_dataset, tmp_path):
         # Corrupt the newest retained checkpoint: resume must skip it

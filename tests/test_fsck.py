@@ -13,8 +13,11 @@ from repro.cli import main
 from repro.federated.simulation import EvalRecord, SimulationResult
 from repro.persistence import (
     QUARANTINE_SUFFIX,
+    IntegrityError,
     checkpoint_path,
     fsck_paths,
+    load_result,
+    read_sweep_entry,
     save_checkpoint,
     save_result,
     save_sweep_entry,
@@ -89,22 +92,37 @@ class TestFsckPaths:
         assert second.clean
         assert second.quarantined_found == 1
 
-    def test_legacy_digestless_files_counted_not_flagged(self, tmp_path):
+    def test_digestless_entry_is_corrupt_and_a_cache_miss(self, tmp_path):
         entry = tmp_path / "cache" / "bbbb.json"
         entry.parent.mkdir()
         entry.write_text(json.dumps({"key": "bbbb", "values": [[1.0]]}))
         report = fsck_paths(str(tmp_path))
-        assert report.clean
-        assert report.legacy == 1
+        assert not report.clean
+        assert report.corrupt_paths == [str(entry)]
+        # The sweep cache treats it like any bad digest: miss + quarantine.
+        assert read_sweep_entry(str(entry)) == (None, "quarantined")
+        assert os.path.exists(str(entry) + QUARANTINE_SUFFIX)
 
-    def test_legacy_v2_checkpoint_counted_not_flagged(self, tmp_path):
+    def test_digestless_result_is_refused(self, tmp_path):
+        path = tmp_path / "result.json"
+        path.write_text(
+            json.dumps(
+                {"exposure": 0.1, "hit_ratio": 0.2, "targets": [1],
+                 "rounds_run": 3, "history": []}
+            )
+        )
+        assert fsck_paths(str(tmp_path)).corrupt == 1
+        with pytest.raises(IntegrityError, match="digest"):
+            load_result(str(path))
+
+    def test_v2_checkpoint_is_corrupt(self, tmp_path):
         path = checkpoint_path(str(tmp_path), 5)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as handle:
             pickle.dump({"version": "ckpt-v2", "payload": {"round": 5}}, handle)
         report = fsck_paths(str(tmp_path))
-        assert report.clean
-        assert report.legacy == 1
+        assert not report.clean
+        assert report.corrupt_paths == [path]
 
     def test_foreign_files_skipped_untouched(self, tmp_path):
         foreign = tmp_path / "notes.json"

@@ -239,7 +239,7 @@ class TestVerifyOnReadProperties:
         # exactly the original, which a real flip never is — it loads.
         if entry is not None:
             assert entry["values"] == original["values"]
-            assert status in ("verified", "legacy")
+            assert status == "verified"
         else:
             assert status in ("quarantined", "foreign")
         # Never both: a quarantined file is gone from its path.

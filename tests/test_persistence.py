@@ -115,9 +115,10 @@ class TestFaultStatsRoundtrip:
         save_result(make_result(), path)
         with open(path) as handle:
             payload = json.load(handle)
-        # A genuine pre-fault_stats file also predates the digest.
+        from repro.persistence import json_digest
+
         del payload["fault_stats"]
-        del payload["sha256"]
+        payload["sha256"] = json_digest(payload)
         with open(path, "w") as handle:
             json.dump(payload, handle)
         assert not load_result(path).fault_stats.any_fault

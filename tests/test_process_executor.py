@@ -8,9 +8,14 @@ single-process reference, across attacks x defenses x models x kernel
 backends, through worker crashes, and across checkpoint/resume in
 either direction (dense checkpoint resumed sharded and vice versa).
 
+The executor is a compute provider, not a mode: the asynchronous event
+loop trains its waves through it with the same bits (and the same
+checkpoints) as in-process.
+
 Also here: the combinations the executor must reject *loudly* instead
 of silently degrading — too few workers, a dense store, client-side
-regularization, the loop engine, asynchrony.
+regularization, the loop engine — and that a rejected configuration
+leaves no shared memory behind.
 """
 
 from __future__ import annotations
@@ -192,6 +197,71 @@ class TestExecutorParity:
 
 
 # ----------------------------------------------------------------------
+# Executor x asynchrony: waves train on the workers, same bits
+# ----------------------------------------------------------------------
+
+#: Uploads spread over virtual time, some lost, rounds closing early:
+#: stale uploads, a live event heap and a non-empty buffer at every
+#: checkpoint boundary.
+BUSY_ASYNC = AsyncConfig(
+    enabled=True,
+    traffic="poisson",
+    arrival_rate=6.0,
+    compute_mean=0.4,
+    network_mean=0.3,
+    churn_rate=0.15,
+    buffer_size=8,
+)
+
+
+class TestExecutorUnderAsynchrony:
+    @pytest.mark.parametrize("kind", ["mf", "ncf"])
+    def test_degenerate_async_equals_sync_batch(self, kind):
+        sync = run_sim(sweep_config(kind=kind))
+        multi = run_sim(
+            sweep_config(
+                kind=kind, sharding=SHARDED, asynchrony=AsyncConfig(enabled=True)
+            )
+        )
+        assert multi["process_rounds"] >= 6, "a wave fell back in-process"
+        assert_identical(sync, multi)
+
+    @pytest.mark.parametrize("attack", ["none", "pieck_uea"])
+    def test_busy_schedule_equals_in_process_async(self, attack):
+        with FederatedSimulation(
+            sweep_config(attack=attack, asynchrony=BUSY_ASYNC)
+        ) as sim:
+            in_process = _final_state(sim, sim.run())
+            stats = sim.async_stats()
+        assert stats.stale_applied and stats.uploads_cancelled
+        with FederatedSimulation(
+            sweep_config(attack=attack, asynchrony=BUSY_ASYNC, sharding=SHARDED)
+        ) as sim:
+            multi = _final_state(sim, sim.run())
+            assert sim.async_stats() == stats
+            assert sim._batch_engine.process_rounds == stats.waves_dispatched
+        _assert_final_identical(multi, in_process)
+
+    @pytest.mark.parametrize("stop_after", [2, 4])
+    def test_resume_mid_run(self, tmp_path, stop_after):
+        """The event heap, the buffer and the workers' view of the
+        store all survive a process boundary."""
+        with FederatedSimulation(sweep_config(asynchrony=BUSY_ASYNC)) as sim:
+            ref = _final_state(sim, sim.run())
+            ref_stats = sim.async_stats()
+        cfg = sweep_config(asynchrony=BUSY_ASYNC, sharding=SHARDED)
+        ckpt_dir = str(tmp_path / "ckpt")
+        with FederatedSimulation(cfg) as first:
+            first.run(
+                rounds=stop_after, checkpoint_dir=ckpt_dir, checkpoint_every=1
+            )
+        with FederatedSimulation(cfg) as resumed:
+            result = resumed.run(checkpoint_dir=ckpt_dir, checkpoint_every=1)
+            assert resumed.async_stats() == ref_stats
+            _assert_final_identical(_final_state(resumed, result), ref)
+
+
+# ----------------------------------------------------------------------
 # Chaos: a SIGKILLed worker must not change the trajectory
 # ----------------------------------------------------------------------
 
@@ -259,13 +329,19 @@ class TestGuards:
                 sweep_config(sharding=SHARDED), engine="loop"
             )
 
-    def test_asynchrony_rejected(self):
-        with pytest.raises(ValueError, match="asynchrony"):
+    def test_rejected_config_leaks_no_segments(self):
+        """The check precedes allocation: nothing to leak, even while
+        the exception (whose traceback pins ``__init__``'s frame, and
+        with it any store built there) is still referenced."""
+        mine = f"repro_shm_{os.getpid()}_"
+        before = {r["name"] for r in list_repro_segments()}
+        with pytest.raises(ValueError, match="regulariz") as caught:
             FederatedSimulation(
-                sweep_config(
-                    sharding=SHARDED, asynchrony=AsyncConfig(enabled=True)
-                )
+                sweep_config(defense="regularization", sharding=SHARDED)
             )
+        assert caught.value is not None
+        leaked = {r["name"] for r in list_repro_segments()} - before
+        assert not [name for name in leaked if name.startswith(mine)]
 
     def test_workers_capped_at_shard_count(self):
         cfg = sweep_config(

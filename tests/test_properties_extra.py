@@ -15,6 +15,7 @@ from repro.defenses.coordinated import ItemScaleClip
 from repro.experiments.runner import Cell
 from repro.experiments.stability import SeedSweep
 from repro.federated.payload import ClientUpdate
+from repro.federated.update_batch import UpdateBatch
 from repro.metrics.ranking import exposure_ratio_at_k, top_k_items
 from repro.models.mf import MFModel
 
@@ -150,3 +151,60 @@ class TestSeedSweepProperties:
         assert sweep.er_min - 1e-9 <= sweep.er_mean <= sweep.er_max + 1e-9
         assert sweep.er_std >= 0.0
         assert sweep.hr_std >= 0.0
+
+
+class TestUpdateBatchSplicing:
+    """``concat`` of a batch's contiguous client slices is the batch."""
+
+    @staticmethod
+    def _arrays(batch: UpdateBatch) -> list[np.ndarray]:
+        return [
+            batch.user_ids,
+            batch.item_ids,
+            batch.item_grads,
+            batch.lengths,
+            batch.param_owners,
+            batch.malicious,
+            *batch.param_stacks,
+        ]
+
+    @given(
+        lengths=st.lists(st.integers(0, 4), min_size=1, max_size=8),
+        owner_mask=st.lists(st.booleans(), min_size=8, max_size=8),
+        num_params=st.integers(0, 2),
+        cuts=st.sets(st.integers(1, 7)),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_concat_of_slices_is_byte_identical(
+        self, lengths, owner_mask, num_params, cuts, seed
+    ):
+        rng = np.random.default_rng(seed)
+        clients = len(lengths)
+        owners = np.flatnonzero(owner_mask[:clients]) if num_params else []
+        batch = UpdateBatch(
+            user_ids=rng.permutation(100)[:clients].astype(np.int64),
+            item_ids=rng.integers(0, 50, size=sum(lengths)),
+            item_grads=rng.normal(size=(sum(lengths), 3)),
+            lengths=np.array(lengths, dtype=np.int64),
+            param_stacks=[
+                rng.normal(size=(len(owners), 2, i + 1)) for i in range(num_params)
+            ],
+            param_owners=np.array(owners, dtype=np.int64),
+            malicious=rng.random(clients) < 0.3,
+        )
+        assert UpdateBatch.concat([batch]) is batch
+        bounds = [0, *sorted(c for c in cuts if c < clients), clients]
+        parts = [
+            batch.client_slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert all(
+            np.shares_memory(part.item_grads, batch.item_grads)
+            for part in parts
+            if part.item_grads.size
+        )
+        rebuilt = UpdateBatch.concat(parts)
+        for got, want in zip(self._arrays(rebuilt), self._arrays(batch)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert len(rebuilt.param_stacks) == len(batch.param_stacks)
