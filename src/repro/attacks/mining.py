@@ -86,6 +86,14 @@ class DeltaNormTracker:
         self.observations += 1
         self._order = None
 
+    def release_baseline(self) -> None:
+        """Drop the retained matrix once no further delta will be taken.
+
+        A frozen :class:`PopularItemMiner` would otherwise pin one
+        ``(num_items, dim)`` copy per miner for the rest of the run.
+        """
+        self._last = None
+
     def top_items(self, count: int) -> np.ndarray:
         """Item ids with the highest accumulated Δ-Norm, descending.
 
@@ -144,6 +152,7 @@ class PopularItemMiner:
         self._tracker.observe(item_matrix, snapshot=snapshot)
         if self._tracker.num_deltas >= self.mining_rounds:
             self._mined = self._tracker.top_items(self.num_popular)
+            self._tracker.release_baseline()
 
     def popular_items(self) -> np.ndarray:
         """The mined popular set P, most-popular-first (by Δ-Norm)."""

@@ -8,20 +8,25 @@ Each client's private training set ``D_i`` is its interacted items
 Two code paths produce *bit-identical* batches:
 
 * :func:`sample_negatives` / :func:`sample_local_batch` — the scalar
-  per-client reference used by the legacy loop engine;
+  per-client oracle, run by the reference loop engine;
 * :func:`sample_negatives_batch` / :func:`sample_local_batches` — the
-  vectorised path used by the batch-client engine.  Each client still
-  owns its private RNG stream (so loop/batch trajectories match), but
-  the rejection filtering is NumPy-vectorised and the result is packed
-  straight into the ragged row-stacked tensors the batch engine trains
-  on (client ``k`` owns the contiguous row segment delimited by
-  ``lengths`` — a CSR-style layout that, unlike padding to the longest
-  client, wastes nothing under long-tail activity).
+  cohort-wide sampler every batched caller uses (benign BCE and BPR
+  rounds, the ``fedattack`` team, evaluation negatives).  Each client
+  still owns its private RNG stream (so loop/batch trajectories
+  match), but the draw, the rejection filter and the packing into
+  ragged row stacks (client ``k`` owns the contiguous row segment
+  delimited by ``lengths`` — a CSR-style layout that, unlike padding
+  to the longest client, wastes nothing under long-tail activity) are
+  each one NumPy pass over the whole cohort.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
+
+from repro.rng import StreamBatch
 
 __all__ = [
     "sample_negatives",
@@ -95,76 +100,129 @@ def sample_local_batch(
     return items, labels
 
 
-def _accept_draw(draw: np.ndarray, excluded: np.ndarray) -> np.ndarray:
-    """Vectorised acceptance filter for one rejection-sampling draw.
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
-    ``excluded`` is a boolean flag per item id (positives + previously
-    accepted negatives).  Keeps, in draw order, the first occurrence of
-    every non-excluded value — exactly the scalar loop's
-    ``j in positives or j in seen`` semantics.
-    """
-    order = draw.argsort(kind="stable")
-    in_order = draw[order]
-    first = np.empty(len(draw), dtype=bool)
-    first[0] = True
-    np.not_equal(in_order[1:], in_order[:-1], out=first[1:])
-    keep = np.zeros(len(draw), dtype=bool)
-    keep[order[first]] = True
-    keep &= ~excluded[draw]
-    return draw[keep]
+
+def _lengths(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.fromiter((len(a) for a in arrays), dtype=np.int64, count=len(arrays))
+
+
+def _flat(arrays: list[np.ndarray]) -> np.ndarray:
+    if not len(arrays):
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(arrays).astype(np.int64, copy=False)
 
 
 def sample_negatives_batch(
-    rngs: list[np.random.Generator],
+    streams: StreamBatch,
     positives_list: list[np.ndarray],
     num_items: int,
     counts: np.ndarray,
-) -> list[np.ndarray]:
-    """Per-client negative sampling with a vectorised rejection filter.
+    fallback: Callable[
+        [np.random.Generator, np.ndarray, int, int], np.ndarray
+    ] = sample_negatives,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every client's negatives at once, each from its private stream.
 
-    Client ``k`` draws from ``rngs[k]`` exactly as
-    ``sample_negatives(rngs[k], positives_list[k], num_items, counts[k])``
-    would — same generator calls, same accepted sequence — so the
-    output is bit-identical to the scalar reference while avoiding its
-    per-element Python loop.  Each ``positives_list`` entry must hold
-    *distinct* item ids (true for every
-    :class:`~repro.datasets.base.InteractionDataset`), which lets the
-    availability check skip the scalar reference's set construction.
+    Returns ``(negatives, num_neg)``: the flat negatives in client
+    order and how many each client received.  Client ``k``'s slice is
+    ``fallback(streams[k], positives_list[k], num_items, counts[k])``
+    bit for bit — by default the scalar :func:`sample_negatives` — but
+    no ``Generator`` is built for the clients the cohort-wide rule can
+    serve:
+
+    1. *Draw.*  ``sample_negatives`` opens with ``rng.integers(0,
+       num_items, size)``, ``size = max(2 * count, 8)``.  For a range
+       that fits 32 bits NumPy cuts each raw PCG64 word into its low
+       then its high half and maps a half ``x`` to ``(x * num_items)
+       >> 32`` (Lemire's bounded integers).  ``size`` is even, so the
+       draw is exactly the stream's first ``size // 2`` words and
+       leaves no buffered half behind; the whole cohort's words are
+       mapped by that rule in one pass.
+    2. *Filter.*  One stable argsort over ``owner * num_items + id``
+       keys of all positives followed by all draws puts each (client,
+       item) group in the order positive, first draw, later draws: a
+       draw is accepted iff it leads its group.  A running count,
+       rebased per client, keeps each client's first ``count``.
+    3. *Slow path.*  A client is handed to ``fallback`` on a real
+       ``Generator`` over the same words when the rule above is not
+       the whole story: a half falls under Lemire's rejection
+       threshold ``2**32 % num_items`` (NumPy then consumes an extra
+       half), the first draw comes up short (the top-up continues the
+       stream), negatives are scarce (``count >= available``: the
+       oracle enumerates instead of drawing), or ``num_items`` leaves
+       the 32-bit regime.
+
+    Each ``positives_list`` entry must hold distinct ids (true for
+    every :class:`~repro.datasets.base.InteractionDataset`); a repeat
+    only understates ``available`` and can send the client to the slow
+    path, never to a different answer.
     """
-    out: list[np.ndarray] = []
-    excluded = np.zeros(num_items, dtype=bool)  # shared scratch buffer
-    for rng, positives, count in zip(rngs, positives_list, counts):
-        count = int(count)
-        if count <= 0:
-            out.append(np.empty(0, dtype=np.int64))
-            continue
-        excluded[positives] = True
-        available = num_items - len(positives)
-        if available <= 0 or count >= available:
-            # Scarce-negative edge cases: defer to the scalar reference
-            # (same rng object, so the stream stays aligned).
-            excluded[positives] = False
-            out.append(sample_negatives(rng, positives, num_items, count))
-            continue
-        chunks: list[np.ndarray] = []
-        need = count
-        while need > 0:
-            draw = rng.integers(0, num_items, size=max(2 * need, 8))
-            fresh = _accept_draw(draw, excluded)[:need]
-            chunks.append(fresh)
-            need -= len(fresh)
-            if need > 0:
-                excluded[fresh] = True
-        negatives = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        excluded[positives] = False
-        for chunk in chunks[:-1]:
-            excluded[chunk] = False
-        out.append(negatives)
-    return out
+    num_clients = len(positives_list)
+    counts = np.asarray(counts, dtype=np.int64)
+    num_pos = _lengths(positives_list)
+    wanted = counts > 0
+    served = wanted & (counts < num_items - num_pos)
+    if num_items > 2**32 or num_clients * num_items >= 2**63:
+        served[:] = False
+    rows = np.flatnonzero(served)
+    draws = np.empty(0, dtype=np.int64)
+    keep = np.empty(0, dtype=bool)
+    if len(rows):
+        row_counts = counts[rows]
+        sizes = np.maximum(2 * row_counts, 8)
+        raw = streams.first_raw(rows, sizes // 2)
+        scaled = np.empty(2 * len(raw), dtype=np.uint64)
+        scaled[0::2] = raw & _LOW32
+        scaled[1::2] = raw >> _SHIFT32
+        scaled *= np.uint64(num_items)
+        draws = (scaled >> _SHIFT32).astype(np.int64)
+        draw_owner = np.repeat(rows, sizes)
+        lemire = (scaled & _LOW32) < np.uint64(2**32 % num_items)
+        served[draw_owner[lemire]] = False
+
+        pos_owner = np.repeat(np.arange(num_clients, dtype=np.int64), num_pos)
+        keys = np.concatenate(
+            [
+                pos_owner * num_items + _flat(positives_list),
+                draw_owner * num_items + draws,
+            ]
+        )
+        order = keys.argsort(kind="stable")
+        in_order = keys[order]
+        leads = np.empty(len(keys), dtype=bool)
+        leads[0] = True
+        np.not_equal(in_order[1:], in_order[:-1], out=leads[1:])
+        leaders = order[leads] - len(pos_owner)
+        fresh = np.zeros(len(draws), dtype=bool)
+        fresh[leaders[leaders >= 0]] = True
+
+        running = np.cumsum(fresh)
+        ends = np.cumsum(sizes)
+        before = running[ends - sizes] - fresh[ends - sizes]
+        found = running[ends - 1] - before
+        served[rows[found < row_counts]] = False
+        rank = running - np.repeat(before, sizes)
+        keep = fresh & (rank <= np.repeat(row_counts, sizes)) & served[draw_owner]
+
+    num_neg = np.where(served, counts, 0)
+    redone = []
+    for k in np.flatnonzero(wanted & ~served).tolist():
+        redone.append(
+            fallback(streams[k], positives_list[k], num_items, int(counts[k]))
+        )
+        num_neg[k] = len(redone[-1])
+    negatives = np.empty(int(num_neg.sum()), dtype=np.int64)
+    from_draws = np.repeat(served, num_neg)
+    negatives[from_draws] = draws[keep]
+    if redone:
+        negatives[~from_draws] = np.concatenate(redone)
+    return negatives, num_neg
 
 
 def sample_local_batches(
-    rngs: list[np.random.Generator],
+    streams: StreamBatch,
     positives_list: list[np.ndarray],
     num_items: int,
     negative_ratio: int,
@@ -179,24 +237,18 @@ def sample_local_batches(
     CSR-style layout wastes no memory on padding however ragged the
     per-client interaction counts are.
     """
-    counts = np.array(
-        [negative_ratio * len(p) for p in positives_list], dtype=np.int64
+    num_pos = _lengths(positives_list)
+    negatives, num_neg = sample_negatives_batch(
+        streams, positives_list, num_items, negative_ratio * num_pos
     )
-    negatives = sample_negatives_batch(rngs, positives_list, num_items, counts)
-    num_pos = np.array([len(p) for p in positives_list], dtype=np.int64)
-    num_neg = np.array([len(n) for n in negatives], dtype=np.int64)
     lengths = num_pos + num_neg
-    chunks: list[np.ndarray] = []
-    for positives, negs in zip(positives_list, negatives):
-        chunks.append(positives)
-        chunks.append(negs)
-    item_ids = (
-        np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    )
-    # Label layout: within each client's segment the first num_pos rows
-    # are its positives.
+    # Within each client's segment the first num_pos rows are its
+    # positives; both flat sources are already in client order.
     total = int(lengths.sum())
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    starts = np.cumsum(lengths) - lengths
     row_in_segment = np.arange(total) - np.repeat(starts, lengths)
-    labels = (row_in_segment < np.repeat(num_pos, lengths)).astype(np.float64)
-    return item_ids, labels, lengths
+    is_positive = row_in_segment < np.repeat(num_pos, lengths)
+    item_ids = np.empty(total, dtype=np.int64)
+    item_ids[is_positive] = _flat(positives_list)
+    item_ids[~is_positive] = negatives
+    return item_ids, is_positive.astype(np.float64), lengths

@@ -98,9 +98,17 @@ class ClientRegularizer:
     # Hook protocol
     # ------------------------------------------------------------------
 
-    def observe(self, item_matrix: np.ndarray) -> None:
-        """Feed one received item matrix into the miner."""
-        self.miner.observe(item_matrix)
+    def observe(
+        self, item_matrix: np.ndarray, snapshot: np.ndarray | None = None
+    ) -> None:
+        """Feed one received item matrix into the miner.
+
+        ``snapshot`` is the miner's (see
+        :meth:`~repro.attacks.mining.DeltaNormTracker.observe`): one
+        retainable copy of ``item_matrix`` shared by the round's
+        co-sampled clients.
+        """
+        self.miner.observe(item_matrix, snapshot=snapshot)
 
     def item_grad_terms(
         self, item_ids: np.ndarray, item_matrix: np.ndarray

@@ -76,7 +76,7 @@ from repro.federated.server import Server
 from repro.federated.shards import ShardedStateStore
 from repro.federated.update_batch import UpdateBatch
 from repro.models.base import RecommenderModel, segment_starts
-from repro.rng import spawn_batch
+from repro.rng import StreamBatch, spawn_batch
 
 __all__ = ["BatchClientEngine", "ProcessRoundExecutor"]
 
@@ -96,7 +96,7 @@ def _bce_stacks_fn(
     model: RecommenderModel,
     train_cfg: TrainConfig,
     positives_list: list[np.ndarray],
-    rngs: list[np.random.Generator],
+    rngs: StreamBatch,
     user_vecs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """Stacked BCE local batches and gradients for all clients."""
@@ -114,7 +114,7 @@ def _bce_stacks_fn(
 def _bpr_stacks_fn(
     model: RecommenderModel,
     positives_list: list[np.ndarray],
-    rngs: list[np.random.Generator],
+    rngs: StreamBatch,
     user_vecs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stacked BPR pairs, trained and merged to per-client uploads.
@@ -128,17 +128,15 @@ def _bpr_stacks_fn(
     blocks are the per-client results.
     """
     num_clients = len(positives_list)
-    counts = np.array([len(p) for p in positives_list], dtype=np.int64)
-    negatives = sample_negatives_batch(
-        rngs, positives_list, model.num_items, counts
+    num_pos = np.array([len(p) for p in positives_list], dtype=np.int64)
+    neg_ids, lengths = sample_negatives_batch(
+        rngs, positives_list, model.num_items, num_pos
     )
-    pairs = [
-        (p[: len(n)], n) if len(n) < len(p) else (p, n)
-        for p, n in zip(positives_list, negatives)
-    ]
-    lengths = np.array([len(n) for _, n in pairs], dtype=np.int64)
-    pos_ids = np.concatenate([p for p, _ in pairs])
-    neg_ids = np.concatenate([n for _, n in pairs])
+    # A client short of negatives pairs only its first len(negatives)
+    # positives.
+    pos_ids = np.concatenate(positives_list)
+    within = np.arange(len(pos_ids)) - np.repeat(segment_starts(num_pos), num_pos)
+    pos_ids = pos_ids[within < np.repeat(lengths, num_pos)]
     pos_vecs = model.item_embeddings[pos_ids]
     neg_vecs = model.item_embeddings[neg_ids]
     result = model.batch_local_step_bpr(
@@ -284,9 +282,15 @@ def _compute_benign_stacks(
     user_vecs = store.gather_rows(benign_ids)
     positives_list = store.positives_list(benign_ids)
     if regs is not None:
+        # Every still-mining client of the round retains the same copy
+        # of the round's matrix as its miner's baseline.
+        snapshot = None
         for reg in regs:
-            if reg is not None:
-                reg.observe(model.item_embeddings)
+            if reg is None:
+                continue
+            if snapshot is None and not reg.miner.ready:
+                snapshot = model.item_embeddings.copy()
+            reg.observe(model.item_embeddings, snapshot=snapshot)
     rngs = spawn_batch(seed, ("client-round",), benign_ids, (round_idx,))
     if train_cfg.loss == "bpr":
         item_ids, lengths, item_grads, user_grads = _bpr_stacks_fn(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.base import InteractionDataset
-from repro.datasets.sampling import _accept_draw
+from repro.datasets.sampling import sample_negatives_batch
 from repro.rng import spawn_batch
 
 __all__ = [
@@ -103,6 +103,32 @@ def exposure_ratio_at_k(
     )
 
 
+#: Users per cohort-sampler call in :func:`sample_eval_negatives`.
+_EVAL_NEGATIVES_BLOCK = 256
+
+
+def _redraw_eval_negatives(
+    rng: np.random.Generator, banned: np.ndarray, num_items: int, count: int
+) -> np.ndarray:
+    """One user's evaluation negatives, drawn on its ``Generator``.
+
+    The protocol's own top-up rule: every draw is the full
+    ``max(2 * count, 8)`` ids (training's top-up shrinks to what is
+    still needed), and a pool of exactly ``count`` ids is drawn, not
+    enumerated — so the order of the result is the draw order.
+    """
+    taken = set(banned.tolist())
+    chosen: list[int] = []
+    while len(chosen) < count:
+        for j in rng.integers(0, num_items, size=max(2 * count, 8)).tolist():
+            if j not in taken:
+                taken.add(j)
+                chosen.append(j)
+                if len(chosen) == count:
+                    break
+    return np.asarray(chosen, dtype=np.int64)
+
+
 def sample_eval_negatives(
     dataset: InteractionDataset, num_negatives: int, seed: int
 ) -> list[np.ndarray]:
@@ -112,13 +138,13 @@ def sample_eval_negatives(
     items the user has not interacted with. Sampling once (deterministic
     in the seed) keeps HR@K comparable across rounds and methods.
 
-    Each user still owns its private labelled RNG stream
-    (``spawn(seed, "eval-neg", user)``, derived for all users at once
-    via :func:`~repro.rng.spawn_batch`), but the rejection filtering is
-    NumPy-vectorised per draw instead of walking draws element by
-    element through Python sets — the same accepted sequence, and
-    therefore bit-identical negatives, at a fraction of the set-up
-    cost on production user counts.
+    Each user owns its private labelled RNG stream (``spawn(seed,
+    "eval-neg", user)``) and receives, in draw order, the first ids of
+    it that are neither interacted with nor the test item.  All users'
+    first draws go through the cohort-wide sampler
+    (:func:`~repro.datasets.sampling.sample_negatives_batch`, banned
+    set = positives plus the test item); a user it cannot serve is
+    redrawn by :func:`_redraw_eval_negatives`.
     """
     if num_negatives <= 0:
         # HR evaluation disabled (million-user throughput runs): skip
@@ -126,41 +152,34 @@ def sample_eval_negatives(
         # array keeps the per-user list O(pointers).
         empty = np.empty(0, dtype=np.int64)
         return [empty] * dataset.num_users
-    negatives: list[np.ndarray] = []
-    rngs = spawn_batch(seed, ("eval-neg",), np.arange(dataset.num_users))
-    excluded = np.zeros(dataset.num_items, dtype=bool)  # shared scratch buffer
-    for user, rng in enumerate(rngs):
-        positives = dataset.train_pos[user]
-        test_item = int(dataset.test_items[user])
-        # The reference banned set is positives | {test_item}; a held-out
-        # (or absent, -1) test item is never a positive, so its only
-        # effect on the pool size is the extra banned entry.
-        banned_size = len(positives) + (0 if (positives == test_item).any() else 1)
-        pool_size = dataset.num_items - banned_size
-        count = min(num_negatives, max(pool_size, 0))
-        if count <= 0:
-            negatives.append(np.empty(0, dtype=np.int64))
-            continue
-        excluded[positives] = True
-        if test_item >= 0:
-            excluded[test_item] = True
-        chunks: list[np.ndarray] = []
-        need = count
-        while need > 0:
-            draw = rng.integers(0, dataset.num_items, size=max(2 * count, 8))
-            fresh = _accept_draw(draw, excluded)[:need]
-            chunks.append(fresh)
-            need -= len(fresh)
-            if need > 0:
-                excluded[fresh] = True
-        chosen = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        excluded[positives] = False
-        if test_item >= 0:
-            excluded[test_item] = False
-        for chunk in chunks[:-1]:
-            excluded[chunk] = False
-        negatives.append(chosen)
-    return negatives
+    out: list[np.ndarray] = []
+    test_items = dataset.test_items.tolist()
+    # Blocks of users bound the sampler's cohort-wide sort keys
+    # (~2 * num_negatives per user) however many users there are.
+    for lo in range(0, dataset.num_users, _EVAL_NEGATIVES_BLOCK):
+        users = np.arange(lo, min(lo + _EVAL_NEGATIVES_BLOCK, dataset.num_users))
+        banned: list[np.ndarray] = []
+        pool_sizes = np.empty(len(users), dtype=np.int64)
+        for row, user in enumerate(users.tolist()):
+            positives, test_item = dataset.train_pos[user], test_items[user]
+            if test_item >= 0 and not (positives == test_item).any():
+                positives = np.append(positives, test_item)
+            banned.append(positives)
+            # An absent (-1) test item still costs the pool one slot:
+            # the reference banned set is positives | {test_item}.
+            pool_sizes[row] = dataset.num_items - len(positives) - (test_item < 0)
+        negatives, num_neg = sample_negatives_batch(
+            spawn_batch(seed, ("eval-neg",), users),
+            banned,
+            dataset.num_items,
+            np.clip(pool_sizes, 0, num_negatives),
+            fallback=_redraw_eval_negatives,
+        )
+        ends = np.cumsum(num_neg)
+        out.extend(
+            negatives[end - n : end] for end, n in zip(ends.tolist(), num_neg.tolist())
+        )
+    return out
 
 
 def hit_counts_at_k(

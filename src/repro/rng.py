@@ -15,6 +15,7 @@ __all__ = [
     "spawn",
     "derive_seed",
     "derive_seed_batch",
+    "StreamBatch",
     "spawn_batch",
     "spawn_first_uniform",
     "spawn_normal_rows",
@@ -167,23 +168,61 @@ class _PrecomputedSeedSequence(np.random.bit_generator.ISeedSequence):
         return self._state
 
 
+class StreamBatch:
+    """One private PCG64 stream per id, held as ``SeedSequence`` words.
+
+    What :func:`spawn_batch` returns: a sized, indexable batch over the
+    ``(n, 4)`` state words.  No ``Generator`` exists until a caller
+    indexes or iterates the batch — the cohort sampler reads each
+    stream's leading raw words through :meth:`first_raw` and never
+    builds one for the clients it serves.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, index: int) -> np.random.Generator:
+        """A fresh generator at the start of stream ``index``."""
+        return np.random.Generator(
+            np.random.PCG64(_PrecomputedSeedSequence(self.words[index]))
+        )
+
+    def __iter__(self):
+        return (self[index] for index in range(len(self)))
+
+    def first_raw(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The first ``counts[j]`` raw 64-bit outputs of stream ``rows[j]``.
+
+        Concatenated in ``rows`` order — the words a ``Generator`` on
+        that stream would consume first.
+        """
+        pcg = np.random.PCG64
+        shim = _PrecomputedSeedSequence(None)
+        chunks = []
+        for state, count in zip(self.words[rows], counts.tolist()):
+            shim._state = state
+            chunks.append(pcg(shim).random_raw(count))
+        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint64)
+
+
 def spawn_batch(
     seed: int,
     prefix: tuple[int | str, ...],
     ids: np.ndarray,
     suffix: tuple[int | str, ...] = (),
-) -> list[np.random.Generator]:
-    """One independent generator per id, matching per-id :func:`spawn`.
+) -> StreamBatch:
+    """One independent stream per id, matching per-id :func:`spawn`.
 
     ``spawn_batch(s, ("client-round",), ids, (r,))[k]`` produces the
     exact stream of ``spawn(s, "client-round", ids[k], r)``.
     """
     seeds = derive_seed_batch(seed, prefix, ids, suffix)
-    states = _seed_sequence_states(seeds)
-    pcg = np.random.PCG64
-    gen = np.random.Generator
-    wrap = _PrecomputedSeedSequence
-    return [gen(pcg(wrap(state))) for state in states]
+    return StreamBatch(_seed_sequence_states(seeds))
 
 
 def spawn_normal_rows(

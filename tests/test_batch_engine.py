@@ -127,6 +127,12 @@ class TestEngineParity:
         )
         assert_identical_runs(*run_both(cfg, rounds=8))
 
+    def test_negative_ratio_four_identical(self, tiny_mf_config):
+        cfg = replace(
+            tiny_mf_config, train=replace(tiny_mf_config.train, negative_ratio=4)
+        )
+        assert_identical_runs(*run_both(cfg, rounds=8))
+
     def test_bpr_batched_identical(self, tiny_mf_config):
         cfg = replace(
             tiny_mf_config, train=replace(tiny_mf_config.train, loss="bpr")
@@ -194,14 +200,14 @@ class TestBatchSampling:
             )
             for i, p, c in zip(ids, positives, counts)
         ]
-        batch = sample_negatives_batch(
+        flat, num_neg = sample_negatives_batch(
             spawn_batch(9, ("client-round",), ids, (3,)),
             positives,
             num_items,
             counts,
         )
-        for expected, got in zip(scalar, batch):
-            assert np.array_equal(expected, got)
+        assert num_neg.tolist() == [len(expected) for expected in scalar]
+        assert np.array_equal(flat, np.concatenate(scalar))
 
     def test_local_batches_match_scalar_rows(self):
         num_items = 60

@@ -67,6 +67,17 @@ class TestPopularItemMiner:
         miner.observe(np.array([[5.0, 0], [99.0, 0], [0, 0]]))
         np.testing.assert_array_equal(miner.popular_items(), first)
 
+    def test_baseline_released_on_freeze(self):
+        miner = PopularItemMiner(3, 1, 1)
+        shared = np.zeros((3, 2))
+        miner.observe(np.zeros((3, 2)), snapshot=shared)
+        assert miner._tracker._last is shared
+        miner.observe(np.ones((3, 2)))
+        assert miner.ready
+        # A frozen miner takes no further delta: it must not pin a copy
+        # of the item matrix for the rest of the run.
+        assert miner._tracker._last is None
+
     def test_identifies_high_churn_items(self):
         rng = make_rng(0)
         miner = PopularItemMiner(10, mining_rounds=3, num_popular=3)

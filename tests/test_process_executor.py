@@ -76,6 +76,7 @@ def sweep_config(
     sharding: ShardingConfig = ShardingConfig(),
     kernel: str = "numpy",
     lr_range: tuple[float, float] | None = None,
+    negative_ratio: int = 1,
     rounds: int = 6,
     asynchrony: AsyncConfig = AsyncConfig(),
 ) -> ExperimentConfig:
@@ -90,6 +91,7 @@ def sweep_config(
             eval_every=0,
             kernels=kernel,
             client_lr_range=lr_range,
+            negative_ratio=negative_ratio,
         ),
         attack=(
             AttackConfig(name=attack, malicious_ratio=0.15, mining_rounds=2)
@@ -144,6 +146,12 @@ class TestExecutorParity:
         )
         assert multi["process_rounds"] == 6, "a round fell back in-process"
         assert multi["respawns"] == 0
+        assert_identical(dense, multi)
+
+    def test_negative_ratio_four_parity(self):
+        dense = run_sim(sweep_config(negative_ratio=4))
+        multi = run_sim(sweep_config(negative_ratio=4, sharding=SHARDED))
+        assert multi["process_rounds"] == 6, "a round fell back in-process"
         assert_identical(dense, multi)
 
     @pytest.mark.slow

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.config import DefenseConfig
+from repro.config import DefenseConfig, replace
 from repro.defenses.regularization import (
     ClientRegularizer,
     exponential_rank_weights,
     re1_value,
     re2_value,
 )
+from repro.federated.simulation import FederatedSimulation
 from repro.rng import make_rng
 from tests.conftest import numeric_gradient
 
@@ -193,3 +194,28 @@ class TestTowerTerm:
         model.apply_param_update([-1.0 * g for g in grads])
         after, _ = model.forward(users_rep, items_rep)
         assert after.mean() < before.mean()
+
+
+class TestRoundSnapshotSharing:
+    """Miner baselines cost one item-matrix copy a round, not one a client."""
+
+    def test_co_sampled_miners_share_one_baseline_until_they_freeze(
+        self, tiny_mf_config
+    ):
+        config = replace(
+            tiny_mf_config,
+            defense=DefenseConfig(name="regularization", mining_rounds=2),
+        )
+        sim = FederatedSimulation(config)
+        for round_idx in range(6):
+            sim.run_round(round_idx)
+        miners = [reg.miner for reg in sim.state._regularizers.values()]
+        assert any(miner.ready for miner in miners)
+        assert all(m._tracker._last is None for m in miners if m.ready)
+        baselines = {
+            id(m._tracker._last): m._tracker._last for m in miners if not m.ready
+        }
+        # Still-mining clients hold the copy of the last round they were
+        # sampled in: at most one array per round played.
+        assert 1 <= len(baselines) <= 6 < len(miners)
+        assert all(b is not sim.model.item_embeddings for b in baselines.values())
