@@ -159,9 +159,33 @@ def sample_negatives_batch(
     only understates ``available`` and can send the client to the slow
     path, never to a different answer.
     """
+    return _negatives_batch(
+        streams,
+        positives_list,
+        _lengths(positives_list),
+        _flat(positives_list),
+        num_items,
+        counts,
+        fallback,
+    )
+
+
+def _negatives_batch(
+    streams: StreamBatch,
+    positives_list: list[np.ndarray],
+    num_pos: np.ndarray,
+    flat_positives: np.ndarray,
+    num_items: int,
+    counts: np.ndarray,
+    fallback: Callable[[np.random.Generator, np.ndarray, int, int], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sample_negatives_batch` on already-measured positives.
+
+    ``num_pos`` and ``flat_positives`` are the lengths and the
+    concatenation of ``positives_list``.
+    """
     num_clients = len(positives_list)
     counts = np.asarray(counts, dtype=np.int64)
-    num_pos = _lengths(positives_list)
     wanted = counts > 0
     served = wanted & (counts < num_items - num_pos)
     if num_items > 2**32 or num_clients * num_items >= 2**63:
@@ -185,7 +209,7 @@ def sample_negatives_batch(
         pos_owner = np.repeat(np.arange(num_clients, dtype=np.int64), num_pos)
         keys = np.concatenate(
             [
-                pos_owner * num_items + _flat(positives_list),
+                pos_owner * num_items + flat_positives,
                 draw_owner * num_items + draws,
             ]
         )
@@ -238,8 +262,15 @@ def sample_local_batches(
     per-client interaction counts are.
     """
     num_pos = _lengths(positives_list)
-    negatives, num_neg = sample_negatives_batch(
-        streams, positives_list, num_items, negative_ratio * num_pos
+    flat_positives = _flat(positives_list)
+    negatives, num_neg = _negatives_batch(
+        streams,
+        positives_list,
+        num_pos,
+        flat_positives,
+        num_items,
+        negative_ratio * num_pos,
+        sample_negatives,
     )
     lengths = num_pos + num_neg
     # Within each client's segment the first num_pos rows are its
@@ -249,6 +280,6 @@ def sample_local_batches(
     row_in_segment = np.arange(total) - np.repeat(starts, lengths)
     is_positive = row_in_segment < np.repeat(num_pos, lengths)
     item_ids = np.empty(total, dtype=np.int64)
-    item_ids[is_positive] = _flat(positives_list)
+    item_ids[is_positive] = flat_positives
     item_ids[~is_positive] = negatives
     return item_ids, is_positive.astype(np.float64), lengths

@@ -100,7 +100,11 @@ __all__ = [
 #: v6: cells no longer carry an ``engine`` (every cell runs the batch
 #: engine; the loop engine is a test reference only), so the key
 #: layout lost that field; values are unchanged.
-CACHE_VERSION = "sweep-v6"
+#: v7: NCF evaluation scores moved in the last ulp (factorised
+#: ``score_matrix``) and ER@K's tie at the K boundary is now defined
+#: (smaller item id first), so a v6 NCF or ``one_then_copy`` cell is
+#: not guaranteed reproducible by this code.
+CACHE_VERSION = "sweep-v7"
 
 
 @dataclass(frozen=True)

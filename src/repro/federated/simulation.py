@@ -62,6 +62,7 @@ from repro.metrics.ranking import (
     exposure_ratio_from_counts,
     hit_counts_at_k,
     hit_ratio_from_counts,
+    pack_eval_negatives,
     sample_eval_negatives,
 )
 from repro.models.base import build_model
@@ -204,8 +205,10 @@ class FederatedSimulation:
             if config.faults.injects_faults
             else None
         )
-        self._eval_negatives = sample_eval_negatives(
-            self.dataset, config.train.eval_num_negatives, config.seed
+        self._eval_negatives, self._eval_negative_counts = pack_eval_negatives(
+            sample_eval_negatives(
+                self.dataset, config.train.eval_num_negatives, config.seed
+            )
         )
         # Under the batch engine the whole malicious team is driven
         # through one struct-of-arrays MaliciousCohort (vectorised
@@ -691,8 +694,12 @@ class FederatedSimulation:
         view.flags.writeable = False
         return view
 
-    #: Rough per-user evaluation footprint used to auto-size blocks:
-    #: one float64 score row, its masked copy, and the bool train mask.
+    #: Divisor that auto-sizes evaluation blocks.  The footprint is 11
+    #: bytes a cell (one float64 score row, the bool train mask and the
+    #: two bool work buffers of ``exposure_counts_at_k``); the value
+    #: stays at the 17 of the partition-based ranking because block
+    #: boundaries decide which rows share a GEMM, and moving them could
+    #: move evaluation scores in the last ulp.
     _EVAL_BYTES_PER_CELL = 17
     #: Auto-sized evaluation blocks target this peak footprint.
     _EVAL_BLOCK_BYTES = 128 * 2**20
@@ -741,7 +748,11 @@ class FederatedSimulation:
             er_hits += hits
             er_eligible += eligible
             hits, total = hit_counts_at_k(
-                scores, test_items[lo:hi], self._eval_negatives[lo:hi], k
+                scores,
+                test_items[lo:hi],
+                self._eval_negatives[lo:hi],
+                self._eval_negative_counts[lo:hi],
+                k,
             )
             hr_hits += hits
             hr_total += total

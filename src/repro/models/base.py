@@ -135,10 +135,10 @@ class RecommenderModel(ABC):
         scores (ranking metrics) iterate blocks of at most
         ``block_users`` rows, keeping peak memory at
         ``O(block x num_items)`` instead of ``O(U x num_items)``.
-        Scoring is row-wise in every model, so block boundaries do not
-        change any score; the default simply calls
-        :meth:`score_matrix` per slice and models with cheaper block
-        paths may override it.
+        Scoring is row-wise in every model, so block boundaries move
+        no score by more than the last ulp (BLAS picks its kernel by
+        operand shape); the default simply calls :meth:`score_matrix`
+        per slice and models with cheaper block paths may override it.
         """
         if block_users <= 0:
             raise ValueError("block_users must be positive")

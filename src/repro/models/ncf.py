@@ -25,6 +25,14 @@ from repro.rng import spawn
 
 __all__ = ["NCFModel"]
 
+#: Pair rows (user x item) per tile of :meth:`NCFModel.score_matrix`:
+#: large enough to amortise the per-tile calls, small enough that a
+#: tile's activations (8 bytes x the tower's widths per pair row) are
+#: still warm when the next layer reads them.  At 2000 users x 3000
+#: items and tower (32, 16), 16k / 32k / 64k / 128k rows took 0.54 /
+#: 0.48 / 0.45 / 0.42 s and 400k rows 0.54 s.
+_SCORE_TILE_PAIRS = 65536
+
 
 class NCFModel(RecommenderModel):
     """NCF global model: item embedding table + MLP tower parameters."""
@@ -101,14 +109,57 @@ class NCFModel(RecommenderModel):
         )
 
     def score_matrix(self, user_matrix: np.ndarray) -> np.ndarray:
+        """Logits of every (user, item) pair without building the pairs.
+
+        The first affine map of the tower acts on ``[u ; v]``, so it
+        splits into ``u @ W[:d]`` (once per user) plus ``v @ W[d:] + b``
+        (once per item); only their broadcast sum, the ReLU and the
+        remaining layers are per-pair work.  That work runs over tiles
+        of whole users of about :data:`_SCORE_TILE_PAIRS` pair rows,
+        one GEMM per layer per tile, in buffers allocated once per call.
+        Activations are held feature-major, ``(width, users, items)``,
+        so every broadcast runs along the long item axis.  A tile holds
+        ``num_items`` pair rows or more, so no catalogue of two or more
+        items sends a lone row to the GEMV kernel
+        :meth:`batch_local_step` warns about.
+
+        The sum ``u @ W[:d] + (v @ W[d:] + b)`` rounds differently from
+        ``[u ; v] @ W + b``, and BLAS picks its kernel by operand shape:
+        scores agree with :meth:`forward`, and between different user
+        blockings, to the last ulp or two, not bit for bit.
+        """
+        dim = self.embedding_dim
+        layers = self.tower.layers
+        if layers:
+            weight, bias = layers[0].weight, layers[0].bias
+        else:
+            weight, bias = self.tower.projection[:, None], np.zeros(1)
         num_users = user_matrix.shape[0]
+        user_part = weight[:dim].T @ user_matrix.T
+        item_part = weight[dim:].T @ self.item_embeddings.T + bias[:, None]
+        if not layers:
+            return user_part.T + item_part
+
         scores = np.empty((num_users, self.num_items))
-        items = self.item_embeddings
-        for row in range(num_users):
-            user = np.broadcast_to(user_matrix[row], items.shape)
-            x = np.concatenate([user, items], axis=1)
-            logits, _ = self.tower.forward(x)
-            scores[row] = logits
+        step = max(1, _SCORE_TILE_PAIRS // self.num_items)
+        tile_users = min(step, num_users)
+        first = np.empty((len(bias), tile_users, self.num_items))
+        later = [
+            np.empty((len(layer.bias), tile_users * self.num_items))
+            for layer in layers[1:]
+        ]
+        for lo in range(0, num_users, step):
+            hi = min(lo + step, num_users)
+            act = first[:, : hi - lo]
+            np.add(user_part[:, lo:hi, None], item_part[:, None, :], out=act)
+            np.maximum(act, 0.0, out=act)
+            act = act.reshape(len(act), -1)
+            for layer, buffer in zip(layers[1:], later):
+                out = buffer[:, : act.shape[1]]
+                np.matmul(layer.weight.T, act, out=out)
+                out += layer.bias[:, None]
+                act = np.maximum(out, 0.0, out=out)
+            np.matmul(self.tower.projection, act, out=scores[lo:hi].reshape(-1))
         return scores
 
     def init_user_embedding(self, rng: np.random.Generator, scale: float = 0.1) -> np.ndarray:

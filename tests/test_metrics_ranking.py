@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.datasets.base import InteractionDataset
 from repro.metrics.ranking import (
+    exposure_counts_at_k,
     exposure_ratio_at_k,
+    hit_counts_at_k,
     hit_ratio_at_k,
+    pack_eval_negatives,
     sample_eval_negatives,
     top_k_items,
 )
@@ -130,3 +136,159 @@ class TestHitRatio:
         scores = np.zeros((2, 4))
         scores[0, 2] = 1.0
         assert hit_ratio_at_k(scores, data, negatives, 1) == 1.0
+
+
+def stable_sort_exposure_counts(scores, mask, targets, k):
+    """ER@K counts read off a stable descending sort (the oracle).
+
+    Masked items sort as ``-inf``; a target is exposed to a user iff it
+    is unmasked, has a finite score and sits in the first ``k`` places.
+    """
+    masked = np.where(mask, -np.inf, scores)
+    top = np.argsort(-masked, axis=1, kind="stable")[:, :k]
+    hits, eligible = [], []
+    for target in targets:
+        open_users = ~mask[:, target]
+        exposed = (top == target).any(axis=1) & np.isfinite(scores[:, target])
+        hits.append(int((open_users & exposed).sum()))
+        eligible.append(int(open_users.sum()))
+    return np.array(hits), np.array(eligible)
+
+
+@st.composite
+def exposure_cases(draw):
+    """Score blocks built to tie: few distinct values, copied columns."""
+    num_users = draw(st.integers(1, 7))
+    num_items = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        values = st.integers(-2, 2).map(float)
+    else:
+        values = st.one_of(
+            st.floats(-3.0, 3.0),
+            st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+        )
+    scores = draw(arrays(np.float64, (num_users, num_items), elements=values))
+    mask = draw(arrays(np.bool_, (num_users, num_items)))
+    items = st.integers(0, num_items - 1)
+    # one_then_copy: some columns are exact copies of another column.
+    for _ in range(draw(st.integers(0, 2))):
+        scores[:, draw(items)] = scores[:, draw(items)]
+    for row in draw(st.lists(st.integers(0, num_users - 1), max_size=2)):
+        mask[row] = True
+    targets = draw(st.lists(items, min_size=1, max_size=5, unique=True))
+    k = draw(st.integers(1, num_items + 2))
+    cuts = draw(st.lists(st.integers(0, num_users), max_size=3))
+    return scores, mask, np.array(targets), k, sorted({0, num_users, *cuts})
+
+
+class TestExposureCounts:
+    @given(exposure_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_stable_sort_membership(self, case):
+        scores, mask, targets, k, bounds = case
+        hits, eligible = exposure_counts_at_k(scores, mask, targets, k)
+        want_hits, want_eligible = stable_sort_exposure_counts(scores, mask, targets, k)
+        np.testing.assert_array_equal(hits, want_hits)
+        np.testing.assert_array_equal(eligible, want_eligible)
+        # Streaming the rows in blocks accumulates to the same counts.
+        streamed = [
+            exposure_counts_at_k(scores[lo:hi], mask[lo:hi], targets, k)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        np.testing.assert_array_equal(sum(part[0] for part in streamed), hits)
+        np.testing.assert_array_equal(sum(part[1] for part in streamed), eligible)
+
+    def test_boundary_tie_goes_to_the_smaller_id(self):
+        # Items 1 and 3 tie for the second and last place of a top-2.
+        scores = np.array([[9.0, 5.0, 1.0, 5.0]])
+        mask = np.zeros((1, 4), dtype=bool)
+        hits, _ = exposure_counts_at_k(scores, mask, np.array([1, 3]), 2)
+        assert hits.tolist() == [1, 0]
+
+    def test_masked_items_do_not_push_the_target_out(self):
+        scores = np.array([[9.0, 8.0, 7.0, 1.0]])
+        mask = np.array([[True, True, False, False]])
+        hits, eligible = exposure_counts_at_k(scores, mask, np.array([3]), 2)
+        assert (hits.tolist(), eligible.tolist()) == ([1], [1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_score_is_a_miss(self, bad):
+        scores = np.array([[bad, 1.0, 2.0]])
+        mask = np.zeros((1, 3), dtype=bool)
+        hits, eligible = exposure_counts_at_k(scores, mask, np.array([0]), 3)
+        assert (hits.tolist(), eligible.tolist()) == ([0], [1])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shapes differ"):
+            exposure_counts_at_k(
+                np.zeros((1, 3)), np.zeros((1, 4), dtype=bool), np.array([0]), 1
+            )
+
+
+def loop_hit_counts(scores, test_items, eval_negatives, k):
+    """HR@K counts by the per-user list loop (the oracle)."""
+    hits = total = 0
+    for user, negs in enumerate(eval_negatives):
+        if test_items[user] < 0 or len(negs) == 0:
+            continue
+        test_score = scores[user, test_items[user]]
+        rank = np.sum(scores[user, negs] > test_score) + 0.5 * np.sum(
+            scores[user, negs] == test_score
+        )
+        hits += bool(rank < k)
+        total += 1
+    return hits, total
+
+
+@st.composite
+def hit_cases(draw):
+    """Ragged negative lists, some empty, some users with no test item."""
+    num_users = draw(st.integers(1, 7))
+    num_items = draw(st.integers(2, 9))
+    items = st.integers(0, num_items - 1)
+    scores = draw(
+        arrays(
+            np.float64, (num_users, num_items), elements=st.integers(-2, 2).map(float)
+        )
+    )
+    test_items = np.array(
+        draw(
+            st.lists(
+                st.one_of(st.just(-1), items), min_size=num_users, max_size=num_users
+            )
+        )
+    )
+    negatives = [
+        np.array(draw(st.lists(items, max_size=6, unique=True)), dtype=np.int64)
+        for _ in range(num_users)
+    ]
+    k = draw(st.integers(1, 7))
+    cuts = draw(st.lists(st.integers(0, num_users), max_size=3))
+    return scores, test_items, negatives, k, sorted({0, num_users, *cuts})
+
+
+class TestPackedHitCounts:
+    @given(hit_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_packed_counts_equal_list_loop(self, case):
+        scores, test_items, negatives, k, bounds = case
+        packed, lengths = pack_eval_negatives(negatives)
+        assert lengths.tolist() == [len(negs) for negs in negatives]
+        for row, negs in enumerate(negatives):
+            np.testing.assert_array_equal(packed[row, : len(negs)], negs)
+        want = loop_hit_counts(scores, test_items, negatives, k)
+        assert hit_counts_at_k(scores, test_items, packed, lengths, k) == want
+        streamed = [
+            hit_counts_at_k(
+                scores[lo:hi], test_items[lo:hi], packed[lo:hi], lengths[lo:hi], k
+            )
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert tuple(map(sum, zip(*streamed))) == want
+
+    def test_no_negatives_at_all(self):
+        empty = np.empty(0, dtype=np.int64)
+        packed, lengths = pack_eval_negatives([empty, empty])
+        assert packed.shape == (2, 0) and lengths.tolist() == [0, 0]
+        assert hit_counts_at_k(np.zeros((2, 3)), np.array([1, 2]), packed, lengths, 1) == (0, 0)
+

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models.base import build_model
+from repro.models import ncf as ncf_module
 from repro.models.mf import MFModel
 from repro.models.ncf import NCFModel
 from repro.rng import make_rng
@@ -147,3 +148,65 @@ class TestItemUpdates:
         snap = model.snapshot_items()
         model.item_embeddings[0, 0] += 5.0
         assert snap[0, 0] != model.item_embeddings[0, 0]
+
+
+class _CountingTable(np.ndarray):
+    """Item table recording the shapes it is matrix-multiplied with."""
+
+    def __array_finalize__(self, parent):
+        self.products = getattr(parent, "products", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.products.append(tuple(np.shape(x) for x in inputs))
+        plain = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestNCFScoreMatrix:
+    """The factorised ``score_matrix`` against the pairwise ``forward``."""
+
+    NUM_ITEMS = 11
+    TILE_USERS = 4
+
+    @pytest.mark.parametrize("mlp_layers", [(), (8,), (8, 6, 4)])
+    @pytest.mark.parametrize("num_users", [1, 3, 4, 5, 14])
+    def test_matches_pairwise_forward(self, monkeypatch, mlp_layers, num_users):
+        # User counts straddle the (shrunk) tile: 1, tile - 1, tile,
+        # tile + 1 and 3 * tile + 2 users.
+        monkeypatch.setattr(
+            ncf_module, "_SCORE_TILE_PAIRS", self.TILE_USERS * self.NUM_ITEMS
+        )
+        model = NCFModel(self.NUM_ITEMS, 4, mlp_layers=mlp_layers, seed=11)
+        users = make_rng(12).normal(size=(num_users, 4))
+        scores = model.score_matrix(users)
+        assert scores.shape == (num_users, self.NUM_ITEMS)
+        reference = np.stack(
+            [model.forward(user, model.item_embeddings)[0] for user in users]
+        )
+        # Four ulp of the largest logit: a logit that cancels towards
+        # zero keeps the absolute rounding error of its summands.
+        four_ulp = 4 * np.finfo(np.float64).eps * np.abs(reference).max()
+        np.testing.assert_allclose(scores, reference, rtol=1e-12, atol=four_ulp)
+
+    @pytest.mark.parametrize("mlp_layers", [(), (8,), (8, 6, 4)])
+    def test_item_table_meets_first_layer_once_per_call(self, monkeypatch, mlp_layers):
+        monkeypatch.setattr(
+            ncf_module, "_SCORE_TILE_PAIRS", self.TILE_USERS * self.NUM_ITEMS
+        )
+        model = NCFModel(self.NUM_ITEMS, 4, mlp_layers=mlp_layers, seed=11)
+        table = model.item_embeddings.view(_CountingTable)
+        table.products = []
+        model.item_embeddings = table
+        model.score_matrix(make_rng(12).normal(size=(14, 4)))
+        # One product of the item half of the first layer with the whole
+        # table, however many users and tiles the call covers.
+        width = mlp_layers[0] if mlp_layers else 1
+        assert [sorted(shapes) for shapes in table.products] == [
+            sorted([(width, 4), (4, self.NUM_ITEMS)])
+        ]
+
+    def test_empty_user_block(self):
+        model = NCFModel(self.NUM_ITEMS, 4, mlp_layers=(8, 4), seed=11)
+        assert model.score_matrix(np.empty((0, 4))).shape == (0, self.NUM_ITEMS)
+

@@ -10,7 +10,7 @@ exactly.
 import numpy as np
 import pytest
 
-from repro.config import TrainConfig, replace
+from repro.config import ShardingConfig, TrainConfig, replace
 from repro.datasets.synthetic import generate_longtail_dataset
 from repro.federated.client import BenignClient
 from repro.federated.simulation import FederatedSimulation
@@ -20,6 +20,7 @@ from repro.metrics.ranking import (
     exposure_ratio_at_k,
     hit_counts_at_k,
     hit_ratio_at_k,
+    pack_eval_negatives,
     sample_eval_negatives,
 )
 from repro.models.base import build_model
@@ -258,6 +259,7 @@ class TestChunkedEvaluation:
         mask = dataset.train_mask()
         targets = np.array([3, 17])
         negatives = sample_eval_negatives(dataset, 10, seed=0)
+        packed, lengths = pack_eval_negatives(negatives)
         er_hits = np.zeros(2, dtype=np.int64)
         er_eligible = np.zeros(2, dtype=np.int64)
         hr_hits = hr_total = 0
@@ -269,7 +271,11 @@ class TestChunkedEvaluation:
             er_hits += hits
             er_eligible += eligible
             hits, total = hit_counts_at_k(
-                scores[lo:hi], dataset.test_items[lo:hi], negatives[lo:hi], 5
+                scores[lo:hi],
+                dataset.test_items[lo:hi],
+                packed[lo:hi],
+                lengths[lo:hi],
+                5,
             )
             hr_hits += hits
             hr_total += total
@@ -285,11 +291,16 @@ class TestChunkedEvaluation:
     def test_evaluate_independent_of_chunk_size(self, tiny_mf_config, tiny_ncf_config, kind):
         base = tiny_mf_config if kind == "mf" else tiny_ncf_config
         results = []
-        for chunk in (None, 1, 3, 10_000):
-            cfg = replace(base, train=replace(base.train, eval_chunk_users=chunk))
-            sim = FederatedSimulation(cfg)
-            sim.run(rounds=3)
-            results.append(sim.evaluate())
+        for num_shards in (0, 3):
+            for chunk in (None, 1, 3, 7, 10_000):
+                cfg = replace(
+                    base,
+                    train=replace(base.train, eval_chunk_users=chunk),
+                    sharding=ShardingConfig(num_shards=num_shards),
+                )
+                with FederatedSimulation(cfg) as sim:
+                    sim.run(rounds=3)
+                    results.append(sim.evaluate())
         assert all(r == results[0] for r in results[1:])
 
     def test_bad_chunk_size_rejected(self, tiny_mf_config):
