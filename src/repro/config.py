@@ -390,8 +390,8 @@ class AsyncConfig:
     round_deadline: float = 1.0
     #: Per-version-of-delay multiplier on a stale upload
     #: (``staleness_discount ** delay``, applied in the gradient's own
-    #: dtype — the same arithmetic as the fault layer's
-    #: :class:`~repro.federated.faults.DeferredUpload`).
+    #: dtype — the one :class:`~repro.federated.faults.StalenessBuffer`
+    #: the fault layer's stragglers also go through).
     staleness_discount: float = 0.5
     #: Uploads staler than this many versions are dropped (and
     #: counted) instead of applied; 0 = unbounded.

@@ -8,11 +8,7 @@ aggregator) and applies one SGD step. User embeddings stay on clients.
 """
 
 from repro.federated.aggregation import Aggregator, SumAggregator, scatter_sum
-from repro.federated.async_engine import (
-    AsyncFederationEngine,
-    AsyncStats,
-    StalenessAggregator,
-)
+from repro.federated.async_engine import AsyncFederationEngine, AsyncStats
 from repro.federated.audit import ItemRoundRecord, ServerAuditLog
 from repro.federated.batch_engine import BatchClientEngine
 from repro.federated.client import BenignClient
@@ -46,7 +42,6 @@ __all__ = [
     "StalenessBuffer",
     "AsyncFederationEngine",
     "AsyncStats",
-    "StalenessAggregator",
     "AsyncPlan",
     "EventQueue",
     "VirtualClock",

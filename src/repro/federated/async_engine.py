@@ -18,14 +18,24 @@ compute_round_batch`, the async layer only reorders *when* the
   resulting uploads reach aggregation.  Per-upload traffic offsets,
   compute latencies, network delays and churn come from the seeded
   :class:`~repro.federated.clock.AsyncPlan`.
-* :class:`StalenessAggregator` — the FedBuff-style server buffer.
-  Uploads arrive tagged with the model version they trained against;
-  a round closes when ``buffer_size`` uploads are buffered or its
-  deadline expires (whichever first) and flushes the buffer in
-  arrival order, scaling uploads that are ``delay`` versions stale by
-  ``staleness_discount ** delay`` — the same in-dtype arithmetic as
-  the fault layer's :class:`~repro.federated.faults.DeferredUpload`.
-  Uploads staler than ``max_staleness`` are dropped *and counted*.
+* **Transit.**  A wave stays one
+  :class:`~repro.federated.update_batch.UpdateBatch`: churn removes
+  its cancelled clients, and each distinct arrival instant becomes
+  *one* ARRIVAL event carrying that instant's clients in position
+  order (a zero-copy :meth:`~repro.federated.update_batch.UpdateBatch.\
+client_slice` when they are contiguous).  Arrivals park in the
+  shared :class:`~repro.federated.faults.StalenessBuffer` tagged with
+  the model version they trained against; a round closes when
+  ``buffer_size`` clients are buffered or its deadline expires
+  (whichever first) and drains the buffer at the current version:
+  fresh parts pass through untouched, stale ones are scaled by
+  ``staleness_discount ** delay``, and parts staler than
+  ``max_staleness`` are dropped *and counted*.  When the buffer fills
+  partway through an event, the round closes after exactly the client
+  that filled it and the rest of the event goes back on the queue
+  under its original key — the same-instant order, deadline arming
+  and round boundaries of a per-client event loop, at one event per
+  instant.
 * :class:`AsyncStats` — full accounting in the mold of
   :class:`~repro.federated.faults.FaultStats`: every dispatched
   client is cancelled, in flight, buffered, applied or dropped —
@@ -58,6 +68,7 @@ while keeping every round finite under total churn.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +84,11 @@ from repro.federated.clock import (
     EventQueue,
     VirtualClock,
 )
-from repro.federated.faults import DeferredUpload
-from repro.federated.payload import ClientUpdate
+from repro.federated.faults import StalenessBuffer
 from repro.federated.server import Server
 from repro.federated.update_batch import UpdateBatch
 
-__all__ = ["AsyncStats", "FlushResult", "StalenessAggregator", "AsyncFederationEngine"]
+__all__ = ["AsyncStats", "AsyncFederationEngine"]
 
 #: Event kinds, carried as the first element of each queue payload.
 EVENT_DISPATCH = "dispatch"
@@ -133,78 +143,6 @@ class AsyncStats:
         return cls(**{k: int(payload.get(k, 0)) for k in cls.__dataclass_fields__})
 
 
-@dataclass
-class FlushResult:
-    """One aggregation's flushed batch plus its staleness accounting."""
-
-    batch: UpdateBatch
-    applied: int = 0
-    stale_applied: int = 0
-    stale_dropped: int = 0
-    max_delay: int = 0
-
-
-class StalenessAggregator:
-    """FedBuff-style buffered aggregation with staleness discounting.
-
-    Holds ``(upload, origin_version)`` entries in arrival order (FIFO
-    — arrival order is deterministic, so flush order and every
-    downstream float accumulation are too).  ``flush(current_version)``
-    converts the buffer into one :class:`UpdateBatch`: fresh uploads
-    (delay 0) pass through untouched — their arrays are *not*
-    multiplied by 1.0, keeping the degenerate config bit-identical —
-    and stale uploads are scaled by ``discount ** delay`` in the
-    gradient's own dtype via the fault layer's
-    :class:`~repro.federated.faults.DeferredUpload` arithmetic.
-    """
-
-    def __init__(self, discount: float, max_staleness: int = 0):
-        self.discount = float(discount)
-        self.max_staleness = int(max_staleness)
-        self._entries: list[tuple[ClientUpdate, int]] = []
-
-    def add(self, update: ClientUpdate, origin_version: int) -> None:
-        self._entries.append((update, int(origin_version)))
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def flush(self, current_version: int) -> FlushResult:
-        """Drain the buffer into one batch at ``current_version``."""
-        kept: list[ClientUpdate] = []
-        result = FlushResult(batch=None)  # type: ignore[arg-type]
-        for update, origin in self._entries:
-            delay = int(current_version) - origin
-            if self.max_staleness and delay > self.max_staleness:
-                result.stale_dropped += 1
-                continue
-            if delay > 0:
-                update = DeferredUpload(
-                    user_id=update.user_id,
-                    item_ids=update.item_ids,
-                    item_grads=update.item_grads,
-                    param_grads=update.param_grads,
-                    malicious=update.malicious,
-                    discount=self.discount**delay,
-                    origin_round=origin,
-                ).as_update()
-                result.stale_applied += 1
-                result.max_delay = max(result.max_delay, delay)
-            kept.append(update)
-        result.applied = len(kept)
-        result.batch = UpdateBatch.from_updates(kept)
-        self._entries = []
-        return result
-
-    # -- checkpoint plumbing -------------------------------------------
-
-    def state(self) -> list[tuple[ClientUpdate, int]]:
-        return list(self._entries)
-
-    def restore(self, state: list[tuple[ClientUpdate, int]]) -> None:
-        self._entries = list(state)
-
-
 class AsyncFederationEngine:
     """Drives the simulation's rounds through a virtual-time event loop.
 
@@ -212,7 +150,7 @@ class AsyncFederationEngine:
     :class:`~repro.federated.batch_engine.BatchClientEngine` (whose
     batched math and RNG streams it reuses verbatim) and its
     :class:`~repro.federated.server.Server` (whose sanity gate, quorum
-    check, defenses and audit log see flushed batches exactly as they
+    check, defenses and audit log see drained batches exactly as they
     see synchronous rounds).
 
     ``run_round(r)`` advances the event loop until aggregation ``r``
@@ -240,9 +178,7 @@ class AsyncFederationEngine:
         self.plan = AsyncPlan(config, seed)
         self.clock = VirtualClock()
         self.queue = EventQueue()
-        self.aggregator = StalenessAggregator(
-            config.staleness_discount, config.max_staleness
-        )
+        self.buffer = StalenessBuffer(config.staleness_discount, config.max_staleness)
         #: FedBuff K: aggregate as soon as this many uploads buffer.
         self.k = config.buffer_size or min(
             train_cfg.users_per_round, total_users
@@ -251,18 +187,9 @@ class AsyncFederationEngine:
         self.version = 0
         #: Whether the open round's deadline event has been scheduled.
         self.deadline_armed = False
-        # Counters (AsyncStats is assembled from these on demand).
-        self.waves_dispatched = 0
-        self.clients_dispatched = 0
-        self.uploads_cancelled = 0
-        self.uploads_arrived = 0
-        self.uploads_applied = 0
-        self.stale_applied = 0
-        self.stale_dropped = 0
-        self.max_staleness_applied = 0
-        self.rounds_closed_by_buffer = 0
-        self.rounds_closed_by_deadline = 0
-        self.empty_rounds = 0
+        #: Event-loop counters, keyed by :class:`AsyncStats` field names
+        #: (the buffer tallies the drain-side ones).
+        self.counts: Counter[str] = Counter()
         self.queue.push(0.0, PRIORITY_DISPATCH, (EVENT_DISPATCH, 0))
 
     # ------------------------------------------------------------------
@@ -322,27 +249,41 @@ class AsyncFederationEngine:
             self.total_users, self.train_cfg.users_per_round, wave_idx
         )
         batch = self.batch_engine.compute_round_batch(wave_idx, sampled)
-        uploads = batch.to_updates()
-        schedule = self.plan.wave_schedule(wave_idx, len(uploads))
-        self.waves_dispatched += 1
-        self.clients_dispatched += len(uploads)
-        arrival_offsets = schedule.arrival_offsets()
-        for pos, update in enumerate(uploads):
-            if schedule.cancelled[pos]:
-                self.uploads_cancelled += 1
-                continue
+        schedule = self.plan.wave_schedule(wave_idx, batch.num_clients)
+        self.counts["waves_dispatched"] += 1
+        self.counts["clients_dispatched"] += batch.num_clients
+        self.counts["uploads_cancelled"] += int(schedule.cancelled.sum())
+        kept = ~schedule.cancelled
+        batch = batch.select_clients(kept)
+        times = self.clock.now + schedule.arrival_offsets()[kept]
+        # One event per distinct instant; the stable sort keeps each
+        # instant's clients in position order.
+        order = np.argsort(times, kind="stable")
+        instants, firsts = np.unique(times[order], return_index=True)
+        for instant, positions in zip(instants, np.split(order, firsts[1:])):
             self.queue.push(
-                self.clock.now + float(arrival_offsets[pos]),
+                float(instant),
                 PRIORITY_ARRIVAL,
-                (EVENT_ARRIVAL, update, self.version),
+                (EVENT_ARRIVAL, _clients_at(batch, positions), self.version),
             )
         self._arm_deadline()
 
-    def _arrival(self, update: ClientUpdate, origin_version: int) -> None:
-        self.uploads_arrived += 1
-        self.aggregator.add(update, origin_version)
+    def _arrival(self, part: UpdateBatch, origin_version: int) -> None:
+        """Buffer one instant's uploads, closing the round once full.
+
+        If the buffer fills partway through ``part``, the round closes
+        after exactly the client that filled it and the rest of the
+        event is requeued under its original key, to land next.
+        """
+        room = self.k - self.buffer.pending
+        if part.num_clients > room:
+            rest = part.client_slice(room, part.num_clients)
+            self.queue.requeue((EVENT_ARRIVAL, rest, origin_version))
+            part = part.client_slice(0, room)
+        self.counts["uploads_arrived"] += part.num_clients
+        self.buffer.park(part, origin_version, origin_version)
         self._arm_deadline()
-        if len(self.aggregator) >= self.k:
+        if self.buffer.pending >= self.k:
             self._close_round(by_deadline=False)
 
     def _deadline(self, round_idx: int) -> None:
@@ -361,23 +302,17 @@ class AsyncFederationEngine:
             self.deadline_armed = True
 
     def _close_round(self, *, by_deadline: bool) -> None:
-        """Flush the buffer through the server and advance the version."""
-        flushed = self.aggregator.flush(self.version)
-        self.uploads_applied += flushed.applied
-        self.stale_applied += flushed.stale_applied
-        self.stale_dropped += flushed.stale_dropped
-        self.max_staleness_applied = max(
-            self.max_staleness_applied, flushed.max_delay
-        )
+        """Drain the buffer through the server and advance the version."""
+        batch = self.buffer.drain(self.version)
         if by_deadline:
-            self.rounds_closed_by_deadline += 1
-            if flushed.batch.num_clients == 0:
-                self.empty_rounds += 1
+            self.counts["rounds_closed_by_deadline"] += 1
+            if batch.num_clients == 0:
+                self.counts["empty_rounds"] += 1
         else:
-            self.rounds_closed_by_buffer += 1
-        # An empty flush still goes through apply_batch so quorum
+            self.counts["rounds_closed_by_buffer"] += 1
+        # An empty drain still goes through apply_batch so quorum
         # accounting matches an empty synchronous round exactly.
-        self.server.apply_batch(flushed.batch)
+        self.server.apply_batch(batch)
         self.version += 1
         self.deadline_armed = False
 
@@ -387,57 +322,47 @@ class AsyncFederationEngine:
 
     def stats(self) -> AsyncStats:
         return AsyncStats(
-            waves_dispatched=self.waves_dispatched,
-            clients_dispatched=self.clients_dispatched,
-            uploads_cancelled=self.uploads_cancelled,
-            uploads_arrived=self.uploads_arrived,
-            uploads_applied=self.uploads_applied,
-            stale_applied=self.stale_applied,
-            stale_dropped=self.stale_dropped,
-            max_staleness_applied=self.max_staleness_applied,
-            rounds_closed_by_buffer=self.rounds_closed_by_buffer,
-            rounds_closed_by_deadline=self.rounds_closed_by_deadline,
-            empty_rounds=self.empty_rounds,
-            uploads_in_flight=self.queue.count(PRIORITY_ARRIVAL),
-            uploads_buffered=len(self.aggregator),
+            **self.counts,
+            **self.buffer.tallies,
+            uploads_in_flight=sum(
+                payload[1].num_clients
+                for payload in self.queue.payloads(PRIORITY_ARRIVAL)
+            ),
+            uploads_buffered=self.buffer.pending,
         )
-
-    _COUNTERS = (
-        "waves_dispatched",
-        "clients_dispatched",
-        "uploads_cancelled",
-        "uploads_arrived",
-        "uploads_applied",
-        "stale_applied",
-        "stale_dropped",
-        "max_staleness_applied",
-        "rounds_closed_by_buffer",
-        "rounds_closed_by_deadline",
-        "empty_rounds",
-    )
 
     def state(self) -> dict:
         """Mutable event-loop state for checkpoint capture.
 
-        The queue's heap entries carry the in-flight uploads (their
-        gradient arrays pickle with them), so a resumed process
+        The queue's heap entries carry the in-flight ``UpdateBatch``
+        parts (their arrays pickle with them), so a resumed process
         replays the exact remaining event sequence; the wave plan and
         sampling streams are stateless spawns and need no capture.
         """
         return {
             "clock": self.clock.now,
             "queue": self.queue.state(),
-            "buffer": self.aggregator.state(),
+            "buffer": self.buffer.state(),
             "version": self.version,
             "deadline_armed": self.deadline_armed,
-            "counters": {name: getattr(self, name) for name in self._COUNTERS},
+            "counts": dict(self.counts),
         }
 
     def restore(self, state: dict) -> None:
         self.clock = VirtualClock(state["clock"])
         self.queue.restore(state["queue"])
-        self.aggregator.restore(state["buffer"])
+        self.buffer.restore(state["buffer"])
         self.version = int(state["version"])
         self.deadline_armed = bool(state["deadline_armed"])
-        for name, value in state["counters"].items():
-            setattr(self, name, value)
+        self.counts = Counter(state["counts"])
+
+
+def _clients_at(batch: UpdateBatch, positions: np.ndarray) -> UpdateBatch:
+    """``batch``'s clients at ascending ``positions``, zero-copy when
+    they are contiguous (the whole batch is the batch itself)."""
+    lo, hi = int(positions[0]), int(positions[-1]) + 1
+    if hi - lo == len(positions):
+        return batch.client_slice(lo, hi)
+    keep = np.zeros(batch.num_clients, dtype=bool)
+    keep[positions] = True
+    return batch.select_clients(keep)

@@ -486,10 +486,7 @@ class BatchClientEngine:
         """
         store = self.state
         if not len(benign_ids):
-            zero = np.empty(0, dtype=np.int64)
-            return UpdateBatch(
-                zero, zero, np.empty((0, self.model.embedding_dim)), zero
-            )
+            return UpdateBatch.empty(self.model.embedding_dim)
         regs = None
         if store.has_regularizers:
             regs = [store.regularizer(int(u)) for u in benign_ids]

@@ -83,6 +83,7 @@ class EventQueue:
     def __init__(self):
         self._heap: list[tuple[float, int, int, object]] = []
         self._seq = 0
+        self._last_key: tuple[float, int, int] | None = None
 
     def push(self, time: float, priority: int, payload: object) -> None:
         heapq.heappush(self._heap, (float(time), priority, self._seq, payload))
@@ -91,15 +92,25 @@ class EventQueue:
     def pop(self) -> tuple[float, int, object]:
         if not self._heap:
             raise IndexError("pop from an empty event queue")
-        time, priority, _, payload = heapq.heappop(self._heap)
+        time, priority, seq, payload = heapq.heappop(self._heap)
+        self._last_key = (time, priority, seq)
         return time, priority, payload
+
+    def requeue(self, payload: object) -> None:
+        """Put ``payload`` back under the key of the event popped last.
+
+        The key was the queue's minimum when popped, so unless an
+        earlier event has been pushed since, ``payload`` is popped next
+        — the rest of a split event keeps its place in the order.
+        """
+        heapq.heappush(self._heap, (*self._last_key, payload))
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def count(self, priority: int) -> int:
-        """Pending events of one priority class (stats accounting)."""
-        return sum(1 for entry in self._heap if entry[1] == priority)
+    def payloads(self, priority: int) -> list:
+        """Payloads of the pending events of one priority class."""
+        return [entry[3] for entry in self._heap if entry[1] == priority]
 
     # -- checkpoint plumbing -------------------------------------------
 

@@ -12,16 +12,17 @@ that failure model a first-class, *deterministic* layer:
   pure function of ``(seed, FaultConfig, round_idx, round size)``:
   same seed, same faults, independent of execution engine, kernel
   backend, wall-clock or checkpoint/resume boundaries.
-* :class:`StalenessBuffer` — holds deferred (straggler) uploads until
-  their arrival round and splices them into later rounds' aggregation,
-  scaled by a FedAsync-style ``staleness_discount ** delay`` factor.
+* :class:`StalenessBuffer` — the runtime's one holding area for late
+  uploads, shared with the asynchronous engine: ``UpdateBatch`` parts
+  parked until due, then spliced into a later aggregation scaled by a
+  FedAsync-style ``staleness_discount ** delay`` factor.
 * :class:`FaultController` — applies one round's scheduled faults to
   the round's uploads, on *either* engine: the batch engine hands it
   the assembled :class:`~repro.federated.update_batch.UpdateBatch`,
   the reference loop engine its ``ClientUpdate`` list.  Both paths
-  share the per-client fault assignment and the scaling arithmetic, so
-  they stay bit-identical under faults exactly as they are without
-  (asserted by the fault parity suite).
+  share the fault schedule and park and drain through the same
+  buffer, so they stay bit-identical under faults exactly as they are
+  without (asserted by the fault parity suite).
 * :class:`FaultStats` — the full accounting surfaced on
   :class:`~repro.federated.simulation.SimulationResult`.  Nothing is
   ever dropped silently: every injected fault, every stale splice,
@@ -49,7 +50,8 @@ the fault layer costs the ideal-synchronous path nothing (enforced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -66,7 +68,6 @@ __all__ = [
     "FAULT_CORRUPTION",
     "RoundFaults",
     "FaultPlan",
-    "DeferredUpload",
     "StalenessBuffer",
     "FaultController",
     "FaultStats",
@@ -134,80 +135,76 @@ class FaultPlan:
         return RoundFaults(kinds, delays)
 
 
-@dataclass
-class DeferredUpload:
-    """One straggler's upload, parked until its arrival round.
-
-    Arrays are private copies (the batch engine reuses round stacks'
-    lifetimes); ``discount`` is the staleness factor already resolved
-    at defer time (``staleness_discount ** delay``), applied to the
-    gradients at splice time in the gradient's own dtype.
-    """
-
-    user_id: int
-    item_ids: np.ndarray
-    item_grads: np.ndarray
-    param_grads: list[np.ndarray]
-    malicious: bool
-    discount: float
-    origin_round: int
-
-    def discounted_grads(self) -> np.ndarray:
-        """Gradient rows scaled by the staleness discount.
-
-        The scalar is cast to the gradient dtype first so
-        reduced-precision uploads stay at their own precision — the
-        same rule the cohort path uses for participation scales.
-        """
-        return self.item_grads * self.item_grads.dtype.type(self.discount)
-
-    def discounted_params(self) -> list[np.ndarray]:
-        return [
-            grad * grad.dtype.type(self.discount) for grad in self.param_grads
-        ]
-
-    def as_update(self) -> ClientUpdate:
-        """The upload as it reaches the server: staleness discount applied."""
-        return ClientUpdate.trusted(
-            user_id=self.user_id,
-            item_ids=self.item_ids,
-            item_grads=self.discounted_grads(),
-            param_grads=self.discounted_params(),
-            malicious=self.malicious,
-        )
-
-
 class StalenessBuffer:
-    """Holds deferred uploads keyed by their arrival round.
+    """Holds late uploads as :class:`UpdateBatch` parts until they are due.
 
-    FIFO per arrival round (insertion order is the deterministic
-    sampled-position order of the origin round), so splice order — and
-    therefore every downstream float accumulation — is reproducible.
+    The one staleness mechanism of the runtime: the fault layer parks
+    straggler uploads here, the asynchronous engine its arrivals.  Each
+    entry is ``(part, origin, due)`` — the uploads of one or more
+    clients, the round (model version) they trained against, and the
+    first ``now`` at which :meth:`drain` releases them.  Entries keep
+    insertion order, which both callers make deterministic, so every
+    downstream float accumulation is reproducible.
+
+    ``tallies`` accumulates what the drains did, in clients, under the
+    :class:`~repro.federated.async_engine.AsyncStats` field names
+    (``uploads_applied``, ``stale_applied``, ``stale_dropped``,
+    ``max_staleness_applied``).
     """
 
-    def __init__(self):
-        self._due: dict[int, list[DeferredUpload]] = {}
+    def __init__(self, discount: float, max_staleness: int = 0):
+        self.discount = float(discount)
+        self.max_staleness = int(max_staleness)
+        self.entries: list[tuple[UpdateBatch, int, int]] = []
+        self.tallies: Counter[str] = Counter()
 
-    def defer(self, due_round: int, upload: DeferredUpload) -> None:
-        self._due.setdefault(due_round, []).append(upload)
-
-    def pop_due(self, round_idx: int) -> list[DeferredUpload]:
-        """All uploads arriving at ``round_idx``, in deferral order."""
-        return self._due.pop(round_idx, [])
+    def park(self, part: UpdateBatch, origin: int, due: int) -> None:
+        self.entries.append((part, int(origin), int(due)))
 
     @property
     def pending(self) -> int:
-        """Uploads still in flight."""
-        return sum(len(entries) for entries in self._due.values())
+        """Clients parked and not yet drained."""
+        return sum(part.num_clients for part, _, _ in self.entries)
+
+    def drain(self, now: int) -> UpdateBatch:
+        """Every entry with ``due <= now``, in insertion order, as one batch.
+
+        A part's delay is ``now - origin``.  At delay 0 it passes
+        through untouched (same arrays — not multiplied by 1.0, which
+        keeps the degenerate asynchronous config bit-identical to the
+        synchronous engine); at a positive delay it is scaled by
+        ``discount ** delay`` via :meth:`UpdateBatch.discounted`; past
+        a non-zero ``max_staleness`` it is dropped and counted.
+        """
+        parts, waiting = [], []
+        for entry in self.entries:
+            part, origin, due = entry
+            if due > now:
+                waiting.append(entry)
+                continue
+            delay = now - origin
+            if self.max_staleness and delay > self.max_staleness:
+                self.tallies["stale_dropped"] += part.num_clients
+                continue
+            if delay:
+                part = part.discounted(self.discount**delay)
+                self.tallies["stale_applied"] += part.num_clients
+                self.tallies["max_staleness_applied"] = max(
+                    self.tallies["max_staleness_applied"], delay
+                )
+            self.tallies["uploads_applied"] += part.num_clients
+            parts.append(part)
+        self.entries = waiting
+        return UpdateBatch.concat(parts) if parts else UpdateBatch.empty()
 
     # -- checkpoint plumbing -------------------------------------------
 
-    def state(self) -> dict[int, list[DeferredUpload]]:
-        """The raw buffer contents (checkpoint capture)."""
-        return self._due
+    def state(self) -> dict:
+        return {"entries": list(self.entries), "tallies": dict(self.tallies)}
 
-    def restore(self, state: dict[int, list[DeferredUpload]]) -> None:
-        self._due = state
+    def restore(self, state: dict) -> None:
+        self.entries = list(state["entries"])
+        self.tallies = Counter(state["tallies"])
 
 
 @dataclass(frozen=True)
@@ -238,32 +235,10 @@ class FaultStats:
 
     @property
     def any_fault(self) -> bool:
-        return any(
-            (
-                self.dropped_uploads,
-                self.deferred_uploads,
-                self.stale_applied,
-                self.stale_pending,
-                self.corrupted_uploads,
-                self.rejected_nonfinite,
-                self.rejected_oversized,
-                self.quorum_failed_rounds,
-                self.quorum_dropped_uploads,
-            )
-        )
+        return any(self.to_dict().values())
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "dropped_uploads": self.dropped_uploads,
-            "deferred_uploads": self.deferred_uploads,
-            "stale_applied": self.stale_applied,
-            "stale_pending": self.stale_pending,
-            "corrupted_uploads": self.corrupted_uploads,
-            "rejected_nonfinite": self.rejected_nonfinite,
-            "rejected_oversized": self.rejected_oversized,
-            "quorum_failed_rounds": self.quorum_failed_rounds,
-            "quorum_dropped_uploads": self.quorum_dropped_uploads,
-        }
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, payload: dict[str, int]) -> "FaultStats":
@@ -274,26 +249,36 @@ class FaultController:
     """Applies one round's scheduled faults to the round's uploads.
 
     One controller per simulation; it owns the :class:`FaultPlan`, the
-    :class:`StalenessBuffer` and the injection counters.  The fault of
-    a sampled client is keyed by its *user id* (sampled positions and
-    upload entries both carry global user ids, on both engines), so
-    clients that upload nothing this round — e.g. a PIECK miner still
+    :class:`StalenessBuffer` and the injection counters (``counts``,
+    keyed by :class:`FaultStats` field names).  The fault of a sampled
+    client is keyed by its *user id* (sampled positions and upload
+    entries both carry global user ids, on both engines), so clients
+    that upload nothing this round — e.g. a PIECK miner still
     accumulating observations — consume their scheduled fault as a
     no-op on both engines identically.
 
-    A round in which no scheduled fault fires and no stale upload
-    arrives returns its input unchanged (the same object, zero copies)
-    — the zero-fault plan is bit-identical to no controller at all.
+    Stragglers park with ``due = round + delay`` and every round drains
+    at ``now = round``, so a straggler lands exactly ``delay`` rounds
+    late, discounted by ``staleness_discount ** delay``, after the
+    round's own uploads.  A round in which no scheduled fault fires and
+    no stale upload arrives returns its input unchanged (the same
+    object, zero copies) — the zero-fault plan is bit-identical to no
+    controller at all.
     """
 
     def __init__(self, config: FaultConfig, seed: int):
         self.config = config
         self.plan = FaultPlan(config, seed)
-        self.buffer = StalenessBuffer()
-        self.dropped_uploads = 0
-        self.deferred_uploads = 0
-        self.stale_applied = 0
-        self.corrupted_uploads = 0
+        self.buffer = StalenessBuffer(config.staleness_discount)
+        self.counts: Counter[str] = Counter()
+
+    def stats_counts(self) -> dict[str, int]:
+        """The controller's share of :class:`FaultStats`."""
+        return {
+            **self.counts,
+            "stale_applied": self.buffer.tallies["stale_applied"],
+            "stale_pending": self.buffer.pending,
+        }
 
     # ------------------------------------------------------------------
     # Batch-engine path
@@ -304,78 +289,36 @@ class FaultController:
     ) -> UpdateBatch:
         """Faulted view of one round's :class:`UpdateBatch`.
 
-        Uploads of dropped clients vanish, stragglers' are moved into
-        the staleness buffer, corrupted clients' gradient rows are
-        overwritten in a fresh array (inputs are never mutated — the
-        batch may hold views of the engine's round stacks), and stale
-        uploads due this round are appended after the round's own
-        uploads in deferral order.
+        Uploads of dropped clients vanish, stragglers' are parked as
+        one copied part per distinct delay, corrupted clients' gradient
+        rows are overwritten in one fresh array (inputs are never
+        mutated — the batch may hold views of the engine's round
+        stacks), and stale uploads due this round are appended after
+        the round's own uploads in parking order.
         """
         faults = self.plan.round_faults(round_idx, len(sampled))
-        arrivals = self.buffer.pop_due(round_idx)
-        if not faults.any_fault and not arrivals:
+        arrivals = self.buffer.drain(round_idx)
+        if faults.any_fault:
+            sampled = np.asarray(sampled, dtype=np.int64)
+            order = np.argsort(sampled)
+            at = order[np.searchsorted(sampled, batch.user_ids, sorter=order)]
+            kinds, delays = faults.kinds[at], faults.delays[at]
+            self.counts["dropped_uploads"] += int((kinds == FAULT_DROPOUT).sum())
+            straggling = kinds == FAULT_STRAGGLER
+            self.counts["deferred_uploads"] += int(straggling.sum())
+            for delay in np.unique(delays[straggling]):
+                part = batch.select_clients(straggling & (delays == delay))
+                self.buffer.park(part, round_idx, round_idx + int(delay))
+            corrupt = kinds == FAULT_CORRUPTION
+            if corrupt.any():
+                self.counts["corrupted_uploads"] += int(corrupt.sum())
+                item_grads = batch.item_grads.copy()
+                self._corrupt(item_grads, np.repeat(corrupt, batch.lengths))
+                batch = batch.with_item_grads(item_grads)
+            batch = batch.select_clients((kinds == FAULT_NONE) | corrupt)
+        if not arrivals.num_clients:
             return batch
-
-        kind_by_user = {
-            int(user): (int(kind), int(delay))
-            for user, kind, delay in zip(sampled, faults.kinds, faults.delays)
-            if kind != FAULT_NONE
-        }
-        keep = np.ones(batch.num_clients, dtype=bool)
-        corrupt_positions: list[int] = []
-        starts = batch.starts
-        param_row = {int(owner): j for j, owner in enumerate(batch.param_owners)}
-        for pos in range(batch.num_clients):
-            kind, delay = kind_by_user.get(int(batch.user_ids[pos]), (FAULT_NONE, 0))
-            if kind == FAULT_NONE:
-                continue
-            if kind == FAULT_DROPOUT:
-                keep[pos] = False
-                self.dropped_uploads += 1
-            elif kind == FAULT_STRAGGLER:
-                keep[pos] = False
-                seg = slice(
-                    int(starts[pos]), int(starts[pos]) + int(batch.lengths[pos])
-                )
-                params = (
-                    [stack[param_row[pos]].copy() for stack in batch.param_stacks]
-                    if pos in param_row
-                    else []
-                )
-                self.buffer.defer(
-                    round_idx + delay,
-                    DeferredUpload(
-                        user_id=int(batch.user_ids[pos]),
-                        item_ids=batch.item_ids[seg].copy(),
-                        item_grads=batch.item_grads[seg].copy(),
-                        param_grads=params,
-                        malicious=bool(batch.malicious[pos]),
-                        discount=self.config.staleness_discount**delay,
-                        origin_round=round_idx,
-                    ),
-                )
-                self.deferred_uploads += 1
-            else:  # FAULT_CORRUPTION
-                corrupt_positions.append(pos)
-                self.corrupted_uploads += 1
-
-        if corrupt_positions:
-            item_grads = batch.item_grads.copy()
-            for pos in corrupt_positions:
-                seg = slice(
-                    int(starts[pos]), int(starts[pos]) + int(batch.lengths[pos])
-                )
-                item_grads[seg] = self._corrupt_rows(item_grads[seg])
-            batch = batch.with_item_grads(item_grads)
-        if not keep.all():
-            batch = batch.select_clients(keep)
-        if arrivals:
-            stale = UpdateBatch.from_updates(
-                [arrival.as_update() for arrival in arrivals]
-            )
-            batch = UpdateBatch.concat([batch, stale])
-            self.stale_applied += len(arrivals)
-        return batch
+        return UpdateBatch.concat([batch, arrivals])
 
     # ------------------------------------------------------------------
     # Loop-engine path
@@ -389,14 +332,14 @@ class FaultController:
     ) -> list[ClientUpdate]:
         """Faulted view of one round's materialised uploads.
 
-        Mirrors :meth:`apply_to_batch` on the reference path: the same
-        per-user fault assignment, the same corruption values, the
-        same splice order, the same discount arithmetic — so the two
-        engines stay bit-identical under any fault schedule.
+        The reference for :meth:`apply_to_batch`: the same fault
+        schedule assigned one upload at a time, the same corruption
+        values, and the same buffer (one part per straggler) — so the
+        two engines stay bit-identical under any fault schedule.
         """
         faults = self.plan.round_faults(round_idx, len(sampled))
-        arrivals = self.buffer.pop_due(round_idx)
-        if not faults.any_fault and not arrivals:
+        arrivals = self.buffer.drain(round_idx)
+        if not faults.any_fault and not arrivals.num_clients:
             return updates
 
         kind_by_user = {
@@ -410,75 +353,47 @@ class FaultController:
             if kind == FAULT_NONE:
                 surviving.append(update)
             elif kind == FAULT_DROPOUT:
-                self.dropped_uploads += 1
+                self.counts["dropped_uploads"] += 1
             elif kind == FAULT_STRAGGLER:
-                self.buffer.defer(
-                    round_idx + delay,
-                    DeferredUpload(
-                        user_id=update.user_id,
-                        item_ids=update.item_ids.copy(),
-                        item_grads=update.item_grads.copy(),
-                        param_grads=[g.copy() for g in update.param_grads],
-                        malicious=update.malicious,
-                        discount=self.config.staleness_discount**delay,
-                        origin_round=round_idx,
-                    ),
+                self.buffer.park(
+                    UpdateBatch.from_updates([update]), round_idx, round_idx + delay
                 )
-                self.deferred_uploads += 1
+                self.counts["deferred_uploads"] += 1
             else:  # FAULT_CORRUPTION
+                item_grads = update.item_grads.copy()
+                self._corrupt(item_grads)
                 surviving.append(
                     ClientUpdate(
                         user_id=update.user_id,
                         item_ids=update.item_ids.copy(),
-                        item_grads=self._corrupt_rows(update.item_grads.copy()),
+                        item_grads=item_grads,
                         param_grads=update.param_grads,
                         malicious=update.malicious,
                     )
                 )
-                self.corrupted_uploads += 1
-        for arrival in arrivals:
-            surviving.append(
-                ClientUpdate(
-                    user_id=arrival.user_id,
-                    item_ids=arrival.item_ids,
-                    item_grads=arrival.discounted_grads(),
-                    param_grads=arrival.discounted_params(),
-                    malicious=arrival.malicious,
-                )
-            )
-        self.stale_applied += len(arrivals)
-        return surviving
+                self.counts["corrupted_uploads"] += 1
+        return surviving + arrivals.to_updates()
 
     # ------------------------------------------------------------------
     # Shared pieces
     # ------------------------------------------------------------------
 
-    def _corrupt_rows(self, rows: np.ndarray) -> np.ndarray:
-        """In-transit corruption of one upload's gradient rows."""
+    def _corrupt(self, grads: np.ndarray, rows=Ellipsis) -> None:
+        """In-transit corruption of ``grads[rows]``, in place."""
         mode = self.config.corruption_mode
         if mode == "nan":
-            rows[...] = np.nan
+            grads[rows] = np.nan
         elif mode == "inf":
-            rows[...] = np.inf
+            grads[rows] = np.inf
         else:  # overscale
-            rows *= rows.dtype.type(self.config.corruption_scale)
-        return rows
+            grads[rows] *= grads.dtype.type(self.config.corruption_scale)
 
     # -- checkpoint plumbing -------------------------------------------
 
     def state(self) -> dict:
         """Mutable runtime state for checkpoint capture."""
-        return {
-            "buffer": self.buffer.state(),
-            "dropped_uploads": self.dropped_uploads,
-            "deferred_uploads": self.deferred_uploads,
-            "stale_applied": self.stale_applied,
-            "corrupted_uploads": self.corrupted_uploads,
-        }
+        return {"buffer": self.buffer.state(), "counts": dict(self.counts)}
 
     def restore(self, state: dict) -> None:
         self.buffer.restore(state["buffer"])
-        self.dropped_uploads = state["dropped_uploads"]
-        self.deferred_uploads = state["deferred_uploads"]
-        self.stale_applied = state["stale_applied"]
-        self.corrupted_uploads = state["corrupted_uploads"]
+        self.counts = Counter(state["counts"])

@@ -659,11 +659,7 @@ class FederatedSimulation:
         """Current fault/mitigation accounting (controller + server)."""
         controller = self.fault_controller
         return FaultStats(
-            dropped_uploads=controller.dropped_uploads if controller else 0,
-            deferred_uploads=controller.deferred_uploads if controller else 0,
-            stale_applied=controller.stale_applied if controller else 0,
-            stale_pending=controller.buffer.pending if controller else 0,
-            corrupted_uploads=controller.corrupted_uploads if controller else 0,
+            **(controller.stats_counts() if controller else {}),
             rejected_nonfinite=self.server.rejected_nonfinite,
             rejected_oversized=self.server.rejected_oversized,
             quorum_failed_rounds=self.server.quorum_failed_rounds,

@@ -154,6 +154,21 @@ class UpdateBatch:
             param_stacks = list(self.param_stacks)
         return replace(self, item_grads=item_grads, param_stacks=param_stacks)
 
+    def discounted(self, factor: float) -> "UpdateBatch":
+        """New batch with every gradient scaled by one staleness factor.
+
+        The scalar is cast to each array's own dtype first, so
+        reduced-precision uploads stay at their own precision — the
+        same rule the cohort path uses for participation scales.
+        """
+        return replace(
+            self,
+            item_grads=self.item_grads * self.item_grads.dtype.type(factor),
+            param_stacks=[
+                stack * stack.dtype.type(factor) for stack in self.param_stacks
+            ],
+        )
+
     def with_item_grads(self, item_grads: np.ndarray) -> "UpdateBatch":
         """New batch sharing every array except the item gradients."""
         return replace(self, item_grads=item_grads)
@@ -195,8 +210,11 @@ class UpdateBatch:
 
         Relies on ``param_owners`` being ascending (the upload-order
         invariant above); the slice's owners are rebased to its own
-        client positions.
+        client positions.  The full range returns the batch unchanged
+        (same object).
         """
+        if lo == 0 and hi == self.num_clients:
+            return self
         row_lo = int(self.lengths[:lo].sum())
         row_hi = row_lo + int(self.lengths[lo:hi].sum())
         owner_lo, owner_hi = np.searchsorted(self.param_owners, (lo, hi))
@@ -258,11 +276,16 @@ class UpdateBatch:
     # ------------------------------------------------------------------
 
     @classmethod
+    def empty(cls, dim: int = 0) -> "UpdateBatch":
+        """A batch of no clients (``dim`` columns of gradient rows)."""
+        zero = np.empty(0, dtype=np.int64)
+        return cls(zero, zero, np.empty((0, dim)), zero)
+
+    @classmethod
     def from_updates(cls, updates: list[ClientUpdate]) -> "UpdateBatch":
         """Stack a list of per-client uploads into one dense batch."""
         if not updates:
-            zero = np.empty(0, dtype=np.int64)
-            return cls(zero, zero, np.empty((0, 0)), zero)
+            return cls.empty()
         user_ids = np.array([u.user_id for u in updates], dtype=np.int64)
         lengths = np.array([len(u.item_ids) for u in updates], dtype=np.int64)
         item_ids = np.concatenate([u.item_ids for u in updates])

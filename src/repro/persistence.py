@@ -81,7 +81,9 @@ __all__ = [
 #: v3: the envelope stores the payload as pre-pickled *bytes* plus a
 #: sha256 digest of exactly those bytes, so torn or bit-flipped
 #: checkpoints are detected (and quarantined) instead of resumed from.
-CHECKPOINT_VERSION = "ckpt-v3"
+#: v4: the fault and async staleness buffers hold ``UpdateBatch`` parts
+#: (one buffer type for both), and async arrival events carry parts.
+CHECKPOINT_VERSION = "ckpt-v4"
 
 #: Suffix appended (atomically, via ``os.replace``) to files that fail
 #: their integrity check.  A quarantined file is out of every loader's

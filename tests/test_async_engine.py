@@ -34,7 +34,7 @@ from repro.config import (
     TrainConfig,
     FaultConfig,
 )
-from repro.federated.clock import AsyncPlan, EventQueue, VirtualClock
+from repro.federated.clock import PRIORITY_ARRIVAL, AsyncPlan, EventQueue, VirtualClock
 from repro.federated.simulation import FederatedSimulation
 
 #: A busy non-degenerate configuration: bursty arrivals, real latency,
@@ -239,6 +239,72 @@ class TestChurnAndStaleness:
                 + stats.uploads_buffered
             )
             assert stats.rounds_closed_by_buffer + stats.rounds_closed_by_deadline == 8
+
+
+class TestBatchedTransit:
+    """Waves travel as UpdateBatch parts, one event per arrival instant."""
+
+    def _engine(self, tiny_dataset, asyn, model_kind="mf", attack="none"):
+        cfg = _config(model_kind, attack=attack, asynchrony=asyn)
+        return FederatedSimulation(cfg, tiny_dataset)._async_engine
+
+    def _arrivals(self, engine):
+        return engine.queue.payloads(PRIORITY_ARRIVAL)
+
+    def test_one_arrival_event_per_distinct_instant(self, tiny_dataset):
+        instant = self._engine(tiny_dataset, AsyncConfig(enabled=True))
+        instant._step()  # wave 0's dispatch
+        assert [e[1].num_clients for e in self._arrivals(instant)] == [16]
+
+        poisson = self._engine(
+            tiny_dataset, dataclasses.replace(CHURNY, churn_rate=0.0)
+        )
+        poisson._step()
+        # Continuous offsets: every client lands at its own instant.
+        assert [e[1].num_clients for e in self._arrivals(poisson)] == [1] * 16
+
+        trace = self._engine(
+            tiny_dataset,
+            AsyncConfig(enabled=True, traffic="trace", trace_offsets=(0.0, 0.5)),
+        )
+        trace._step()
+        events = sorted(self._arrivals(trace), key=lambda e: e[1].user_ids[0])
+        # Two instants, each carrying every other client in position order.
+        users = [e[1].user_ids.tolist() for e in events]
+        assert sorted(len(u) for u in users) == [8, 8]
+        assert sorted(users[0] + users[1]) == sorted(
+            trace.server.sample_users(trace.total_users, 16, 0).tolist()
+        )
+
+    def test_uploads_in_flight_counts_clients(self, tiny_dataset):
+        engine = self._engine(tiny_dataset, AsyncConfig(enabled=True, buffer_size=5))
+        engine.run_round(0)
+        # Round 0 closed on the 5th client of wave 0's single event; the
+        # other 11 wait in one requeued event.
+        stats = engine.stats()
+        assert stats.uploads_applied == 5
+        assert len(self._arrivals(engine)) == 1
+        assert stats.uploads_in_flight == 11
+        assert stats.clients_dispatched == (
+            stats.uploads_cancelled + stats.uploads_arrived + stats.uploads_in_flight
+        )
+
+    def test_parked_wave_unchanged_after_next_wave_trains(self, tiny_dataset):
+        asyn = AsyncConfig(enabled=True, buffer_size=100, round_deadline=5.0)
+        engine = self._engine(tiny_dataset, asyn, "ncf", "pieck_uea")
+        while not engine.buffer.pending:
+            engine._step()
+        parked = engine.buffer.entries[0][0]
+
+        def snapshot():
+            arrays = [parked.item_ids, parked.item_grads, *parked.param_stacks]
+            return [array.tobytes() for array in arrays]
+
+        before = snapshot()
+        while engine.counts["waves_dispatched"] < 3:
+            engine._step()
+        assert engine.buffer.entries[0][0] is parked
+        assert snapshot() == before
 
 
 class TestCheckpointResume:

@@ -1,18 +1,15 @@
-"""Property-based tests for the staleness layers.
+"""Property-based tests for the staleness buffer.
 
-Two components hold uploads across round boundaries, and both must
-never lose, duplicate or reorder one:
-
-* :class:`repro.federated.faults.StalenessBuffer` — the synchronous
-  fault layer's straggler parking lot, keyed by due round.
-* :class:`repro.federated.async_engine.StalenessAggregator` — the
-  asynchronous engine's FedBuff buffer, flushed by count or deadline.
-
-Hypothesis drives them with randomized arrival/delay schedules and
-asserts the invariants the engines rely on: conservation (every entry
-accounted exactly once), monotonicity (the staleness discount never
-grows with delay), and determinism (same schedule ⇒ same flush order
-and bit-identical arrays).
+:class:`repro.federated.faults.StalenessBuffer` holds every late upload
+of the runtime — the fault layer's stragglers and the asynchronous
+engine's arrivals — as ``(UpdateBatch part, origin, due)`` entries, and
+must never lose, duplicate or reorder a client.  Hypothesis drives it
+with randomized park/drain schedules and asserts the invariants both
+callers rely on: conservation (every parked client applied or dropped
+exactly once, ``pending`` counted in clients), FIFO among due entries,
+a discount that never grows with delay, delay-0 parts returned as the
+same arrays, the ``max_staleness`` boundary, and parts that keep their
+own precision.
 """
 
 from __future__ import annotations
@@ -21,178 +18,174 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.federated.async_engine import StalenessAggregator
-from repro.federated.faults import DeferredUpload, StalenessBuffer
+from repro.federated.faults import StalenessBuffer
 from repro.federated.payload import ClientUpdate
+from repro.federated.update_batch import UpdateBatch
 
 FAST = settings(max_examples=60, deadline=None)
 
 
-def _update(user_id: int, seed: int, dim: int = 4) -> ClientUpdate:
-    rng = np.random.default_rng(seed)
-    num_items = int(rng.integers(1, 5))
-    item_ids = rng.choice(32, size=num_items, replace=False)
-    return ClientUpdate(
-        user_id=user_id,
-        item_ids=item_ids,
-        item_grads=rng.standard_normal((num_items, dim)),
-        malicious=bool(user_id % 3 == 0),
-    )
+def _part(tag: int, clients: int = 1, dtype=np.float64, params: bool = False) -> UpdateBatch:
+    """``clients`` random uploads with user ids ``tag * 10 + k``."""
+    rng = np.random.default_rng(tag)
+    updates = []
+    for k in range(clients):
+        num_items = int(rng.integers(1, 5))
+        updates.append(
+            ClientUpdate(
+                user_id=tag * 10 + k,
+                item_ids=rng.choice(32, size=num_items, replace=False),
+                item_grads=rng.standard_normal((num_items, 4)).astype(dtype),
+                param_grads=[rng.standard_normal(3).astype(dtype)] if params else [],
+                malicious=bool(k % 3 == 0),
+            )
+        )
+    return UpdateBatch.from_updates(updates)
 
 
-def _deferred(user_id: int, seed: int, discount: float) -> DeferredUpload:
-    upd = _update(user_id, seed)
-    return DeferredUpload(
-        user_id=upd.user_id,
-        item_ids=upd.item_ids,
-        item_grads=upd.item_grads,
-        param_grads=[],
-        malicious=upd.malicious,
-        discount=discount,
-        origin_round=0,
-    )
-
-
-#: A randomized deferral schedule: (user_id, due_round) pairs.
+#: A randomized parking schedule: (clients, origin, extra delay until
+#: due) per entry.
 schedules = st.lists(
-    st.tuples(st.integers(0, 99), st.integers(0, 12)),
+    st.tuples(st.integers(1, 3), st.integers(0, 6), st.integers(0, 3)),
     min_size=0,
-    max_size=40,
+    max_size=25,
 )
 
 
 class TestStalenessBufferProperties:
     @FAST
+    @given(schedule=schedules, max_staleness=st.integers(0, 8))
+    def test_conservation(self, schedule, max_staleness):
+        buffer = StalenessBuffer(0.5, max_staleness)
+        for tag, (clients, origin, wait) in enumerate(schedule):
+            buffer.park(_part(tag, clients), origin, origin + wait)
+        parked = sum(clients for clients, _, _ in schedule)
+        assert buffer.pending == parked
+        drained = 0
+        for now in range(12):
+            drained += buffer.drain(now).num_clients
+        assert buffer.pending == 0
+        tallies = buffer.tallies
+        assert drained == tallies["uploads_applied"]
+        assert tallies["uploads_applied"] + tallies["stale_dropped"] == parked
+        # A drained buffer yields nothing more, not a replay.
+        assert buffer.drain(12).num_clients == 0
+
+    @FAST
     @given(schedule=schedules)
     def test_every_deferral_pops_exactly_once(self, schedule):
-        buffer = StalenessBuffer()
-        for uid, due in schedule:
-            buffer.defer(due, _deferred(uid, uid, 0.5))
-        assert buffer.pending == len(schedule)
-        popped = []
-        for round_idx in range(14):
-            popped.extend(buffer.pop_due(round_idx))
-            # Popping the same round again yields nothing.
-            assert buffer.pop_due(round_idx) == []
-        assert buffer.pending == 0
-        assert len(popped) == len(schedule)
+        buffer = StalenessBuffer(0.5)
+        for tag, (clients, origin, wait) in enumerate(schedule):
+            buffer.park(_part(tag, clients), origin, origin + wait)
+        seen = []
+        for now in range(12):
+            seen.extend(buffer.drain(now).user_ids.tolist())
+            # Draining the same instant again yields nothing.
+            assert buffer.drain(now).num_clients == 0
+        expected = [
+            tag * 10 + k
+            for tag, (clients, _, _) in enumerate(schedule)
+            for k in range(clients)
+        ]
+        assert sorted(seen) == sorted(expected)
 
     @FAST
     @given(schedule=schedules)
     def test_fifo_within_each_due_round(self, schedule):
-        buffer = StalenessBuffer()
-        for order, (uid, due) in enumerate(schedule):
-            upload = _deferred(uid, uid, 0.5)
-            # Record the insertion order in the origin_round field.
-            upload = DeferredUpload(
-                user_id=upload.user_id,
-                item_ids=upload.item_ids,
-                item_grads=upload.item_grads,
-                param_grads=upload.param_grads,
-                malicious=upload.malicious,
-                discount=upload.discount,
-                origin_round=order,
-            )
-            buffer.defer(due, upload)
-        for round_idx in range(14):
-            orders = [u.origin_round for u in buffer.pop_due(round_idx)]
-            assert orders == sorted(orders)
+        buffer = StalenessBuffer(0.5)
+        for tag, (clients, origin, wait) in enumerate(schedule):
+            buffer.park(_part(tag, clients), origin, origin + wait)
+        for now in range(12):
+            # Tags encode insertion order; user ids keep position order.
+            users = buffer.drain(now).user_ids.tolist()
+            assert users == sorted(users)
+
+    @FAST
+    @given(schedule=schedules, now=st.integers(9, 12))
+    def test_drain_deterministic_and_order_preserving(self, schedule, now):
+        def run():
+            buffer = StalenessBuffer(0.5)
+            for tag, (clients, origin, _) in enumerate(schedule):
+                buffer.park(_part(tag, clients, params=True), origin, origin)
+            return buffer.drain(now)
+
+        a, b = run(), run()
+        assert a.user_ids.tobytes() == b.user_ids.tobytes()
+        assert a.item_grads.tobytes() == b.item_grads.tobytes()
+        for sa, sb in zip(a.param_stacks, b.param_stacks):
+            assert sa.tobytes() == sb.tobytes()
+        # Parking order is preserved through the drain.
+        assert a.user_ids.tolist() == [
+            tag * 10 + k
+            for tag, (clients, _, _) in enumerate(schedule)
+            for k in range(clients)
+        ]
 
     @FAST
     @given(
-        delay=st.integers(1, 8),
+        origin=st.integers(0, 6),
+        delay=st.integers(1, 6),
         discount=st.floats(0.05, 1.0),
     )
-    def test_discount_monotone_in_delay(self, delay, discount):
-        shallow = _deferred(1, 1, discount**delay)
-        deeper = _deferred(1, 1, discount ** (delay + 1))
-        norm_shallow = np.abs(shallow.discounted_grads()).sum()
-        norm_deeper = np.abs(deeper.discounted_grads()).sum()
-        assert norm_deeper <= norm_shallow + 1e-12
+    def test_discount_monotone_in_delay(self, origin, delay, discount):
+        def drained_norm(now):
+            buffer = StalenessBuffer(discount)
+            buffer.park(_part(1, params=True), origin, origin)
+            batch = buffer.drain(now)
+            return np.abs(batch.item_grads).sum() + np.abs(batch.param_stacks[0]).sum()
 
-
-#: Buffered-aggregation schedules: (user_id, origin_version) pairs
-#: flushed at a version at or after every origin.
-agg_schedules = st.lists(
-    st.tuples(st.integers(0, 99), st.integers(0, 6)),
-    min_size=0,
-    max_size=30,
-)
-
-
-class TestStalenessAggregatorProperties:
-    @FAST
-    @given(schedule=agg_schedules, current=st.integers(6, 10),
-           max_staleness=st.integers(0, 8))
-    def test_conservation(self, schedule, current, max_staleness):
-        agg = StalenessAggregator(0.5, max_staleness)
-        for uid, origin in schedule:
-            agg.add(_update(uid, uid), origin)
-        assert len(agg) == len(schedule)
-        result = agg.flush(current)
-        # Every buffered entry either applied or dropped; buffer empty.
-        assert result.applied + result.stale_dropped == len(schedule)
-        assert result.batch.num_clients == result.applied
-        assert len(agg) == 0
-        # A second flush is empty, not a replay.
-        again = agg.flush(current + 1)
-        assert again.applied == 0 and again.stale_dropped == 0
+        assert drained_norm(origin + delay + 1) <= drained_norm(origin + delay) + 1e-12
 
     @FAST
-    @given(schedule=agg_schedules, current=st.integers(6, 10))
-    def test_flush_deterministic_and_order_preserving(self, schedule, current):
-        def run():
-            agg = StalenessAggregator(0.5, max_staleness=0)
-            for uid, origin in schedule:
-                agg.add(_update(uid, uid), origin)
-            return agg.flush(current)
+    @given(tag=st.integers(0, 99), origin=st.integers(0, 6), extra=st.integers(1, 4))
+    def test_discount_monotone_in_drain_delay(self, tag, origin, extra):
+        # An arrival due one round after its origin, drained on time or
+        # ``extra`` rounds late: the later drain is never larger.
+        def drained_norm(now):
+            buffer = StalenessBuffer(0.5, max_staleness=0)
+            buffer.park(_part(tag), origin, origin + 1)
+            return np.abs(buffer.drain(now).item_grads).sum()
 
-        a, b = run(), run()
-        assert a.applied == b.applied
-        assert a.batch.user_ids.tobytes() == b.batch.user_ids.tobytes()
-        assert a.batch.item_grads.tobytes() == b.batch.item_grads.tobytes()
-        # Arrival order is preserved through the flush.
-        assert list(a.batch.user_ids) == [uid for uid, _ in schedule]
+        assert drained_norm(origin + 1 + extra) <= drained_norm(origin + 1) + 1e-12
 
     @FAST
-    @given(uid=st.integers(0, 99), origin=st.integers(0, 6),
-           extra=st.integers(1, 4))
-    def test_discount_monotone_in_flush_delay(self, uid, origin, extra):
-        def flushed_norm(current):
-            agg = StalenessAggregator(0.5, max_staleness=0)
-            agg.add(_update(uid, uid), origin)
-            return np.abs(agg.flush(current).batch.item_grads).sum()
-
-        near = flushed_norm(origin + 1)
-        far = flushed_norm(origin + 1 + extra)
-        assert far <= near + 1e-12
-
-    @FAST
-    @given(schedule=agg_schedules)
+    @given(schedule=schedules)
     def test_fresh_uploads_pass_through_untouched(self, schedule):
-        agg = StalenessAggregator(0.25, max_staleness=0)
-        originals = []
-        for uid, _ in schedule:
-            upd = _update(uid, uid)
-            originals.append(upd.item_grads.copy())
-            agg.add(upd, 7)  # origin == flush version: delay 0
-        result = agg.flush(7)
-        assert result.stale_applied == 0
+        buffer = StalenessBuffer(0.25)
+        parts = [_part(tag, clients) for tag, (clients, _, _) in enumerate(schedule)]
+        for part in parts:
+            buffer.park(part, 7, 7)  # origin == drain instant: delay 0
+        drained = buffer.drain(7)
+        assert buffer.tallies["stale_applied"] == 0
+        if len(parts) == 1:
+            assert drained is parts[0]  # same arrays, no multiply
         row = 0
-        for grads in originals:
-            got = result.batch.item_grads[row : row + len(grads)]
-            assert got.tobytes() == grads.tobytes()
-            row += len(grads)
+        for part in parts:
+            got = drained.item_grads[row : row + len(part.item_grads)]
+            assert got.tobytes() == part.item_grads.tobytes()
+            row += len(part.item_grads)
 
     @FAST
-    @given(current=st.integers(3, 8), max_staleness=st.integers(1, 5))
-    def test_max_staleness_boundary(self, current, max_staleness):
-        agg = StalenessAggregator(0.5, max_staleness)
-        at_limit = current - max_staleness        # delay == max: kept
-        beyond = current - max_staleness - 1      # delay == max+1: dropped
-        agg.add(_update(1, 1), at_limit)
-        agg.add(_update(2, 2), beyond)
-        result = agg.flush(current)
-        assert result.applied == 1
-        assert result.stale_dropped == 1
-        assert result.max_delay == max_staleness
+    @given(now=st.integers(3, 8), max_staleness=st.integers(1, 5))
+    def test_max_staleness_boundary(self, now, max_staleness):
+        buffer = StalenessBuffer(0.5, max_staleness)
+        buffer.park(_part(1, clients=2), now - max_staleness, now)  # kept
+        buffer.park(_part(2, clients=3), now - max_staleness - 1, now)  # dropped
+        drained = buffer.drain(now)
+        assert drained.num_clients == 2
+        assert buffer.tallies["uploads_applied"] == 2
+        assert buffer.tallies["stale_dropped"] == 3
+        assert buffer.tallies["max_staleness_applied"] == max_staleness
+
+    @FAST
+    @given(delay=st.integers(0, 4), discount=st.floats(0.05, 1.0))
+    def test_float32_parts_stay_float32(self, delay, discount):
+        buffer = StalenessBuffer(discount)
+        part = _part(3, clients=2, dtype=np.float32, params=True)
+        buffer.park(part, 0, 0)
+        drained = buffer.drain(delay)
+        assert drained.item_grads.dtype == np.float32
+        assert drained.param_stacks[0].dtype == np.float32
+        factor = np.float32(discount**delay)
+        expected = part.item_grads if delay == 0 else part.item_grads * factor
+        assert drained.item_grads.tobytes() == expected.tobytes()

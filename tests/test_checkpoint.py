@@ -15,6 +15,7 @@ crash-safety of the atomic writer.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import pickle
 
@@ -356,6 +357,24 @@ class TestCorruptionFallback:
         with pytest.raises(ValueError, match="ckpt-v2") as caught:
             persistence.load_checkpoint(path)
         # Unreadable by design, not rot: left in place, not quarantined.
+        assert not isinstance(caught.value, persistence.IntegrityError)
+        assert os.path.exists(path)
+
+    def test_v3_checkpoint_is_refused_by_name(self, tmp_path):
+        # v3 buffers held per-client uploads; v4 holds UpdateBatch parts.
+        path = str(tmp_path / "checkpoint.pkl")
+        payload = pickle.dumps({"round": 6})
+        with open(path, "wb") as handle:
+            pickle.dump(
+                {
+                    "version": "ckpt-v3",
+                    "sha256": hashlib.sha256(payload).hexdigest(),
+                    "payload": payload,
+                },
+                handle,
+            )
+        with pytest.raises(ValueError, match="ckpt-v3") as caught:
+            persistence.load_checkpoint(path)
         assert not isinstance(caught.value, persistence.IntegrityError)
         assert os.path.exists(path)
 

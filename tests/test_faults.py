@@ -280,7 +280,7 @@ class TestDegradationSemantics:
         arrivals = controller.apply_to_updates([], [], round_idx=1)
         assert len(arrivals) == 1
         assert np.array_equal(arrivals[0].item_grads, grad * 0.5)
-        assert controller.stale_applied == 1
+        assert controller.stats_counts()["stale_applied"] == 1
 
     def test_stale_pending_counts_in_flight(self, tiny_dataset):
         cfg = _config(
@@ -405,37 +405,30 @@ class TestSelectClients:
 
 
 # ----------------------------------------------------------------------
-# StalenessBuffer bookkeeping
+# StalenessBuffer bookkeeping (properties: tests/test_async_properties.py)
 # ----------------------------------------------------------------------
 
 class TestStalenessBuffer:
     def test_fifo_per_round(self):
-        buffer = StalenessBuffer()
+        buffer = StalenessBuffer(0.5)
         for tag in range(3):
-            buffer.defer(5, _deferred(tag))
-        assert buffer.pending == 3
-        assert [u.user_id for u in buffer.pop_due(5)] == [0, 1, 2]
-        assert buffer.pending == 0
-        assert buffer.pop_due(5) == []
+            buffer.park(_part(tag), origin=4, due=5)
+        buffer.park(_part(9), origin=4, due=6)
+        assert buffer.pending == 4
+        assert buffer.drain(5).user_ids.tolist() == [0, 1, 2]
+        assert buffer.pending == 1
+        assert buffer.drain(5).num_clients == 0
 
     def test_state_roundtrip(self):
-        buffer = StalenessBuffer()
-        buffer.defer(2, _deferred(9))
-        restored = StalenessBuffer()
+        buffer = StalenessBuffer(0.5)
+        buffer.park(_part(9), origin=1, due=2)
+        restored = StalenessBuffer(0.5)
         restored.restore(buffer.state())
         assert restored.pending == 1
-        assert restored.pop_due(2)[0].user_id == 9
+        assert restored.drain(2).user_ids.tolist() == [9]
 
 
-def _deferred(user_id: int):
-    from repro.federated.faults import DeferredUpload
-
-    return DeferredUpload(
-        user_id=user_id,
-        item_ids=np.array([0]),
-        item_grads=np.zeros((1, 2)),
-        param_grads=[],
-        malicious=False,
-        discount=1.0,
-        origin_round=0,
+def _part(user_id: int) -> UpdateBatch:
+    return UpdateBatch.from_updates(
+        [ClientUpdate(user_id=user_id, item_ids=np.array([0]), item_grads=np.zeros((1, 2)))]
     )
