@@ -34,6 +34,7 @@ from repro.attacks.mining import PopularItemMiner, RoundSnapshotCache
 from repro.config import AttackConfig, TrainConfig
 from repro.federated.payload import ClientUpdate
 from repro.models.base import RecommenderModel
+from repro.stateful import Stateful
 
 __all__ = [
     "AttackPayload",
@@ -64,7 +65,7 @@ class AttackPayload:
     param_grads: list[np.ndarray] = field(default_factory=list)
 
 
-class MaliciousClient(ABC):
+class MaliciousClient(Stateful, ABC):
     """A malicious user injected by the attacker.
 
     ``participate`` is called only in rounds where the server samples
@@ -88,7 +89,12 @@ class MaliciousClient(ABC):
     the participation counters and (for PIECK) the mining state; the
     per-attack math still runs through this class's
     :meth:`_round_payload`, so the two paths cannot drift.
+
+    Run state: ``STATE`` names the attributes a subclass's rounds
+    mutate (warm-started surrogates, classifiers, miners).
     """
+
+    STATE = ("_times_sampled",)
 
     def __init__(self, user_id: int, targets: np.ndarray, config: AttackConfig):
         self.user_id = user_id
@@ -231,6 +237,8 @@ class PieckClient(MaliciousClient):
     of one attacker's miners observing the same round retain one copy
     of the received item matrix between them.
     """
+
+    STATE = MaliciousClient.STATE + ("miner",)
 
     def __init__(
         self,

@@ -37,6 +37,8 @@ class FedRecAttack(MaliciousClient):
         masked mode the registry passes uniformly random item sets here.
     """
 
+    STATE = MaliciousClient.STATE + ("surrogate_users",)
+
     def __init__(
         self,
         user_id: int,

@@ -37,6 +37,8 @@ class PipAttack(MaliciousClient):
         with-prior mode; a random permutation of them in masked mode.
     """
 
+    STATE = MaliciousClient.STATE + ("_weights", "_bias")
+
     def __init__(
         self,
         user_id: int,

@@ -66,6 +66,7 @@ from repro.datasets.sampling import sample_local_batches
 from repro.federated.payload import clip_scale
 from repro.models.base import RecommenderModel, segment_starts
 from repro.rng import spawn_batch
+from repro.stateful import Stateful
 
 __all__ = ["CohortUpload", "MaliciousCohort"]
 
@@ -89,7 +90,7 @@ class CohortUpload:
     malicious: bool = True
 
 
-class MaliciousCohort:
+class MaliciousCohort(Stateful):
     """Struct-of-arrays state and batched rounds for one attacker team.
 
     Built over the homogeneous client list produced by
@@ -101,6 +102,8 @@ class MaliciousCohort:
     never both (the simulation builds one cohort per batch-engine run
     and the loop engine none).
     """
+
+    STATE = ("times_sampled", "miner")
 
     def __init__(self, clients: list[MaliciousClient]):
         if not clients:

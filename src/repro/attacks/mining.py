@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
+from repro.stateful import Stateful
 
 __all__ = [
     "DeltaNormTracker",
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 
-class DeltaNormTracker:
+class DeltaNormTracker(Stateful):
     """Accumulates per-item Δ-Norm across successive model observations.
 
     ``observe`` is called with the item embedding matrix the client
@@ -49,6 +50,8 @@ class DeltaNormTracker:
     (Algorithm 1 line 3) and each later call adds
     ``||v_j^r - v_j^{r-1}||_2`` per item (line 4).
     """
+
+    STATE = ("accumulated", "observations", "_last", "_order")
 
     def __init__(self, num_items: int):
         self.num_items = num_items
@@ -113,7 +116,7 @@ class DeltaNormTracker:
         return self._order[:count]
 
 
-class PopularItemMiner:
+class PopularItemMiner(Stateful):
     """Algorithm 1: mine the popular set P after R-tilde accumulations.
 
     The miner is *ready* once it has seen ``mining_rounds + 1`` model
@@ -121,6 +124,8 @@ class PopularItemMiner:
     afterwards the mined set is frozen, matching Algorithm 1's
     one-shot output.
     """
+
+    STATE = ("_tracker", "_mined")
 
     def __init__(self, num_items: int, mining_rounds: int, num_popular: int):
         if mining_rounds < 1:
@@ -190,7 +195,7 @@ class RoundSnapshotCache:
         return self._copy
 
 
-class CohortMiner:
+class CohortMiner(Stateful):
     """Struct-of-arrays Algorithm 1 for a whole malicious team.
 
     Mirrors one :class:`DeltaNormTracker` + :class:`PopularItemMiner`
@@ -214,6 +219,17 @@ class CohortMiner:
     per-client reference's, executed once per distinct input instead
     of once per client.
     """
+
+    STATE = (
+        "accumulated",
+        "observations",
+        "last_round",
+        "ready",
+        "mined",
+        "_snapshots",
+        "_refs",
+        "snapshot_copies",
+    )
 
     def __init__(
         self,

@@ -29,6 +29,7 @@ from repro.config import AttackConfig, TrainConfig
 from repro.models.base import RecommenderModel
 from repro.models.losses import sigmoid
 from repro.rng import spawn
+from repro.stateful import state_of
 
 __all__ = ["PieckUEA"]
 
@@ -92,17 +93,37 @@ class PieckUEA(PieckClient):
         if self.config.uea_pseudo_source == "popular":
             return model.item_embeddings[popular_ids]
         if self._refiner is None:
-            self._refiner = PseudoUserRefiner(
-                self._num_items,
-                model.embedding_dim,
-                popular_ids,
-                count=self.config.uea_refine_count,
-                steps=self.config.uea_refine_steps,
-                lr=self.config.uea_refine_lr,
-                negative_ratio=self.config.uea_refine_negative_ratio,
-                seed=self._seed * 1_000_003 + self.user_id,
-            )
+            self._refiner = self._new_refiner(popular_ids, model.embedding_dim)
         return self._refiner.refine(model)
+
+    def _new_refiner(
+        self, popular_ids: np.ndarray, embedding_dim: int
+    ) -> PseudoUserRefiner:
+        return PseudoUserRefiner(
+            self._num_items,
+            embedding_dim,
+            popular_ids,
+            count=self.config.uea_refine_count,
+            steps=self.config.uea_refine_steps,
+            lr=self.config.uea_refine_lr,
+            negative_ratio=self.config.uea_refine_negative_ratio,
+            seed=self._seed * 1_000_003 + self.user_id,
+        )
+
+    def state(self) -> dict:
+        return {**super().state(), "refiner": state_of(self._refiner)}
+
+    def restore(self, state: dict) -> None:
+        """Restore the miner and counters, rebuilding a refiner that
+        the checkpointed run had already created."""
+        super().restore(state)
+        saved = state["refiner"]
+        self._refiner = None
+        if saved is not None:
+            self._refiner = self._new_refiner(
+                saved["popular_ids"], saved["_vecs"].shape[1]
+            )
+            self._refiner.restore(saved)
 
     def _optimise_target(
         self,

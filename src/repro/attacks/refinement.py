@@ -31,11 +31,12 @@ import numpy as np
 from repro.models.base import RecommenderModel
 from repro.models.losses import sigmoid
 from repro.rng import spawn
+from repro.stateful import Stateful
 
 __all__ = ["PseudoUserRefiner"]
 
 
-class PseudoUserRefiner:
+class PseudoUserRefiner(Stateful):
     """Locally trained fake user embeddings anchored on mined populars.
 
     The refiner keeps ``count`` pseudo-user vectors and warm-starts
@@ -43,7 +44,13 @@ class PseudoUserRefiner:
     against the *current* global model, so the vectors track the
     drifting item space exactly like a real user's private embedding
     does between rounds.
+
+    Run state: the warm-started vectors and the negative-sampling
+    stream's position.  ``popular_ids`` is recorded so a restore can
+    rebuild the refiner it belongs to.
     """
+
+    STATE = ("popular_ids", "_vecs")
 
     def __init__(
         self,
@@ -75,6 +82,13 @@ class PseudoUserRefiner:
         if len(self._negative_pool) == 0:
             # Degenerate catalogue: every item was mined as popular.
             self._negative_pool = self.popular_ids
+
+    def state(self) -> dict:
+        return {**super().state(), "rng": self._rng.bit_generator.state}
+
+    def restore(self, state: dict) -> None:
+        super().restore(state)
+        self._rng.bit_generator.state = state["rng"]
 
     @property
     def vectors(self) -> np.ndarray:

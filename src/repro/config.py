@@ -15,17 +15,28 @@ experiments:
   process, compute/network latency, churn, FedBuff-style buffered
   aggregation with staleness discounting, round deadlines);
 * :class:`ShardingConfig` — shared-memory state sharding and the
-  multi-process round executor (pure throughput knobs);
+  multi-process round executor;
 * :class:`ExperimentConfig` — one full experiment = all of the above.
 
 All dataclasses are frozen: configs are values, never mutated in place.
 Use :func:`dataclasses.replace` to derive variants.
+
+Every field is either part of what a run *is* or a **knob**: a field
+declared with ``metadata=KNOB`` changes how fast a run computes, never
+what it computes (the knobs' parity suites assert it bit for bit).
+:func:`identity_record` is the one definition of a run's identity —
+every field except the knobs — and :func:`identity_digest` its hash;
+the sweep cache key, the checkpoint digest and the shard manifest all
+derive from it, so a knob can never split a cache or refuse a resume.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 __all__ = [
     "DatasetConfig",
@@ -37,11 +48,18 @@ __all__ = [
     "AsyncConfig",
     "ShardingConfig",
     "ExperimentConfig",
+    "KNOB",
+    "identity_digest",
+    "identity_record",
     "replace",
 ]
 
 #: Re-exported for convenience so callers need not import dataclasses.
 replace = dataclasses.replace
+
+#: Field metadata marking a throughput knob: results never depend on
+#: its value, so :func:`identity_record` leaves it out.
+KNOB = MappingProxyType({"knob": True})
 
 
 @dataclass(frozen=True)
@@ -108,15 +126,14 @@ class TrainConfig:
     #: over user blocks (peak memory O(block x items) instead of
     #: O(users x items)) with results independent of the block size;
     #: ``None`` picks a memory-bounded default from the catalogue size.
-    eval_chunk_users: int | None = None
+    eval_chunk_users: int | None = field(default=None, metadata=KNOB)
     #: Kernel backend for the dispatched hot kernels
     #: (:mod:`repro.kernels`): ``"numpy"`` (reference), ``"native"``
     #: (compiled C, bit-identical by contract), or ``None`` to defer to
-    #: the ``REPRO_KERNELS`` environment variable.  A pure throughput
-    #: knob — results never depend on it, so sweep cache keys exclude
-    #: it.  Requesting ``"native"`` without the native toolchain raises
-    #: at simulation construction instead of silently falling back.
-    kernels: str | None = None
+    #: the ``REPRO_KERNELS`` environment variable.  Requesting
+    #: ``"native"`` without the native toolchain raises at simulation
+    #: construction instead of silently falling back.
+    kernels: str | None = field(default=None, metadata=KNOB)
 
     @property
     def effective_client_lr(self) -> float:
@@ -136,16 +153,19 @@ class AttackConfig:
     (Section VI-F); the resulting embedding delta is uploaded as a
     gradient scaled by the known server learning rate.
 
-    Execution note: under ``engine="batch"`` the whole malicious team
-    runs as one struct-of-arrays
-    :class:`~repro.attacks.cohort.MaliciousCohort` — ``mining_rounds``
-    then drives the team's shared per-round observation ledger
-    (:class:`~repro.attacks.mining.CohortMiner`) rather than one
-    Δ-Norm tracker per client, bit-identically.
+    Execution note: simulations run the whole malicious team as one
+    struct-of-arrays :class:`~repro.attacks.cohort.MaliciousCohort` —
+    ``mining_rounds`` then drives the team's shared per-round
+    observation ledger (:class:`~repro.attacks.mining.CohortMiner`)
+    rather than one Δ-Norm tracker per client, bit-identically.
     """
 
     name: str = "pieck_uea"
     malicious_ratio: float = 0.05
+    #: Number of target items |T|.  Evaluation's
+    #: ``exposure_counts_at_k`` costs time linear in |T| (one
+    #: compare-and-count pass per target), breaking even with a
+    #: partition-based top-K at about 10 targets.
     num_targets: int = 1
     target_items: tuple[int, ...] | None = None
     mining_rounds: int = 2
@@ -361,8 +381,7 @@ class AsyncConfig:
     instant traffic, zero latency, zero churn, ``buffer_size=0`` (=
     the full cohort) and ``round_deadline == round_interval``
     reproduce the synchronous batch engine bit for bit — asserted by
-    the sync-equivalence suite.  Every parameter here affects results,
-    so the whole config enters sweep cache keys.
+    the sync-equivalence suite.
     """
 
     enabled: bool = False
@@ -442,13 +461,8 @@ class ShardingConfig:
     routes benign round computation through the
     :class:`~repro.federated.batch_engine.ProcessRoundExecutor` — a
     pool of forked worker processes that each attach only their shards.
-
-    Every field here is a *pure throughput knob*: the sharded store and
-    the multi-process executor are bit-identical to the dense
-    single-process reference (asserted by the parity suites), so — like
-    ``train.kernels`` — this whole config is excluded from sweep cache
-    keys and from the checkpoint config digest.  A checkpoint written
-    by a dense run resumes under a sharded one and vice versa.
+    Both are bit-identical to the dense single-process reference
+    (asserted by the parity suites).
     """
 
     #: Number of contiguous user-range shards; 0 = dense in-process
@@ -499,16 +513,38 @@ class ExperimentConfig:
     defense: DefenseConfig = field(default_factory=DefenseConfig)
     #: Failure model; the default is the zero-fault (ideal synchronous)
     #: configuration, bit-identical to a runtime without the fault
-    #: layer.  Fault parameters affect results, so they enter the sweep
-    #: cache key (unlike ``train.kernels``).
+    #: layer.
     faults: FaultConfig = field(default_factory=FaultConfig)
     #: Asynchrony model (named ``asynchrony`` because ``async`` is a
-    #: keyword); disabled by default.  Like ``faults``, every parameter
-    #: affects results and enters the sweep cache key.
+    #: keyword); disabled by default.
     asynchrony: AsyncConfig = field(default_factory=AsyncConfig)
-    #: Shared-memory sharding / multi-process execution.  A pure
-    #: throughput knob like ``train.kernels``: excluded from sweep
-    #: cache keys and the checkpoint config digest because results are
-    #: bit-identical whatever its value.
-    sharding: ShardingConfig = field(default_factory=ShardingConfig)
+    #: Shared-memory sharding / multi-process execution.
+    sharding: ShardingConfig = field(default_factory=ShardingConfig, metadata=KNOB)
     seed: int = 0
+
+
+def identity_record(config) -> dict:
+    """What a run *is*: every field of a config dataclass but the knobs.
+
+    Walks :func:`dataclasses.fields` recursively, skipping fields
+    declared with ``metadata=KNOB``; nested configs become nested
+    dicts, every other value is kept as is (JSON-serialisable for
+    every config in this module).
+    """
+    return {
+        spec.name: _identity_value(getattr(config, spec.name))
+        for spec in dataclasses.fields(config)
+        if not spec.metadata.get("knob")
+    }
+
+
+def _identity_value(value):
+    if dataclasses.is_dataclass(value):
+        return identity_record(value)
+    return value
+
+
+def identity_digest(config: ExperimentConfig) -> str:
+    """sha256 of :func:`identity_record` in canonical JSON form."""
+    blob = json.dumps(identity_record(config), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()

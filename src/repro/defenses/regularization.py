@@ -28,6 +28,7 @@ from repro.attacks.mining import PopularItemMiner
 from repro.config import DefenseConfig
 from repro.metrics.divergence import softmax
 from repro.models.losses import sigmoid
+from repro.stateful import Stateful
 
 __all__ = ["ClientRegularizer", "exponential_rank_weights", "re1_value", "re2_value"]
 
@@ -67,7 +68,7 @@ def re2_value(
     return float(weights @ kls)
 
 
-class ClientRegularizer:
+class ClientRegularizer(Stateful):
     """Per-benign-client defense state and gradient terms.
 
     The hook protocol used by :class:`repro.federated.BenignClient`:
@@ -82,6 +83,8 @@ class ClientRegularizer:
     Before the miner is ready both terms are zero (the client simply
     trains normally while accumulating Δ-Norm observations).
     """
+
+    STATE = ("miner",)
 
     #: Relative strength of the tower-level Re2 term (DL-FRS only).
     TOWER_WEIGHT = 0.5

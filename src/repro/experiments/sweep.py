@@ -41,12 +41,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.config import DatasetConfig, ExperimentConfig
+from repro.config import DatasetConfig, ExperimentConfig, identity_record
 from repro.datasets.base import InteractionDataset
 from repro.datasets.loaders import load_dataset
 from repro.experiments.backend import (
@@ -104,7 +104,10 @@ __all__ = [
 #: ``score_matrix``) and ER@K's tie at the K boundary is now defined
 #: (smaller item id first), so a v6 NCF or ``one_then_copy`` cell is
 #: not guaranteed reproducible by this code.
-CACHE_VERSION = "sweep-v7"
+#: v8: the config enters the key as its identity record, which leaves
+#: out every knob — ``train.eval_chunk_users`` newly so; values are
+#: unchanged but the key layout is not.
+CACHE_VERSION = "sweep-v8"
 
 
 @dataclass(frozen=True)
@@ -317,30 +320,18 @@ def cell_cache_key(spec: CellSpec, dataset_fp: str) -> str:
     """Content address of one cell result.
 
     The key covers everything the result depends on: the code-version
-    tag, the cell kind, the full experiment config, the
-    evaluation cutoffs, the kind payload and the dataset fingerprint.
-    Any difference in any of them yields a different key.
-
-    ``train.kernels`` is deliberately *excluded*: the kernel backends
-    are bit-identical by contract (enforced by the differential parity
-    suite and the native tier-1 CI leg), so a cell's value cannot
-    depend on which backend computed it — and a numpy-run cache must
-    keep serving native-backend sweeps verbatim, and vice versa.
-    ``sharding`` is excluded for the same reason: the sharded store
-    and the multi-process executor are bit-identical to the dense
-    single-process path (enforced by the executor parity suite), so a
-    dense-run cache serves sharded sweeps verbatim, and vice versa.
+    tag, the cell kind, the config's
+    :func:`~repro.config.identity_record`, the evaluation cutoffs, the
+    kind payload and the dataset fingerprint.  Any difference in any
+    of them yields a different key.
     """
     ks = spec.ks if spec.ks is not None else (spec.config.train.top_k,)
-    config_record = asdict(spec.config)
-    config_record["train"].pop("kernels", None)
-    config_record.pop("sharding", None)
     record = {
         "version": CACHE_VERSION,
         "kind": spec.kind,
         "ks": list(ks),
         "payload": list(spec.payload),
-        "config": config_record,
+        "config": identity_record(spec.config),
         "dataset": dataset_fp,
     }
     blob = json.dumps(record, sort_keys=True, separators=(",", ":"))

@@ -87,6 +87,7 @@ from repro.federated.clock import (
 from repro.federated.faults import StalenessBuffer
 from repro.federated.server import Server
 from repro.federated.update_batch import UpdateBatch
+from repro.stateful import Stateful
 
 __all__ = ["AsyncStats", "AsyncFederationEngine"]
 
@@ -143,7 +144,7 @@ class AsyncStats:
         return cls(**{k: int(payload.get(k, 0)) for k in cls.__dataclass_fields__})
 
 
-class AsyncFederationEngine:
+class AsyncFederationEngine(Stateful):
     """Drives the simulation's rounds through a virtual-time event loop.
 
     One engine per simulation, wrapping the simulation's
@@ -157,7 +158,13 @@ class AsyncFederationEngine:
     completes, so the simulation's training loop — evaluation cadence,
     checkpoint boundaries, history recording — is unchanged: one
     "round" is one aggregation, synchronous or not.
+
+    Run state: clock, event queue (in-flight uploads travel inside its
+    arrival events), staleness buffer, version and counters; the wave
+    plans and sampling streams are stateless spawns and need none.
     """
+
+    STATE = ("clock", "queue", "buffer", "version", "deadline_armed", "counts")
 
     def __init__(
         self,
@@ -332,29 +339,30 @@ class AsyncFederationEngine:
         )
 
     def state(self) -> dict:
-        """Mutable event-loop state for checkpoint capture.
-
-        The queue's heap entries carry the in-flight ``UpdateBatch``
-        parts (their arrays pickle with them), so a resumed process
-        replays the exact remaining event sequence; the wave plan and
-        sampling streams are stateless spawns and need no capture.
-        """
-        return {
-            "clock": self.clock.now,
-            "queue": self.queue.state(),
-            "buffer": self.buffer.state(),
-            "version": self.version,
-            "deadline_armed": self.deadline_armed,
-            "counts": dict(self.counts),
-        }
+        """Event-loop state; arrival parts travel as plain arrays."""
+        state = super().state()
+        state["queue"]["_heap"] = [
+            (*key, _map_part(payload, UpdateBatch.arrays))
+            for *key, payload in state["queue"]["_heap"]
+        ]
+        return state
 
     def restore(self, state: dict) -> None:
-        self.clock = VirtualClock(state["clock"])
-        self.queue.restore(state["queue"])
-        self.buffer.restore(state["buffer"])
-        self.version = int(state["version"])
-        self.deadline_armed = bool(state["deadline_armed"])
-        self.counts = Counter(state["counts"])
+        queue = dict(state["queue"])
+        queue["_heap"] = [
+            (*key, _map_part(payload, lambda arrays: UpdateBatch(**arrays)))
+            for *key, payload in queue["_heap"]
+        ]
+        super().restore({**state, "queue": queue})
+
+
+def _map_part(payload: tuple, convert) -> tuple:
+    """An event payload with its ``UpdateBatch`` part (arrivals only)
+    passed through ``convert``."""
+    if payload[0] != EVENT_ARRIVAL:
+        return payload
+    kind, part, origin = payload
+    return (kind, convert(part), origin)
 
 
 def _clients_at(batch: UpdateBatch, positions: np.ndarray) -> UpdateBatch:

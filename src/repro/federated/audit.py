@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.federated.payload import ClientUpdate
 from repro.federated.update_batch import UpdateBatch
+from repro.stateful import Stateful
 
 __all__ = ["ItemRoundRecord", "ServerAuditLog"]
 
@@ -59,7 +60,7 @@ class ItemRoundRecord:
 
 
 @dataclass
-class ServerAuditLog:
+class ServerAuditLog(Stateful):
     """Accumulates :class:`ItemRoundRecord` rows across training rounds.
 
     Attach to a :class:`repro.federated.server.Server` via its
@@ -67,6 +68,8 @@ class ServerAuditLog:
     raw uploads of every round (before any defense filter runs, so the
     log reflects what the attacker actually sent).
     """
+
+    STATE = ("records", "_round_idx")
 
     records: list[ItemRoundRecord] = field(default_factory=list)
     _round_idx: int = 0

@@ -77,6 +77,7 @@ from repro.federated.shards import ShardedStateStore
 from repro.federated.update_batch import UpdateBatch
 from repro.models.base import RecommenderModel, segment_starts
 from repro.rng import StreamBatch, spawn_batch
+from repro.stateful import Stateful
 
 __all__ = ["BatchClientEngine", "ProcessRoundExecutor"]
 
@@ -319,8 +320,10 @@ def _compute_benign_stacks(
     return new_users, item_ids, lengths, item_grads, param_stacks, param_owners
 
 
-class BatchClientEngine:
+class BatchClientEngine(Stateful):
     """Executes federated rounds with stacked per-client tensors."""
+
+    STATE = ("kernel_fallback_rounds", "process_rounds")
 
     def __init__(
         self,
@@ -339,7 +342,7 @@ class BatchClientEngine:
         self.server = server
         #: The struct-of-arrays client state this engine gathers from
         #: and scatters to.
-        self.state = state
+        self.store = state
         #: The team-level :class:`~repro.attacks.cohort.MaliciousCohort`
         #: executing all sampled malicious clients per round in one
         #: batched pass; ``None`` when the run has no adversary.
@@ -428,7 +431,7 @@ class BatchClientEngine:
 
     def _compute_round(self, round_idx: int, sampled: np.ndarray) -> UpdateBatch:
         sampled = np.asarray(sampled, dtype=np.int64)
-        num_benign = self.state.num_users
+        num_benign = self.store.num_users
         is_benign = sampled < num_benign
         mal_positions = np.flatnonzero(~is_benign)
 
@@ -484,7 +487,7 @@ class BatchClientEngine:
         single scatter that commits the round.  Returns the benign
         clients' uploads, already row-aligned in participation order.
         """
-        store = self.state
+        store = self.store
         if not len(benign_ids):
             return UpdateBatch.empty(self.model.embedding_dim)
         regs = None

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.config import AsyncConfig
 from repro.rng import spawn
+from repro.stateful import Stateful
 
 __all__ = [
     "PRIORITY_DISPATCH",
@@ -56,8 +57,10 @@ PRIORITY_DISPATCH = 1
 PRIORITY_ARRIVAL = 2
 
 
-class VirtualClock:
+class VirtualClock(Stateful):
     """Monotonic simulation time; advanced only by event processing."""
+
+    STATE = ("now",)
 
     def __init__(self, now: float = 0.0):
         self.now = float(now)
@@ -70,7 +73,7 @@ class VirtualClock:
         self.now = float(to)
 
 
-class EventQueue:
+class EventQueue(Stateful):
     """Deterministic event heap ordered by ``(time, priority, seq)``.
 
     ``payload`` is opaque to the queue; entries compare only on the
@@ -79,6 +82,8 @@ class EventQueue:
     the exact heap for checkpointing — in-flight uploads survive a
     process boundary verbatim.
     """
+
+    STATE = ("_heap", "_seq")
 
     def __init__(self):
         self._heap: list[tuple[float, int, int, object]] = []
@@ -111,16 +116,6 @@ class EventQueue:
     def payloads(self, priority: int) -> list:
         """Payloads of the pending events of one priority class."""
         return [entry[3] for entry in self._heap if entry[1] == priority]
-
-    # -- checkpoint plumbing -------------------------------------------
-
-    def state(self) -> dict:
-        return {"heap": list(self._heap), "seq": self._seq}
-
-    def restore(self, state: dict) -> None:
-        self._heap = list(state["heap"])
-        heapq.heapify(self._heap)
-        self._seq = int(state["seq"])
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,7 @@ from repro.config import FaultConfig
 from repro.federated.payload import ClientUpdate
 from repro.federated.update_batch import UpdateBatch
 from repro.rng import spawn
+from repro.stateful import Stateful
 
 __all__ = [
     "FAULT_NONE",
@@ -135,7 +136,7 @@ class FaultPlan:
         return RoundFaults(kinds, delays)
 
 
-class StalenessBuffer:
+class StalenessBuffer(Stateful):
     """Holds late uploads as :class:`UpdateBatch` parts until they are due.
 
     The one staleness mechanism of the runtime: the fault layer parks
@@ -151,6 +152,8 @@ class StalenessBuffer:
     (``uploads_applied``, ``stale_applied``, ``stale_dropped``,
     ``max_staleness_applied``).
     """
+
+    STATE = ("tallies",)
 
     def __init__(self, discount: float, max_staleness: int = 0):
         self.discount = float(discount)
@@ -200,11 +203,15 @@ class StalenessBuffer:
     # -- checkpoint plumbing -------------------------------------------
 
     def state(self) -> dict:
-        return {"entries": list(self.entries), "tallies": dict(self.tallies)}
+        entries = [(part.arrays(), origin, due) for part, origin, due in self.entries]
+        return {**super().state(), "entries": entries}
 
     def restore(self, state: dict) -> None:
-        self.entries = list(state["entries"])
-        self.tallies = Counter(state["tallies"])
+        super().restore(state)
+        self.entries = [
+            (UpdateBatch(**arrays), origin, due)
+            for arrays, origin, due in state["entries"]
+        ]
 
 
 @dataclass(frozen=True)
@@ -245,7 +252,7 @@ class FaultStats:
         return cls(**{k: int(payload.get(k, 0)) for k in cls.__dataclass_fields__})
 
 
-class FaultController:
+class FaultController(Stateful):
     """Applies one round's scheduled faults to the round's uploads.
 
     One controller per simulation; it owns the :class:`FaultPlan`, the
@@ -265,6 +272,8 @@ class FaultController:
     object, zero copies) — the zero-fault plan is bit-identical to no
     controller at all.
     """
+
+    STATE = ("buffer", "counts")
 
     def __init__(self, config: FaultConfig, seed: int):
         self.config = config
@@ -387,13 +396,3 @@ class FaultController:
             grads[rows] = np.inf
         else:  # overscale
             grads[rows] *= grads.dtype.type(self.config.corruption_scale)
-
-    # -- checkpoint plumbing -------------------------------------------
-
-    def state(self) -> dict:
-        """Mutable runtime state for checkpoint capture."""
-        return {"buffer": self.buffer.state(), "counts": dict(self.counts)}
-
-    def restore(self, state: dict) -> None:
-        self.buffer.restore(state["buffer"])
-        self.counts = Counter(state["counts"])

@@ -34,14 +34,27 @@ from repro.federated.payload import ClientUpdate
 from repro.federated.update_batch import UpdateBatch
 from repro.models.base import RecommenderModel
 from repro.rng import spawn
+from repro.stateful import Stateful, state_of
 
 __all__ = ["Server"]
 
 UpdateFilter = Callable[[Sequence[ClientUpdate]], Sequence[ClientUpdate]]
 
 
-class Server:
-    """Coordinates rounds and applies aggregated updates to the model."""
+class Server(Stateful):
+    """Coordinates rounds and applies aggregated updates to the model.
+
+    Its run state is the counters declared in ``__init__``, the global
+    model's parameters and the audit log's records.
+    """
+
+    STATE = (
+        "materialized_rounds",
+        "rejected_nonfinite",
+        "rejected_oversized",
+        "quorum_failed_rounds",
+        "quorum_dropped_uploads",
+    )
 
     def __init__(
         self,
@@ -90,6 +103,30 @@ class Server:
         self.quorum_failed_rounds = 0
         #: Uploads discarded by those skipped rounds.
         self.quorum_dropped_uploads = 0
+
+    def _model_params(self) -> list[np.ndarray]:
+        return [self.model.item_embeddings, *self.model.interaction_params()]
+
+    def state(self) -> dict:
+        return {
+            **super().state(),
+            "model": self._model_params(),
+            "audit_log": state_of(self.audit_log),
+        }
+
+    def restore(self, state: dict) -> None:
+        """Load counters, and model parameters in place.
+
+        A saved audit log restores into this server's log, which is
+        created if the server was built without one.
+        """
+        super().restore(state)
+        for param, saved in zip(self._model_params(), state["model"], strict=True):
+            param[...] = saved
+        if state["audit_log"] is not None:
+            if self.audit_log is None:
+                self.audit_log = ServerAuditLog()
+            self.audit_log.restore(state["audit_log"])
 
     @property
     def rejected_uploads(self) -> int:

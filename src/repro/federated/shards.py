@@ -308,6 +308,7 @@ class ShardManifest:
     num_items: int
     embedding_dim: int
     seed: int
+    #: :func:`~repro.config.identity_digest` of the run's config.
     config_digest: str
     #: ``(lo, hi, nnz)`` per shard, in shard order.
     shards: tuple[tuple[int, int, int], ...]

@@ -30,9 +30,6 @@ regardless of the user count.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -42,7 +39,7 @@ from repro import kernels
 from repro.attacks.base import select_target_items
 from repro.attacks.cohort import MaliciousCohort
 from repro.attacks.registry import build_malicious_clients, num_malicious_for_ratio
-from repro.config import AttackConfig, ExperimentConfig
+from repro.config import AttackConfig, ExperimentConfig, identity_digest
 from repro.datasets.base import InteractionDataset
 from repro.datasets.loaders import load_dataset
 from repro.defenses.registry import build_server_defense, client_regularizer_factory
@@ -67,6 +64,7 @@ from repro.metrics.ranking import (
 )
 from repro.models.base import build_model
 from repro.rng import spawn
+from repro.stateful import Stateful, restore_into, state_of
 
 __all__ = ["EvalRecord", "SimulationResult", "FederatedSimulation"]
 
@@ -112,6 +110,10 @@ class FederatedSimulation:
     ):
         self.engine = engine
         self.config = config
+        #: What this run *is* (:func:`~repro.config.identity_digest`):
+        #: binds checkpoints and the shard manifest to the config,
+        #: ignoring throughput knobs.
+        self.config_digest = identity_digest(config)
         # Resolve the kernel backend up front so a missing native
         # toolchain fails at construction, not rounds into a run; every
         # round and evaluation executes inside this backend's dispatch
@@ -156,7 +158,7 @@ class FederatedSimulation:
                 num_shards=sharding.resolved_shards(self.dataset.num_users),
                 backend="shm" if sharding.shared_memory else "mmap",
                 lr_range=config.train.client_lr_range,
-                config_digest=self._config_digest(),
+                config_digest=self.config_digest,
             )
         else:
             self.state = ClientStateStore.build(
@@ -434,8 +436,9 @@ class FederatedSimulation:
         state restores the trajectory).  Only ``seconds_per_round`` —
         wall-clock over the rounds this process actually executed — is
         exempt.  The simulation must be constructed from the same
-        config, dataset and engine that wrote the checkpoint (enforced
-        via a config digest and the target-item set).
+        config (up to its knobs), dataset and engine that wrote the
+        checkpoint (enforced via the config digest and the target-item
+        set).
         """
         train_cfg = self.config.train
         rounds = train_cfg.rounds if rounds is None else rounds
@@ -520,17 +523,22 @@ class FederatedSimulation:
     # Checkpoint / resume
     # ------------------------------------------------------------------
 
-    def _config_digest(self) -> str:
-        """Content hash binding a checkpoint to its experiment config.
+    def _components(self) -> dict[str, Stateful | list]:
+        """The run's stateful components, keyed by checkpoint name.
 
-        ``sharding`` is excluded: it is a pure throughput knob with no
-        effect on the trajectory, so checkpoints cross-resume between
-        dense and sharded (and single- and multi-process) runs.
+        Which of them exist is a function of the config and engine,
+        both bound by the checkpoint, so writer and resumer agree.
         """
-        record = dataclasses.asdict(self.config)
-        record.pop("sharding", None)
-        blob = json.dumps(record, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        components = {
+            "server": self.server,
+            "store": self.state,
+            "clients": self.malicious_clients,
+            "engine": self._batch_engine,
+            "cohort": self.malicious_cohort,
+            "faults": self.fault_controller,
+            "async": self._async_engine,
+        }
+        return {name: c for name, c in components.items() if c is not None}
 
     def checkpoint_payload(
         self,
@@ -540,56 +548,21 @@ class FederatedSimulation:
     ) -> dict:
         """Assemble the full mutable state of the run at a round boundary.
 
-        Everything a resumed process cannot re-derive goes in: global
-        model parameters, the client store's private embeddings and
-        materialised defense regularizers (their observed state), the
-        adversary objects (mining trackers, participation counters —
-        pickled as one graph so the cohort keeps adopting the same
-        client objects), server/engine counters, the staleness buffer
-        and fault counters, and the metric history so far.  Notably
-        *absent*: RNG state — every stream is spawned statelessly from
-        ``(seed, labels, round)``, so determinism survives the process
-        boundary for free.
+        ``state`` maps each component to its ``state()`` — arrays,
+        numbers and containers of them — beside the metric history so
+        far.  Notably *absent*: RNG state — every stream is spawned
+        statelessly from ``(seed, labels, round)``, so determinism
+        survives the process boundary for free.
         """
-        engine = self._batch_engine
         return {
-            "config_digest": self._config_digest(),
+            "config_digest": self.config_digest,
             "engine": self.engine,
             "next_round": int(next_round),
             "targets": self.targets.copy(),
-            "model_items": self.model.item_embeddings.copy(),
-            "model_params": [p.copy() for p in self.model.interaction_params()],
-            "user_embeddings": self.state.snapshot_embeddings(),
-            "regularizers": self.state._regularizers,
-            "adversary": (self.malicious_clients, self.malicious_cohort),
-            # The server's log is the authoritative one: it is the
-            # object that records, whether it was attached via
-            # ``audit=True`` or assigned to the server directly.
-            "audit_log": self.server.audit_log,
-            "server_counters": {
-                "materialized_rounds": self.server.materialized_rounds,
-                "rejected_nonfinite": self.server.rejected_nonfinite,
-                "rejected_oversized": self.server.rejected_oversized,
-                "quorum_failed_rounds": self.server.quorum_failed_rounds,
-                "quorum_dropped_uploads": self.server.quorum_dropped_uploads,
+            "state": {
+                name: state_of(component)
+                for name, component in self._components().items()
             },
-            "engine_counters": {
-                "kernel_fallback_rounds": engine.kernel_fallback_rounds,
-                "process_rounds": engine.process_rounds,
-            }
-            if engine is not None
-            else None,
-            "fault_state": self.fault_controller.state()
-            if self.fault_controller is not None
-            else None,
-            # The async event loop's full state: virtual clock, event
-            # heap (in-flight uploads travel inside it), aggregation
-            # buffer, version and counters — everything a resumed
-            # process cannot re-derive (wave plans and sampling are
-            # stateless spawns and need no capture).
-            "async_state": self._async_engine.state()
-            if self._async_engine is not None
-            else None,
             "history": list(history or []),
             "item_history": list(item_history or []),
         }
@@ -599,13 +572,14 @@ class FederatedSimulation:
     ) -> tuple[int, list[EvalRecord], list[np.ndarray]]:
         """Restore a :meth:`checkpoint_payload` into this simulation.
 
-        The simulation must have been constructed exactly like the one
-        that checkpointed: same config (hash-checked), same dataset
-        (target-set-checked — targets are a function of the dataset's
-        popularity profile), same engine.  Returns
+        The simulation must have been constructed like the one that
+        checkpointed: same config up to its knobs (hash-checked), same
+        dataset (target-set-checked — targets are a function of the
+        dataset's popularity profile), same engine.  Each component
+        restores its saved state into itself.  Returns
         ``(next_round, history, item_history)`` for the training loop.
         """
-        if payload["config_digest"] != self._config_digest():
+        if payload["config_digest"] != self.config_digest:
             raise ValueError(
                 "checkpoint was written by a different experiment config"
             )
@@ -619,36 +593,9 @@ class FederatedSimulation:
                 "checkpoint target items do not match; was the simulation "
                 "built from a different dataset?"
             )
-        self.model.item_embeddings[...] = payload["model_items"]
-        for param, saved in zip(
-            self.model.interaction_params(), payload["model_params"]
-        ):
-            param[...] = saved
-        self.state.load_embeddings(payload["user_embeddings"])
-        self.state._regularizers = payload["regularizers"]
-        clients, cohort = payload["adversary"]
-        self.malicious_clients = clients
-        self.malicious_cohort = cohort
-        if payload["audit_log"] is not None:
-            self.audit_log = payload["audit_log"]
-            self.server.audit_log = self.audit_log
-        for name, value in payload["server_counters"].items():
-            setattr(self.server, name, value)
-        engine = self._batch_engine
-        if engine is not None:
-            engine.cohort = cohort
-            if payload["engine_counters"] is not None:
-                for name, value in payload["engine_counters"].items():
-                    setattr(engine, name, value)
-        if payload["fault_state"] is not None and self.fault_controller is not None:
-            self.fault_controller.restore(payload["fault_state"])
-        if payload.get("async_state") is not None:
-            if self._async_engine is None:
-                raise ValueError(
-                    "checkpoint was written by an asynchronous run but "
-                    "this simulation's AsyncConfig is disabled"
-                )
-            self._async_engine.restore(payload["async_state"])
+        for name, component in self._components().items():
+            restore_into(component, payload["state"][name])
+        self.audit_log = self.server.audit_log
         return (
             payload["next_round"],
             list(payload["history"]),

@@ -45,6 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.rng import spawn_first_uniform, spawn_normal_rows
+from repro.stateful import Stateful
 
 __all__ = [
     "ClientStoreBase",
@@ -96,12 +97,14 @@ def pack_csr(train_pos) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-class ClientStoreBase:
+class ClientStoreBase(Stateful):
     """What the dense and the sharded store share verbatim.
 
     Subclasses provide ``num_users`` / ``embedding_dim`` / ``positives``
     and the array access API; this base holds the per-user Python state
-    (lazy defense regularizers) and the argument checks.
+    (lazy defense regularizers), the argument checks and the run state:
+    the embedding matrix plus each materialised regularizer's state,
+    keyed by user id.
     """
 
     def __init__(self, seed: int, regularizer_factory):
@@ -116,6 +119,24 @@ class ClientStoreBase:
     def snapshot_embeddings(self) -> np.ndarray:
         """Dense copy of the full embedding matrix (checkpoints)."""
         return np.array(self.embedding_block(0, self.num_users), order="C")
+
+    def state(self) -> dict:
+        return {
+            "user_embeddings": self.snapshot_embeddings(),
+            "regularizers": {
+                user_id: None if reg is None else reg.state()
+                for user_id, reg in self._regularizers.items()
+            },
+        }
+
+    def restore(self, state: dict) -> None:
+        self.load_embeddings(state["user_embeddings"])
+        self._regularizers.clear()
+        for user_id, reg_state in state["regularizers"].items():
+            if reg_state is None:
+                self.set_regularizer(user_id, None)
+            else:
+                self.regularizer(user_id).restore(reg_state)
 
     def to_ragged(self) -> list[np.ndarray]:
         """Per-user positive-item arrays (copies) — CSR round-trip."""

@@ -36,7 +36,7 @@ stacks without copying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -168,6 +168,11 @@ class UpdateBatch:
                 stack * stack.dtype.type(factor) for stack in self.param_stacks
             ],
         )
+
+    def arrays(self) -> dict:
+        """The batch's fields by name: plain arrays a checkpoint holds
+        without this class (``UpdateBatch(**arrays)`` rebuilds it)."""
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
     def with_item_grads(self, item_grads: np.ndarray) -> "UpdateBatch":
         """New batch sharing every array except the item gradients."""

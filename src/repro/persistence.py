@@ -83,7 +83,10 @@ __all__ = [
 #: checkpoints are detected (and quarantined) instead of resumed from.
 #: v4: the fault and async staleness buffers hold ``UpdateBatch`` parts
 #: (one buffer type for both), and async arrival events carry parts.
-CHECKPOINT_VERSION = "ckpt-v4"
+#: v5: the payload is ``{component: component.state()}`` — arrays and
+#: containers of them, no pickled adversary or regularizer objects —
+#: and its config digest ignores every throughput knob.
+CHECKPOINT_VERSION = "ckpt-v5"
 
 #: Suffix appended (atomically, via ``os.replace``) to files that fail
 #: their integrity check.  A quarantined file is out of every loader's

@@ -103,6 +103,27 @@ def _interrupted(cfg, dataset, engine, tmp_path, *, stop_after: int, every: int 
     return _final_state(resumed, result)
 
 
+def _with_train(cfg: ExperimentConfig, **train) -> ExperimentConfig:
+    return dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, **train))
+
+
+def _uninterrupted(cfg, dataset) -> dict:
+    sim = FederatedSimulation(cfg, dataset)
+    return _final_state(sim, sim.run())
+
+
+def _resumed_across(written_cfg, resumed_cfg, dataset, tmp_path, *, stop_after=7):
+    """Checkpoint under one config, resume under another (a refused
+    checkpoint raises instead of restarting)."""
+    ckpt_dir = str(tmp_path / "ckpt")
+    FederatedSimulation(written_cfg, dataset).run(
+        rounds=stop_after, checkpoint_dir=ckpt_dir, checkpoint_every=3
+    )
+    resumed = FederatedSimulation(resumed_cfg, dataset)
+    result = resumed.run(checkpoint_dir=ckpt_dir, checkpoint_every=3)
+    return _final_state(resumed, result)
+
+
 class TestResumeBitIdentity:
     @pytest.mark.parametrize("engine", ["batch", "loop"])
     def test_mf_attack_resume(self, tiny_dataset, tmp_path, engine):
@@ -183,16 +204,46 @@ class TestResumeBitIdentity:
 
     @needs_native
     def test_native_backend_resume(self, tiny_dataset, tmp_path):
+        # Kernels are a knob: a checkpoint resumes under any backend,
+        # in either direction, bit-identically.
         cfg = _config("mf", faults=FAULTS)
-        cfg = dataclasses.replace(
-            cfg, train=dataclasses.replace(cfg.train, kernels="native")
-        )
-        reference = FederatedSimulation(cfg, tiny_dataset)
-        ref_state = _final_state(reference, reference.run())
-        _assert_identical(
-            _interrupted(cfg, tiny_dataset, "batch", tmp_path, stop_after=7),
-            ref_state,
-        )
+        legs = [
+            ("native", "native"),
+            ("numpy", "native"),
+            ("native", "numpy"),
+            (None, "native"),
+        ]
+        for written, resumed in legs:
+            _assert_identical(
+                _resumed_across(
+                    _with_train(cfg, kernels=written),
+                    _with_train(cfg, kernels=resumed),
+                    tiny_dataset,
+                    tmp_path / f"{written}-{resumed}",
+                ),
+                _uninterrupted(_with_train(cfg, kernels=resumed), tiny_dataset),
+            )
+
+    def test_knob_change_resume(self, tiny_dataset, tmp_path):
+        # Evaluation block size and an explicit numpy backend are knobs
+        # too: neither refuses the checkpoint nor moves a bit.
+        cfg = _with_train(_config("mf", faults=FAULTS), eval_every=2)
+        legs = [
+            ({}, {"kernels": "numpy"}),
+            ({"kernels": "numpy"}, {}),
+            ({}, {"eval_chunk_users": 7}),
+            ({"eval_chunk_users": 7}, {"eval_chunk_users": 3}),
+        ]
+        for index, (written, resumed) in enumerate(legs):
+            _assert_identical(
+                _resumed_across(
+                    _with_train(cfg, **written),
+                    _with_train(cfg, **resumed),
+                    tiny_dataset,
+                    tmp_path / str(index),
+                ),
+                _uninterrupted(cfg, tiny_dataset),
+            )
 
 
 class TestResumeGuards:
@@ -374,6 +425,25 @@ class TestCorruptionFallback:
                 handle,
             )
         with pytest.raises(ValueError, match="ckpt-v3") as caught:
+            persistence.load_checkpoint(path)
+        assert not isinstance(caught.value, persistence.IntegrityError)
+        assert os.path.exists(path)
+
+    def test_v4_checkpoint_is_refused_by_name(self, tmp_path):
+        # v4 pickled adversary and regularizer objects; v5 holds
+        # {component: state()} arrays.
+        path = str(tmp_path / "checkpoint.pkl")
+        payload = pickle.dumps({"round": 6})
+        with open(path, "wb") as handle:
+            pickle.dump(
+                {
+                    "version": "ckpt-v4",
+                    "sha256": hashlib.sha256(payload).hexdigest(),
+                    "payload": payload,
+                },
+                handle,
+            )
+        with pytest.raises(ValueError, match="ckpt-v4") as caught:
             persistence.load_checkpoint(path)
         assert not isinstance(caught.value, persistence.IntegrityError)
         assert os.path.exists(path)

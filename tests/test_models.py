@@ -210,3 +210,17 @@ class TestNCFScoreMatrix:
         model = NCFModel(self.NUM_ITEMS, 4, mlp_layers=(8, 4), seed=11)
         assert model.score_matrix(np.empty((0, 4))).shape == (0, self.NUM_ITEMS)
 
+    @pytest.mark.parametrize("mlp_layers", [(), (8,), (8, 6, 4)])
+    @pytest.mark.parametrize("num_users", [1, 5])
+    def test_one_item_catalogue(self, mlp_layers, num_users):
+        # One item sends lone pair rows through every layer product.
+        model = NCFModel(1, 4, mlp_layers=mlp_layers, seed=11)
+        users = make_rng(12).normal(size=(num_users, 4))
+        scores = model.score_matrix(users)
+        assert scores.shape == (num_users, 1)
+        reference = np.stack(
+            [model.forward(user, model.item_embeddings)[0] for user in users]
+        )
+        four_ulp = 4 * np.finfo(np.float64).eps * np.abs(reference).max()
+        np.testing.assert_allclose(scores, reference, rtol=1e-12, atol=four_ulp)
+

@@ -438,7 +438,8 @@ class TestCheckpointBitIdentity:
         sharded_cfg = sweep_config(sharding=SHARDED)
         with FederatedSimulation(dense_cfg) as dense:
             with FederatedSimulation(sharded_cfg) as sharded:
-                assert dense._config_digest() == sharded._config_digest()
+                assert dense.config_digest == sharded.config_digest
+                assert sharded.state.manifest.config_digest == sharded.config_digest
 
     def test_process_rounds_counter_survives_resume(self, tmp_path):
         cfg = sweep_config(rounds=6, sharding=SHARDED)

@@ -455,5 +455,5 @@ class TestEngineStorePath:
     def test_store_rounds_never_fall_back_to_stacking(self, tiny_mf_config):
         sim = FederatedSimulation(tiny_mf_config, engine="batch")
         sim.run(rounds=4)
-        assert sim._batch_engine.state is sim.state
+        assert sim._batch_engine.store is sim.state
         assert sim._batch_engine.stacked_rounds == 0

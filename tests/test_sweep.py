@@ -13,6 +13,7 @@ from repro.config import (
     DefenseConfig,
     ExperimentConfig,
     ModelConfig,
+    ShardingConfig,
     TrainConfig,
     replace,
 )
@@ -213,6 +214,22 @@ class TestCacheKeys:
         )
         assert cell_cache_key(base, fp) != cell_cache_key(
             replace(base, kind="pkl_ucr", payload=(1, 10)), fp
+        )
+
+    def test_key_ignores_knobs(self, tiny_dataset):
+        # A numpy-run, dense cache serves native, sharded and any
+        # evaluation block size verbatim; an identity field still splits.
+        fp = dataset_fingerprint(tiny_dataset)
+        config = _tiny_config()
+        base = CellSpec(config=config)
+        knobbed = replace(
+            config,
+            train=replace(config.train, kernels="native", eval_chunk_users=7),
+            sharding=ShardingConfig(num_shards=2, round_workers=2),
+        )
+        assert cell_cache_key(base, fp) == cell_cache_key(CellSpec(config=knobbed), fp)
+        assert cell_cache_key(base, fp) != cell_cache_key(
+            CellSpec(config=replace(config, seed=config.seed + 1)), fp
         )
 
     def test_fingerprint_tracks_content(self, tiny_dataset):
