@@ -18,12 +18,19 @@ points call :func:`emit_bench_json` directly.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from typing import Any
 
 from repro.persistence import save_json_digested
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+#: The ratio benches time their slow legs on the per-client reference
+#: round in ``tests/reference/``, imported as ``reference``.
+TESTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
+if TESTS_DIR not in sys.path:
+    sys.path.append(TESTS_DIR)
 
 __all__ = ["RESULTS_DIR", "emit_bench_json", "peak_rss_bytes"]
 

@@ -79,7 +79,7 @@ def _config(attack: str, defense: str, model_kind: str = "mf", **kwargs) -> Expe
 
 
 def _run(config: ExperimentConfig):
-    sim = FederatedSimulation(config, engine="batch")
+    sim = FederatedSimulation(config)
     result = sim.run()
     return result, sim.model.item_embeddings.copy()
 

@@ -72,7 +72,7 @@ def _config(scale, rounds, users_per_round, **kwargs) -> ExperimentConfig:
 
 def _one_run(config: ExperimentConfig) -> tuple[float, object, np.ndarray]:
     """Seconds-per-round plus the final item table of one run."""
-    sim = FederatedSimulation(config, engine="batch")
+    sim = FederatedSimulation(config)
     started = time.perf_counter()
     result = sim.run()
     elapsed = time.perf_counter() - started

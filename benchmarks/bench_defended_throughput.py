@@ -1,4 +1,4 @@
-"""Defended-round throughput: batched UpdateBatch path vs materialised.
+"""Defended-round throughput: batched UpdateBatch path vs per-client.
 
 Not a paper table — this benchmarks the *defended* server fast path at
 production round size (1000 sampled clients, Krum aggregation plus a
@@ -13,10 +13,10 @@ they differ only in the server hand-off:
 * **batched** — the shipping path: the round stays an
   :class:`~repro.federated.UpdateBatch`; the filter runs via
   ``filter_batch`` and Krum via grouped ``aggregate_stacks`` kernels.
-* **materialised** — the reference fallback, forced by wrapping the
-  filter in a plain function (no ``filter_batch``): per-client
-  updates are rebuilt, the filter walks them one by one, and the
-  server groups gradients per item in Python dicts.
+* **materialised** — the per-client reference ingestion from
+  ``tests/reference/``: per-client updates are rebuilt, the filter
+  walks them one by one, and the server groups gradients per item in
+  Python dicts.
 
 The headline scenario is the pure defended round (the ``>= 3x``
 acceptance floor); a second scenario adds an active PIECK-UEA attack
@@ -25,10 +25,7 @@ smaller because the attacker's own (engine-independent) mining and
 inner-optimisation cost rides on both variants.
 
 Acceptance: the batched defended path must be >= 3x faster in the
-headline scenario, produce bit-identical results, and must not have
-fallen back to materialisation silently
-(``Server.materialized_rounds == 0``) — the regression this CI smoke
-exists to catch.
+headline scenario and produce bit-identical results.
 
 Run with::
 
@@ -43,6 +40,7 @@ import time
 import numpy as np
 
 from _harness import emit_bench_json
+from reference import apply_updates, to_updates
 from repro.config import (
     AttackConfig,
     DatasetConfig,
@@ -78,14 +76,13 @@ def _config(attacked: bool) -> ExperimentConfig:
 
 
 def _build(dataset, *, attacked: bool, materialised: bool) -> FederatedSimulation:
-    sim = FederatedSimulation(_config(attacked), dataset=dataset, engine="batch")
-    norm_filter = NormBoundFilter(0.0)
+    sim = FederatedSimulation(_config(attacked), dataset=dataset)
+    server = sim.server
+    server.update_filter = NormBoundFilter(0.0)
     if materialised:
-        # A bare function exposes no ``filter_batch``, forcing the
-        # server's materialised reference path for the whole round.
-        sim.server.update_filter = lambda updates: norm_filter(updates)
-    else:
-        sim.server.update_filter = norm_filter
+        # The engine hands the server the same batch; the reference
+        # ingests it one per-client update at a time.
+        server.apply_batch = lambda batch: apply_updates(server, to_updates(batch))
     return sim
 
 
@@ -109,8 +106,6 @@ def _parity_check(dataset) -> None:
     assert np.array_equal(
         batched.model.item_embeddings, reference.model.item_embeddings
     )
-    assert batched.server.materialized_rounds == 0
-    assert reference.server.materialized_rounds == 3
 
 
 def run_defended_throughput() -> tuple[str, dict[str, float], dict]:
@@ -133,13 +128,9 @@ def run_defended_throughput() -> tuple[str, dict[str, float], dict]:
         materialised_spr = _measure(
             _build(dataset, attacked=attacked, materialised=True), rounds=5
         )
-        batched_sim = _build(dataset, attacked=attacked, materialised=False)
-        batched_spr = _measure(batched_sim, rounds=12)
-        if batched_sim.server.materialized_rounds:
-            raise AssertionError(
-                "batched defended round silently fell back to materialised "
-                f"updates ({batched_sim.server.materialized_rounds} rounds)"
-            )
+        batched_spr = _measure(
+            _build(dataset, attacked=attacked, materialised=False), rounds=12
+        )
         speedups[name] = materialised_spr / batched_spr
         scenarios_payload[name] = {
             "attack": "pieck_uea@0.05" if attacked else "none",
@@ -158,7 +149,7 @@ def run_defended_throughput() -> tuple[str, dict[str, float], dict]:
             )
     lines.append(
         f"acceptance: defended speedup {speedups['defended']:.2f}x "
-        f"(floor {SPEEDUP_FLOOR:.1f}x), no silent materialisation"
+        f"(floor {SPEEDUP_FLOOR:.1f}x), bit-identical models"
     )
     payload = {
         "config": {
@@ -171,7 +162,6 @@ def run_defended_throughput() -> tuple[str, dict[str, float], dict]:
             "defense": "krum + norm_bound filter",
         },
         "scenarios": scenarios_payload,
-        "materialized_rounds_on_batched_path": 0,
     }
     return "\n".join(lines), speedups, payload
 

@@ -1,4 +1,4 @@
-"""Round-throughput comparison: loop vs batch federated engine.
+"""Round-throughput comparison: reference loop vs batch federated engine.
 
 Not a paper table — this benchmarks the execution engines themselves
 on synthetic datasets at production round size (1000 sampled clients
@@ -8,9 +8,10 @@ the paper's datasets (Table VIII): an Amazon-like sparse regime
 MovieLens-100K-like dense regime (~40 interactions/user).
 
 Acceptance: the vectorised batch engine must process >= 5x the
-clients/sec of the reference per-client loop in the primary regime —
-while producing bit-identical trajectories (asserted here on the
-measured simulations and exhaustively in tests/test_batch_engine.py).
+clients/sec of the per-client reference loop (``tests/reference/``) in
+the primary regime — while producing bit-identical trajectories
+(asserted here on the measured simulations and exhaustively in
+tests/test_batch_engine.py).
 
 Run with::
 
@@ -25,6 +26,7 @@ import time
 import numpy as np
 
 from _harness import emit_bench_json
+from reference import LoopSimulation
 from repro.config import DatasetConfig, ExperimentConfig, ModelConfig, TrainConfig
 from repro.datasets.synthetic import generate_longtail_dataset
 from repro.federated.simulation import FederatedSimulation
@@ -38,9 +40,13 @@ REGIMES = (
 )
 
 
+#: Simulation class per measured engine.
+ENGINES = {"loop": LoopSimulation, "batch": FederatedSimulation}
+
+
 def _measure(config, dataset, engine: str, rounds: int) -> float:
     """Median seconds/round over ``rounds`` measured rounds (one warm-up)."""
-    sim = FederatedSimulation(config, dataset=dataset, engine=engine)
+    sim = ENGINES[engine](config, dataset=dataset)
     samples = []
     for round_idx in range(rounds + 1):
         started = time.perf_counter()
@@ -109,8 +115,8 @@ def _parity_spot_check() -> None:
     config = _config()
     dataset = generate_longtail_dataset(1_000, 2_000, 12_000, seed=1)
     sims = {
-        engine: FederatedSimulation(config, dataset=dataset, engine=engine)
-        for engine in ("loop", "batch")
+        engine: simulation(config, dataset=dataset)
+        for engine, simulation in ENGINES.items()
     }
     for round_idx in range(3):
         for sim in sims.values():

@@ -86,7 +86,7 @@ def _one_run(config: ExperimentConfig, stripped: bool) -> tuple[float, object, n
     if stripped:
         Server._gate_batch = lambda self, batch: batch
     try:
-        sim = FederatedSimulation(config, engine="batch")
+        sim = FederatedSimulation(config)
         started = time.perf_counter()
         result = sim.run()
         elapsed = time.perf_counter() - started
@@ -159,7 +159,7 @@ def dropout_degradation(scale, rounds, users_per_round) -> list[dict]:
             attack=AttackConfig(name="pieck_uea", malicious_ratio=0.1, mining_rounds=2),
             faults=FaultConfig(dropout_rate=rate),
         )
-        sim = FederatedSimulation(cfg, engine="batch")
+        sim = FederatedSimulation(cfg)
         result = sim.run()
         assert np.isfinite(sim.model.item_embeddings).all()
         if rate > 0:

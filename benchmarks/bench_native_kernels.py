@@ -26,8 +26,7 @@ Acceptance: the native backend must be >= 2x faster in the
 floor-enforced scenario, bit-identical (spot-checked over the first rounds before
 timing), and must not have fallen back to numpy silently — zero
 ``kernel_fallback_rounds`` on every engine and zero counted
-``fallback_calls`` on the backend (the same anti-fallback contract as
-``materialized_rounds``).
+``fallback_calls`` on the backend.
 
 Run with::
 
@@ -86,7 +85,7 @@ def _config(backend: str, defense: str, attack: str | None, dim: int):
 
 def _build(dataset, backend: str, defense: str, attack, dim) -> FederatedSimulation:
     return FederatedSimulation(
-        _config(backend, defense, attack, dim), dataset=dataset, engine="batch"
+        _config(backend, defense, attack, dim), dataset=dataset
     )
 
 

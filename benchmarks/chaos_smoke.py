@@ -58,7 +58,7 @@ def _config(attack: str, defense: str) -> ExperimentConfig:
 
 
 def _run(config: ExperimentConfig):
-    sim = FederatedSimulation(config, engine="batch")
+    sim = FederatedSimulation(config)
     result = sim.run()
     return result, sim.model.item_embeddings.copy()
 

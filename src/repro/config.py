@@ -135,6 +135,19 @@ class TrainConfig:
     #: construction instead of silently falling back.
     kernels: str | None = field(default=None, metadata=KNOB)
 
+    def __post_init__(self) -> None:
+        if self.client_lr_range is not None:
+            low, high = self.client_lr_range
+            if not 0 < low <= high:
+                raise ValueError(
+                    f"client_lr_range must satisfy 0 < low <= high, got "
+                    f"{tuple(self.client_lr_range)}"
+                )
+        if self.eval_chunk_users is not None and self.eval_chunk_users <= 0:
+            raise ValueError(
+                f"eval_chunk_users must be positive, got {self.eval_chunk_users}"
+            )
+
     @property
     def effective_client_lr(self) -> float:
         """Client-side learning rate (defaults to the server rate)."""

@@ -22,9 +22,13 @@ per-*row* scale clip derived from the paper's own Eq. 11 analysis:
   own rows, and the cross-client median of those is the scale. One
   value per client means neither a few huge poison rows nor a flood of
   thousands of tiny rows from one client can move the statistic.
-* Every row is clipped to a small multiple of that scale. (An optional
-  per-tensor variant for DL-FRS interaction parameters exists but is
-  off by default — see ``include_params`` below.)
+* Every row is clipped to a small multiple of that scale.  DL-FRS
+  interaction-parameter gradients pass through unclipped: a tensor
+  mixes the poison direction with the benign learning signal, so
+  whole-tensor clipping blunts the benign clients' corrective
+  gradients more than the (few, same-bounded) poisonous ones — on NCF
+  it was measured to regress A-hum containment from ER ~5 to ER 100.
+  Row-granular statistics are what make the item-side clip sound.
 
 A poisonous row that encodes a ``delta / eta`` jump needs a norm far
 above the benign scale to move a cold embedding in one round; after
@@ -76,40 +80,16 @@ class ItemScaleClip:
         across rounds (0 disables smoothing). Smoothing prevents an
         attacker who is heavily sampled in one round from dragging the
         round-local scale.
-    include_params:
-        Also clip interaction-parameter gradients (DL-FRS) per tensor,
-        each against the cross-client median norm of that tensor's
-        uploads. **Off by default — measured to backfire.** A tensor
-        mixes the poison direction with the benign learning signal, so
-        whole-tensor clipping blunts the benign clients' corrective
-        gradients more than the (few, same-bounded) poisonous ones: on
-        NCF, A-hum containment regresses from ER ~5 to ER 100 when
-        this is enabled (EXPERIMENTS.md). Row-granular statistics are
-        what make the item-side clip sound; parameter tensors lack
-        that granularity.
     """
 
-    def __init__(
-        self,
-        factor: float = 0.5,
-        history: float = 0.5,
-        include_params: bool = False,
-    ):
+    def __init__(self, factor: float = 0.5, history: float = 0.5):
         if factor <= 0:
             raise ValueError("factor must be positive")
         if not 0.0 <= history < 1.0:
             raise ValueError("history must lie in [0, 1)")
         self.factor = factor
         self.history = history
-        self.include_params = include_params
         self._smoothed_median: float | None = None
-        self._smoothed_param_medians: list[float] = []
-        if include_params:
-            # Whole-tensor parameter norms need materialised updates;
-            # exposing no ``filter_batch`` routes the server to its
-            # reference path, where the fallback is *counted*
-            # (``Server.materialized_rounds``) instead of hidden.
-            self.filter_batch = None
 
     # ------------------------------------------------------------------
     # Scale calibration
@@ -142,31 +122,6 @@ class ItemScaleClip:
             )
         return self._smoothed_median
 
-    def _param_bounds(self, updates: Sequence[ClientUpdate]) -> list[float]:
-        """Per-tensor clip bounds from cross-client median norms."""
-        stacks: list[list[float]] = []
-        for update in updates:
-            for index, grad in enumerate(update.param_grads):
-                while len(stacks) <= index:
-                    stacks.append([])
-                norm = float(np.linalg.norm(grad))
-                if norm > 0:
-                    stacks[index].append(norm)
-        bounds: list[float] = []
-        for index, norms in enumerate(stacks):
-            median = _lower_median(np.asarray(norms)) if norms else 0.0
-            while len(self._smoothed_param_medians) <= index:
-                self._smoothed_param_medians.append(median)
-            if self.history > 0.0:
-                self._smoothed_param_medians[index] = (
-                    self.history * self._smoothed_param_medians[index]
-                    + (1.0 - self.history) * median
-                )
-            else:
-                self._smoothed_param_medians[index] = median
-            bounds.append(self.factor * self._smoothed_param_medians[index])
-        return bounds
-
     # ------------------------------------------------------------------
     # Filtering
     # ------------------------------------------------------------------
@@ -175,29 +130,21 @@ class ItemScaleClip:
         if not updates:
             return updates
         scale = self._update_scale(self._round_median(updates))
-        param_bounds = (
-            self._param_bounds(updates) if self.include_params else []
-        )
-        if scale <= 0.0 and not any(b > 0 for b in param_bounds):
+        if scale <= 0.0:
             return updates
         bound = self.factor * scale
         clipped: list[ClientUpdate] = []
         for update in updates:
             item_grads = self._clip_rows(update.item_grads, bound)
-            param_grads = self._clip_params(update.param_grads, param_bounds)
-            if item_grads is None and param_grads is None:
+            if item_grads is None:
                 clipped.append(update)
                 continue
             clipped.append(
                 ClientUpdate(
                     user_id=update.user_id,
                     item_ids=update.item_ids,
-                    item_grads=(
-                        update.item_grads if item_grads is None else item_grads
-                    ),
-                    param_grads=(
-                        update.param_grads if param_grads is None else param_grads
-                    ),
+                    item_grads=item_grads,
+                    param_grads=update.param_grads,
                     malicious=update.malicious,
                 )
             )
@@ -211,9 +158,8 @@ class ItemScaleClip:
         computation bit for bit); the median-of-medians calibration
         walks client segments of that norm vector; the row clip is one
         masked multiply over the stack.  The EMA state advances exactly
-        as in the reference path, so a filter instance may serve either
-        entry point across rounds.  (``include_params`` instances
-        expose no ``filter_batch`` at all — see ``__init__``.)
+        as in the per-update path, so a filter instance may serve either
+        entry point across rounds.
         """
         if batch.num_clients == 0:
             return batch
@@ -252,22 +198,3 @@ class ItemScaleClip:
         out = grads.copy()
         out[over] *= (bound / row_norms[over])[:, None]
         return out
-
-    @staticmethod
-    def _clip_params(
-        grads: list[np.ndarray], bounds: list[float]
-    ) -> list[np.ndarray] | None:
-        """Tensors clipped to their bounds, or ``None`` if unchanged."""
-        if not grads or not bounds:
-            return None
-        changed = False
-        out: list[np.ndarray] = []
-        for index, grad in enumerate(grads):
-            bound = bounds[index] if index < len(bounds) else 0.0
-            norm = float(np.linalg.norm(grad))
-            if bound > 0.0 and norm > bound:
-                out.append(grad * (bound / norm))
-                changed = True
-            else:
-                out.append(grad)
-        return out if changed else None

@@ -71,7 +71,8 @@ def re2_value(
 class ClientRegularizer(Stateful):
     """Per-benign-client defense state and gradient terms.
 
-    The hook protocol used by :class:`repro.federated.BenignClient`:
+    The hook protocol the batch engine runs per defended client (and
+    the per-client reference in ``tests/reference/client.py``):
 
     * ``observe(item_matrix)`` — feed the received global item matrix
       into the client's own popular item miner;

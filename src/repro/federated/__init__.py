@@ -1,4 +1,4 @@
-"""Federated recommendation core: clients, server, round-loop simulation.
+"""Federated recommendation core: client state, server, round simulation.
 
 The training protocol follows Section III-A of the paper: each round
 the server samples a batch of users, sends them the global model (item
@@ -11,7 +11,6 @@ from repro.federated.aggregation import Aggregator, SumAggregator, scatter_sum
 from repro.federated.async_engine import AsyncFederationEngine, AsyncStats
 from repro.federated.audit import ItemRoundRecord, ServerAuditLog
 from repro.federated.batch_engine import BatchClientEngine
-from repro.federated.client import BenignClient
 from repro.federated.clock import AsyncPlan, EventQueue, VirtualClock
 from repro.federated.faults import (
     FaultController,
@@ -22,7 +21,7 @@ from repro.federated.faults import (
 from repro.federated.payload import ClientUpdate
 from repro.federated.server import Server
 from repro.federated.simulation import EvalRecord, FederatedSimulation, SimulationResult
-from repro.federated.state import ClientStateStore, ClientViewList
+from repro.federated.state import ClientStateStore
 from repro.federated.update_batch import UpdateBatch
 
 __all__ = [
@@ -32,9 +31,7 @@ __all__ = [
     "SumAggregator",
     "scatter_sum",
     "BatchClientEngine",
-    "BenignClient",
     "ClientStateStore",
-    "ClientViewList",
     "Server",
     "FaultController",
     "FaultPlan",

@@ -8,7 +8,7 @@ item and per round, how many clients contributed a gradient and with
 what mass — so the theory can be checked against a live simulation
 (see :mod:`repro.analysis.audit` and ``examples/defense_audit.py``).
 
-The ``malicious`` flag on :class:`~repro.federated.payload.ClientUpdate`
+The ``malicious`` flag on :class:`~repro.federated.update_batch.UpdateBatch`
 is ground-truth bookkeeping available to analysis code only; a real
 server cannot see it, and no defense in :mod:`repro.defenses` reads it.
 """
@@ -16,11 +16,9 @@ server cannot see it, and no defense in :mod:`repro.defenses` reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from repro.federated.payload import ClientUpdate
 from repro.federated.update_batch import UpdateBatch
 from repro.stateful import Stateful
 
@@ -64,9 +62,9 @@ class ServerAuditLog(Stateful):
     """Accumulates :class:`ItemRoundRecord` rows across training rounds.
 
     Attach to a :class:`repro.federated.server.Server` via its
-    ``audit_log`` argument; the server calls :meth:`record` with the
-    raw uploads of every round (before any defense filter runs, so the
-    log reflects what the attacker actually sent).
+    ``audit_log`` argument; the server calls :meth:`record_batch` with
+    the raw uploads of every round (before any defense filter runs, so
+    the log reflects what the attacker actually sent).
     """
 
     STATE = ("records", "_round_idx")
@@ -74,42 +72,15 @@ class ServerAuditLog(Stateful):
     records: list[ItemRoundRecord] = field(default_factory=list)
     _round_idx: int = 0
 
-    def record(self, updates: Sequence[ClientUpdate]) -> None:
-        """Append one round's per-item contribution statistics."""
-        benign_counts: dict[int, int] = {}
-        malicious_counts: dict[int, int] = {}
-        benign_norms: dict[int, float] = {}
-        malicious_norms: dict[int, float] = {}
-        for update in updates:
-            counts = malicious_counts if update.malicious else benign_counts
-            norms = malicious_norms if update.malicious else benign_norms
-            row_norms = np.linalg.norm(update.item_grads, axis=1)
-            for item_id, norm in zip(update.item_ids, row_norms):
-                item_id = int(item_id)
-                counts[item_id] = counts.get(item_id, 0) + 1
-                norms[item_id] = norms.get(item_id, 0.0) + float(norm)
-        for item_id in sorted(set(benign_counts) | set(malicious_counts)):
-            self.records.append(
-                ItemRoundRecord(
-                    round_idx=self._round_idx,
-                    item_id=item_id,
-                    benign_count=benign_counts.get(item_id, 0),
-                    malicious_count=malicious_counts.get(item_id, 0),
-                    benign_norm=benign_norms.get(item_id, 0.0),
-                    malicious_norm=malicious_norms.get(item_id, 0.0),
-                )
-            )
-        self._round_idx += 1
-
     def record_batch(self, batch: UpdateBatch) -> None:
-        """Append one round's statistics from a dense update batch.
+        """Append one round's per-item contribution statistics.
 
-        Produces records identical to :meth:`record` on the equivalent
-        materialised updates: row norms are a row-wise reduction (the
-        same values either way), and ``np.bincount`` accumulates its
-        weights sequentially in row order — the upload order the
-        reference path's dict accumulation follows — so every norm sum
-        is bit-identical.
+        Records are identical to the per-client reference's on the
+        equivalent materialised updates: row norms are a row-wise
+        reduction (the same values either way), and ``np.bincount``
+        accumulates its weights sequentially in row order — the upload
+        order the reference's dict accumulation follows — so every norm
+        sum is bit-identical.
         """
         if len(batch.item_ids) == 0:
             self._round_idx += 1

@@ -1,8 +1,8 @@
 """Vectorised batch-client execution engine for federated rounds.
 
-The reference implementation of one communication round (the "loop"
-engine in :class:`~repro.federated.simulation.FederatedSimulation`)
-trains each sampled client in pure Python: per-client RNG spawn,
+The reference implementation of one communication round (the
+per-client loop in ``tests/reference/``) trains each sampled client in
+pure Python: per-client RNG spawn,
 negative sampling, forward/backward, upload, then a per-item grouped
 aggregation at the server.  At production round sizes the Python
 per-client overhead — not the arithmetic — dominates wall-clock time.
@@ -36,8 +36,7 @@ passes over all sampled participants at once:
    :meth:`~repro.federated.server.Server.apply_batch`, which runs the
    whole server side — audit log, defense filters, robust or fused-sum
    aggregation — on the stacked tensors.  No per-client
-   :class:`ClientUpdate` objects are materialised for any registry
-   defense, filter, or audit configuration.
+   ``ClientUpdate`` objects are materialised.
 
 Each step has one implementation.  The malicious half of the round
 runs through the simulation's
@@ -55,14 +54,13 @@ module-level :func:`_compute_benign_stacks`, run in-process or — the
 same code object — by the :class:`ProcessRoundExecutor`'s workers.
 
 Bit-exactness is a design invariant, not an approximation: every RNG
-stream, every row-wise op, and every reduction matches the loop engine
-bit for bit (NumPy scatters and reduces sequentially, so grouping rows
-per item and summing matches scattering them in upload order), and so
-``engine="loop"`` and ``engine="batch"`` produce identical
-trajectories from the same seed.  The parity suites in
-``tests/test_batch_engine.py`` and ``tests/test_batch_defended.py``
-(every registry defense x attack x model/loss combination) assert
-exactly that.
+stream, every row-wise op, and every reduction matches the per-client
+reference bit for bit (NumPy scatters and reduces sequentially, so
+grouping rows per item and summing matches scattering them in upload
+order), and so both produce identical trajectories from the same
+seed.  The parity suites in ``tests/test_batch_engine.py`` and
+``tests/test_batch_defended.py`` (every registry defense x attack x
+model/loss combination) assert exactly that.
 """
 
 from __future__ import annotations
@@ -120,7 +118,7 @@ def _bpr_stacks_fn(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stacked BPR pairs, trained and merged to per-client uploads.
 
-    Mirrors ``BenignClient._bpr_step`` for the whole stack: pair each
+    Mirrors the per-client reference BPR step for the whole stack: pair each
     positive with one freshly sampled negative (truncating positives
     when negatives are scarce), run the batched pairwise step, then
     merge each client's duplicate item rows exactly as the reference's
@@ -223,8 +221,8 @@ def _apply_regularizers(
 ) -> None:
     """Add each client's defense gradient terms to the batch result.
 
-    Mirrors the regularizer hook sequence of
-    :meth:`BenignClient.participate` on each client's row segment of
+    Mirrors the regularizer hook sequence of the per-client reference
+    ``participate`` on each client's row segment of
     the stacked tensors (``user_vecs`` rows are the pre-update
     embeddings the reference hooks see); the hooks themselves are
     already vectorised, so this per-client pass costs one hook call

@@ -10,26 +10,24 @@ that failure model a first-class, *deterministic* layer:
   are drawn from ``spawn(seed, "fault-plan", round_idx)`` — the same
   spawn discipline as every client RNG stream — so the schedule is a
   pure function of ``(seed, FaultConfig, round_idx, round size)``:
-  same seed, same faults, independent of execution engine, kernel
-  backend, wall-clock or checkpoint/resume boundaries.
+  same seed, same faults, independent of kernel backend, sharding,
+  wall-clock or checkpoint/resume boundaries.
 * :class:`StalenessBuffer` — the runtime's one holding area for late
   uploads, shared with the asynchronous engine: ``UpdateBatch`` parts
   parked until due, then spliced into a later aggregation scaled by a
   FedAsync-style ``staleness_discount ** delay`` factor.
 * :class:`FaultController` — applies one round's scheduled faults to
-  the round's uploads, on *either* engine: the batch engine hands it
-  the assembled :class:`~repro.federated.update_batch.UpdateBatch`,
-  the reference loop engine its ``ClientUpdate`` list.  Both paths
-  share the fault schedule and park and drain through the same
-  buffer, so they stay bit-identical under faults exactly as they are
-  without (asserted by the fault parity suite).
+  the round's assembled
+  :class:`~repro.federated.update_batch.UpdateBatch` as array ops.
+  The per-client reference the fault parity suite compares it
+  against lives in ``tests/reference/``.
 * :class:`FaultStats` — the full accounting surfaced on
   :class:`~repro.federated.simulation.SimulationResult`.  Nothing is
   ever dropped silently: every injected fault, every stale splice,
   every server-side rejection and every quorum-skipped round is
   counted.
 
-Semantics of each fault (shared by both engines):
+Semantics of each fault:
 
 * **dropout** — the client trains locally (its private user embedding
   advances) but the upload never reaches the server, exactly like a
@@ -57,7 +55,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.config import FaultConfig
-from repro.federated.payload import ClientUpdate
 from repro.federated.update_batch import UpdateBatch
 from repro.rng import spawn
 from repro.stateful import Stateful
@@ -258,11 +255,10 @@ class FaultController(Stateful):
     One controller per simulation; it owns the :class:`FaultPlan`, the
     :class:`StalenessBuffer` and the injection counters (``counts``,
     keyed by :class:`FaultStats` field names).  The fault of a sampled
-    client is keyed by its *user id* (sampled positions and upload
-    entries both carry global user ids, on both engines), so clients
-    that upload nothing this round — e.g. a PIECK miner still
-    accumulating observations — consume their scheduled fault as a
-    no-op on both engines identically.
+    client is keyed by its *user id* (sampled positions and upload rows
+    both carry global user ids), so clients that upload nothing this
+    round — e.g. a PIECK miner still accumulating observations —
+    consume their scheduled fault as a no-op.
 
     Stragglers park with ``due = round + delay`` and every round drains
     at ``now = round``, so a straggler lands exactly ``delay`` rounds
@@ -288,10 +284,6 @@ class FaultController(Stateful):
             "stale_applied": self.buffer.tallies["stale_applied"],
             "stale_pending": self.buffer.pending,
         }
-
-    # ------------------------------------------------------------------
-    # Batch-engine path
-    # ------------------------------------------------------------------
 
     def apply_to_batch(
         self, batch: UpdateBatch, sampled: Sequence[int], round_idx: int
@@ -329,65 +321,7 @@ class FaultController(Stateful):
             return batch
         return UpdateBatch.concat([batch, arrivals])
 
-    # ------------------------------------------------------------------
-    # Loop-engine path
-    # ------------------------------------------------------------------
-
-    def apply_to_updates(
-        self,
-        updates: list[ClientUpdate],
-        sampled: Sequence[int],
-        round_idx: int,
-    ) -> list[ClientUpdate]:
-        """Faulted view of one round's materialised uploads.
-
-        The reference for :meth:`apply_to_batch`: the same fault
-        schedule assigned one upload at a time, the same corruption
-        values, and the same buffer (one part per straggler) — so the
-        two engines stay bit-identical under any fault schedule.
-        """
-        faults = self.plan.round_faults(round_idx, len(sampled))
-        arrivals = self.buffer.drain(round_idx)
-        if not faults.any_fault and not arrivals.num_clients:
-            return updates
-
-        kind_by_user = {
-            int(user): (int(kind), int(delay))
-            for user, kind, delay in zip(sampled, faults.kinds, faults.delays)
-            if kind != FAULT_NONE
-        }
-        surviving: list[ClientUpdate] = []
-        for update in updates:
-            kind, delay = kind_by_user.get(update.user_id, (FAULT_NONE, 0))
-            if kind == FAULT_NONE:
-                surviving.append(update)
-            elif kind == FAULT_DROPOUT:
-                self.counts["dropped_uploads"] += 1
-            elif kind == FAULT_STRAGGLER:
-                self.buffer.park(
-                    UpdateBatch.from_updates([update]), round_idx, round_idx + delay
-                )
-                self.counts["deferred_uploads"] += 1
-            else:  # FAULT_CORRUPTION
-                item_grads = update.item_grads.copy()
-                self._corrupt(item_grads)
-                surviving.append(
-                    ClientUpdate(
-                        user_id=update.user_id,
-                        item_ids=update.item_ids.copy(),
-                        item_grads=item_grads,
-                        param_grads=update.param_grads,
-                        malicious=update.malicious,
-                    )
-                )
-                self.counts["corrupted_uploads"] += 1
-        return surviving + arrivals.to_updates()
-
-    # ------------------------------------------------------------------
-    # Shared pieces
-    # ------------------------------------------------------------------
-
-    def _corrupt(self, grads: np.ndarray, rows=Ellipsis) -> None:
+    def _corrupt(self, grads: np.ndarray, rows: np.ndarray) -> None:
         """In-transit corruption of ``grads[rows]``, in place."""
         mode = self.config.corruption_mode
         if mode == "nan":

@@ -71,32 +71,6 @@ class ClientUpdate:
         if len(np.unique(self.item_ids)) != len(self.item_ids):
             raise ValueError("duplicate item ids in a single update")
 
-    @classmethod
-    def trusted(
-        cls,
-        user_id: int,
-        item_ids: np.ndarray,
-        item_grads: np.ndarray,
-        param_grads: list[np.ndarray],
-        malicious: bool,
-    ) -> "ClientUpdate":
-        """Construct without re-validating already-validated rows.
-
-        For hot paths that slice updates out of an
-        :class:`~repro.federated.update_batch.UpdateBatch` whose rows
-        passed ``__post_init__`` when first uploaded: the per-client
-        duplicate scan is O(n log n) each and dominates wave dispatch
-        in the asynchronous engine.  Caller guarantees dtypes and
-        alignment.
-        """
-        update = cls.__new__(cls)
-        update.user_id = user_id
-        update.item_ids = item_ids
-        update.item_grads = item_grads
-        update.param_grads = param_grads
-        update.malicious = malicious
-        return update
-
     @property
     def total_norm(self) -> float:
         """L2 norm of the full uploaded gradient (items + parameters)."""

@@ -5,32 +5,28 @@ Section III-A: it randomly selects a user batch, and after receiving
 uploads it updates every item embedding (and, for DL-FRS, every
 interaction parameter) by ``param <- param - eta * Agg(grads)``.
 
-An optional *update filter* hook lets server-side defenses such as
-NormBound pre-process whole client uploads before aggregation.
+An optional *update filter* lets server-side defenses such as
+NormBound transform the round's uploads before aggregation.
 
-Two ingestion paths produce bit-identical results:
-
-* :meth:`Server.apply_batch` — what every batch-engine round goes
-  through, whatever the configuration: the whole round arrives as one
-  dense :class:`UpdateBatch`; audit, filters and aggregation (one fused
-  :func:`~repro.federated.aggregation.scatter_sum` and a single dense
-  SGD step under plain sum, grouped ``aggregate_stacks`` kernels under
-  robust aggregation) all run on the stacked tensors.
-* :meth:`Server.apply_updates` — the reference the parity suites
-  compare against (``FederatedSimulation(engine="loop")``): one
-  :class:`ClientUpdate` per participant, gradients grouped per item,
-  one ``Agg`` call per touched item.
+:meth:`Server.apply_batch` is the one ingestion path: the whole round
+arrives as one dense :class:`UpdateBatch`; audit, filters and
+aggregation (one fused :func:`~repro.federated.aggregation.scatter_sum`
+and a single dense SGD step under plain sum, grouped
+``aggregate_stacks`` kernels under robust aggregation) all run on the
+stacked tensors.  The per-client reference the parity suites compare
+it against (one ``ClientUpdate`` per participant, gradients grouped
+per item, one ``Agg`` call per touched item) lives in
+``tests/reference/``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Protocol
 
 import numpy as np
 
 from repro.federated.aggregation import Aggregator, SumAggregator, scatter_sum
 from repro.federated.audit import ServerAuditLog
-from repro.federated.payload import ClientUpdate
 from repro.federated.update_batch import UpdateBatch
 from repro.models.base import RecommenderModel
 from repro.rng import spawn
@@ -38,7 +34,11 @@ from repro.stateful import Stateful, state_of
 
 __all__ = ["Server"]
 
-UpdateFilter = Callable[[Sequence[ClientUpdate]], Sequence[ClientUpdate]]
+
+class UpdateFilter(Protocol):
+    """A server-side defense that transforms a round's uploads."""
+
+    def filter_batch(self, batch: UpdateBatch) -> UpdateBatch: ...
 
 
 class Server(Stateful):
@@ -48,8 +48,12 @@ class Server(Stateful):
     model's parameters and the audit log's records.
     """
 
+    #: Rounds ingested per client rather than batched: always 0, as
+    #: every round goes through :meth:`apply_batch`.  Kept because the
+    #: perf ledger's runner reports it.
+    materialized_rounds = 0
+
     STATE = (
-        "materialized_rounds",
         "rejected_nonfinite",
         "rejected_oversized",
         "quorum_failed_rounds",
@@ -68,6 +72,12 @@ class Server(Stateful):
         min_quorum: int = 0,
         max_upload_norm: float = 0.0,
     ):
+        if update_filter is not None and not hasattr(update_filter, "filter_batch"):
+            raise TypeError(
+                f"update filter {type(update_filter).__name__} has no "
+                f"filter_batch method; the server ingests whole rounds as "
+                f"an UpdateBatch"
+            )
         self.model = model
         self.lr = lr
         self.aggregator = aggregator if aggregator is not None else SumAggregator()
@@ -84,12 +94,6 @@ class Server(Stateful):
         #: and keeps, the gate *rejects*: a transport-corrupted upload
         #: is garbage, not a large-but-honest gradient.
         self.max_upload_norm = max_upload_norm
-        #: Rounds :meth:`apply_batch` had to materialise per-client
-        #: updates because a component lacks a batched protocol (a
-        #: custom update filter without ``filter_batch``). The
-        #: defended-throughput CI smoke asserts this stays zero for
-        #: every registry defense.
-        self.materialized_rounds = 0
         #: Uploads rejected by the always-on sanity gate because they
         #: carried non-finite gradient values (an attacker — or a
         #: corrupted transport — sending a single NaN row would
@@ -139,45 +143,22 @@ class Server(Stateful):
         batch = min(batch, num_users_total)
         return rng.choice(num_users_total, size=batch, replace=False)
 
-    def apply_updates(self, updates: Sequence[ClientUpdate]) -> None:
-        """Aggregate uploads and take one SGD step on the global model."""
-        if self.audit_log is not None and updates:
-            # Log the raw uploads, before any defense filter touches
-            # them, so the record reflects what clients actually sent.
-            self.audit_log.record(updates)
-        updates = self._gate_updates(updates)
-        if self._below_quorum(len(updates)):
-            return
-        if not updates:
-            return
-        if self.update_filter is not None:
-            updates = self.update_filter(updates)
-
-        self._apply_item_updates(updates)
-        self._apply_param_updates(updates)
-
     def apply_batch(self, batch: UpdateBatch) -> None:
         """Apply one round from a dense :class:`UpdateBatch`.
 
-        The batched ingestion path used by the batch-client engine for
-        *every* server configuration: the audit log records from the
-        stacks, batched filters transform them, and aggregation either
-        collapses into one fused scatter (plain-sum aggregators) or
-        runs the grouped robust kernels
-        (:meth:`_apply_item_batch_grouped`).  Bit-identical to
-        :meth:`apply_updates` on the equivalent materialised updates —
-        the layout invariants of :class:`UpdateBatch` plus the
+        The audit log records from the stacks, the update filter
+        transforms them, and aggregation either collapses into one
+        fused scatter (plain-sum aggregators) or runs the grouped robust
+        kernels (:meth:`_apply_item_batch_grouped`).  Bit-identical to
+        the per-client reference on the equivalent materialised updates
+        — the layout invariants of :class:`UpdateBatch` plus the
         lane-stable aggregator kernels guarantee it, and the parity
         suite in ``tests/test_batch_defended.py`` asserts it for every
         registry defense.
-
-        A custom update filter without a ``filter_batch`` method drops
-        this round back to the materialised reference path (counted in
-        ``materialized_rounds``).
         """
         if self.audit_log is not None and batch.num_clients:
-            # Raw uploads, before any defense filter — same contract
-            # as apply_updates.
+            # Raw uploads, before any defense filter touches them, so
+            # the record reflects what clients actually sent.
             self.audit_log.record_batch(batch)
         batch = self._gate_batch(batch)
         if self._below_quorum(batch.num_clients):
@@ -185,14 +166,7 @@ class Server(Stateful):
         if batch.num_clients == 0:
             return
         if self.update_filter is not None:
-            filter_batch = getattr(self.update_filter, "filter_batch", None)
-            if filter_batch is None:
-                self.materialized_rounds += 1
-                updates = self.update_filter(batch.to_updates())
-                self._apply_item_updates(updates)
-                self._apply_param_updates(updates)
-                return
-            batch = filter_batch(batch)
+            batch = self.update_filter.filter_batch(batch)
 
         if self.aggregator.supports_scatter:
             if len(batch.item_ids):
@@ -227,9 +201,7 @@ class Server(Stateful):
         bit-identical to the ungated engine.
 
         Rejection is per *client*: one bad row discards that client's
-        whole upload (items and parameters), exactly like the
-        materialised path in :meth:`_gate_updates` — the parity suites
-        cover faulted rounds on both engines.
+        whole upload (items and parameters).
         """
         if batch.num_clients == 0:
             return batch
@@ -264,36 +236,6 @@ class Server(Stateful):
             keep &= ~oversized
         return batch.select_clients(keep)
 
-    def _gate_updates(
-        self, updates: Sequence[ClientUpdate]
-    ) -> Sequence[ClientUpdate]:
-        """Materialised-path twin of :meth:`_gate_batch`.
-
-        Same per-client accept/reject decisions and the same counters,
-        so the loop engine stays bit-identical to the batch engine
-        under faults.  Returns the input sequence unchanged when every
-        upload passes.
-        """
-        keep = []
-        rejected = False
-        for update in updates:
-            finite = bool(np.isfinite(update.item_grads).all()) and all(
-                bool(np.isfinite(grad).all()) for grad in update.param_grads
-            )
-            if not finite:
-                self.rejected_nonfinite += 1
-                rejected = True
-                continue
-            if (
-                self.max_upload_norm > 0
-                and update.total_norm > self.max_upload_norm
-            ):
-                self.rejected_oversized += 1
-                rejected = True
-                continue
-            keep.append(update)
-        return keep if rejected else updates
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -303,8 +245,8 @@ class Server(Stateful):
 
         A stable sort by item id regroups the flat round rows into
         per-item contributor stacks whose internal order is the upload
-        order — exactly the stacks :meth:`_apply_item_updates` builds
-        one dict entry at a time.  Items sharing a contributor count
+        order — exactly the stacks the per-client reference builds one
+        dict entry at a time.  Items sharing a contributor count
         form dense ``(groups, count, dim)`` tensors that go through
         the aggregator's grouped kernel in one call each; distinct
         counts are few (bounded by the round's activity profile), so a
@@ -338,39 +280,6 @@ class Server(Stateful):
             return
         deltas: list[np.ndarray] = []
         for param, stack in zip(params, batch.param_stacks):
-            if stack.shape[1:] != param.shape:
-                raise ValueError(
-                    f"parameter gradient shape {stack.shape[1:]} does not "
-                    f"match parameter {param.shape}"
-                )
-            deltas.append(-self.lr * self.aggregator.aggregate(stack))
-        self.model.apply_param_update(deltas)
-
-    def _apply_item_updates(self, updates: Sequence[ClientUpdate]) -> None:
-        per_item: dict[int, list[np.ndarray]] = {}
-        for update in updates:
-            for item_id, grad in zip(update.item_ids, update.item_grads):
-                per_item.setdefault(int(item_id), []).append(grad)
-
-        if not per_item:
-            return
-        item_ids = np.fromiter(per_item.keys(), dtype=np.int64, count=len(per_item))
-        deltas = np.empty((len(item_ids), self.model.embedding_dim))
-        for row, item_id in enumerate(item_ids):
-            stack = np.stack(per_item[int(item_id)])
-            deltas[row] = -self.lr * self.aggregator.aggregate(stack)
-        self.model.apply_item_update(item_ids, deltas)
-
-    def _apply_param_updates(self, updates: Sequence[ClientUpdate]) -> None:
-        params = self.model.interaction_params()
-        if not params:
-            return
-        contributions = [u.param_grads for u in updates if u.param_grads]
-        if not contributions:
-            return
-        deltas: list[np.ndarray] = []
-        for index, param in enumerate(params):
-            stack = np.stack([grads[index] for grads in contributions])
             if stack.shape[1:] != param.shape:
                 raise ValueError(
                     f"parameter gradient shape {stack.shape[1:]} does not "

@@ -399,9 +399,8 @@ class _Shard:
 class ShardedStateStore(ClientStoreBase):
     """Drop-in :class:`ClientStateStore` backed by per-shard segments.
 
-    Implements the exact store surface the batch engine, the
-    ``BenignClient`` view layer, streaming evaluation and checkpoints
-    consume — gather/scatter/row access, CSR positives, per-client
+    Implements the exact store surface the batch engine, streaming
+    evaluation and checkpoints consume — gather/scatter/row access, CSR positives, per-client
     learning rates, lazy regularizers — with the arrays living in
     shared segments instead of one dense private matrix.  Bit-identity
     with the dense store is asserted by the parity suite.

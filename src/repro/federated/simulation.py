@@ -12,18 +12,12 @@ clients' local steps (BCE or BPR) run as stacked tensor ops and the
 server consumes the round as one dense
 :class:`~repro.federated.update_batch.UpdateBatch` — fused scatter
 when undefended, grouped batched kernels for robust aggregators,
-batched filters and audit otherwise.  ``engine="loop"`` selects the
-reference implementation instead — one pure-Python ``participate``
-call per sampled client, per-item grouped aggregation — which exists
-for the parity suites to compare against: both draw from the same
-per-client RNG streams and perform bit-identical arithmetic, so
-trajectories are identical for a given seed.
+batched filters and audit otherwise.  The per-client reference the
+parity suites compare against lives in ``tests/reference/``.
 
 All benign client state is held by one struct-of-arrays
 :class:`~repro.federated.state.ClientStateStore` (dense user-embedding
-matrix + CSR interactions), built in vectorised passes and exposed to
-per-object code through lazily materialised
-:class:`~repro.federated.client.BenignClient` views; evaluation
+matrix + CSR interactions), built in vectorised passes; evaluation
 streams over user blocks so peak memory stays O(block x items)
 regardless of the user count.
 """
@@ -53,7 +47,7 @@ from repro.federated.shards import (
     ShardedStateStore,
     shared_memory_available,
 )
-from repro.federated.state import ClientStateStore, ClientViewList
+from repro.federated.state import ClientStateStore
 from repro.metrics.ranking import (
     exposure_counts_at_k,
     exposure_ratio_from_counts,
@@ -106,9 +100,7 @@ class FederatedSimulation:
         dataset: InteractionDataset | None = None,
         *,
         audit: bool = False,
-        engine: str = "batch",
     ):
-        self.engine = engine
         self.config = config
         #: What this run *is* (:func:`~repro.config.identity_digest`):
         #: binds checkpoints and the shard manifest to the config,
@@ -141,11 +133,10 @@ class FederatedSimulation:
 
         # All benign client state lives in one struct-of-arrays store
         # (embedding matrix + CSR interactions), initialised
-        # bit-identically to the object-per-user draws; the object API
-        # stays available through lazily materialised view clients.
-        # With sharding enabled the store splits into per-shard
-        # shared-memory segments (row u is bit-identical either way —
-        # sharding is a pure throughput/footprint knob).
+        # bit-identically to the object-per-user draws.  With sharding
+        # enabled the store splits into per-shard shared-memory
+        # segments (row u is bit-identical either way — sharding is a
+        # pure throughput/footprint knob).
         sharding = config.sharding
         if sharding.enabled:
             self.state = ShardedStateStore.build(
@@ -169,7 +160,6 @@ class FederatedSimulation:
                 init_scale=config.model.init_scale,
                 regularizer_factory=regularizer_factory,
             )
-        self.benign_clients = ClientViewList(self.state)
 
         num_malicious = num_malicious_for_ratio(
             self.dataset.num_users, attack_cfg.malicious_ratio
@@ -197,11 +187,11 @@ class FederatedSimulation:
             min_quorum=config.faults.min_quorum,
             max_upload_norm=config.faults.max_upload_norm,
         )
-        # One fault controller per simulation, shared by both engines:
-        # its plan is a pure function of (seed, round), its staleness
-        # buffer the only cross-round fault state.  A config that
-        # injects nothing builds no controller — the ideal-synchronous
-        # path stays exactly the pre-fault engine.
+        # One fault controller per simulation: its plan is a pure
+        # function of (seed, round), its staleness buffer the only
+        # cross-round fault state.  A config that injects nothing
+        # builds no controller — the ideal-synchronous path stays
+        # exactly the pre-fault engine.
         self.fault_controller = (
             FaultController(config.faults, config.seed)
             if config.faults.injects_faults
@@ -212,19 +202,17 @@ class FederatedSimulation:
                 self.dataset, config.train.eval_num_negatives, config.seed
             )
         )
-        # Under the batch engine the whole malicious team is driven
-        # through one struct-of-arrays MaliciousCohort (vectorised
-        # participation counters, shared Δ-Norm observation ledger,
-        # stacked uploads); the loop engine keeps the per-object
-        # participate calls as the reference implementation.  The
-        # cohort adopts the same client objects, so they must not be
-        # driven via participate() while a batch simulation runs.
+        # The whole malicious team is driven through one
+        # struct-of-arrays MaliciousCohort (vectorised participation
+        # counters, shared Δ-Norm observation ledger, stacked uploads).
+        # The cohort adopts the client objects, so they must not also
+        # be driven via participate() while this simulation runs.
         self.malicious_cohort = (
             MaliciousCohort(self.malicious_clients)
-            if engine == "batch" and self.malicious_clients
+            if self.malicious_clients
             else None
         )
-        # Multi-process round executor — a compute provider under the
+        # Multi-process round executor — a compute provider to the
         # batch engine, synchronous or asynchronous: benign stacks are
         # computed by per-shard worker processes reading the shared
         # segments, and the parent performs the single scatter —
@@ -241,20 +229,16 @@ class FederatedSimulation:
             if sharding.uses_executor
             else None
         )
-        self._batch_engine = (
-            BatchClientEngine(
-                self.model,
-                self.server,
-                self.state,
-                self.malicious_cohort,
-                config.train,
-                config.seed,
-                kernel_backend=self.kernel_backend,
-                fault_controller=self.fault_controller,
-                executor=self.executor,
-            )
-            if engine == "batch"
-            else None
+        self._batch_engine = BatchClientEngine(
+            self.model,
+            self.server,
+            self.state,
+            self.malicious_cohort,
+            config.train,
+            config.seed,
+            kernel_backend=self.kernel_backend,
+            fault_controller=self.fault_controller,
+            executor=self.executor,
         )
         # The asynchronous event-driven mode wraps the batch engine,
         # whose per-wave math and RNG streams it reuses verbatim.
@@ -279,11 +263,7 @@ class FederatedSimulation:
         segments exist (an exception would keep them linked for as
         long as it is referenced).  One reason per exclusion.
         """
-        config, engine = self.config, self.engine
-        if engine not in ("loop", "batch"):
-            raise ValueError(
-                f"unknown engine {engine!r}; expected 'loop' or 'batch'"
-            )
+        config = self.config
         sharding = config.sharding
         if (
             sharding.enabled
@@ -294,14 +274,6 @@ class FederatedSimulation:
                 "sharding.shared_memory=True but /dev/shm is not "
                 "available; set shared_memory=False for the "
                 "anonymous-mmap backend"
-            )
-        if engine != "batch" and (
-            sharding.uses_executor or config.asynchrony.enabled
-        ):
-            raise ValueError(
-                "sharding.round_workers >= 2 and asynchronous federation "
-                "require engine='batch': the reference loop has no "
-                "batched wave math for workers or the event loop to reuse"
             )
         if sharding.uses_executor and client_regularized:
             raise ValueError(
@@ -356,7 +328,7 @@ class FederatedSimulation:
     @property
     def total_users(self) -> int:
         """Benign + injected malicious user count (the paper's |U|)."""
-        return len(self.benign_clients) + len(self.malicious_clients)
+        return self.state.num_users + len(self.malicious_clients)
 
     def run_round(self, round_idx: int) -> None:
         """Execute one communication round (steps 1-4 of Section III-A).
@@ -372,39 +344,9 @@ class FederatedSimulation:
         sampled = self.server.sample_users(
             self.total_users, self.config.train.users_per_round, round_idx
         )
-        if self._batch_engine is not None:
-            # The engine scopes the round to its own (identical) backend
-            # and keeps the fallback accounting.
-            self._batch_engine.run_round(round_idx, sampled)
-        else:
-            with kernels.use(self.kernel_backend):
-                self._run_round_loop(round_idx, sampled)
-
-    def _run_round_loop(self, round_idx: int, sampled: np.ndarray) -> None:
-        """Reference per-client round: one ``participate`` call per user.
-
-        Kept as the executable specification the batch engine is tested
-        against, bit for bit, by the parity suites.
-        """
-        updates = []
-        num_benign = len(self.benign_clients)
-        for user_id in sampled:
-            user_id = int(user_id)
-            if user_id < num_benign:
-                update = self.benign_clients[user_id].participate(
-                    self.model, self.config.train, round_idx
-                )
-            else:
-                update = self.malicious_clients[user_id - num_benign].participate(
-                    self.model, self.config.train, round_idx
-                )
-            if update is not None:
-                updates.append(update)
-        if self.fault_controller is not None:
-            updates = self.fault_controller.apply_to_updates(
-                updates, [int(u) for u in sampled], round_idx
-            )
-        self.server.apply_updates(updates)
+        # The engine scopes the round to its own (identical) backend
+        # and keeps the fallback accounting.
+        self._batch_engine.run_round(round_idx, sampled)
 
     def run(
         self,
@@ -436,9 +378,9 @@ class FederatedSimulation:
         state restores the trajectory).  Only ``seconds_per_round`` —
         wall-clock over the rounds this process actually executed — is
         exempt.  The simulation must be constructed from the same
-        config (up to its knobs), dataset and engine that wrote the
-        checkpoint (enforced via the config digest and the target-item
-        set).
+        config (up to its knobs) and dataset that wrote the checkpoint
+        (enforced via the config digest and the target-item set), and
+        a checkpoint past ``rounds`` is refused rather than resumed.
         """
         train_cfg = self.config.train
         rounds = train_cfg.rounds if rounds is None else rounds
@@ -462,6 +404,14 @@ class FederatedSimulation:
                         payload = persistence.load_checkpoint(candidate)
                     except persistence.IntegrityError:
                         continue
+                    if payload["next_round"] > rounds:
+                        raise ValueError(
+                            f"checkpoint {candidate!r} resumes at round "
+                            f"{payload['next_round']}, past the {rounds} "
+                            f"rounds requested; ask for at least "
+                            f"{payload['next_round']} rounds or pass "
+                            f"resume=False"
+                        )
                     start_round, history, item_history = self.restore_checkpoint(
                         payload
                     )
@@ -526,8 +476,8 @@ class FederatedSimulation:
     def _components(self) -> dict[str, Stateful | list]:
         """The run's stateful components, keyed by checkpoint name.
 
-        Which of them exist is a function of the config and engine,
-        both bound by the checkpoint, so writer and resumer agree.
+        Which of them exist is a function of the config, which the
+        checkpoint binds, so writer and resumer agree.
         """
         components = {
             "server": self.server,
@@ -556,7 +506,6 @@ class FederatedSimulation:
         """
         return {
             "config_digest": self.config_digest,
-            "engine": self.engine,
             "next_round": int(next_round),
             "targets": self.targets.copy(),
             "state": {
@@ -575,18 +524,13 @@ class FederatedSimulation:
         The simulation must have been constructed like the one that
         checkpointed: same config up to its knobs (hash-checked), same
         dataset (target-set-checked — targets are a function of the
-        dataset's popularity profile), same engine.  Each component
-        restores its saved state into itself.  Returns
+        dataset's popularity profile).  Each component restores its
+        saved state into itself.  Returns
         ``(next_round, history, item_history)`` for the training loop.
         """
         if payload["config_digest"] != self.config_digest:
             raise ValueError(
                 "checkpoint was written by a different experiment config"
-            )
-        if payload["engine"] != self.engine:
-            raise ValueError(
-                f"checkpoint was written by the {payload['engine']!r} engine, "
-                f"this simulation runs {self.engine!r}"
             )
         if not np.array_equal(payload["targets"], self.targets):
             raise ValueError(
@@ -651,8 +595,6 @@ class FederatedSimulation:
         """Users scored per evaluation block (config override or auto)."""
         configured = self.config.train.eval_chunk_users
         if configured is not None:
-            if configured <= 0:
-                raise ValueError("eval_chunk_users must be positive")
             return configured
         per_user = max(self.dataset.num_items * self._EVAL_BYTES_PER_CELL, 1)
         return max(1, min(self.dataset.num_users, self._EVAL_BLOCK_BYTES // per_user))

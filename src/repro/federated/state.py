@@ -1,13 +1,13 @@
 """Struct-of-arrays backing store for all benign client state.
 
 The reference representation of the benign population is one Python
-:class:`~repro.federated.client.BenignClient` object per user: a
-private ``(dim,)`` embedding, a private interaction array, an optional
-defense regularizer and a handful of scalars.  At production user
-counts the *state layer* — not the round arithmetic — becomes the
-binding constraint: construction spawns one RNG and one small array
-per user in a Python loop, and every batched round re-stacks the
-per-object rows it needs.
+client object per user (``tests/reference/client.py``): a private
+``(dim,)`` embedding, a private interaction array, an optional defense
+regularizer and a handful of scalars.  At production user counts that
+layout — not the round arithmetic — becomes the binding constraint:
+construction spawns one RNG and one small array per user in a Python
+loop, and every batched round would re-stack the per-object rows it
+needs.
 
 :class:`ClientStateStore` keeps the same state as flat arrays:
 
@@ -31,13 +31,6 @@ per-object rows it needs.
   miner), so those objects stay per-user Python state, created
   *lazily* on first access: an undefended store never allocates any,
   and a defended one only pays for users that actually participate.
-
-The object API survives as a thin view layer:
-:meth:`~repro.federated.client.BenignClient.from_store` wraps a store
-row in a ``BenignClient`` whose attributes read and write the store
-arrays, and :class:`ClientViewList` materialises those views lazily so
-building a million-user simulation costs a few array ops, not a
-million object constructions.
 """
 
 from __future__ import annotations
@@ -50,7 +43,6 @@ from repro.stateful import Stateful
 __all__ = [
     "ClientStoreBase",
     "ClientStateStore",
-    "ClientViewList",
     "pack_csr",
     "row_composite_indices",
 ]
@@ -268,8 +260,8 @@ class ClientStateStore(ClientStoreBase):
     # Embedding access API
     #
     # Every reader/writer of user embeddings outside this module goes
-    # through these methods (the batch engine, BenignClient views,
-    # streaming eval, checkpoints) so a sharded store can implement the
+    # through these methods (the batch engine, streaming eval,
+    # checkpoints) so a sharded store can implement the
     # same surface without ever materialising one dense matrix.
     # ------------------------------------------------------------------
 
@@ -383,39 +375,3 @@ class ClientStateStore(ClientStoreBase):
         ``(num_users,)`` vector in one process.
         """
         return self.client_lrs(lr_range)[np.asarray(user_ids)]
-
-
-class ClientViewList:
-    """Lazy sequence of store-backed ``BenignClient`` views.
-
-    Indexing materialises (and caches) a view object on demand, so the
-    object API — the reference loop engine, attacks and tests index
-    ``sim.benign_clients[user_id]`` — keeps working while constructing
-    a simulation stays O(arrays) instead of O(users) Python objects.
-    """
-
-    def __init__(self, store: ClientStateStore):
-        self._store = store
-        self._views: dict[int, object] = {}
-
-    def __len__(self) -> int:
-        return self._store.num_users
-
-    def __getitem__(self, user_id: int):
-        if isinstance(user_id, slice):
-            return [self[i] for i in range(*user_id.indices(len(self)))]
-        if user_id < 0:
-            user_id += len(self)
-        if not 0 <= user_id < len(self):
-            raise IndexError("client index out of range")
-        try:
-            return self._views[user_id]
-        except KeyError:
-            from repro.federated.client import BenignClient
-
-            view = BenignClient.from_store(self._store, user_id)
-            self._views[user_id] = view
-            return view
-
-    def __iter__(self):
-        return (self[user_id] for user_id in range(len(self)))

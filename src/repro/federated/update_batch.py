@@ -12,11 +12,11 @@ materialised :class:`~repro.federated.payload.ClientUpdate` objects.
 
 Layout invariants (everything downstream relies on them):
 
-* clients appear in *upload order* — the order the reference loop
-  engine would have called ``Server.apply_updates`` with;
+* clients appear in *upload order* — the order of the round's
+  sampled participants, stragglers and late arrivals after them;
 * within a client's segment, rows keep that client's upload row order
   (so any per-item regrouping that is stable in row order reproduces
-  the reference engine's per-item contributor stacks exactly);
+  the per-client reference's contributor stacks exactly);
 * ``param_owners`` lists, in upload order (so ascending), the client
   positions that contributed interaction-parameter gradients;
   ``param_stacks[i][j]`` is the ``i``-th parameter gradient of client
@@ -313,31 +313,3 @@ class UpdateBatch:
             param_owners=np.array(owners, dtype=np.int64),
             malicious=malicious,
         )
-
-    def to_updates(self) -> list[ClientUpdate]:
-        """Materialise per-client uploads (compat fallback only).
-
-        Used when a server component (a custom update filter) has no
-        batched protocol; arrays are copied because materialised
-        updates may be retained or mutated downstream.
-        """
-        param_rows: dict[int, list[np.ndarray]] = {}
-        for j, owner in enumerate(self.param_owners):
-            param_rows[int(owner)] = [stack[j].copy() for stack in self.param_stacks]
-        updates = []
-        starts = self.starts
-        for k in range(self.num_clients):
-            seg = slice(int(starts[k]), int(starts[k]) + int(self.lengths[k]))
-            # Trusted construction: these rows already passed upload
-            # validation when the batch was assembled, and the
-            # per-client duplicate re-scan is the hot cost here.
-            updates.append(
-                ClientUpdate.trusted(
-                    user_id=int(self.user_ids[k]),
-                    item_ids=self.item_ids[seg].copy(),
-                    item_grads=self.item_grads[seg].copy(),
-                    param_grads=param_rows.get(k, []),
-                    malicious=bool(self.malicious[k]),
-                )
-            )
-        return updates

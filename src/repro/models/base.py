@@ -216,8 +216,8 @@ class RecommenderModel(ABC):
         row-wise forward passes and the pairwise-loss backward over all
         clients' pairs in one call, with per-client reductions (the
         user-gradient sums) over each client's exact row segments —
-        the same arithmetic, in the same order, as
-        ``BenignClient._bpr_step`` per client.
+        the same arithmetic, in the same order, as the per-client
+        reference's BPR step (``tests/reference/client.py``).
 
         Following the reference BPR protocol, interaction-parameter
         gradients are *not* uploaded (``param_grads`` is empty), so

@@ -86,7 +86,9 @@ __all__ = [
 #: v5: the payload is ``{component: component.state()}`` — arrays and
 #: containers of them, no pickled adversary or regularizer objects —
 #: and its config digest ignores every throughput knob.
-CHECKPOINT_VERSION = "ckpt-v5"
+#: v6: no ``engine`` field (there is one round path) and no server
+#: ``materialized_rounds`` counter.
+CHECKPOINT_VERSION = "ckpt-v6"
 
 #: Suffix appended (atomically, via ``os.replace``) to files that fail
 #: their integrity check.  A quarantined file is out of every loader's

@@ -1,0 +1,34 @@
+"""Per-client reference implementation of the federated round.
+
+The package runs every round batched: stacked local steps, one
+``UpdateBatch`` per round, array-op faults and server ingestion.  This
+package keeps the original one-object-per-client formulation of the
+same round (Section III-A: sample, local step, upload, aggregate) as
+the executable specification the parity suites compare against, bit
+for bit:
+
+* :mod:`reference.client` — ``BenignClient``, the per-client local
+  step (BCE or BPR, regularizer hooks, per-client learning rates);
+* :mod:`reference.updates` — the ``ClientUpdate``-list twins of the
+  server, audit log and fault controller's batched stages;
+* :mod:`reference.loop` — ``LoopSimulation``, a ``FederatedSimulation``
+  whose rounds run those pieces one participant at a time.
+
+Tests import it as ``reference`` (pytest puts ``tests/`` on
+``sys.path``); benchmark scripts add ``tests/`` to ``sys.path``
+themselves.
+"""
+
+from reference.client import BenignClient
+from reference.loop import ClientViewList, LoopSimulation
+from reference.updates import apply_to_updates, apply_updates, record, to_updates
+
+__all__ = [
+    "BenignClient",
+    "ClientViewList",
+    "LoopSimulation",
+    "apply_to_updates",
+    "apply_updates",
+    "record",
+    "to_updates",
+]

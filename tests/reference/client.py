@@ -25,16 +25,14 @@ A client exists in one of two storage modes with identical behaviour:
   thin view over one row of a
   :class:`~repro.federated.state.ClientStateStore`: ``user_embedding``
   and ``positive_items`` read and write the store's flat arrays, so
-  per-object code (this loop reference, attacks, analysis) and the
-  store-vectorised batch engine observe the same state.
+  the reference loop and the store-vectorised batch engine observe
+  the same state.
 
 One deliberate asymmetry: assigning ``user_embedding`` on a
 store-backed view writes the *values* into the store row, so the
 store's dtype governs (a single row of a dense matrix cannot change
 precision independently), whereas a standalone client rebinds its
-owned array and adopts the assigned dtype.  To run a population at
-reduced precision, convert the store matrix itself
-(``store.user_embeddings = store.user_embeddings.astype(...)``).
+owned array and adopts the assigned dtype.
 """
 
 from __future__ import annotations
@@ -193,8 +191,6 @@ class BenignClient:
                 )[0]
             )
         low, high = train_cfg.client_lr_range
-        if not 0 < low <= high:
-            raise ValueError("client_lr_range must satisfy 0 < low <= high")
         rng = spawn(self._seed, "client-lr", self.user_id)
         return float(np.exp(rng.uniform(np.log(low), np.log(high))))
 

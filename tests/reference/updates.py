@@ -1,0 +1,263 @@
+"""Per-client twins of the package's batched server-side stages.
+
+Each function here consumes or produces one
+:class:`~repro.federated.payload.ClientUpdate` per participant, where
+the package works on a whole round's
+:class:`~repro.federated.update_batch.UpdateBatch`:
+
+* :func:`apply_updates` — :meth:`Server.apply_batch
+  <repro.federated.server.Server.apply_batch>`: sanity gate, quorum,
+  update filter, then gradients grouped per item with one ``Agg`` call
+  per touched item;
+* :func:`record` — :meth:`ServerAuditLog.record_batch
+  <repro.federated.audit.ServerAuditLog.record_batch>`;
+* :func:`apply_to_updates` — :meth:`FaultController.apply_to_batch
+  <repro.federated.faults.FaultController.apply_to_batch>`;
+* :func:`to_updates` — the inverse of ``UpdateBatch.from_updates``.
+
+They operate on the package's own objects (server counters, audit
+records, the controller's plan and buffer), so a reference run and a
+batched run are compared on the same state.  The arithmetic is the
+executable specification the parity suites hold the batched path to,
+bit for bit.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from repro.federated.audit import ItemRoundRecord, ServerAuditLog
+from repro.federated.faults import (
+    FAULT_DROPOUT,
+    FAULT_NONE,
+    FAULT_STRAGGLER,
+    FaultController,
+)
+from repro.federated.payload import ClientUpdate
+from repro.federated.server import Server
+from repro.federated.update_batch import UpdateBatch
+
+__all__ = ["apply_to_updates", "apply_updates", "record", "to_updates"]
+
+
+# ----------------------------------------------------------------------
+# UpdateBatch -> ClientUpdate list
+# ----------------------------------------------------------------------
+
+
+def _trusted(
+    user_id: int,
+    item_ids: np.ndarray,
+    item_grads: np.ndarray,
+    param_grads: list[np.ndarray],
+    malicious: bool,
+) -> ClientUpdate:
+    """A ``ClientUpdate`` built without re-validating batch rows.
+
+    The rows already passed upload validation when the batch was
+    assembled; the per-client duplicate scan is skipped.
+    """
+    update = ClientUpdate.__new__(ClientUpdate)
+    update.user_id = user_id
+    update.item_ids = item_ids
+    update.item_grads = item_grads
+    update.param_grads = param_grads
+    update.malicious = malicious
+    return update
+
+
+def to_updates(batch: UpdateBatch) -> list[ClientUpdate]:
+    """Materialise a batch's per-client uploads (arrays are copied)."""
+    param_rows: dict[int, list[np.ndarray]] = {}
+    for j, owner in enumerate(batch.param_owners):
+        param_rows[int(owner)] = [stack[j].copy() for stack in batch.param_stacks]
+    updates = []
+    starts = batch.starts
+    for k in range(batch.num_clients):
+        seg = slice(int(starts[k]), int(starts[k]) + int(batch.lengths[k]))
+        updates.append(
+            _trusted(
+                user_id=int(batch.user_ids[k]),
+                item_ids=batch.item_ids[seg].copy(),
+                item_grads=batch.item_grads[seg].copy(),
+                param_grads=param_rows.get(k, []),
+                malicious=bool(batch.malicious[k]),
+            )
+        )
+    return updates
+
+
+# ----------------------------------------------------------------------
+# Audit log
+# ----------------------------------------------------------------------
+
+
+def record(log: ServerAuditLog, updates: Sequence[ClientUpdate]) -> None:
+    """Append one round's per-item contribution statistics to ``log``."""
+    benign_counts: dict[int, int] = {}
+    malicious_counts: dict[int, int] = {}
+    benign_norms: dict[int, float] = {}
+    malicious_norms: dict[int, float] = {}
+    for update in updates:
+        counts = malicious_counts if update.malicious else benign_counts
+        norms = malicious_norms if update.malicious else benign_norms
+        row_norms = np.linalg.norm(update.item_grads, axis=1)
+        for item_id, norm in zip(update.item_ids, row_norms):
+            item_id = int(item_id)
+            counts[item_id] = counts.get(item_id, 0) + 1
+            norms[item_id] = norms.get(item_id, 0.0) + float(norm)
+    for item_id in sorted(set(benign_counts) | set(malicious_counts)):
+        log.records.append(
+            ItemRoundRecord(
+                round_idx=log._round_idx,
+                item_id=item_id,
+                benign_count=benign_counts.get(item_id, 0),
+                malicious_count=malicious_counts.get(item_id, 0),
+                benign_norm=benign_norms.get(item_id, 0.0),
+                malicious_norm=malicious_norms.get(item_id, 0.0),
+            )
+        )
+    log._round_idx += 1
+
+
+# ----------------------------------------------------------------------
+# Fault injection
+# ----------------------------------------------------------------------
+
+
+def apply_to_updates(
+    controller: FaultController,
+    updates: list[ClientUpdate],
+    sampled: Sequence[int],
+    round_idx: int,
+) -> list[ClientUpdate]:
+    """Faulted view of one round's materialised uploads.
+
+    The same fault schedule as the batched path assigned one upload at
+    a time, the same corruption values, and the same buffer (one part
+    per straggler).
+    """
+    faults = controller.plan.round_faults(round_idx, len(sampled))
+    arrivals = controller.buffer.drain(round_idx)
+    if not faults.any_fault and not arrivals.num_clients:
+        return updates
+
+    kind_by_user = {
+        int(user): (int(kind), int(delay))
+        for user, kind, delay in zip(sampled, faults.kinds, faults.delays)
+        if kind != FAULT_NONE
+    }
+    surviving: list[ClientUpdate] = []
+    for update in updates:
+        kind, delay = kind_by_user.get(update.user_id, (FAULT_NONE, 0))
+        if kind == FAULT_NONE:
+            surviving.append(update)
+        elif kind == FAULT_DROPOUT:
+            controller.counts["dropped_uploads"] += 1
+        elif kind == FAULT_STRAGGLER:
+            controller.buffer.park(
+                UpdateBatch.from_updates([update]), round_idx, round_idx + delay
+            )
+            controller.counts["deferred_uploads"] += 1
+        else:  # FAULT_CORRUPTION
+            item_grads = update.item_grads.copy()
+            controller._corrupt(item_grads, ...)
+            surviving.append(
+                ClientUpdate(
+                    user_id=update.user_id,
+                    item_ids=update.item_ids.copy(),
+                    item_grads=item_grads,
+                    param_grads=update.param_grads,
+                    malicious=update.malicious,
+                )
+            )
+            controller.counts["corrupted_uploads"] += 1
+    return surviving + to_updates(arrivals)
+
+
+# ----------------------------------------------------------------------
+# Server ingestion
+# ----------------------------------------------------------------------
+
+
+def apply_updates(server: Server, updates: Sequence[ClientUpdate]) -> None:
+    """Aggregate uploads and take one SGD step on the server's model."""
+    if server.audit_log is not None and updates:
+        # Log the raw uploads, before any defense filter touches them.
+        record(server.audit_log, updates)
+    updates = _gate_updates(server, updates)
+    if server._below_quorum(len(updates)):
+        return
+    if not updates:
+        return
+    if server.update_filter is not None:
+        updates = server.update_filter(updates)
+    _apply_item_updates(server, updates)
+    _apply_param_updates(server, updates)
+
+
+def _gate_updates(
+    server: Server, updates: Sequence[ClientUpdate]
+) -> Sequence[ClientUpdate]:
+    """Per-upload twin of ``Server._gate_batch``.
+
+    Same per-client accept/reject decisions and the same counters.
+    Returns the input sequence unchanged when every upload passes.
+    """
+    keep = []
+    rejected = False
+    for update in updates:
+        finite = bool(np.isfinite(update.item_grads).all()) and all(
+            bool(np.isfinite(grad).all()) for grad in update.param_grads
+        )
+        if not finite:
+            server.rejected_nonfinite += 1
+            rejected = True
+            continue
+        if (
+            server.max_upload_norm > 0
+            and update.total_norm > server.max_upload_norm
+        ):
+            server.rejected_oversized += 1
+            rejected = True
+            continue
+        keep.append(update)
+    return keep if rejected else updates
+
+
+def _apply_item_updates(server: Server, updates: Sequence[ClientUpdate]) -> None:
+    model = server.model
+    per_item: dict[int, list[np.ndarray]] = {}
+    for update in updates:
+        for item_id, grad in zip(update.item_ids, update.item_grads):
+            per_item.setdefault(int(item_id), []).append(grad)
+
+    if not per_item:
+        return
+    item_ids = np.fromiter(per_item.keys(), dtype=np.int64, count=len(per_item))
+    deltas = np.empty((len(item_ids), model.embedding_dim))
+    for row, item_id in enumerate(item_ids):
+        stack = np.stack(per_item[int(item_id)])
+        deltas[row] = -server.lr * server.aggregator.aggregate(stack)
+    model.apply_item_update(item_ids, deltas)
+
+
+def _apply_param_updates(server: Server, updates: Sequence[ClientUpdate]) -> None:
+    params = server.model.interaction_params()
+    if not params:
+        return
+    contributions = [u.param_grads for u in updates if u.param_grads]
+    if not contributions:
+        return
+    deltas: list[np.ndarray] = []
+    for index, param in enumerate(params):
+        stack = np.stack([grads[index] for grads in contributions])
+        if stack.shape[1:] != param.shape:
+            raise ValueError(
+                f"parameter gradient shape {stack.shape[1:]} does not "
+                f"match parameter {param.shape}"
+            )
+        deltas.append(-server.lr * server.aggregator.aggregate(stack))
+    server.model.apply_param_update(deltas)

@@ -25,6 +25,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from reference import LoopSimulation
 from repro.config import (
     AsyncConfig,
     AttackConfig,
@@ -94,10 +95,10 @@ class TestSyncEquivalence:
 
     def test_degenerate_defaults_match_sync(self, tiny_dataset):
         cfg = _config("mf")
-        sync = FederatedSimulation(cfg, tiny_dataset, engine="batch")
+        sync = FederatedSimulation(cfg, tiny_dataset)
         ref = _snapshot(sync, sync.run())
         acfg = dataclasses.replace(cfg, asynchrony=AsyncConfig(enabled=True))
-        asim = FederatedSimulation(acfg, tiny_dataset, engine="batch")
+        asim = FederatedSimulation(acfg, tiny_dataset)
         got = _snapshot(asim, asim.run())
         _assert_bit_identical(got, ref)
         # Every upload arrived and applied un-discounted.
@@ -112,10 +113,10 @@ class TestSyncEquivalence:
     @pytest.mark.parametrize("defense", ["none", "median", "regularization"])
     def test_degenerate_grid(self, tiny_dataset, model_kind, attack, defense):
         cfg = _config(model_kind, attack, defense)
-        sync = FederatedSimulation(cfg, tiny_dataset, engine="batch")
+        sync = FederatedSimulation(cfg, tiny_dataset)
         ref = _snapshot(sync, sync.run())
         acfg = dataclasses.replace(cfg, asynchrony=AsyncConfig(enabled=True))
-        asim = FederatedSimulation(acfg, tiny_dataset, engine="batch")
+        asim = FederatedSimulation(acfg, tiny_dataset)
         _assert_bit_identical(_snapshot(asim, asim.run()), ref)
 
     def test_explicit_degenerate_values_match_defaults(self, tiny_dataset):
@@ -343,7 +344,7 @@ class TestGuards:
     def test_loop_engine_rejected(self, tiny_dataset):
         cfg = _config("mf", asynchrony=AsyncConfig(enabled=True))
         with pytest.raises(ValueError, match="batch"):
-            FederatedSimulation(cfg, tiny_dataset, engine="loop")
+            LoopSimulation(cfg, tiny_dataset)
 
     def test_faults_and_async_mutually_exclusive(self, tiny_dataset):
         cfg = _config(

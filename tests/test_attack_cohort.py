@@ -1,9 +1,10 @@
 """MaliciousCohort parity and shared-mining-ledger property tests.
 
 The cohort's contract mirrors the batch engine's: for any seed, the
-struct-of-arrays team path (``engine="batch"``, which attaches a
+struct-of-arrays team path (``FederatedSimulation``, which attaches a
 :class:`~repro.attacks.cohort.MaliciousCohort`) must reproduce the
-per-object ``participate`` loop (``engine="loop"``) bit for bit —
+per-object ``participate`` loop (``reference.LoopSimulation``) bit for
+bit —
 same mining trajectories, same participation scales, same uploads,
 same ``SimulationResult`` history.  These tests assert that end to end
 for every attack x model x malicious-ratio combination, and
@@ -15,6 +16,7 @@ step kernel).
 import numpy as np
 import pytest
 
+from reference import LoopSimulation
 from repro.attacks.base import (
     MaliciousClient,
     bounded_step_gradient,
@@ -81,8 +83,8 @@ def _config(kind: str) -> ExperimentConfig:
 
 def assert_cohort_parity(cfg, dataset):
     """Loop vs batch trajectories, model state, and anti-fallback."""
-    loop_sim = FederatedSimulation(cfg, dataset, engine="loop")
-    batch_sim = FederatedSimulation(cfg, dataset, engine="batch")
+    loop_sim = LoopSimulation(cfg, dataset)
+    batch_sim = FederatedSimulation(cfg, dataset)
     loop = loop_sim.run()
     batch = batch_sim.run()
     assert loop.exposure == batch.exposure
@@ -166,7 +168,7 @@ class TestCohortParity:
             _config("mf"),
             attack=AttackConfig(name="pieck_ipe", malicious_ratio=0.05),
         )
-        sim = FederatedSimulation(cfg, cohort_dataset, engine="loop")
+        sim = LoopSimulation(cfg, cohort_dataset)
         assert sim.malicious_cohort is None
 
     def test_ipe_payload_dedup(self, cohort_dataset):
@@ -175,7 +177,7 @@ class TestCohortParity:
             _config("mf"),
             attack=AttackConfig(name="pieck_ipe", malicious_ratio=0.1),
         )
-        sim = FederatedSimulation(cfg, cohort_dataset, engine="batch")
+        sim = FederatedSimulation(cfg, cohort_dataset)
         sim.run()
         cohort = sim.malicious_cohort
         assert cohort is not None

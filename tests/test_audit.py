@@ -8,6 +8,7 @@ from repro.experiments import experiment
 from repro.federated.audit import ItemRoundRecord, ServerAuditLog
 from repro.federated.payload import ClientUpdate
 from repro.federated.simulation import FederatedSimulation
+from repro.federated.update_batch import UpdateBatch
 
 
 def _update(user_id, item_ids, norm=1.0, malicious=False):
@@ -17,6 +18,10 @@ def _update(user_id, item_ids, norm=1.0, malicious=False):
     return ClientUpdate(
         user_id=user_id, item_ids=item_ids, item_grads=grads, malicious=malicious
     )
+
+
+def _record(log, updates):
+    log.record_batch(UpdateBatch.from_updates(updates))
 
 
 class TestItemRoundRecord:
@@ -39,7 +44,7 @@ class TestItemRoundRecord:
 class TestServerAuditLog:
     def test_records_per_item_counts(self):
         log = ServerAuditLog()
-        log.record([
+        _record(log, [
             _update(0, [1, 2]),
             _update(1, [2]),
             _update(9, [2], norm=10.0, malicious=True),
@@ -54,14 +59,14 @@ class TestServerAuditLog:
 
     def test_round_index_advances(self):
         log = ServerAuditLog()
-        log.record([_update(0, [0])])
-        log.record([_update(0, [0])])
+        _record(log, [_update(0, [0])])
+        _record(log, [_update(0, [0])])
         rounds = [r.round_idx for r in log.for_item(0)]
         assert rounds == [0, 1]
 
     def test_poisoned_items(self):
         log = ServerAuditLog()
-        log.record([
+        _record(log, [
             _update(0, [1, 2]),
             _update(9, [5], malicious=True),
             _update(10, [3], malicious=True),
@@ -70,7 +75,7 @@ class TestServerAuditLog:
 
     def test_empty_round_still_counts(self):
         log = ServerAuditLog()
-        log.record([])
+        _record(log, [])
         assert log.rounds_recorded == 1
         assert log.records == []
 
@@ -78,8 +83,8 @@ class TestServerAuditLog:
 class TestPoisonShareSummary:
     def test_summary_over_rounds(self):
         log = ServerAuditLog()
-        log.record([_update(0, [7]), _update(9, [7], malicious=True)])
-        log.record([_update(9, [7], malicious=True)])
+        _record(log, [_update(0, [7]), _update(9, [7], malicious=True)])
+        _record(log, [_update(9, [7], malicious=True)])
         summary = poison_share_summary(log, 7)
         assert summary.rounds_contributed == 2
         assert summary.benign_gradients == 1

@@ -1,4 +1,4 @@
-"""Defended fast-path parity suite: loop vs batch, bit for bit.
+"""Defended fast-path parity suite: reference loop vs batch, bit for bit.
 
 The batch engine's contract extends to *every* server configuration:
 robust aggregators, update filters, the audit log, and the BPR loss
@@ -32,6 +32,7 @@ from repro.defenses.robust import (
     NormBoundFilter,
     TrimmedMeanAggregator,
 )
+from reference import LoopSimulation, record, to_updates
 from repro.federated.aggregation import Aggregator
 from repro.federated.payload import ClientUpdate
 from repro.federated.simulation import FederatedSimulation
@@ -44,7 +45,7 @@ pytestmark = pytest.mark.slow
 ATTACKS = ("none", "pieck_uea", "pieck_ipe")
 
 #: (model kind, loss) variants of the sweep; BPR is the supplementary-E
-#: protocol that previously fell back to the reference loop wholesale.
+#: protocol the batch engine once left to the reference loop wholesale.
 VARIANTS = (("mf", "bce"), ("ncf", "bce"), ("mf", "bpr"))
 
 
@@ -88,41 +89,24 @@ def assert_state_identical(a: FederatedSimulation, b: FederatedSimulation) -> No
 @pytest.mark.parametrize("defense", DEFENSE_NAMES)
 def test_defended_parity(defense, attack, kind, loss):
     config = sweep_config(defense, attack, kind, loss)
-    loop = FederatedSimulation(config, engine="loop")
-    batch = FederatedSimulation(config, engine="batch")
+    loop = LoopSimulation(config)
+    batch = FederatedSimulation(config)
     for round_idx in range(config.train.rounds):
         loop.run_round(round_idx)
         batch.run_round(round_idx)
     assert_state_identical(loop, batch)
-    # The whole sweep must run on the batched server path: no registry
-    # defense is allowed to silently materialise per-client updates.
-    assert batch.server.materialized_rounds == 0
 
 
 @pytest.mark.parametrize("defense", ["krum", "norm_bound", "scale_clip"])
 def test_defended_audit_records_identical(defense):
     config = sweep_config(defense, "pieck_uea", "mf", "bce")
-    loop = FederatedSimulation(config, engine="loop", audit=True)
-    batch = FederatedSimulation(config, engine="batch", audit=True)
+    loop = LoopSimulation(config, audit=True)
+    batch = FederatedSimulation(config, audit=True)
     for round_idx in range(config.train.rounds):
         loop.run_round(round_idx)
         batch.run_round(round_idx)
     assert_state_identical(loop, batch)
     assert loop.audit_log.records == batch.audit_log.records
-
-
-def test_custom_filter_falls_back_to_materialised():
-    """A filter without ``filter_batch`` still works, via ClientUpdates."""
-    config = sweep_config("none", "pieck_uea", "mf", "bce")
-    loop = FederatedSimulation(config, engine="loop")
-    batch = FederatedSimulation(config, engine="batch")
-    loop.server.update_filter = NormBoundFilter(0.0)
-    batch.server.update_filter = lambda updates: NormBoundFilter(0.0)(updates)
-    for round_idx in range(config.train.rounds):
-        loop.run_round(round_idx)
-        batch.run_round(round_idx)
-    assert_state_identical(loop, batch)
-    assert batch.server.materialized_rounds == config.train.rounds
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +203,7 @@ def test_norm_bound_filter_batch_matches_reference(threshold, with_params):
     )
     reference = NormBoundFilter(threshold)(updates)
     batch = NormBoundFilter(threshold).filter_batch(UpdateBatch.from_updates(updates))
-    assert_updates_equal(list(reference), batch.to_updates())
+    assert_updates_equal(list(reference), to_updates(batch))
 
 
 def test_scale_clip_filter_batch_matches_reference():
@@ -239,30 +223,8 @@ def test_scale_clip_filter_batch_matches_reference():
     for _ in range(3):  # EMA state must advance identically across rounds
         reference = reference_filter(updates)
         filtered = batch_filter.filter_batch(UpdateBatch.from_updates(updates))
-        assert_updates_equal(list(reference), filtered.to_updates())
+        assert_updates_equal(list(reference), to_updates(filtered))
     assert reference_filter._smoothed_median == batch_filter._smoothed_median
-
-
-def test_scale_clip_include_params_uses_counted_fallback():
-    """include_params needs whole-tensor norms: no filter_batch exposed,
-    so the server takes its *counted* materialised reference path."""
-    assert getattr(
-        ItemScaleClip(include_params=True), "filter_batch", None
-    ) is None
-    config = sweep_config("none", "pieck_uea", "ncf", "bce")
-    loop = FederatedSimulation(config, engine="loop")
-    batch = FederatedSimulation(config, engine="batch")
-    loop.server.update_filter = ItemScaleClip(
-        factor=0.5, history=0.0, include_params=True
-    )
-    batch.server.update_filter = ItemScaleClip(
-        factor=0.5, history=0.0, include_params=True
-    )
-    for round_idx in range(config.train.rounds):
-        loop.run_round(round_idx)
-        batch.run_round(round_idx)
-    assert_state_identical(loop, batch)
-    assert batch.server.materialized_rounds == config.train.rounds
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +239,7 @@ def test_record_batch_matches_record():
     reference, batched = ServerAuditLog(), ServerAuditLog()
     for round_idx in range(3):
         updates = random_round(rng, clients=7)
-        reference.record(updates)
+        record(reference, updates)
         batched.record_batch(UpdateBatch.from_updates(updates))
     assert reference.rounds_recorded == batched.rounds_recorded
     assert reference.records == batched.records
@@ -292,7 +254,7 @@ class TestUpdateBatch:
     def test_roundtrip(self):
         updates = random_round(np.random.default_rng(7), with_params=True)
         batch = UpdateBatch.from_updates(updates)
-        assert_updates_equal(updates, batch.to_updates())
+        assert_updates_equal(updates, to_updates(batch))
 
     def test_client_total_norms_match_updates(self):
         updates = random_round(np.random.default_rng(8), with_params=True)
@@ -312,4 +274,4 @@ class TestUpdateBatch:
     def test_empty(self):
         batch = UpdateBatch.from_updates([])
         assert batch.num_clients == 0
-        assert batch.to_updates() == []
+        assert to_updates(batch) == []

@@ -1,8 +1,8 @@
 """Loop-vs-batch engine parity and batch building-block unit tests.
 
 The batch engine's contract is *bit-identical trajectories*: for any
-seed, ``engine="batch"`` must reproduce the reference per-client loop
-exactly — same RNG draws, same gradients, same model updates, same
+seed, ``FederatedSimulation`` must reproduce the per-client reference
+loop (``reference.LoopSimulation``) exactly — same RNG draws, same gradients, same model updates, same
 evaluation history. These tests assert that end to end and for each
 vectorised building block (seed derivation, negative sampling, ragged
 batch stacking, the fused scatter, the batched local step).
@@ -26,6 +26,7 @@ from repro.datasets.sampling import (
     sample_negatives,
     sample_negatives_batch,
 )
+from reference import LoopSimulation, apply_updates
 from repro.federated.aggregation import SumAggregator, scatter_sum
 from repro.federated.payload import ClientUpdate
 from repro.federated.server import Server
@@ -43,8 +44,8 @@ from repro.rng import (
 
 
 def run_both(config, rounds=None, **kwargs):
-    loop = FederatedSimulation(config, engine="loop", **kwargs).run(rounds)
-    batch = FederatedSimulation(config, engine="batch", **kwargs).run(rounds)
+    loop = LoopSimulation(config, **kwargs).run(rounds)
+    batch = FederatedSimulation(config, **kwargs).run(rounds)
     return loop, batch
 
 
@@ -104,16 +105,16 @@ class TestEngineParity:
             tiny_mf_config,
             attack=AttackConfig(name="pieck_uea", malicious_ratio=0.1),
         )
-        loop_sim = FederatedSimulation(cfg, engine="loop", audit=True)
-        batch_sim = FederatedSimulation(cfg, engine="batch", audit=True)
+        loop_sim = LoopSimulation(cfg, audit=True)
+        batch_sim = FederatedSimulation(cfg, audit=True)
         loop = loop_sim.run(10)
         batch = batch_sim.run(10)
         assert_identical_runs(loop, batch)
         assert len(loop_sim.audit_log.records) == len(batch_sim.audit_log.records)
 
     def test_model_state_identical_after_rounds(self, tiny_mf_config):
-        a = FederatedSimulation(tiny_mf_config, engine="loop")
-        b = FederatedSimulation(tiny_mf_config, engine="batch")
+        a = LoopSimulation(tiny_mf_config)
+        b = FederatedSimulation(tiny_mf_config)
         for round_idx in range(8):
             a.run_round(round_idx)
             b.run_round(round_idx)
@@ -138,10 +139,6 @@ class TestEngineParity:
             tiny_mf_config, train=replace(tiny_mf_config.train, loss="bpr")
         )
         assert_identical_runs(*run_both(cfg, rounds=6))
-
-    def test_unknown_engine_rejected(self, tiny_mf_config):
-        with pytest.raises(ValueError, match="engine"):
-            FederatedSimulation(tiny_mf_config, engine="turbo")
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +270,7 @@ class TestScatter:
             )
         model_a = build_model("mf", 30, 6, seed=2)
         model_b = build_model("mf", 30, 6, seed=2)
-        Server(model_a, lr=0.5).apply_updates(updates)
+        apply_updates(Server(model_a, lr=0.5), updates)
         Server(model_b, lr=0.5).apply_batch(UpdateBatch.from_updates(updates))
         assert np.array_equal(model_a.item_embeddings, model_b.item_embeddings)
 
@@ -339,7 +336,7 @@ def test_segment_sums_matches_slice_sums():
 def test_run_cell_matches_loop_reference(tiny_mf_config):
     from repro.experiments.runner import Cell, run_cell
 
-    loop = FederatedSimulation(tiny_mf_config, engine="loop").run()
+    loop = LoopSimulation(tiny_mf_config).run()
     assert run_cell(tiny_mf_config) == Cell(
         er=100.0 * loop.exposure, hr=100.0 * loop.hit_ratio
     )

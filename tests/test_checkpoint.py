@@ -4,11 +4,13 @@ The contract under test: a run interrupted at any checkpoint boundary
 and resumed in a *fresh process-equivalent* simulation (new object, same
 config) produces final state — metrics, embeddings, interaction
 parameters, fault counters, audit log, history — **bit-identical** to
-the same run never interrupted.  Holds on both engines, under attacks,
+the same run never interrupted.  Holds on the batch engine and the
+per-client reference loop, under attacks,
 under fault injection, and on the native kernel backend.
 
 Also here: the failure modes that must be loud — config digest
-mismatch, engine mismatch, version mismatch, corrupt files — and the
+mismatch, a checkpoint past the requested rounds, version mismatch,
+corrupt files — and the
 crash-safety of the atomic writer.
 """
 
@@ -22,6 +24,7 @@ import pickle
 import numpy as np
 import pytest
 
+from reference import LoopSimulation
 from repro import kernels, persistence
 from repro.config import (
     AttackConfig,
@@ -43,6 +46,9 @@ except NativeKernelsUnavailable as exc:  # pragma: no cover - CI has a toolchain
 needs_native = pytest.mark.skipif(
     NATIVE is None, reason=f"native backend unavailable: {NATIVE_ERROR}"
 )
+
+#: Simulation class per engine leg of a parametrised test.
+ENGINES = {"batch": FederatedSimulation, "loop": LoopSimulation}
 
 FAULTS = FaultConfig(
     dropout_rate=0.15,
@@ -95,10 +101,10 @@ def _assert_identical(a: dict, b: dict) -> None:
 def _interrupted(cfg, dataset, engine, tmp_path, *, stop_after: int, every: int = 3):
     """Run ``stop_after`` rounds with checkpointing, then resume fresh."""
     ckpt_dir = str(tmp_path / "ckpt")
-    first = FederatedSimulation(cfg, dataset, engine=engine)
+    first = ENGINES[engine](cfg, dataset)
     first.run(rounds=stop_after, checkpoint_dir=ckpt_dir, checkpoint_every=every)
     # A brand-new simulation object stands in for a fresh process.
-    resumed = FederatedSimulation(cfg, dataset, engine=engine)
+    resumed = ENGINES[engine](cfg, dataset)
     result = resumed.run(checkpoint_dir=ckpt_dir, checkpoint_every=every)
     return _final_state(resumed, result)
 
@@ -128,7 +134,7 @@ class TestResumeBitIdentity:
     @pytest.mark.parametrize("engine", ["batch", "loop"])
     def test_mf_attack_resume(self, tiny_dataset, tmp_path, engine):
         cfg = _config("mf")
-        reference = FederatedSimulation(cfg, tiny_dataset, engine=engine)
+        reference = ENGINES[engine](cfg, tiny_dataset)
         ref_state = _final_state(reference, reference.run())
         _assert_identical(
             _interrupted(cfg, tiny_dataset, engine, tmp_path, stop_after=7),
@@ -140,7 +146,7 @@ class TestResumeBitIdentity:
         # Hardest case: NCF params, attack cohort, fault schedule with
         # in-flight stale uploads crossing the checkpoint boundary.
         cfg = _config("ncf", faults=FAULTS)
-        reference = FederatedSimulation(cfg, tiny_dataset, engine=engine)
+        reference = ENGINES[engine](cfg, tiny_dataset)
         ref_state = _final_state(reference, reference.run())
         assert ref_state["fault_stats"].any_fault
         _assert_identical(
@@ -262,13 +268,21 @@ class TestResumeGuards:
                 checkpoint_dir=ckpt_dir, checkpoint_every=2
             )
 
-    def test_engine_mismatch_raises(self, tiny_dataset, tmp_path):
-        cfg = _config("mf")
-        ckpt_dir = self._checkpointed(cfg, tiny_dataset, tmp_path)
-        with pytest.raises(ValueError, match="engine"):
-            FederatedSimulation(cfg, tiny_dataset, engine="loop").run(
-                checkpoint_dir=ckpt_dir, checkpoint_every=2
-            )
+    def test_checkpoint_past_requested_rounds_raises(self, tiny_dataset, tmp_path):
+        # A round-8 checkpoint must not be resumed by a 4-round run: it
+        # would report rounds_run=4 while scoring the round-8 model.
+        cfg = _config("mf", attack=None)
+        cfg = _with_train(cfg, eval_every=2)
+        ckpt_dir = str(tmp_path / "ckpt")
+        FederatedSimulation(cfg, tiny_dataset).run(
+            rounds=8, checkpoint_dir=ckpt_dir, checkpoint_every=4
+        )
+        assert persistence.latest_checkpoint(ckpt_dir).endswith("r000008.pkl")
+        sim = FederatedSimulation(cfg, tiny_dataset)
+        before = sim.model.snapshot_items()
+        with pytest.raises(ValueError, match=r"round 8, past the 4 rounds"):
+            sim.run(rounds=4, checkpoint_dir=ckpt_dir, checkpoint_every=4)
+        assert np.array_equal(sim.model.item_embeddings, before)
 
     def test_version_mismatch_raises(self, tiny_dataset, tmp_path):
         cfg = _config("mf")
@@ -411,42 +425,37 @@ class TestCorruptionFallback:
         assert not isinstance(caught.value, persistence.IntegrityError)
         assert os.path.exists(path)
 
-    def test_v3_checkpoint_is_refused_by_name(self, tmp_path):
-        # v3 buffers held per-client uploads; v4 holds UpdateBatch parts.
+    @staticmethod
+    def _assert_refused_by_name(tmp_path, version: str) -> None:
         path = str(tmp_path / "checkpoint.pkl")
         payload = pickle.dumps({"round": 6})
         with open(path, "wb") as handle:
             pickle.dump(
                 {
-                    "version": "ckpt-v3",
+                    "version": version,
                     "sha256": hashlib.sha256(payload).hexdigest(),
                     "payload": payload,
                 },
                 handle,
             )
-        with pytest.raises(ValueError, match="ckpt-v3") as caught:
+        with pytest.raises(ValueError, match=version) as caught:
             persistence.load_checkpoint(path)
         assert not isinstance(caught.value, persistence.IntegrityError)
         assert os.path.exists(path)
 
+    def test_v3_checkpoint_is_refused_by_name(self, tmp_path):
+        # v3 buffers held per-client uploads; v4 holds UpdateBatch parts.
+        self._assert_refused_by_name(tmp_path, "ckpt-v3")
+
     def test_v4_checkpoint_is_refused_by_name(self, tmp_path):
         # v4 pickled adversary and regularizer objects; v5 holds
         # {component: state()} arrays.
-        path = str(tmp_path / "checkpoint.pkl")
-        payload = pickle.dumps({"round": 6})
-        with open(path, "wb") as handle:
-            pickle.dump(
-                {
-                    "version": "ckpt-v4",
-                    "sha256": hashlib.sha256(payload).hexdigest(),
-                    "payload": payload,
-                },
-                handle,
-            )
-        with pytest.raises(ValueError, match="ckpt-v4") as caught:
-            persistence.load_checkpoint(path)
-        assert not isinstance(caught.value, persistence.IntegrityError)
-        assert os.path.exists(path)
+        self._assert_refused_by_name(tmp_path, "ckpt-v4")
+
+    def test_v5_checkpoint_is_refused_by_name(self, tmp_path):
+        # v5 carried an engine name and the server's materialized_rounds
+        # counter; v6 has neither.
+        self._assert_refused_by_name(tmp_path, "ckpt-v5")
 
     def test_resume_falls_back_past_corrupt_newest(self, tiny_dataset, tmp_path):
         # Corrupt the newest retained checkpoint: resume must skip it

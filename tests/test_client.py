@@ -1,10 +1,10 @@
-"""Tests for the benign federated client."""
+"""Tests for the per-client reference benign client."""
 
 import numpy as np
 import pytest
 
+from reference import BenignClient
 from repro.config import TrainConfig
-from repro.federated.client import BenignClient
 from repro.models.mf import MFModel
 
 
@@ -102,9 +102,8 @@ class TestClientLr:
         assert len(rates) > 1
 
     def test_invalid_range_rejected(self):
-        client = make_client()
-        with pytest.raises(ValueError):
-            client._client_lr(TrainConfig(client_lr_range=(1.0, 0.5)))
+        with pytest.raises(ValueError, match="client_lr_range"):
+            TrainConfig(client_lr_range=(1.0, 0.5))
 
 
 class _SpyRegularizer:

@@ -29,6 +29,15 @@ class TestTrainConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.lr = 2.0
 
+    @pytest.mark.parametrize("lr_range", [(0.5, 0.1), (0.0, 1.0), (-1.0, 1.0)])
+    def test_bad_client_lr_range_rejected(self, lr_range):
+        with pytest.raises(ValueError, match="client_lr_range"):
+            TrainConfig(client_lr_range=lr_range)
+
+    def test_valid_knobs_accepted(self):
+        cfg = TrainConfig(client_lr_range=(0.1, 0.1), eval_chunk_users=1)
+        assert cfg.client_lr_range == (0.1, 0.1)
+
 
 class TestExperimentConfig:
     def test_defaults_compose(self):

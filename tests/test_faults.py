@@ -6,8 +6,9 @@ Covers the tentpole contracts of the fault-tolerant runtime:
   seed, same schedule, forever;
 * the zero-fault configuration is *bit-identical* to the pre-fault
   engine (no controller, no gate rejections, no behavioural drift);
-* the loop and batch engines stay bit-identical under any fault
-  schedule, including the staleness splices and the server gate;
+* the batch engine stays bit-identical to the per-client reference
+  loop under any fault schedule, including the staleness splices and
+  the server gate;
 * every fault and every mitigation is counted — nothing drops
   silently.
 """
@@ -19,6 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from reference import LoopSimulation, apply_updates, to_updates
 from repro.config import AttackConfig, ExperimentConfig, FaultConfig, ModelConfig, TrainConfig
 from repro.federated.faults import (
     FAULT_CORRUPTION,
@@ -34,6 +36,9 @@ from repro.federated.server import Server
 from repro.federated.simulation import FederatedSimulation
 from repro.federated.update_batch import UpdateBatch
 from repro.models.mf import MFModel
+
+#: Simulation class per engine leg of a parametrised test.
+ENGINES = {"batch": FederatedSimulation, "loop": LoopSimulation}
 
 AGGRESSIVE = FaultConfig(
     dropout_rate=0.2,
@@ -131,10 +136,10 @@ class TestZeroFaultIdentity:
     @pytest.mark.parametrize("engine", ["batch", "loop"])
     def test_default_fault_config_is_bit_identical(self, tiny_dataset, engine):
         cfg = _config(attack=AttackConfig(name="pieck_uea", malicious_ratio=0.2, mining_rounds=2))
-        plain = FederatedSimulation(cfg, tiny_dataset, engine=engine)
+        plain = ENGINES[engine](cfg, tiny_dataset)
         res_plain = plain.run()
-        gated = FederatedSimulation(
-            dataclasses.replace(cfg, faults=FaultConfig()), tiny_dataset, engine=engine
+        gated = ENGINES[engine](
+            dataclasses.replace(cfg, faults=FaultConfig()), tiny_dataset
         )
         res_gated = gated.run()
         assert res_plain.exposure == res_gated.exposure
@@ -177,8 +182,8 @@ class TestFaultedEngineParity:
             attack=AttackConfig(name="pieck_uea", malicious_ratio=0.2, mining_rounds=2),
             faults=faults,
         )
-        batch = FederatedSimulation(cfg, tiny_dataset, engine="batch")
-        loop = FederatedSimulation(cfg, tiny_dataset, engine="loop")
+        batch = FederatedSimulation(cfg, tiny_dataset)
+        loop = LoopSimulation(cfg, tiny_dataset)
         res_b, res_l = batch.run(), loop.run()
         assert np.array_equal(batch.model.item_embeddings, loop.model.item_embeddings)
         assert res_b.exposure == res_l.exposure
@@ -201,8 +206,8 @@ class TestFaultedEngineParity:
             ),
             seed=3,
         )
-        batch = FederatedSimulation(cfg, tiny_dataset, engine="batch")
-        loop = FederatedSimulation(cfg, tiny_dataset, engine="loop")
+        batch = FederatedSimulation(cfg, tiny_dataset)
+        loop = LoopSimulation(cfg, tiny_dataset)
         res_b, res_l = batch.run(), loop.run()
         assert np.array_equal(batch.model.item_embeddings, loop.model.item_embeddings)
         for a, b in zip(
@@ -274,12 +279,14 @@ class TestDegradationSemantics:
         update = ClientUpdate(
             user_id=0, item_ids=np.array([1]), item_grads=grad.copy()
         )
-        first = controller.apply_to_updates([update], [0], round_idx=0)
-        assert first == []  # deferred, not applied
+        first = controller.apply_to_batch(
+            UpdateBatch.from_updates([update]), [0], round_idx=0
+        )
+        assert first.num_clients == 0  # deferred, not applied
         assert controller.buffer.pending == 1
-        arrivals = controller.apply_to_updates([], [], round_idx=1)
-        assert len(arrivals) == 1
-        assert np.array_equal(arrivals[0].item_grads, grad * 0.5)
+        arrivals = controller.apply_to_batch(UpdateBatch.empty(2), [], round_idx=1)
+        assert arrivals.num_clients == 1
+        assert np.array_equal(arrivals.item_grads, grad * 0.5)
         assert controller.stats_counts()["stale_applied"] == 1
 
     def test_stale_pending_counts_in_flight(self, tiny_dataset):
@@ -311,7 +318,7 @@ class TestServerSanityGate:
         before = model.snapshot_items()
         poison = self._update(0, np.full((2, 2), np.nan))
         honest = self._update(1, np.ones((2, 2)))
-        server.apply_updates([poison, honest])
+        apply_updates(server, [poison, honest])
         assert np.isfinite(model.item_embeddings).all()
         assert server.rejected_nonfinite == 1
         assert server.rejected_uploads == 1
@@ -338,7 +345,7 @@ class TestServerSanityGate:
             model = MFModel(num_items=6, embedding_dim=2, init_scale=0.1, seed=0)
             server = Server(model, lr=0.1, max_upload_norm=5.0)
             if ingest == "updates":
-                server.apply_updates([u for u in updates])
+                apply_updates(server, [u for u in updates])
             else:
                 server.apply_batch(UpdateBatch.from_updates(updates))
             servers.append(server)
@@ -353,7 +360,7 @@ class TestServerSanityGate:
         model = MFModel(num_items=6, embedding_dim=2, init_scale=0.1, seed=0)
         server = Server(model, lr=1.0, min_quorum=3)
         before = model.snapshot_items()
-        server.apply_updates([self._update(0, np.ones((2, 2)))])
+        server.apply_batch(UpdateBatch.from_updates([self._update(0, np.ones((2, 2)))]))
         assert np.array_equal(model.item_embeddings, before)
         assert server.quorum_failed_rounds == 1
         assert server.quorum_dropped_uploads == 1
@@ -385,7 +392,7 @@ class TestSelectClients:
         keep = np.array([True, False, True, True])
         selected = batch.select_clients(keep)
         expected = UpdateBatch.from_updates(
-            [u for u, k in zip(batch.to_updates(), keep) if k]
+            [u for u, k in zip(to_updates(batch), keep) if k]
         )
         assert np.array_equal(selected.user_ids, expected.user_ids)
         assert np.array_equal(selected.item_ids, expected.item_ids)

@@ -27,6 +27,7 @@ import signal
 import numpy as np
 import pytest
 
+from reference import LoopSimulation
 from repro import kernels
 from repro.config import (
     AsyncConfig,
@@ -333,9 +334,7 @@ class TestGuards:
 
     def test_loop_engine_rejected(self):
         with pytest.raises(ValueError, match="batch"):
-            FederatedSimulation(
-                sweep_config(sharding=SHARDED), engine="loop"
-            )
+            LoopSimulation(sweep_config(sharding=SHARDED))
 
     def test_rejected_config_leaks_no_segments(self):
         """The check precedes allocation: nothing to leak, even while

@@ -10,11 +10,11 @@ exactly.
 import numpy as np
 import pytest
 
+from reference import BenignClient, ClientViewList, LoopSimulation
 from repro.config import ShardingConfig, TrainConfig, replace
 from repro.datasets.synthetic import generate_longtail_dataset
-from repro.federated.client import BenignClient
 from repro.federated.simulation import FederatedSimulation
-from repro.federated.state import ClientStateStore, ClientViewList
+from repro.federated.state import ClientStateStore
 from repro.metrics.ranking import (
     exposure_counts_at_k,
     exposure_ratio_at_k,
@@ -304,12 +304,9 @@ class TestChunkedEvaluation:
         assert all(r == results[0] for r in results[1:])
 
     def test_bad_chunk_size_rejected(self, tiny_mf_config):
-        cfg = replace(
-            tiny_mf_config, train=replace(tiny_mf_config.train, eval_chunk_users=0)
-        )
-        sim = FederatedSimulation(cfg)
+        # Refused when the config is built, not after a run's rounds.
         with pytest.raises(ValueError, match="eval_chunk_users"):
-            sim.evaluate()
+            replace(tiny_mf_config.train, eval_chunk_users=0)
 
     def test_user_embedding_matrix_is_zero_copy(self, tiny_mf_config):
         sim = FederatedSimulation(tiny_mf_config)
@@ -393,7 +390,7 @@ class TestUploadDtype:
         cfg = replace(
             tiny_mf_config, train=replace(tiny_mf_config.train, loss=loss)
         )
-        sim = FederatedSimulation(cfg, engine="batch")
+        sim = FederatedSimulation(cfg)
         self._as_float32(sim)
         engine = sim._batch_engine
         batch = engine._benign_batch_step(np.arange(8, dtype=np.int64), 0)
@@ -409,7 +406,7 @@ class TestEngineStorePath:
     ):
         """Store gather/scatter vs per-object clients: identical rounds.
 
-        The object side is the reference loop engine driving one
+        The object side is the reference loop driving one
         ``BenignClient`` view per participant; the batch engine's
         gather -> stacked step -> scatter must leave the same model
         *and* the same private user embeddings across the
@@ -439,8 +436,8 @@ class TestEngineStorePath:
                 tiny_ncf_config,
                 attack=AttackConfig(name="pieck_ipe", malicious_ratio=0.1),
             )
-        store_sim = FederatedSimulation(cfg, engine="batch")
-        fallback_sim = FederatedSimulation(cfg, engine="loop")
+        store_sim = FederatedSimulation(cfg)
+        fallback_sim = LoopSimulation(cfg)
         store_result = store_sim.run(rounds=8)
         fallback_result = fallback_sim.run(rounds=8)
         assert store_result.exposure == fallback_result.exposure
@@ -453,7 +450,7 @@ class TestEngineStorePath:
         )
 
     def test_store_rounds_never_fall_back_to_stacking(self, tiny_mf_config):
-        sim = FederatedSimulation(tiny_mf_config, engine="batch")
+        sim = FederatedSimulation(tiny_mf_config)
         sim.run(rounds=4)
         assert sim._batch_engine.store is sim.state
         assert sim._batch_engine.stacked_rounds == 0

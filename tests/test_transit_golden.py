@@ -25,6 +25,7 @@ import json
 import numpy as np
 import pytest
 
+from reference import LoopSimulation
 from repro.config import (
     AsyncConfig,
     AttackConfig,
@@ -68,6 +69,10 @@ FAULTS = FaultConfig(
     min_quorum=11,
 )
 
+#: Simulation class per engine column of ``CASES``: ``"loop"`` is the
+#: per-client reference in ``tests/reference/``.
+ENGINES = {"batch": FederatedSimulation, "loop": LoopSimulation}
+
 #: name -> (model kind, engine, eval_every, config overrides)
 CASES = {
     "async-degenerate": ("mf", "batch", 0, {"asynchrony": AsyncConfig(enabled=True)}),
@@ -108,9 +113,7 @@ def _config(name: str) -> ExperimentConfig:
 
 
 def _simulation(name: str, dataset) -> FederatedSimulation:
-    return FederatedSimulation(
-        _config(name), dataset, audit=True, engine=CASES[name][1]
-    )
+    return ENGINES[CASES[name][1]](_config(name), dataset, audit=True)
 
 
 def _digest(sim: FederatedSimulation, result) -> str:
