@@ -11,7 +11,9 @@ Two executions of Algorithm 1 live here:
 * the per-client objects (:class:`DeltaNormTracker` wrapped by
   :class:`PopularItemMiner`) — the reference implementation, one miner
   per malicious client, fed through ``participate``;
-* the team-level :class:`CohortMiner` — struct-of-arrays state (one
+* the team-level :class:`CohortMiner` — for the malicious team and,
+  under the client-side defense, for every benign client — as
+  struct-of-arrays state (one
   ``(num_clients, num_items)`` accumulator matrix, vectorised
   observation counters) plus a shared per-round observation ledger:
   each round's received item matrix is snapshotted **once** for the
@@ -196,17 +198,23 @@ class RoundSnapshotCache:
 
 
 class CohortMiner(Stateful):
-    """Struct-of-arrays Algorithm 1 for a whole malicious team.
+    """Struct-of-arrays Algorithm 1 for a whole team of clients.
+
+    The malicious team's miners live in one (``MaliciousCohort``), and
+    so do all benign clients' under the client-side defense (the client
+    store's ``miner``).
 
     Mirrors one :class:`DeltaNormTracker` + :class:`PopularItemMiner`
     per client as flat arrays:
 
     * ``accumulated`` — ``(num_clients, num_items)``; row ``i`` is
-      client ``i``'s Δ-Norm accumulator (Eq. 7);
+      client ``i``'s Δ-Norm accumulator (Eq. 7), ``None`` until the
+      first observation;
     * ``observations`` / ``last_round`` — per-client observation count
       and the round of the client's previous observation;
     * ``ready`` / ``mined`` — frozen-set flags and the mined popular
-      ids (``min(num_popular, num_items)`` wide, mined order).
+      ids (``min(num_popular, num_items)`` wide, mined order; ``-1``
+      until the client is ready).
 
     The **shared observation ledger** is the pair of dicts
     ``_snapshots`` / ``_refs``: round ``r``'s received item matrix is
@@ -231,6 +239,9 @@ class CohortMiner(Stateful):
         "snapshot_copies",
     )
 
+    #: Temporary-memory budget of one freeze sort block.
+    FREEZE_BLOCK_BYTES = 1 << 20
+
     def __init__(
         self,
         num_items: int,
@@ -245,7 +256,10 @@ class CohortMiner(Stateful):
         self.num_items = num_items
         self.mining_rounds = mining_rounds
         self.num_popular = min(num_popular, num_items)
-        self.accumulated = np.zeros((num_clients, num_items))
+        #: Allocated by the first observation, so building a team (a
+        #: defended store's spans every benign user) costs neither the
+        #: memory nor the zeroing until the team plays.
+        self.accumulated: np.ndarray | None = None
         self.observations = np.zeros(num_clients, dtype=np.int64)
         self.last_round = np.full(num_clients, -1, dtype=np.int64)
         self.ready = np.zeros(num_clients, dtype=bool)
@@ -281,6 +295,8 @@ class CohortMiner(Stateful):
             raise ValueError(
                 f"expected {self.num_items} items, got {item_matrix.shape[0]}"
             )
+        if self.accumulated is None:
+            self.accumulated = np.zeros((len(self.observations), self.num_items))
 
         # Algorithm 1 line 4: one Δ-Norm vector per distinct previous
         # observation round, fancy-indexed into every matching row.
@@ -307,10 +323,16 @@ class CohortMiner(Stateful):
             self._refs[round_idx] += len(staying)
             self.last_round[staying] = round_idx
 
-        if len(freezing):
-            order = np.argsort(-self.accumulated[freezing], axis=1, kind="stable")
-            self.mined[freezing] = order[:, : self.num_popular]
-            self.ready[freezing] = True
+        # A row's argsort needs ~24 B an item of temporaries (the negated
+        # copy and the int64 order); bounded row blocks keep a big freeze
+        # from spiking peak memory.  Rows sort independently, so the
+        # mined sets do not depend on the block size.
+        block = max(1, self.FREEZE_BLOCK_BYTES // (24 * max(self.num_items, 1)))
+        for lo in range(0, len(freezing), block):
+            rows_block = freezing[lo : lo + block]
+            order = np.argsort(-self.accumulated[rows_block], axis=1, kind="stable")
+            self.mined[rows_block] = order[:, : self.num_popular]
+        self.ready[freezing] = True
 
         for key in [k for k, refs in self._refs.items() if refs <= 0]:
             del self._snapshots[key]

@@ -17,7 +17,12 @@ from repro.defenses.robust import (
 )
 from repro.federated.aggregation import Aggregator, SumAggregator
 
-__all__ = ["DEFENSE_NAMES", "build_server_defense", "client_regularizer_factory"]
+__all__ = [
+    "DEFENSE_NAMES",
+    "build_server_defense",
+    "client_defense",
+    "client_regularizer_factory",
+]
 
 #: All defenses runnable by name. "hybrid" is the *naive* future-work
 #: composition (client regularization + server NormBound — measured as
@@ -44,7 +49,7 @@ def build_server_defense(config: DefenseConfig):
 
     The client-side ``regularization`` defense leaves the server
     undefended (plain sum, no filter) — its protection happens inside
-    benign clients (see :func:`client_regularizer_factory`).
+    benign clients (see :func:`client_defense`).
     """
     name = config.name
     if name not in DEFENSE_NAMES:
@@ -68,16 +73,26 @@ def build_server_defense(config: DefenseConfig):
     return aggregator, update_filter
 
 
+def client_defense(config: DefenseConfig) -> DefenseConfig | None:
+    """The config benign clients regularise with, or ``None``.
+
+    Only ``regularization``, ``hybrid`` and ``coordinated`` have a
+    client-side component.
+    """
+    if config.name not in ("regularization", "hybrid", "coordinated"):
+        return None
+    return config
+
+
 def client_regularizer_factory(
     config: DefenseConfig, num_items: int
 ) -> Callable[[], ClientRegularizer] | None:
-    """Factory creating one :class:`ClientRegularizer` per benign client.
+    """Factory creating one per-client :class:`ClientRegularizer` oracle.
 
     Returns ``None`` for every defense without a client-side component
-    (only ``regularization`` and ``hybrid`` have one); each benign
-    client needs its *own* miner state, hence a factory rather than a
-    shared instance.
+    (see :func:`client_defense`); each client needs its *own* miner
+    state, hence a factory rather than a shared instance.
     """
-    if config.name not in ("regularization", "hybrid", "coordinated"):
+    if client_defense(config) is None:
         return None
     return lambda: ClientRegularizer(num_items, config)

@@ -18,6 +18,15 @@ the attacker uses) and trains with the combined loss of Eq. 16:
 
 Minimising ``L_def`` therefore *maximises* both terms, while the
 original loss term preserves recommendation quality.
+
+The terms of a whole round come from one call,
+:func:`regularization_terms`, over every participant's mined set at
+once.  Re1's gradient collapses: with ``a_c = sum_k kappa'_k p_k/|p_k|``
+(one vector per client),
+``sum_k kappa'_k dcos(p_k, v)/dv = a_c/|v| - (a_c . v) v/|v|^3``, so a
+row costs one length-``d`` dot product and no matrix product.
+:class:`ClientRegularizer` is the per-client oracle: its hooks are
+one-row calls into the same function.
 """
 
 from __future__ import annotations
@@ -28,11 +37,22 @@ from repro.attacks.mining import PopularItemMiner
 from repro.config import DefenseConfig
 from repro.metrics.divergence import softmax
 from repro.models.losses import sigmoid
-from repro.stateful import Stateful
 
-__all__ = ["ClientRegularizer", "exponential_rank_weights", "re1_value", "re2_value"]
+__all__ = [
+    "ClientRegularizer",
+    "exponential_rank_weights",
+    "re1_value",
+    "re2_value",
+    "regularization_terms",
+    "tower_grad_terms",
+]
 
 _EPS = 1e-12
+
+#: Relative strength of the tower-level Re2 term (DL-FRS only).
+TOWER_WEIGHT = 0.5
+#: Local items paired with each pseudo-user in the tower-level term.
+TOWER_ITEM_BATCH = 8
 
 
 def exponential_rank_weights(size: int) -> np.ndarray:
@@ -68,29 +88,159 @@ def re2_value(
     return float(weights @ kls)
 
 
-class ClientRegularizer(Stateful):
-    """Per-benign-client defense state and gradient terms.
+def _rank_weighted_sum(weights: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """``sum_k weights[k] * stacked[:, k]``, summed in rank order.
 
-    The hook protocol the batch engine runs per defended client (and
-    the per-client reference in ``tests/reference/client.py``):
+    An explicit sequential sum instead of a GEMV: the result for a row
+    does not depend on how many rows are computed together.
+    """
+    total = weights[0] * stacked[:, 0]
+    for k in range(1, len(weights)):
+        total += weights[k] * stacked[:, k]
+    return total
+
+
+def regularization_terms(
+    mined: np.ndarray,
+    user_vecs: np.ndarray,
+    item_ids: np.ndarray,
+    lengths: np.ndarray,
+    item_matrix: np.ndarray,
+    beta: float,
+    gamma: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``-beta * dRe1/dv`` and ``-gamma * dRe2/du`` for a whole cohort.
+
+    Client ``c`` owns ``lengths[c]`` consecutive rows of ``item_ids``
+    and the user row ``user_vecs[c]``; ``mined[c]`` is its popular set,
+    most popular first, or all ``-1`` while its miner is not ready.
+    Returns ``(item_terms, user_terms)`` shaped like the item rows and
+    the user rows.  Rows with no term — a client not ready, a mined
+    item, ``beta == 0`` or ``gamma == 0`` — are ``+0.0``, so adding the
+    result to a gradient turns its ``-0.0`` entries into ``+0.0``
+    exactly like adding the per-client zero block does.
+
+    Every quantity is per client or per row (elementwise ops, sums
+    over a contiguous last axis, rank-ordered sums over ``k``), so any
+    split of the cohort computes the same bits.
+    """
+    num_clients = len(lengths)
+    dim = item_matrix.shape[1]
+    item_terms = np.zeros((len(item_ids), dim))
+    user_terms = np.zeros((num_clients, dim))
+    ready = np.flatnonzero(mined[:, 0] >= 0)
+    if not len(ready):
+        return item_terms, user_terms
+    popular = mined[ready]
+    weights = exponential_rank_weights(popular.shape[1])
+    popular_vecs = item_matrix[popular]  # (ready, P, d)
+
+    if beta != 0.0:
+        slot = np.full(num_clients, -1, dtype=np.int64)
+        slot[ready] = np.arange(len(ready))
+        row_slot = np.repeat(slot, lengths)
+        rows = np.flatnonzero(row_slot >= 0)
+        is_popular = (item_ids[rows, None] == popular[row_slot[rows]]).any(axis=1)
+        rows = rows[~is_popular]
+        if len(rows):
+            owner = row_slot[rows]
+            count = np.bincount(owner, minlength=len(ready))[owner]
+            p_norms = np.linalg.norm(popular_vecs, axis=-1) + _EPS
+            # a_c = sum_k kappa'_k * p_k / ||p_k||.
+            weighted_pop = _rank_weighted_sum(
+                weights, popular_vecs / p_norms[..., None]
+            )[owner]
+            vecs = item_matrix[item_ids[rows]]  # (m, d)
+            v_norms = np.linalg.norm(vecs, axis=1) + _EPS
+            # sum_k kappa'_k cos(p_k, v) = (a_c . v) / ||v||.
+            weighted_cos = (weighted_pop * vecs).sum(axis=1) / v_norms
+            # d Re1 / d v_j = (sum_k kappa'_k * dcos/dv_j) / |Delta D_i|
+            # = (a_c/||v|| - weighted_cos * v/||v||^2) / |Delta D_i|,
+            # built in place: the rows are the round's largest arrays.
+            first_term, second_term = weighted_pop, vecs
+            first_term /= v_norms[:, None]
+            second_term *= weighted_cos[:, None]
+            second_term /= (v_norms**2)[:, None]
+            first_term -= second_term
+            first_term *= -beta
+            first_term /= count[:, None]
+            item_terms[rows] = first_term
+
+    if gamma != 0.0:
+        # sum_k kappa'_k * (softmax(u) - softmax(v_k)) collapses to
+        # softmax(u) - sum_k kappa'_k softmax(v_k) since weights sum to 1.
+        p_mean = _rank_weighted_sum(weights, softmax(popular_vecs))
+        user_terms[ready] = -gamma * (softmax(user_vecs[ready]) - p_mean)
+    return item_terms, user_terms
+
+
+def tower_grad_terms(
+    model, popular: np.ndarray, item_ids: np.ndarray, gamma: float
+) -> list[np.ndarray]:
+    """Re2 through the learnable interaction function (DL-FRS only).
+
+    On DL-FRS, separating the user-embedding *distribution* is not
+    enough: the learnable tower can still map (popular-item-as-user,
+    target) pairs to high scores regardless of where real users
+    live. This term realises Re2's goal — "user embeddings inferred
+    from popular item embeddings are inherently inaccurate" — at
+    the tower level: a benign client with mined set ``popular`` trains
+    the interaction function to score pseudo-users built from those
+    items *low* on its local items, so an attacker approximating
+    users with popular embeddings (PIECK-UEA) optimises against a
+    channel the federation actively closes. Returns one gradient
+    per interaction parameter; empty for MF-FRS.
+    """
+    params = model.interaction_params()
+    if not params:
+        return []
+    if gamma == 0.0:
+        return [np.zeros_like(p) for p in params]
+    pseudo_users = model.item_embeddings[popular]
+    items = model.item_embeddings[item_ids[:TOWER_ITEM_BATCH]]
+    # All (pseudo-user, local item) pairs, trained towards label 0.
+    n_pairs = len(pseudo_users) * len(items)
+    users_rep = np.repeat(pseudo_users, len(items), axis=0)
+    items_rep = np.tile(items, (len(pseudo_users), 1))
+    logits, cache = model.forward(users_rep, items_rep)
+    dlogits = sigmoid(logits) / n_pairs
+    bundle = model.backward(cache, dlogits)
+    weight = TOWER_WEIGHT * gamma
+    # Confine the correction to the *user-slot* columns of the first
+    # layer: that is the exact channel a pseudo-user enters through.
+    # Touching the item half (or deeper layers) would suppress the
+    # tower's scoring of real pairs and collapse recommendation
+    # quality instead of closing the approximation channel.
+    grads = [np.zeros_like(p) for p in params]
+    first = bundle.params[0]
+    user_dims = model.embedding_dim
+    grads[0][:user_dims] = weight * first[:user_dims]
+    return grads
+
+
+class ClientRegularizer:
+    """One benign client's defense state and gradient terms — the oracle.
+
+    The batch engine keeps every client's miner in one
+    :class:`~repro.attacks.mining.CohortMiner` and computes a round's
+    terms with one :func:`regularization_terms` call.  This class is
+    the per-client formulation the reference loop in
+    ``tests/reference/client.py`` runs, hook by hook:
 
     * ``observe(item_matrix)`` — feed the received global item matrix
       into the client's own popular item miner;
     * ``item_grad_terms(item_ids, item_matrix)`` — extra gradient rows
       for the local batch implementing ``-beta * dRe1/dv_j``;
     * ``user_grad_term(user_emb, item_matrix)`` — extra user-embedding
-      gradient implementing ``-gamma * dRe2/du_i``.
+      gradient implementing ``-gamma * dRe2/du_i``;
+    * ``param_grad_terms(model, item_ids)`` — :func:`tower_grad_terms`.
 
-    Before the miner is ready both terms are zero (the client simply
-    trains normally while accumulating Δ-Norm observations).
+    The first two terms are one-row calls into
+    :func:`regularization_terms`, so the reference and the batch engine
+    agree bit for bit by construction.  Before the miner is ready every
+    term is zero (the client simply trains normally while accumulating
+    Δ-Norm observations).
     """
-
-    STATE = ("miner",)
-
-    #: Relative strength of the tower-level Re2 term (DL-FRS only).
-    TOWER_WEIGHT = 0.5
-    #: Local items paired with each pseudo-user in the tower-level term.
-    TOWER_ITEM_BATCH = 8
 
     def __init__(self, num_items: int, config: DefenseConfig):
         self.config = config
@@ -98,101 +248,54 @@ class ClientRegularizer(Stateful):
             num_items, config.mining_rounds, config.num_popular
         )
 
+    def _mined_row(self) -> np.ndarray:
+        """The miner's popular set as one ``mined`` row (``-1`` if not ready)."""
+        if not self.miner.ready:
+            return np.full((1, 1), -1, dtype=np.int64)
+        return self.miner.popular_items()[None, :]
+
     # ------------------------------------------------------------------
     # Hook protocol
     # ------------------------------------------------------------------
 
-    def observe(
-        self, item_matrix: np.ndarray, snapshot: np.ndarray | None = None
-    ) -> None:
-        """Feed one received item matrix into the miner.
-
-        ``snapshot`` is the miner's (see
-        :meth:`~repro.attacks.mining.DeltaNormTracker.observe`): one
-        retainable copy of ``item_matrix`` shared by the round's
-        co-sampled clients.
-        """
-        self.miner.observe(item_matrix, snapshot=snapshot)
+    def observe(self, item_matrix: np.ndarray) -> None:
+        """Feed one received item matrix into the miner."""
+        self.miner.observe(item_matrix)
 
     def item_grad_terms(
         self, item_ids: np.ndarray, item_matrix: np.ndarray
     ) -> np.ndarray:
         """Gradient of ``-beta * Re1`` w.r.t. the local batch items."""
-        grads = np.zeros((len(item_ids), item_matrix.shape[1]))
-        if not self.miner.ready or self.config.beta == 0.0:
-            return grads
-        popular = self.miner.popular_items()
-        popular_vecs = item_matrix[popular]
-        weights = exponential_rank_weights(len(popular))
-        p_norms = np.linalg.norm(popular_vecs, axis=1) + _EPS
-
-        unpopular_rows = np.flatnonzero(~np.isin(item_ids, popular))
-        if len(unpopular_rows) == 0:
-            return grads
-        count = len(unpopular_rows)
-        vecs = item_matrix[item_ids[unpopular_rows]]  # (m, d)
-        v_norms = np.linalg.norm(vecs, axis=1) + _EPS  # (m,)
-        # cosines[k, j] = cos(popular_k, unpopular_j).
-        cosines = (popular_vecs @ vecs.T) / np.outer(p_norms, v_norms)
-        weighted_pop = (weights[:, None] * popular_vecs / p_norms[:, None]).sum(axis=0)
-        # d Re1 / d v_j = (sum_k kappa'_k * dcos/dv_j) / |Delta D_i|.
-        first_term = weighted_pop[None, :] / v_norms[:, None]
-        second_term = (weights @ cosines)[:, None] * vecs / (v_norms**2)[:, None]
-        grads[unpopular_rows] = -self.config.beta * (first_term - second_term) / count
-        return grads
+        item_terms, _ = regularization_terms(
+            self._mined_row(),
+            np.zeros((1, item_matrix.shape[1])),
+            item_ids,
+            np.array([len(item_ids)]),
+            item_matrix,
+            self.config.beta,
+            0.0,
+        )
+        return item_terms
 
     def user_grad_term(
         self, user_emb: np.ndarray, item_matrix: np.ndarray
     ) -> np.ndarray:
         """Gradient of ``-gamma * Re2`` w.r.t. the user embedding."""
-        if not self.miner.ready or self.config.gamma == 0.0:
-            return np.zeros_like(user_emb)
-        popular = self.miner.popular_items()
-        weights = exponential_rank_weights(len(popular))
-        # sum_k kappa'_k * (softmax(u) - softmax(v_k)) collapses to
-        # softmax(u) - sum_k kappa'_k softmax(v_k) since weights sum to 1.
-        q = softmax(user_emb)
-        p_mean = weights @ softmax(item_matrix[popular])
-        return -self.config.gamma * (q - p_mean)
+        _, user_terms = regularization_terms(
+            self._mined_row(),
+            user_emb[None, :],
+            np.empty(0, dtype=np.int64),
+            np.zeros(1, dtype=np.int64),
+            item_matrix,
+            0.0,
+            self.config.gamma,
+        )
+        return user_terms[0]
 
     def param_grad_terms(self, model, item_ids: np.ndarray) -> list[np.ndarray]:
-        """Re2 through the learnable interaction function (DL-FRS only).
-
-        On DL-FRS, separating the user-embedding *distribution* is not
-        enough: the learnable tower can still map (popular-item-as-user,
-        target) pairs to high scores regardless of where real users
-        live. This term realises Re2's goal — "user embeddings inferred
-        from popular item embeddings are inherently inaccurate" — at
-        the tower level: each benign client trains the interaction
-        function to score pseudo-users built from its own mined popular
-        items *low* on its local items, so an attacker approximating
-        users with popular embeddings (PIECK-UEA) optimises against a
-        channel the federation actively closes. Returns one gradient
-        per interaction parameter; empty for MF-FRS.
-        """
-        params = model.interaction_params()
-        if not params:
-            return []
-        if not self.miner.ready or self.config.gamma == 0.0:
-            return [np.zeros_like(p) for p in params]
-        popular = self.miner.popular_items()
-        pseudo_users = model.item_embeddings[popular]
-        items = model.item_embeddings[item_ids[: self.TOWER_ITEM_BATCH]]
-        # All (pseudo-user, local item) pairs, trained towards label 0.
-        n_pairs = len(pseudo_users) * len(items)
-        users_rep = np.repeat(pseudo_users, len(items), axis=0)
-        items_rep = np.tile(items, (len(pseudo_users), 1))
-        logits, cache = model.forward(users_rep, items_rep)
-        dlogits = sigmoid(logits) / n_pairs
-        bundle = model.backward(cache, dlogits)
-        weight = self.TOWER_WEIGHT * self.config.gamma
-        # Confine the correction to the *user-slot* columns of the first
-        # layer: that is the exact channel a pseudo-user enters through.
-        # Touching the item half (or deeper layers) would suppress the
-        # tower's scoring of real pairs and collapse recommendation
-        # quality instead of closing the approximation channel.
-        grads = [np.zeros_like(p) for p in params]
-        first = bundle.params[0]
-        user_dims = model.embedding_dim
-        grads[0][:user_dims] = weight * first[:user_dims]
-        return grads
+        """:func:`tower_grad_terms` for this client's mined set."""
+        if not self.miner.ready:
+            return [np.zeros_like(p) for p in model.interaction_params()]
+        return tower_grad_terms(
+            model, self.miner.popular_items(), item_ids, self.config.gamma
+        )

@@ -107,7 +107,10 @@ __all__ = [
 #: v8: the config enters the key as its identity record, which leaves
 #: out every knob — ``train.eval_chunk_users`` newly so; values are
 #: unchanged but the key layout is not.
-CACHE_VERSION = "sweep-v8"
+#: v9: the client-side defense's Re1/Re2 terms are computed in a
+#: collapsed, batch-independent form, which moves regularised cells in
+#: the last ulp; other cells are unchanged.
+CACHE_VERSION = "sweep-v9"
 
 
 @dataclass(frozen=True)

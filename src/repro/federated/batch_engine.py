@@ -68,8 +68,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.config import TrainConfig
+from repro.config import DefenseConfig, TrainConfig
 from repro.datasets.sampling import sample_local_batches, sample_negatives_batch
+from repro.defenses.regularization import regularization_terms, tower_grad_terms
 from repro.federated.server import Server
 from repro.federated.shards import ShardedStateStore
 from repro.federated.update_batch import UpdateBatch
@@ -183,70 +184,45 @@ def _all_owners(num_clients: int, param_stacks: list[np.ndarray]) -> np.ndarray:
 
 
 def _bpr_param_stacks(
-    model: RecommenderModel, regs: list | None
+    model: RecommenderModel, num_defended: int
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Zero parameter stacks for the regularised BPR edge case.
 
     The BPR upload itself carries no interaction-parameter gradients;
-    a client contributes one only when its defense regularizer emits a
-    ``param_grad_terms`` correction — mirrored here by allocating zero
-    rows for exactly the regularised clients (the terms are added in
-    :func:`_apply_regularizers`).
+    a client contributes one only when the defense adds its tower
+    term — mirrored here by allocating zero rows for the
+    ``num_defended`` regularised clients (all of them, or none).
     """
     params = model.interaction_params()
-    owners = np.array(
-        [
-            row
-            for row, reg in enumerate(regs or ())
-            if getattr(reg, "param_grad_terms", None) is not None
-        ],
-        dtype=np.int64,
-    )
-    if not params or not len(owners):
+    if not params or not num_defended:
         return [], np.empty(0, dtype=np.int64)
-    stacks = [np.zeros((len(owners),) + p.shape, dtype=p.dtype) for p in params]
-    return stacks, owners
+    stacks = [np.zeros((num_defended,) + p.shape, dtype=p.dtype) for p in params]
+    return stacks, np.arange(num_defended, dtype=np.int64)
 
 
-def _apply_regularizers(
+def _add_tower_terms(
     model: RecommenderModel,
-    regs: list,
-    user_vecs: np.ndarray,
+    defense: DefenseConfig,
+    mined: np.ndarray,
     item_ids: np.ndarray,
     lengths: np.ndarray,
-    item_grads: np.ndarray,
-    user_grads: np.ndarray,
     param_stacks: list[np.ndarray],
-    param_owners: np.ndarray,
 ) -> None:
-    """Add each client's defense gradient terms to the batch result.
+    """Add each defended client's DL-FRS tower term to its stack row.
 
-    Mirrors the regularizer hook sequence of the per-client reference
-    ``participate`` on each client's row segment of
-    the stacked tensors (``user_vecs`` rows are the pre-update
-    embeddings the reference hooks see); the hooks themselves are
-    already vectorised, so this per-client pass costs one hook call
-    per defended client.
+    One forward/backward per ready client; a client whose set is not
+    mined yet (every client when ``gamma == 0``) adds its zero block,
+    exactly as the per-client hook does.
     """
-    item_matrix = model.item_embeddings
-    has_params = bool(model.interaction_params())
+    ready = (mined[:, 0] >= 0) & (defense.gamma != 0.0)
+    for stack in param_stacks:
+        stack[~ready] += 0.0
     starts = segment_starts(lengths)
-    stack_row = {int(owner): j for j, owner in enumerate(param_owners)}
-    for row, regularizer in enumerate(regs):
-        if regularizer is None:
-            continue
-        seg = slice(int(starts[row]), int(starts[row]) + int(lengths[row]))
-        ids = item_ids[seg]
-        item_grads[seg] += regularizer.item_grad_terms(ids, item_matrix)
-        user_grads[row] += regularizer.user_grad_term(
-            user_vecs[row], item_matrix
-        )
-        param_hook = getattr(regularizer, "param_grad_terms", None)
-        if param_hook is not None and has_params and row in stack_row:
-            extra = param_hook(model, ids)
-            if extra:
-                for index, term in enumerate(extra):
-                    param_stacks[index][stack_row[row]] += term
+    for row in np.flatnonzero(ready):
+        ids = item_ids[starts[row] : starts[row] + lengths[row]]
+        terms = tower_grad_terms(model, mined[row], ids, defense.gamma)
+        for stack, term in zip(param_stacks, terms):
+            stack[row] += term
 
 
 def _compute_benign_stacks(
@@ -256,7 +232,8 @@ def _compute_benign_stacks(
     store,
     benign_ids: np.ndarray,
     round_idx: int,
-    regs: list | None = None,
+    defense: DefenseConfig | None = None,
+    mined: np.ndarray | None = None,
 ) -> tuple[
     np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray], np.ndarray
 ]:
@@ -268,34 +245,26 @@ def _compute_benign_stacks(
     writes — pure reads are what make worker retry after a SIGKILL
     trivially bit-identical).
 
-    ``regs`` holds the participants' defense regularizers (``None``
-    entries for undefended clients), or is ``None`` when nobody carries
-    one.  Without regularizers every per-client quantity is a pure
-    function of ``(seed, user_id, round_idx)`` and the frozen
-    round-start model, so computing a subset equals slicing the
-    full-cohort computation: the exact property the multi-process
-    executor's parity suite pins.  Regularizers are mutable per-user
-    objects of the calling process, which is why the executor's workers
-    never receive any.
+    Under the client-side defense ``mined`` holds the participants'
+    popular sets (their rows of the store's
+    :class:`~repro.attacks.mining.CohortMiner`, already fed this
+    round's matrix by the caller) and ``defense`` the ``beta`` /
+    ``gamma`` to train with.  Every per-client quantity is a pure
+    function of ``(seed, user_id, round_idx)``, the frozen round-start
+    model and the client's ``mined`` row, so computing a subset equals
+    slicing the full-cohort computation: the exact property the
+    multi-process executor's parity suite pins.
     """
     user_vecs = store.gather_rows(benign_ids)
     positives_list = store.positives_list(benign_ids)
-    if regs is not None:
-        # Every still-mining client of the round retains the same copy
-        # of the round's matrix as its miner's baseline.
-        snapshot = None
-        for reg in regs:
-            if reg is None:
-                continue
-            if snapshot is None and not reg.miner.ready:
-                snapshot = model.item_embeddings.copy()
-            reg.observe(model.item_embeddings, snapshot=snapshot)
     rngs = spawn_batch(seed, ("client-round",), benign_ids, (round_idx,))
     if train_cfg.loss == "bpr":
         item_ids, lengths, item_grads, user_grads = _bpr_stacks_fn(
             model, positives_list, rngs, user_vecs
         )
-        param_stacks, param_owners = _bpr_param_stacks(model, regs)
+        param_stacks, param_owners = _bpr_param_stacks(
+            model, 0 if mined is None else len(benign_ids)
+        )
     else:
         # Any non-BPR loss trains with BCE, exactly like the reference
         # client.
@@ -303,11 +272,16 @@ def _compute_benign_stacks(
             _bce_stacks_fn(model, train_cfg, positives_list, rngs, user_vecs)
         )
         param_owners = _all_owners(len(benign_ids), param_stacks)
-    if regs is not None:
-        _apply_regularizers(
-            model, regs, user_vecs, item_ids, lengths,
-            item_grads, user_grads, param_stacks, param_owners,
+    if mined is not None:
+        # L_def = L_i - beta * Re1 - gamma * Re2 (Eq. 16); ``user_vecs``
+        # are the pre-update embeddings the per-client hooks see.
+        item_terms, user_terms = regularization_terms(
+            mined, user_vecs, item_ids, lengths, model.item_embeddings,
+            defense.beta, defense.gamma,
         )
+        item_grads += item_terms
+        user_grads += user_terms
+        _add_tower_terms(model, defense, mined, item_ids, lengths, param_stacks)
     # Local personalised-model update: u <- u - eta * grad_u, for the
     # whole participant stack at once.
     if train_cfg.client_lr_range is None:
@@ -488,26 +462,20 @@ class BatchClientEngine(Stateful):
         store = self.store
         if not len(benign_ids):
             return UpdateBatch.empty(self.model.embedding_dim)
-        regs = None
-        if store.has_regularizers:
-            regs = [store.regularizer(int(u)) for u in benign_ids]
-            if all(reg is None for reg in regs):
-                regs = None
+        mined = None
+        if store.miner is not None:
+            # Algorithm 1 for every defended participant at once; the
+            # rows' mined sets then travel with the round's work.
+            store.miner.observe(benign_ids, self.model.item_embeddings, round_idx)
+            mined = store.miner.mined[benign_ids]
         if self.executor is None:
             result = _compute_benign_stacks(
                 self.model, self.train_cfg, self.seed,
-                store, benign_ids, round_idx, regs,
+                store, benign_ids, round_idx, store.defense, mined,
             )
-        elif regs is None:
-            result = self.executor.compute(benign_ids, round_idx)
-            self.process_rounds += 1
         else:
-            # Regularizers appeared after executor construction:
-            # refusing beats silently computing around them.
-            raise RuntimeError(
-                "ProcessRoundExecutor cannot run this round: per-user "
-                "regularizer state lives only in the parent process"
-            )
+            result = self.executor.compute(benign_ids, round_idx, mined)
+            self.process_rounds += 1
         new_users, item_ids, lengths, item_grads, param_stacks, param_owners = result
         store.scatter_rows(benign_ids, new_users)
         return UpdateBatch(
@@ -584,6 +552,7 @@ def _round_worker_main(
     mirror,
     train_cfg,
     seed,
+    defense,
     kernel_backend,
 ):
     """One executor worker: pure per-subset local steps, forever.
@@ -605,14 +574,15 @@ def _round_worker_main(
             return
         if message is None:
             return
-        round_idx, benign_ids = message
+        round_idx, benign_ids, mined = message
         with kernels.use(kernel_backend) as backend:
             fallbacks_before = backend.fallback_calls
             mirror.load_into(model)
-            # param_owners stays behind: without regularizers it is
-            # all clients or none, which the parent re-derives.
+            # param_owners stays behind: it is all clients or none,
+            # which the parent re-derives.
             *stacks, _ = _compute_benign_stacks(
-                model, train_cfg, seed, store, benign_ids, round_idx
+                model, train_cfg, seed, store, benign_ids, round_idx,
+                defense, mined,
             )
             fallbacks = backend.fallback_calls - fallbacks_before
         try:
@@ -675,9 +645,9 @@ class ProcessRoundExecutor:
     its shards) and its subset re-dispatched, with no state to repair.
     ``respawns`` counts those events for the chaos suite.
 
-    Regularized stores are rejected at construction: the client-side
-    defense keeps per-user mutable Python objects that live only in
-    the parent, and silently computing around them would diverge.
+    Under the client-side defense the parent feeds the round to the
+    store's miner and ships each task its participants' ``mined`` rows;
+    the miner itself never leaves the parent.
     """
 
     def __init__(
@@ -697,13 +667,6 @@ class ProcessRoundExecutor:
                 "ProcessRoundExecutor requires a ShardedStateStore "
                 "(shared segments are what make worker reads see live "
                 "state); got a dense in-process store"
-            )
-        if store.has_regularizers:
-            raise ValueError(
-                "ProcessRoundExecutor cannot execute client-side "
-                "regularization: per-user regularizer state lives only "
-                "in the parent process. Run this config in-process "
-                "(round_workers=0)."
             )
         import multiprocessing
 
@@ -741,6 +704,7 @@ class ProcessRoundExecutor:
                 self._mirror,
                 train_cfg,
                 seed,
+                store.defense,
                 kernel_backend,
             )
             self._pool.append(_RoundWorker(self._ctx, w, spawn_args))
@@ -753,64 +717,73 @@ class ProcessRoundExecutor:
         return shards % self.num_workers
 
     def compute(
-        self, benign_ids: np.ndarray, round_idx: int
+        self,
+        benign_ids: np.ndarray,
+        round_idx: int,
+        mined: np.ndarray | None = None,
     ) -> tuple[
         np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray], np.ndarray
     ]:
         """One round's benign stacks, reassembled in participation order.
 
-        Same tuple as :func:`_compute_benign_stacks` on the full cohort.
+        Same tuple as :func:`_compute_benign_stacks` on the full cohort;
+        ``mined`` holds the participants' popular sets under the
+        client-side defense.
         """
         if self._closed:
             raise RuntimeError("executor is closed")
         self._mirror.publish(self.model)
         ids = np.asarray(benign_ids, dtype=np.int64)
         owners = self._worker_of(ids)
-        tasks: list[tuple[_RoundWorker, np.ndarray]] = []
+        tasks: list[tuple[_RoundWorker, np.ndarray, tuple]] = []
         for w in np.unique(owners):
             positions = np.flatnonzero(owners == w)
-            tasks.append((self._pool[int(w)], positions))
+            task = (
+                round_idx,
+                ids[positions],
+                None if mined is None else mined[positions],
+            )
+            tasks.append((self._pool[int(w)], positions, task))
         # Phase 1: every worker gets its subset before any reply is
         # awaited, so all workers compute concurrently.
-        for worker, positions in tasks:
-            self._send(worker, round_idx, ids[positions])
+        for worker, _, task in tasks:
+            self._send(worker, task)
         # Phase 2: collect (respawn + re-dispatch on worker death —
         # tasks are pure reads and nothing was scattered yet, so a
         # fresh worker recomputes the identical subset).
-        replies = [
-            self._recv(worker, round_idx, ids[positions])
-            for worker, positions in tasks
-        ]
+        replies = [self._recv(worker, task) for worker, _, task in tasks]
         self.rounds += 1
-        return self._reassemble(benign_ids, tasks, replies)
+        return self._reassemble(
+            benign_ids, [positions for _, positions, _ in tasks], replies
+        )
 
-    def _send(self, worker: _RoundWorker, round_idx, ids) -> None:
+    def _send(self, worker: _RoundWorker, task) -> None:
         try:
-            worker.conn.send((round_idx, ids))
+            worker.conn.send(task)
         except (BrokenPipeError, OSError):
             self.respawns += 1
             worker.spawn()
-            worker.conn.send((round_idx, ids))
+            worker.conn.send(task)
 
-    def _recv(self, worker: _RoundWorker, round_idx, ids):
+    def _recv(self, worker: _RoundWorker, task):
         for attempt in range(3):
             try:
                 reply = worker.conn.recv()
-                if reply[0] != round_idx:  # pragma: no cover - stale reply
+                if reply[0] != task[0]:  # pragma: no cover - stale reply
                     raise RuntimeError("out-of-order executor reply")
                 self.worker_kernel_fallbacks += int(reply[-1])
                 return reply[1:-1]
             except (EOFError, BrokenPipeError, OSError):
                 self.respawns += 1
                 worker.spawn()
-                worker.conn.send((round_idx, ids))
+                worker.conn.send(task)
         raise RuntimeError(
             f"executor worker {worker.index} kept dying mid-round; giving up"
         )
 
-    def _reassemble(self, benign_ids, tasks, replies):
+    def _reassemble(self, benign_ids, task_positions, replies):
         """Merge per-worker subset results back into cohort order."""
-        positions = np.concatenate([p for _, p in tasks])
+        positions = np.concatenate(task_positions)
         order = np.argsort(positions)
         new_users = np.concatenate([r[0] for r in replies])[order]
         lengths_cat = np.concatenate([r[2] for r in replies])

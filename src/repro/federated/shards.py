@@ -22,11 +22,9 @@ crosses process boundaries: a worker attaches the segments it needs
 zero-copy and sees the *live* state, so N workers cost ~one dataset of
 RSS instead of N.
 
-Regularizers are the one piece that cannot live in a segment: the
-client-side defense keeps genuinely per-user mutable Python objects.
-They stay in the creating process exactly as in the dense store; the
-multi-process executor refuses regularized configs loudly instead of
-silently diverging (see
+The client-side defense's miner block stays in the creating process
+exactly as in the dense store: the multi-process executor feeds it in
+the parent and ships each task only its participants' mined sets (see
 :class:`~repro.federated.batch_engine.ProcessRoundExecutor`).
 
 Lifecycle rules (the PR 9 lease machinery's spirit, applied to shm):
@@ -54,6 +52,7 @@ import weakref
 
 import numpy as np
 
+from repro.config import DefenseConfig
 from repro.federated.state import ClientStoreBase, pack_csr
 from repro.rng import spawn_first_uniform, spawn_normal_rows
 
@@ -401,7 +400,7 @@ class ShardedStateStore(ClientStoreBase):
 
     Implements the exact store surface the batch engine, streaming
     evaluation and checkpoints consume — gather/scatter/row access, CSR positives, per-client
-    learning rates, lazy regularizers — with the arrays living in
+    learning rates, the defense's miner block — with the arrays living in
     shared segments instead of one dense private matrix.  Bit-identity
     with the dense store is asserted by the parity suite.
     """
@@ -412,12 +411,11 @@ class ShardedStateStore(ClientStoreBase):
         segments: _SegmentSet,
         shards: dict[int, _Shard],
         *,
-        regularizer_factory=None,
+        defense: DefenseConfig | None = None,
         created: bool,
     ):
         self.manifest = manifest
-        super().__init__(manifest.seed, regularizer_factory)
-        self.num_items = manifest.num_items
+        super().__init__(manifest.seed, manifest.num_items, defense)
         self._segments = segments
         self._shards = shards
         self._bounds = manifest.bounds()
@@ -440,7 +438,7 @@ class ShardedStateStore(ClientStoreBase):
         *,
         seed: int = 0,
         init_scale: float = 0.1,
-        regularizer_factory=None,
+        defense: DefenseConfig | None = None,
         num_shards: int = 1,
         backend: str = "shm",
         lr_range: tuple[float, float] | None = None,
@@ -526,7 +524,7 @@ class ShardedStateStore(ClientStoreBase):
             manifest,
             segments,
             shards,
-            regularizer_factory=regularizer_factory,
+            defense=defense,
             created=True,
         )
 
@@ -536,7 +534,6 @@ class ShardedStateStore(ClientStoreBase):
         manifest: ShardManifest | str,
         *,
         shard_ids=None,
-        regularizer_factory=None,
         allow_stale: bool = False,
     ) -> "ShardedStateStore":
         """Attach an existing store's segments (shm backend only).
@@ -585,7 +582,6 @@ class ShardedStateStore(ClientStoreBase):
             manifest,
             segments,
             shards,
-            regularizer_factory=regularizer_factory,
             created=False,
         )
 

@@ -36,7 +36,7 @@ from repro.attacks.registry import build_malicious_clients, num_malicious_for_ra
 from repro.config import AttackConfig, ExperimentConfig, identity_digest
 from repro.datasets.base import InteractionDataset
 from repro.datasets.loaders import load_dataset
-from repro.defenses.registry import build_server_defense, client_regularizer_factory
+from repro.defenses.registry import build_server_defense, client_defense
 from repro.federated.async_engine import AsyncFederationEngine, AsyncStats
 from repro.federated.audit import ServerAuditLog
 from repro.federated.batch_engine import BatchClientEngine, ProcessRoundExecutor
@@ -112,10 +112,8 @@ class FederatedSimulation:
         # scope.
         self.kernel_backend = kernels.resolve(config.train.kernels)
         self.dataset = dataset if dataset is not None else load_dataset(config.dataset)
-        regularizer_factory = client_regularizer_factory(
-            config.defense, self.dataset.num_items
-        )
-        self._reject_unsupported(regularizer_factory is not None)
+        self._reject_unsupported()
+        defense = client_defense(config.defense)
         self.model = build_model(
             config.model.kind,
             self.dataset.num_items,
@@ -145,7 +143,7 @@ class FederatedSimulation:
                 config.model.embedding_dim,
                 seed=config.seed,
                 init_scale=config.model.init_scale,
-                regularizer_factory=regularizer_factory,
+                defense=defense,
                 num_shards=sharding.resolved_shards(self.dataset.num_users),
                 backend="shm" if sharding.shared_memory else "mmap",
                 lr_range=config.train.client_lr_range,
@@ -158,7 +156,7 @@ class FederatedSimulation:
                 config.model.embedding_dim,
                 seed=config.seed,
                 init_scale=config.model.init_scale,
-                regularizer_factory=regularizer_factory,
+                defense=defense,
             )
 
         num_malicious = num_malicious_for_ratio(
@@ -255,7 +253,7 @@ class FederatedSimulation:
             else None
         )
 
-    def _reject_unsupported(self, client_regularized: bool) -> None:
+    def _reject_unsupported(self) -> None:
         """Refuse unsupported combinations before anything is allocated.
 
         Every exclusion is rejected loudly here — never silently
@@ -274,13 +272,6 @@ class FederatedSimulation:
                 "sharding.shared_memory=True but /dev/shm is not "
                 "available; set shared_memory=False for the "
                 "anonymous-mmap backend"
-            )
-        if sharding.uses_executor and client_regularized:
-            raise ValueError(
-                "sharding.round_workers >= 2 cannot execute client-side "
-                "regularization: per-user regularizer state lives only "
-                "in the parent process. Run this config in-process "
-                "(round_workers=0)."
             )
         if config.asynchrony.enabled and config.faults.injects_faults:
             raise ValueError(

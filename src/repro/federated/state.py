@@ -26,17 +26,19 @@ needs.
   draws every client's fixed rate in one vectorised
   :func:`~repro.rng.spawn_first_uniform` pass (cached), bit-identical
   to the scalar ``spawn(seed, "client-lr", u)`` draws.
-* regularizers — the paper's client-side defense keeps genuinely
-  per-user mutable state (each client runs its own popular-item
-  miner), so those objects stay per-user Python state, created
-  *lazily* on first access: an undefended store never allocates any,
-  and a defended one only pays for users that actually participate.
+* ``miner`` — under the paper's client-side defense every benign
+  client runs its own popular-item miner; all of them live in one
+  :class:`~repro.attacks.mining.CohortMiner` over the user ids
+  (``(num_users, num_items)`` accumulators, frozen sets, flags).  An
+  undefended store has none.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.attacks.mining import CohortMiner
+from repro.config import DefenseConfig
 from repro.rng import spawn_first_uniform, spawn_normal_rows
 from repro.stateful import Stateful
 
@@ -93,16 +95,25 @@ class ClientStoreBase(Stateful):
     """What the dense and the sharded store share verbatim.
 
     Subclasses provide ``num_users`` / ``embedding_dim`` / ``positives``
-    and the array access API; this base holds the per-user Python state
-    (lazy defense regularizers), the argument checks and the run state:
-    the embedding matrix plus each materialised regularizer's state,
-    keyed by user id.
+    and the array access API; this base holds the defended clients'
+    miner block, the argument checks and the run state: the embedding
+    matrix plus the miner's arrays.
     """
 
-    def __init__(self, seed: int, regularizer_factory):
+    def __init__(self, seed: int, num_items: int, defense: DefenseConfig | None):
         self._seed = seed
-        self._regularizer_factory = regularizer_factory
-        self._regularizers: dict[int, object] = {}
+        self.num_items = num_items
+        #: The client-side defense every benign client trains with
+        #: (``None``: undefended), and the one miner block all of
+        #: their popular sets come from.
+        self.defense = defense
+        self.miner = (
+            None
+            if defense is None
+            else CohortMiner(
+                num_items, defense.mining_rounds, defense.num_popular, self.num_users
+            )
+        )
         self._client_lr_cache: tuple[tuple[float, float], np.ndarray] | None = None
 
     def close(self) -> None:
@@ -115,20 +126,13 @@ class ClientStoreBase(Stateful):
     def state(self) -> dict:
         return {
             "user_embeddings": self.snapshot_embeddings(),
-            "regularizers": {
-                user_id: None if reg is None else reg.state()
-                for user_id, reg in self._regularizers.items()
-            },
+            "miner": None if self.miner is None else self.miner.state(),
         }
 
     def restore(self, state: dict) -> None:
         self.load_embeddings(state["user_embeddings"])
-        self._regularizers.clear()
-        for user_id, reg_state in state["regularizers"].items():
-            if reg_state is None:
-                self.set_regularizer(user_id, None)
-            else:
-                self.regularizer(user_id).restore(reg_state)
+        if self.miner is not None:
+            self.miner.restore(state["miner"])
 
     def to_ragged(self) -> list[np.ndarray]:
         """Per-user positive-item arrays (copies) — CSR round-trip."""
@@ -148,34 +152,6 @@ class ClientStoreBase(Stateful):
                 f"store ({self.num_users}, {self.embedding_dim})"
             )
 
-    # -- defense regularizers (inherently per-user mutable state) --------
-
-    @property
-    def has_regularizers(self) -> bool:
-        """Whether any client may carry a defense regularizer."""
-        return self._regularizer_factory is not None or bool(self._regularizers)
-
-    def regularizer(self, user_id: int):
-        """The user's defense regularizer, created lazily (or ``None``).
-
-        Lazy creation is behaviour-preserving: a fresh regularizer only
-        accumulates state through ``observe`` calls, which happen when
-        the client participates — exactly when this accessor first
-        runs for the user.
-        """
-        try:
-            return self._regularizers[user_id]
-        except KeyError:
-            if self._regularizer_factory is None:
-                return None
-            regularizer = self._regularizer_factory()
-            self._regularizers[user_id] = regularizer
-            return regularizer
-
-    def set_regularizer(self, user_id: int, regularizer) -> None:
-        """Install (or clear) one user's regularizer explicitly."""
-        self._regularizers[user_id] = regularizer
-
 
 class ClientStateStore(ClientStoreBase):
     """Flat-array state for the whole benign client population."""
@@ -188,7 +164,7 @@ class ClientStateStore(ClientStoreBase):
         num_items: int,
         *,
         seed: int = 0,
-        regularizer_factory=None,
+        defense: DefenseConfig | None = None,
     ):
         if user_embeddings.ndim != 2:
             raise ValueError("user_embeddings must be (num_users, dim)")
@@ -200,8 +176,7 @@ class ClientStateStore(ClientStoreBase):
         self.user_embeddings = user_embeddings
         self.train_indptr = train_indptr
         self.train_indices = train_indices
-        self.num_items = num_items
-        super().__init__(seed, regularizer_factory)
+        super().__init__(seed, num_items, defense)
 
     # ------------------------------------------------------------------
     # Construction
@@ -216,7 +191,7 @@ class ClientStateStore(ClientStoreBase):
         *,
         seed: int = 0,
         init_scale: float = 0.1,
-        regularizer_factory=None,
+        defense: DefenseConfig | None = None,
     ) -> "ClientStateStore":
         """Build the store for a dataset's ragged positive-item lists.
 
@@ -241,7 +216,7 @@ class ClientStateStore(ClientStoreBase):
             indices,
             num_items,
             seed=seed,
-            regularizer_factory=regularizer_factory,
+            defense=defense,
         )
 
     # ------------------------------------------------------------------

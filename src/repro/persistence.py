@@ -88,7 +88,9 @@ __all__ = [
 #: and its config digest ignores every throughput knob.
 #: v6: no ``engine`` field (there is one round path) and no server
 #: ``materialized_rounds`` counter.
-CHECKPOINT_VERSION = "ckpt-v6"
+#: v7: the client store's defense state is one ``CohortMiner`` block
+#: (``state["store"]["miner"]``), not a dict of per-user regularizers.
+CHECKPOINT_VERSION = "ckpt-v7"
 
 #: Suffix appended (atomically, via ``os.replace``) to files that fail
 #: their integrity check.  A quarantined file is out of every loader's

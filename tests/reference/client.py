@@ -9,7 +9,8 @@ the item/parameter gradients.
 When the paper's defense is active, the client additionally feeds the
 received item matrix to its own popular-item miner and augments its
 loss with the two regularization terms (Eq. 16) via a ``regularizer``
-hook (see :class:`repro.defenses.regularization.ClientRegularizer`).
+hook (see :class:`repro.defenses.regularization.ClientRegularizer`, the
+per-client oracle of the batch engine's one-call terms).
 
 :meth:`BenignClient.participate` is the *reference* local step: the
 vectorised batch engine (:mod:`repro.federated.batch_engine`) executes
@@ -69,7 +70,7 @@ class BenignClient:
         self._positive_items = np.asarray(positive_items, dtype=np.int64)
         rng = spawn(seed, "client-init", user_id)
         self._user_embedding = rng.normal(scale=init_scale, size=embedding_dim)
-        self._regularizer = regularizer
+        self.regularizer = regularizer
         self._seed = seed
 
     @classmethod
@@ -85,7 +86,7 @@ class BenignClient:
         client._store = store
         client._positive_items = None
         client._user_embedding = None
-        client._regularizer = None
+        client.regularizer = None
         client._seed = store._seed
         return client
 
@@ -113,19 +114,6 @@ class BenignClient:
         if self._store is not None:
             return self._store.positives(self.user_id)
         return self._positive_items
-
-    @property
-    def regularizer(self):
-        if self._store is not None:
-            return self._store.regularizer(self.user_id)
-        return self._regularizer
-
-    @regularizer.setter
-    def regularizer(self, value) -> None:
-        if self._store is not None:
-            self._store.set_regularizer(self.user_id, value)
-        else:
-            self._regularizer = value
 
     # ------------------------------------------------------------------
     # One round of participation

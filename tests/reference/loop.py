@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
+from repro.defenses.registry import client_regularizer_factory
 from repro.federated.simulation import FederatedSimulation
 from repro.federated.state import ClientStateStore
 
@@ -28,11 +29,13 @@ class ClientViewList:
 
     Indexing materialises (and caches) a view object on demand, so a
     reference run over a large store pays only for the users it
-    samples.
+    samples.  With a ``regularizer_factory`` each view gets its own
+    per-client defense oracle when it is first materialised.
     """
 
-    def __init__(self, store: ClientStateStore):
+    def __init__(self, store: ClientStateStore, regularizer_factory=None):
         self._store = store
+        self._regularizer_factory = regularizer_factory
         self._views: dict[int, BenignClient] = {}
 
     def __len__(self) -> int:
@@ -49,6 +52,8 @@ class ClientViewList:
             return self._views[user_id]
         except KeyError:
             view = BenignClient.from_store(self._store, user_id)
+            if self._regularizer_factory is not None:
+                view.regularizer = self._regularizer_factory()
             self._views[user_id] = view
             return view
 
@@ -61,7 +66,11 @@ class LoopSimulation(FederatedSimulation):
 
     The malicious clients are driven through their own ``participate``
     methods, so no cohort is kept (the cohort would otherwise own
-    their counters and mining state).  Worker processes and the
+    their counters and mining state).  Likewise each defended benign
+    client carries its own ``ClientRegularizer`` oracle instead of a
+    row of the store's miner block; those objects are not part of a
+    checkpoint, so resuming a defended loop run is not supported.
+    Worker processes and the
     asynchronous event loop reuse batched wave math the reference does
     not have, so configs enabling either are refused.
     """
@@ -75,7 +84,10 @@ class LoopSimulation(FederatedSimulation):
             )
         super().__init__(config, dataset, audit=audit)
         self.malicious_cohort = None
-        self.benign_clients = ClientViewList(self.state)
+        self.benign_clients = ClientViewList(
+            self.state,
+            client_regularizer_factory(config.defense, self.dataset.num_items),
+        )
 
     def run_round(self, round_idx: int) -> None:
         sampled = self.server.sample_users(

@@ -28,6 +28,7 @@ from reference import LoopSimulation
 from repro import kernels, persistence
 from repro.config import (
     AttackConfig,
+    DefenseConfig,
     ExperimentConfig,
     FaultConfig,
     ModelConfig,
@@ -151,6 +152,19 @@ class TestResumeBitIdentity:
         assert ref_state["fault_stats"].any_fault
         _assert_identical(
             _interrupted(cfg, tiny_dataset, engine, tmp_path, stop_after=5, every=5),
+            ref_state,
+        )
+
+    def test_regularized_resume(self, tiny_dataset, tmp_path):
+        # The store's CohortMiner block — accumulators, frozen sets and
+        # the live round snapshots of still-mining clients — crosses
+        # the boundary.
+        cfg = _config("mf", defense=DefenseConfig(name="regularization"))
+        reference = FederatedSimulation(cfg, tiny_dataset)
+        ref_state = _final_state(reference, reference.run())
+        assert reference.state.miner.ready.any()
+        _assert_identical(
+            _interrupted(cfg, tiny_dataset, "batch", tmp_path, stop_after=3),
             ref_state,
         )
 
@@ -456,6 +470,11 @@ class TestCorruptionFallback:
         # v5 carried an engine name and the server's materialized_rounds
         # counter; v6 has neither.
         self._assert_refused_by_name(tmp_path, "ckpt-v5")
+
+    def test_v6_checkpoint_is_refused_by_name(self, tmp_path):
+        # v6 stored per-user regularizer states; v7 stores the store's
+        # CohortMiner arrays.
+        self._assert_refused_by_name(tmp_path, "ckpt-v6")
 
     def test_resume_falls_back_past_corrupt_newest(self, tiny_dataset, tmp_path):
         # Corrupt the newest retained checkpoint: resume must skip it

@@ -13,9 +13,9 @@ loop trains its waves through it with the same bits (and the same
 checkpoints) as in-process.
 
 Also here: the combinations the executor must reject *loudly* instead
-of silently degrading — too few workers, a dense store, client-side
-regularization, the loop engine — and that a rejected configuration
-leaves no shared memory behind.
+of silently degrading — too few workers, a dense store, the loop
+engine — and that a rejected configuration leaves no shared memory
+behind.
 """
 
 from __future__ import annotations
@@ -35,16 +35,13 @@ from repro.config import (
     DatasetConfig,
     DefenseConfig,
     ExperimentConfig,
+    FaultConfig,
     ModelConfig,
     ShardingConfig,
     TrainConfig,
 )
 from repro.federated.batch_engine import ProcessRoundExecutor
-from repro.federated.shards import (
-    ShardedStateStore,
-    list_repro_segments,
-    shared_memory_available,
-)
+from repro.federated.shards import list_repro_segments, shared_memory_available
 from repro.federated.simulation import FederatedSimulation
 from repro.federated.state import ClientStateStore
 from repro.kernels import NativeKernelsUnavailable
@@ -176,6 +173,24 @@ class TestExecutorParity:
         assert multi["process_rounds"] == 6
         assert_identical(dense, multi)
 
+    @pytest.mark.parametrize("defense", ["regularization", "hybrid", "coordinated"])
+    @pytest.mark.parametrize("kind", ["mf", "ncf"])
+    def test_client_regularization_parity(self, kind, defense):
+        """The defended clients' miner block stays in the parent; the
+        workers get each participant's mined set with its task.  Forty
+        of 75 users a round: most popular sets are mined by round 4."""
+
+        def config(**kwargs):
+            cfg = sweep_config(kind=kind, defense=defense, **kwargs)
+            return dataclasses.replace(
+                cfg, train=dataclasses.replace(cfg.train, users_per_round=40)
+            )
+
+        dense = run_sim(config())
+        multi = run_sim(config(sharding=SHARDED))
+        assert multi["process_rounds"] == 6, "a round fell back in-process"
+        assert_identical(dense, multi)
+
     def test_mmap_backend_parity(self):
         """shared_memory=False: fork-inherited anonymous mappings."""
         dense = run_sim(sweep_config())
@@ -290,16 +305,6 @@ class TestChaos:
 
 
 class TestGuards:
-    def _sharded_store(self, sim_cfg=None, **store_kwargs):
-        cfg = sim_cfg or sweep_config()
-        from repro.datasets.loaders import load_dataset
-
-        dataset = load_dataset(cfg.dataset)
-        return dataset, ShardedStateStore.build(
-            dataset.train_pos, dataset.num_items, 6, seed=11,
-            num_shards=4, **store_kwargs,
-        )
-
     def test_single_worker_rejected(self):
         with FederatedSimulation(sweep_config(sharding=SHARDED)) as sim:
             with pytest.raises(ValueError, match="num_workers"):
@@ -314,24 +319,6 @@ class TestGuards:
             with pytest.raises(ValueError, match="dense"):
                 ProcessRoundExecutor(sim.model, cfg.train, 11, sim.state, 2)
 
-    def test_regularized_store_rejected(self):
-        cfg = sweep_config()
-        dataset, store = self._sharded_store(
-            cfg, regularizer_factory=lambda: object()
-        )
-        try:
-            with FederatedSimulation(cfg, dataset) as sim:
-                with pytest.raises(ValueError, match="regulariz"):
-                    ProcessRoundExecutor(sim.model, cfg.train, 11, store, 2)
-        finally:
-            store.close()
-
-    def test_regularization_defense_rejected_at_simulation(self):
-        with pytest.raises(ValueError, match="regulariz"):
-            FederatedSimulation(
-                sweep_config(defense="regularization", sharding=SHARDED)
-            )
-
     def test_loop_engine_rejected(self):
         with pytest.raises(ValueError, match="batch"):
             LoopSimulation(sweep_config(sharding=SHARDED))
@@ -342,9 +329,14 @@ class TestGuards:
         with it any store built there) is still referenced."""
         mine = f"repro_shm_{os.getpid()}_"
         before = {r["name"] for r in list_repro_segments()}
-        with pytest.raises(ValueError, match="regulariz") as caught:
+        with pytest.raises(ValueError, match="mutually exclusive") as caught:
             FederatedSimulation(
-                sweep_config(defense="regularization", sharding=SHARDED)
+                dataclasses.replace(
+                    sweep_config(
+                        sharding=SHARDED, asynchrony=AsyncConfig(enabled=True)
+                    ),
+                    faults=FaultConfig(dropout_rate=0.2),
+                )
             )
         assert caught.value is not None
         leaked = {r["name"] for r in list_repro_segments()} - before

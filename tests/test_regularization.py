@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import DefenseConfig, replace
+from repro.attacks.mining import CohortMiner
+from repro.config import AttackConfig, DefenseConfig, replace
 from repro.defenses.regularization import (
     ClientRegularizer,
     exponential_rank_weights,
     re1_value,
     re2_value,
+    regularization_terms,
 )
 from repro.federated.simulation import FederatedSimulation
+from repro.metrics.divergence import softmax
 from repro.rng import make_rng
 from tests.conftest import numeric_gradient
 
@@ -207,15 +212,233 @@ class TestRoundSnapshotSharing:
             defense=DefenseConfig(name="regularization", mining_rounds=2),
         )
         sim = FederatedSimulation(config)
-        for round_idx in range(6):
+        rounds = 6
+        for round_idx in range(rounds):
             sim.run_round(round_idx)
-        miners = [reg.miner for reg in sim.state._regularizers.values()]
-        assert any(miner.ready for miner in miners)
-        assert all(m._tracker._last is None for m in miners if m.ready)
-        baselines = {
-            id(m._tracker._last): m._tracker._last for m in miners if not m.ready
-        }
+        miner = sim.state.miner
+        assert miner.ready.any()
+        mining = (miner.observations > 0) & ~miner.ready
         # Still-mining clients hold the copy of the last round they were
-        # sampled in: at most one array per round played.
-        assert 1 <= len(baselines) <= 6 < len(miners)
-        assert all(b is not sim.model.item_embeddings for b in baselines.values())
+        # sampled in: at most one array per round played, and a round
+        # is copied at most once however many clients it served.
+        assert 1 <= miner.live_snapshots() <= rounds < int(mining.sum())
+        assert miner.snapshot_copies <= rounds
+        assert set(miner._snapshots) == set(miner.last_round[mining].tolist())
+        assert all(
+            snap is not sim.model.item_embeddings
+            for snap in miner._snapshots.values()
+        )
+
+
+# ----------------------------------------------------------------------
+# The batched terms: one call for a cohort == the oracle per client
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def ragged_cohorts(draw):
+    """A random cohort: ragged item segments, some clients not ready.
+
+    Covers empty segments, segments made only of the client's mined
+    items, ids (popular ones included) repeated across clients, and
+    ``beta`` / ``gamma`` equal to zero.
+    """
+    num_items = draw(st.integers(2, 12))
+    # Up to 20 wide: NumPy's contiguous-axis sums take a plain loop
+    # below 8 elements and 8 unrolled accumulators from 8 on.
+    dim = draw(st.integers(1, 20))
+    width = draw(st.integers(1, num_items))
+    num_clients = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mined = np.full((num_clients, width), -1, dtype=np.int64)
+    segments = []
+    for client in range(num_clients):
+        if draw(st.booleans()):
+            mined[client] = rng.permutation(num_items)[:width]
+        kind = draw(st.sampled_from(["empty", "popular", "any"]))
+        length = 0 if kind == "empty" else draw(st.integers(1, 8))
+        pool = mined[client] if kind == "popular" and mined[client, 0] >= 0 else None
+        if pool is None:
+            segments.append(rng.integers(0, num_items, size=length))
+        else:
+            segments.append(rng.choice(pool, size=length))
+    item_ids = np.concatenate(segments).astype(np.int64)
+    lengths = np.array([len(seg) for seg in segments], dtype=np.int64)
+    item_matrix = rng.normal(size=(num_items, dim))
+    user_vecs = rng.normal(size=(num_clients, dim))
+    beta = draw(st.sampled_from([0.0, 0.5, 1.7]))
+    gamma = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    return mined, user_vecs, item_ids, lengths, item_matrix, beta, gamma
+
+
+def _oracle(num_items, mined_row, beta, gamma):
+    """A per-client ``ClientRegularizer`` whose miner froze ``mined_row``."""
+    reg = ClientRegularizer(
+        num_items,
+        DefenseConfig(
+            name="regularization", beta=beta, gamma=gamma,
+            num_popular=len(mined_row), mining_rounds=1,
+        ),
+    )
+    if mined_row[0] >= 0:
+        reg.miner._mined = mined_row.copy()
+    return reg
+
+
+class TestBatchedTermsEqualOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(ragged_cohorts())
+    def test_cohort_call_equals_one_client_at_a_time(self, cohort):
+        mined, user_vecs, item_ids, lengths, item_matrix, beta, gamma = cohort
+        item_terms, user_terms = regularization_terms(
+            mined, user_vecs, item_ids, lengths, item_matrix, beta, gamma
+        )
+        starts = np.concatenate([[0], np.cumsum(lengths)])
+        no_item_term = np.zeros(len(item_ids), dtype=bool)
+        for client in range(len(lengths)):
+            reg = _oracle(len(item_matrix), mined[client], beta, gamma)
+            seg = slice(starts[client], starts[client + 1])
+            oracle_items = reg.item_grad_terms(item_ids[seg], item_matrix)
+            oracle_user = reg.user_grad_term(user_vecs[client], item_matrix)
+            assert item_terms[seg].tobytes() == oracle_items.tobytes()
+            assert user_terms[client].tobytes() == oracle_user.tobytes()
+            no_item_term[seg] = (
+                beta == 0.0
+                or mined[client, 0] < 0
+                or np.isin(item_ids[seg], mined[client])
+            )
+        # The -0.0 trap: rows without a term are +0.0, so adding them
+        # to a gradient flips its -0.0 entries to +0.0 on both paths.
+        no_user_term = (mined[:, 0] < 0) | (gamma == 0.0)
+        for terms, empty in ((item_terms, no_item_term), (user_terms, no_user_term)):
+            assert terms[empty].tobytes() == np.zeros_like(terms[empty]).tobytes()
+            assert not np.signbit(-0.0 + terms[empty]).any()
+
+    def test_not_ready_popular_and_disabled_rows_are_positive_zero(self):
+        reg, matrix, _ = ready_regularizer()
+        popular = reg.miner.popular_items()
+        mined = np.stack([popular, np.full_like(popular, -1)])
+        item_ids = np.array([int(popular[0]), 9, 10], dtype=np.int64)
+        lengths = np.array([2, 1])
+        users = make_rng(1).normal(size=(2, matrix.shape[1]))
+        item_terms, user_terms = regularization_terms(
+            mined, users, item_ids, lengths, matrix, 0.5, 0.5
+        )
+        assert item_terms[0].tobytes() == np.zeros(matrix.shape[1]).tobytes()
+        assert np.abs(item_terms[1]).sum() > 0
+        assert item_terms[2].tobytes() == np.zeros(matrix.shape[1]).tobytes()
+        assert user_terms[1].tobytes() == np.zeros(matrix.shape[1]).tobytes()
+        for beta, gamma in ((0.0, 0.5), (0.5, 0.0)):
+            items0, users0 = regularization_terms(
+                mined, users, item_ids, lengths, matrix, beta, gamma
+            )
+            zero = items0 if beta == 0.0 else users0
+            assert zero.tobytes() == np.zeros_like(zero).tobytes()
+
+
+def _gemm_item_terms(popular, item_ids, item_matrix, beta):
+    """Re1 item terms as the per-client hook computed them before the
+    collapse: a popular x batch cosine GEMM and a GEMV over it."""
+    grads = np.zeros((len(item_ids), item_matrix.shape[1]))
+    popular_vecs = item_matrix[popular]
+    weights = exponential_rank_weights(len(popular))
+    p_norms = np.linalg.norm(popular_vecs, axis=1) + 1e-12
+    unpopular_rows = np.flatnonzero(~np.isin(item_ids, popular))
+    if len(unpopular_rows) == 0:
+        return grads
+    vecs = item_matrix[item_ids[unpopular_rows]]
+    v_norms = np.linalg.norm(vecs, axis=1) + 1e-12
+    cosines = (popular_vecs @ vecs.T) / np.outer(p_norms, v_norms)
+    weighted_pop = (weights[:, None] * popular_vecs / p_norms[:, None]).sum(axis=0)
+    first_term = weighted_pop[None, :] / v_norms[:, None]
+    second_term = (weights @ cosines)[:, None] * vecs / (v_norms**2)[:, None]
+    grads[unpopular_rows] = -beta * (first_term - second_term) / len(unpopular_rows)
+    return grads
+
+
+def _gemv_user_term(popular, user_emb, item_matrix, gamma):
+    """Re2 user term as computed before: a GEMV over the softmaxes."""
+    weights = exponential_rank_weights(len(popular))
+    return -gamma * (softmax(user_emb) - weights @ softmax(item_matrix[popular]))
+
+
+class TestCollapsedFormAgreesWithMatrixForm:
+    @settings(max_examples=100, deadline=None)
+    @given(ragged_cohorts())
+    def test_within_1e12_of_the_gemm_gemv_form(self, cohort):
+        """Relative to the size of the summands: where ``first - second``
+        cancels (exactly so at ``d = 1``, where Re1 is flat), an entry
+        keeps their absolute error.  Each summand of a Re1 row is at
+        most ``beta / |v|`` (``a_c`` is a convex sum of unit vectors),
+        each of a Re2 entry at most ``gamma``."""
+        mined, user_vecs, item_ids, lengths, item_matrix, beta, gamma = cohort
+        item_terms, user_terms = regularization_terms(
+            mined, user_vecs, item_ids, lengths, item_matrix, beta, gamma
+        )
+        inverse_norms = 1.0 / (np.linalg.norm(item_matrix, axis=1) + 1e-12)
+        starts = np.concatenate([[0], np.cumsum(lengths)])
+        for client in np.flatnonzero(mined[:, 0] >= 0):
+            seg = slice(starts[client], starts[client + 1])
+            old_items = _gemm_item_terms(
+                mined[client], item_ids[seg], item_matrix, beta
+            )
+            old_user = _gemv_user_term(
+                mined[client], user_vecs[client], item_matrix, gamma
+            )
+            item_scale = beta * inverse_norms[item_ids[seg]].max(initial=0.0)
+            assert np.abs(item_terms[seg] - old_items).max(initial=0.0) <= (
+                1e-12 * item_scale
+            )
+            assert np.abs(user_terms[client] - old_user).max() <= 1e-12 * gamma
+
+
+# ----------------------------------------------------------------------
+# Freeze sorts in bounded row blocks
+# ----------------------------------------------------------------------
+
+
+class TestBlockedFreeze:
+    def test_mined_sets_independent_of_block_size(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        history = [rng.normal(size=(30, 3)) for _ in range(4)]
+        schedule = [rng.permutation(40)[: int(rng.integers(10, 40))] for _ in range(4)]
+
+        def mined(block_bytes):
+            monkeypatch.setattr(CohortMiner, "FREEZE_BLOCK_BYTES", block_bytes)
+            miner = CohortMiner(30, 2, 7, 40)
+            for round_idx, (matrix, rows) in enumerate(zip(history, schedule)):
+                miner.observe(rows, matrix, round_idx)
+            return miner
+
+        one_row, unbounded = mined(1), mined(1 << 40)
+        assert one_row.ready.sum() > 1
+        assert np.array_equal(one_row.ready, unbounded.ready)
+        assert np.array_equal(one_row.mined, unbounded.mined)
+
+    def test_simulation_defender_and_attacker_unchanged(
+        self, tiny_mf_config, monkeypatch
+    ):
+        config = replace(
+            tiny_mf_config,
+            attack=AttackConfig(name="pieck_uea", malicious_ratio=0.2, mining_rounds=2),
+            defense=DefenseConfig(name="regularization", mining_rounds=2),
+        )
+
+        def run(block_bytes):
+            monkeypatch.setattr(CohortMiner, "FREEZE_BLOCK_BYTES", block_bytes)
+            sim = FederatedSimulation(config)
+            for round_idx in range(8):
+                sim.run_round(round_idx)
+            return sim
+
+        one_row, unbounded = run(1), run(1 << 40)
+        for a, b in (
+            (one_row.state.miner, unbounded.state.miner),
+            (one_row.malicious_cohort.miner, unbounded.malicious_cohort.miner),
+        ):
+            assert a.ready.any()
+            assert np.array_equal(a.mined, b.mined)
+        assert (
+            one_row.model.item_embeddings.tobytes()
+            == unbounded.model.item_embeddings.tobytes()
+        )

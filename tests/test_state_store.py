@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from reference import BenignClient, ClientViewList, LoopSimulation
-from repro.config import ShardingConfig, TrainConfig, replace
+from repro.config import DefenseConfig, ShardingConfig, TrainConfig, replace
 from repro.datasets.synthetic import generate_longtail_dataset
 from repro.federated.simulation import FederatedSimulation
 from repro.federated.state import ClientStateStore
@@ -202,34 +202,36 @@ class TestStoreBackedViews:
         with pytest.raises(IndexError):
             views[-3]
 
-    def test_lazy_regularizers(self):
-        created = []
-
-        def factory():
-            created.append(object())
-            return created[-1]
-
-        store = ClientStateStore.build(
-            [np.array([0]), np.array([1])], 5, 2, regularizer_factory=factory
+    def test_defended_store_holds_one_miner_block(self):
+        defense = DefenseConfig(
+            name="regularization", mining_rounds=1, num_popular=3
         )
-        assert store.has_regularizers
-        assert not created  # nothing until first access
-        assert store.regularizer(1) is created[0]
-        assert store.regularizer(1) is created[0]  # cached
-        assert len(created) == 1
-        store.set_regularizer(0, None)
-        assert store.regularizer(0) is None
-        assert len(created) == 1
+        store = ClientStateStore.build(
+            [np.array([0]), np.array([1]), np.array([2])], 5, 2, defense=defense
+        )
+        assert store.defense is defense
+        assert store.miner.mined.shape == (3, 3)
+        rng = np.random.default_rng(0)
+        for round_idx, rows in enumerate(([0, 2], [2], [1, 2])):
+            store.miner.observe(np.array(rows), rng.normal(size=(5, 2)), round_idx)
+        assert store.miner.accumulated.shape == (3, 5)
+        assert store.miner.ready.tolist() == [False, False, True]
+        # The checkpoint state is the miner's arrays, and it restores
+        # into a fresh store's block.
+        saved = store.state()
+        fresh = ClientStateStore.build(
+            [np.array([0]), np.array([1]), np.array([2])], 5, 2, defense=defense
+        )
+        fresh.restore(saved)
+        for name in ("accumulated", "observations", "last_round", "ready", "mined"):
+            assert np.array_equal(getattr(fresh.miner, name), getattr(store.miner, name))
+        assert fresh.miner.live_snapshots() == store.miner.live_snapshots()
 
     def test_no_factory_store_stays_regularizer_free(self):
         store = self.make_store()
-        assert not store.has_regularizers
-        assert store.regularizer(0) is None
-        # Reading through a view must not cache dead entries or flip
-        # the store into the "may carry regularizers" state.
+        assert store.defense is None and store.miner is None
+        assert store.state()["miner"] is None
         assert BenignClient.from_store(store, 1).regularizer is None
-        assert not store._regularizers
-        assert not store.has_regularizers
 
 
 # ----------------------------------------------------------------------
