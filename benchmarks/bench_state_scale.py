@@ -3,16 +3,16 @@
 Not a paper table — this benchmarks the *state layer* behind every
 simulation at production user counts:
 
-* **Construction.** Building the benign population as a
-  :class:`~repro.federated.state.ClientStateStore` (one vectorised
-  embedding-matrix init + one CSR pack) versus the original
+* **Construction.** Building the benign population as the default
+  one-heap-shard :class:`~repro.federated.shards.ShardedStateStore`
+  (one vectorised embedding-matrix init + one CSR pack) versus the original
   object-per-user path (one reference ``BenignClient`` from
   ``tests/reference/`` with its own RNG spawn and embedding draw per
   user).  Acceptance: ``>= 5x`` faster at the
   full scale of 100k users (``>= 2x`` at smoke scale, where fixed
   overheads weigh more), with bit-identical state.
-* **Round hand-off.** The batch engine on the store (fancy-indexed
-  gather/scatter on the store arrays) versus the reference API on
+* **Round hand-off.** The batch engine on the store (``gather_rows`` /
+  ``positives_list`` / ``scatter_rows``) versus the reference API on
   *standalone* clients (owned attribute arrays — the true pre-store
   layout): one ``participate`` call per sampled client into the
   reference ``apply_updates``, on its own copy of the model, which
@@ -47,7 +47,7 @@ from repro.config import DatasetConfig, ExperimentConfig, ModelConfig, TrainConf
 from repro.datasets.synthetic import generate_longtail_dataset
 from repro.federated.server import Server
 from repro.federated.simulation import FederatedSimulation
-from repro.federated.state import ClientStateStore
+from repro.federated.shards import ShardedStateStore
 
 EMBEDDING_DIM = 16
 SEED = 3
@@ -98,7 +98,7 @@ def _measure_construction(dataset) -> tuple[float, float, list[BenignClient]]:
     store_seconds = np.inf
     for _ in range(3):
         started = time.perf_counter()
-        store = ClientStateStore.build(
+        store = ShardedStateStore.build(
             dataset.train_pos, dataset.num_items, EMBEDDING_DIM, seed=SEED
         )
         store_seconds = min(store_seconds, time.perf_counter() - started)
@@ -106,9 +106,7 @@ def _measure_construction(dataset) -> tuple[float, float, list[BenignClient]]:
     # The layouts must hold identical state, not merely be fast.
     stride = max(1, dataset.num_users // 97)
     for user in range(0, dataset.num_users, stride):
-        assert np.array_equal(
-            store.user_embeddings[user], clients[user].user_embedding
-        )
+        assert np.array_equal(store.row(user), clients[user].user_embedding)
         assert np.array_equal(store.positives(user), clients[user].positive_items)
     return object_seconds, store_seconds, clients
 
@@ -175,7 +173,7 @@ def _measure_gather(
     for _ in range(3):  # best-of-3 per side to damp cache/noise effects
         started = time.perf_counter()
         for _ in range(repeats):
-            store.user_embeddings[benign_ids]
+            store.gather_rows(benign_ids)
             store.positives_list(benign_ids)
         store_seconds = min(
             store_seconds, (time.perf_counter() - started) / repeats

@@ -9,7 +9,7 @@ production scale (~10k malicious clients at 1% of a million users)
 those per-object costs — not the attack math — dominate the round.
 
 :class:`MaliciousCohort` mirrors the benign
-:class:`~repro.federated.state.ClientStateStore`: it *adopts* the
+:class:`~repro.federated.shards.ShardedStateStore`: it *adopts* the
 registry-built client objects (so construction-time RNG draws and any
 genuinely per-client warm state are untouched) and owns the team-level
 state as flat arrays:

@@ -461,25 +461,24 @@ class AsyncConfig:
 
 @dataclass(frozen=True)
 class ShardingConfig:
-    """Shared-memory state sharding and the multi-process round executor.
+    """Client-state sharding and the multi-process round executor.
 
-    With ``num_shards=0`` (the default) the simulation keeps the dense
-    in-process :class:`~repro.federated.state.ClientStateStore`.  With
-    ``num_shards >= 1`` client state lives in a
-    :class:`~repro.federated.shards.ShardedStateStore`: ``num_shards``
-    contiguous user-id ranges, each backed by named
-    ``multiprocessing.shared_memory`` segments (``shared_memory=True``)
-    or anonymous private mappings (``shared_memory=False``, usable only
-    by fork-inherited children).  ``round_workers >= 2`` additionally
-    routes benign round computation through the
-    :class:`~repro.federated.batch_engine.ProcessRoundExecutor` — a
-    pool of forked worker processes that each attach only their shards.
-    Both are bit-identical to the dense single-process reference
+    Client state always lives in a
+    :class:`~repro.federated.shards.ShardedStateStore`.  With
+    ``num_shards=0`` (the default) that is one in-process heap shard.
+    With ``num_shards >= 1`` it is ``num_shards`` contiguous user-id
+    ranges, each backed by named ``multiprocessing.shared_memory``
+    segments (``shared_memory=True``) or anonymous fork-shared mappings
+    (``shared_memory=False``, usable only by fork-inherited children).
+    ``round_workers >= 2`` additionally routes benign round computation
+    through the :class:`~repro.federated.batch_engine.ProcessRoundExecutor`
+    — a pool of forked worker processes that each attach only their
+    shards.  Every layout is bit-identical to the in-process reference
     (asserted by the parity suites).
     """
 
-    #: Number of contiguous user-range shards; 0 = dense in-process
-    #: store (sharding off).
+    #: Number of contiguous user-range shards in shared segments; 0 =
+    #: one in-process heap shard (sharding off).
     num_shards: int = 0
     #: Worker processes for the multi-process round executor; 0 or 1 =
     #: compute rounds in-process (sharded store only).
@@ -501,9 +500,11 @@ class ShardingConfig:
             )
 
     @property
-    def enabled(self) -> bool:
-        """Whether client state is sharded at all."""
-        return self.num_shards >= 1
+    def backend(self) -> str:
+        """The store's segment allocator: ``heap``, ``shm`` or ``mmap``."""
+        if self.num_shards == 0:
+            return "heap"
+        return "shm" if self.shared_memory else "mmap"
 
     @property
     def uses_executor(self) -> bool:

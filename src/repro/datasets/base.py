@@ -12,7 +12,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["InteractionDataset"]
+__all__ = ["InteractionDataset", "pack_csr"]
+
+
+def pack_csr(train_pos) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` int64 CSR arrays of ragged positive lists.
+
+    ``indices[indptr[u]:indptr[u + 1]]`` equals ``train_pos[u]``.  A
+    CSR-backed ragged facade (the shared-memory attach path) hands over
+    its arrays directly instead of re-concatenating a million per-user
+    slices.
+    """
+    if hasattr(train_pos, "csr_arrays"):
+        indptr, indices = train_pos.csr_arrays()
+        return (
+            np.ascontiguousarray(indptr, dtype=np.int64),
+            np.ascontiguousarray(indices, dtype=np.int64),
+        )
+    num_users = len(train_pos)
+    lengths = np.fromiter(
+        (len(items) for items in train_pos), dtype=np.int64, count=num_users
+    )
+    indptr = np.zeros(num_users + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = (
+        np.ascontiguousarray(np.concatenate(train_pos), dtype=np.int64)
+        if num_users
+        else np.empty(0, dtype=np.int64)
+    )
+    return indptr, indices
 
 
 @dataclass
@@ -173,20 +201,7 @@ class InteractionDataset:
         ``indices[indptr[u]:indptr[u + 1]]`` equals ``train_pos[u]``.
         """
         if self._train_csr is None:
-            lengths = np.fromiter(
-                (len(items) for items in self.train_pos),
-                dtype=np.int64,
-                count=self.num_users,
-            )
-            indptr = np.zeros(self.num_users + 1, dtype=np.int64)
-            np.cumsum(lengths, out=indptr[1:])
-            if self.num_users and indptr[-1]:
-                indices = np.ascontiguousarray(
-                    np.concatenate(self.train_pos), dtype=np.int64
-                )
-            else:
-                indices = np.zeros(0, dtype=np.int64)
-            self._train_csr = (indptr, indices)
+            self._train_csr = pack_csr(self.train_pos)
         return self._train_csr
 
     def covered_users(self, items: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from repro.federated.faults import (
 from repro.federated.payload import ClientUpdate
 from repro.federated.server import Server
 from repro.federated.simulation import EvalRecord, FederatedSimulation, SimulationResult
-from repro.federated.state import ClientStateStore
+from repro.federated.shards import ShardedStateStore
 from repro.federated.update_batch import UpdateBatch
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "SumAggregator",
     "scatter_sum",
     "BatchClientEngine",
-    "ClientStateStore",
+    "ShardedStateStore",
     "Server",
     "FaultController",
     "FaultPlan",

@@ -44,14 +44,14 @@ runs through the simulation's
 clients' uploads are computed in one batched pass over the team's
 struct-of-arrays state and splice into the ``UpdateBatch`` as
 :class:`~repro.attacks.cohort.CohortUpload` views.  Client state
-enters and leaves through the simulation's store
-(:class:`~repro.federated.state.ClientStateStore` or its sharded
-twin): participant embeddings are *gathered* by fancy indexing,
-positives are zero-copy CSR slices, per-client learning rates come
-from the store's vectorised cache, and the updated embeddings are
-*scattered* back in one assignment.  The local step itself is the
-module-level :func:`_compute_benign_stacks`, run in-process or — the
-same code object — by the :class:`ProcessRoundExecutor`'s workers.
+enters and leaves through the simulation's
+:class:`~repro.federated.shards.ShardedStateStore`: participant
+embeddings are *gathered* by fancy indexing, positives are zero-copy
+CSR slices, per-client learning rates were drawn once at build, and
+the updated embeddings are *scattered* back in one assignment.  The
+local step itself is the module-level :func:`_compute_benign_stacks`,
+run in-process or — the same code object — by the
+:class:`ProcessRoundExecutor`'s workers.
 
 Bit-exactness is a design invariant, not an approximation: every RNG
 stream, every row-wise op, and every reduction matches the per-client
@@ -72,7 +72,7 @@ from repro.config import DefenseConfig, TrainConfig
 from repro.datasets.sampling import sample_local_batches, sample_negatives_batch
 from repro.defenses.regularization import regularization_terms, tower_grad_terms
 from repro.federated.server import Server
-from repro.federated.shards import ShardedStateStore
+from repro.federated.shards import ShardedStateStore, _SegmentSet
 from repro.federated.update_batch import UpdateBatch
 from repro.models.base import RecommenderModel, segment_starts
 from repro.rng import StreamBatch, spawn_batch
@@ -287,7 +287,7 @@ def _compute_benign_stacks(
     if train_cfg.client_lr_range is None:
         new_users = user_vecs - train_cfg.effective_client_lr * user_grads
     else:
-        lrs = store.client_lrs_for(train_cfg.client_lr_range, benign_ids)
+        lrs = store.client_lrs(benign_ids)
         new_users = user_vecs - lrs[:, None] * user_grads
     return new_users, item_ids, lengths, item_grads, param_stacks, param_owners
 
@@ -495,40 +495,23 @@ class BatchClientEngine(Stateful):
 
 
 class _ModelMirror:
-    """The round-start global model in one fork-shared anonymous mapping.
+    """The round-start global model in fork-shared anonymous segments.
 
     The parent publishes ``item_embeddings`` (and any interaction
-    parameters) into the mapping before dispatching a round; each
+    parameters) into the segments before dispatching a round; each
     worker copies them into its private model replica before computing.
-    Anonymous ``MAP_SHARED`` memory needs no names, no unlink and no
-    tracker — it dies with the last process that maps it — and is
-    inherited by the fork-spawned workers automatically.
+    The segments come from the store's ``"mmap"`` allocator: anonymous
+    ``MAP_SHARED`` memory needs no names, no unlink and no tracker — it
+    dies with the last process that maps it — and is inherited by the
+    fork-spawned workers automatically.
     """
 
     def __init__(self, model: RecommenderModel):
-        import mmap as _mmap
-
-        shapes = [model.item_embeddings.shape] + [
-            p.shape for p in model.interaction_params()
+        self._segments = _SegmentSet("mmap")
+        self.views = [
+            self._segments.new("", array.shape, array.dtype)
+            for array in [model.item_embeddings, *model.interaction_params()]
         ]
-        dtypes = [model.item_embeddings.dtype] + [
-            p.dtype for p in model.interaction_params()
-        ]
-        sizes = [
-            int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-            for shape, dtype in zip(shapes, dtypes)
-        ]
-        self._mmap = _mmap.mmap(-1, max(1, sum(sizes)))
-        self.views: list[np.ndarray] = []
-        offset = 0
-        buffer = memoryview(self._mmap)
-        for shape, dtype, nbytes in zip(shapes, dtypes, sizes):
-            count = int(np.prod(shape, dtype=np.int64))
-            view = np.frombuffer(
-                buffer[offset : offset + nbytes], dtype=dtype, count=count
-            ).reshape(shape)
-            self.views.append(view)
-            offset += nbytes
 
     def publish(self, model: RecommenderModel) -> None:
         """Parent side: copy the live model into the shared mapping."""
@@ -662,11 +645,11 @@ class ProcessRoundExecutor:
     ):
         if num_workers < 2:
             raise ValueError("ProcessRoundExecutor needs num_workers >= 2")
-        if not isinstance(store, ShardedStateStore):
+        if store.backend == "heap":
             raise ValueError(
-                "ProcessRoundExecutor requires a ShardedStateStore "
-                "(shared segments are what make worker reads see live "
-                "state); got a dense in-process store"
+                "ProcessRoundExecutor requires a store in shared segments "
+                "(they are what make worker reads see live state); got a "
+                "heap-backed in-process store"
             )
         import multiprocessing
 

@@ -1,33 +1,42 @@
-"""Sharded shared-memory backing store for benign client state.
+"""The benign client state store: contiguous user shards in segments.
 
-The dense :class:`~repro.federated.state.ClientStateStore` keeps the
-whole population in one in-process ``(num_users, dim)`` matrix — at
-10M users x dim 64 that is ~2.5 GB *per process copy*, which makes
-memory (not arithmetic) the binding constraint for "millions of
-users".  :class:`ShardedStateStore` keeps the same state split into
-``num_shards`` contiguous user-id ranges, each range backed by named
-POSIX shared-memory segments (``multiprocessing.shared_memory``) or by
-anonymous fork-shared mappings:
+In the paper's FRS every benign client keeps a private user embedding
+and its own interaction list (Section III-A).
+:class:`ShardedStateStore` holds that state for the whole population as
+struct-of-arrays, split into ``num_shards`` contiguous user-id ranges;
+each shard owns four arrays (*segments*):
 
-* ``emb``     — the shard's ``(n, dim)`` float64 embedding rows;
+* ``emb``     — the shard's ``(n, dim)`` embedding rows, drawn
+  bit-identically to the per-user ``spawn(seed, "client-init", u)``
+  reference via :func:`~repro.rng.spawn_normal_rows`;
 * ``indptr``  — the shard's *local* CSR offsets, ``(n + 1,)`` int64
   (entry 0 is always 0: global offsets minus ``indptr[lo]``);
 * ``indices`` — the shard's positive-item ids, ``(nnz,)`` int64;
-* ``lr``      — optionally, the shard's per-client learning-rate
-  draws for the inconsistent-rate scenario, ``(n,)`` float64.
+* ``lr``      — optionally, the shard's per-client learning rates for
+  the inconsistent-rate scenario, ``(n,)`` float64, drawn once at build
+  bit-identically to the scalar ``spawn(seed, "client-lr", u)`` draws.
 
-A small JSON :class:`ShardManifest` (segment names, dtypes, shapes,
-user-id ranges, creator pid, config digest) is the only thing that
-crosses process boundaries: a worker attaches the segments it needs
-zero-copy and sees the *live* state, so N workers cost ~one dataset of
-RSS instead of N.
+One surface, three segment allocators:
 
-The client-side defense's miner block stays in the creating process
-exactly as in the dense store: the multi-process executor feeds it in
-the parent and ships each task only its participants' mined sets (see
+* ``"heap"`` — process-private NumPy arrays.  One heap shard is the
+  default in-process store (``ShardingConfig(num_shards=0)``); row
+  reads are zero-copy views of one matrix.
+* ``"shm"``  — named POSIX shared memory
+  (``multiprocessing.shared_memory``).  A small JSON
+  :class:`ShardManifest` (segment names, dtypes, shapes, user-id
+  ranges, creator pid, config digest) is the only thing that crosses
+  process boundaries: a worker attaches the segments it needs zero-copy
+  and sees the *live* state, so N workers cost ~one dataset of RSS.
+* ``"mmap"`` — anonymous ``MAP_SHARED`` mappings, shared only with
+  fork-inherited children.
+
+The client-side defense's miner block (one
+:class:`~repro.attacks.mining.CohortMiner` over the user ids) stays in
+the creating process: the multi-process executor feeds it in the parent
+and ships each task only its participants' mined sets (see
 :class:`~repro.federated.batch_engine.ProcessRoundExecutor`).
 
-Lifecycle rules (the PR 9 lease machinery's spirit, applied to shm):
+Lifecycle rules for named segments:
 
 * segments are *refcounted per process* — attaching the same segment
   twice maps it once; the last detach closes the mapping;
@@ -43,6 +52,7 @@ Lifecycle rules (the PR 9 lease machinery's spirit, applied to shm):
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import mmap
@@ -52,9 +62,11 @@ import weakref
 
 import numpy as np
 
+from repro.attacks.mining import CohortMiner
 from repro.config import DefenseConfig
-from repro.federated.state import ClientStoreBase, pack_csr
+from repro.datasets.base import pack_csr
 from repro.rng import spawn_first_uniform, spawn_normal_rows
+from repro.stateful import Stateful
 
 __all__ = [
     "ShardManifest",
@@ -93,19 +105,18 @@ def shared_memory_available() -> bool:
 
 
 # ----------------------------------------------------------------------
-# Segment layer: refcounted named-shm / anonymous-mmap buffers
+# Segment layer: refcounted named-shm, anonymous-mmap and heap buffers
 # ----------------------------------------------------------------------
 
 class _Mapping:
     """One mapped segment plus its per-process refcount."""
 
-    __slots__ = ("buf", "refs", "shm", "mm")
+    __slots__ = ("buf", "refs", "shm")
 
-    def __init__(self, buf, shm=None, mm=None):
+    def __init__(self, buf, shm):
         self.buf = buf
         self.refs = 1
         self.shm = shm
-        self.mm = mm
 
 
 #: name -> _Mapping for every *named* segment mapped in this process.
@@ -194,10 +205,15 @@ def unlink_segment(name: str) -> bool:
 
 
 class _SegmentSet:
-    """All segments owned or attached by one store, as ndarrays."""
+    """All segments owned or attached by one store, as ndarrays.
+
+    ``backend`` picks the allocator: ``"shm"`` (named, attachable),
+    ``"mmap"`` (anonymous, fork-inherited) or ``"heap"`` (private
+    ``np.zeros``; nothing to release).
+    """
 
     def __init__(self, backend: str):
-        if backend not in ("shm", "mmap"):
+        if backend not in ("shm", "mmap", "heap"):
             raise ValueError(f"unknown segment backend {backend!r}")
         if backend == "shm" and not shared_memory_available():
             raise RuntimeError(
@@ -207,10 +223,11 @@ class _SegmentSet:
         self.backend = backend
         self.names: list[str] = []
         self._anon: list[mmap.mmap] = []
-        self.created = False
 
     def new(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """Allocate one zero-filled segment owned by this set."""
+        if self.backend == "heap":
+            return np.zeros(shape, dtype=dtype)
         nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
         if self.backend == "shm":
             buf = _shm_open(name, nbytes, create=True)
@@ -219,7 +236,6 @@ class _SegmentSet:
             mm = mmap.mmap(-1, max(1, nbytes))
             self._anon.append(mm)
             buf = mm
-        self.created = True
         array = np.frombuffer(buf, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)))
         return array.reshape(shape)
 
@@ -227,8 +243,7 @@ class _SegmentSet:
         """Map an existing named segment (shm backend only)."""
         if self.backend != "shm":
             raise RuntimeError(
-                "anonymous-mmap segments cannot be attached by name; "
-                "they are shared only with fork-inherited children"
+                f"{self.backend!r} segments cannot be attached by name"
             )
         nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
         buf = _shm_open(name, nbytes, create=False)
@@ -302,7 +317,7 @@ class ShardManifest:
 
     token: str
     pid: int
-    backend: str  # "shm" | "mmap"
+    backend: str  # "shm" | "mmap" | "heap"
     num_users: int
     num_items: int
     embedding_dim: int
@@ -311,7 +326,7 @@ class ShardManifest:
     config_digest: str
     #: ``(lo, hi, nnz)`` per shard, in shard order.
     shards: tuple[tuple[int, int, int], ...]
-    #: Field -> segment name per shard (empty names for mmap backend).
+    #: Field -> segment name per shard (empty for the unnamed backends).
     segments: tuple[dict[str, str], ...]
     lr_range: tuple[float, float] | None = None
     version: str = MANIFEST_VERSION
@@ -378,7 +393,7 @@ def _pid_alive(pid: int) -> bool:
 
 
 # ----------------------------------------------------------------------
-# The sharded store
+# The store
 # ----------------------------------------------------------------------
 
 class _Shard:
@@ -395,14 +410,18 @@ class _Shard:
         self.lr = lr
 
 
-class ShardedStateStore(ClientStoreBase):
-    """Drop-in :class:`ClientStateStore` backed by per-shard segments.
+# The ledger tracer (benchmarks/ledger/tracer.py, inside the benchmark
+# fence) hooks this class by name, here and through its
+# ``repro.federated.state.ClientStateStore`` alias.
+class ShardedStateStore(Stateful):
+    """Struct-of-arrays state of the whole benign client population.
 
-    Implements the exact store surface the batch engine, streaming
-    evaluation and checkpoints consume — gather/scatter/row access, CSR positives, per-client
-    learning rates, the defense's miner block — with the arrays living in
-    shared segments instead of one dense private matrix.  Bit-identity
-    with the dense store is asserted by the parity suite.
+    The surface the batch engine, streaming evaluation and checkpoints
+    consume — gather/scatter/row access, CSR positives, per-client
+    learning rates, the defense's miner block — over per-shard
+    segments.  Row ``u`` is the same under every shard count and
+    allocator (asserted by the parity suite); one heap shard is the
+    in-process default.
     """
 
     def __init__(
@@ -415,12 +434,26 @@ class ShardedStateStore(ClientStoreBase):
         created: bool,
     ):
         self.manifest = manifest
-        super().__init__(manifest.seed, manifest.num_items, defense)
         self._segments = segments
         self._shards = shards
         self._bounds = manifest.bounds()
+        self._starts = self._bounds[:-1].tolist()
         self._created = created
         self._closed = False
+        #: The client-side defense every benign client trains with
+        #: (``None``: undefended), and the one miner block all of
+        #: their popular sets come from.
+        self.defense = defense
+        self.miner = (
+            None
+            if defense is None
+            else CohortMiner(
+                manifest.num_items,
+                defense.mining_rounds,
+                defense.num_popular,
+                manifest.num_users,
+            )
+        )
         # Covers explicit close, garbage collection and interpreter
         # exit: the creator unlinks, attachers merely unmap.
         self._finalizer = weakref.finalize(
@@ -440,17 +473,20 @@ class ShardedStateStore(ClientStoreBase):
         init_scale: float = 0.1,
         defense: DefenseConfig | None = None,
         num_shards: int = 1,
-        backend: str = "shm",
+        backend: str = "heap",
         lr_range: tuple[float, float] | None = None,
         config_digest: str = "",
     ) -> "ShardedStateStore":
         """Build from ragged positive-item lists (or a CSR-backed one).
 
-        Row ``u`` of the sharded embedding state is bit-identical to
-        the dense store's: each shard draws its rows through the same
-        per-user ``spawn_normal_rows`` stream, just restricted to its
-        own id range.
+        Each shard draws its embedding rows through the per-user
+        ``spawn_normal_rows`` stream restricted to its own id range,
+        and — given ``lr_range`` — its clients' learning rates, so the
+        store is bit-identical to the object-per-user reference at any
+        shard count.
         """
+        if lr_range is not None and not 0 < lr_range[0] <= lr_range[1]:
+            raise ValueError("client_lr_range must satisfy 0 < low <= high")
         indptr, indices = pack_csr(train_pos)
         num_users = len(indptr) - 1
         bounds = shard_bounds(num_users, num_shards)
@@ -463,43 +499,41 @@ class ShardedStateStore(ClientStoreBase):
         try:
             for s in range(len(bounds) - 1):
                 lo, hi = int(bounds[s]), int(bounds[s + 1])
-                n = hi - lo
-                nnz = int(indptr[hi] - indptr[lo])
+                users = np.arange(lo, hi)
                 names = {}
 
-                def _segment(field, shape, dtype):
+                def _segment(field, values):
+                    name = ""
                     if backend == "shm":
-                        name = f"{segment_prefix(pid, token)}{field}_{s:04d}"
-                        names[field] = name
-                        return segments.new(name, shape, dtype)
-                    return segments.new("", shape, dtype)
+                        name = names[field] = (
+                            f"{segment_prefix(pid, token)}{field}_{s:04d}"
+                        )
+                    segment = segments.new(name, values.shape, values.dtype)
+                    segment[...] = values
+                    return segment
 
-                emb = _segment("emb", (n, embedding_dim), np.float64)
-                emb[...] = spawn_normal_rows(
-                    seed,
-                    ("client-init",),
-                    np.arange(lo, hi),
-                    embedding_dim,
-                    scale=init_scale,
+                emb = _segment(
+                    "emb",
+                    spawn_normal_rows(
+                        seed, ("client-init",), users, embedding_dim,
+                        scale=init_scale,
+                    ),
                 )
-                local_indptr = _segment("indptr", (n + 1,), np.int64)
-                local_indptr[...] = indptr[lo : hi + 1] - indptr[lo]
-                local_indices = _segment("indices", (nnz,), np.int64)
-                local_indices[...] = indices[indptr[lo] : indptr[hi]]
+                local_indptr = _segment("indptr", indptr[lo : hi + 1] - indptr[lo])
+                local_indices = _segment("indices", indices[indptr[lo] : indptr[hi]])
                 lr = None
                 if lr_range is not None:
                     low, high = lr_range
-                    lr = _segment("lr", (n,), np.float64)
-                    lr[...] = np.exp(
-                        spawn_first_uniform(
-                            seed,
-                            ("client-lr",),
-                            np.arange(lo, hi),
-                            float(np.log(low)),
-                            float(np.log(high)),
-                        )
+                    lr = _segment(
+                        "lr",
+                        np.exp(
+                            spawn_first_uniform(
+                                seed, ("client-lr",), users,
+                                float(np.log(low)), float(np.log(high)),
+                            )
+                        ),
                     )
-                shard_meta.append((lo, hi, nnz))
+                shard_meta.append((lo, hi, len(local_indices)))
                 shard_names.append(names)
                 shards[s] = _Shard(lo, hi, emb, local_indptr, local_indices, lr)
         except BaseException:
@@ -547,8 +581,9 @@ class ShardedStateStore(ClientStoreBase):
             manifest = ShardManifest.from_json(manifest)
         if manifest.backend != "shm":
             raise RuntimeError(
-                "only named shared-memory stores can be attached by "
-                "manifest; anonymous-mmap stores are fork-inherited"
+                f"only named shared-memory stores can be attached by "
+                f"manifest; {manifest.backend!r} segments stay in their "
+                f"creator's process tree"
             )
         if not allow_stale and not _pid_alive(manifest.pid):
             raise RuntimeError(
@@ -613,13 +648,17 @@ class ShardedStateStore(ClientStoreBase):
         return self.manifest.num_users
 
     @property
+    def num_items(self) -> int:
+        return self.manifest.num_items
+
+    @property
     def embedding_dim(self) -> int:
         return self.manifest.embedding_dim
 
-    def _shard_for_user(self, user_id: int) -> _Shard:
-        if not 0 <= user_id < self.num_users:
-            raise IndexError(f"user id {user_id} out of range")
-        return self._attached(int(_shard_of(self._bounds, np.asarray([user_id]))[0]))
+    @property
+    def dtype(self) -> np.dtype:
+        """The embedding rows' dtype (outputs are allocated in it)."""
+        return next(iter(self._shards.values())).emb.dtype
 
     def _attached(self, s: int) -> _Shard:
         try:
@@ -630,28 +669,54 @@ class ShardedStateStore(ClientStoreBase):
                 f"attached: {self.attached_shard_ids}"
             ) from None
 
+    def _shard_for_user(self, user_id: int) -> _Shard:
+        if not 0 <= user_id < self.num_users:
+            raise IndexError(f"user id {user_id} out of range")
+        return self._attached(bisect.bisect_right(self._starts, user_id) - 1)
+
+    def _groups(self, ids: np.ndarray):
+        """``(shard, positions, local ids)`` per shard holding some ``ids``.
+
+        A one-shard store skips the search: its one group has
+        ``positions`` ``None``, meaning every id, in order.
+        """
+        if len(self._starts) == 1:
+            return [(self._attached(0), None, ids)]
+        owners = _shard_of(self._bounds, ids)
+        groups = []
+        for s in np.unique(owners).tolist():
+            shard = self._attached(s)
+            positions = np.flatnonzero(owners == s)
+            groups.append((shard, positions, ids[positions] - shard.lo))
+        return groups
+
+    def _spans(self, lo: int, hi: int):
+        """``(shard, start, stop)`` covering users ``[lo, hi)`` in order."""
+        cursor = lo
+        while cursor < hi:
+            shard = self._shard_for_user(cursor)
+            stop = min(hi, shard.hi)
+            yield shard, cursor, stop
+            cursor = stop
+
     # -- embedding access API -------------------------------------------
 
     def gather_rows(self, user_ids: np.ndarray) -> np.ndarray:
         """Copy of the users' embedding rows, in ``user_ids`` order."""
         ids = np.asarray(user_ids, dtype=np.int64)
-        out = np.empty((len(ids), self.embedding_dim), dtype=np.float64)
-        owners = _shard_of(self._bounds, ids)
-        for s in np.unique(owners):
-            shard = self._attached(int(s))
-            sel = owners == s
-            out[sel] = shard.emb[ids[sel] - shard.lo]
+        out = np.empty((len(ids), self.embedding_dim), dtype=self.dtype)
+        for shard, positions, local in self._groups(ids):
+            if positions is None:
+                return shard.emb[local]
+            out[positions] = shard.emb[local]
         return out
 
     def scatter_rows(self, user_ids: np.ndarray, rows: np.ndarray) -> None:
         """Write one row per user id (ids must be distinct)."""
         ids = np.asarray(user_ids, dtype=np.int64)
         rows = np.asarray(rows)
-        owners = _shard_of(self._bounds, ids)
-        for s in np.unique(owners):
-            shard = self._attached(int(s))
-            sel = owners == s
-            shard.emb[ids[sel] - shard.lo] = rows[sel]
+        for shard, positions, local in self._groups(ids):
+            shard.emb[local] = rows if positions is None else rows[positions]
 
     def row(self, user_id: int) -> np.ndarray:
         """One user's embedding row — a live view into its segment."""
@@ -663,27 +728,31 @@ class ShardedStateStore(ClientStoreBase):
         shard.emb[int(user_id) - shard.lo] = value
 
     def embedding_block(self, lo: int, hi: int) -> np.ndarray:
-        """Users ``[lo, hi)``; zero-copy when one shard covers them."""
-        first = int(_shard_of(self._bounds, np.asarray([lo]))[0]) if hi > lo else 0
-        shard = self._shards.get(first)
-        if hi <= lo:
-            return np.empty((0, self.embedding_dim), dtype=np.float64)
-        if shard is not None and shard.lo <= lo and hi <= shard.hi:
-            return shard.emb[lo - shard.lo : hi - shard.lo]
-        out = np.empty((hi - lo, self.embedding_dim), dtype=np.float64)
-        cursor = lo
-        while cursor < hi:
-            shard = self._shard_for_user(cursor)
-            stop = min(hi, shard.hi)
-            out[cursor - lo : stop - lo] = shard.emb[
-                cursor - shard.lo : stop - shard.lo
-            ]
-            cursor = stop
+        """Users ``[lo, hi)``; zero-copy when one shard covers them.
+
+        Streaming evaluation and checkpoints walk the population
+        through this accessor.
+        """
+        spans = list(self._spans(lo, hi))
+        if len(spans) == 1:
+            shard, start, stop = spans[0]
+            return shard.emb[start - shard.lo : stop - shard.lo]
+        out = np.empty((max(hi - lo, 0), self.embedding_dim), dtype=self.dtype)
+        for shard, start, stop in spans:
+            out[start - lo : stop - lo] = shard.emb[start - shard.lo : stop - shard.lo]
         return out
+
+    def snapshot_embeddings(self) -> np.ndarray:
+        """Dense copy of the full embedding matrix (checkpoints)."""
+        return np.array(self.embedding_block(0, self.num_users), order="C")
 
     def load_embeddings(self, matrix: np.ndarray) -> None:
         """Restore every shard from a dense checkpoint copy."""
-        self._check_snapshot_shape(matrix)
+        if matrix.shape != (self.num_users, self.embedding_dim):
+            raise ValueError(
+                f"embedding snapshot shape {matrix.shape} does not match "
+                f"store ({self.num_users}, {self.embedding_dim})"
+            )
         for s in range(self.manifest.num_shards):
             shard = self._attached(s)
             shard.emb[...] = matrix[shard.lo : shard.hi]
@@ -697,64 +766,72 @@ class ShardedStateStore(ClientStoreBase):
         return shard.indices[shard.indptr[local] : shard.indptr[local + 1]]
 
     def positives_list(self, user_ids: np.ndarray) -> list[np.ndarray]:
-        return [self.positives(int(user_id)) for user_id in user_ids]
+        """Zero-copy CSR slices for a batch of users, in ``user_ids`` order.
+
+        One offset lookup per shard, not one search per id.
+        """
+        ids = np.asarray(user_ids, dtype=np.int64)
+        out: list[np.ndarray] = [None] * len(ids)  # type: ignore[list-item]
+        for shard, positions, local in self._groups(ids):
+            indices = shard.indices
+            views = [
+                indices[a:b]
+                for a, b in zip(
+                    shard.indptr[local].tolist(), shard.indptr[local + 1].tolist()
+                )
+            ]
+            if positions is None:
+                return views
+            for position, view in zip(positions.tolist(), views):
+                out[position] = view
+        return out
 
     def train_mask_block(self, lo: int, hi: int) -> np.ndarray:
-        """Boolean ``(hi - lo, num_items)`` training-interaction mask."""
+        """Boolean ``(hi - lo, num_items)`` training-interaction mask.
+
+        Equals ``dataset.train_mask()[lo:hi]`` without ever building
+        the dense ``(num_users, num_items)`` matrix — the piece that
+        lets evaluation stream over user blocks in bounded memory.
+        """
         block = np.zeros((hi - lo, self.num_items), dtype=bool)
-        cursor = lo
-        while cursor < hi:
-            shard = self._shard_for_user(cursor)
-            stop = min(hi, shard.hi)
-            a, b = cursor - shard.lo, stop - shard.lo
-            counts = np.diff(shard.indptr[a : b + 1])
-            rows = np.repeat(np.arange(cursor - lo, stop - lo), counts)
-            cols = shard.indices[shard.indptr[a] : shard.indptr[b]]
-            block[rows, cols] = True
-            cursor = stop
+        for shard, start, stop in self._spans(lo, hi):
+            indptr = shard.indptr[start - shard.lo : stop - shard.lo + 1]
+            rows = np.repeat(np.arange(start - lo, stop - lo), np.diff(indptr))
+            block[rows, shard.indices[indptr[0] : indptr[-1]]] = True
         return block
 
     # -- per-client scalar state ----------------------------------------
 
-    def client_lrs(self, lr_range: tuple[float, float]) -> np.ndarray:
-        """Every client's fixed local learning rate (needs all shards)."""
-        low, high = self._checked_lr_range(lr_range)
-        if self._client_lr_cache is None or self._client_lr_cache[0] != (low, high):
-            self._client_lr_cache = (
-                (low, high),
-                self.client_lrs_for(lr_range, np.arange(self.num_users)),
-            )
-        return self._client_lr_cache[1]
+    def client_lrs(self, user_ids: np.ndarray) -> np.ndarray:
+        """The users' fixed local learning rates, in ``user_ids`` order.
 
-    def client_lrs_for(
-        self, lr_range: tuple[float, float], user_ids: np.ndarray
-    ) -> np.ndarray:
-        """The given users' rates, served from segments when possible."""
-        low, high = self._checked_lr_range(lr_range)
+        The inconsistent-learning-rate scenario (supplementary Table X)
+        gives client ``u`` the rate ``exp(uniform(log low, log high))``
+        from its private ``spawn(seed, "client-lr", u)`` stream; the
+        store drew every rate once, at build, from ``lr_range``.
+        """
+        if self.manifest.lr_range is None:
+            raise RuntimeError("store was built without a client_lr_range")
         ids = np.asarray(user_ids, dtype=np.int64)
-        if self.manifest.lr_range == (float(low), float(high)):
-            out = np.empty(len(ids), dtype=np.float64)
-            owners = _shard_of(self._bounds, ids)
-            for s in np.unique(owners):
-                shard = self._shards.get(int(s))
-                if shard is None or shard.lr is None:
-                    break
-                sel = owners == s
-                out[sel] = shard.lr[ids[sel] - shard.lo]
-            else:
-                return out
-        # Range differs from the one baked into the segments (or no lr
-        # segments exist): the draws are a pure function of
-        # (seed, user_id), so recompute exactly the scalar reference.
-        return np.exp(
-            spawn_first_uniform(
-                self._seed,
-                ("client-lr",),
-                ids,
-                float(np.log(low)),
-                float(np.log(high)),
-            )
-        )
+        out = np.empty(len(ids), dtype=np.float64)
+        for shard, positions, local in self._groups(ids):
+            if positions is None:
+                return shard.lr[local]
+            out[positions] = shard.lr[local]
+        return out
+
+    # -- run state ------------------------------------------------------
+
+    def state(self) -> dict:
+        return {
+            "user_embeddings": self.snapshot_embeddings(),
+            "miner": None if self.miner is None else self.miner.state(),
+        }
+
+    def restore(self, state: dict) -> None:
+        self.load_embeddings(state["user_embeddings"])
+        if self.miner is not None:
+            self.miner.restore(state["miner"])
 
 
 # ----------------------------------------------------------------------
@@ -807,7 +884,7 @@ class EmbeddingMatrixView:
 
     __slots__ = ("_store",)
 
-    def __init__(self, store: ClientStoreBase):
+    def __init__(self, store: ShardedStateStore):
         self._store = store
 
     def __len__(self) -> int:

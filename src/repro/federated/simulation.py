@@ -16,8 +16,8 @@ batched filters and audit otherwise.  The per-client reference the
 parity suites compare against lives in ``tests/reference/``.
 
 All benign client state is held by one struct-of-arrays
-:class:`~repro.federated.state.ClientStateStore` (dense user-embedding
-matrix + CSR interactions), built in vectorised passes; evaluation
+:class:`~repro.federated.shards.ShardedStateStore` (user-embedding rows
++ CSR interactions per shard), built in vectorised passes; evaluation
 streams over user blocks so peak memory stays O(block x items)
 regardless of the user count.
 """
@@ -47,7 +47,6 @@ from repro.federated.shards import (
     ShardedStateStore,
     shared_memory_available,
 )
-from repro.federated.state import ClientStateStore
 from repro.metrics.ranking import (
     exposure_counts_at_k,
     exposure_ratio_from_counts,
@@ -129,35 +128,24 @@ class FederatedSimulation:
         self.attack_cfg = attack_cfg
         self.targets = self._select_targets(attack_cfg)
 
-        # All benign client state lives in one struct-of-arrays store
-        # (embedding matrix + CSR interactions), initialised
-        # bit-identically to the object-per-user draws.  With sharding
-        # enabled the store splits into per-shard shared-memory
-        # segments (row u is bit-identical either way — sharding is a
-        # pure throughput/footprint knob).
+        # All benign client state lives in one struct-of-arrays store,
+        # initialised bit-identically to the object-per-user draws: one
+        # in-process heap shard, or per-shard shared segments (row u is
+        # bit-identical either way — sharding is a pure
+        # throughput/footprint knob).
         sharding = config.sharding
-        if sharding.enabled:
-            self.state = ShardedStateStore.build(
-                self.dataset.train_pos,
-                self.dataset.num_items,
-                config.model.embedding_dim,
-                seed=config.seed,
-                init_scale=config.model.init_scale,
-                defense=defense,
-                num_shards=sharding.resolved_shards(self.dataset.num_users),
-                backend="shm" if sharding.shared_memory else "mmap",
-                lr_range=config.train.client_lr_range,
-                config_digest=self.config_digest,
-            )
-        else:
-            self.state = ClientStateStore.build(
-                self.dataset.train_pos,
-                self.dataset.num_items,
-                config.model.embedding_dim,
-                seed=config.seed,
-                init_scale=config.model.init_scale,
-                defense=defense,
-            )
+        self.state = ShardedStateStore.build(
+            self.dataset.train_pos,
+            self.dataset.num_items,
+            config.model.embedding_dim,
+            seed=config.seed,
+            init_scale=config.model.init_scale,
+            defense=defense,
+            num_shards=sharding.resolved_shards(self.dataset.num_users),
+            backend=sharding.backend,
+            lr_range=config.train.client_lr_range,
+            config_digest=self.config_digest,
+        )
 
         num_malicious = num_malicious_for_ratio(
             self.dataset.num_users, attack_cfg.malicious_ratio
@@ -263,11 +251,7 @@ class FederatedSimulation:
         """
         config = self.config
         sharding = config.sharding
-        if (
-            sharding.enabled
-            and sharding.shared_memory
-            and not shared_memory_available()
-        ):
+        if sharding.backend == "shm" and not shared_memory_available():
             raise RuntimeError(
                 "sharding.shared_memory=True but /dev/shm is not "
                 "available; set shared_memory=False for the "
@@ -284,7 +268,7 @@ class FederatedSimulation:
     def close(self) -> None:
         """Release round workers and shared-memory segments.
 
-        Idempotent; a no-op for the dense single-process configuration.
+        Idempotent; a no-op for the in-process heap store.
         Segments are also reclaimed by a store finalizer at garbage
         collection, but long-lived processes building many simulations
         should close explicitly.
@@ -561,9 +545,9 @@ class FederatedSimulation:
     def user_embedding_matrix(self) -> np.ndarray:
         """All benign users' private embeddings, as one read-only matrix.
 
-        For the dense store this is a zero-copy live view: row ``u``
+        For a one-shard store this is a zero-copy live view: row ``u``
         *is* user ``u``'s embedding and keeps evolving as training
-        continues (``.copy()`` to snapshot).  For a sharded store the
+        continues (``.copy()`` to snapshot).  With several shards the
         rows live in per-shard segments, so this returns a read-only
         snapshot assembled at call time.  Either way the result is
         read-only so stale callers cannot corrupt client state.

@@ -24,7 +24,7 @@ A client exists in one of two storage modes with identical behaviour:
   interaction arrays, exactly the original object-per-user layout;
 * **store-backed** (:meth:`BenignClient.from_store`) — the client is a
   thin view over one row of a
-  :class:`~repro.federated.state.ClientStateStore`: ``user_embedding``
+  :class:`~repro.federated.shards.ShardedStateStore`: ``user_embedding``
   and ``positive_items`` read and write the store's flat arrays, so
   the reference loop and the store-vectorised batch engine observe
   the same state.
@@ -75,7 +75,7 @@ class BenignClient:
 
     @classmethod
     def from_store(cls, store, user_id: int) -> "BenignClient":
-        """A view client backed by one row of a ``ClientStateStore``.
+        """A view client backed by one row of a ``ShardedStateStore``.
 
         No RNG draw happens here — the store already initialised the
         embedding row bit-identically to the constructor's draw.
@@ -87,7 +87,7 @@ class BenignClient:
         client._positive_items = None
         client._user_embedding = None
         client.regularizer = None
-        client._seed = store._seed
+        client._seed = store.manifest.seed
         return client
 
     # ------------------------------------------------------------------
@@ -170,14 +170,10 @@ class BenignClient:
         if train_cfg.client_lr_range is None:
             return train_cfg.effective_client_lr
         if self._store is not None:
-            # The store draws client rates in one vectorised pass
-            # (cached, or served from shared-memory segments); entry u
-            # is bit-identical to the scalar spawn below.
-            return float(
-                self._store.client_lrs_for(
-                    train_cfg.client_lr_range, np.array([self.user_id])
-                )[0]
-            )
+            # The store drew every client's rate in one vectorised pass
+            # at build; entry u is bit-identical to the scalar spawn
+            # below.
+            return float(self._store.client_lrs(np.array([self.user_id]))[0])
         low, high = train_cfg.client_lr_range
         rng = spawn(self._seed, "client-lr", self.user_id)
         return float(np.exp(rng.uniform(np.log(low), np.log(high))))

@@ -16,7 +16,7 @@ import numpy as np
 from repro import kernels
 from repro.defenses.registry import client_regularizer_factory
 from repro.federated.simulation import FederatedSimulation
-from repro.federated.state import ClientStateStore
+from repro.federated.shards import ShardedStateStore
 
 from reference.client import BenignClient
 from reference.updates import apply_to_updates, apply_updates
@@ -33,7 +33,7 @@ class ClientViewList:
     per-client defense oracle when it is first materialised.
     """
 
-    def __init__(self, store: ClientStateStore, regularizer_factory=None):
+    def __init__(self, store: ShardedStateStore, regularizer_factory=None):
         self._store = store
         self._regularizer_factory = regularizer_factory
         self._views: dict[int, BenignClient] = {}

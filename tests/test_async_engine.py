@@ -72,7 +72,7 @@ def _snapshot(sim: FederatedSimulation, result) -> dict:
     return {
         "items": sim.model.item_embeddings.copy(),
         "params": [p.copy() for p in sim.model.interaction_params()],
-        "users": sim.state.user_embeddings.copy(),
+        "users": sim.state.snapshot_embeddings(),
         "history": result.history,
         "exposure": result.exposure,
         "hit_ratio": result.hit_ratio,

@@ -82,7 +82,7 @@ def _final_state(sim: FederatedSimulation, result) -> dict:
         "fault_stats": result.fault_stats,
         "items": sim.model.item_embeddings.copy(),
         "params": [p.copy() for p in sim.model.interaction_params()],
-        "users": sim.state.user_embeddings.copy(),
+        "users": sim.state.snapshot_embeddings(),
         "history": result.history,
     }
 

@@ -262,10 +262,10 @@ class TestDegradationSemantics:
         cfg = _config(rounds=4, faults=FaultConfig(dropout_rate=1.0))
         sim = FederatedSimulation(cfg, tiny_dataset)
         items_before = sim.model.snapshot_items()
-        users_before = sim.state.user_embeddings.copy()
+        users_before = sim.state.snapshot_embeddings()
         result = sim.run()
         assert np.array_equal(sim.model.item_embeddings, items_before)
-        assert not np.array_equal(sim.state.user_embeddings, users_before)
+        assert not np.array_equal(sim.state.snapshot_embeddings(), users_before)
         assert result.fault_stats.dropped_uploads == 4 * 16
 
     def test_straggler_discount_applied(self):

@@ -3,17 +3,18 @@
 The contract: routing benign round computation through
 :class:`~repro.federated.batch_engine.ProcessRoundExecutor` (forked
 workers, each attached to its shards of the shared-memory store) is a
-pure throughput knob — every trajectory is bit-identical to the dense
-single-process reference, across attacks x defenses x models x kernel
-backends, through worker crashes, and across checkpoint/resume in
-either direction (dense checkpoint resumed sharded and vice versa).
+pure throughput knob — every trajectory is bit-identical to the
+one-heap-shard single-process reference, across attacks x defenses x
+models x kernel backends, through worker crashes, and across
+checkpoint/resume in either direction (heap checkpoint resumed sharded
+and vice versa).
 
 The executor is a compute provider, not a mode: the asynchronous event
 loop trains its waves through it with the same bits (and the same
 checkpoints) as in-process.
 
 Also here: the combinations the executor must reject *loudly* instead
-of silently degrading — too few workers, a dense store, the loop
+of silently degrading — too few workers, a heap-backed store, the loop
 engine — and that a rejected configuration leaves no shared memory
 behind.
 """
@@ -43,7 +44,6 @@ from repro.config import (
 from repro.federated.batch_engine import ProcessRoundExecutor
 from repro.federated.shards import list_repro_segments, shared_memory_available
 from repro.federated.simulation import FederatedSimulation
-from repro.federated.state import ClientStateStore
 from repro.kernels import NativeKernelsUnavailable
 
 pytestmark = pytest.mark.skipif(
@@ -312,11 +312,11 @@ class TestGuards:
                     sim.model, sim.config.train, 11, sim.state, 1
                 )
 
-    def test_dense_store_rejected(self):
+    def test_heap_store_rejected(self):
         cfg = sweep_config()
         with FederatedSimulation(cfg) as sim:
-            assert isinstance(sim.state, ClientStateStore)
-            with pytest.raises(ValueError, match="dense"):
+            assert sim.state.backend == "heap"
+            with pytest.raises(ValueError, match="heap"):
                 ProcessRoundExecutor(sim.model, cfg.train, 11, sim.state, 2)
 
     def test_loop_engine_rejected(self):

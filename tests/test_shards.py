@@ -1,11 +1,12 @@
 """Sharded shared-memory client store: parity, lifecycle, hygiene.
 
-The sharded store is a pure re-layout of :class:`ClientStateStore`:
-row ``u`` lives in exactly one shard segment and every read/write API
-is bit-identical to the dense matrix.  These tests pin that contract,
-the manifest round-trip, segment lifecycle (refcounts, unlink-on-close,
-fork-inheritance guard), orphan detection for ``repro fsck``, and the
-int64 composite-index overflow regression.
+Sharding is a pure re-layout of the client state store: row ``u``
+lives in exactly one shard segment and every read/write API is
+bit-identical to the default one-heap-shard store.  These tests pin
+that contract (shm and mmap stores at several shard counts against
+heap/1), the manifest round-trip, segment lifecycle (refcounts,
+unlink-on-close, fork-inheritance guard), orphan detection for
+``repro fsck``, and gather/scatter with narrow id dtypes.
 """
 
 import glob
@@ -33,7 +34,6 @@ from repro.federated.shards import (
     shared_memory_available,
     unlink_segment,
 )
-from repro.federated.state import ClientStateStore, row_composite_indices
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(), reason="/dev/shm not available"
@@ -47,8 +47,10 @@ def make_dataset(users=50, items=40, seed=5):
 
 
 def make_stores(dataset, *, num_shards=4, backend="shm", lr_range=None, seed=9):
-    dense = ClientStateStore.build(
-        dataset.train_pos, dataset.num_items, 6, seed=seed, init_scale=0.1
+    """``(heap/1 store, store under test)`` over the same dataset."""
+    dense = ShardedStateStore.build(
+        dataset.train_pos, dataset.num_items, 6, seed=seed, init_scale=0.1,
+        lr_range=lr_range,
     )
     sharded = ShardedStateStore.build(
         dataset.train_pos,
@@ -140,7 +142,7 @@ class TestManifest:
 
 
 # ----------------------------------------------------------------------
-# Dense / sharded parity
+# Heap/1 vs sharded parity
 # ----------------------------------------------------------------------
 
 
@@ -164,26 +166,19 @@ class TestStoreParity:
                 sharded.snapshot_embeddings(), dense.snapshot_embeddings()
             )
             assert np.array_equal(
-                sharded.embedding_block(5, 31), dense.user_embeddings[5:31]
+                sharded.embedding_block(5, 31), dense.embedding_block(5, 31)
             )
             for u in (0, ds.num_users // 2, ds.num_users - 1):
-                assert np.array_equal(sharded.row(u), dense.user_embeddings[u])
+                assert np.array_equal(sharded.row(u), dense.row(u))
                 assert np.array_equal(sharded.positives(u), dense.positives(u))
             assert np.array_equal(
                 sharded.train_mask_block(3, 29), dense.train_mask_block(3, 29)
             )
+            everyone = np.arange(ds.num_users)
             assert np.array_equal(
-                sharded.client_lrs((0.01, 0.1)), dense.client_lrs((0.01, 0.1))
+                sharded.client_lrs(everyone), dense.client_lrs(everyone)
             )
-            assert np.array_equal(
-                sharded.client_lrs_for((0.01, 0.1), ids),
-                dense.client_lrs_for((0.01, 0.1), ids),
-            )
-            # A range the segments were NOT built for recomputes.
-            assert np.array_equal(
-                sharded.client_lrs_for((0.2, 0.4), ids),
-                dense.client_lrs_for((0.2, 0.4), ids),
-            )
+            assert np.array_equal(sharded.client_lrs(ids), dense.client_lrs(ids))
             rows = rng.normal(size=(len(ids), 6))
             sharded.scatter_rows(ids, rows)
             dense.scatter_rows(ids, rows)
@@ -217,8 +212,8 @@ class TestStoreParity:
             view = EmbeddingMatrixView(sharded)
             assert len(view) == ds.num_users
             assert view.shape == (ds.num_users, 6)
-            assert np.array_equal(view[4:19], dense.user_embeddings[4:19])
-            assert np.array_equal(view[3], dense.user_embeddings[3])
+            assert np.array_equal(view[4:19], dense.embedding_block(4, 19))
+            assert np.array_equal(view[3], dense.row(3))
             with pytest.raises(ValueError):
                 view[::2]
         finally:
@@ -340,7 +335,8 @@ class TestLifecycle:
         def victim():
             ds = make_dataset(users=8)
             store = ShardedStateStore.build(
-                ds.train_pos, ds.num_items, 4, seed=1, num_shards=2
+                ds.train_pos, ds.num_items, 4, seed=1, num_shards=2,
+                backend="shm",
             )
             # Die without running any finalizer, like a SIGKILLed
             # round worker.
@@ -444,34 +440,76 @@ class TestSharedDatasetExport:
 
 
 # ----------------------------------------------------------------------
-# int64 composite-index overflow regression
+# Grouped lookups: id order, dtypes, views
 # ----------------------------------------------------------------------
 
 
-class TestCompositeIndexOverflow:
-    def test_int32_ids_upcast_before_multiply(self):
-        # 2**28 * 16 overflows int32; the composite index must not.
-        ids = np.array([2**28, 2**28 + 5], dtype=np.int32)
-        flat = row_composite_indices(ids, 16)
-        assert flat.dtype == np.int64
-        assert flat[0] == 2**28 * 16
-        assert flat[-1] == (2**28 + 5) * 16 + 15
+LAYOUTS = [(1, "heap"), (1, "shm"), (3, "shm"), (7, "mmap")]
 
+
+class TestCompositeIndexOverflow:
     def test_gather_scatter_survive_wide_products(self):
-        # A dense store whose (num_users * dim) product would overflow
-        # int32 cannot be allocated in a test, so pin the index math
-        # itself on the exact composite values.
-        ids = np.array([0, 3, 1], dtype=np.int32)
-        flat = row_composite_indices(ids, 5)
-        expected = np.concatenate(
-            [np.arange(u * 5, u * 5 + 5) for u in (0, 3, 1)]
-        )
-        assert np.array_equal(flat, expected)
+        # Narrow (int32) ids index the same rows as int64 ones: no
+        # id * dim product is ever formed in the ids' own dtype.
+        ds = make_dataset(users=30)
+        ids = np.array([7, 0, 29, 13], dtype=np.int32)
+        rows = np.arange(len(ids) * 6, dtype=np.float64).reshape(-1, 6)
+        for num_shards, backend in LAYOUTS:
+            dense, store = make_stores(ds, num_shards=num_shards, backend=backend)
+            try:
+                expected = dense.snapshot_embeddings()[ids.astype(np.int64)]
+                assert np.array_equal(store.gather_rows(ids), expected)
+                store.scatter_rows(ids, rows)
+                assert np.array_equal(
+                    store.gather_rows(ids.astype(np.int64)), rows
+                )
+            finally:
+                store.close()
 
     def test_store_gather_matches_fancy_indexing(self):
         ds = make_dataset(users=30)
-        dense = ClientStateStore.build(ds.train_pos, ds.num_items, 6, seed=2)
-        ids = np.array([7, 0, 29, 7], dtype=np.int32)
-        assert np.array_equal(
-            dense.gather_rows(ids), dense.user_embeddings[ids.astype(np.int64)]
-        )
+        dense, sharded = make_stores(ds, num_shards=4)
+        try:
+            ids = np.array([7, 0, 29, 7], dtype=np.int32)
+            matrix = dense.snapshot_embeddings()
+            assert np.array_equal(dense.gather_rows(ids), matrix[ids])
+            assert np.array_equal(sharded.gather_rows(ids), matrix[ids])
+        finally:
+            sharded.close()
+
+
+class TestGroupedLookups:
+    @pytest.mark.parametrize("num_shards, backend", LAYOUTS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_positives_list_matches_per_id_views(self, num_shards, backend, data):
+        ds = make_dataset(users=23)
+        _, store = make_stores(ds, num_shards=num_shards, backend=backend)
+        try:
+            ids = np.asarray(
+                data.draw(
+                    st.lists(st.integers(0, ds.num_users - 1), max_size=60)
+                ),
+                dtype=np.int64,
+            )
+            got = store.positives_list(ids)
+            assert len(got) == len(ids)
+            for user, entry in zip(ids.tolist(), got):
+                assert np.array_equal(entry, store.positives(user))
+                assert not entry.flags.owndata  # a view, never a copy
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("num_shards, backend", LAYOUTS)
+    def test_reduced_precision_rows_keep_their_dtype(self, num_shards, backend):
+        ds = make_dataset(users=20)
+        _, store = make_stores(ds, num_shards=num_shards, backend=backend)
+        try:
+            for shard in store._shards.values():
+                shard.emb = shard.emb.astype(np.float32)
+            ids = np.array([19, 0, 10], dtype=np.int64)
+            assert store.gather_rows(ids).dtype == np.float32
+            assert store.embedding_block(0, ds.num_users).dtype == np.float32
+            assert store.embedding_block(3, 3).dtype == np.float32
+        finally:
+            store.close()

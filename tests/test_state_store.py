@@ -1,8 +1,8 @@
-"""ClientStateStore: construction parity, CSR round-trip, chunked eval.
+"""The client state store: construction parity, CSR round-trip, chunked eval.
 
 The store's contract is that struct-of-arrays client state is a pure
 re-layout: every embedding row, interaction slice and per-client scalar
-is bit-identical to what the object-per-user reference constructs, and
+of the default one-heap-shard store is bit-identical to what the object-per-user reference constructs, and
 streaming (chunked) evaluation reproduces the dense single-pass metrics
 exactly.
 """
@@ -12,9 +12,10 @@ import pytest
 
 from reference import BenignClient, ClientViewList, LoopSimulation
 from repro.config import DefenseConfig, ShardingConfig, TrainConfig, replace
+from repro.datasets.base import pack_csr
 from repro.datasets.synthetic import generate_longtail_dataset
+from repro.federated.shards import ShardedStateStore
 from repro.federated.simulation import FederatedSimulation
-from repro.federated.state import ClientStateStore
 from repro.metrics.ranking import (
     exposure_counts_at_k,
     exposure_ratio_at_k,
@@ -67,10 +68,10 @@ class TestConstructionParity:
     def test_store_matches_object_clients(self, seed):
         rng = np.random.default_rng(seed + 1)
         train_pos = ragged_lists(rng, 20, 50)
-        store = ClientStateStore.build(train_pos, 50, 6, seed=seed, init_scale=0.05)
+        store = ShardedStateStore.build(train_pos, 50, 6, seed=seed, init_scale=0.05)
         for user, positives in enumerate(train_pos):
             client = BenignClient(user, positives, 50, 6, seed=seed, init_scale=0.05)
-            assert np.array_equal(store.user_embeddings[user], client.user_embedding)
+            assert np.array_equal(store.row(user), client.user_embedding)
             assert np.array_equal(store.positives(user), client.positive_items)
 
     def test_pcg64_first_raw_matches_numpy(self):
@@ -91,21 +92,19 @@ class TestConstructionParity:
 
     @pytest.mark.parametrize("seed", [0, 3, 42])
     def test_client_lrs_match_scalar_draws(self, seed):
-        store = ClientStateStore.build(
-            [np.array([0]), np.array([1]), np.array([2])], 10, 4, seed=seed
-        )
         cfg = TrainConfig(client_lr_range=(0.1, 2.0))
-        lrs = store.client_lrs(cfg.client_lr_range)
-        for user in range(3):
+        store = ShardedStateStore.build(
+            [np.array([0]), np.array([1]), np.array([2])], 10, 4, seed=seed,
+            lr_range=cfg.client_lr_range,
+        )
+        lrs = store.client_lrs(np.array([2, 0, 1]))
+        for row, user in enumerate((2, 0, 1)):
             standalone = BenignClient(user, np.array([0]), 10, 4, seed=seed)
-            assert lrs[user] == standalone._client_lr(cfg)
-        # Cached: the same range returns the same array object.
-        assert store.client_lrs(cfg.client_lr_range) is lrs
+            assert lrs[row] == standalone._client_lr(cfg)
 
     def test_client_lrs_rejects_bad_range(self):
-        store = ClientStateStore.build([np.array([0])], 5, 2)
         with pytest.raises(ValueError, match="client_lr_range"):
-            store.client_lrs((0.0, 1.0))
+            ShardedStateStore.build([np.array([0])], 5, 2, lr_range=(0.0, 1.0))
 
 
 # ----------------------------------------------------------------------
@@ -118,22 +117,23 @@ class TestCsrRoundTrip:
     def test_ragged_to_csr_to_ragged(self, seed):
         rng = np.random.default_rng(seed)
         train_pos = ragged_lists(rng, 17, 40)
-        store = ClientStateStore.build(train_pos, 40, 4, seed=seed)
-        assert store.train_indptr[0] == 0
-        assert store.train_indptr[-1] == sum(len(p) for p in train_pos)
-        assert store.train_indices.dtype == np.int64
+        indptr, indices = pack_csr(train_pos)
+        assert indptr[0] == 0
+        assert indptr[-1] == sum(len(p) for p in train_pos)
+        assert indices.dtype == np.int64
+        store = ShardedStateStore.build(train_pos, 40, 4, seed=seed)
+        assert store.num_users == len(train_pos)
         for user, positives in enumerate(train_pos):
-            assert np.array_equal(store.positives(user), positives)
-        round_trip = store.to_ragged()
-        assert len(round_trip) == len(train_pos)
-        for got, expected in zip(round_trip, train_pos):
-            assert np.array_equal(got, expected)
+            got = store.positives(user)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, positives)
 
     def test_positive_slices_are_views(self):
         train_pos = [np.array([1, 3], dtype=np.int64), np.array([0], dtype=np.int64)]
-        store = ClientStateStore.build(train_pos, 5, 2)
+        store = ShardedStateStore.build(train_pos, 5, 2)
         view = store.positives(0)
-        assert view.base is store.train_indices
+        assert not view.flags.owndata
+        assert np.shares_memory(view, store._shards[0].indices)
         views = store.positives_list(np.array([1, 0]))
         assert np.array_equal(views[0], [0])
         assert np.array_equal(views[1], [1, 3])
@@ -141,17 +141,10 @@ class TestCsrRoundTrip:
     @pytest.mark.parametrize("seed", range(3))
     def test_train_mask_blocks_match_dense_mask(self, seed):
         dataset = generate_longtail_dataset(23, 31, 200, seed=seed)
-        store = ClientStateStore.build(dataset.train_pos, dataset.num_items, 4)
+        store = ShardedStateStore.build(dataset.train_pos, dataset.num_items, 4)
         dense = dataset.train_mask()
         for lo, hi in [(0, 23), (0, 5), (5, 9), (22, 23), (7, 7)]:
             assert np.array_equal(store.train_mask_block(lo, hi), dense[lo:hi])
-
-    def test_mismatched_indptr_rejected(self):
-        with pytest.raises(ValueError, match="train_indptr"):
-            ClientStateStore(
-                np.zeros((2, 3)), np.zeros(4, dtype=np.int64),
-                np.empty(0, dtype=np.int64), 5,
-            )
 
 
 # ----------------------------------------------------------------------
@@ -162,20 +155,20 @@ class TestCsrRoundTrip:
 class TestStoreBackedViews:
     def make_store(self, seed=0):
         train_pos = [np.array([0, 2], dtype=np.int64), np.array([1], dtype=np.int64)]
-        return ClientStateStore.build(train_pos, 6, 4, seed=seed)
+        return ShardedStateStore.build(train_pos, 6, 4, seed=seed)
 
     def test_view_reads_and_writes_store_row(self):
         store = self.make_store()
         view = BenignClient.from_store(store, 1)
-        assert np.array_equal(view.user_embedding, store.user_embeddings[1])
+        assert np.array_equal(view.user_embedding, store.row(1))
         view.user_embedding = np.full(4, 2.5)
-        assert np.array_equal(store.user_embeddings[1], np.full(4, 2.5))
+        assert np.array_equal(store.row(1), np.full(4, 2.5))
         assert np.array_equal(view.positive_items, [1])
 
     def test_view_participate_matches_standalone(self):
         seed = 9
         train_pos = [np.array([0, 2], dtype=np.int64), np.array([1, 3], dtype=np.int64)]
-        store = ClientStateStore.build(train_pos, 6, 4, seed=seed)
+        store = ShardedStateStore.build(train_pos, 6, 4, seed=seed)
         model_a = build_model("mf", 6, 4, seed=1)
         model_b = build_model("mf", 6, 4, seed=1)
         cfg = TrainConfig()
@@ -185,7 +178,7 @@ class TestStoreBackedViews:
         update_ref = standalone.participate(model_b, cfg, round_idx=0)
         assert np.array_equal(update_view.item_ids, update_ref.item_ids)
         assert np.array_equal(update_view.item_grads, update_ref.item_grads)
-        assert np.array_equal(store.user_embeddings[0], standalone.user_embedding)
+        assert np.array_equal(store.row(0), standalone.user_embedding)
 
     def test_view_list_is_lazy_and_cached(self):
         store = self.make_store()
@@ -206,7 +199,7 @@ class TestStoreBackedViews:
         defense = DefenseConfig(
             name="regularization", mining_rounds=1, num_popular=3
         )
-        store = ClientStateStore.build(
+        store = ShardedStateStore.build(
             [np.array([0]), np.array([1]), np.array([2])], 5, 2, defense=defense
         )
         assert store.defense is defense
@@ -219,7 +212,7 @@ class TestStoreBackedViews:
         # The checkpoint state is the miner's arrays, and it restores
         # into a fresh store's block.
         saved = store.state()
-        fresh = ClientStateStore.build(
+        fresh = ShardedStateStore.build(
             [np.array([0]), np.array([1]), np.array([2])], 5, 2, defense=defense
         )
         fresh.restore(saved)
@@ -313,7 +306,7 @@ class TestChunkedEvaluation:
     def test_user_embedding_matrix_is_zero_copy(self, tiny_mf_config):
         sim = FederatedSimulation(tiny_mf_config)
         matrix = sim.user_embedding_matrix()
-        assert matrix.base is sim.state.user_embeddings  # no copy
+        assert matrix.base is sim.state._shards[0].emb  # the heap shard's rows
         assert not matrix.flags.writeable  # live state is read-only
         with pytest.raises(ValueError):
             matrix[0] = 0.0
@@ -367,7 +360,8 @@ class TestFinalEvaluationReuse:
 class TestUploadDtype:
     def _as_float32(self, sim):
         sim.model.item_embeddings = sim.model.item_embeddings.astype(np.float32)
-        sim.state.user_embeddings = sim.state.user_embeddings.astype(np.float32)
+        for shard in sim.state._shards.values():
+            shard.emb = shard.emb.astype(np.float32)
 
     def test_loop_bpr_upload_keeps_model_dtype(self):
         model = build_model("mf", 12, 4, seed=0)
@@ -448,7 +442,8 @@ class TestEngineStorePath:
             store_sim.model.item_embeddings, fallback_sim.model.item_embeddings
         )
         assert np.array_equal(
-            store_sim.state.user_embeddings, fallback_sim.state.user_embeddings
+            store_sim.state.snapshot_embeddings(),
+            fallback_sim.state.snapshot_embeddings(),
         )
 
     def test_store_rounds_never_fall_back_to_stacking(self, tiny_mf_config):
