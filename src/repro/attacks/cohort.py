@@ -11,7 +11,7 @@ those per-object costs — not the attack math — dominate the round.
 :class:`MaliciousCohort` mirrors the benign
 :class:`~repro.federated.shards.ShardedStateStore`: it *adopts* the
 registry-built client objects (so construction-time RNG draws and any
-genuinely per-client warm state are untouched) and owns the team-level
+per-client warm state are untouched) and owns the team-level
 state as flat arrays:
 
 * ``times_sampled`` — the per-client participation counters behind
@@ -29,20 +29,20 @@ state as flat arrays:
   ``(clients, targets, dim)`` tensor and scaled by the client scales
   in one broadcast multiply (clipping included).
 
-Attack math still runs through the same
-:meth:`~repro.attacks.base.MaliciousClient._round_payload` hooks the
-object path uses, which is what makes the two paths bit-identical by
-construction (asserted end-to-end by ``tests/test_attack_cohort.py``):
+The attack math is the object path's own, so the two paths agree bit
+for bit (asserted end-to-end by ``tests/test_attack_cohort.py``
+against the per-client references in ``tests/reference/``):
 
 * ``fedattack`` is fully batched — team-wide ``spawn_batch`` RNG
   streams, one ``sample_local_batches`` stack and one
   ``batch_local_step`` over all sampled clients;
+* ``pieck_uea`` clients run in lockstep, one stacked model call per
+  inner step (:func:`~repro.attacks.pieck_uea.lockstep_payloads`);
 * ``pieck_ipe`` rounds are deterministic in the mined set, so the
   payload is computed once per *distinct* mined P and fanned out;
-* ``pieck_uea``, ``fedrecattack``, ``pipattack``, ``a_ra`` and
-  ``a_hum`` keep genuinely per-client inner loops (private RNG
-  streams, warm-started surrogates/classifiers/refiners) and batch
-  the surrounding stages.
+* ``fedrecattack``, ``pipattack``, ``a_ra`` and ``a_hum`` keep
+  per-client inner loops (private RNG streams, warm-started
+  surrogates/classifiers) and batch the surrounding stages.
 
 The resulting uploads are :class:`CohortUpload` rows — zero-copy views
 into the round's stacked arrays that the batch engine splices directly
@@ -60,7 +60,7 @@ from repro.attacks.base import AttackPayload, MaliciousClient
 from repro.attacks.baselines.fedattack import FedAttack
 from repro.attacks.mining import CohortMiner
 from repro.attacks.pieck_ipe import PieckIPE
-from repro.attacks.pieck_uea import PieckUEA
+from repro.attacks.pieck_uea import PieckUEA, lockstep_payloads
 from repro.config import TrainConfig
 from repro.datasets.sampling import sample_local_batches
 from repro.federated.payload import clip_scale
@@ -225,34 +225,34 @@ class MaliciousCohort(Stateful):
         scales: np.ndarray,
         uploads: list[CohortUpload | None],
     ) -> None:
-        """Per-client payloads, then one stacked scale/clip pass.
+        """The round's payloads, then one stacked scale/clip pass.
 
         PIECK clients receive their mined set from the cohort miner;
-        IPE payloads — deterministic in that set — are computed once
-        per distinct mined P and shared across the group.
+        IPE payloads — deterministic in it — are computed once per
+        distinct mined P.
         """
-        dedup = isinstance(self.clients[0], PieckIPE)
-        cache: dict[bytes, AttackPayload | None] = {}
-        payloads: list[AttackPayload] = []
-        payload_rows: list[int] = []
-        for j in active.tolist():
-            client = self.clients[rows[j]]
-            popular = self.miner.mined[rows[j]] if self.miner is not None else None
-            if dedup:
-                key = popular.tobytes()
-                if key in cache:
-                    payload = cache[key]
-                else:
-                    payload = client._round_payload(
+        clients = [self.clients[rows[j]] for j in active]
+        mined = [
+            self.miner.mined[rows[j]] if self.miner is not None else None
+            for j in active
+        ]
+        if isinstance(clients[0], PieckUEA):
+            found = lockstep_payloads(clients, mined, model, train_cfg, round_idx)
+            self.last_round_payloads = len(found)
+        else:
+            dedup = isinstance(clients[0], PieckIPE)
+            keys = [p.tobytes() if dedup else k for k, p in enumerate(mined)]
+            cache: dict[bytes | int, AttackPayload | None] = {}
+            for key, client, popular in zip(keys, clients, mined):
+                if key not in cache:
+                    cache[key] = client._round_payload(
                         model, train_cfg, round_idx, popular=popular
                     )
-                    cache[key] = payload
-                    self.last_round_payloads += 1
-            else:
-                payload = client._round_payload(
-                    model, train_cfg, round_idx, popular=popular
-                )
-                self.last_round_payloads += 1
+            found = [cache[key] for key in keys]
+            self.last_round_payloads = len(cache)
+        payloads: list[AttackPayload] = []
+        payload_rows: list[int] = []
+        for j, payload in zip(active.tolist(), found):
             if payload is not None:
                 payloads.append(payload)
                 payload_rows.append(j)

@@ -8,17 +8,18 @@ derives poisonous gradients for the target items through the model's
 interaction function. The approximating embeddings are constants —
 only target item gradients are uploaded.
 
-Unlike IPE, the UEA round is genuinely per-client: the inner
-optimisation draws pseudo-user batches from the client's private
-``(seed, "uea", user_id, round_idx)`` stream, and the ``"refined"``
-pseudo-user source keeps warm-started per-client fake profiles.  The
-cohort path therefore runs :meth:`PieckUEA._round_payload` per sampled
-client (with the mined set injected from its struct-of-arrays miner)
-and batches only the surrounding stages — mining, participation
-scaling, and the final target-step gradient stack.
+A round's UEA attackers run in lockstep (:func:`lockstep_payloads`;
+:meth:`PieckUEA._round_payload` is its one-client case): each inner
+step is one forward and one backward over every running client's
+pseudo-user batch.  Each client still draws its batches from its own
+``(seed, "uea", user_id, round_idx)`` stream, one per step it runs,
+and targets run as sequential phases, so with row-stable model calls
+(:mod:`repro.models.mlp`) every client gets its own loop's bytes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,12 +27,12 @@ from repro.attacks.base import AttackPayload, PieckClient
 from repro.attacks.mining import RoundSnapshotCache
 from repro.attacks.refinement import PseudoUserRefiner
 from repro.config import AttackConfig, TrainConfig
-from repro.models.base import RecommenderModel
+from repro.models.base import RecommenderModel, segment_starts, segment_sums
 from repro.models.losses import sigmoid
 from repro.rng import spawn
 from repro.stateful import state_of
 
-__all__ = ["PieckUEA"]
+__all__ = ["PieckUEA", "lockstep_payloads"]
 
 
 class PieckUEA(PieckClient):
@@ -59,23 +60,7 @@ class PieckUEA(PieckClient):
         round_idx: int,
         popular: np.ndarray | None = None,
     ) -> AttackPayload | None:
-        popular_ids = self._popular_excluding_targets(popular)
-        pseudo_users = self._pseudo_users(model, popular_ids)
-        reference_norm = float(np.mean(np.linalg.norm(pseudo_users, axis=1)))
-        rng = spawn(self._seed, "uea", self.user_id, round_idx)
-
-        popular_vecs = model.item_embeddings[popular_ids]
-        deltas: list[np.ndarray] = []
-        for target in self._targets_to_train():
-            old = model.item_embeddings[target].copy()
-            new = self._optimise_target(model, old, pseudo_users, popular_vecs, rng)
-            deltas.append(new - old)
-        deltas = self._expand_deltas(deltas)
-
-        grads = self._target_step_gradients(
-            model, deltas, train_cfg.lr, reference_norm
-        )
-        return AttackPayload(self.targets, grads)
+        return lockstep_payloads([self], [popular], model, train_cfg, round_idx)[0]
 
     # ------------------------------------------------------------------
 
@@ -84,8 +69,8 @@ class PieckUEA(PieckClient):
     ) -> np.ndarray:
         """The user-embedding stand-ins the promotion loss optimises over.
 
-        ``uea_pseudo_source == "popular"`` is Eq. 10 verbatim; the
-        default ``"refined"`` locally trains fake user profiles on the
+        ``uea_pseudo_source == "popular"`` (the default) is Eq. 10
+        verbatim; ``"refined"`` locally trains fake user profiles on the
         mined populars (see :mod:`repro.attacks.refinement`), which
         keeps the approximation faithful even when heavy negative
         sampling separates item and user geometry.
@@ -125,69 +110,122 @@ class PieckUEA(PieckClient):
             )
             self._refiner.restore(saved)
 
-    def _optimise_target(
-        self,
-        model: RecommenderModel,
-        start: np.ndarray,
-        pseudo_users: np.ndarray,
-        popular_vecs: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Inner optimisation of Eq. 10 over batches of pseudo-users.
 
-        Uses normalised gradient steps sized relative to the pseudo-user
-        norm scale, so the same attack configuration is effective for
-        both MF-FRS and DL-FRS regardless of the interaction function's
-        gradient magnitudes (the model-agnostic property of PIECK).
-        """
-        vec = start.copy()
-        reference_norm = float(np.mean(np.linalg.norm(pseudo_users, axis=1)))
-        # Re-anchor a previously-poisoned embedding into the pseudo-user
-        # norm range; otherwise sigmoid saturation freezes its direction
-        # while the popular/user distribution keeps drifting.
-        cap = self.config.norm_cap_factor * float(
-            np.linalg.norm(pseudo_users, axis=1).max()
-        )
-        norm = np.linalg.norm(vec)
-        if cap > 0 and norm > cap:
-            vec *= cap / norm
-        # Optimise to convergence: each "round" (inner_steps, the paper's
-        # round size) takes several normalised sub-steps, stopping early
-        # once the promotion margin is met for the sampled batch. The
-        # per-round *upload* is still bounded by the caller, so running
-        # the local optimisation to convergence is free for stability.
-        steps = max(self.config.inner_steps, 1) * 10
-        step_size = 0.15 * reference_norm
-        batch_size = min(max(self.config.uea_batch_size, 1), len(pseudo_users))
-        margin = self.config.promotion_margin
-        if self.config.adaptive_margin:
-            # Track the converging FRS: aim above the best score any
-            # mined popular item achieves for the pseudo-users.
-            popular_logits, _ = model.forward(
-                np.repeat(pseudo_users, len(popular_vecs), axis=0),
-                np.tile(popular_vecs, (len(pseudo_users), 1)),
+def lockstep_payloads(
+    clients: list[PieckUEA],
+    popular: list[np.ndarray | None],
+    model: RecommenderModel,
+    train_cfg: TrainConfig,
+    round_idx: int,
+) -> list[AttackPayload]:
+    """Algorithm 3's round for UEA clients, in lockstep.
+
+    ``popular[k]`` is client ``k``'s mined set (``None``: its own
+    miner's).  Per target, each client's copy takes up to
+    ``10 * inner_steps`` normalised steps on Eq. 10's
+    ``-mean log sigmoid(logit - margin)`` over drawn pseudo-user
+    batches, until its batch's worst logit clears the margin or its
+    gradient vanishes.
+    """
+    config = clients[0].config
+    ids = [c._popular_excluding_targets(p) for c, p in zip(clients, popular)]
+    pseudo = [c._pseudo_users(model, i) for c, i in zip(clients, ids)]
+    rngs = [spawn(c._seed, "uea", c.user_id, round_idx) for c in clients]
+    sizes = [min(max(config.uea_batch_size, 1), len(u)) for u in pseudo]
+    row_norms = [np.linalg.norm(users, axis=1) for users in pseudo]
+    reference = np.array([float(np.mean(norms)) for norms in row_norms])
+    # Re-anchor a previously-poisoned embedding into the pseudo-user
+    # norm range; otherwise sigmoid saturation freezes its direction
+    # while the popular/user distribution keeps drifting.
+    caps = config.norm_cap_factor * np.array([float(n.max()) for n in row_norms])
+    margins = np.full(len(clients), config.promotion_margin)
+    if config.adaptive_margin:
+        # Track the converging FRS: aim above the best score any mined
+        # popular item achieves for the pseudo-users.
+        for k, (users, popular_ids) in enumerate(zip(pseudo, ids)):
+            items = model.item_embeddings[popular_ids]
+            logits, _ = model.forward(
+                np.repeat(users, len(items), axis=0), np.tile(items, (len(users), 1))
             )
-            per_item = popular_logits.reshape(len(pseudo_users), len(popular_vecs))
-            margin += float(per_item.mean(axis=0).max())
-        for _ in range(steps):
-            if batch_size < len(pseudo_users):
-                rows = rng.choice(len(pseudo_users), size=batch_size, replace=False)
-                users = pseudo_users[rows]
-            else:
-                users = pseudo_users
-            item_vecs = np.broadcast_to(vec, users.shape).copy()
-            logits, cache = model.forward(users, item_vecs)
-            # Eq. 10 penalises every pseudo-user's score, so converge on
-            # the worst one — a high *mean* can hide an embedding that
-            # points away from a large part of the user distribution.
-            if float(logits.min()) >= margin:
+            margins[k] += float(logits.reshape(len(users), -1).mean(axis=0).max())
+    # Step batch heights are fixed for the round: a client that has
+    # stopped keeps its last batch in the stack, its rows ignored.
+    lengths = np.array(sizes)
+    row_margins = np.repeat(margins, lengths)
+    row_counts = np.repeat(lengths, lengths)
+    starts = segment_starts(lengths)
+    deltas: list[list[np.ndarray]] = [[] for _ in clients]
+    for target in clients[0]._targets_to_train():
+        start = model.item_embeddings[target]
+        vecs = np.tile(start, (len(clients), 1))
+        norm = np.linalg.norm(start)
+        shrink = (caps > 0) & (norm > caps)
+        vecs[shrink] *= (caps[shrink] / norm)[:, None]
+        # Optimise to convergence; the upload is still bounded by the
+        # step-gradient cap, so this is free for stability.
+        running = np.ones(len(clients), dtype=bool)
+        batches = list(pseudo)
+        for _ in range(max(config.inner_steps, 1) * 10):
+            for k in np.flatnonzero(running).tolist():
+                if sizes[k] < len(pseudo[k]):
+                    rows = rngs[k].choice(len(pseudo[k]), sizes[k], replace=False)
+                    batches[k] = pseudo[k][rows]
+            logits, grads = _segment_calls(
+                model,
+                np.concatenate(batches),
+                np.repeat(vecs, lengths, axis=0),
+                lengths,
+                row_margins,
+                row_counts,
+            )
+            # Converge on the worst pseudo-user: a high *mean* can hide
+            # an embedding pointing away from part of the user cloud.
+            met = np.minimum.reduceat(logits, starts) >= margins
+            # The 1-D norm np.linalg.norm computes, sqrt of a BLAS dot; a
+            # row-wise norm rounds differently on some rows.
+            norms = np.array([math.sqrt(grad @ grad) for grad in grads])
+            running &= ~met & ~(norms < 1e-12)
+            if not running.any():
                 break
-            # d/d logit of -mean log sigmoid(logit - margin); labels are 1.
-            dlogits = (sigmoid(logits - margin) - 1.0) / len(logits)
-            bundle = model.backward(cache, dlogits)
-            grad = bundle.items.sum(axis=0)
-            grad_norm = float(np.linalg.norm(grad))
-            if grad_norm < 1e-12:
-                break
-            vec = vec - step_size * grad / grad_norm
-        return vec
+            scale = 0.15 * reference[running, None]
+            vecs[running] -= scale * grads[running] / norms[running, None]
+        for client_deltas, vec in zip(deltas, vecs):
+            client_deltas.append(vec - start)
+    lr = train_cfg.lr
+    deltas = [c._expand_deltas(d) for c, d in zip(clients, deltas)]
+    return [
+        AttackPayload(c.targets, c._target_step_gradients(model, d, lr, float(r)))
+        for c, d, r in zip(clients, deltas, reference)
+    ]
+
+
+def _segment_calls(
+    model: RecommenderModel,
+    users: np.ndarray,
+    items: np.ndarray,
+    lengths: np.ndarray,
+    row_margins: np.ndarray,
+    row_counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row logits of stacked segments and each segment's summed item
+    gradient of ``-mean log sigmoid(logit - margin)``, each as if the
+    segment were called alone.  A one-row segment gets a call of its
+    own: NumPy sends a lone row to GEMV, which rounds differently from
+    a GEMM row."""
+    logits = np.empty(len(users))
+    grads = np.empty((len(lengths), users.shape[1]))
+    lone = lengths == 1
+    calls: list = [slice(None)]
+    if lone.any():
+        calls = [~lone] if not lone.all() else []
+        calls += [np.arange(len(lengths)) == k for k in np.flatnonzero(lone)]
+    for segs in calls:
+        rows = segs if isinstance(segs, slice) else np.repeat(segs, lengths)
+        counts = lengths[segs]
+        logits[rows], cache = model.forward(users[rows], items[rows])
+        shifted = logits[rows] - row_margins[rows]
+        dlogits = (sigmoid(shifted) - 1.0) / row_counts[rows]
+        grads[segs] = segment_sums(
+            model.backward(cache, dlogits).items, counts, users.shape[1]
+        )
+    return logits, grads

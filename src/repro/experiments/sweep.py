@@ -110,7 +110,9 @@ __all__ = [
 #: v9: the client-side defense's Re1/Re2 terms are computed in a
 #: collapsed, batch-independent form, which moves regularised cells in
 #: the last ulp; other cells are unchanged.
-CACHE_VERSION = "sweep-v9"
+#: v10: the NCF tower is row-stable (row-wise projection, contiguous
+#: ``W.T``), which moves NCF cells in the last ulp; MF cells are unchanged.
+CACHE_VERSION = "sweep-v10"
 
 
 @dataclass(frozen=True)

@@ -616,6 +616,8 @@ class FederatedSimulation:
             )
             hr_hits += hits
             hr_total += total
+            # Freed before the next block is scored: one alive at a time.
+            del scores, train_mask
         return (
             exposure_ratio_from_counts(er_hits, er_eligible),
             hit_ratio_from_counts(hr_hits, hr_total),

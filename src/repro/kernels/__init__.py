@@ -56,7 +56,7 @@ BACKENDS = ("numpy", "native")
 DISPATCH_TABLE = {
     "scatter_sum": ("federated/aggregation.py", "federated/server.py"),
     "segment_div": ("models/losses.py (bce/bpr_grad_segmented)",),
-    "segment_sums": ("models/base.py (batch_local_step[_bpr])",),
+    "segment_sums": ("models/base.py (batch_local_step[_bpr])", "attacks/pieck_uea.py"),
     "pairwise_sq_dists": ("defenses/robust.py (Krum/MultiKrum/Bulyan)",),
     "stacked_step_gradients": ("attacks/base.py",),
     "row_diff_norms": ("attacks/mining.py (DeltaNormTracker, CohortMiner)",),

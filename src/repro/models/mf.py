@@ -58,7 +58,3 @@ class MFModel(RecommenderModel):
 
     def score_matrix(self, user_matrix: np.ndarray) -> np.ndarray:
         return user_matrix @ self.item_embeddings.T
-
-    def init_user_embedding(self, rng: np.random.Generator, scale: float = 0.1) -> np.ndarray:
-        """Draw a fresh private user embedding (client-side init)."""
-        return rng.normal(scale=scale, size=self.embedding_dim)

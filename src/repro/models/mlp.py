@@ -5,11 +5,13 @@ This is the learnable-interaction-function building block of DL-FRS
 vector ``h``. Gradients are derived by hand and checked against
 numerical differentiation in the test suite.
 
-:meth:`MLPTower.forward` is row-wise, so the batch-client engine feeds
-it all sampled clients' rows in one flattened call;
-:meth:`MLPTower.backward_segmented` is the matching backward pass that
-resolves the parameter gradients per client segment (federated clients
-upload *per-client* parameter gradients, not one fused sum).
+:meth:`MLPTower.forward` and the input gradient are row-stable: a row
+gets the same bytes whatever rows share the call, given two or more
+rows (a lone row takes NumPy's GEMV path) and input and hidden widths
+that are multiples of four (OpenBLAS's kernels for output widths
+``8k + 1 .. 8k + 3`` round a block's last rows differently).  So whole
+rounds of clients share one call; :meth:`MLPTower.backward_segmented`
+resolves the parameter gradients per client segment.
 """
 
 from __future__ import annotations
@@ -30,18 +32,11 @@ class Linear:
         """Apply the affine map to a batch ``x`` of shape (n, in_dim)."""
         return x @ self.weight + self.bias
 
-    def backward(
-        self, x: np.ndarray, dz: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Backprop through the layer.
-
-        Given the layer input ``x`` and upstream gradient ``dz`` (both
-        batched), returns ``(dx, dW, db)``.
-        """
-        dx = dz @ self.weight.T
-        dw = x.T @ dz
-        db = dz.sum(axis=0)
-        return dx, dw, db
+    def input_grad(self, dz: np.ndarray) -> np.ndarray:
+        """``dz @ W.T`` with a contiguous ``W.T``: OpenBLAS serves a
+        transposed operand with few rows from another kernel than the
+        same rows inside a taller stack."""
+        return dz @ np.ascontiguousarray(self.weight.T)
 
 
 class MLPTower:
@@ -113,37 +108,18 @@ class MLPTower:
         for layer in self.layers:
             current = np.maximum(layer.forward(current), 0.0)
             cache.append(current)
-        logits = cache[-1] @ self.projection
+        # Row-wise, not a GEMV: a GEMV rounds its last ``n mod 4`` rows
+        # differently, so a logit would depend on the rows beside it.
+        logits = np.einsum("nd,d->n", cache[-1], self.projection)
         return logits, cache
 
     def backward(
         self, cache: list[np.ndarray], dlogits: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Backprop from logit gradients to input and parameter gradients.
-
-        Returns ``(dx, param_grads)`` with ``param_grads`` ordered like
-        :meth:`param_list`.
-        """
-        final_act = cache[-1]
-        dproj = final_act.T @ dlogits
-        dact = np.outer(dlogits, self.projection)
-
-        layer_grads: list[tuple[np.ndarray, np.ndarray]] = []
-        for index in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[index]
-            act_out = cache[index + 1]
-            act_in = cache[index]
-            dz = dact * (act_out > 0.0)
-            dact, dw, db = layer.backward(act_in, dz)
-            layer_grads.append((dw, db))
-        layer_grads.reverse()
-
-        param_grads: list[np.ndarray] = []
-        for dw, db in layer_grads:
-            param_grads.append(dw)
-            param_grads.append(db)
-        param_grads.append(dproj)
-        return dact, param_grads
+        """``(dx, param_grads)`` from logit gradients, params ordered like
+        :meth:`param_list`: the one-segment :meth:`backward_segmented`."""
+        dx, stacks = self.backward_segmented(cache, dlogits, [0], [len(dlogits)])
+        return dx, [stack[0] for stack in stacks]
 
     def backward_segmented(
         self,
@@ -160,41 +136,34 @@ class MLPTower:
         the backward pass (ReLU masking, ``dz @ W.T``) run once over the
         whole stack; only the per-parameter reductions (``x.T @ dz``,
         ``dz.sum(axis=0)``) run per segment, on each segment's exact
-        rows, making every per-client gradient bit-identical to
-        :meth:`backward` on that client alone.
+        rows, making every per-client gradient bit-identical to a call
+        on that client's rows alone.
 
         Returns ``(dx, param_stacks)`` where ``dx`` covers all rows and
         ``param_stacks`` is ordered like :meth:`param_list` with one
         leading ``(num_segments,)`` axis.
         """
-        num_segments = len(starts)
-        segs = [
-            slice(int(s), int(s) + int(n)) for s, n in zip(starts, lengths)
-        ]
+        segs = [slice(int(s), int(s) + int(n)) for s, n in zip(starts, lengths)]
         final_act = cache[-1]
-        dproj = np.empty((num_segments, len(self.projection)))
+        dproj = np.empty(
+            (len(segs), len(self.projection)),
+            dtype=np.result_type(final_act, dlogits),
+        )
         for k, seg in enumerate(segs):
             dproj[k] = final_act[seg].T @ dlogits[seg]
         dact = np.outer(dlogits, self.projection)
 
-        stacks_reversed: list[tuple[np.ndarray, np.ndarray]] = []
+        param_stacks = [dproj]
         for index in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[index]
-            act_out = cache[index + 1]
             act_in = cache[index]
-            dz = dact * (act_out > 0.0)
-            dw = np.empty((num_segments,) + layer.weight.shape)
-            db = np.empty((num_segments,) + layer.bias.shape)
+            dz = dact * (cache[index + 1] > 0.0)
+            dtype = np.result_type(act_in, dz)
+            dw = np.empty((len(segs),) + layer.weight.shape, dtype=dtype)
+            db = np.empty((len(segs),) + layer.bias.shape, dtype=dtype)
             for k, seg in enumerate(segs):
                 dw[k] = act_in[seg].T @ dz[seg]
                 db[k] = dz[seg].sum(axis=0)
-            dact = dz @ layer.weight.T
-            stacks_reversed.append((dw, db))
-        stacks_reversed.reverse()
-
-        param_stacks: list[np.ndarray] = []
-        for dw, db in stacks_reversed:
-            param_stacks.append(dw)
-            param_stacks.append(db)
-        param_stacks.append(dproj)
+            dact = layer.input_grad(dz)
+            param_stacks[:0] = [dw, db]
         return dact, param_stacks

@@ -80,23 +80,18 @@ class NCFModel(RecommenderModel):
     ) -> BatchStepResult:
         """Vectorised local step resolving tower gradients per client.
 
-        Same contract as the base hook; the tower's row-wise forward and
-        backward run once over all clients' stacked rows, while the
+        Same contract as the base hook; the tower's forward and input
+        gradient run once over all clients' stacked rows, while the
         per-parameter reductions run on each client's exact row segment
-        (see :meth:`MLPTower.backward_segmented`), keeping every
-        uploaded gradient bit-identical to the per-client loop.
-
-        One caveat: a *single-row* segment can differ from the scalar
-        reference in the last ulp, because BLAS dispatches a lone
-        ``(1, k) @ (k, n)`` product to a different kernel than the same
-        row inside a large GEMM.  Protocol batches never hit this —
-        a local batch holds ``positives * (1 + q)`` rows with ``q >= 1``
-        and at least one positive, i.e. always two or more rows.
+        (see :meth:`MLPTower.backward_segmented`).  The tower is
+        row-stable (``tests/test_models.py::TestRowStability``), so every
+        uploaded gradient is bit-identical to the per-client loop — for
+        segments of two or more rows, which every protocol batch has
+        (``positives * (1 + q)`` rows, ``q >= 1``): a lone row takes the
+        GEMV kernel and can differ in the last ulp.
         """
         dim = self.embedding_dim
-        flat_users = np.repeat(user_vecs, lengths, axis=0)
-        x = np.concatenate([flat_users, item_vecs], axis=1)
-        logits, cache = self.tower.forward(x)
+        logits, cache = self.forward(np.repeat(user_vecs, lengths, axis=0), item_vecs)
         dlogits = bce_grad_segmented(logits, labels, lengths)
         starts = segment_starts(lengths)
         dx, param_stacks = self.tower.backward_segmented(
@@ -161,7 +156,3 @@ class NCFModel(RecommenderModel):
                 act = np.maximum(out, 0.0, out=out)
             np.matmul(self.tower.projection, act, out=scores[lo:hi].reshape(-1))
         return scores
-
-    def init_user_embedding(self, rng: np.random.Generator, scale: float = 0.1) -> np.ndarray:
-        """Draw a fresh private user embedding (client-side init)."""
-        return rng.normal(scale=scale, size=self.embedding_dim)

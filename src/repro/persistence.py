@@ -90,7 +90,9 @@ __all__ = [
 #: ``materialized_rounds`` counter.
 #: v7: the client store's defense state is one ``CohortMiner`` block
 #: (``state["store"]["miner"]``), not a dict of per-user regularizers.
-CHECKPOINT_VERSION = "ckpt-v7"
+#: v8: the NCF tower is row-stable, which moves NCF runs in the last
+#: ulp; a v7 NCF checkpoint would resume onto mixed arithmetic.
+CHECKPOINT_VERSION = "ckpt-v8"
 
 #: Suffix appended (atomically, via ``os.replace``) to files that fail
 #: their integrity check.  A quarantined file is out of every loader's

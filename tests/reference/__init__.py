@@ -9,6 +9,8 @@ for bit:
 
 * :mod:`reference.client` — ``BenignClient``, the per-client local
   step (BCE or BPR, regularizer hooks, per-client learning rates);
+* :mod:`reference.uea` — ``PerClientPieckUEA``, PIECK-UEA's inner
+  loop run one client and one target at a time;
 * :mod:`reference.updates` — the ``ClientUpdate``-list twins of the
   server, audit log and fault controller's batched stages;
 * :mod:`reference.loop` — ``LoopSimulation``, a ``FederatedSimulation``
@@ -21,14 +23,17 @@ themselves.
 
 from reference.client import BenignClient
 from reference.loop import ClientViewList, LoopSimulation
+from reference.uea import PerClientPieckUEA, per_client
 from reference.updates import apply_to_updates, apply_updates, record, to_updates
 
 __all__ = [
     "BenignClient",
     "ClientViewList",
     "LoopSimulation",
+    "PerClientPieckUEA",
     "apply_to_updates",
     "apply_updates",
+    "per_client",
     "record",
     "to_updates",
 ]

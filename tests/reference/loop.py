@@ -4,7 +4,8 @@
 run one pure-Python ``participate`` call per sampled client, then the
 per-upload fault, audit and server twins of :mod:`reference.updates`.
 Everything else — construction, the store, the malicious team's
-objects, evaluation, checkpoints — is the package's own code, so a
+objects (with PIECK-UEA's per-client inner loop), evaluation,
+checkpoints — is the package's own code, so a
 parity test compares two runs that differ only in how a round is
 executed.
 """
@@ -19,6 +20,7 @@ from repro.federated.simulation import FederatedSimulation
 from repro.federated.shards import ShardedStateStore
 
 from reference.client import BenignClient
+from reference.uea import per_client
 from reference.updates import apply_to_updates, apply_updates
 
 __all__ = ["ClientViewList", "LoopSimulation"]
@@ -66,10 +68,12 @@ class LoopSimulation(FederatedSimulation):
 
     The malicious clients are driven through their own ``participate``
     methods, so no cohort is kept (the cohort would otherwise own
-    their counters and mining state).  Likewise each defended benign
-    client carries its own ``ClientRegularizer`` oracle instead of a
-    row of the store's miner block; those objects are not part of a
-    checkpoint, so resuming a defended loop run is not supported.
+    their counters and mining state); PIECK-UEA clients run the
+    per-client inner loop of :mod:`reference.uea`.  Likewise each
+    defended benign client carries its own ``ClientRegularizer``
+    oracle instead of a row of the store's miner block; those objects
+    are not part of a checkpoint, so resuming a defended loop run is
+    not supported.
     Worker processes and the
     asynchronous event loop reuse batched wave math the reference does
     not have, so configs enabling either are refused.
@@ -84,6 +88,7 @@ class LoopSimulation(FederatedSimulation):
             )
         super().__init__(config, dataset, audit=audit)
         self.malicious_cohort = None
+        per_client(self.malicious_clients)
         self.benign_clients = ClientViewList(
             self.state,
             client_regularizer_factory(config.defense, self.dataset.num_items),

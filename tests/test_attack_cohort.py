@@ -16,13 +16,14 @@ step kernel).
 import numpy as np
 import pytest
 
-from reference import LoopSimulation
+from reference import LoopSimulation, per_client
 from repro.attacks.base import (
     MaliciousClient,
     bounded_step_gradient,
     stacked_step_gradients,
 )
 from repro.attacks.cohort import CohortUpload, MaliciousCohort
+from repro.attacks.pieck_uea import lockstep_payloads
 from repro.attacks.mining import (
     CohortMiner,
     DeltaNormTracker,
@@ -99,6 +100,27 @@ def assert_cohort_parity(cfg, dataset):
     return loop_sim, batch_sim
 
 
+def _together_config(kind: str) -> ExperimentConfig:
+    return replace(
+        _config(kind),
+        attack=AttackConfig(
+            name="pieck_uea",
+            malicious_ratio=0.05,
+            num_targets=3,
+            multi_target_strategy="together",
+        ),
+    )
+
+
+def _refined_config(kind: str) -> ExperimentConfig:
+    return replace(
+        _config(kind),
+        attack=AttackConfig(
+            name="pieck_uea", malicious_ratio=0.05, uea_pseudo_source="refined"
+        ),
+    )
+
+
 # ----------------------------------------------------------------------
 # End-to-end parity: every attack x model x malicious ratio
 # ----------------------------------------------------------------------
@@ -133,25 +155,39 @@ class TestCohortParity:
         assert_cohort_parity(cfg, cohort_dataset)
 
     def test_multi_target_together_parity(self, cohort_dataset):
-        cfg = replace(
-            _config("mf"),
-            attack=AttackConfig(
-                name="pieck_uea",
-                malicious_ratio=0.05,
-                num_targets=3,
-                multi_target_strategy="together",
-            ),
-        )
-        assert_cohort_parity(cfg, cohort_dataset)
+        assert_cohort_parity(_together_config("mf"), cohort_dataset)
+
+    def test_ncf_multi_target_together_parity(self, cohort_dataset):
+        assert_cohort_parity(_together_config("ncf"), cohort_dataset)
 
     def test_refined_pseudo_users_parity(self, cohort_dataset):
+        assert_cohort_parity(_refined_config("mf"), cohort_dataset)
+
+    def test_ncf_refined_pseudo_users_parity(self, cohort_dataset):
+        assert_cohort_parity(_refined_config("ncf"), cohort_dataset)
+
+    @pytest.mark.parametrize("kind", ["mf", "ncf"])
+    @pytest.mark.parametrize(
+        "one_row", [{"uea_batch_size": 1}, {"num_popular": 1}], ids=str
+    )
+    def test_uea_one_row_batches_parity(self, cohort_dataset, kind, one_row):
+        """Step batches of one row, from the batch size or from a
+        one-item mined set.  The default tower's widths are ones where
+        a lone row's GEMV rounds differently from a stacked GEMM row."""
+        cfg = _config(kind)
         cfg = replace(
-            _config("mf"),
+            cfg,
+            model=replace(cfg.model, mlp_layers=(32, 16)),
             attack=AttackConfig(
-                name="pieck_uea", malicious_ratio=0.05, uea_pseudo_source="refined"
+                name="pieck_uea",
+                malicious_ratio=0.2,
+                mining_rounds=1,
+                num_targets=2,
+                **one_row,
             ),
         )
-        assert_cohort_parity(cfg, cohort_dataset)
+        loop_sim, _ = assert_cohort_parity(cfg, cohort_dataset)
+        assert any(client.miner.ready for client in loop_sim.malicious_clients)
 
     def test_defended_parity(self, cohort_dataset):
         cfg = replace(
@@ -194,6 +230,14 @@ class TestCohortUploadsMatchObjects:
 
     @pytest.mark.parametrize("attack", [a for a in ATTACKS if a != "none"])
     def test_uploads_bitwise_equal(self, cohort_dataset, attack):
+        self._assert_uploads_equal(cohort_dataset, attack, "mf")
+
+    @pytest.mark.parametrize("attack", [a for a in ATTACKS if a != "none"])
+    def test_ncf_uploads_bitwise_equal(self, cohort_dataset, attack):
+        self._assert_uploads_equal(cohort_dataset, attack, "ncf")
+
+    @staticmethod
+    def _assert_uploads_equal(cohort_dataset, attack, kind):
         cfg = AttackConfig(name=attack, malicious_ratio=0.05, mining_rounds=2)
         kwargs = dict(
             dataset=cohort_dataset,
@@ -204,10 +248,10 @@ class TestCohortUploadsMatchObjects:
             first_user_id=cohort_dataset.num_users,
             seed=9,
         )
-        objects = build_malicious_clients(attack, **kwargs)
+        objects = per_client(build_malicious_clients(attack, **kwargs))
         cohort = build_malicious_cohort(attack, **kwargs)
-        model_a = build_model("mf", cohort_dataset.num_items, 6, seed=4)
-        model_b = build_model("mf", cohort_dataset.num_items, 6, seed=4)
+        model_a = build_model(kind, cohort_dataset.num_items, 6, seed=4)
+        model_b = build_model(kind, cohort_dataset.num_items, 6, seed=4)
         train_cfg = TrainConfig(lr=1.0)
         rng = np.random.default_rng(0)
         for round_idx in range(10):
@@ -337,6 +381,52 @@ class TestCohortUploadsMatchObjects:
     def test_empty_team_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             MaliciousCohort([])
+
+
+class TestUEALockstep:
+    """``lockstep_payloads`` against each client's own loop, per round."""
+
+    @pytest.mark.parametrize("kind", ["mf", "ncf"])
+    @pytest.mark.parametrize("batch_size", [1, 2, 5])
+    @pytest.mark.parametrize("margin", [None, 0.0, 0.05], ids=str)
+    def test_mixed_batch_heights_match_per_client(
+        self, cohort_dataset, kind, batch_size, margin
+    ):
+        """Mined sets of 1 to 4 items give one team step batches of one
+        row beside taller ones; the fixed margins make clients stop at
+        different steps of each target phase."""
+        fixed = {} if margin is None else {
+            "adaptive_margin": False, "promotion_margin": margin
+        }
+        config = AttackConfig(
+            name="pieck_uea",
+            uea_batch_size=batch_size,
+            num_targets=2,
+            multi_target_strategy="together",
+            **fixed,
+        )
+        kwargs = dict(
+            dataset=cohort_dataset,
+            config=config,
+            targets=np.array([3, 11]),
+            embedding_dim=8,
+            num_malicious=6,
+            first_user_id=cohort_dataset.num_users,
+            seed=5,
+        )
+        team = build_malicious_clients("pieck_uea", **kwargs)
+        oracles = per_client(build_malicious_clients("pieck_uea", **kwargs))
+        model = build_model(kind, cohort_dataset.num_items, 8, seed=2)
+        populars = [np.arange(20, 20 + size) for size in (1, 4, 2, 1, 3, 4)]
+        train_cfg = TrainConfig(lr=0.5)
+        for round_idx in range(3):
+            got = lockstep_payloads(team, populars, model, train_cfg, round_idx)
+            for payload, oracle, popular in zip(got, oracles, populars):
+                expected = oracle._round_payload(
+                    model, train_cfg, round_idx, popular=popular
+                )
+                assert payload.item_grads.tobytes() == expected.item_grads.tobytes()
+            model.item_embeddings[[3, 11]] -= 0.1 * got[0].item_grads
 
 
 # ----------------------------------------------------------------------

@@ -476,6 +476,11 @@ class TestCorruptionFallback:
         # CohortMiner arrays.
         self._assert_refused_by_name(tmp_path, "ckpt-v6")
 
+    def test_v7_checkpoint_is_refused_by_name(self, tmp_path):
+        # v7 NCF states were trained by a tower whose projection was a
+        # GEMV; v8's row-stable tower rounds differently.
+        self._assert_refused_by_name(tmp_path, "ckpt-v7")
+
     def test_resume_falls_back_past_corrupt_newest(self, tiny_dataset, tmp_path):
         # Corrupt the newest retained checkpoint: resume must skip it
         # (quarantining it) and restart from the older survivor —

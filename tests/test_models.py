@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models.base import build_model
 from repro.models import ncf as ncf_module
@@ -132,6 +134,64 @@ class TestNCFModel:
         model = self.make_model()
         with pytest.raises(ValueError, match="deltas"):
             model.apply_param_update([np.zeros(1)])
+
+
+#: Towers whose input and hidden widths are multiples of four — every
+#: tower the repo configures.  OpenBLAS serves an output width of
+#: ``8k + 1 .. 8k + 3`` with an edge kernel whose last rows round
+#: differently from the same rows inside a taller GEMM (see
+#: :mod:`repro.models.mlp`).
+row_stable_models = st.one_of(
+    st.builds(
+        lambda dim, seed: MFModel(40, dim, seed=seed),
+        st.integers(1, 24),
+        st.integers(0, 99),
+    ),
+    st.builds(
+        lambda half, widths, seed: NCFModel(
+            40, 2 * half, mlp_layers=tuple(4 * w for w in widths), seed=seed
+        ),
+        st.integers(1, 12),
+        st.lists(st.integers(1, 12), max_size=3),
+        st.integers(0, 99),
+    ),
+)
+
+
+class TestRowStability:
+    """A stacked call's rows equal per-segment calls, byte for byte.
+
+    The batch engine's local step and the PIECK-UEA lockstep stack many
+    clients' rows into one model call and rely on this; segments have
+    two rows or more, because NumPy sends a lone row to GEMV.
+    """
+
+    @given(
+        model=row_stable_models,
+        lengths=st.lists(st.integers(2, 9), min_size=1, max_size=6),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_rows_equal_segment_calls(self, model, lengths, seed):
+        rng = make_rng(seed)
+        rows = sum(lengths)
+        users = rng.normal(size=(rows, model.embedding_dim))
+        items = rng.normal(size=(rows, model.embedding_dim))
+        dlogits = rng.normal(size=rows)
+        logits, cache = model.forward(users, items)
+        bundle = model.backward(cache, dlogits)
+        start = 0
+        for length in lengths:
+            seg = slice(start, start + length)
+            seg_logits, seg_cache = model.forward(users[seg], items[seg])
+            seg_bundle = model.backward(seg_cache, dlogits[seg])
+            assert seg_logits.tobytes() == logits[seg].tobytes()
+            for got, whole in (
+                (seg_bundle.items, bundle.items),
+                (seg_bundle.users, bundle.users),
+            ):
+                assert got.tobytes() == np.ascontiguousarray(whole[seg]).tobytes()
+            start += length
 
 
 class TestItemUpdates:

@@ -1,5 +1,7 @@
 """End-to-end tests for the federated simulation."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,30 @@ class TestAttackedTraining:
 
 
 class TestEvaluation:
+    @pytest.mark.parametrize("kind", ["mf", "ncf"])
+    def test_one_score_block_alive_at_a_time(
+        self, kind, tiny_mf_config, tiny_ncf_config
+    ):
+        """A block is freed before the next is scored, so evaluation's
+        peak is one block whatever free memory the heap has."""
+        cfg = tiny_mf_config if kind == "mf" else tiny_ncf_config
+        cfg = replace(cfg, train=replace(cfg.train, eval_chunk_users=7))
+        sim = FederatedSimulation(cfg)
+        score_matrix = sim.model.score_matrix
+        blocks = []
+
+        def scored(user_matrix):
+            assert all(block() is None for block in blocks)
+            scores = score_matrix(user_matrix)
+            blocks.append(weakref.ref(scores))
+            return scores
+
+        sim.model.score_matrix = scored
+        result = sim.evaluate()
+        del sim.model.score_matrix
+        assert len(blocks) > 2
+        assert result == sim.evaluate()
+
     def test_evaluate_with_custom_k(self, tiny_mf_config):
         sim = FederatedSimulation(tiny_mf_config)
         sim.run(rounds=10)

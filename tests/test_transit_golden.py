@@ -14,7 +14,9 @@ Each digest covers the item table, the interaction parameters, the
 benign user-embedding matrix, the audit log, the evaluation history
 and ``FaultStats.to_dict()`` / ``AsyncStats.to_dict()`` after 12
 rounds.  The bytes ``save_result`` writes for fixed stats are pinned
-from the same commit.
+from the same commit.  ``async-poisson-ncf`` did not move when the NCF
+tower became row-stable (row-wise projection, contiguous ``W.T``)
+after ede2f34, although runs of the default ``(32, 16)`` tower did.
 """
 
 from __future__ import annotations
