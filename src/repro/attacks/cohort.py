@@ -62,7 +62,7 @@ from repro.attacks.mining import CohortMiner
 from repro.attacks.pieck_ipe import PieckIPE
 from repro.attacks.pieck_uea import PieckUEA, lockstep_payloads
 from repro.config import TrainConfig
-from repro.datasets.sampling import sample_local_batches
+from repro.datasets.sampling import ragged_csr, sample_local_batches
 from repro.federated.payload import clip_scale
 from repro.models.base import RecommenderModel, segment_starts
 from repro.rng import spawn_batch
@@ -313,7 +313,7 @@ class MaliciousCohort(Stateful):
         )
         item_ids, labels, lengths = sample_local_batches(
             rngs,
-            [client.fake_positives for client in clients],
+            *ragged_csr([client.fake_positives for client in clients]),
             clients[0].num_items,
             train_cfg.negative_ratio,
         )

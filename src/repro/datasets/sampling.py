@@ -11,7 +11,8 @@ Two code paths produce *bit-identical* batches:
   per-client oracle, run by the reference loop engine;
 * :func:`sample_negatives_batch` / :func:`sample_local_batches` — the
   cohort-wide sampler every batched caller uses (benign BCE and BPR
-  rounds, the ``fedattack`` team, evaluation negatives).  Each client
+  rounds, the ``fedattack`` team, evaluation negatives).  It takes the
+  cohort's positives as one CSR pair ``(lengths, flat)``.  Each client
   still owns its private RNG stream (so loop/batch trajectories
   match), but the draw, the rejection filter and the packing into
   ragged row stacks (client ``k`` owns the contiguous row segment
@@ -33,6 +34,7 @@ __all__ = [
     "sample_local_batch",
     "sample_negatives_batch",
     "sample_local_batches",
+    "ragged_csr",
 ]
 
 
@@ -104,19 +106,23 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
-def _lengths(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.fromiter((len(a) for a in arrays), dtype=np.int64, count=len(arrays))
+def ragged_csr(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(lengths, flat)`` int64 CSR pair of a list of id arrays.
 
-
-def _flat(arrays: list[np.ndarray]) -> np.ndarray:
+    The form the cohort samplers take their positives in; the client
+    store hands it over directly
+    (:meth:`~repro.federated.shards.ShardedStateStore.positives_csr`).
+    """
+    lengths = np.fromiter((len(a) for a in arrays), dtype=np.int64, count=len(arrays))
     if not len(arrays):
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(arrays).astype(np.int64, copy=False)
+        return lengths, np.empty(0, dtype=np.int64)
+    return lengths, np.concatenate(arrays).astype(np.int64, copy=False)
 
 
 def sample_negatives_batch(
     streams: StreamBatch,
-    positives_list: list[np.ndarray],
+    num_pos: np.ndarray,
+    flat_positives: np.ndarray,
     num_items: int,
     counts: np.ndarray,
     fallback: Callable[
@@ -125,11 +131,13 @@ def sample_negatives_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every client's negatives at once, each from its private stream.
 
+    Client ``k``'s positives are the ``num_pos[k]`` ids of its segment
+    of ``flat_positives`` (the CSR pair of :func:`ragged_csr`).
     Returns ``(negatives, num_neg)``: the flat negatives in client
     order and how many each client received.  Client ``k``'s slice is
-    ``fallback(streams[k], positives_list[k], num_items, counts[k])``
-    bit for bit — by default the scalar :func:`sample_negatives` — but
-    no ``Generator`` is built for the clients the cohort-wide rule can
+    ``fallback(streams[k], positives_k, num_items, counts[k])`` bit for
+    bit — by default the scalar :func:`sample_negatives` — but no
+    ``Generator`` is built for the clients the cohort-wide rule can
     serve:
 
     1. *Draw.*  ``sample_negatives`` opens with ``rng.integers(0,
@@ -146,45 +154,20 @@ def sample_negatives_batch(
        draw is accepted iff it leads its group.  A running count,
        rebased per client, keeps each client's first ``count``.
     3. *Slow path.*  A client is handed to ``fallback`` on a real
-       ``Generator`` over the same words when the rule above is not
-       the whole story: a half falls under Lemire's rejection
-       threshold ``2**32 % num_items`` (NumPy then consumes an extra
-       half), the first draw comes up short (the top-up continues the
-       stream), negatives are scarce (``count >= available``: the
-       oracle enumerates instead of drawing), or ``num_items`` leaves
-       the 32-bit regime.
+       ``Generator`` over the same words, with its slice of
+       ``flat_positives``, when the rule above is not the whole story:
+       a half falls under Lemire's rejection threshold ``2**32 %
+       num_items`` (NumPy then consumes an extra half), the first draw
+       comes up short (the top-up continues the stream), negatives are
+       scarce (``count >= available``: the oracle enumerates instead of
+       drawing), or ``num_items`` leaves the 32-bit regime.
 
-    Each ``positives_list`` entry must hold distinct ids (true for
-    every :class:`~repro.datasets.base.InteractionDataset`); a repeat
-    only understates ``available`` and can send the client to the slow
+    Each client's positives must be distinct ids (true for every
+    :class:`~repro.datasets.base.InteractionDataset`); a repeat only
+    understates ``available`` and can send the client to the slow
     path, never to a different answer.
     """
-    return _negatives_batch(
-        streams,
-        positives_list,
-        _lengths(positives_list),
-        _flat(positives_list),
-        num_items,
-        counts,
-        fallback,
-    )
-
-
-def _negatives_batch(
-    streams: StreamBatch,
-    positives_list: list[np.ndarray],
-    num_pos: np.ndarray,
-    flat_positives: np.ndarray,
-    num_items: int,
-    counts: np.ndarray,
-    fallback: Callable[[np.random.Generator, np.ndarray, int, int], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sample_negatives_batch` on already-measured positives.
-
-    ``num_pos`` and ``flat_positives`` are the lengths and the
-    concatenation of ``positives_list``.
-    """
-    num_clients = len(positives_list)
+    num_clients = len(num_pos)
     counts = np.asarray(counts, dtype=np.int64)
     wanted = counts > 0
     served = wanted & (counts < num_items - num_pos)
@@ -232,10 +215,10 @@ def _negatives_batch(
 
     num_neg = np.where(served, counts, 0)
     redone = []
+    pos_ends = np.cumsum(num_pos)
     for k in np.flatnonzero(wanted & ~served).tolist():
-        redone.append(
-            fallback(streams[k], positives_list[k], num_items, int(counts[k]))
-        )
+        positives = flat_positives[pos_ends[k] - num_pos[k] : pos_ends[k]]
+        redone.append(fallback(streams[k], positives, num_items, int(counts[k])))
         num_neg[k] = len(redone[-1])
     negatives = np.empty(int(num_neg.sum()), dtype=np.int64)
     from_draws = np.repeat(served, num_neg)
@@ -247,12 +230,15 @@ def _negatives_batch(
 
 def sample_local_batches(
     streams: StreamBatch,
-    positives_list: list[np.ndarray],
+    num_pos: np.ndarray,
+    flat_positives: np.ndarray,
     num_items: int,
     negative_ratio: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build every sampled client's local batch as ragged row stacks.
 
+    Client ``k``'s positives are the ``num_pos[k]`` ids of its segment
+    of ``flat_positives`` (the CSR pair of :func:`ragged_csr`).
     Returns ``(item_ids, labels, lengths)`` where ``item_ids`` and
     ``labels`` are flat ``(total_rows,)`` arrays and client ``k`` owns
     the contiguous segment ``[sum(lengths[:k]) : sum(lengths[:k+1])]``
@@ -261,16 +247,8 @@ def sample_local_batches(
     CSR-style layout wastes no memory on padding however ragged the
     per-client interaction counts are.
     """
-    num_pos = _lengths(positives_list)
-    flat_positives = _flat(positives_list)
-    negatives, num_neg = _negatives_batch(
-        streams,
-        positives_list,
-        num_pos,
-        flat_positives,
-        num_items,
-        negative_ratio * num_pos,
-        sample_negatives,
+    negatives, num_neg = sample_negatives_batch(
+        streams, num_pos, flat_positives, num_items, negative_ratio * num_pos
     )
     lengths = num_pos + num_neg
     # Within each client's segment the first num_pos rows are its

@@ -46,8 +46,8 @@ struct-of-arrays state and splice into the ``UpdateBatch`` as
 :class:`~repro.attacks.cohort.CohortUpload` views.  Client state
 enters and leaves through the simulation's
 :class:`~repro.federated.shards.ShardedStateStore`: participant
-embeddings are *gathered* by fancy indexing, positives are zero-copy
-CSR slices, per-client learning rates were drawn once at build, and
+embeddings are *gathered* by fancy indexing, positives arrive as one
+CSR pair, per-client learning rates were drawn once at build, and
 the updated embeddings are *scattered* back in one assignment.  The
 local step itself is the module-level :func:`_compute_benign_stacks`,
 run in-process or — the same code object — by the
@@ -95,16 +95,14 @@ __all__ = ["BatchClientEngine", "ProcessRoundExecutor"]
 def _bce_stacks_fn(
     model: RecommenderModel,
     train_cfg: TrainConfig,
-    positives_list: list[np.ndarray],
+    num_pos: np.ndarray,
+    flat_pos: np.ndarray,
     rngs: StreamBatch,
     user_vecs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """Stacked BCE local batches and gradients for all clients."""
     item_ids, labels, lengths = sample_local_batches(
-        rngs,
-        positives_list,
-        model.num_items,
-        train_cfg.negative_ratio,
+        rngs, num_pos, flat_pos, model.num_items, train_cfg.negative_ratio
     )
     item_vecs = model.item_embeddings[item_ids]
     result = model.batch_local_step(user_vecs, item_vecs, labels, lengths)
@@ -113,7 +111,8 @@ def _bce_stacks_fn(
 
 def _bpr_stacks_fn(
     model: RecommenderModel,
-    positives_list: list[np.ndarray],
+    num_pos: np.ndarray,
+    flat_pos: np.ndarray,
     rngs: StreamBatch,
     user_vecs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -127,16 +126,14 @@ def _bpr_stacks_fn(
     *one* ``np.unique`` over client-offset item keys, whose per-client
     blocks are the per-client results.
     """
-    num_clients = len(positives_list)
-    num_pos = np.array([len(p) for p in positives_list], dtype=np.int64)
+    num_clients = len(num_pos)
     neg_ids, lengths = sample_negatives_batch(
-        rngs, positives_list, model.num_items, num_pos
+        rngs, num_pos, flat_pos, model.num_items, num_pos
     )
     # A client short of negatives pairs only its first len(negatives)
     # positives.
-    pos_ids = np.concatenate(positives_list)
-    within = np.arange(len(pos_ids)) - np.repeat(segment_starts(num_pos), num_pos)
-    pos_ids = pos_ids[within < np.repeat(lengths, num_pos)]
+    within = np.arange(len(flat_pos)) - np.repeat(segment_starts(num_pos), num_pos)
+    pos_ids = flat_pos[within < np.repeat(lengths, num_pos)]
     pos_vecs = model.item_embeddings[pos_ids]
     neg_vecs = model.item_embeddings[neg_ids]
     result = model.batch_local_step_bpr(
@@ -256,11 +253,11 @@ def _compute_benign_stacks(
     multi-process executor's parity suite pins.
     """
     user_vecs = store.gather_rows(benign_ids)
-    positives_list = store.positives_list(benign_ids)
+    num_pos, flat_pos = store.positives_csr(benign_ids)
     rngs = spawn_batch(seed, ("client-round",), benign_ids, (round_idx,))
     if train_cfg.loss == "bpr":
         item_ids, lengths, item_grads, user_grads = _bpr_stacks_fn(
-            model, positives_list, rngs, user_vecs
+            model, num_pos, flat_pos, rngs, user_vecs
         )
         param_stacks, param_owners = _bpr_param_stacks(
             model, 0 if mined is None else len(benign_ids)
@@ -269,7 +266,7 @@ def _compute_benign_stacks(
         # Any non-BPR loss trains with BCE, exactly like the reference
         # client.
         item_ids, lengths, item_grads, user_grads, param_stacks = (
-            _bce_stacks_fn(model, train_cfg, positives_list, rngs, user_vecs)
+            _bce_stacks_fn(model, train_cfg, num_pos, flat_pos, rngs, user_vecs)
         )
         param_owners = _all_owners(len(benign_ids), param_stacks)
     if mined is not None:

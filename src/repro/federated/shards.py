@@ -307,6 +307,14 @@ def _shard_of(bounds: np.ndarray, user_ids: np.ndarray) -> np.ndarray:
     return np.searchsorted(bounds, ids, side="right") - 1
 
 
+def _segment_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(starts[j], starts[j] + counts[j])``."""
+    ends = np.cumsum(counts)
+    return np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(
+        starts - (ends - counts), counts
+    )
+
+
 # ----------------------------------------------------------------------
 # Manifest
 # ----------------------------------------------------------------------
@@ -785,6 +793,32 @@ class ShardedStateStore(Stateful):
             for position, view in zip(positions.tolist(), views):
                 out[position] = view
         return out
+
+    def positives_csr(self, user_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(lengths, flat)``: the users' positives as one CSR pair.
+
+        ``flat`` concatenates the users' positive items in ``user_ids``
+        order (the concatenated :meth:`positives_list`), copied by one
+        vectorised gather per shard — the form the cohort samplers
+        take.
+        """
+        ids = np.asarray(user_ids, dtype=np.int64)
+        lengths = np.empty(len(ids), dtype=np.int64)
+        parts = []
+        for shard, positions, local in self._groups(ids):
+            starts = shard.indptr[local]
+            counts = shard.indptr[local + 1] - starts
+            if positions is None:
+                return counts, shard.indices[_segment_ranges(starts, counts)]
+            lengths[positions] = counts
+            parts.append((shard, positions, starts, counts))
+        flat = np.empty(int(lengths.sum()), dtype=np.int64)
+        out_starts = np.cumsum(lengths) - lengths
+        for shard, positions, starts, counts in parts:
+            flat[_segment_ranges(out_starts[positions], counts)] = shard.indices[
+                _segment_ranges(starts, counts)
+            ]
+        return lengths, flat
 
     def train_mask_block(self, lo: int, hi: int) -> np.ndarray:
         """Boolean ``(hi - lo, num_items)`` training-interaction mask.

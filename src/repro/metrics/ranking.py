@@ -155,6 +155,24 @@ def _redraw_eval_negatives(
     return np.asarray(chosen, dtype=np.int64)
 
 
+def _banned_sets(
+    indptr: np.ndarray, indices: np.ndarray, test_items: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lengths, flat)`` CSR of a user block's evaluation banned sets.
+
+    ``indptr`` is the block's slice of the training CSR offsets.  User
+    ``u``'s set is its training positives followed by its test item,
+    unless the item is absent (-1) or already among them.
+    """
+    num_train = np.diff(indptr)
+    flat = indices[indptr[0] : indptr[-1]]
+    hits = np.flatnonzero(flat == np.repeat(test_items, num_train))
+    appended = test_items >= 0
+    appended[np.searchsorted(indptr, indptr[0] + hits, side="right") - 1] = False
+    ends = indptr[1:] - indptr[0]
+    return num_train + appended, np.insert(flat, ends[appended], test_items[appended])
+
+
 def sample_eval_negatives(
     dataset: InteractionDataset, num_negatives: int, seed: int
 ) -> list[np.ndarray]:
@@ -169,8 +187,9 @@ def sample_eval_negatives(
     it that are neither interacted with nor the test item.  All users'
     first draws go through the cohort-wide sampler
     (:func:`~repro.datasets.sampling.sample_negatives_batch`, banned
-    set = positives plus the test item); a user it cannot serve is
-    redrawn by :func:`_redraw_eval_negatives`.
+    set = positives plus the test item, a block's sets built as one CSR
+    from the dataset's by :func:`_banned_sets`); a user it cannot serve
+    is redrawn by :func:`_redraw_eval_negatives`.
     """
     if num_negatives <= 0:
         # HR evaluation disabled (million-user throughput runs): skip
@@ -178,24 +197,21 @@ def sample_eval_negatives(
         # array keeps the per-user list O(pointers).
         empty = np.empty(0, dtype=np.int64)
         return [empty] * dataset.num_users
+    indptr, indices = dataset.train_csr()
+    test_items = np.asarray(dataset.test_items, dtype=np.int64)
     out: list[np.ndarray] = []
-    test_items = dataset.test_items.tolist()
     # Blocks of users bound the sampler's cohort-wide sort keys
     # (~2 * num_negatives per user) however many users there are.
     for lo in range(0, dataset.num_users, _EVAL_NEGATIVES_BLOCK):
-        users = np.arange(lo, min(lo + _EVAL_NEGATIVES_BLOCK, dataset.num_users))
-        banned: list[np.ndarray] = []
-        pool_sizes = np.empty(len(users), dtype=np.int64)
-        for row, user in enumerate(users.tolist()):
-            positives, test_item = dataset.train_pos[user], test_items[user]
-            if test_item >= 0 and not (positives == test_item).any():
-                positives = np.append(positives, test_item)
-            banned.append(positives)
-            # An absent (-1) test item still costs the pool one slot:
-            # the reference banned set is positives | {test_item}.
-            pool_sizes[row] = dataset.num_items - len(positives) - (test_item < 0)
+        hi = min(lo + _EVAL_NEGATIVES_BLOCK, dataset.num_users)
+        tests = test_items[lo:hi]
+        num_banned, banned = _banned_sets(indptr[lo : hi + 1], indices, tests)
+        # An absent (-1) test item still costs the pool one slot: the
+        # reference banned set is positives | {test_item}.
+        pool_sizes = dataset.num_items - num_banned - (tests < 0)
         negatives, num_neg = sample_negatives_batch(
-            spawn_batch(seed, ("eval-neg",), users),
+            spawn_batch(seed, ("eval-neg",), np.arange(lo, hi)),
+            num_banned,
             banned,
             dataset.num_items,
             np.clip(pool_sizes, 0, num_negatives),

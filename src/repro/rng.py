@@ -199,15 +199,11 @@ class StreamBatch:
         """The first ``counts[j]`` raw 64-bit outputs of stream ``rows[j]``.
 
         Concatenated in ``rows`` order — the words a ``Generator`` on
-        that stream would consume first.
+        that stream would consume first.  No ``PCG64`` is built: every
+        word is one closed-form jump ahead of its stream's seeded state
+        (:func:`_pcg64_words`).
         """
-        pcg = np.random.PCG64
-        shim = _PrecomputedSeedSequence(None)
-        chunks = []
-        for state, count in zip(self.words[rows], counts.tolist()):
-            shim._state = state
-            chunks.append(pcg(shim).random_raw(count))
-        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint64)
+        return _pcg64_words(self.words[rows], np.asarray(counts, dtype=np.int64))
 
 
 def spawn_batch(
@@ -261,72 +257,137 @@ def spawn_normal_rows(
 
 
 # ----------------------------------------------------------------------
-# Vectorised PCG64 (XSL-RR 128/64) for single-draw streams
+# Vectorised PCG64 (XSL-RR 128/64) by LCG jump-ahead
 # ----------------------------------------------------------------------
 
-#: The 128-bit LCG multiplier of PCG64, split into 64-bit halves.
-_PCG_MULT_HI = np.uint64(2549297995355413924)
-_PCG_MULT_LO = np.uint64(4865540595714422341)
+#: The 128-bit LCG multiplier of PCG64.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _U64_LOW32 = np.uint64(0xFFFFFFFF)
 _U64_32 = np.uint64(32)
+_U64_MASK = (1 << 64) - 1
+
+#: Words per vectorised pass of :func:`_pcg64_words`.  Its stacked
+#: temporaries (two products per word) stay 64 KiB however many words a
+#: call asks for: under glibc's default 128 KiB mmap threshold, so they
+#: are recycled heap blocks instead of fresh mapped pages every pass.
+_JUMP_CHUNK = 4096
+
+#: Jump-ahead table, grown on demand: ``_jump[:, 0, n]`` holds ``M**n``
+#: and ``_jump[:, 1, n]`` holds ``G_n = sum(M**i for i < n)`` (mod
+#: ``2**128``), each as its (high, low) uint64 halves on axis 0, so
+#: ``n`` LCG steps take a state ``x`` to ``M**n * x + G_n * inc``.
+#: A pure function of ``n``: growth swaps in a longer copy and never
+#: writes a table a caller may still hold, so threads may share it.
+_jump = np.array([[[0], [0]], [[1], [0]]], dtype=np.uint64)
 
 
 def _mul64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full 64x64 -> 128-bit product as ``(high, low)`` uint64 arrays."""
+    """Full 64x64 -> 128-bit product as ``(high, low)`` uint64 arrays.
+
+    Schoolbook on 32-bit halves, each partial product written over a
+    half it no longer needs, so a pass holds few temporaries.
+    """
     a_lo = a & _U64_LOW32
     a_hi = a >> _U64_32
     b_lo = b & _U64_LOW32
     b_hi = b >> _U64_32
-    with np.errstate(over="ignore"):
-        ll = a_lo * b_lo
-        lh = a_lo * b_hi
-        hl = a_hi * b_lo
-        hh = a_hi * b_hi
-        mid = (ll >> _U64_32) + (lh & _U64_LOW32) + (hl & _U64_LOW32)
-        low = (mid << _U64_32) | (ll & _U64_LOW32)
-        high = hh + (lh >> _U64_32) + (hl >> _U64_32) + (mid >> _U64_32)
+    lh = a_lo * b_hi
+    ll = a_lo
+    ll *= b_lo
+    hl = b_lo
+    hl *= a_hi
+    hh = a_hi
+    hh *= b_hi
+    mid = ll >> _U64_32
+    mid += lh & _U64_LOW32
+    mid += hl & _U64_LOW32
+    ll &= _U64_LOW32
+    low = mid << _U64_32
+    low |= ll
+    high = hh
+    high += lh >> _U64_32
+    high += hl >> _U64_32
+    high += mid >> _U64_32
     return high, low
 
 
-def _pcg64_step(
-    hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One 128-bit LCG step: ``state = state * MULT + inc (mod 2**128)``."""
-    with np.errstate(over="ignore"):
-        prod_hi, prod_lo = _mul64(lo, _PCG_MULT_LO)
-        prod_hi = prod_hi + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
-        new_lo = prod_lo + inc_lo
-        carry = (new_lo < prod_lo).astype(np.uint64)
-        new_hi = prod_hi + inc_hi + carry
-    return new_hi, new_lo
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """``a * b mod 2**128`` on ``(high, low)`` uint64 halves."""
+    high, low = _mul64(a_lo, b_lo)
+    high += a_lo * b_hi
+    high += a_hi * b_lo
+    return high, low
 
 
-def _pcg64_first_raw(words: np.ndarray) -> np.ndarray:
-    """First ``next_uint64`` output of ``PCG64`` seeded from state words.
+def _jump_table(size: int) -> np.ndarray:
+    """:data:`_jump` with at least ``size`` columns, doubling as needed.
 
-    ``words`` is the ``(count, 4)`` array of ``SeedSequence`` words that
-    :func:`_seed_sequence_states` produces (the exact input NumPy's
+    Columns ``L + j`` follow from ``M**(L+j) = M**L * M**j`` and
+    ``G_(L+j) = G_L + M**L * G_j``: one vectorised 128-bit product
+    over the whole table.
+    """
+    global _jump
+    table = _jump
+    while table.shape[2] < size:
+        last_m = (int(table[0, 0, -1]) << 64) | int(table[1, 0, -1])
+        last_g = (int(table[0, 1, -1]) << 64) | int(table[1, 1, -1])
+        power = last_m * _PCG_MULT % (1 << 128)  # M**L
+        base = (last_g + last_m) % (1 << 128)  # G_L
+        hi, lo = _mul128(
+            np.uint64(power >> 64), np.uint64(power & _U64_MASK), table[0], table[1]
+        )
+        base_lo = np.uint64(base & _U64_MASK)
+        lo[1] += base_lo
+        hi[1] += np.uint64(base >> 64)
+        hi[1] += lo[1] < base_lo
+        table = np.concatenate([table, np.stack([hi, lo])], axis=2)
+    _jump = table
+    return table
+
+
+def _pcg64_words(words: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The first ``counts[j]`` ``next_uint64`` outputs of ``PCG64(words[j])``.
+
+    ``words`` is a ``(streams, 4)`` array of ``SeedSequence`` words as
+    :func:`_seed_sequence_states` produces them (the exact input NumPy's
     ``PCG64(seed)`` consumes: seed high/low then increment high/low).
-    Replicates ``pcg64_srandom`` plus one generate step of the XSL-RR
-    output function, vectorised over all streams; exactness against
+    ``pcg64_srandom`` sets ``inc = 2 * initseq + 1`` and the state to
+    ``A = seed + inc`` before its final step, and ``next_uint64`` steps
+    before it outputs, so word ``k`` of a stream is the XSL-RR output
+    ``rotr64(hi ^ lo, hi >> 58)`` of the state ``k + 2`` LCG steps past
+    ``A``: ``M**(k+2) * A + G_(k+2) * inc (mod 2**128)``, both products
+    taken as one stacked :func:`_mul128` against :func:`_jump_table`.
+    The whole ``(stream, word)`` grid is flat and goes through in
+    :data:`_JUMP_CHUNK`-word passes; exactness against
     ``PCG64.random_raw`` is asserted in the test suite.
     """
-    s_hi, s_lo = words[:, 0].copy(), words[:, 1].copy()
-    i_hi, i_lo = words[:, 2], words[:, 3]
+    total = int(counts.sum())
+    out = np.empty(total, dtype=np.uint64)
+    if not total:
+        return out
+    table = _jump_table(int(counts.max()) + 2)
     one = np.uint64(1)
-    with np.errstate(over="ignore"):
-        inc_hi = (i_hi << one) | (i_lo >> np.uint64(63))
-        inc_lo = (i_lo << one) | one
-        # srandom: state = 0; step (-> inc); state += seed; step.
-        acc_lo = inc_lo + s_lo
-        carry = (acc_lo < inc_lo).astype(np.uint64)
-        acc_hi = inc_hi + s_hi + carry
-        hi, lo = _pcg64_step(acc_hi, acc_lo, inc_hi, inc_lo)
-        # next64: step again, then output XSL-RR: rotr64(hi ^ lo, hi >> 58).
-        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-        value = hi ^ lo
-        rot = hi >> np.uint64(58)
-        out = (value >> rot) | (value << ((np.uint64(64) - rot) & np.uint64(63)))
+    # factors[half, (A, inc), stream], matching the table's layout.
+    factors = np.empty((2, 2, len(words)), dtype=np.uint64)
+    inc_hi, inc_lo = factors[0, 1], factors[1, 1]
+    np.bitwise_or(words[:, 2] << one, words[:, 3] >> np.uint64(63), out=inc_hi)
+    np.bitwise_or(words[:, 3] << one, one, out=inc_lo)
+    np.add(inc_lo, words[:, 1], out=factors[1, 0])
+    np.add(inc_hi, words[:, 0], out=factors[0, 0])
+    factors[0, 0] += factors[1, 0] < inc_lo
+    owner = np.repeat(np.arange(len(counts)), counts)
+    steps = np.arange(2, total + 2) - np.repeat(np.cumsum(counts) - counts, counts)
+    for start in range(0, total, _JUMP_CHUNK):
+        part = slice(start, start + _JUMP_CHUNK)
+        jump = np.take(table, steps[part], axis=2)
+        state = np.take(factors, owner[part], axis=2)
+        hi, lo = _mul128(jump[0], jump[1], state[0], state[1])
+        low = lo[0] + lo[1]
+        high = hi[0] + hi[1]
+        high += low < lo[1]
+        value = high ^ low
+        rot = high >> np.uint64(58)
+        out[part] = (value >> rot) | (value << ((np.uint64(64) - rot) & np.uint64(63)))
     return out
 
 
@@ -343,12 +404,12 @@ def spawn_first_uniform(
     Entry ``k`` equals ``spawn(seed, *prefix, ids[k], *suffix).uniform(
     low, high)`` bit for bit: ``Generator.uniform`` maps one raw PCG64
     word to ``low + (high - low) * ((raw >> 11) * 2**-53)``, and the raw
-    word itself comes from the vectorised PCG64 above — no per-stream
-    ``Generator`` objects at all, which is what makes per-client scalar
-    draws (e.g. the inconsistent-learning-rate scenario) O(vector ops)
-    instead of O(users) Python calls.
+    word itself is the one-word case of :func:`_pcg64_words` — no
+    per-stream ``Generator`` objects at all, which is what makes
+    per-client scalar draws (e.g. the inconsistent-learning-rate
+    scenario) O(vector ops) instead of O(users) Python calls.
     """
     words = _seed_sequence_states(derive_seed_batch(seed, prefix, ids, suffix))
-    raw = _pcg64_first_raw(words)
+    raw = _pcg64_words(words, np.ones(len(words), dtype=np.int64))
     doubles = (raw >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
     return low + (high - low) * doubles

@@ -21,6 +21,7 @@ from repro.config import (
     replace,
 )
 from repro.datasets.sampling import (
+    ragged_csr,
     sample_local_batch,
     sample_local_batches,
     sample_negatives,
@@ -199,7 +200,7 @@ class TestBatchSampling:
         ]
         flat, num_neg = sample_negatives_batch(
             spawn_batch(9, ("client-round",), ids, (3,)),
-            positives,
+            *ragged_csr(positives),
             num_items,
             counts,
         )
@@ -212,7 +213,7 @@ class TestBatchSampling:
         ids = np.arange(len(positives))
         item_ids, labels, lengths = sample_local_batches(
             spawn_batch(4, ("client-round",), ids, (0,)),
-            positives,
+            *ragged_csr(positives),
             num_items,
             1,
         )
@@ -231,7 +232,7 @@ class TestBatchSampling:
         positives = [np.array([3], dtype=np.int64)]
         item_ids, labels, lengths = sample_local_batches(
             spawn_batch(0, ("client-round",), np.array([0]), (0,)),
-            positives,
+            *ragged_csr(positives),
             num_items=10,
             negative_ratio=1,
         )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.datasets.base import InteractionDataset
+from repro.metrics import ranking
 from repro.metrics.ranking import (
     exposure_counts_at_k,
     exposure_ratio_at_k,
@@ -16,6 +17,7 @@ from repro.metrics.ranking import (
     sample_eval_negatives,
     top_k_items,
 )
+from repro.rng import spawn
 
 
 def small_dataset():
@@ -101,6 +103,55 @@ class TestEvalNegatives:
         data = small_dataset()
         negatives = sample_eval_negatives(data, 99, seed=0)
         assert all(len(n) == 3 for n in negatives)  # 6 items - 2 train - 1 test
+
+
+@st.composite
+def eval_datasets(draw):
+    """Tiny datasets: empty users, absent (-1) test items, test items
+    among the user's positives, catalogues the count can exhaust."""
+    num_users = draw(st.integers(1, 12))
+    num_items = draw(st.integers(2, 30))
+    items = st.integers(0, num_items - 1)
+    train_pos = [
+        np.array(sorted(draw(st.sets(items, max_size=num_items))), dtype=np.int64)
+        for _ in range(num_users)
+    ]
+    test_items = np.array(
+        draw(st.lists(st.one_of(st.just(-1), items), min_size=num_users, max_size=num_users)),
+        dtype=np.int64,
+    )
+    return InteractionDataset("m", num_users, num_items, train_pos, test_items)
+
+
+class TestEvalNegativesEqualPerUserOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=eval_datasets(),
+        num_negatives=st.integers(1, 40),
+        seed=st.integers(0, 2**31 - 1),
+        block=st.sampled_from([1, 3, 256]),
+    )
+    def test_per_user_draws(self, data, num_negatives, seed, block):
+        saved = ranking._EVAL_NEGATIVES_BLOCK
+        ranking._EVAL_NEGATIVES_BLOCK = block
+        try:
+            got = sample_eval_negatives(data, num_negatives, seed)
+        finally:
+            ranking._EVAL_NEGATIVES_BLOCK = saved
+        for user in range(data.num_users):
+            positives, test_item = data.train_pos[user], int(data.test_items[user])
+            banned = positives
+            if test_item >= 0 and test_item not in positives.tolist():
+                banned = np.append(positives, test_item)
+            pool = data.num_items - len(banned) - (test_item < 0)
+            expected = ranking._redraw_eval_negatives(
+                spawn(seed, "eval-neg", user),
+                banned,
+                data.num_items,
+                min(max(pool, 0), num_negatives),
+            )
+            assert got[user].dtype == np.int64
+            assert got[user].tolist() == expected.tolist()
 
 
 class TestHitRatio:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.sampling import (
+    ragged_csr,
     sample_local_batch,
     sample_local_batches,
     sample_negatives,
@@ -170,7 +171,7 @@ def run_cohort(seed, ids, positives, num_items, counts):
 
     flat, num_neg = sample_negatives_batch(
         spawn_batch(seed, ("t",), np.asarray(ids, dtype=np.int64)),
-        positives,
+        *ragged_csr(positives),
         num_items,
         np.asarray(counts, dtype=np.int64),
         fallback=spying_oracle,
@@ -274,7 +275,7 @@ class TestCohortSamplerEqualsOracle:
         assert flat.shape == num_neg.shape == (0,) and redone == []
         assert assert_cohort_equals_oracle(0, [9], [np.array([1, 2])], 50, [2]) == []
         item_ids, labels, lengths = sample_local_batches(
-            spawn_batch(0, ("t",), np.empty(0, dtype=np.int64)), [], 50, 1
+            spawn_batch(0, ("t",), np.empty(0, dtype=np.int64)), *ragged_csr([]), 50, 1
         )
         assert item_ids.shape == labels.shape == lengths.shape == (0,)
 
@@ -291,7 +292,7 @@ class TestCohortSamplerEqualsOracle:
         positives = [np.sort(rng.choice(60, size=s, replace=False)) for s in sizes]
         ids = np.arange(len(sizes))
         item_ids, labels, lengths = sample_local_batches(
-            spawn_batch(8, ("t",), ids), positives, 60, negative_ratio
+            spawn_batch(8, ("t",), ids), *ragged_csr(positives), 60, negative_ratio
         )
         scalar = [
             sample_local_batch(spawn(8, "t", int(i)), p, 60, negative_ratio)

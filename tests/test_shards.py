@@ -20,7 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import TrainConfig
+from repro.datasets.sampling import ragged_csr, sample_local_batch
 from repro.datasets.synthetic import generate_longtail_dataset
+from repro.federated.batch_engine import _bce_stacks_fn, _bpr_stacks_fn
 from repro.federated.shards import (
     CSRRaggedList,
     EmbeddingMatrixView,
@@ -34,6 +37,8 @@ from repro.federated.shards import (
     shared_memory_available,
     unlink_segment,
 )
+from repro.models.base import build_model
+from repro.rng import spawn, spawn_batch
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(), reason="/dev/shm not available"
@@ -497,6 +502,80 @@ class TestGroupedLookups:
             for user, entry in zip(ids.tolist(), got):
                 assert np.array_equal(entry, store.positives(user))
                 assert not entry.flags.owndata  # a view, never a copy
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("num_shards, backend", LAYOUTS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_positives_csr_concatenates_positives_list(self, num_shards, backend, data):
+        ds = make_dataset(users=23)
+        _, store = make_stores(ds, num_shards=num_shards, backend=backend)
+        try:
+            ids = np.asarray(
+                data.draw(
+                    st.lists(st.integers(0, ds.num_users - 1), max_size=60)
+                ),
+                dtype=np.int64,
+            )
+            lengths, flat = store.positives_csr(ids)
+            views = store.positives_list(ids)
+            assert lengths.dtype == flat.dtype == np.int64
+            assert lengths.tolist() == [len(view) for view in views]
+            assert flat.tolist() == [j for view in views for j in view.tolist()]
+            for shard in store._shards.values():
+                assert not np.shares_memory(flat, shard.indices)  # a copy
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("loss", ["bce", "bpr"])
+    @pytest.mark.parametrize("num_shards, backend", LAYOUTS)
+    def test_cohort_stacks_from_csr_equal_stacks_from_lists(
+        self, num_shards, backend, loss
+    ):
+        # Users 3 and 11 hold more than half the catalogue: at q = 1
+        # their negatives are scarce, so the sampler hands them to the
+        # scalar oracle with their slice of the flat positives.
+        num_items, seed, round_idx = 30, 4, 7
+        rng = np.random.default_rng(2)
+        train_pos = [
+            np.sort(rng.choice(num_items, size=size, replace=False))
+            for size in [2, 5, 0, 20, 1, 9, 3, 12, 4, 6, 2, 26, 8]
+        ]
+        store = ShardedStateStore.build(
+            train_pos, num_items, 6, seed=seed, init_scale=0.1,
+            num_shards=num_shards, backend=backend,
+        )
+        try:
+            ids = rng.permutation(len(train_pos)).astype(np.int64)
+            num_pos, flat_pos = store.positives_csr(ids)
+            assert (num_pos > num_items - num_pos).any()
+            model = build_model("mf", num_items, 6, seed=1)
+            user_vecs = store.gather_rows(ids)
+
+            def stacks(lengths, flat):
+                rngs = spawn_batch(seed, ("client-round",), ids, (round_idx,))
+                if loss == "bpr":
+                    return _bpr_stacks_fn(model, lengths, flat, rngs, user_vecs)
+                return _bce_stacks_fn(
+                    model, TrainConfig(), lengths, flat, rngs, user_vecs
+                )[:4]
+
+            from_csr = stacks(num_pos, flat_pos)
+            from_lists = stacks(*ragged_csr(store.positives_list(ids)))
+            for got, expected in zip(from_csr, from_lists):
+                assert got.tobytes() == expected.tobytes()
+            if loss == "bce":
+                item_ids, lengths = from_csr[0], from_csr[1]
+                rows = [
+                    sample_local_batch(
+                        spawn(seed, "client-round", int(user), round_idx),
+                        train_pos[user], num_items, 1,
+                    )[0]
+                    for user in ids.tolist()
+                ]
+                assert lengths.tolist() == [len(r) for r in rows]
+                assert item_ids.tolist() == [j for r in rows for j in r.tolist()]
         finally:
             store.close()
 

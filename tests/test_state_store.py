@@ -26,7 +26,7 @@ from repro.metrics.ranking import (
 )
 from repro.models.base import build_model
 from repro.rng import (
-    _pcg64_first_raw,
+    _pcg64_words,
     _seed_sequence_states,
     spawn,
     spawn_first_uniform,
@@ -76,7 +76,7 @@ class TestConstructionParity:
 
     def test_pcg64_first_raw_matches_numpy(self):
         seeds = np.random.default_rng(5).integers(0, 2**31, 300)
-        raw = _pcg64_first_raw(_seed_sequence_states(seeds))
+        raw = _pcg64_words(_seed_sequence_states(seeds), np.ones(300, dtype=np.int64))
         for seed, value in zip(seeds, raw):
             assert int(value) == int(np.random.PCG64(int(seed)).random_raw(1)[0])
 
