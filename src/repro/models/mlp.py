@@ -106,7 +106,9 @@ class MLPTower:
         cache = [x]
         current = x
         for layer in self.layers:
-            current = np.maximum(layer.forward(current), 0.0)
+            current = layer.forward(current)
+            # A zero row, not the scalar 0.0: same bytes, vectorised loop.
+            np.maximum(current, np.zeros_like(layer.bias), out=current)
             cache.append(current)
         # Row-wise, not a GEMV: a GEMV rounds its last ``n mod 4`` rows
         # differently, so a logit would depend on the rows beside it.

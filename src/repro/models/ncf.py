@@ -25,12 +25,15 @@ from repro.rng import spawn
 
 __all__ = ["NCFModel"]
 
-#: Pair rows (user x item) per tile of :meth:`NCFModel.score_matrix`:
-#: large enough to amortise the per-tile calls, small enough that a
-#: tile's activations (8 bytes x the tower's widths per pair row) are
-#: still warm when the next layer reads them.  At 2000 users x 3000
-#: items and tower (32, 16), 16k / 32k / 64k / 128k rows took 0.54 /
-#: 0.48 / 0.45 / 0.42 s and 400k rows 0.54 s.
+#: Pair rows (user x item) per tile of :meth:`NCFModel.score_matrix`.
+#: Tile boundaries are part of the scores: OpenBLAS rounds the last
+#: pairs of a call (``n mod 4`` in the projection's GEMV, and the end of
+#: each thread's share of a threaded call) with other kernels.  Another
+#: value moves scores in the last ulp at 222 items (the ml-1m preset of
+#: Table III), so this stays the value every score was recorded with.
+#: Smaller tiles would be only a little faster: at 2000 users x 3000
+#: items, tower (32, 16), 2-core VM, interleaved medians, 16k / 32k /
+#: 64k / 128k / 400k rows took 206 / 197 / 204 / 232 / 264 ms.
 _SCORE_TILE_PAIRS = 65536
 
 
@@ -120,8 +123,14 @@ class NCFModel(RecommenderModel):
 
         The sum ``u @ W[:d] + (v @ W[d:] + b)`` rounds differently from
         ``[u ; v] @ W + b``, and BLAS picks its kernel by operand shape:
-        scores agree with :meth:`forward`, and between different user
-        blockings, to the last ulp or two, not bit for bit.
+        scores agree with :meth:`forward` to the last ulp or two, not bit
+        for bit.  User blocking and the tile size can move the last ulp
+        too (see :data:`_SCORE_TILE_PAIRS`): blocks of 1 to 256 users
+        differed from one call by at most 2.1e-17 on logits below 0.05,
+        at 512 x 3000 and 300 x 222.  The ReLUs move nothing: NumPy's
+        ``maximum`` gives the same bytes against a zero array as against
+        the scalar ``0.0``, for signed zeros, NaN payloads and
+        subnormals too (``tests/test_eval_properties.py``).
         """
         dim = self.embedding_dim
         layers = self.tower.layers
@@ -143,16 +152,21 @@ class NCFModel(RecommenderModel):
             np.empty((len(layer.bias), tile_users * self.num_items))
             for layer in layers[1:]
         ]
+        # The ReLUs' zero operand.  Against the scalar 0.0 NumPy runs
+        # ``maximum`` through a loop that is not vectorised, about 2.3x
+        # slower than against an array, for the same bytes.
+        zeros = np.zeros(tile_users * self.num_items)
         for lo in range(0, num_users, step):
             hi = min(lo + step, num_users)
+            pairs = (hi - lo) * self.num_items
             act = first[:, : hi - lo]
             np.add(user_part[:, lo:hi, None], item_part[:, None, :], out=act)
-            np.maximum(act, 0.0, out=act)
+            np.maximum(act, zeros[:pairs].reshape(hi - lo, -1), out=act)
             act = act.reshape(len(act), -1)
             for layer, buffer in zip(layers[1:], later):
-                out = buffer[:, : act.shape[1]]
+                out = buffer[:, :pairs]
                 np.matmul(layer.weight.T, act, out=out)
                 out += layer.bias[:, None]
-                act = np.maximum(out, 0.0, out=out)
+                act = np.maximum(out, zeros[:pairs], out=out)
             np.matmul(self.tower.projection, act, out=scores[lo:hi].reshape(-1))
         return scores
