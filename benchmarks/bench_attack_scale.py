@@ -7,10 +7,11 @@ malicious clients; the full scale here runs 2k):
 * **Round throughput.** One round of the adversary layer through a
   :class:`~repro.attacks.cohort.MaliciousCohort` (struct-of-arrays
   counters, shared Δ-Norm observation ledger, per-distinct-mined-set
-  PIECK-IPE payloads, stacked uploads) versus the reference API it
-  replaces: a plain ``participate`` loop over an independently built
-  client list, both against the model of a simulation that trains
-  alongside.  Acceptance: ``>= 3x`` faster per round at the full
+  PIECK-IPE payloads, stacked uploads) versus the per-object oracle
+  of ``tests/reference/`` (``reference.attackers``: one
+  ``participate`` call, counter and miner per member) over an
+  independently built team, both against the model of a simulation
+  that trains alongside.  Acceptance: ``>= 3x`` faster per round at the full
   scale of 2k malicious clients (``>= 2x`` at smoke scale), with
   **bit-identical** uploads every round.
 * **O(1) item-matrix copies.** The shared observation ledger must
@@ -37,9 +38,9 @@ import tracemalloc
 import numpy as np
 
 from _harness import emit_bench_json
-from repro.attacks.cohort import MaliciousCohort
+from reference import attackers
 from repro.attacks.mining import CohortMiner
-from repro.attacks.registry import build_malicious_clients
+from repro.attacks.registry import build_malicious_cohort
 from repro.config import (
     AttackConfig,
     DatasetConfig,
@@ -85,15 +86,15 @@ def _config(num_benign: int, num_malicious: int, users_per_round: int) -> Experi
     )
 
 
-def _build_team(sim: FederatedSimulation) -> list:
-    """A fresh malicious team, built exactly like the simulation's own."""
-    return build_malicious_clients(
+def _build_team(sim: FederatedSimulation):
+    """A fresh attacker team, built exactly like the simulation's own."""
+    return build_malicious_cohort(
         sim.attack_cfg.name,
         dataset=sim.dataset,
         config=sim.attack_cfg,
         targets=sim.targets,
         embedding_dim=sim.config.model.embedding_dim,
-        num_malicious=len(sim.malicious_clients),
+        num_malicious=sim.malicious_cohort.num_clients,
         first_user_id=sim.dataset.num_users,
         seed=sim.config.seed,
     )
@@ -125,8 +126,8 @@ def _measure_rounds(
     against its round-start model, then it trains the round (through
     its own cohort) to move the model on.
     """
-    cohort = MaliciousCohort(_build_team(sim))
-    objects = _build_team(sim)
+    cohort = _build_team(sim)
+    objects = attackers(_build_team(sim))
     train_cfg = sim.config.train
     cohort_times: list[float] = []
     object_times: list[float] = []

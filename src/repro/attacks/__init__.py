@@ -5,11 +5,13 @@ variants (Sections IV-B to IV-D) — and the four top-tier baselines it
 compares against (FedRecAttack, PipAttack, A-ra, A-hum), each with the
 "prior knowledge masked" mode used for Table III's fair comparison.
 
-Each attack exists in two bit-identical executions: per-object
-:class:`MaliciousClient` ``participate`` calls (the reference), and
-the team-level struct-of-arrays :class:`MaliciousCohort` that runs all
-sampled clients of a round in one batched pass (the batch engine's
-default).
+The adversary is one attacker driving a team of malicious clients
+(Section III-B).  A run executes it as one :class:`MaliciousCohort`:
+built by :func:`build_malicious_cohort` from the attack config, it
+owns the team's participation counters and mining state and runs all
+sampled members of a round in one batched pass.  Each member (a
+:class:`MaliciousClient`) contributes only its payload and its warm
+state.
 """
 
 from repro.attacks.base import (
@@ -22,19 +24,10 @@ from repro.attacks.base import (
     stacked_step_gradients,
 )
 from repro.attacks.cohort import CohortUpload, MaliciousCohort
-from repro.attacks.mining import (
-    CohortMiner,
-    DeltaNormTracker,
-    PopularItemMiner,
-    RoundSnapshotCache,
-)
+from repro.attacks.mining import CohortMiner, DeltaNormTracker, PopularItemMiner
 from repro.attacks.pieck_ipe import PieckIPE, ipe_loss_and_grad
 from repro.attacks.pieck_uea import PieckUEA
-from repro.attacks.registry import (
-    ATTACK_NAMES,
-    build_malicious_clients,
-    build_malicious_cohort,
-)
+from repro.attacks.registry import ATTACK_NAMES, build_malicious_cohort
 
 __all__ = [
     "AttackPayload",
@@ -49,11 +42,9 @@ __all__ = [
     "DeltaNormTracker",
     "MaliciousCohort",
     "PopularItemMiner",
-    "RoundSnapshotCache",
     "PieckIPE",
     "PieckUEA",
     "ipe_loss_and_grad",
     "ATTACK_NAMES",
-    "build_malicious_clients",
     "build_malicious_cohort",
 ]

@@ -5,21 +5,14 @@ server learning rate and the model structure, and see the global model
 only in rounds where they are sampled. They cannot read benign users'
 embeddings, gradients, interactions or popularity levels.
 
-Every attack's round is factored into the same three stages so that
-the per-object reference path and the team-level batched path
-(:class:`~repro.attacks.cohort.MaliciousCohort`) share one
-implementation of the attack math:
-
-1. **participation accounting** — ``_participation_scale`` (object
-   path) or the cohort's vectorised ``times_sampled`` counters;
-2. **payload** — ``_round_payload`` computes the *unscaled* upload
-   (item ids, gradient rows, optional interaction-parameter
-   gradients); this is the per-attack hook;
-3. **finalise** — the payload is scaled by the participation scale and
-   (optionally) norm-clipped; the object path wraps it in a
-   :class:`~repro.federated.payload.ClientUpdate`, the cohort splices
-   the stacked rows straight into the round's
-   :class:`~repro.federated.update_batch.UpdateBatch`.
+One attacker drives the whole malicious team, and the package runs
+that team as one :class:`~repro.attacks.cohort.MaliciousCohort`.  The
+cohort owns the team's participation counters and, for PIECK, its
+Algorithm 1 miner; it scales, clips and stacks every upload.  What a
+:class:`MaliciousClient` keeps is what differs per member: the
+attack's payload (:meth:`MaliciousClient._round_payload`) and the
+warm state that payload reads and advances (surrogates, classifiers,
+refiners, fake profiles).
 """
 
 from __future__ import annotations
@@ -30,9 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import kernels
-from repro.attacks.mining import PopularItemMiner, RoundSnapshotCache
 from repro.config import AttackConfig, TrainConfig
-from repro.federated.payload import ClientUpdate
 from repro.models.base import RecommenderModel
 from repro.stateful import Stateful
 
@@ -53,11 +44,9 @@ class AttackPayload:
 
     ``item_ids`` / ``item_grads`` are row-aligned; ``param_grads``
     covers the learnable interaction function (DL-FRS only).  The
-    participation scale and the optional ``grad_clip`` are applied by
-    the caller — the object path in
-    :meth:`MaliciousClient.participate`, the batched path in
-    :meth:`~repro.attacks.cohort.MaliciousCohort.compute_uploads` —
-    so the payload itself is engine-agnostic.
+    cohort applies the participation scale and the optional
+    ``grad_clip``
+    (:meth:`~repro.attacks.cohort.MaliciousCohort.compute_uploads`).
     """
 
     item_ids: np.ndarray
@@ -66,88 +55,23 @@ class AttackPayload:
 
 
 class MaliciousClient(Stateful, ABC):
-    """A malicious user injected by the attacker.
+    """One member of the attacker's team.
 
-    ``participate`` is called only in rounds where the server samples
-    this user; it may return ``None`` to upload nothing (e.g. while the
-    PIECK miner is still accumulating Δ-Norm observations).
-
-    Batch-engine contract: uploads must be ordinary
-    :class:`ClientUpdate` objects (row-aligned ``item_ids`` /
-    ``item_grads`` float64 arrays, unique ids — which
-    ``ClientUpdate.__post_init__`` enforces), because the vectorised
-    engine splices them verbatim into the round's fused gradient
-    scatter at the client's sampled position.  ``participate`` may not
-    assume it runs interleaved with benign clients — the batch engine
-    runs all malicious participants before the benign tensor pass
-    (the global model is frozen within a round, so this is
-    order-equivalent) — and must key any per-round randomness on
-    ``(seed, user_id, round_idx)`` streams, never on call order.
-
-    Cohort contract: when a team of clients is adopted by a
-    :class:`~repro.attacks.cohort.MaliciousCohort`, the cohort owns
-    the participation counters and (for PIECK) the mining state; the
-    per-attack math still runs through this class's
-    :meth:`_round_payload`, so the two paths cannot drift.
-
-    Run state: ``STATE`` names the attributes a subclass's rounds
-    mutate (warm-started surrogates, classifiers, miners).
+    :meth:`_round_payload` must key any per-round randomness on
+    ``(seed, user_id, round_idx)`` streams, never on call order: the
+    cohort runs a round's members before the benign tensor pass, in
+    any grouping.  ``STATE`` names the attributes a subclass's rounds
+    mutate (warm-started surrogates, classifiers); the cohort's own
+    state carries them.
     """
 
-    STATE = ("_times_sampled",)
-
-    def __init__(self, user_id: int, targets: np.ndarray, config: AttackConfig):
+    def __init__(
+        self, user_id: int, targets: np.ndarray, config: AttackConfig, num_items: int
+    ):
         self.user_id = user_id
         self.targets = np.asarray(targets, dtype=np.int64)
         self.config = config
-        #: Number of malicious clients controlled by the same attacker
-        #: (set by the registry). Known to the attacker by construction.
-        self.team_size = 1
-        self._times_sampled = 0
-
-    def _participation_scale(self, round_idx: int) -> float:
-        """1 / E[co-sampled malicious clients], estimated online.
-
-        When several of the attacker's clients land in the same round,
-        their uploads sum at the server; without coordination the target
-        overshoots its poisoned optimum by that factor every round and
-        oscillates. Each client observes its own sampling rate, knows
-        the team size, and scales its upload so the *expected* combined
-        push equals one intended step. Uses only attacker-side
-        knowledge (Section III-B). Call exactly once per participation.
-        """
-        self._times_sampled += 1
-        rate = self._times_sampled / max(round_idx + 1, 1)
-        return 1.0 / max(rate * self.team_size, 1.0)
-
-    # ------------------------------------------------------------------
-    # The round template (object path)
-    # ------------------------------------------------------------------
-
-    def participate(
-        self, model: RecommenderModel, train_cfg: TrainConfig, round_idx: int
-    ) -> ClientUpdate | None:
-        """Observe the global model and optionally upload poison."""
-        scale = self._participation_scale(round_idx)
-        if not self._observe_model(model, round_idx):
-            return None
-        payload = self._round_payload(model, train_cfg, round_idx)
-        if payload is None:
-            return None
-        return self._make_update(
-            payload.item_ids,
-            scale * payload.item_grads,
-            [scale * grad for grad in payload.param_grads],
-        )
-
-    def _observe_model(self, model: RecommenderModel, round_idx: int) -> bool:
-        """Pre-payload model observation; ``False`` skips the upload.
-
-        The default attacker needs no warm-up; PIECK overrides this
-        with the Algorithm 1 mining gate (observe, and upload only
-        once the popular set is frozen).
-        """
-        return True
+        self.num_items = num_items
 
     @abstractmethod
     def _round_payload(
@@ -159,10 +83,8 @@ class MaliciousClient(Stateful, ABC):
     ) -> AttackPayload | None:
         """The attack's unscaled upload for this round (or ``None``).
 
-        ``popular`` lets the cohort inject the client's mined popular
-        set from its struct-of-arrays miner; object-path PIECK clients
-        read their own ``self.miner`` when it is ``None``.  Non-mining
-        attacks ignore it.
+        ``popular`` is the member's mined popular set, most popular
+        first (PIECK only; other attacks ignore it).
         """
 
     # ------------------------------------------------------------------
@@ -195,9 +117,8 @@ class MaliciousClient(Stateful, ABC):
         """Stack bounded-step gradients steering each target by its delta.
 
         One :func:`stacked_step_gradients` call over the whole target
-        stack.  The kernel is row-wise, and the cohort path uses the
-        exact same call per payload, so the two paths are bit-identical
-        row for row.
+        stack; the kernel is row-wise, so a row's bytes do not depend
+        on the stack around it.
         """
         max_step = self.config.step_norm_factor * reference_norm
         old = model.item_embeddings[self.targets]
@@ -205,77 +126,21 @@ class MaliciousClient(Stateful, ABC):
             old, old + np.stack(deltas), server_lr, max_step
         )
 
-    def _make_update(
-        self,
-        item_ids: np.ndarray,
-        item_grads: np.ndarray,
-        param_grads: list[np.ndarray] | None = None,
-    ) -> ClientUpdate:
-        update = ClientUpdate(
-            user_id=self.user_id,
-            item_ids=item_ids,
-            item_grads=item_grads,
-            param_grads=param_grads or [],
-            malicious=True,
-        )
-        if self.config.grad_clip > 0:
-            update = update.clipped(self.config.grad_clip)
-        return update
-
 
 class PieckClient(MaliciousClient):
-    """Shared PIECK machinery: the Algorithm 1 miner and its gate.
+    """Shared PIECK machinery: the mined set P minus the own targets.
 
-    Both PIECK variants first mine the popular set P; ``participate``
-    keeps counting participations during mining (the scale estimator
-    sees every sampled round) but uploads nothing while the miner is
-    still accumulating.  The round whose observation *freezes* P is
-    the first attacking round: the gate re-checks readiness after
-    observing, so the client proceeds straight to its upload.
-
-    ``snapshots`` is the team-shared :class:`RoundSnapshotCache`: all
-    of one attacker's miners observing the same round retain one copy
-    of the received item matrix between them.
+    Both PIECK variants upload only once their popular set is mined;
+    the cohort's :class:`~repro.attacks.mining.CohortMiner` mines it
+    and hands each member its row as ``popular``.
     """
 
-    STATE = MaliciousClient.STATE + ("miner",)
-
-    def __init__(
-        self,
-        user_id: int,
-        targets: np.ndarray,
-        config: AttackConfig,
-        num_items: int,
-        *,
-        snapshots: RoundSnapshotCache | None = None,
-    ):
-        super().__init__(user_id, targets, config)
-        self.miner = PopularItemMiner(
-            num_items, config.mining_rounds, config.num_popular
-        )
-        self._snapshots = snapshots
-
-    def _observe_model(self, model: RecommenderModel, round_idx: int) -> bool:
-        if not self.miner.ready:
-            snapshot = (
-                self._snapshots.get(model.item_embeddings, round_idx)
-                if self._snapshots is not None
-                else None
-            )
-            self.miner.observe(model.item_embeddings, snapshot=snapshot)
-        return self.miner.ready
-
-    def _popular_excluding_targets(
-        self, popular: np.ndarray | None = None
-    ) -> np.ndarray:
+    def _popular_excluding_targets(self, popular: np.ndarray) -> np.ndarray:
         """The mined set P with the attack's own targets removed.
 
         Falls back to the full mined set when every mined item is a
-        target (degenerate catalogues).  ``popular`` overrides the
-        object-path miner with a cohort-mined row.
+        target (degenerate catalogues).
         """
-        if popular is None:
-            popular = self.miner.popular_items()
         mask = ~np.isin(popular, self.targets)
         filtered = popular[mask]
         return filtered if len(filtered) else popular
@@ -312,8 +177,8 @@ def stacked_step_gradients(
     and desired embeddings; every row is clipped and encoded
     independently, so any row-wise restacking (per-target within one
     client, or all sampled clients' targets at once in the cohort
-    path) produces identical values — the invariant the object/cohort
-    parity suite rests on.  Dispatched through :mod:`repro.kernels`,
+    path) produces identical values — the invariant the cohort parity
+    suite rests on.  Dispatched through :mod:`repro.kernels`,
     whose contract accumulates each row's squared components
     sequentially over the feature axis — a per-row order independent
     of the surrounding stack (unlike NumPy's 1-D ``linalg.norm``

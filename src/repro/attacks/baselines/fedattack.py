@@ -12,7 +12,7 @@ paper draws: targeted PIECK leaves HR intact while FedAttack shows up
 directly in recommendation quality.
 
 Because the round is exactly a benign local step with flipped labels,
-the cohort path batches whole teams through the same stacked
+the cohort batches whole teams through the same stacked
 primitives the benign engine uses (``spawn_batch`` RNG streams,
 ``sample_local_batches``, ``RecommenderModel.batch_local_step``) — see
 :meth:`~repro.attacks.cohort.MaliciousCohort.compute_uploads`.
@@ -46,8 +46,7 @@ class FedAttack(MaliciousClient):
         fake_profile_size: int = 16,
         seed: int = 0,
     ):
-        super().__init__(user_id, targets, config)
-        self.num_items = num_items
+        super().__init__(user_id, targets, config, num_items)
         rng = spawn(seed, "fedattack-init", user_id)
         # A fake user profile: random "interacted" items and embedding.
         size = min(fake_profile_size, num_items)

@@ -9,8 +9,8 @@ Table III setting — the "known" interactions are random noise, the
 surrogates approximate nobody, and the attack collapses (ER ~ 0).
 
 The surrogate refit warm-starts across rounds (per-client mutable
-state), so the cohort path runs :meth:`FedRecAttack._round_payload`
-per sampled client and batches only the participation scaling and the
+state), so the cohort runs :meth:`FedRecAttack._round_payload` per
+sampled client and batches only the participation scaling and the
 final target-step gradient stack.
 """
 
@@ -37,7 +37,7 @@ class FedRecAttack(MaliciousClient):
         masked mode the registry passes uniformly random item sets here.
     """
 
-    STATE = MaliciousClient.STATE + ("surrogate_users",)
+    STATE = ("surrogate_users",)
 
     def __init__(
         self,
@@ -52,7 +52,7 @@ class FedRecAttack(MaliciousClient):
         fit_lr: float = 0.1,
         seed: int = 0,
     ):
-        super().__init__(user_id, targets, config)
+        super().__init__(user_id, targets, config, num_items)
         if not known_interactions:
             raise ValueError("FedRecAttack needs at least one known user")
         self.known_interactions = known_interactions

@@ -9,7 +9,7 @@ retains partial effectiveness on MF-FRS (Table III) while A-ra, whose
 parameters are null there, does not.
 
 The simulated users come from each client's private per-round RNG
-stream, so the cohort path runs :meth:`ARa._round_payload` per sampled
+stream, so the cohort runs :meth:`ARa._round_payload` per sampled
 client and batches only the participation scaling and the final
 target-step gradient stack.
 """
@@ -54,7 +54,7 @@ class ARa(MaliciousClient):
         num_simulated_users: int = 32,
         seed: int = 0,
     ):
-        super().__init__(user_id, targets, config)
+        super().__init__(user_id, targets, config, num_items)
         self.embedding_dim = embedding_dim
         self.num_simulated_users = num_simulated_users
         self._seed = seed

@@ -9,7 +9,7 @@ Table III setting) the classifier learns noise and the popularity
 alignment carries no signal.
 
 The classifier warm-starts across rounds and the masked labels differ
-per client, so the cohort path runs :meth:`PipAttack._round_payload`
+per client, so the cohort runs :meth:`PipAttack._round_payload`
 per sampled client and batches only the participation scaling and the
 final target-step gradient stack.
 """
@@ -37,7 +37,7 @@ class PipAttack(MaliciousClient):
         with-prior mode; a random permutation of them in masked mode.
     """
 
-    STATE = MaliciousClient.STATE + ("_weights", "_bias")
+    STATE = ("_weights", "_bias")
 
     def __init__(
         self,
@@ -53,7 +53,7 @@ class PipAttack(MaliciousClient):
         promotion_weight: float = 0.3,
         seed: int = 0,
     ):
-        super().__init__(user_id, targets, config)
+        super().__init__(user_id, targets, config, num_items)
         labels = np.asarray(popularity_labels, dtype=np.float64)
         if labels.shape != (num_items,):
             raise ValueError("popularity_labels must have one entry per item")

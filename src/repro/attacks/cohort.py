@@ -1,53 +1,47 @@
-"""Team-level struct-of-arrays execution of the malicious population.
+"""The attacker's team: one struct-of-arrays object runs every member.
 
-The reference adversary is one Python object per malicious client:
-``participate`` is called in a loop, each PIECK client owns a private
-Δ-Norm tracker holding its own copy of the ``(num_items, dim)`` item
-matrix, and each upload materialises a
-:class:`~repro.federated.payload.ClientUpdate`.  At the ROADMAP's
-production scale (~10k malicious clients at 1% of a million users)
-those per-object costs — not the attack math — dominate the round.
+The paper's adversary is one attacker driving a team of malicious
+clients (Section III-B).  :class:`MaliciousCohort` is that attacker.
+It builds the team itself from the :class:`~repro.config.AttackConfig`,
+so the team is homogeneous by construction, and it owns the team-level
+state as flat arrays, mirroring the benign
+:class:`~repro.federated.shards.ShardedStateStore`:
 
-:class:`MaliciousCohort` mirrors the benign
-:class:`~repro.federated.shards.ShardedStateStore`: it *adopts* the
-registry-built client objects (so construction-time RNG draws and any
-per-client warm state are untouched) and owns the team-level
-state as flat arrays:
-
-* ``times_sampled`` — the per-client participation counters behind
-  ``_participation_scale``, bumped and converted to upload scales in
-  one vectorised pass per round;
+* ``times_sampled`` — the per-member participation counters, bumped
+  and converted to upload scales in one vectorised pass per round;
 * a :class:`~repro.attacks.mining.CohortMiner` (PIECK only) — stacked
   Δ-Norm accumulators plus the shared per-round observation ledger:
   ``||v_j^r − v_j^{r'}||`` is computed once per distinct previous
-  round and fancy-indexed into each sampled client's row, with O(1)
-  item-matrix copies per round instead of O(num_malicious);
+  round and fancy-indexed into each sampled member's row, with O(1)
+  item-matrix copies per round;
 * per-round stacked target gradients — each payload's target rows run
   through the row-wise
   :func:`~repro.attacks.base.stacked_step_gradients` kernel, and the
-  per-client gradient blocks are stacked into one
-  ``(clients, targets, dim)`` tensor and scaled by the client scales
+  per-member gradient blocks are stacked into one
+  ``(members, targets, dim)`` tensor and scaled by the member scales
   in one broadcast multiply (clipping included).
 
-The attack math is the object path's own, so the two paths agree bit
-for bit (asserted end-to-end by ``tests/test_attack_cohort.py``
-against the per-client references in ``tests/reference/``):
+Each member (a :class:`~repro.attacks.base.MaliciousClient`) keeps
+only its payload and its warm state:
 
 * ``fedattack`` is fully batched — team-wide ``spawn_batch`` RNG
   streams, one ``sample_local_batches`` stack and one
-  ``batch_local_step`` over all sampled clients;
-* ``pieck_uea`` clients run in lockstep, one stacked model call per
+  ``batch_local_step`` over all sampled members;
+* ``pieck_uea`` members run in lockstep, one stacked model call per
   inner step (:func:`~repro.attacks.pieck_uea.lockstep_payloads`);
 * ``pieck_ipe`` rounds are deterministic in the mined set, so the
   payload is computed once per *distinct* mined P and fanned out;
 * ``fedrecattack``, ``pipattack``, ``a_ra`` and ``a_hum`` keep
-  per-client inner loops (private RNG streams, warm-started
+  per-member inner loops (private RNG streams, warm-started
   surrogates/classifiers) and batch the surrounding stages.
 
 The resulting uploads are :class:`CohortUpload` rows — zero-copy views
 into the round's stacked arrays that the batch engine splices directly
-into its :class:`~repro.federated.update_batch.UpdateBatch`; no
-``ClientUpdate`` is materialised anywhere on this path.
+into its :class:`~repro.federated.update_batch.UpdateBatch`.  The
+per-object formulation of the same round (one call, one counter and
+one miner per member) lives in ``tests/reference/`` as the oracle the
+parity suite ``tests/test_attack_cohort.py`` compares against, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -58,14 +52,18 @@ import numpy as np
 
 from repro.attacks.base import AttackPayload, MaliciousClient
 from repro.attacks.baselines.fedattack import FedAttack
+from repro.attacks.baselines.fedrecattack import FedRecAttack
+from repro.attacks.baselines.interaction import AHum, ARa
+from repro.attacks.baselines.pipattack import PipAttack
 from repro.attacks.mining import CohortMiner
 from repro.attacks.pieck_ipe import PieckIPE
 from repro.attacks.pieck_uea import PieckUEA, lockstep_payloads
-from repro.config import TrainConfig
+from repro.config import AttackConfig, TrainConfig
+from repro.datasets.base import InteractionDataset
 from repro.datasets.sampling import ragged_csr, sample_local_batches
 from repro.federated.payload import clip_scale
 from repro.models.base import RecommenderModel, segment_starts
-from repro.rng import spawn_batch
+from repro.rng import spawn, spawn_batch
 from repro.stateful import Stateful
 
 __all__ = ["CohortUpload", "MaliciousCohort"]
@@ -91,67 +89,59 @@ class CohortUpload:
 
 
 class MaliciousCohort(Stateful):
-    """Struct-of-arrays state and batched rounds for one attacker team.
+    """The attacker: its team's state and batched rounds.
 
-    Built over the homogeneous client list produced by
-    :func:`~repro.attacks.registry.build_malicious_clients`.  The
-    cohort owns the participation counters and (for PIECK) all mining
-    state; the adopted objects' own ``_times_sampled`` counters and
-    miners are never advanced, so a team must be driven *either*
-    through the cohort *or* through per-object ``participate`` calls —
-    never both (the simulation builds one cohort per batch-engine run
-    and the loop engine none).
+    Builds ``num_malicious`` members of the named attack, user ids
+    ``first_user_id`` onwards.  ``masked_prior`` selects the paper's
+    fair-comparison mode (Table III), in which FedRecAttack's
+    interactions and PipAttack's popularity levels are withheld from
+    the attacker.  Every member's construction-time RNG draws (fake
+    profiles, surrogate embeddings, masked priors) happen here, once,
+    in member order.
     """
 
-    STATE = ("times_sampled", "miner")
+    STATE = ("times_sampled", "miner", "clients")
 
-    def __init__(self, clients: list[MaliciousClient]):
-        if not clients:
-            raise ValueError("a cohort needs at least one malicious client")
-        kinds = {type(client) for client in clients}
-        if len(kinds) != 1:
-            raise ValueError(
-                f"cohort clients must share one attack class, got {kinds}"
-            )
-        self.clients = list(clients)
-        first = clients[0]
-        # The batched passes assume one attacker team: shared config,
-        # targets, seed and (for IPE's payload dedup) ablation toggles.
-        # The registry guarantees this; a hand-built heterogeneous list
-        # would get silently wrong uploads, so verify it up front.
-        for client in clients[1:]:
-            if (
-                (client.config is not first.config and client.config != first.config)
-                or not np.array_equal(client.targets, first.targets)
-                or client.team_size != first.team_size
-                or getattr(client, "_seed", None) != getattr(first, "_seed", None)
-                or getattr(client, "num_items", None)
-                != getattr(first, "num_items", None)
-                or getattr(client, "metric", None) != getattr(first, "metric", None)
-                or getattr(client, "use_weights", None)
-                != getattr(first, "use_weights", None)
-                or getattr(client, "use_partition", None)
-                != getattr(first, "use_partition", None)
-            ):
-                raise ValueError(
-                    "cohort clients must form one homogeneous attacker team "
-                    "(same config, targets, seed and attack toggles)"
-                )
-        self.config = first.config
-        self.targets = first.targets
-        self.team_size = first.team_size
-        #: Per-client participation counters (struct-of-arrays mirror
-        #: of ``MaliciousClient._times_sampled``).
-        self.times_sampled = np.zeros(len(clients), dtype=np.int64)
+    def __init__(
+        self,
+        name: str,
+        *,
+        dataset: InteractionDataset,
+        config: AttackConfig,
+        targets: np.ndarray,
+        embedding_dim: int,
+        num_malicious: int,
+        first_user_id: int,
+        masked_prior: bool = True,
+        seed: int = 0,
+    ):
+        self.name = name
+        self.config = config
+        self.targets = np.asarray(targets, dtype=np.int64)
+        #: Row ``k`` is user ``first_user_id + k``.
+        self.clients = _build_members(
+            name,
+            dataset,
+            config,
+            self.targets,
+            embedding_dim,
+            range(first_user_id, first_user_id + num_malicious),
+            masked_prior,
+            seed,
+        )
+        #: Members controlled by the attacker, known to it by
+        #: construction.
+        self.team_size = num_malicious
+        self.times_sampled = np.zeros(num_malicious, dtype=np.int64)
         #: Stacked Algorithm 1 state + shared observation ledger for
         #: PIECK teams; ``None`` for attacks that do not mine.
         self.miner: CohortMiner | None = None
-        if isinstance(first, (PieckIPE, PieckUEA)):
+        if name in ("pieck_ipe", "pieck_uea"):
             self.miner = CohortMiner(
-                first.miner.num_items,
-                self.config.mining_rounds,
-                self.config.num_popular,
-                len(clients),
+                dataset.num_items,
+                config.mining_rounds,
+                config.num_popular,
+                num_malicious,
             )
         #: Distinct-payload evaluations in the last round (telemetry:
         #: for PIECK-IPE this is the number of distinct mined sets the
@@ -187,8 +177,10 @@ class MaliciousCohort(Stateful):
         if not len(rows):
             return uploads
 
-        # Participation accounting, vectorised: same arithmetic as
-        # ``_participation_scale`` for every sampled client at once.
+        # Each sampled member scales its upload by 1 / E[co-sampled
+        # members]: its observed sampling rate times the team size.
+        # Uncoordinated uploads would sum at the server and overshoot
+        # the poisoned optimum by that factor every round.
         self.times_sampled[rows] += 1
         rates = self.times_sampled[rows] / max(round_idx + 1, 1)
         scales = 1.0 / np.maximum(rates * self.team_size, 1.0)
@@ -201,7 +193,7 @@ class MaliciousCohort(Stateful):
         if not len(active):
             return uploads
 
-        if isinstance(self.clients[0], FedAttack):
+        if self.name == "fedattack":
             self._fedattack_uploads(
                 model, train_cfg, round_idx, rows, active, scales, uploads
             )
@@ -236,11 +228,11 @@ class MaliciousCohort(Stateful):
             self.miner.mined[rows[j]] if self.miner is not None else None
             for j in active
         ]
-        if isinstance(clients[0], PieckUEA):
+        if self.name == "pieck_uea":
             found = lockstep_payloads(clients, mined, model, train_cfg, round_idx)
             self.last_round_payloads = len(found)
         else:
-            dedup = isinstance(clients[0], PieckIPE)
+            dedup = self.name == "pieck_ipe"
             keys = [p.tobytes() if dedup else k for k, p in enumerate(mined)]
             cache: dict[bytes | int, AttackPayload | None] = {}
             for key, client, popular in zip(keys, clients, mined):
@@ -262,10 +254,8 @@ class MaliciousCohort(Stateful):
         # One broadcast multiply applies every client's participation
         # scale to the stacked (clients, targets, dim) gradient block —
         # the batched counterpart of ``scale * grads`` per client.  The
-        # scales are cast to the gradient dtype first: a Python-float
-        # scale leaves a reduced-precision upload at its own precision
-        # on the object path, and a float64 scales array must not
-        # promote it here.
+        # scales are cast to the gradient dtype first, so a
+        # reduced-precision upload keeps its own precision.
         grads = np.stack([payload.item_grads for payload in payloads])
         row_scales = scales[payload_rows].astype(grads.dtype, copy=False)
         grads = row_scales[:, None, None] * grads
@@ -326,8 +316,7 @@ class MaliciousCohort(Stateful):
         self.last_round_payloads = len(clients)
 
         # Scales are applied at the gradient dtype (see _delta_uploads):
-        # reduced-precision models upload at their own precision on
-        # both paths.
+        # reduced-precision models upload at their own precision.
         seg_scales = scales[active]
         row_scales = np.repeat(seg_scales, lengths).astype(
             result.item_grads.dtype, copy=False
@@ -363,11 +352,90 @@ class MaliciousCohort(Stateful):
         """Apply ``ClientUpdate.clipped`` to one client's round slice.
 
         Shares the single :func:`~repro.federated.payload.clip_scale`
-        definition with the materialised path; the slice is contiguous
-        and the flat pairwise reduction depends only on the element
-        count, so the norm is bit-identical to the reference.
+        definition with ``ClientUpdate``; the slice is contiguous and
+        the flat pairwise reduction depends only on the element count,
+        so the norm is the one a materialised update would take.
         """
         scale = clip_scale(item_grads, param_grads, self.config.grad_clip)
         if scale is None:
             return item_grads, param_grads
         return item_grads * scale, [grad * scale for grad in param_grads]
+
+
+# ----------------------------------------------------------------------
+# Team construction
+# ----------------------------------------------------------------------
+
+#: How many benign users FedRecAttack is assumed to partially know.
+_FEDREC_KNOWN_USERS = 32
+#: Fraction of a known user's interactions that are public.
+_FEDREC_KNOWN_FRACTION = 0.5
+#: Popular/unpopular label split used by PipAttack (top 15%, Fig. 3).
+_PIP_POPULAR_SHARE = 0.15
+
+
+def _fedrec_known_interactions(
+    dataset: InteractionDataset, masked: bool, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """Public interaction sets: real samples, or random noise when masked."""
+    count = min(_FEDREC_KNOWN_USERS, dataset.num_users)
+    users = rng.choice(dataset.num_users, size=count, replace=False)
+    known: list[np.ndarray] = []
+    for user in users:
+        items = dataset.train_pos[int(user)]
+        take = max(1, int(round(len(items) * _FEDREC_KNOWN_FRACTION)))
+        if masked:
+            known.append(rng.choice(dataset.num_items, size=take, replace=False))
+        else:
+            known.append(rng.choice(items, size=min(take, len(items)), replace=False))
+    return known
+
+
+def _pip_labels(
+    dataset: InteractionDataset, masked: bool, rng: np.random.Generator
+) -> np.ndarray:
+    """Binary popularity labels: true top-15%, or shuffled when masked."""
+    ranking = dataset.popularity_ranking()
+    labels = np.zeros(dataset.num_items)
+    head = max(1, int(round(dataset.num_items * _PIP_POPULAR_SHARE)))
+    labels[ranking[:head]] = 1.0
+    if masked:
+        rng.shuffle(labels)
+    return labels
+
+
+def _build_members(
+    name: str,
+    dataset: InteractionDataset,
+    config: AttackConfig,
+    targets: np.ndarray,
+    embedding_dim: int,
+    user_ids: range,
+    masked_prior: bool,
+    seed: int,
+) -> list[MaliciousClient]:
+    """One member of the named attack per user id, in id order."""
+    rng = spawn(seed, "attack-build", name)
+    shape = dict(embedding_dim=embedding_dim, seed=seed)
+    members: list[MaliciousClient] = []
+    for user_id in user_ids:
+        args = (user_id, targets, config, dataset.num_items)
+        if name == "fedattack":
+            member = FedAttack(*args, **shape)
+        elif name == "pieck_ipe":
+            member = PieckIPE(*args)
+        elif name == "pieck_uea":
+            member = PieckUEA(*args, seed=seed)
+        elif name == "fedrecattack":
+            known = _fedrec_known_interactions(dataset, masked_prior, rng)
+            member = FedRecAttack(*args, known, **shape)
+        elif name == "pipattack":
+            member = PipAttack(*args, _pip_labels(dataset, masked_prior, rng), **shape)
+        elif name == "a_ra":
+            member = ARa(*args, **shape)
+        elif name == "a_hum":
+            member = AHum(*args, **shape)
+        else:
+            raise ValueError(f"unknown attack {name!r}")
+        members.append(member)
+    return members

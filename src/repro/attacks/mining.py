@@ -9,8 +9,8 @@ items at the top — with no prior knowledge whatsoever.
 Two executions of Algorithm 1 live here:
 
 * the per-client objects (:class:`DeltaNormTracker` wrapped by
-  :class:`PopularItemMiner`) — the reference implementation, one miner
-  per malicious client, fed through ``participate``;
+  :class:`PopularItemMiner`) — one miner per client, as the per-client
+  defense oracle ``ClientRegularizer`` and the Fig. 4 analysis use it;
 * the team-level :class:`CohortMiner` — for the malicious team and,
   under the client-side defense, for every benign client — as
   struct-of-arrays state (one
@@ -23,10 +23,6 @@ Two executions of Algorithm 1 live here:
   :class:`DeltaNormTracker` per client (asserted by the property suite
   in ``tests/test_attack_cohort.py``) at O(1) item-matrix copies per
   round instead of O(num_malicious).
-
-Same-round snapshot sharing for the per-client objects is provided by
-:class:`RoundSnapshotCache`: trackers observing the same round share
-one copy of the item matrix instead of each taking their own.
 """
 
 from __future__ import annotations
@@ -36,12 +32,7 @@ import numpy as np
 from repro import kernels
 from repro.stateful import Stateful
 
-__all__ = [
-    "DeltaNormTracker",
-    "PopularItemMiner",
-    "RoundSnapshotCache",
-    "CohortMiner",
-]
+__all__ = ["DeltaNormTracker", "PopularItemMiner", "CohortMiner"]
 
 
 class DeltaNormTracker(Stateful):
@@ -67,18 +58,8 @@ class DeltaNormTracker(Stateful):
         """How many Δ-Norm increments have been accumulated."""
         return max(self.observations - 1, 0)
 
-    def observe(
-        self, item_matrix: np.ndarray, snapshot: np.ndarray | None = None
-    ) -> None:
-        """Record one received item embedding matrix.
-
-        ``snapshot`` may carry an already-materialised private copy of
-        ``item_matrix`` (same values, safe to retain) so that many
-        trackers observing the same round share **one** copy — without
-        it every tracker takes its own ``item_matrix.copy()``, which at
-        N malicious clients means N redundant ``(num_items, dim)``
-        matrices per round (see :class:`RoundSnapshotCache`).
-        """
+    def observe(self, item_matrix: np.ndarray) -> None:
+        """Record one received item embedding matrix."""
         if item_matrix.shape[0] != self.num_items:
             raise ValueError(
                 f"expected {self.num_items} items, got {item_matrix.shape[0]}"
@@ -87,7 +68,7 @@ class DeltaNormTracker(Stateful):
             # The per-item ||v_j^r - v_j^{r-1}|| vector is the dispatched
             # row_diff_norms kernel (sequential per-row accumulation).
             self.accumulated += kernels.row_diff_norms(item_matrix, self._last)
-        self._last = item_matrix.copy() if snapshot is None else snapshot
+        self._last = item_matrix.copy()
         self.observations += 1
         self._order = None
 
@@ -145,18 +126,11 @@ class PopularItemMiner(Stateful):
         """Whether the popular set has been mined."""
         return self._mined is not None
 
-    def observe(
-        self, item_matrix: np.ndarray, snapshot: np.ndarray | None = None
-    ) -> None:
-        """Feed one received item matrix; freezes P when R-tilde is hit.
-
-        ``snapshot`` is passed through to the tracker (see
-        :meth:`DeltaNormTracker.observe`) so a whole malicious team can
-        share one per-round item-matrix copy.
-        """
+    def observe(self, item_matrix: np.ndarray) -> None:
+        """Feed one received item matrix; freezes P when R-tilde is hit."""
         if self.ready:
             return
-        self._tracker.observe(item_matrix, snapshot=snapshot)
+        self._tracker.observe(item_matrix)
         if self._tracker.num_deltas >= self.mining_rounds:
             self._mined = self._tracker.top_items(self.num_popular)
             self._tracker.release_baseline()
@@ -166,35 +140,6 @@ class PopularItemMiner(Stateful):
         if self._mined is None:
             raise RuntimeError("popular items not mined yet (miner not ready)")
         return self._mined
-
-
-class RoundSnapshotCache:
-    """One shared item-matrix copy per round for a team of trackers.
-
-    The registry hands every PIECK client of one attacker team the same
-    cache; each ``participate`` call fetches the round's shared
-    snapshot and passes it into its miner, so N co-sampled miners
-    retain one copy instead of N.  Keyed by the round index (the global
-    model is frozen within a round, so all same-round observers receive
-    identical matrices); earlier rounds' copies stay alive exactly as
-    long as some tracker still holds them as its baseline — ordinary
-    reference counting, no bookkeeping here.
-    """
-
-    def __init__(self):
-        self._round: int | None = None
-        self._copy: np.ndarray | None = None
-        #: Total copies materialised — O(rounds observed), never
-        #: O(clients); benchmarks assert this stays flat in team size.
-        self.copies = 0
-
-    def get(self, item_matrix: np.ndarray, round_idx: int) -> np.ndarray:
-        """The shared private copy of this round's item matrix."""
-        if self._round != round_idx:
-            self._copy = item_matrix.copy()
-            self._round = round_idx
-            self.copies += 1
-        return self._copy
 
 
 class CohortMiner(Stateful):

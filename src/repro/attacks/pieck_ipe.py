@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attacks.base import AttackPayload, PieckClient
-from repro.attacks.mining import RoundSnapshotCache
 from repro.config import AttackConfig, TrainConfig
 from repro.metrics.divergence import softmax
 from repro.models.base import RecommenderModel
@@ -113,9 +112,8 @@ class PieckIPE(PieckClient):
         metric: str | None = None,
         use_weights: bool | None = None,
         use_partition: bool | None = None,
-        snapshots: RoundSnapshotCache | None = None,
     ):
-        super().__init__(user_id, targets, config, num_items, snapshots=snapshots)
+        super().__init__(user_id, targets, config, num_items)
         # Keyword overrides win; otherwise the Table VI ablation
         # toggles come from the attack config itself.
         self.metric = config.ipe_metric if metric is None else metric

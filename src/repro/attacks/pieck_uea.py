@@ -24,7 +24,6 @@ import math
 import numpy as np
 
 from repro.attacks.base import AttackPayload, PieckClient
-from repro.attacks.mining import RoundSnapshotCache
 from repro.attacks.refinement import PseudoUserRefiner
 from repro.config import AttackConfig, TrainConfig
 from repro.models.base import RecommenderModel, segment_starts, segment_sums
@@ -46,11 +45,9 @@ class PieckUEA(PieckClient):
         num_items: int,
         *,
         seed: int = 0,
-        snapshots: RoundSnapshotCache | None = None,
     ):
-        super().__init__(user_id, targets, config, num_items, snapshots=snapshots)
+        super().__init__(user_id, targets, config, num_items)
         self._seed = seed
-        self._num_items = num_items
         self._refiner: PseudoUserRefiner | None = None
 
     def _round_payload(
@@ -85,7 +82,7 @@ class PieckUEA(PieckClient):
         self, popular_ids: np.ndarray, embedding_dim: int
     ) -> PseudoUserRefiner:
         return PseudoUserRefiner(
-            self._num_items,
+            self.num_items,
             embedding_dim,
             popular_ids,
             count=self.config.uea_refine_count,
@@ -96,12 +93,10 @@ class PieckUEA(PieckClient):
         )
 
     def state(self) -> dict:
-        return {**super().state(), "refiner": state_of(self._refiner)}
+        return {"refiner": state_of(self._refiner)}
 
     def restore(self, state: dict) -> None:
-        """Restore the miner and counters, rebuilding a refiner that
-        the checkpointed run had already created."""
-        super().restore(state)
+        """Rebuild a refiner the checkpointed run had already created."""
         saved = state["refiner"]
         self._refiner = None
         if saved is not None:
@@ -113,19 +108,18 @@ class PieckUEA(PieckClient):
 
 def lockstep_payloads(
     clients: list[PieckUEA],
-    popular: list[np.ndarray | None],
+    popular: list[np.ndarray],
     model: RecommenderModel,
     train_cfg: TrainConfig,
     round_idx: int,
 ) -> list[AttackPayload]:
     """Algorithm 3's round for UEA clients, in lockstep.
 
-    ``popular[k]`` is client ``k``'s mined set (``None``: its own
-    miner's).  Per target, each client's copy takes up to
-    ``10 * inner_steps`` normalised steps on Eq. 10's
-    ``-mean log sigmoid(logit - margin)`` over drawn pseudo-user
-    batches, until its batch's worst logit clears the margin or its
-    gradient vanishes.
+    ``popular[k]`` is client ``k``'s mined set.  Per target, each
+    client's copy takes up to ``10 * inner_steps`` normalised steps on
+    Eq. 10's ``-mean log sigmoid(logit - margin)`` over drawn
+    pseudo-user batches, until its batch's worst logit clears the
+    margin or its gradient vanishes.
     """
     config = clients[0].config
     ids = [c._popular_excluding_targets(p) for c, p in zip(clients, popular)]

@@ -1,36 +1,17 @@
-"""Attack registry: build the malicious client population by name.
+"""Attack registry: build the attacker's team by name.
 
-Construction is always per-object — every client's initialisation RNG
-draws (fake profiles, surrogate embeddings, masked priors) happen here
-exactly once, in client order — and the resulting homogeneous team can
-then be executed two ways: per-object ``participate`` calls (the
-reference loop engine), or adopted whole by a
-:class:`~repro.attacks.cohort.MaliciousCohort`
-(:func:`build_malicious_cohort`, the batch engine's default), which
-owns the team-level struct-of-arrays state while the attack math keeps
-running through the same objects.
+A run's adversary is one :class:`~repro.attacks.cohort.MaliciousCohort`:
+the attacker and its whole team of malicious clients, built from the
+:class:`~repro.config.AttackConfig` and executed in one batched pass a
+round.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.attacks.base import MaliciousClient
-from repro.attacks.baselines.fedattack import FedAttack
-from repro.attacks.baselines.fedrecattack import FedRecAttack
-from repro.attacks.baselines.interaction import AHum, ARa
-from repro.attacks.baselines.pipattack import PipAttack
 from repro.attacks.cohort import MaliciousCohort
-from repro.attacks.mining import RoundSnapshotCache
-from repro.attacks.pieck_ipe import PieckIPE
-from repro.attacks.pieck_uea import PieckUEA
-from repro.config import AttackConfig
-from repro.datasets.base import InteractionDataset
-from repro.rng import spawn
 
 __all__ = [
     "ATTACK_NAMES",
-    "build_malicious_clients",
     "build_malicious_cohort",
     "num_malicious_for_ratio",
 ]
@@ -47,13 +28,6 @@ ATTACK_NAMES = (
     "pieck_uea",
 )
 
-#: How many benign users FedRecAttack is assumed to partially know.
-_FEDREC_KNOWN_USERS = 32
-#: Fraction of a known user's interactions that are public.
-_FEDREC_KNOWN_FRACTION = 0.5
-#: Popular/unpopular label split used by PipAttack (top 15%, Fig. 3).
-_PIP_POPULAR_SHARE = 0.15
-
 
 def num_malicious_for_ratio(num_benign: int, ratio: float) -> int:
     """Malicious user count so that |U-tilde| / |U| equals ``ratio``.
@@ -68,163 +42,15 @@ def num_malicious_for_ratio(num_benign: int, ratio: float) -> int:
     return max(1, int(round(num_benign * ratio / (1.0 - ratio))))
 
 
-def _fedrec_known_interactions(
-    dataset: InteractionDataset, masked: bool, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Public interaction sets: real samples, or random noise when masked."""
-    count = min(_FEDREC_KNOWN_USERS, dataset.num_users)
-    users = rng.choice(dataset.num_users, size=count, replace=False)
-    known: list[np.ndarray] = []
-    for user in users:
-        items = dataset.train_pos[int(user)]
-        take = max(1, int(round(len(items) * _FEDREC_KNOWN_FRACTION)))
-        if masked:
-            known.append(rng.choice(dataset.num_items, size=take, replace=False))
-        else:
-            known.append(rng.choice(items, size=min(take, len(items)), replace=False))
-    return known
+def build_malicious_cohort(name: str, **kwargs) -> MaliciousCohort | None:
+    """The named attacker with its team, or ``None`` without one.
 
-
-def _pip_labels(
-    dataset: InteractionDataset, masked: bool, rng: np.random.Generator
-) -> np.ndarray:
-    """Binary popularity labels: true top-15%, or shuffled when masked."""
-    ranking = dataset.popularity_ranking()
-    labels = np.zeros(dataset.num_items)
-    head = max(1, int(round(dataset.num_items * _PIP_POPULAR_SHARE)))
-    labels[ranking[:head]] = 1.0
-    if masked:
-        rng.shuffle(labels)
-    return labels
-
-
-def build_malicious_clients(
-    name: str,
-    *,
-    dataset: InteractionDataset,
-    config: AttackConfig,
-    targets: np.ndarray,
-    embedding_dim: int,
-    num_malicious: int,
-    first_user_id: int,
-    masked_prior: bool = True,
-    seed: int = 0,
-) -> list[MaliciousClient]:
-    """Instantiate ``num_malicious`` attack clients of the named attack.
-
-    ``masked_prior`` selects the paper's fair-comparison mode (Table
-    III) in which FedRecAttack's interactions and PipAttack's
-    popularity levels are withheld from the attacker.
-
-    PIECK teams share one :class:`~repro.attacks.mining.
-    RoundSnapshotCache`: co-sampled miners retain a single copy of the
-    round's item matrix between them instead of one copy each.  To run
-    the team through the batched cohort path instead of per-object
-    ``participate`` calls, hand the returned list to
-    :func:`build_malicious_cohort` (or construct
-    :class:`~repro.attacks.cohort.MaliciousCohort` directly).
+    Accepts the keyword arguments of
+    :class:`~repro.attacks.cohort.MaliciousCohort`; returns ``None``
+    for ``name="none"`` or ``num_malicious=0``.
     """
     if name not in ATTACK_NAMES:
         raise ValueError(f"unknown attack {name!r}; expected one of {ATTACK_NAMES}")
-    if name == "none" or num_malicious == 0:
-        return []
-
-    rng = spawn(seed, "attack-build", name)
-    snapshots = RoundSnapshotCache() if name in ("pieck_ipe", "pieck_uea") else None
-    clients: list[MaliciousClient] = []
-    for index in range(num_malicious):
-        user_id = first_user_id + index
-        if name == "fedattack":
-            clients.append(
-                FedAttack(
-                    user_id,
-                    targets,
-                    config,
-                    dataset.num_items,
-                    embedding_dim=embedding_dim,
-                    seed=seed,
-                )
-            )
-        elif name == "pieck_ipe":
-            clients.append(
-                PieckIPE(
-                    user_id, targets, config, dataset.num_items, snapshots=snapshots
-                )
-            )
-        elif name == "pieck_uea":
-            clients.append(
-                PieckUEA(
-                    user_id,
-                    targets,
-                    config,
-                    dataset.num_items,
-                    seed=seed,
-                    snapshots=snapshots,
-                )
-            )
-        elif name == "fedrecattack":
-            known = _fedrec_known_interactions(dataset, masked_prior, rng)
-            clients.append(
-                FedRecAttack(
-                    user_id,
-                    targets,
-                    config,
-                    dataset.num_items,
-                    known,
-                    embedding_dim=embedding_dim,
-                    seed=seed,
-                )
-            )
-        elif name == "pipattack":
-            labels = _pip_labels(dataset, masked_prior, rng)
-            clients.append(
-                PipAttack(
-                    user_id,
-                    targets,
-                    config,
-                    dataset.num_items,
-                    labels,
-                    embedding_dim=embedding_dim,
-                    seed=seed,
-                )
-            )
-        elif name == "a_ra":
-            clients.append(
-                ARa(
-                    user_id,
-                    targets,
-                    config,
-                    dataset.num_items,
-                    embedding_dim=embedding_dim,
-                    seed=seed,
-                )
-            )
-        elif name == "a_hum":
-            clients.append(
-                AHum(
-                    user_id,
-                    targets,
-                    config,
-                    dataset.num_items,
-                    embedding_dim=embedding_dim,
-                    seed=seed,
-                )
-            )
-    for client in clients:
-        client.team_size = len(clients)
-    return clients
-
-
-def build_malicious_cohort(name: str, **kwargs) -> MaliciousCohort | None:
-    """Build the named attack team and wrap it in a batched cohort.
-
-    Accepts exactly the keyword arguments of
-    :func:`build_malicious_clients`; returns ``None`` for
-    ``name="none"`` or an empty team.  The cohort executes all sampled
-    clients of a round in one struct-of-arrays pass
-    (:meth:`~repro.attacks.cohort.MaliciousCohort.compute_uploads`)
-    and is bit-identical to driving the same clients through
-    ``participate`` one by one.
-    """
-    clients = build_malicious_clients(name, **kwargs)
-    return MaliciousCohort(clients) if clients else None
+    if name == "none" or kwargs["num_malicious"] == 0:
+        return None
+    return MaliciousCohort(name, **kwargs)

@@ -248,6 +248,13 @@ class AttackConfig:
     grad_clip: float = 0.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for k, item in enumerate(self.target_items or ()):
+            if item < 0:
+                raise ValueError(f"target item {item} is negative")
+            if item in self.target_items[:k]:
+                raise ValueError(f"target item {item} is listed twice")
+
 
 @dataclass(frozen=True)
 class DefenseConfig:

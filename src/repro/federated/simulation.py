@@ -31,8 +31,7 @@ import numpy as np
 
 from repro import kernels
 from repro.attacks.base import select_target_items
-from repro.attacks.cohort import MaliciousCohort
-from repro.attacks.registry import build_malicious_clients, num_malicious_for_ratio
+from repro.attacks.registry import build_malicious_cohort, num_malicious_for_ratio
 from repro.config import AttackConfig, ExperimentConfig, identity_digest
 from repro.datasets.base import InteractionDataset
 from repro.datasets.loaders import load_dataset
@@ -150,15 +149,23 @@ class FederatedSimulation:
         num_malicious = num_malicious_for_ratio(
             self.dataset.num_users, attack_cfg.malicious_ratio
         )
-        self.malicious_clients = build_malicious_clients(
+        # The attacker and its whole team, one struct-of-arrays
+        # MaliciousCohort (vectorised participation counters, shared
+        # Δ-Norm observation ledger, stacked uploads); ``None`` for a
+        # run without adversary.
+        self.malicious_cohort = build_malicious_cohort(
             attack_cfg.name,
             dataset=self.dataset,
             config=attack_cfg,
             targets=self.targets,
             embedding_dim=config.model.embedding_dim,
-            num_malicious=num_malicious if attack_cfg.name != "none" else 0,
+            num_malicious=num_malicious,
             first_user_id=self.dataset.num_users,
             seed=config.seed,
+        )
+        #: Benign + injected malicious user count (the paper's |U|).
+        self.total_users = self.state.num_users + (
+            self.malicious_cohort.team_size if self.malicious_cohort else 0
         )
 
         aggregator, update_filter = build_server_defense(config.defense)
@@ -187,16 +194,6 @@ class FederatedSimulation:
             sample_eval_negatives(
                 self.dataset, config.train.eval_num_negatives, config.seed
             )
-        )
-        # The whole malicious team is driven through one
-        # struct-of-arrays MaliciousCohort (vectorised participation
-        # counters, shared Δ-Norm observation ledger, stacked uploads).
-        # The cohort adopts the client objects, so they must not also
-        # be driven via participate() while this simulation runs.
-        self.malicious_cohort = (
-            MaliciousCohort(self.malicious_clients)
-            if self.malicious_clients
-            else None
         )
         # Multi-process round executor — a compute provider to the
         # batch engine, synchronous or asynchronous: benign stacks are
@@ -292,6 +289,12 @@ class FederatedSimulation:
             targets = np.asarray(attack_cfg.target_items, dtype=np.int64)
             if len(targets) == 0:
                 raise ValueError("target_items must not be empty")
+            beyond = targets[targets >= self.dataset.num_items]
+            if len(beyond):
+                raise ValueError(
+                    f"target item {int(beyond[0])} is out of range for a "
+                    f"catalogue of {self.dataset.num_items} items"
+                )
             return targets
         rng = spawn(self.config.seed, "targets")
         return select_target_items(self.dataset, attack_cfg.num_targets, rng)
@@ -299,11 +302,6 @@ class FederatedSimulation:
     # ------------------------------------------------------------------
     # Training loop
     # ------------------------------------------------------------------
-
-    @property
-    def total_users(self) -> int:
-        """Benign + injected malicious user count (the paper's |U|)."""
-        return self.state.num_users + len(self.malicious_clients)
 
     def run_round(self, round_idx: int) -> None:
         """Execute one communication round (steps 1-4 of Section III-A).
@@ -457,7 +455,6 @@ class FederatedSimulation:
         components = {
             "server": self.server,
             "store": self.state,
-            "clients": self.malicious_clients,
             "engine": self._batch_engine,
             "cohort": self.malicious_cohort,
             "faults": self.fault_controller,

@@ -92,7 +92,10 @@ __all__ = [
 #: (``state["store"]["miner"]``), not a dict of per-user regularizers.
 #: v8: the NCF tower is row-stable, which moves NCF runs in the last
 #: ulp; a v7 NCF checkpoint would resume onto mixed arithmetic.
-CHECKPOINT_VERSION = "ckpt-v8"
+#: v9: the attacker's state is the cohort's alone (``state["cohort"]``
+#: carries the members' warm state); no ``clients`` component of
+#: per-client participation counters and miners.
+CHECKPOINT_VERSION = "ckpt-v9"
 
 #: Suffix appended (atomically, via ``os.replace``) to files that fail
 #: their integrity check.  A quarantined file is out of every loader's

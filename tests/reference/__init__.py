@@ -9,6 +9,9 @@ for bit:
 
 * :mod:`reference.client` — ``BenignClient``, the per-client local
   step (BCE or BPR, regularizer hooks, per-client learning rates);
+* :mod:`reference.attack` — ``ReferenceAttacker``, one attacker
+  member's round (participation scale, its own Algorithm 1 miner,
+  ``ClientUpdate``) around the cohort member's payload;
 * :mod:`reference.uea` — ``PerClientPieckUEA``, PIECK-UEA's inner
   loop run one client and one target at a time;
 * :mod:`reference.updates` — the ``ClientUpdate``-list twins of the
@@ -21,6 +24,7 @@ Tests import it as ``reference`` (pytest puts ``tests/`` on
 themselves.
 """
 
+from reference.attack import ReferenceAttacker, attackers
 from reference.client import BenignClient
 from reference.loop import ClientViewList, LoopSimulation
 from reference.uea import PerClientPieckUEA, per_client
@@ -31,8 +35,10 @@ __all__ = [
     "ClientViewList",
     "LoopSimulation",
     "PerClientPieckUEA",
+    "ReferenceAttacker",
     "apply_to_updates",
     "apply_updates",
+    "attackers",
     "per_client",
     "record",
     "to_updates",

@@ -1,13 +1,13 @@
 """The per-client reference round, as a drop-in simulation.
 
 :class:`LoopSimulation` is a :class:`FederatedSimulation` whose rounds
-run one pure-Python ``participate`` call per sampled client, then the
-per-upload fault, audit and server twins of :mod:`reference.updates`.
-Everything else — construction, the store, the malicious team's
-objects (with PIECK-UEA's per-client inner loop), evaluation,
-checkpoints — is the package's own code, so a
-parity test compares two runs that differ only in how a round is
-executed.
+run one pure-Python ``participate`` call per sampled client — benign
+views of :mod:`reference.client`, attackers of :mod:`reference.attack`
+— then the per-upload fault, audit and server twins of
+:mod:`reference.updates`.  Everything else — construction (the
+attacker's members included), the store, evaluation, checkpoints — is
+the package's own code, so a parity test compares two runs that differ
+only in how a round is executed.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from repro.defenses.registry import client_regularizer_factory
 from repro.federated.simulation import FederatedSimulation
 from repro.federated.shards import ShardedStateStore
 
+from reference.attack import attackers
 from reference.client import BenignClient
-from reference.uea import per_client
 from reference.updates import apply_to_updates, apply_updates
 
 __all__ = ["ClientViewList", "LoopSimulation"]
@@ -66,15 +66,14 @@ class ClientViewList:
 class LoopSimulation(FederatedSimulation):
     """A simulation whose rounds run the per-client reference loop.
 
-    The malicious clients are driven through their own ``participate``
-    methods, so no cohort is kept (the cohort would otherwise own
-    their counters and mining state); PIECK-UEA clients run the
-    per-client inner loop of :mod:`reference.uea`.  Likewise each
-    defended benign client carries its own ``ClientRegularizer``
-    oracle instead of a row of the store's miner block; those objects
-    are not part of a checkpoint, so resuming a defended loop run is
-    not supported.
-    Worker processes and the
+    The cohort's members are wrapped in :mod:`reference.attack`
+    oracles, each with its own counter and miner, and the cohort is
+    dropped; the wrappers are checkpointed as ``attackers``.  PIECK-UEA
+    members run the per-client inner loop of :mod:`reference.uea`.
+    Likewise each defended benign client carries its own
+    ``ClientRegularizer`` oracle instead of a row of the store's miner
+    block; those objects are not part of a checkpoint, so resuming a
+    defended loop run is not supported.  Worker processes and the
     asynchronous event loop reuse batched wave math the reference does
     not have, so configs enabling either are refused.
     """
@@ -87,12 +86,15 @@ class LoopSimulation(FederatedSimulation):
                 "batched wave math for workers or the event loop to reuse"
             )
         super().__init__(config, dataset, audit=audit)
+        self.attackers = attackers(self.malicious_cohort)
         self.malicious_cohort = None
-        per_client(self.malicious_clients)
         self.benign_clients = ClientViewList(
             self.state,
             client_regularizer_factory(config.defense, self.dataset.num_items),
         )
+
+    def _components(self) -> dict:
+        return {**super()._components(), "attackers": self.attackers}
 
     def run_round(self, round_idx: int) -> None:
         sampled = self.server.sample_users(
@@ -111,7 +113,7 @@ class LoopSimulation(FederatedSimulation):
                     self.model, self.config.train, round_idx
                 )
             else:
-                update = self.malicious_clients[user_id - num_benign].participate(
+                update = self.attackers[user_id - num_benign].participate(
                     self.model, self.config.train, round_idx
                 )
             if update is not None:

@@ -7,9 +7,9 @@ the original formulation — each client optimises each target alone,
 recomputing the reference norm and the adaptive margin per target — as
 the oracle the lockstep must reproduce bit for bit.
 
-:func:`per_client` turns the ``PieckUEA`` objects of a team into
-:class:`PerClientPieckUEA` in place, keeping their miners, refiners and
-counters; every other attack's objects are returned unchanged.
+:func:`per_client` turns the ``PieckUEA`` members of a team into
+:class:`PerClientPieckUEA` in place, keeping their refiners; every
+other attack's members are returned unchanged.
 """
 
 from __future__ import annotations

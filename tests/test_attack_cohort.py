@@ -1,12 +1,12 @@
 """MaliciousCohort parity and shared-mining-ledger property tests.
 
 The cohort's contract mirrors the batch engine's: for any seed, the
-struct-of-arrays team path (``FederatedSimulation``, which attaches a
+struct-of-arrays team (``FederatedSimulation``'s
 :class:`~repro.attacks.cohort.MaliciousCohort`) must reproduce the
-per-object ``participate`` loop (``reference.LoopSimulation``) bit for
-bit —
-same mining trajectories, same participation scales, same uploads,
-same ``SimulationResult`` history.  These tests assert that end to end
+per-object oracle (``reference.attack``, one ``participate`` call per
+member, as ``reference.LoopSimulation`` runs it) bit for bit — same
+mining trajectories, same participation scales, same uploads, same
+``SimulationResult`` history.  These tests assert that end to end
 for every attack x model x malicious-ratio combination, and
 property-test the building blocks (the shared Δ-Norm observation
 ledger, the vectorised participation counters, the stacked bounded
@@ -16,21 +16,16 @@ step kernel).
 import numpy as np
 import pytest
 
-from reference import LoopSimulation, per_client
+from reference import LoopSimulation, attackers, per_client
 from repro.attacks.base import (
     MaliciousClient,
     bounded_step_gradient,
     stacked_step_gradients,
 )
-from repro.attacks.cohort import CohortUpload, MaliciousCohort
+from repro.attacks.cohort import CohortUpload
 from repro.attacks.pieck_uea import lockstep_payloads
-from repro.attacks.mining import (
-    CohortMiner,
-    DeltaNormTracker,
-    PopularItemMiner,
-    RoundSnapshotCache,
-)
-from repro.attacks.registry import build_malicious_clients, build_malicious_cohort
+from repro.attacks.mining import CohortMiner, PopularItemMiner
+from repro.attacks.registry import build_malicious_cohort
 
 # Cross-product parity sweeps (attack x model x ratio, end to end) are
 # the suite's slowest files; the marker lets CI legs split them off.
@@ -94,7 +89,7 @@ def assert_cohort_parity(cfg, dataset):
     assert np.array_equal(
         loop_sim.model.item_embeddings, batch_sim.model.item_embeddings
     )
-    if batch_sim.malicious_clients:
+    if loop_sim.attackers:
         assert batch_sim.malicious_cohort is not None
         assert batch_sim._batch_engine.object_malicious_rounds == 0
     return loop_sim, batch_sim
@@ -187,7 +182,7 @@ class TestCohortParity:
             ),
         )
         loop_sim, _ = assert_cohort_parity(cfg, cohort_dataset)
-        assert any(client.miner.ready for client in loop_sim.malicious_clients)
+        assert any(a.miner.mined is not None for a in loop_sim.attackers)
 
     def test_defended_parity(self, cohort_dataset):
         cfg = replace(
@@ -248,7 +243,7 @@ class TestCohortUploadsMatchObjects:
             first_user_id=cohort_dataset.num_users,
             seed=9,
         )
-        objects = per_client(build_malicious_clients(attack, **kwargs))
+        objects = attackers(build_malicious_cohort(attack, **kwargs))
         cohort = build_malicious_cohort(attack, **kwargs)
         model_a = build_model(kind, cohort_dataset.num_items, 6, seed=4)
         model_b = build_model(kind, cohort_dataset.num_items, 6, seed=4)
@@ -296,13 +291,13 @@ class TestCohortUploadsMatchObjects:
             first_user_id=cohort_dataset.num_users,
             seed=2,
         )
-        objects = build_malicious_clients("fedattack", **kwargs)
+        objects = attackers(build_malicious_cohort("fedattack", **kwargs))
         cohort = build_malicious_cohort("fedattack", **kwargs)
         model_a = build_model("mf", cohort_dataset.num_items, 6, seed=1)
         model_a.item_embeddings = model_a.item_embeddings.astype(np.float32)
         model_b = build_model("mf", cohort_dataset.num_items, 6, seed=1)
         model_b.item_embeddings = model_b.item_embeddings.astype(np.float32)
-        for client in objects + cohort.clients:
+        for client in [oracle.client for oracle in objects] + cohort.clients:
             client.user_embedding = client.user_embedding.astype(np.float32)
         rows = np.arange(3)
         for round_idx in range(2):
@@ -349,7 +344,7 @@ class TestCohortUploadsMatchObjects:
             num_malicious=4,
             first_user_id=cohort_dataset.num_users,
         )
-        objects = build_malicious_clients("fedattack", **kwargs)
+        objects = attackers(build_malicious_cohort("fedattack", **kwargs))
         cohort = build_malicious_cohort("fedattack", **kwargs)
         model = build_model("mf", cohort_dataset.num_items, 4, seed=0)
         rng = np.random.default_rng(7)
@@ -361,26 +356,6 @@ class TestCohortUploadsMatchObjects:
         assert cohort.times_sampled.tolist() == [
             client._times_sampled for client in objects
         ]
-
-    def test_heterogeneous_team_rejected(self, cohort_dataset):
-        cfg = AttackConfig(name="pieck_ipe")
-        kwargs = dict(
-            dataset=cohort_dataset,
-            config=cfg,
-            targets=np.array([3]),
-            embedding_dim=4,
-            num_malicious=1,
-            first_user_id=100,
-        )
-        mixed = build_malicious_clients("pieck_ipe", **kwargs) + (
-            build_malicious_clients("fedattack", **kwargs)
-        )
-        with pytest.raises(ValueError, match="one attack class"):
-            MaliciousCohort(mixed)
-
-    def test_empty_team_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            MaliciousCohort([])
 
 
 class TestUEALockstep:
@@ -414,8 +389,8 @@ class TestUEALockstep:
             first_user_id=cohort_dataset.num_users,
             seed=5,
         )
-        team = build_malicious_clients("pieck_uea", **kwargs)
-        oracles = per_client(build_malicious_clients("pieck_uea", **kwargs))
+        team = build_malicious_cohort("pieck_uea", **kwargs).clients
+        oracles = per_client(build_malicious_cohort("pieck_uea", **kwargs).clients)
         model = build_model(kind, cohort_dataset.num_items, 8, seed=2)
         populars = [np.arange(20, 20 + size) for size in (1, 4, 2, 1, 3, 4)]
         train_cfg = TrainConfig(lr=0.5)
@@ -532,60 +507,6 @@ class TestCohortMiner:
 
 
 # ----------------------------------------------------------------------
-# Shared same-round snapshots for per-object trackers (satellite fix)
-# ----------------------------------------------------------------------
-
-
-class TestRoundSnapshotCache:
-    def test_same_round_observers_share_one_copy(self):
-        cache = RoundSnapshotCache()
-        matrix = np.arange(12, dtype=np.float64).reshape(4, 3)
-        trackers = [DeltaNormTracker(4) for _ in range(5)]
-        for tracker in trackers:
-            tracker.observe(matrix, snapshot=cache.get(matrix, round_idx=0))
-        assert cache.copies == 1
-        baselines = {id(tracker._last) for tracker in trackers}
-        assert len(baselines) == 1
-        assert trackers[0]._last is not matrix
-
-    def test_new_round_takes_new_copy(self):
-        cache = RoundSnapshotCache()
-        matrix = np.zeros((2, 2))
-        cache.get(matrix, 0)
-        cache.get(matrix, 0)
-        cache.get(matrix, 1)
-        assert cache.copies == 2
-
-    def test_accumulation_identical_with_and_without_cache(self):
-        rng = np.random.default_rng(0)
-        cache = RoundSnapshotCache()
-        shared = DeltaNormTracker(6)
-        private = DeltaNormTracker(6)
-        for round_idx in range(5):
-            matrix = rng.normal(size=(6, 3))
-            shared.observe(matrix, snapshot=cache.get(matrix, round_idx))
-            private.observe(matrix)
-        assert np.array_equal(shared.accumulated, private.accumulated)
-
-    def test_top_items_cached_between_observations(self):
-        tracker = DeltaNormTracker(4)
-        tracker.observe(np.zeros((4, 2)))
-        tracker.observe(np.eye(4, 2))
-        first = tracker.top_items(3)
-        assert tracker.top_items(3) is not None
-        assert tracker._order is not None  # cached, no re-sort
-        # Only the requested prefix is retained (a full permutation per
-        # tracker would not scale to production catalogues) ...
-        assert len(tracker._order) == 3
-        again = tracker.top_items(2)
-        assert np.array_equal(first[:2], again)
-        # ... and a larger request re-sorts and still matches.
-        assert np.array_equal(tracker.top_items(4)[:3], first)
-        tracker.observe(np.ones((4, 2)))
-        assert tracker._order is None  # invalidated by new observation
-
-
-# ----------------------------------------------------------------------
 # Stacked bounded-step kernel
 # ----------------------------------------------------------------------
 
@@ -636,14 +557,14 @@ class TestStackedStepGradients:
 
 
 # ----------------------------------------------------------------------
-# Object-path template still enforces the participation contract
+# The per-object oracle still enforces the participation contract
 # ----------------------------------------------------------------------
 
 
 class TestParticipateTemplate:
     def test_scale_counts_mining_rounds(self, cohort_dataset):
         """PIECK counts participations even while uploading nothing."""
-        clients = build_malicious_clients(
+        cohort = build_malicious_cohort(
             "pieck_ipe",
             dataset=cohort_dataset,
             config=AttackConfig(name="pieck_ipe", mining_rounds=2),
@@ -653,7 +574,7 @@ class TestParticipateTemplate:
             first_user_id=cohort_dataset.num_users,
         )
         model = build_model("mf", cohort_dataset.num_items, 4, seed=0)
-        client = clients[0]
+        client = attackers(cohort)[0]
         assert client.participate(model, TrainConfig(lr=1.0), 0) is None
         assert client.participate(model, TrainConfig(lr=1.0), 1) is None
         assert client._times_sampled == 2
@@ -662,4 +583,4 @@ class TestParticipateTemplate:
 
     def test_round_payload_is_abstract(self):
         with pytest.raises(TypeError):
-            MaliciousClient(0, np.array([1]), AttackConfig())
+            MaliciousClient(0, np.array([1]), AttackConfig(), 4)

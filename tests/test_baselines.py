@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import ReferenceAttacker
 from repro.attacks.baselines.fedrecattack import FedRecAttack
 from repro.attacks.baselines.interaction import AHum, ARa
 from repro.attacks.baselines.pipattack import PipAttack
@@ -26,7 +27,7 @@ class TestFedRecAttack:
         model = MFModel(20, 4, seed=0)
         known = [np.array([0, 1]), np.array([2, 3])]
         attack = FedRecAttack(0, np.array([7]), cfg, 20, known, embedding_dim=4)
-        update = attack.participate(model, TrainConfig(lr=1.0), 0)
+        update = ReferenceAttacker(attack).participate(model, TrainConfig(lr=1.0), 0)
         np.testing.assert_array_equal(update.item_ids, [7])
         assert update.malicious
 
@@ -39,7 +40,7 @@ class TestFedRecAttack:
         before = float(
             np.mean(model.item_embeddings[known[0]] @ attack.surrogate_users[0])
         )
-        attack.participate(model, TrainConfig(lr=1.0), 0)
+        ReferenceAttacker(attack).participate(model, TrainConfig(lr=1.0), 0)
         after = float(
             np.mean(model.item_embeddings[known[0]] @ attack.surrogate_users[0])
         )
@@ -58,7 +59,7 @@ class TestPipAttack:
         labels[:10] = 1.0
         model.item_embeddings[:10] += np.array([2.0, 0, 0, 0])
         attack = PipAttack(0, np.array([30]), cfg, 40, labels, embedding_dim=4)
-        attack.participate(model, TrainConfig(lr=1.0), 0)
+        ReferenceAttacker(attack).participate(model, TrainConfig(lr=1.0), 0)
         # Classifier weights should point towards the popular half-space.
         assert attack._weights[0] > 0
 
@@ -68,7 +69,7 @@ class TestPipAttack:
         labels[:10] = 1.0
         model.item_embeddings[:10] += np.array([3.0, 0, 0, 0])
         attack = PipAttack(0, np.array([30]), cfg, 40, labels, embedding_dim=4)
-        update = attack.participate(model, TrainConfig(lr=1.0), 0)
+        update = ReferenceAttacker(attack).participate(model, TrainConfig(lr=1.0), 0)
         moved = model.item_embeddings[30] - 1.0 * update.item_grads[0]
         assert moved[0] > model.item_embeddings[30][0]
 
@@ -77,29 +78,28 @@ class TestARa:
     def test_mf_uploads_no_param_grads(self, cfg):
         model = MFModel(20, 4, seed=3)
         attack = ARa(0, np.array([5]), cfg, 20, embedding_dim=4)
-        update = attack.participate(model, TrainConfig(lr=1.0), 0)
+        update = ReferenceAttacker(attack).participate(model, TrainConfig(lr=1.0), 0)
         assert update.param_grads == []
         np.testing.assert_array_equal(update.item_ids, [5])
 
     def test_ncf_uploads_param_grads(self, cfg):
         model = NCFModel(20, 4, mlp_layers=(8,), seed=3)
         attack = ARa(0, np.array([5]), cfg, 20, embedding_dim=4)
-        update = attack.participate(model, TrainConfig(lr=1.0), 0)
+        update = ReferenceAttacker(attack).participate(model, TrainConfig(lr=1.0), 0)
         assert len(update.param_grads) == len(model.interaction_params())
 
     def test_param_poisoning_restores_model(self, cfg):
         model = NCFModel(20, 4, mlp_layers=(8,), seed=3)
         before = [p.copy() for p in model.interaction_params()]
-        ARa(0, np.array([5]), cfg, 20, embedding_dim=4).participate(
-            model, TrainConfig(lr=1.0), 0
-        )
+        attack = ARa(0, np.array([5]), cfg, 20, embedding_dim=4)
+        ReferenceAttacker(attack).participate(model, TrainConfig(lr=1.0), 0)
         for prev, current in zip(before, model.interaction_params()):
             np.testing.assert_array_equal(prev, current)
 
     def test_poison_promotes_target_for_random_users(self, cfg):
         model = NCFModel(20, 4, mlp_layers=(8,), seed=4)
         attack = ARa(0, np.array([5]), cfg, 20, embedding_dim=4)
-        update = attack.participate(model, TrainConfig(lr=0.1), 0)
+        update = ReferenceAttacker(attack).participate(model, TrainConfig(lr=0.1), 0)
         # Apply the poisonous parameter gradients like the server would.
         model.apply_param_update([-0.1 * g for g in update.param_grads])
         model.apply_item_update(update.item_ids, -0.1 * update.item_grads)
@@ -142,6 +142,6 @@ class TestAHum:
     def test_poison_items_enabled(self, cfg):
         model = MFModel(20, 4, seed=7)
         attack = AHum(0, np.array([5]), cfg, 20, embedding_dim=4)
-        update = attack.participate(model, TrainConfig(lr=1.0), 0)
+        update = ReferenceAttacker(attack).participate(model, TrainConfig(lr=1.0), 0)
         assert update is not None
         np.testing.assert_array_equal(update.item_ids, [5])

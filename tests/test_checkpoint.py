@@ -51,6 +51,18 @@ needs_native = pytest.mark.skipif(
 #: Simulation class per engine leg of a parametrised test.
 ENGINES = {"batch": FederatedSimulation, "loop": LoopSimulation}
 
+#: Attacks beside the default ``pieck_uea`` whose resume the batch leg
+#: checks; most carry per-member warm state.
+RESUME_ATTACKS = [
+    {"name": "pipattack"},
+    {"name": "fedrecattack"},
+    {"name": "a_ra"},
+    {"name": "a_hum"},
+    {"name": "fedattack"},
+    {"name": "pieck_ipe"},
+    {"name": "pieck_uea", "uea_pseudo_source": "refined"},
+]
+
 FAULTS = FaultConfig(
     dropout_rate=0.15,
     straggler_rate=0.1,
@@ -132,9 +144,28 @@ def _resumed_across(written_cfg, resumed_cfg, dataset, tmp_path, *, stop_after=7
 
 
 class TestResumeBitIdentity:
-    @pytest.mark.parametrize("engine", ["batch", "loop"])
-    def test_mf_attack_resume(self, tiny_dataset, tmp_path, engine):
-        cfg = _config("mf")
+    @pytest.mark.parametrize(
+        "engine,kind,attack",
+        [
+            pytest.param("batch", "mf", None, id="batch"),
+            pytest.param("loop", "mf", None, id="loop"),
+        ]
+        + [
+            pytest.param(
+                "batch", kind, attack, id="-".join(["batch", *attack.values(), kind])
+            )
+            for kind in ("mf", "ncf")
+            for attack in RESUME_ATTACKS
+        ],
+    )
+    def test_mf_attack_resume(self, tiny_dataset, tmp_path, engine, kind, attack):
+        cfg = _config(kind)
+        if attack is not None:
+            # Every member's warm state (surrogates, classifiers,
+            # refiners) crosses the boundary inside the cohort's state.
+            cfg = _config(
+                kind, attack=AttackConfig(malicious_ratio=0.2, mining_rounds=2, **attack)
+            )
         reference = ENGINES[engine](cfg, tiny_dataset)
         ref_state = _final_state(reference, reference.run())
         _assert_identical(
@@ -457,29 +488,30 @@ class TestCorruptionFallback:
         assert not isinstance(caught.value, persistence.IntegrityError)
         assert os.path.exists(path)
 
-    def test_v3_checkpoint_is_refused_by_name(self, tmp_path):
-        # v3 buffers held per-client uploads; v4 holds UpdateBatch parts.
-        self._assert_refused_by_name(tmp_path, "ckpt-v3")
-
-    def test_v4_checkpoint_is_refused_by_name(self, tmp_path):
-        # v4 pickled adversary and regularizer objects; v5 holds
-        # {component: state()} arrays.
-        self._assert_refused_by_name(tmp_path, "ckpt-v4")
-
-    def test_v5_checkpoint_is_refused_by_name(self, tmp_path):
-        # v5 carried an engine name and the server's materialized_rounds
-        # counter; v6 has neither.
-        self._assert_refused_by_name(tmp_path, "ckpt-v5")
-
-    def test_v6_checkpoint_is_refused_by_name(self, tmp_path):
-        # v6 stored per-user regularizer states; v7 stores the store's
-        # CohortMiner arrays.
-        self._assert_refused_by_name(tmp_path, "ckpt-v6")
-
-    def test_v7_checkpoint_is_refused_by_name(self, tmp_path):
-        # v7 NCF states were trained by a tower whose projection was a
-        # GEMV; v8's row-stable tower rounds differently.
-        self._assert_refused_by_name(tmp_path, "ckpt-v7")
+    @pytest.mark.parametrize(
+        "version",
+        [
+            # v3 buffers held per-client uploads; v4 holds UpdateBatch parts.
+            "ckpt-v3",
+            # v4 pickled adversary and regularizer objects; v5 holds
+            # {component: state()} arrays.
+            "ckpt-v4",
+            # v5 carried an engine name and the server's
+            # materialized_rounds counter; v6 has neither.
+            "ckpt-v5",
+            # v6 stored per-user regularizer states; v7 stores the
+            # store's CohortMiner arrays.
+            "ckpt-v6",
+            # v7 NCF states were trained by a tower whose projection was
+            # a GEMV; v8's row-stable tower rounds differently.
+            "ckpt-v7",
+            # v8 carried per-client _times_sampled counters and miners
+            # under "clients"; v9's attacker state is the cohort's alone.
+            "ckpt-v8",
+        ],
+    )
+    def test_old_checkpoint_is_refused_by_name(self, tmp_path, version):
+        self._assert_refused_by_name(tmp_path, version)
 
     def test_resume_falls_back_past_corrupt_newest(self, tiny_dataset, tmp_path):
         # Corrupt the newest retained checkpoint: resume must skip it

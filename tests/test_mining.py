@@ -44,6 +44,23 @@ class TestDeltaNormTracker:
         # Δ-Norm must reflect the values at observation time.
         np.testing.assert_allclose(tracker.accumulated, [np.sqrt(2), np.sqrt(2)])
 
+    def test_top_items_cached_between_observations(self):
+        tracker = DeltaNormTracker(4)
+        tracker.observe(np.zeros((4, 2)))
+        tracker.observe(np.eye(4, 2))
+        first = tracker.top_items(3)
+        assert tracker.top_items(3) is not None
+        assert tracker._order is not None  # cached, no re-sort
+        # Only the requested prefix is retained (a full permutation per
+        # tracker would not scale to production catalogues) ...
+        assert len(tracker._order) == 3
+        again = tracker.top_items(2)
+        assert np.array_equal(first[:2], again)
+        # ... and a larger request re-sorts and still matches.
+        assert np.array_equal(tracker.top_items(4)[:3], first)
+        tracker.observe(np.ones((4, 2)))
+        assert tracker._order is None  # invalidated by new observation
+
 
 class TestPopularItemMiner:
     def test_ready_after_mining_rounds_plus_one(self):
@@ -69,9 +86,8 @@ class TestPopularItemMiner:
 
     def test_baseline_released_on_freeze(self):
         miner = PopularItemMiner(3, 1, 1)
-        shared = np.zeros((3, 2))
-        miner.observe(np.zeros((3, 2)), snapshot=shared)
-        assert miner._tracker._last is shared
+        miner.observe(np.zeros((3, 2)))
+        assert miner._tracker._last is not None
         miner.observe(np.ones((3, 2)))
         assert miner.ready
         # A frozen miner takes no further delta: it must not pin a copy

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import ReferenceAttacker
 from repro.attacks.base import bounded_step_gradient, delta_as_gradient, select_target_items
 from repro.attacks.pieck_ipe import PieckIPE, ipe_loss_and_grad
 from repro.attacks.pieck_uea import PieckUEA
@@ -130,7 +131,7 @@ class TestPieckLifecycles:
     @pytest.mark.parametrize("cls", [PieckIPE, PieckUEA])
     def test_mining_phase_uploads_nothing(self, cls, attack_cfg):
         model = MFModel(30, 6, seed=0)
-        attack = cls(100, np.array([5]), attack_cfg, 30)
+        attack = ReferenceAttacker(cls(100, np.array([5]), attack_cfg, 30))
         updates = run_attack_lifecycle(attack, model)
         # mining_rounds=2 -> the first two participations only observe;
         # the third completes mining and attacks in the same round
@@ -142,7 +143,7 @@ class TestPieckLifecycles:
     def test_poison_targets_only(self, cls, attack_cfg):
         model = MFModel(30, 6, seed=0)
         targets = np.array([5, 9])
-        attack = cls(100, targets, attack_cfg, 30)
+        attack = ReferenceAttacker(cls(100, targets, attack_cfg, 30))
         update = run_attack_lifecycle(attack, model)[-1]
         np.testing.assert_array_equal(np.sort(update.item_ids), targets)
         assert update.malicious
@@ -152,7 +153,7 @@ class TestPieckLifecycles:
         # Make both targets share an embedding so copy == recompute.
         model.item_embeddings[9] = model.item_embeddings[5]
         cfg = replace(attack_cfg, multi_target_strategy="one_then_copy")
-        attack = PieckIPE(100, np.array([5, 9]), cfg, 30)
+        attack = ReferenceAttacker(PieckIPE(100, np.array([5, 9]), cfg, 30))
         update = run_attack_lifecycle(attack, model)[-1]
         np.testing.assert_allclose(update.item_grads[0], update.item_grads[1])
 
@@ -161,7 +162,7 @@ class TestPieckLifecycles:
         # Give popular items large coherent embeddings so mining finds them.
         hot = np.arange(8)
         drift = make_rng(5).normal(size=(8, 6))
-        attack = PieckUEA(100, np.array([20]), attack_cfg, 30)
+        attack = ReferenceAttacker(PieckUEA(100, np.array([20]), attack_cfg, 30))
         cfg = TrainConfig(lr=1.0)
         for round_idx in range(8):
             model.item_embeddings[hot] += 0.5 * drift
@@ -169,30 +170,30 @@ class TestPieckLifecycles:
             if update is not None:
                 # Apply the poison like an undefended server would.
                 model.apply_item_update(update.item_ids, -cfg.lr * update.item_grads)
-        popular_vecs = model.item_embeddings[attack.miner.popular_items()]
+        popular_vecs = model.item_embeddings[attack.miner.mined]
         target_vec = model.item_embeddings[20]
         assert float(np.mean(popular_vecs @ target_vec)) > 0.0
 
     def test_mined_set_excludes_targets(self, attack_cfg):
         model = MFModel(30, 6, seed=0)
         target = 5
-        attack = PieckUEA(100, np.array([target]), attack_cfg, 30)
+        attack = ReferenceAttacker(PieckUEA(100, np.array([target]), attack_cfg, 30))
         cfg = TrainConfig(lr=1.0)
         for round_idx in range(4):
             # Target churns the most, as if other attackers poison it.
             model.item_embeddings[target] += 10.0
             attack.participate(model, cfg, round_idx)
-        assert target not in attack._popular_excluding_targets()
+        popular = attack.client._popular_excluding_targets(attack.miner.mined)
+        assert target not in popular
 
     def test_participation_scale_splits_team(self, attack_cfg):
-        model = MFModel(30, 6, seed=0)
-        attack = PieckIPE(100, np.array([5]), attack_cfg, 30)
-        attack.team_size = 10
+        attack = ReferenceAttacker(
+            PieckIPE(100, np.array([5]), attack_cfg, 30), team_size=10
+        )
         # Sampled every round -> rate 1.0 -> scale 1/10.
         scales = [attack._participation_scale(r) for r in range(3)]
         assert scales[-1] == pytest.approx(0.1)
 
     def test_participation_scale_floor_of_one(self, attack_cfg):
-        attack = PieckIPE(100, np.array([5]), attack_cfg, 30)
-        attack.team_size = 1
+        attack = ReferenceAttacker(PieckIPE(100, np.array([5]), attack_cfg, 30))
         assert attack._participation_scale(0) == 1.0

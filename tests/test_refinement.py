@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from reference import ReferenceAttacker
+from repro.attacks.mining import PopularItemMiner
 from repro.attacks.pieck_uea import PieckUEA
 from repro.attacks.refinement import PseudoUserRefiner
 from repro.config import AttackConfig, TrainConfig
@@ -92,24 +94,28 @@ class TestPseudoUserSource:
         )
         return PieckUEA(100, np.array([30]), config, num_items=40, seed=0)
 
-    def _prime_miner(self, client: PieckUEA, model) -> None:
-        while not client.miner.ready:
-            client.miner.observe(model.item_embeddings)
+    def _popular(self, client: PieckUEA, model) -> np.ndarray:
+        """The client's mined set minus its targets, mined on ``model``."""
+        config = client.config
+        miner = PopularItemMiner(
+            client.num_items, config.mining_rounds, config.num_popular
+        )
+        while not miner.ready:
+            miner.observe(model.item_embeddings)
             model.item_embeddings += 0.01
+        return client._popular_excluding_targets(miner.popular_items())
 
     def test_popular_source_returns_item_rows(self):
         model, _ = _trained_mf()
         client = self._client("popular")
-        self._prime_miner(client, model)
-        ids = client._popular_excluding_targets()
+        ids = self._popular(client, model)
         pseudo = client._pseudo_users(model, ids)
         assert np.allclose(pseudo, model.item_embeddings[ids])
 
     def test_refined_source_differs_from_item_rows(self):
         model, _ = _trained_mf()
         client = self._client("refined")
-        self._prime_miner(client, model)
-        ids = client._popular_excluding_targets()
+        ids = self._popular(client, model)
         pseudo = client._pseudo_users(model, ids)
         assert pseudo.shape == (8, 8)  # uea_refine_count x dim
         assert not np.allclose(pseudo[: len(ids)], model.item_embeddings[ids])
@@ -117,8 +123,7 @@ class TestPseudoUserSource:
     def test_refined_source_reuses_refiner(self):
         model, _ = _trained_mf()
         client = self._client("refined")
-        self._prime_miner(client, model)
-        ids = client._popular_excluding_targets()
+        ids = self._popular(client, model)
         client._pseudo_users(model, ids)
         refiner = client._refiner
         client._pseudo_users(model, ids)
@@ -127,7 +132,7 @@ class TestPseudoUserSource:
     def test_participate_uploads_target_gradients(self):
         model, _ = _trained_mf()
         for source in ("popular", "refined"):
-            client = self._client(source)
+            client = ReferenceAttacker(self._client(source))
             train_cfg = TrainConfig(lr=1.0)
             update = None
             for round_idx in range(6):

@@ -6,7 +6,6 @@ import pytest
 from repro.attacks.cohort import MaliciousCohort
 from repro.attacks.registry import (
     ATTACK_NAMES,
-    build_malicious_clients,
     build_malicious_cohort,
     num_malicious_for_ratio,
 )
@@ -75,7 +74,7 @@ class TestMaliciousCount:
 class TestAttackRegistry:
     def test_all_names_buildable(self, tiny_dataset):
         for name in ATTACK_NAMES:
-            clients = build_malicious_clients(
+            cohort = build_malicious_cohort(
                 name,
                 dataset=tiny_dataset,
                 config=AttackConfig(name=name),
@@ -85,9 +84,9 @@ class TestAttackRegistry:
                 first_user_id=100,
             )
             if name == "none":
-                assert clients == []
+                assert cohort is None
             else:
-                assert len(clients) == 2
+                assert cohort.num_clients == 2
 
     def test_single_user_dataset_buildable(self):
         """Every attack builds against a degenerate 1-user dataset.
@@ -101,7 +100,7 @@ class TestAttackRegistry:
             num_users=1, num_items=12, num_interactions=6, seed=0, name="one"
         )
         for name in ATTACK_NAMES:
-            clients = build_malicious_clients(
+            cohort = build_malicious_cohort(
                 name,
                 dataset=dataset,
                 config=AttackConfig(name=name),
@@ -110,10 +109,10 @@ class TestAttackRegistry:
                 num_malicious=2,
                 first_user_id=1,
             )
-            assert len(clients) == (0 if name == "none" else 2)
+            assert (cohort is None) == (name == "none")
 
     def test_cohort_construction_path(self, tiny_dataset):
-        """build_malicious_cohort mirrors build_malicious_clients."""
+        """build_malicious_cohort builds the whole team, or nothing."""
         kwargs = dict(
             dataset=tiny_dataset,
             config=AttackConfig(name="pieck_ipe"),
@@ -128,24 +127,11 @@ class TestAttackRegistry:
         assert cohort.team_size == 3
         assert cohort.miner is not None
         assert build_malicious_cohort("none", **kwargs) is None
-
-    def test_pieck_team_shares_snapshot_cache(self, tiny_dataset):
-        clients = build_malicious_clients(
-            "pieck_uea",
-            dataset=tiny_dataset,
-            config=AttackConfig(name="pieck_uea"),
-            targets=np.array([3]),
-            embedding_dim=4,
-            num_malicious=3,
-            first_user_id=tiny_dataset.num_users,
-        )
-        caches = {id(client._snapshots) for client in clients}
-        assert len(caches) == 1
-        assert clients[0]._snapshots is not None
+        assert build_malicious_cohort("pieck_ipe", **{**kwargs, "num_malicious": 0}) is None
 
     def test_unknown_name_rejected(self, tiny_dataset):
         with pytest.raises(ValueError, match="unknown attack"):
-            build_malicious_clients(
+            build_malicious_cohort(
                 "ghost",
                 dataset=tiny_dataset,
                 config=AttackConfig(),
@@ -156,7 +142,7 @@ class TestAttackRegistry:
             )
 
     def test_user_ids_sequential(self, tiny_dataset):
-        clients = build_malicious_clients(
+        cohort = build_malicious_cohort(
             "pieck_uea",
             dataset=tiny_dataset,
             config=AttackConfig(),
@@ -165,10 +151,10 @@ class TestAttackRegistry:
             num_malicious=3,
             first_user_id=40,
         )
-        assert [c.user_id for c in clients] == [40, 41, 42]
+        assert [c.user_id for c in cohort.clients] == [40, 41, 42]
 
     def test_team_size_propagated(self, tiny_dataset):
-        clients = build_malicious_clients(
+        cohort = build_malicious_cohort(
             "pieck_ipe",
             dataset=tiny_dataset,
             config=AttackConfig(),
@@ -177,7 +163,7 @@ class TestAttackRegistry:
             num_malicious=4,
             first_user_id=40,
         )
-        assert all(c.team_size == 4 for c in clients)
+        assert cohort.team_size == 4
 
 
 class TestDefenseRegistry:

@@ -202,4 +202,4 @@ def test_checkpoint_references_only_allowed_classes(name, tiny_dataset, tmp_path
     recorder = _ClassRecorder(envelope["payload"])
     payload = recorder.load()
     assert recorder.referenced <= PICKLE_ALLOW_LIST
-    assert set(payload["state"]) >= {"server", "store", "clients", "engine", "cohort"}
+    assert set(payload["state"]) >= {"server", "store", "engine", "cohort"}

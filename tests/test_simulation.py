@@ -6,7 +6,20 @@ import numpy as np
 import pytest
 
 from repro.config import AttackConfig, DefenseConfig, replace
+from repro.datasets.loaders import load_dataset
 from repro.federated.simulation import FederatedSimulation
+from repro.stateful import state_of
+
+
+def _nbytes(state) -> int:
+    """Array bytes in a ``state()`` tree."""
+    if isinstance(state, np.ndarray):
+        return state.nbytes
+    if isinstance(state, dict):
+        state = list(state.values())
+    if isinstance(state, (list, tuple)):
+        return sum(_nbytes(item) for item in state)
+    return 0
 
 
 class TestCleanTraining:
@@ -29,7 +42,7 @@ class TestCleanTraining:
 
     def test_no_malicious_without_attack(self, tiny_mf_config):
         sim = FederatedSimulation(tiny_mf_config)
-        assert sim.malicious_clients == []
+        assert sim.malicious_cohort is None
         assert sim.total_users == sim.dataset.num_users
 
     def test_targets_selected_even_without_attack(self, tiny_mf_config):
@@ -62,7 +75,7 @@ class TestAttackedTraining:
             attack=AttackConfig(name="pieck_uea", malicious_ratio=0.1),
         )
         sim = FederatedSimulation(cfg)
-        ratio = len(sim.malicious_clients) / sim.total_users
+        ratio = sim.malicious_cohort.num_clients / sim.total_users
         assert ratio == pytest.approx(0.1, abs=0.03)
 
     def test_explicit_target_items_respected(self, tiny_mf_config):
@@ -79,6 +92,32 @@ class TestAttackedTraining:
         )
         with pytest.raises(ValueError, match="target_items"):
             FederatedSimulation(cfg)
+
+    def test_out_of_range_target_item_rejected(self, tiny_mf_config):
+        num_items = load_dataset(tiny_mf_config.dataset).num_items
+        cfg = replace(
+            tiny_mf_config,
+            attack=AttackConfig(name="fedattack", target_items=(2, num_items)),
+        )
+        with pytest.raises(ValueError, match=f"target item {num_items} "):
+            FederatedSimulation(cfg)
+
+    @pytest.mark.parametrize("attack", ["pieck_ipe", "pieck_uea"])
+    def test_no_dead_attacker_state(self, tiny_mf_config, attack):
+        """The attacker's checkpointed state is the cohort's: far less
+        than one item vector per member before the team has played."""
+        cfg = replace(
+            tiny_mf_config, attack=AttackConfig(name=attack, malicious_ratio=0.1)
+        )
+        sim = FederatedSimulation(cfg)
+        benign = ("server", "store", "engine", "faults", "async")
+        held = sum(
+            _nbytes(state_of(component))
+            for name, component in sim._components().items()
+            if name not in benign
+        )
+        num_malicious = sim.total_users - sim.dataset.num_users
+        assert 0 < held < num_malicious * sim.dataset.num_items * 8
 
     def test_attack_raises_exposure(self, tiny_mf_config):
         clean = FederatedSimulation(tiny_mf_config).run(rounds=40)
