@@ -14,6 +14,10 @@ latency, client churn and a tight round deadline, and must
   flight; nothing vanishes silently);
 * reproduce bit-identically when re-run with the same seed.
 
+One more cell runs the same traffic with client faults on top
+(dropout, stragglers, corruption — faults compose with asynchrony
+through the one upload transit) and must also count every fault kind.
+
 **Sync parity** — the degenerate configuration (instant traffic, zero
 latency, no churn, buffer = cohort) must reproduce the synchronous
 batch engine *bit for bit* across the same grid and both model kinds.
@@ -38,6 +42,7 @@ from repro.config import (
     DatasetConfig,
     DefenseConfig,
     ExperimentConfig,
+    FaultConfig,
     ModelConfig,
     TrainConfig,
 )
@@ -55,6 +60,16 @@ CHURNY = AsyncConfig(
     churn_rate=0.15,
     buffer_size=12,
     round_deadline=1.5,
+)
+#: The staleness discount and cap of every churn cell.
+STALENESS = FaultConfig(staleness_discount=0.6, max_staleness=4)
+#: Client faults of the faults x async cell, on top of ``STALENESS``.
+FAULTY = FaultConfig(
+    dropout_rate=0.1,
+    straggler_rate=0.15,
+    straggler_max_delay=3,
+    corruption_rate=0.1,
+    corruption_mode="nan",
     staleness_discount=0.6,
     max_staleness=4,
 )
@@ -85,33 +100,43 @@ def _run(config: ExperimentConfig):
 
 
 def churn_grid() -> None:
-    for attack in ATTACKS:
-        for defense in DEFENSES:
-            config = _config(attack, defense, asynchrony=CHURNY)
-            result, items = _run(config)
-            stats = result.async_stats
-            label = f"{attack} x {defense}"
-            assert np.isfinite(items).all(), f"{label}: non-finite model"
-            assert stats.waves_dispatched > 0, f"{label}: no waves dispatched"
-            assert stats.uploads_cancelled > 0, f"{label}: churn never fired"
-            assert stats.stale_applied > 0, f"{label}: no stale upload landed"
-            assert stats.uploads_applied > 0, f"{label}: nothing aggregated"
-            assert stats.clients_dispatched == (
-                stats.uploads_cancelled
-                + stats.uploads_arrived
-                + stats.uploads_in_flight
-            ), f"{label}: upload conservation violated"
-            rerun_result, rerun_items = _run(config)
-            assert rerun_items.tobytes() == items.tobytes(), (
-                f"{label}: async run is not reproducible"
+    cells = [(a, d, STALENESS) for a in ATTACKS for d in DEFENSES]
+    cells.append(("pieck_uea", "median", FAULTY))
+    for attack, defense, faults in cells:
+        config = _config(attack, defense, asynchrony=CHURNY, faults=faults)
+        result, items = _run(config)
+        stats = result.async_stats
+        label = f"{attack} x {defense}" + (" x faults" if faults is FAULTY else "")
+        assert np.isfinite(items).all(), f"{label}: non-finite model"
+        assert stats.waves_dispatched > 0, f"{label}: no waves dispatched"
+        assert stats.uploads_cancelled > 0, f"{label}: churn never fired"
+        assert stats.stale_applied > 0, f"{label}: no stale upload landed"
+        assert stats.uploads_applied > 0, f"{label}: nothing aggregated"
+        assert stats.clients_dispatched == (
+            stats.uploads_cancelled
+            + stats.uploads_arrived
+            + stats.uploads_in_flight
+        ), f"{label}: upload conservation violated"
+        if faults is FAULTY:
+            counts = result.fault_stats
+            for name in ("dropped_uploads", "deferred_uploads",
+                         "corrupted_uploads", "rejected_nonfinite"):
+                assert getattr(counts, name) > 0, f"{label}: {name} is zero"
+            assert counts.dropped_uploads <= stats.uploads_cancelled, (
+                f"{label}: a dropped upload was not cancelled"
             )
-            assert rerun_result.async_stats == stats
-            print(
-                f"{label}: ER@K={result.exposure:.4f} HR@K={result.hit_ratio:.4f} "
-                f"cancelled={stats.uploads_cancelled} stale={stats.stale_applied} "
-                f"dropped={stats.stale_dropped} "
-                f"deadline_closes={stats.rounds_closed_by_deadline} [ok]"
-            )
+        rerun_result, rerun_items = _run(config)
+        assert rerun_items.tobytes() == items.tobytes(), (
+            f"{label}: async run is not reproducible"
+        )
+        assert rerun_result.async_stats == stats
+        assert rerun_result.fault_stats == result.fault_stats
+        print(
+            f"{label}: ER@K={result.exposure:.4f} HR@K={result.hit_ratio:.4f} "
+            f"cancelled={stats.uploads_cancelled} stale={stats.stale_applied} "
+            f"dropped={stats.stale_dropped} "
+            f"deadline_closes={stats.rounds_closed_by_deadline} [ok]"
+        )
     print("async smoke: all churn cells survived, counted, and reproduced")
 
 

@@ -40,6 +40,7 @@ from repro.config import (
     AttackConfig,
     DatasetConfig,
     ExperimentConfig,
+    FaultConfig,
     ModelConfig,
     TrainConfig,
 )
@@ -135,9 +136,8 @@ def staleness_degradation(scale, rounds, users_per_round) -> list[dict]:
                 network_mean=network_mean,
                 churn_rate=CURVE_CHURN,
                 round_deadline=1.5,
-                staleness_discount=0.6,
-                max_staleness=6,
             ),
+            faults=FaultConfig(staleness_discount=0.6, max_staleness=6),
         )
         _, result, items = _one_run(cfg)
         assert np.isfinite(items).all()

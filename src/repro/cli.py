@@ -109,6 +109,7 @@ _FAULT_KEYS = {
     "straggler": "straggler_rate",
     "delay": "straggler_max_delay",
     "discount": "staleness_discount",
+    "max-stale": "max_staleness",
     "corruption": "corruption_rate",
     "mode": "corruption_mode",
     "scale": "corruption_scale",
@@ -128,8 +129,6 @@ _ASYNC_KEYS = {
     "buffer": "buffer_size",
     "interval": "round_interval",
     "deadline": "round_deadline",
-    "discount": "staleness_discount",
-    "max-stale": "max_staleness",
 }
 
 
@@ -251,7 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=parse_fault_spec,
         default=None,
         help="fault model as key=value pairs, e.g. "
-        "'dropout=0.2,straggler=0.1,corruption=0.05,mode=nan,quorum=8' "
+        "'dropout=0.2,straggler=0.1,corruption=0.05,mode=nan,quorum=8,"
+        "discount=0.5,max-stale=4' (applies to --async runs too) "
         f"(keys: {', '.join(sorted(_FAULT_KEYS))})",
     )
     run.add_argument(
@@ -262,7 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run the event-driven asynchronous engine; key=value pairs "
         "e.g. 'traffic=poisson,rate=8,network=0.4,churn=0.1,k=16,"
-        "deadline=1.5,discount=0.5,max-stale=4' "
+        "deadline=1.5' — composes with --faults, which holds the "
+        "staleness discount and cap "
         f"(keys: {', '.join(sorted(set(_ASYNC_KEYS)))}; an empty spec "
         "is the degenerate config that matches the synchronous engine)",
     )

@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -60,6 +61,23 @@ replace = dataclasses.replace
 #: Field metadata marking a throughput knob: results never depend on
 #: its value, so :func:`identity_record` leaves it out.
 KNOB = MappingProxyType({"knob": True})
+
+
+def _require_finite(config) -> None:
+    """Reject NaN and ±inf in a config's float fields (and float tuples).
+
+    Range checks alone let NaN through — every comparison with it is
+    false — so a NaN bound silently disables what it bounds.
+    """
+    for spec in dataclasses.fields(config):
+        value = getattr(config, spec.name)
+        values = value if isinstance(value, tuple) else (value,)
+        for index, entry in enumerate(values):
+            if isinstance(entry, float) and not math.isfinite(entry):
+                where = f"[{index}]" if isinstance(value, tuple) else ""
+                raise ValueError(
+                    f"{spec.name}{where} must be finite, got {entry!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -293,19 +311,19 @@ class FaultConfig:
     The default instance is the *zero-fault* configuration: no fault is
     ever injected, no quorum is enforced, and the simulation is
     bit-identical to a runtime without the fault layer (asserted by the
-    parity suites).  All faults are scheduled by a deterministic
-    :class:`~repro.federated.faults.FaultPlan` derived from the run's
-    seed with the same spawn discipline as the client RNG streams, so
-    the same seed always produces the same fault schedule.
+    parity suites).  All faults are drawn by the deterministic
+    :class:`~repro.federated.faults.UploadTransit` from the run's seed
+    with the same spawn discipline as the client RNG streams, so the
+    same seed always produces the same fault schedule — synchronous or
+    asynchronous.
 
     Per sampled client each round, at most one fault fires:
 
     * **dropout** (probability ``dropout_rate``) — the client trains
       locally but its upload never reaches the server;
     * **straggler** (probability ``straggler_rate``) — the upload is
-      deferred 1..``straggler_max_delay`` rounds and applied *stale*,
-      scaled by ``staleness_discount ** delay`` (a FedAsync-style
-      polynomial staleness discount);
+      deferred 1..``straggler_max_delay`` rounds (under asynchrony,
+      that many round intervals of virtual time) and applied *stale*;
     * **corruption** (probability ``corruption_rate``) — the upload's
       gradient rows are corrupted in transit per ``corruption_mode``:
       ``"nan"`` / ``"inf"`` overwrite them with non-finite values (the
@@ -313,7 +331,13 @@ class FaultConfig:
       multiplies them by ``corruption_scale`` (rejected only when
       ``max_upload_norm`` is set).
 
-    Server-side degradation knobs:
+    Every late upload — a straggler, or under asynchrony any upload
+    that lands after its model version moved on — is scaled by
+    ``staleness_discount ** delay`` (a FedAsync-style polynomial
+    staleness discount) and dropped, counted, once ``delay`` exceeds a
+    non-zero ``max_staleness``.
+
+    Server-side degradation knobs, in both round modes:
 
     * ``min_quorum`` — a round aggregates only when at least this many
       uploads survive the sanity gate; otherwise the whole round is
@@ -327,8 +351,12 @@ class FaultConfig:
     straggler_rate: float = 0.0
     #: Straggler delay is drawn uniformly from {1, ..., max_delay}.
     straggler_max_delay: int = 2
-    #: Per-round-of-delay multiplier applied to a stale upload.
+    #: Per-version-of-delay multiplier on a stale upload, applied in
+    #: the gradient's own dtype.
     staleness_discount: float = 0.5
+    #: Uploads staler than this many versions are dropped (and
+    #: counted) instead of applied; 0 = unbounded.
+    max_staleness: int = 0
     corruption_rate: float = 0.0
     corruption_mode: str = "nan"  # "nan" | "inf" | "overscale"
     corruption_scale: float = 1e6
@@ -336,6 +364,7 @@ class FaultConfig:
     max_upload_norm: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for name in ("dropout_rate", "straggler_rate", "corruption_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -349,6 +378,8 @@ class FaultConfig:
             raise ValueError("straggler_max_delay must be >= 1")
         if not 0.0 < self.staleness_discount <= 1.0:
             raise ValueError("staleness_discount must be in (0, 1]")
+        if self.max_staleness < 0:
+            raise ValueError("max_staleness must be >= 0")
         if self.corruption_mode not in ("nan", "inf", "overscale"):
             raise ValueError(
                 f"unknown corruption_mode {self.corruption_mode!r}; "
@@ -361,20 +392,11 @@ class FaultConfig:
 
     @property
     def injects_faults(self) -> bool:
-        """Whether any fault is ever injected (drives plan creation)."""
+        """Whether any fault is ever injected (drives transit creation)."""
         return (
             self.dropout_rate > 0.0
             or self.straggler_rate > 0.0
             or self.corruption_rate > 0.0
-        )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether this config departs from the ideal synchronous run."""
-        return (
-            self.injects_faults
-            or self.min_quorum > 0
-            or self.max_upload_norm > 0.0
         )
 
 
@@ -394,8 +416,9 @@ class AsyncConfig:
     function of ``(seed, config, wave)``), churned clients never
     upload, and the server aggregates FedBuff-style: a round closes
     when ``buffer_size`` uploads are buffered *or* its deadline
-    expires, whichever comes first, with uploads delayed past their
-    origin model version scaled by ``staleness_discount ** delay``.
+    expires, whichever comes first.  This config is the traffic and
+    timing process only: :class:`FaultConfig` composes with it (its
+    faults, its staleness discount and cap, its server gate).
 
     The *default parameter values are the degenerate configuration*:
     instant traffic, zero latency, zero churn, ``buffer_size=0`` (=
@@ -427,16 +450,9 @@ class AsyncConfig:
     #: A round aggregates whatever it has this long after its first
     #: dispatch/arrival, even below ``buffer_size``.
     round_deadline: float = 1.0
-    #: Per-version-of-delay multiplier on a stale upload
-    #: (``staleness_discount ** delay``, applied in the gradient's own
-    #: dtype — the one :class:`~repro.federated.faults.StalenessBuffer`
-    #: the fault layer's stragglers also go through).
-    staleness_discount: float = 0.5
-    #: Uploads staler than this many versions are dropped (and
-    #: counted) instead of applied; 0 = unbounded.
-    max_staleness: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.traffic not in ("instant", "poisson", "trace"):
             raise ValueError(
                 f"unknown traffic process {self.traffic!r}; "
@@ -460,10 +476,6 @@ class AsyncConfig:
             raise ValueError("round_interval must be > 0")
         if self.round_deadline <= 0:
             raise ValueError("round_deadline must be > 0")
-        if not 0.0 < self.staleness_discount <= 1.0:
-            raise ValueError("staleness_discount must be in (0, 1]")
-        if self.max_staleness < 0:
-            raise ValueError("max_staleness must be >= 0")
 
 
 @dataclass(frozen=True)

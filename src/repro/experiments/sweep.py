@@ -112,7 +112,10 @@ __all__ = [
 #: the last ulp; other cells are unchanged.
 #: v10: the NCF tower is row-stable (row-wise projection, contiguous
 #: ``W.T``), which moves NCF cells in the last ulp; MF cells are unchanged.
-CACHE_VERSION = "sweep-v10"
+#: v11: the staleness pair lives once, on ``FaultConfig``
+#: (``AsyncConfig`` lost ``staleness_discount`` / ``max_staleness``),
+#: so the identity record's layout changed; values are unchanged.
+CACHE_VERSION = "sweep-v11"
 
 
 @dataclass(frozen=True)

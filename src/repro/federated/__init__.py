@@ -11,13 +11,8 @@ from repro.federated.aggregation import Aggregator, SumAggregator, scatter_sum
 from repro.federated.async_engine import AsyncFederationEngine, AsyncStats
 from repro.federated.audit import ItemRoundRecord, ServerAuditLog
 from repro.federated.batch_engine import BatchClientEngine
-from repro.federated.clock import AsyncPlan, EventQueue, VirtualClock
-from repro.federated.faults import (
-    FaultController,
-    FaultPlan,
-    FaultStats,
-    StalenessBuffer,
-)
+from repro.federated.clock import EventQueue, VirtualClock
+from repro.federated.faults import FaultStats, StalenessBuffer, UploadTransit
 from repro.federated.payload import ClientUpdate
 from repro.federated.server import Server
 from repro.federated.simulation import EvalRecord, FederatedSimulation, SimulationResult
@@ -33,13 +28,11 @@ __all__ = [
     "BatchClientEngine",
     "ShardedStateStore",
     "Server",
-    "FaultController",
-    "FaultPlan",
+    "UploadTransit",
     "FaultStats",
     "StalenessBuffer",
     "AsyncFederationEngine",
     "AsyncStats",
-    "AsyncPlan",
     "EventQueue",
     "VirtualClock",
     "FederatedSimulation",

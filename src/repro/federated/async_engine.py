@@ -15,27 +15,21 @@ that a first-class, *deterministic* execution mode:
   against the model it downloaded at dispatch — the math is exactly
   :meth:`~repro.federated.batch_engine.BatchClientEngine.\
 compute_round_batch`, the async layer only reorders *when* the
-  resulting uploads reach aggregation.  Per-upload traffic offsets,
-  compute latencies, network delays and churn come from the seeded
-  :class:`~repro.federated.clock.AsyncPlan`.
+  resulting uploads reach aggregation.
 * **Transit.**  A wave stays one
-  :class:`~repro.federated.update_batch.UpdateBatch`: churn removes
-  its cancelled clients, and each distinct arrival instant becomes
-  *one* ARRIVAL event carrying that instant's clients in position
-  order (a zero-copy :meth:`~repro.federated.update_batch.UpdateBatch.\
-client_slice` when they are contiguous).  Arrivals park in the
-  shared :class:`~repro.federated.faults.StalenessBuffer` tagged with
-  the model version they trained against; a round closes when
-  ``buffer_size`` clients are buffered or its deadline expires
-  (whichever first) and drains the buffer at the current version:
-  fresh parts pass through untouched, stale ones are scaled by
-  ``staleness_discount ** delay``, and parts staler than
-  ``max_staleness`` are dropped *and counted*.  When the buffer fills
+  :class:`~repro.federated.update_batch.UpdateBatch` and crosses the
+  simulation's :class:`~repro.federated.faults.UploadTransit`, which
+  cancels, corrupts and times its uploads.  Each distinct arrival
+  instant becomes *one* ARRIVAL event carrying that instant's clients
+  in position order.  Arrivals park in the transit's
+  :class:`~repro.federated.faults.StalenessBuffer` at the model
+  version they trained against; a round closes when ``buffer_size``
+  clients are buffered or its deadline expires (whichever first) and
+  drains the buffer at the current version.  When the buffer fills
   partway through an event, the round closes after exactly the client
-  that filled it and the rest of the event goes back on the queue
-  under its original key — the same-instant order, deadline arming
-  and round boundaries of a per-client event loop, at one event per
-  instant.
+  that filled it and the rest of the event is requeued under its
+  original key — the order and round boundaries of a per-client event
+  loop, at one event per instant.
 * :class:`AsyncStats` — full accounting in the mold of
   :class:`~repro.federated.faults.FaultStats`: every dispatched
   client is cancelled, in flight, buffered, applied or dropped —
@@ -74,17 +68,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import kernels
-from repro.config import AsyncConfig, TrainConfig
+from repro.config import TrainConfig
 from repro.federated.batch_engine import BatchClientEngine
 from repro.federated.clock import (
     PRIORITY_ARRIVAL,
     PRIORITY_DEADLINE,
     PRIORITY_DISPATCH,
-    AsyncPlan,
     EventQueue,
     VirtualClock,
 )
-from repro.federated.faults import StalenessBuffer
+from repro.federated.faults import CounterRecord, UploadTransit
 from repro.federated.server import Server
 from repro.federated.update_batch import UpdateBatch
 from repro.stateful import Stateful
@@ -98,7 +91,7 @@ EVENT_ARRIVAL = "arrival"
 
 
 @dataclass(frozen=True)
-class AsyncStats:
+class AsyncStats(CounterRecord):
     """Asynchrony accounting of one simulation run.
 
     Conservation invariants (property-tested):
@@ -136,13 +129,6 @@ class AsyncStats:
         """Whether the run executed on the asynchronous engine at all."""
         return bool(self.waves_dispatched)
 
-    def to_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, int]) -> "AsyncStats":
-        return cls(**{k: int(payload.get(k, 0)) for k in cls.__dataclass_fields__})
-
 
 class AsyncFederationEngine(Stateful):
     """Drives the simulation's rounds through a virtual-time event loop.
@@ -160,34 +146,33 @@ class AsyncFederationEngine(Stateful):
     "round" is one aggregation, synchronous or not.
 
     Run state: clock, event queue (in-flight uploads travel inside its
-    arrival events), staleness buffer, version and counters; the wave
-    plans and sampling streams are stateless spawns and need none.
+    arrival events), version and counters; the staleness buffer is the
+    transit's, and the transit draws and sampling streams are stateless
+    spawns.
     """
 
-    STATE = ("clock", "queue", "buffer", "version", "deadline_armed", "counts")
+    STATE = ("clock", "queue", "version", "deadline_armed", "counts")
 
     def __init__(
         self,
         *,
         batch_engine: BatchClientEngine,
         server: Server,
-        config: AsyncConfig,
+        transit: UploadTransit,
         train_cfg: TrainConfig,
         total_users: int,
-        seed: int,
     ):
         self.batch_engine = batch_engine
         self.server = server
-        self.config = config
+        self.transit = transit
+        self.config = transit.asynchrony
         self.train_cfg = train_cfg
         self.total_users = total_users
-        self.seed = seed
-        self.plan = AsyncPlan(config, seed)
         self.clock = VirtualClock()
         self.queue = EventQueue()
-        self.buffer = StalenessBuffer(config.staleness_discount, config.max_staleness)
+        self.buffer = transit.buffer
         #: FedBuff K: aggregate as soon as this many uploads buffer.
-        self.k = config.buffer_size or min(
+        self.k = self.config.buffer_size or min(
             train_cfg.users_per_round, total_users
         )
         #: Aggregations completed == the model version clients see.
@@ -244,8 +229,8 @@ class AsyncFederationEngine(Stateful):
 
         The wave is the synchronous engine's round-``wave_idx`` cohort
         (same sampling stream) and trains in one batched pass against
-        the *current* model — traffic offsets and latencies delay only
-        when each upload lands, which is where staleness comes from.
+        the *current* model; the transit decides which uploads leave
+        and when each lands, which is where staleness comes from.
         """
         self.queue.push(
             (wave_idx + 1) * self.config.round_interval,
@@ -256,13 +241,12 @@ class AsyncFederationEngine(Stateful):
             self.total_users, self.train_cfg.users_per_round, wave_idx
         )
         batch = self.batch_engine.compute_round_batch(wave_idx, sampled)
-        schedule = self.plan.wave_schedule(wave_idx, batch.num_clients)
+        dispatched = batch.num_clients
+        batch, delays = self.transit.route(batch, sampled, wave_idx)
         self.counts["waves_dispatched"] += 1
-        self.counts["clients_dispatched"] += batch.num_clients
-        self.counts["uploads_cancelled"] += int(schedule.cancelled.sum())
-        kept = ~schedule.cancelled
-        batch = batch.select_clients(kept)
-        times = self.clock.now + schedule.arrival_offsets()[kept]
+        self.counts["clients_dispatched"] += dispatched
+        self.counts["uploads_cancelled"] += dispatched - batch.num_clients
+        times = self.clock.now + delays
         # One event per distinct instant; the stable sort keeps each
         # instant's clients in position order.
         order = np.argsort(times, kind="stable")
@@ -294,9 +278,8 @@ class AsyncFederationEngine(Stateful):
             self._close_round(by_deadline=False)
 
     def _deadline(self, round_idx: int) -> None:
-        if round_idx != self.version:
-            return  # stale deadline of an already-closed round
-        self._close_round(by_deadline=True)
+        if round_idx == self.version:  # not a closed round's stale deadline
+            self._close_round(by_deadline=True)
 
     def _arm_deadline(self) -> None:
         """Schedule the open round's deadline on its first activity."""

@@ -304,7 +304,7 @@ class BatchClientEngine(Stateful):
         seed: int,
         *,
         kernel_backend=None,
-        fault_controller=None,
+        transit=None,
         executor=None,
     ):
         self.model = model
@@ -331,13 +331,10 @@ class BatchClientEngine(Stateful):
         #: dtype): a native-backend run that quietly degrades must be
         #: visible, and the native bench asserts this stays zero.
         self.kernel_fallback_rounds = 0
-        #: Optional :class:`~repro.federated.faults.FaultController`
-        #: transforming each assembled round batch (dropout /
-        #: straggler / corruption injection plus stale-upload splicing)
-        #: before the server sees it; ``None`` — the default — skips
-        #: the hook entirely, keeping the ideal-synchronous path
-        #: bit-identical and overhead-free.
-        self.fault_controller = fault_controller
+        #: Optional :class:`~repro.federated.faults.UploadTransit` each
+        #: synchronous round crosses before the server; ``None`` keeps
+        #: the ideal-synchronous path bit-identical and overhead-free.
+        self.transit = transit
         #: Optional :class:`ProcessRoundExecutor` computing each benign
         #: local step across forked worker processes attached to the
         #: sharded store; ``None`` computes rounds in-process.
@@ -377,9 +374,8 @@ class BatchClientEngine(Stateful):
         dispatch time and decide later when each upload aggregates;
         because the RNG streams are keyed only by ``round_idx``, the
         batch is bit-identical to what :meth:`run_round` would have
-        produced for the same round.  The fault-controller hook is
-        *not* applied — transport faults are the synchronous loop's
-        churn model, and the two layers are mutually exclusive.
+        produced for the same round.  The upload transit is the
+        caller's to apply.
 
         Kernel-fallback accounting is left to the caller's scope so a
         wave is never double-counted.
@@ -389,13 +385,11 @@ class BatchClientEngine(Stateful):
 
     def _run_round(self, round_idx: int, sampled: np.ndarray) -> None:
         round_batch = self._compute_round(round_idx, sampled)
-        if self.fault_controller is not None:
-            # Transport faults strike between upload and aggregation:
-            # local training above already happened (dropped clients'
-            # private state advanced), only the server's view changes.
-            round_batch = self.fault_controller.apply_to_batch(
-                round_batch, [int(u) for u in sampled], round_idx
-            )
+        if self.transit is not None:
+            # Transit strikes between upload and aggregation: local
+            # training above already happened (dropped clients' private
+            # state advanced), only the server's view changes.
+            round_batch = self.transit.sync_round(round_batch, sampled, round_idx)
         self.server.apply_batch(round_batch)
 
     def _compute_round(self, round_idx: int, sampled: np.ndarray) -> UpdateBatch:

@@ -1,39 +1,26 @@
-"""Deterministic virtual clock, event queue and traffic plan.
+"""Deterministic virtual clock and event queue.
 
 The asynchronous federation engine
 (:mod:`repro.federated.async_engine`) runs on *virtual* time: no
 wall-clock value ever enters the simulation, so the same seed always
 replays the identical event sequence — on any machine, at any speed,
-across checkpoint/resume boundaries.  Three pieces make that hold:
+across checkpoint/resume boundaries.  Two pieces make that hold, with
+the stateless per-wave transit draws of
+:class:`~repro.federated.faults.UploadTransit`:
 
 * :class:`VirtualClock` — a monotonic float timestamp advanced only by
   event processing;
 * :class:`EventQueue` — a heap of ``(time, priority, seq)``-ordered
-  events.  Priorities break same-instant ties deterministically
-  (``DEADLINE < DISPATCH < ARRIVAL`` — an expired deadline closes the
-  open round first, then a new wave dispatches against the freshly
-  aggregated model, and only then are the wave's instant arrivals
-  buffered; exactly the ordering that makes the degenerate config
-  reproduce the synchronous engine for full *and* partial waves), and
-  the monotonically increasing ``seq`` makes equal ``(time,
-  priority)`` events FIFO.  The queue's full contents are
-  checkpointable: entries are plain tuples of picklable values.
-* :class:`AsyncPlan` — the seeded traffic/latency/churn schedule.
-  ``wave_schedule(wave, n)`` draws from ``spawn(seed, "async-plan",
-  wave)`` — the same spawn discipline as :class:`FaultPlan` and the
-  client streams — so the schedule is a pure function of
-  ``(seed, AsyncConfig, wave, n)`` with no state to checkpoint.
+  events.  Priorities break same-instant ties deterministically (see
+  ``PRIORITY_*``), and the monotonically increasing ``seq`` makes
+  equal ``(time, priority)`` events FIFO.  The queue's full contents
+  are checkpointable: entries are plain tuples of picklable values.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
-import numpy as np
-
-from repro.config import AsyncConfig
-from repro.rng import spawn
 from repro.stateful import Stateful
 
 __all__ = [
@@ -42,8 +29,6 @@ __all__ = [
     "PRIORITY_ARRIVAL",
     "VirtualClock",
     "EventQueue",
-    "WaveSchedule",
-    "AsyncPlan",
 ]
 
 #: Same-instant processing order.  An expired deadline closes the open
@@ -51,7 +36,9 @@ __all__ = [
 #: the freshly aggregated model, exactly like the next synchronous
 #: round), then the wave dispatch runs (it only *schedules* arrivals),
 #: and only then do arrivals — possibly the just-dispatched wave's
-#: instant uploads — enter the buffer.
+#: instant uploads — enter the buffer.  This is the ordering that makes
+#: the degenerate config reproduce the synchronous engine for full
+#: *and* partial waves.
 PRIORITY_DEADLINE = 0
 PRIORITY_DISPATCH = 1
 PRIORITY_ARRIVAL = 2
@@ -95,8 +82,6 @@ class EventQueue(Stateful):
         self._seq += 1
 
     def pop(self) -> tuple[float, int, object]:
-        if not self._heap:
-            raise IndexError("pop from an empty event queue")
         time, priority, seq, payload = heapq.heappop(self._heap)
         self._last_key = (time, priority, seq)
         return time, priority, payload
@@ -110,71 +95,6 @@ class EventQueue(Stateful):
         """
         heapq.heappush(self._heap, (*self._last_key, payload))
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def payloads(self, priority: int) -> list:
         """Payloads of the pending events of one priority class."""
         return [entry[3] for entry in self._heap if entry[1] == priority]
-
-
-@dataclass(frozen=True)
-class WaveSchedule:
-    """One dispatched wave's upload timing, aligned with its uploads.
-
-    Position ``i`` refers to the wave's ``i``-th upload in batch
-    (participation) order.  ``offsets[i] + compute[i] + network[i]``
-    added to the dispatch time is when the upload arrives at the
-    server; ``cancelled[i]`` marks churned clients whose upload never
-    leaves the device.
-    """
-
-    offsets: np.ndarray  # (n,) float64 traffic-process arrival offsets
-    compute: np.ndarray  # (n,) float64 compute latencies
-    network: np.ndarray  # (n,) float64 network delays
-    cancelled: np.ndarray  # (n,) bool churn mask
-
-    def arrival_offsets(self) -> np.ndarray:
-        """Total dispatch-to-server-arrival delay per upload."""
-        return self.offsets + self.compute + self.network
-
-
-class AsyncPlan:
-    """Seeded per-wave traffic/latency/churn schedule.
-
-    A pure function of ``(seed, config, wave, n)``: each call spawns
-    its own generator, draws in a fixed order (traffic offsets, then
-    compute, then network, then churn), and keeps no state — which is
-    what makes checkpoint/resume exact for free, like
-    :class:`~repro.federated.faults.FaultPlan`.
-    """
-
-    def __init__(self, config: AsyncConfig, seed: int):
-        self.config = config
-        self.seed = seed
-
-    def wave_schedule(self, wave_idx: int, n: int) -> WaveSchedule:
-        cfg = self.config
-        zeros = np.zeros(n)
-        if n == 0:
-            return WaveSchedule(zeros, zeros, zeros, np.zeros(0, dtype=bool))
-        rng = spawn(self.seed, "async-plan", wave_idx)
-        if cfg.traffic == "poisson":
-            offsets = np.cumsum(rng.exponential(1.0 / cfg.arrival_rate, n))
-        elif cfg.traffic == "trace":
-            trace = np.asarray(cfg.trace_offsets, dtype=np.float64)
-            offsets = trace[np.arange(n) % len(trace)]
-        else:  # instant
-            offsets = zeros
-        compute = (
-            rng.exponential(cfg.compute_mean, n) if cfg.compute_mean > 0 else zeros
-        )
-        network = (
-            rng.exponential(cfg.network_mean, n) if cfg.network_mean > 0 else zeros
-        )
-        cancelled = (
-            rng.random(n) < cfg.churn_rate
-            if cfg.churn_rate > 0
-            else np.zeros(n, dtype=bool)
-        )
-        return WaveSchedule(offsets, compute, network, cancelled)

@@ -1,49 +1,27 @@
-"""Deterministic fault injection for the federation runtime.
+"""Upload transit: what happens to an upload between client and server.
 
-The paper's threat model assumes an ideally synchronous federation:
-every sampled client trains, uploads, and is aggregated, every round.
-Real federated recommenders see client dropout, stragglers whose
-uploads arrive rounds late, and corrupted payloads.  This module makes
-that failure model a first-class, *deterministic* layer:
+The paper assumes an ideally synchronous federation: every sampled
+client trains, uploads, and is aggregated, every round.  Real
+federated recommenders lose uploads, deliver them late and corrupt
+them on the way.  This module is the one *deterministic* stage that
+models all of it, for both round modes:
 
-* :class:`FaultPlan` — the seeded per-round fault schedule.  Faults
-  are drawn from ``spawn(seed, "fault-plan", round_idx)`` — the same
-  spawn discipline as every client RNG stream — so the schedule is a
-  pure function of ``(seed, FaultConfig, round_idx, round size)``:
-  same seed, same faults, independent of kernel backend, sharding,
-  wall-clock or checkpoint/resume boundaries.
-* :class:`StalenessBuffer` — the runtime's one holding area for late
-  uploads, shared with the asynchronous engine: ``UpdateBatch`` parts
-  parked until due, then spliced into a later aggregation scaled by a
-  FedAsync-style ``staleness_discount ** delay`` factor.
-* :class:`FaultController` — applies one round's scheduled faults to
-  the round's assembled
-  :class:`~repro.federated.update_batch.UpdateBatch` as array ops.
-  The per-client reference the fault parity suite compares it
-  against lives in ``tests/reference/``.
-* :class:`FaultStats` — the full accounting surfaced on
-  :class:`~repro.federated.simulation.SimulationResult`.  Nothing is
-  ever dropped silently: every injected fault, every stale splice,
-  every server-side rejection and every quorum-skipped round is
-  counted.
+* :class:`UploadTransit` — applied to every wave (a synchronous round
+  or an asynchronous dispatch) between local training and the server.
+  It decides one cancel mask (fault dropout, plus churn under
+  asynchrony), one corruption row mask and one delay per client, from
+  two stateless streams: ``spawn(seed, "fault-plan", wave)`` for
+  :class:`~repro.config.FaultConfig` and ``spawn(seed, "async-plan",
+  wave)`` for :class:`~repro.config.AsyncConfig`.  Same seed, same
+  transit — on any kernel backend, sharding or resume boundary.
+* :class:`StalenessBuffer` — the one holding area for late uploads,
+  spliced into a later aggregation scaled by a FedAsync-style
+  ``staleness_discount ** delay``.
+* :class:`FaultStats` — the fault/mitigation accounting; nothing is
+  ever dropped silently.
 
-Semantics of each fault:
-
-* **dropout** — the client trains locally (its private user embedding
-  advances) but the upload never reaches the server, exactly like a
-  connection lost after download but before upload;
-* **straggler** — local training happens on time, the upload arrives
-  ``delay`` rounds late and is applied with the staleness discount;
-  uploads still in flight when the run ends are counted as pending;
-* **corruption** — the gradient rows are corrupted in transit
-  (non-finite values or an ``overscale`` blow-up); the client's local
-  state is untouched.  Non-finite corruption is caught by the server
-  sanity gate (:class:`~repro.federated.server.Server`), making the
-  injection → rejection path fully counted end to end.
-
-The zero-fault configuration never constructs a controller at all, so
-the fault layer costs the ideal-synchronous path nothing (enforced by
-``benchmarks/bench_fault_tolerance.py``).
+A synchronous run that injects no fault builds no transit at all
+(the fault semantics are documented on ``FaultConfig``).
 """
 
 from __future__ import annotations
@@ -54,91 +32,20 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.config import FaultConfig
+from repro.config import AsyncConfig, FaultConfig
 from repro.federated.update_batch import UpdateBatch
 from repro.rng import spawn
 from repro.stateful import Stateful
 
-__all__ = [
-    "FAULT_NONE",
-    "FAULT_DROPOUT",
-    "FAULT_STRAGGLER",
-    "FAULT_CORRUPTION",
-    "RoundFaults",
-    "FaultPlan",
-    "StalenessBuffer",
-    "FaultController",
-    "FaultStats",
-]
-
-#: Per-position fault kinds in a :class:`RoundFaults` schedule.
-FAULT_NONE = 0
-FAULT_DROPOUT = 1
-FAULT_STRAGGLER = 2
-FAULT_CORRUPTION = 3
-
-
-@dataclass(frozen=True)
-class RoundFaults:
-    """One round's fault assignment, aligned with the sampled users.
-
-    ``kinds[p]`` is the fault of the client at sampled position ``p``
-    (one of the ``FAULT_*`` constants); ``delays[p]`` is the straggler
-    delay in rounds (0 for every non-straggler position).
-    """
-
-    kinds: np.ndarray  # (sampled,) int8
-    delays: np.ndarray  # (sampled,) int64
-
-    @property
-    def any_fault(self) -> bool:
-        return bool((self.kinds != FAULT_NONE).any())
-
-
-class FaultPlan:
-    """Deterministic per-round fault schedule derived from the run seed.
-
-    ``round_faults(round_idx, num_sampled)`` is a pure function: it
-    spawns ``spawn(seed, "fault-plan", round_idx)``, draws one uniform
-    per sampled position, and bands it into dropout / straggler /
-    corruption per the configured rates (straggler delays come from
-    the same stream).  No state survives between rounds, which is what
-    makes checkpoint/resume trivially exact: re-asking for round ``r``
-    after a resume yields the identical schedule.
-    """
-
-    def __init__(self, config: FaultConfig, seed: int):
-        self.config = config
-        self.seed = seed
-
-    def round_faults(self, round_idx: int, num_sampled: int) -> RoundFaults:
-        cfg = self.config
-        kinds = np.zeros(num_sampled, dtype=np.int8)
-        delays = np.zeros(num_sampled, dtype=np.int64)
-        if num_sampled == 0 or not cfg.injects_faults:
-            return RoundFaults(kinds, delays)
-        rng = spawn(self.seed, "fault-plan", round_idx)
-        draws = rng.random(num_sampled)
-        drop_edge = cfg.dropout_rate
-        straggle_edge = drop_edge + cfg.straggler_rate
-        corrupt_edge = straggle_edge + cfg.corruption_rate
-        kinds[draws < corrupt_edge] = FAULT_CORRUPTION
-        kinds[draws < straggle_edge] = FAULT_STRAGGLER
-        kinds[draws < drop_edge] = FAULT_DROPOUT
-        stragglers = np.flatnonzero(kinds == FAULT_STRAGGLER)
-        if len(stragglers):
-            delays[stragglers] = rng.integers(
-                1, cfg.straggler_max_delay + 1, size=len(stragglers)
-            )
-        return RoundFaults(kinds, delays)
+__all__ = ["StalenessBuffer", "UploadTransit", "CounterRecord", "FaultStats"]
 
 
 class StalenessBuffer(Stateful):
     """Holds late uploads as :class:`UpdateBatch` parts until they are due.
 
-    The one staleness mechanism of the runtime: the fault layer parks
-    straggler uploads here, the asynchronous engine its arrivals.  Each
-    entry is ``(part, origin, due)`` — the uploads of one or more
+    The one staleness mechanism of the runtime: synchronous stragglers
+    and asynchronous arrivals both park here.  Each entry is ``(part,
+    origin, due)`` — the uploads of one or more
     clients, the round (model version) they trained against, and the
     first ``now`` at which :meth:`drain` releases them.  Entries keep
     insertion order, which both callers make deterministic, so every
@@ -211,15 +118,29 @@ class StalenessBuffer(Stateful):
         ]
 
 
+class CounterRecord:
+    """Base of the frozen run-accounting dataclasses (:class:`FaultStats`,
+    :class:`~repro.federated.async_engine.AsyncStats`): the dict form —
+    and so the saved JSON key order — follows the field order."""
+
+    def to_dict(self) -> dict[str, int]:
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    @classmethod
+    def from_dict(cls, payload: dict[str, int]):
+        return cls(**{k: int(payload.get(k, 0)) for k in cls.__dataclass_fields__})
+
+
 @dataclass(frozen=True)
-class FaultStats:
+class FaultStats(CounterRecord):
     """Fault/mitigation accounting of one simulation run.
 
-    Injection counters come from the :class:`FaultController`
-    (dropped / deferred / corrupted uploads, stale splices), server
+    Injection counters come from the :class:`UploadTransit`, server
     counters from the :class:`~repro.federated.server.Server` sanity
-    gate and quorum check.  ``stale_pending`` counts stragglers whose
-    uploads were still in flight when the run ended.
+    gate and quorum check.  ``stale_applied`` / ``stale_pending`` follow
+    synchronous stragglers (a straggler past ``max_staleness`` counts
+    as dropped); under asynchrony every late upload is accounted in
+    :class:`~repro.federated.async_engine.AsyncStats` instead.
     """
 
     dropped_uploads: int = 0
@@ -241,92 +162,146 @@ class FaultStats:
     def any_fault(self) -> bool:
         return any(self.to_dict().values())
 
-    def to_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, int]) -> "FaultStats":
-        return cls(**{k: int(payload.get(k, 0)) for k in cls.__dataclass_fields__})
+class UploadTransit(Stateful):
+    """The one stage every wave's uploads cross on their way to the server.
 
-
-class FaultController(Stateful):
-    """Applies one round's scheduled faults to the round's uploads.
-
-    One controller per simulation; it owns the :class:`FaultPlan`, the
-    :class:`StalenessBuffer` and the injection counters (``counts``,
-    keyed by :class:`FaultStats` field names).  The fault of a sampled
-    client is keyed by its *user id* (sampled positions and upload rows
-    both carry global user ids), so clients that upload nothing this
-    round — e.g. a PIECK miner still accumulating observations —
-    consume their scheduled fault as a no-op.
-
-    Stragglers park with ``due = round + delay`` and every round drains
-    at ``now = round``, so a straggler lands exactly ``delay`` rounds
-    late, discounted by ``staleness_discount ** delay``, after the
-    round's own uploads.  A round in which no scheduled fault fires and
-    no stale upload arrives returns its input unchanged (the same
-    object, zero copies) — the zero-fault plan is bit-identical to no
-    controller at all.
+    One per simulation, for either round mode: it owns the
+    :class:`StalenessBuffer` (with ``FaultConfig``'s discount /
+    ``max_staleness`` pair) and the injection counters (``counts``,
+    keyed by :class:`FaultStats` field names).  :meth:`route` is the
+    transit of one wave; synchronous rounds go through
+    :meth:`sync_round`, the asynchronous engine turns the delays into
+    arrival events.  A fault is keyed by *user id*, so a client that
+    uploads nothing this wave consumes its fault as a no-op.
     """
 
     STATE = ("buffer", "counts")
 
-    def __init__(self, config: FaultConfig, seed: int):
-        self.config = config
-        self.plan = FaultPlan(config, seed)
-        self.buffer = StalenessBuffer(config.staleness_discount)
+    def __init__(self, faults: FaultConfig, asynchrony: AsyncConfig, seed: int):
+        self.faults = faults
+        self.asynchrony = asynchrony
+        self.seed = seed
+        self.buffer = StalenessBuffer(faults.staleness_discount, faults.max_staleness)
         self.counts: Counter[str] = Counter()
 
-    def stats_counts(self) -> dict[str, int]:
-        """The controller's share of :class:`FaultStats`."""
-        return {
-            **self.counts,
-            "stale_applied": self.buffer.tallies["stale_applied"],
-            "stale_pending": self.buffer.pending,
-        }
+    def fault_schedule(self, wave: int, n: int) -> tuple[np.ndarray, ...]:
+        """``(dropout, corrupt, delay)`` of ``wave``'s ``n`` sampled positions.
 
-    def apply_to_batch(
-        self, batch: UpdateBatch, sampled: Sequence[int], round_idx: int
-    ) -> UpdateBatch:
-        """Faulted view of one round's :class:`UpdateBatch`.
-
-        Uploads of dropped clients vanish, stragglers' are parked as
-        one copied part per distinct delay, corrupted clients' gradient
-        rows are overwritten in one fresh array (inputs are never
-        mutated — the batch may hold views of the engine's round
-        stacks), and stale uploads due this round are appended after
-        the round's own uploads in parking order.
+        One uniform per position from ``spawn(seed, "fault-plan",
+        wave)``, banded into dropout / straggler / corruption by the
+        rates; straggler delays (1..``straggler_max_delay`` versions, 0
+        elsewhere) come next from the same stream.
         """
-        faults = self.plan.round_faults(round_idx, len(sampled))
-        arrivals = self.buffer.drain(round_idx)
-        if faults.any_fault:
+        cfg = self.faults
+        rng = spawn(self.seed, "fault-plan", wave)
+        draws = rng.random(n)
+        straggle_edge = cfg.dropout_rate + cfg.straggler_rate
+        dropout = draws < cfg.dropout_rate
+        straggling = ~dropout & (draws < straggle_edge)
+        corrupt = (draws >= straggle_edge) & (draws < straggle_edge + cfg.corruption_rate)
+        delay = np.zeros(n, dtype=np.int64)
+        delay[straggling] = rng.integers(
+            1, cfg.straggler_max_delay + 1, size=int(straggling.sum())
+        )
+        return dropout, corrupt, delay
+
+    def timing_schedule(self, wave: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Arrival offsets and churn mask of an asynchronous wave's uploads.
+
+        Drawn from ``spawn(seed, "async-plan", wave)`` in a fixed order:
+        traffic offsets, compute latency, network delay, churn.
+        """
+        cfg = self.asynchrony
+        rng = spawn(self.seed, "async-plan", wave)
+        if cfg.traffic == "poisson":
+            offsets = np.cumsum(rng.exponential(1.0 / cfg.arrival_rate, n))
+        elif cfg.traffic == "trace":
+            offsets = np.resize(np.asarray(cfg.trace_offsets, dtype=np.float64), n)
+        else:  # instant
+            offsets = np.zeros(n)
+        for mean in (cfg.compute_mean, cfg.network_mean):
+            if mean > 0:
+                offsets = offsets + rng.exponential(mean, n)
+        return offsets, rng.random(n) < cfg.churn_rate
+
+    def route(
+        self, batch: UpdateBatch, sampled: Sequence[int], wave: int
+    ) -> tuple[UpdateBatch, np.ndarray]:
+        """One wave's uploads in transit: ``(surviving batch, delays)``.
+
+        Cancelled clients leave through one ``select_clients``;
+        corrupted clients' rows are overwritten in one fresh array
+        (inputs are never mutated — the batch may hold views of the
+        engine's round stacks).  ``delays`` holds straggler versions
+        under synchronous rounds, virtual time (traffic + compute +
+        network + ``delay · round_interval``) under asynchrony.  A wave
+        nothing happens to returns its input batch.
+        """
+        n = batch.num_clients
+        dropout = corrupt = np.zeros(n, dtype=bool)
+        delay = np.zeros(n, dtype=np.int64)
+        if self.faults.injects_faults:
             sampled = np.asarray(sampled, dtype=np.int64)
             order = np.argsort(sampled)
             at = order[np.searchsorted(sampled, batch.user_ids, sorter=order)]
-            kinds, delays = faults.kinds[at], faults.delays[at]
-            self.counts["dropped_uploads"] += int((kinds == FAULT_DROPOUT).sum())
-            straggling = kinds == FAULT_STRAGGLER
-            self.counts["deferred_uploads"] += int(straggling.sum())
-            for delay in np.unique(delays[straggling]):
-                part = batch.select_clients(straggling & (delays == delay))
-                self.buffer.park(part, round_idx, round_idx + int(delay))
-            corrupt = kinds == FAULT_CORRUPTION
-            if corrupt.any():
-                self.counts["corrupted_uploads"] += int(corrupt.sum())
-                item_grads = batch.item_grads.copy()
-                self._corrupt(item_grads, np.repeat(corrupt, batch.lengths))
-                batch = batch.with_item_grads(item_grads)
-            batch = batch.select_clients((kinds == FAULT_NONE) | corrupt)
+            schedule = self.fault_schedule(wave, len(sampled))
+            dropout, corrupt, delay = (mask[at] for mask in schedule)
+        cancel, late = dropout, delay > 0
+        if self.asynchrony.enabled:
+            offsets, churn = self.timing_schedule(wave, n)
+            cancel = cancel | churn
+            delay = offsets + delay * self.asynchrony.round_interval
+        kept = ~cancel
+        corrupt = corrupt & kept
+        self.counts["dropped_uploads"] += int(dropout.sum())
+        self.counts["deferred_uploads"] += int((late & kept).sum())
+        self.counts["corrupted_uploads"] += int(corrupt.sum())
+        if corrupt.any():
+            item_grads = batch.item_grads.copy()
+            self._corrupt(item_grads, np.repeat(corrupt, batch.lengths))
+            batch = batch.with_item_grads(item_grads)
+        if cancel.any():
+            batch, delay = batch.select_clients(kept), delay[kept]
+        return batch, delay
+
+    def sync_round(
+        self, batch: UpdateBatch, sampled: Sequence[int], round_idx: int
+    ) -> UpdateBatch:
+        """What the server sees of synchronous round ``round_idx``.
+
+        Stragglers park as one copied part per distinct delay with
+        ``due = round + delay`` and the buffer drains at ``now =
+        round``, so a straggler lands exactly ``delay`` rounds late,
+        after the round's own uploads.
+        """
+        arrivals = self.buffer.drain(round_idx)
+        batch, delay = self.route(batch, sampled, round_idx)
+        if delay.any():
+            for d in np.unique(delay[delay > 0]):
+                part = batch.select_clients(delay == d)
+                self.buffer.park(part, round_idx, round_idx + int(d))
+            batch = batch.select_clients(delay == 0)
         if not arrivals.num_clients:
             return batch
         return UpdateBatch.concat([batch, arrivals])
 
+    def fault_counts(self) -> dict[str, int]:
+        """The transit's share of :class:`FaultStats`."""
+        if self.asynchrony.enabled:
+            return dict(self.counts)
+        tallies = self.buffer.tallies
+        return {
+            **self.counts,
+            "dropped_uploads": self.counts["dropped_uploads"] + tallies["stale_dropped"],
+            "stale_applied": tallies["stale_applied"],
+            "stale_pending": self.buffer.pending,
+        }
+
     def _corrupt(self, grads: np.ndarray, rows: np.ndarray) -> None:
         """In-transit corruption of ``grads[rows]``, in place."""
-        mode = self.config.corruption_mode
-        if mode == "nan":
-            grads[rows] = np.nan
-        elif mode == "inf":
-            grads[rows] = np.inf
-        else:  # overscale
-            grads[rows] *= grads.dtype.type(self.config.corruption_scale)
+        cfg = self.faults
+        if cfg.corruption_mode == "overscale":
+            grads[rows] *= grads.dtype.type(cfg.corruption_scale)
+        else:
+            grads[rows] = np.nan if cfg.corruption_mode == "nan" else np.inf

@@ -39,7 +39,7 @@ from repro.defenses.registry import build_server_defense, client_defense
 from repro.federated.async_engine import AsyncFederationEngine, AsyncStats
 from repro.federated.audit import ServerAuditLog
 from repro.federated.batch_engine import BatchClientEngine, ProcessRoundExecutor
-from repro.federated.faults import FaultController, FaultStats
+from repro.federated.faults import FaultStats, UploadTransit
 from repro.federated.server import Server
 from repro.federated.shards import (
     EmbeddingMatrixView,
@@ -180,14 +180,12 @@ class FederatedSimulation:
             min_quorum=config.faults.min_quorum,
             max_upload_norm=config.faults.max_upload_norm,
         )
-        # One fault controller per simulation: its plan is a pure
-        # function of (seed, round), its staleness buffer the only
-        # cross-round fault state.  A config that injects nothing
-        # builds no controller — the ideal-synchronous path stays
-        # exactly the pre-fault engine.
-        self.fault_controller = (
-            FaultController(config.faults, config.seed)
-            if config.faults.injects_faults
+        # One upload transit for either round mode; a synchronous config
+        # that injects nothing builds none, so the ideal-synchronous
+        # path stays exactly the pre-fault engine.
+        self.transit = (
+            UploadTransit(config.faults, config.asynchrony, config.seed)
+            if config.faults.injects_faults or config.asynchrony.enabled
             else None
         )
         self._eval_negatives, self._eval_negative_counts = pack_eval_negatives(
@@ -220,7 +218,7 @@ class FederatedSimulation:
             config.train,
             config.seed,
             kernel_backend=self.kernel_backend,
-            fault_controller=self.fault_controller,
+            transit=self.transit,
             executor=self.executor,
         )
         # The asynchronous event-driven mode wraps the batch engine,
@@ -229,37 +227,27 @@ class FederatedSimulation:
             AsyncFederationEngine(
                 batch_engine=self._batch_engine,
                 server=self.server,
-                config=config.asynchrony,
+                transit=self.transit,
                 train_cfg=config.train,
                 total_users=self.total_users,
-                seed=config.seed,
             )
             if config.asynchrony.enabled
             else None
         )
 
     def _reject_unsupported(self) -> None:
-        """Refuse unsupported combinations before anything is allocated.
+        """Refuse an unrunnable config before anything is allocated.
 
-        Every exclusion is rejected loudly here — never silently
-        degraded mid-run, and never after the store's shared-memory
-        segments exist (an exception would keep them linked for as
-        long as it is referenced).  One reason per exclusion.
+        Rejected loudly here — never silently degraded mid-run, and
+        never after the store's shared-memory segments exist (an
+        exception would keep them linked for as long as it is
+        referenced).
         """
-        config = self.config
-        sharding = config.sharding
-        if sharding.backend == "shm" and not shared_memory_available():
+        if self.config.sharding.backend == "shm" and not shared_memory_available():
             raise RuntimeError(
                 "sharding.shared_memory=True but /dev/shm is not "
                 "available; set shared_memory=False for the "
                 "anonymous-mmap backend"
-            )
-        if config.asynchrony.enabled and config.faults.injects_faults:
-            raise ValueError(
-                "asynchrony and fault injection are mutually "
-                "exclusive: both model churn/latency, and composing "
-                "them would apply a failure model twice; use AsyncConfig "
-                "(server-side min_quorum / max_upload_norm still apply)"
             )
 
     def close(self) -> None:
@@ -457,7 +445,7 @@ class FederatedSimulation:
             "store": self.state,
             "engine": self._batch_engine,
             "cohort": self.malicious_cohort,
-            "faults": self.fault_controller,
+            "transit": self.transit,
             "async": self._async_engine,
         }
         return {name: c for name, c in components.items() if c is not None}
@@ -519,10 +507,9 @@ class FederatedSimulation:
         )
 
     def fault_stats(self) -> FaultStats:
-        """Current fault/mitigation accounting (controller + server)."""
-        controller = self.fault_controller
+        """Current fault/mitigation accounting (transit + server)."""
         return FaultStats(
-            **(controller.stats_counts() if controller else {}),
+            **(self.transit.fault_counts() if self.transit else {}),
             rejected_nonfinite=self.server.rejected_nonfinite,
             rejected_oversized=self.server.rejected_oversized,
             quorum_failed_rounds=self.server.quorum_failed_rounds,
@@ -531,9 +518,7 @@ class FederatedSimulation:
 
     def async_stats(self) -> AsyncStats:
         """Current asynchrony accounting (all-zero when synchronous)."""
-        if self._async_engine is None:
-            return AsyncStats()
-        return self._async_engine.stats()
+        return self._async_engine.stats() if self._async_engine else AsyncStats()
 
     # ------------------------------------------------------------------
     # Evaluation

@@ -95,7 +95,10 @@ __all__ = [
 #: v9: the attacker's state is the cohort's alone (``state["cohort"]``
 #: carries the members' warm state); no ``clients`` component of
 #: per-client participation counters and miners.
-CHECKPOINT_VERSION = "ckpt-v9"
+#: v10: one ``transit`` component (the upload transit's staleness
+#: buffer and fault counters) replaces ``faults``, and the ``async``
+#: component no longer carries a buffer of its own.
+CHECKPOINT_VERSION = "ckpt-v10"
 
 #: Suffix appended (atomically, via ``os.replace``) to files that fail
 #: their integrity check.  A quarantined file is out of every loader's

@@ -118,8 +118,8 @@ class LoopSimulation(FederatedSimulation):
                 )
             if update is not None:
                 updates.append(update)
-        if self.fault_controller is not None:
+        if self.transit is not None:
             updates = apply_to_updates(
-                self.fault_controller, updates, [int(u) for u in sampled], round_idx
+                self.transit, updates, [int(u) for u in sampled], round_idx
             )
         apply_updates(self.server, updates)

@@ -11,13 +11,13 @@ the package works on a whole round's
   per touched item;
 * :func:`record` — :meth:`ServerAuditLog.record_batch
   <repro.federated.audit.ServerAuditLog.record_batch>`;
-* :func:`apply_to_updates` — :meth:`FaultController.apply_to_batch
-  <repro.federated.faults.FaultController.apply_to_batch>`;
+* :func:`apply_to_updates` — :meth:`UploadTransit.sync_round
+  <repro.federated.faults.UploadTransit.sync_round>`;
 * :func:`to_updates` — the inverse of ``UpdateBatch.from_updates``.
 
 They operate on the package's own objects (server counters, audit
-records, the controller's plan and buffer), so a reference run and a
-batched run are compared on the same state.  The arithmetic is the
+records, the transit's fault schedule and buffer), so a reference run
+and a batched run are compared on the same state.  The arithmetic is the
 executable specification the parity suites hold the batched path to,
 bit for bit.
 """
@@ -29,17 +29,15 @@ from typing import Sequence
 import numpy as np
 
 from repro.federated.audit import ItemRoundRecord, ServerAuditLog
-from repro.federated.faults import (
-    FAULT_DROPOUT,
-    FAULT_NONE,
-    FAULT_STRAGGLER,
-    FaultController,
-)
+from repro.federated.faults import UploadTransit
 from repro.federated.payload import ClientUpdate
 from repro.federated.server import Server
 from repro.federated.update_batch import UpdateBatch
 
 __all__ = ["apply_to_updates", "apply_updates", "record", "to_updates"]
+
+#: Per-client fault kinds of :func:`apply_to_updates`.
+FAULT_NONE, FAULT_DROPOUT, FAULT_STRAGGLER, FAULT_CORRUPTION = range(4)
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +126,7 @@ def record(log: ServerAuditLog, updates: Sequence[ClientUpdate]) -> None:
 
 
 def apply_to_updates(
-    controller: FaultController,
+    transit: UploadTransit,
     updates: list[ClientUpdate],
     sampled: Sequence[int],
     round_idx: int,
@@ -139,14 +137,19 @@ def apply_to_updates(
     a time, the same corruption values, and the same buffer (one part
     per straggler).
     """
-    faults = controller.plan.round_faults(round_idx, len(sampled))
-    arrivals = controller.buffer.drain(round_idx)
-    if not faults.any_fault and not arrivals.num_clients:
+    dropout, corrupt, delays = transit.fault_schedule(round_idx, len(sampled))
+    kinds = np.select(
+        [dropout, delays > 0, corrupt],
+        [FAULT_DROPOUT, FAULT_STRAGGLER, FAULT_CORRUPTION],
+        FAULT_NONE,
+    )
+    arrivals = transit.buffer.drain(round_idx)
+    if not kinds.any() and not arrivals.num_clients:
         return updates
 
     kind_by_user = {
         int(user): (int(kind), int(delay))
-        for user, kind, delay in zip(sampled, faults.kinds, faults.delays)
+        for user, kind, delay in zip(sampled, kinds, delays)
         if kind != FAULT_NONE
     }
     surviving: list[ClientUpdate] = []
@@ -155,15 +158,15 @@ def apply_to_updates(
         if kind == FAULT_NONE:
             surviving.append(update)
         elif kind == FAULT_DROPOUT:
-            controller.counts["dropped_uploads"] += 1
+            transit.counts["dropped_uploads"] += 1
         elif kind == FAULT_STRAGGLER:
-            controller.buffer.park(
+            transit.buffer.park(
                 UpdateBatch.from_updates([update]), round_idx, round_idx + delay
             )
-            controller.counts["deferred_uploads"] += 1
+            transit.counts["deferred_uploads"] += 1
         else:  # FAULT_CORRUPTION
             item_grads = update.item_grads.copy()
-            controller._corrupt(item_grads, ...)
+            transit._corrupt(item_grads, ...)
             surviving.append(
                 ClientUpdate(
                     user_id=update.user_id,
@@ -173,7 +176,7 @@ def apply_to_updates(
                     malicious=update.malicious,
                 )
             )
-            controller.counts["corrupted_uploads"] += 1
+            transit.counts["corrupted_uploads"] += 1
     return surviving + to_updates(arrivals)
 
 

@@ -21,6 +21,7 @@ validation, and engine-compatibility guards.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -35,11 +36,13 @@ from repro.config import (
     TrainConfig,
     FaultConfig,
 )
-from repro.federated.clock import PRIORITY_ARRIVAL, AsyncPlan, EventQueue, VirtualClock
+from repro.federated.clock import PRIORITY_ARRIVAL, EventQueue, VirtualClock
+from repro.federated.faults import UploadTransit
 from repro.federated.simulation import FederatedSimulation
 
 #: A busy non-degenerate configuration: bursty arrivals, real latency,
-#: churn, a buffer smaller than the cohort, and a staleness cap.
+#: churn and a buffer smaller than the cohort; runs pair it with the
+#: staleness discount and cap of ``STALENESS``.
 CHURNY = AsyncConfig(
     enabled=True,
     traffic="poisson",
@@ -49,8 +52,16 @@ CHURNY = AsyncConfig(
     churn_rate=0.15,
     buffer_size=8,
     round_deadline=1.5,
-    staleness_discount=0.6,
-    max_staleness=4,
+)
+STALENESS = FaultConfig(staleness_discount=0.6, max_staleness=4)
+
+#: Dropout, stragglers and corruption at once, on top of ``STALENESS``.
+FAULTY = dataclasses.replace(
+    STALENESS,
+    dropout_rate=0.15,
+    straggler_rate=0.2,
+    straggler_max_delay=3,
+    corruption_rate=0.1,
 )
 
 
@@ -143,10 +154,62 @@ class TestSyncEquivalence:
         _assert_bit_identical(_snapshot(b, b.run()), ra)
 
 
+class TestFaultsCompose:
+    """One transit stage: faults mean the same in both round modes."""
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            FaultConfig(dropout_rate=0.3),
+            FaultConfig(corruption_rate=0.3, corruption_mode="nan"),
+            FaultConfig(
+                dropout_rate=0.2,
+                corruption_rate=0.2,
+                corruption_mode="overscale",
+                max_upload_norm=50.0,
+            ),
+        ],
+        ids=["dropout", "corruption", "both"],
+    )
+    def test_degenerate_async_with_faults_matches_sync(self, tiny_dataset, faults):
+        cfg = _config("mf", faults=faults)
+        sync = FederatedSimulation(cfg, tiny_dataset)
+        sync_result = sync.run()
+        acfg = dataclasses.replace(cfg, asynchrony=AsyncConfig(enabled=True))
+        asim = FederatedSimulation(acfg, tiny_dataset)
+        async_result = asim.run()
+        _assert_bit_identical(
+            _snapshot(asim, async_result), _snapshot(sync, sync_result)
+        )
+        assert async_result.fault_stats == sync_result.fault_stats
+        assert sync_result.fault_stats.any_fault
+        stats = async_result.async_stats
+        assert stats.uploads_cancelled == async_result.fault_stats.dropped_uploads
+
+    @pytest.mark.parametrize(
+        "asyn",
+        [AsyncConfig(enabled=True), AsyncConfig(enabled=True, buffer_size=5), CHURNY],
+        ids=["degenerate", "split", "churny"],
+    )
+    def test_zero_rate_faults_change_nothing(self, tiny_dataset, asyn):
+        cfg = _config("mf", asynchrony=asyn)
+        alone = FederatedSimulation(cfg, tiny_dataset)
+        ref = _snapshot(alone, alone.run())
+        zero_rate = FaultConfig(
+            straggler_max_delay=5, corruption_mode="overscale", corruption_scale=3.0
+        )
+        composed = FederatedSimulation(
+            dataclasses.replace(cfg, faults=zero_rate), tiny_dataset
+        )
+        got = _snapshot(composed, composed.run())
+        _assert_bit_identical(got, ref)
+        assert got["async_stats"] == ref["async_stats"]
+
+
 class TestDeterminism:
     def test_same_seed_bit_identical(self, tiny_dataset):
         cfg = _config("mf", attack="pieck_ipe", defense="median",
-                      asynchrony=CHURNY)
+                      asynchrony=CHURNY, faults=STALENESS)
         a = FederatedSimulation(cfg, tiny_dataset)
         ra = _snapshot(a, a.run())
         b = FederatedSimulation(cfg, tiny_dataset)
@@ -159,7 +222,7 @@ class TestDeterminism:
         assert stats.stale_applied > 0
 
     def test_different_seed_diverges(self, tiny_dataset):
-        cfg = _config("mf", asynchrony=CHURNY)
+        cfg = _config("mf", asynchrony=CHURNY, faults=STALENESS)
         a = FederatedSimulation(cfg, tiny_dataset)
         a.run()
         other = dataclasses.replace(cfg, seed=11)
@@ -170,16 +233,14 @@ class TestDeterminism:
         )
 
     def test_plan_is_pure_function_of_seed_and_wave(self):
-        plan = AsyncPlan(CHURNY, seed=5)
-        a = plan.wave_schedule(3, 12)
-        b = AsyncPlan(CHURNY, seed=5).wave_schedule(3, 12)
-        assert a.offsets.tobytes() == b.offsets.tobytes()
-        assert a.compute.tobytes() == b.compute.tobytes()
-        assert a.network.tobytes() == b.network.tobytes()
-        assert a.cancelled.tobytes() == b.cancelled.tobytes()
+        transit = UploadTransit(FaultConfig(), CHURNY, seed=5)
+        a = transit.timing_schedule(3, 12)
+        b = UploadTransit(FaultConfig(), CHURNY, seed=5).timing_schedule(3, 12)
+        for part_a, part_b in zip(a, b):
+            assert part_a.tobytes() == part_b.tobytes()
         # Waves draw from independent spawned streams.
-        c = plan.wave_schedule(4, 12)
-        assert a.offsets.tobytes() != c.offsets.tobytes()
+        c = transit.timing_schedule(4, 12)
+        assert a[0].tobytes() != c[0].tobytes()
 
 
 class TestChurnAndStaleness:
@@ -187,6 +248,7 @@ class TestChurnAndStaleness:
         cfg = _config(
             "mf",
             asynchrony=dataclasses.replace(CHURNY, churn_rate=1.0),
+            faults=STALENESS,
         )
         sim = FederatedSimulation(cfg, tiny_dataset)
         before = sim.model.item_embeddings.copy()
@@ -203,8 +265,7 @@ class TestChurnAndStaleness:
         cfg = _config(
             "mf",
             asynchrony=AsyncConfig(
-                enabled=True, network_mean=3.0, round_deadline=0.5,
-                staleness_discount=0.5,
+                enabled=True, network_mean=3.0, round_deadline=0.5
             ),
         )
         result = FederatedSimulation(cfg, tiny_dataset).run()
@@ -216,9 +277,9 @@ class TestChurnAndStaleness:
         cfg = _config(
             "mf",
             asynchrony=AsyncConfig(
-                enabled=True, network_mean=6.0, round_deadline=0.25,
-                max_staleness=1,
+                enabled=True, network_mean=6.0, round_deadline=0.25
             ),
+            faults=FaultConfig(max_staleness=1),
         )
         stats = FederatedSimulation(cfg, tiny_dataset).run().async_stats
         assert stats.stale_dropped > 0
@@ -227,7 +288,7 @@ class TestChurnAndStaleness:
     def test_counter_conservation(self, tiny_dataset):
         for asyn in (CHURNY, AsyncConfig(enabled=True),
                      dataclasses.replace(CHURNY, churn_rate=0.5)):
-            cfg = _config("mf", asynchrony=asyn)
+            cfg = _config("mf", asynchrony=asyn, faults=STALENESS)
             stats = FederatedSimulation(cfg, tiny_dataset).run().async_stats
             assert stats.clients_dispatched == (
                 stats.uploads_cancelled
@@ -313,7 +374,7 @@ class TestCheckpointResume:
         # The hard case: in-flight uploads and a part-filled buffer
         # cross the checkpoint boundary inside the pickled event heap.
         cfg = _config("mf", attack="pieck_ipe", defense="median",
-                      asynchrony=CHURNY)
+                      asynchrony=CHURNY, faults=STALENESS)
         reference = FederatedSimulation(cfg, tiny_dataset)
         ref = _snapshot(reference, reference.run())
         assert ref["async_stats"].uploads_in_flight > 0  # heap non-empty
@@ -346,14 +407,23 @@ class TestGuards:
         with pytest.raises(ValueError, match="batch"):
             LoopSimulation(cfg, tiny_dataset)
 
-    def test_faults_and_async_mutually_exclusive(self, tiny_dataset):
-        cfg = _config(
-            "mf",
-            asynchrony=AsyncConfig(enabled=True),
-            faults=FaultConfig(dropout_rate=0.5),
+    def test_faults_and_async_compose(self, tiny_dataset):
+        # Every fault kind fires under asynchrony: dropout joins churn
+        # in the cancel count, stragglers land late, corrupted uploads
+        # reach the server gate; both stats stay conserved.
+        cfg = _config("mf", asynchrony=CHURNY, faults=FAULTY)
+        sim = FederatedSimulation(cfg, tiny_dataset)
+        result = sim.run()
+        faults, stats = result.fault_stats, result.async_stats
+        assert faults.dropped_uploads > 0
+        assert faults.deferred_uploads > 0
+        assert faults.corrupted_uploads > 0
+        assert faults.rejected_nonfinite > 0
+        assert stats.uploads_cancelled > faults.dropped_uploads
+        assert stats.clients_dispatched == (
+            stats.uploads_cancelled + stats.uploads_arrived + stats.uploads_in_flight
         )
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            FederatedSimulation(cfg, tiny_dataset)
+        assert np.isfinite(sim.model.item_embeddings).all()
 
     def test_server_gate_still_allowed(self, tiny_dataset):
         # min_quorum / max_upload_norm are server-side and compose with
@@ -406,14 +476,23 @@ class TestConfigValidation:
             {"buffer_size": -1},
             {"round_interval": 0.0},
             {"round_deadline": 0.0},
-            {"staleness_discount": 0.0},
-            {"staleness_discount": 1.5},
-            {"max_staleness": -1},
+            # Non-finite values slip through range checks (a NaN
+            # round_interval strands every upload in flight).
+            {"round_interval": math.nan},
+            {"arrival_rate": math.nan},
+            {"traffic": "trace", "trace_offsets": (0.5, math.nan)},
+            {"round_interval": math.inf},
+            {"round_deadline": math.nan},
+            {"compute_mean": math.nan},
+            {"network_mean": math.inf},
+            {"churn_rate": math.nan},
+            {"trace_offsets": (math.inf,)},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AsyncConfig(enabled=True, **kwargs)
+
 
     def test_trace_traffic_cycles_offsets(self, tiny_dataset):
         cfg = _config(
@@ -428,7 +507,7 @@ class TestConfigValidation:
     def test_results_roundtrip_async_stats(self, tiny_dataset, tmp_path):
         from repro import persistence
 
-        cfg = _config("mf", asynchrony=CHURNY)
+        cfg = _config("mf", asynchrony=CHURNY, faults=STALENESS)
         result = FederatedSimulation(cfg, tiny_dataset).run()
         path = str(tmp_path / "result.json")
         persistence.save_result(result, path)

@@ -10,6 +10,11 @@ exactly once, ``pending`` counted in clients), FIFO among due entries,
 a discount that never grows with delay, delay-0 parts returned as the
 same arrays, the ``max_staleness`` boundary, and parts that keep their
 own precision.
+
+Whole runs of faults × asynchrony close the loop: whatever the fault
+rates and traffic, every dispatched client lands in exactly one
+:class:`~repro.federated.async_engine.AsyncStats` bucket, and a
+fault-dropped client is counted both as cancelled and as dropped.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import AsyncConfig, ExperimentConfig, FaultConfig, ModelConfig, TrainConfig
 from repro.federated.faults import StalenessBuffer
 from repro.federated.payload import ClientUpdate
+from repro.federated.simulation import FederatedSimulation
 from repro.federated.update_batch import UpdateBatch
 
 FAST = settings(max_examples=60, deadline=None)
@@ -189,3 +196,60 @@ class TestStalenessBufferProperties:
         factor = np.float32(discount**delay)
         expected = part.item_grads if delay == 0 else part.item_grads * factor
         assert drained.item_grads.tobytes() == expected.tobytes()
+
+
+#: Fault rates that sum to at most 1, as ``FaultConfig`` requires.
+fault_rates = st.tuples(
+    st.floats(0.0, 0.4), st.floats(0.0, 0.3), st.floats(0.0, 0.3)
+)
+
+
+class TestFaultsUnderAsynchrony:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        rates=fault_rates,
+        max_delay=st.integers(1, 3),
+        max_staleness=st.integers(0, 3),
+        churn=st.sampled_from([0.0, 0.2]),
+        traffic=st.sampled_from(["instant", "poisson"]),
+        buffer_size=st.sampled_from([0, 5]),
+    )
+    def test_conservation_with_faults(
+        self, tiny_dataset, rates, max_delay, max_staleness, churn, traffic, buffer_size
+    ):
+        dropout, straggler, corruption = rates
+        config = ExperimentConfig(
+            model=ModelConfig(kind="mf", embedding_dim=4, seed=3),
+            train=TrainConfig(rounds=6, users_per_round=12, lr=1.0, eval_every=0),
+            faults=FaultConfig(
+                dropout_rate=dropout,
+                straggler_rate=straggler,
+                straggler_max_delay=max_delay,
+                corruption_rate=corruption,
+                max_staleness=max_staleness,
+            ),
+            asynchrony=AsyncConfig(
+                enabled=True,
+                traffic=traffic,
+                network_mean=0.3,
+                churn_rate=churn,
+                buffer_size=buffer_size,
+            ),
+            seed=3,
+        )
+        result = FederatedSimulation(config, tiny_dataset).run()
+        stats, faults = result.async_stats, result.fault_stats
+        assert stats.clients_dispatched == (
+            stats.uploads_cancelled + stats.uploads_arrived + stats.uploads_in_flight
+        )
+        assert stats.uploads_arrived == (
+            stats.uploads_applied + stats.stale_dropped + stats.uploads_buffered
+        )
+        assert stats.rounds_closed_by_buffer + stats.rounds_closed_by_deadline == 6
+        # Dropout is one source of cancellation, churn the other.
+        assert faults.dropped_uploads <= stats.uploads_cancelled
+        if churn == 0.0:
+            assert faults.dropped_uploads == stats.uploads_cancelled
+        assert faults.deferred_uploads + faults.corrupted_uploads <= (
+            stats.clients_dispatched - stats.uploads_cancelled
+        )

@@ -27,6 +27,7 @@ import pytest
 from reference import LoopSimulation
 from repro import kernels, persistence
 from repro.config import (
+    AsyncConfig,
     AttackConfig,
     DefenseConfig,
     ExperimentConfig,
@@ -185,6 +186,35 @@ class TestResumeBitIdentity:
             _interrupted(cfg, tiny_dataset, engine, tmp_path, stop_after=5, every=5),
             ref_state,
         )
+
+    def test_faults_async_resume(self, tiny_dataset, tmp_path):
+        # Faults × async: in-flight stragglers in the event heap and
+        # the transit's counters cross the boundary mid-stream.
+        cfg = _config(
+            "mf",
+            faults=dataclasses.replace(FAULTS, max_staleness=3),
+            asynchrony=AsyncConfig(
+                enabled=True,
+                traffic="poisson",
+                arrival_rate=6.0,
+                network_mean=0.4,
+                churn_rate=0.1,
+                buffer_size=8,
+            ),
+        )
+        reference = FederatedSimulation(cfg, tiny_dataset)
+        ref_result = reference.run()
+        ref_state = _final_state(reference, ref_result)
+        assert ref_state["fault_stats"].deferred_uploads > 0
+        assert ref_result.async_stats.uploads_in_flight > 0
+        ckpt_dir = str(tmp_path / "ckpt")
+        FederatedSimulation(cfg, tiny_dataset).run(
+            rounds=5, checkpoint_dir=ckpt_dir, checkpoint_every=5
+        )
+        resumed = FederatedSimulation(cfg, tiny_dataset)
+        result = resumed.run(checkpoint_dir=ckpt_dir, checkpoint_every=5)
+        _assert_identical(_final_state(resumed, result), ref_state)
+        assert result.async_stats == ref_result.async_stats
 
     def test_regularized_resume(self, tiny_dataset, tmp_path):
         # The store's CohortMiner block — accumulators, frozen sets and
@@ -508,6 +538,9 @@ class TestCorruptionFallback:
             # v8 carried per-client _times_sampled counters and miners
             # under "clients"; v9's attacker state is the cohort's alone.
             "ckpt-v8",
+            # v9 kept the fault buffer under "faults" and the async
+            # buffer inside "async"; v10 holds one under "transit".
+            "ckpt-v9",
         ],
     )
     def test_old_checkpoint_is_refused_by_name(self, tmp_path, version):

@@ -82,16 +82,22 @@ class TestSpecParsing:
         assert cfg.min_quorum == 4
 
     def test_async_spec_parses_and_forces_enabled(self):
-        cfg = parse_async_spec(
-            "traffic=poisson,rate=6,churn=0.1,k=8,deadline=1.5,max-stale=3"
-        )
+        cfg = parse_async_spec("traffic=poisson,rate=6,churn=0.1,k=8,deadline=1.5")
         assert cfg.enabled is True
         assert cfg.traffic == "poisson"
         assert cfg.arrival_rate == 6.0
         assert cfg.churn_rate == 0.1
         assert cfg.buffer_size == 8
         assert cfg.round_deadline == 1.5
+
+    def test_staleness_pair_parses_under_faults_only(self):
+        import argparse
+
+        cfg = parse_fault_spec("discount=0.6,max-stale=3")
+        assert cfg.staleness_discount == 0.6
         assert cfg.max_staleness == 3
+        with pytest.raises(argparse.ArgumentTypeError, match="valid keys"):
+            parse_async_spec("discount=0.6")
 
     def test_async_empty_spec_is_degenerate(self):
         from repro.config import AsyncConfig

@@ -2,10 +2,10 @@
 
 Covers the tentpole contracts of the fault-tolerant runtime:
 
-* `FaultPlan` is a pure function of ``(seed, config, round)`` — same
-  seed, same schedule, forever;
+* the transit's fault schedule is a pure function of ``(seed, config,
+  round)`` — same seed, same schedule, forever;
 * the zero-fault configuration is *bit-identical* to the pre-fault
-  engine (no controller, no gate rejections, no behavioural drift);
+  engine (no transit, no gate rejections, no behavioural drift);
 * the batch engine stays bit-identical to the per-client reference
   loop under any fault schedule, including the staleness splices and
   the server gate;
@@ -16,21 +16,21 @@ Covers the tentpole contracts of the fault-tolerant runtime:
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from reference import LoopSimulation, apply_updates, to_updates
-from repro.config import AttackConfig, ExperimentConfig, FaultConfig, ModelConfig, TrainConfig
-from repro.federated.faults import (
-    FAULT_CORRUPTION,
-    FAULT_DROPOUT,
-    FAULT_NONE,
-    FAULT_STRAGGLER,
-    FaultController,
-    FaultPlan,
-    StalenessBuffer,
+from repro.config import (
+    AsyncConfig,
+    AttackConfig,
+    ExperimentConfig,
+    FaultConfig,
+    ModelConfig,
+    TrainConfig,
 )
+from repro.federated.faults import StalenessBuffer, UploadTransit
 from repro.federated.payload import ClientUpdate
 from repro.federated.server import Server
 from repro.federated.simulation import FederatedSimulation
@@ -64,68 +64,83 @@ def _config(dim: int = 8, rounds: int = 12, **kwargs) -> ExperimentConfig:
 
 class TestFaultConfig:
     def test_rejects_bad_rates(self):
-        with pytest.raises(ValueError):
-            FaultConfig(dropout_rate=-0.1)
-        with pytest.raises(ValueError):
-            FaultConfig(dropout_rate=0.6, straggler_rate=0.5)
-        with pytest.raises(ValueError):
-            FaultConfig(corruption_mode="garbage")
-        with pytest.raises(ValueError):
-            FaultConfig(staleness_discount=0.0)
-        with pytest.raises(ValueError):
-            FaultConfig(straggler_rate=0.1, straggler_max_delay=0)
+        for kwargs in (
+            {"dropout_rate": -0.1},
+            {"dropout_rate": 0.6, "straggler_rate": 0.5},
+            {"corruption_mode": "garbage"},
+            {"staleness_discount": 0.0},
+            {"staleness_discount": 1.5},
+            {"max_staleness": -1},
+            {"straggler_rate": 0.1, "straggler_max_delay": 0},
+        ):
+            with pytest.raises(ValueError):
+                FaultConfig(**kwargs)
+        # NaN fails every range comparison, so it needs its own check
+        # (a NaN max_upload_norm would switch the gate off); the
+        # message names the field.
+        for name, value in (
+            ("dropout_rate", math.nan),
+            ("staleness_discount", math.nan),
+            ("max_upload_norm", math.nan),
+            ("max_upload_norm", math.inf),
+            ("corruption_scale", math.nan),
+            ("corruption_scale", -math.inf),
+        ):
+            with pytest.raises(ValueError, match=name):
+                FaultConfig(**{name: value})
 
     def test_enabled_flags(self):
-        assert not FaultConfig().enabled
         assert not FaultConfig().injects_faults
         assert FaultConfig(dropout_rate=0.1).injects_faults
-        assert FaultConfig(min_quorum=4).enabled
         assert not FaultConfig(min_quorum=4).injects_faults
-        assert FaultConfig(max_upload_norm=1.0).enabled
+        assert not FaultConfig(max_upload_norm=1.0, max_staleness=2).injects_faults
 
 
 # ----------------------------------------------------------------------
-# FaultPlan determinism
+# Fault schedule determinism
 # ----------------------------------------------------------------------
+
+
+def _schedule(config: FaultConfig, seed: int, round_idx: int, n: int):
+    """``(dropout, corrupt, delay)`` of one synchronous round."""
+    return UploadTransit(config, AsyncConfig(), seed).fault_schedule(round_idx, n)
+
 
 class TestFaultPlan:
     def test_same_seed_same_schedule(self):
-        plans = [FaultPlan(AGGRESSIVE, seed=11) for _ in range(2)]
         for round_idx in range(20):
-            a = plans[0].round_faults(round_idx, 32)
-            b = plans[1].round_faults(round_idx, 32)
-            assert np.array_equal(a.kinds, b.kinds)
-            assert np.array_equal(a.delays, b.delays)
+            a = _schedule(AGGRESSIVE, 11, round_idx, 32)
+            b = _schedule(AGGRESSIVE, 11, round_idx, 32)
+            for mask_a, mask_b in zip(a, b):
+                assert np.array_equal(mask_a, mask_b)
 
     def test_different_seeds_differ(self):
-        a = FaultPlan(AGGRESSIVE, seed=1).round_faults(0, 256)
-        b = FaultPlan(AGGRESSIVE, seed=2).round_faults(0, 256)
-        assert not np.array_equal(a.kinds, b.kinds)
+        a = _schedule(AGGRESSIVE, 1, 0, 256)
+        b = _schedule(AGGRESSIVE, 2, 0, 256)
+        assert not np.array_equal(a[0], b[0])
 
     def test_zero_fault_plan_schedules_nothing(self):
-        plan = FaultPlan(FaultConfig(), seed=7)
         for round_idx in range(10):
-            faults = plan.round_faults(round_idx, 64)
-            assert not faults.any_fault
-            assert (faults.kinds == FAULT_NONE).all()
+            for mask in _schedule(FaultConfig(), 7, round_idx, 64):
+                assert not mask.any()
 
     def test_rates_approximately_respected(self):
-        plan = FaultPlan(AGGRESSIVE, seed=0)
-        kinds = np.concatenate(
-            [plan.round_faults(r, 1000).kinds for r in range(20)]
+        dropout, corrupt, delay = (
+            np.concatenate(masks)
+            for masks in zip(*(_schedule(AGGRESSIVE, 0, r, 1000) for r in range(20)))
         )
-        assert abs((kinds == FAULT_DROPOUT).mean() - 0.2) < 0.02
-        assert abs((kinds == FAULT_STRAGGLER).mean() - 0.15) < 0.02
-        assert abs((kinds == FAULT_CORRUPTION).mean() - 0.1) < 0.02
+        assert abs(dropout.mean() - 0.2) < 0.02
+        assert abs((delay > 0).mean() - 0.15) < 0.02
+        assert abs(corrupt.mean() - 0.1) < 0.02
+        # At most one fault fires per client.
+        assert not (dropout & corrupt).any()
+        assert not ((delay > 0) & (dropout | corrupt)).any()
 
     def test_straggler_delays_in_range(self):
-        plan = FaultPlan(AGGRESSIVE, seed=0)
-        faults = plan.round_faults(0, 2000)
-        stragglers = faults.kinds == FAULT_STRAGGLER
+        _, _, delay = _schedule(AGGRESSIVE, 0, 0, 2000)
+        stragglers = delay > 0
         assert stragglers.any()
-        assert (faults.delays[stragglers] >= 1).all()
-        assert (faults.delays[stragglers] <= 3).all()
-        assert (faults.delays[~stragglers] == 0).all()
+        assert (delay[stragglers] <= 3).all()
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +162,7 @@ class TestZeroFaultIdentity:
         assert np.array_equal(
             plain.model.item_embeddings, gated.model.item_embeddings
         )
-        assert gated.fault_controller is None
+        assert gated.transit is None
         assert not res_gated.fault_stats.any_fault
 
     def test_quorum_only_config_is_bit_identical(self, tiny_dataset):
@@ -274,20 +289,20 @@ class TestDegradationSemantics:
         model = MFModel(num_items=4, embedding_dim=2, init_scale=0.0, seed=0)
         server = Server(model, lr=1.0)
         config = FaultConfig(straggler_rate=1.0, straggler_max_delay=1, staleness_discount=0.5)
-        controller = FaultController(config, seed=0)
+        transit = UploadTransit(config, AsyncConfig(), seed=0)
         grad = np.array([[1.0, 2.0]])
         update = ClientUpdate(
             user_id=0, item_ids=np.array([1]), item_grads=grad.copy()
         )
-        first = controller.apply_to_batch(
+        first = transit.sync_round(
             UpdateBatch.from_updates([update]), [0], round_idx=0
         )
         assert first.num_clients == 0  # deferred, not applied
-        assert controller.buffer.pending == 1
-        arrivals = controller.apply_to_batch(UpdateBatch.empty(2), [], round_idx=1)
+        assert transit.buffer.pending == 1
+        arrivals = transit.sync_round(UpdateBatch.empty(2), [], round_idx=1)
         assert arrivals.num_clients == 1
         assert np.array_equal(arrivals.item_grads, grad * 0.5)
-        assert controller.stats_counts()["stale_applied"] == 1
+        assert transit.fault_counts()["stale_applied"] == 1
 
     def test_stale_pending_counts_in_flight(self, tiny_dataset):
         cfg = _config(

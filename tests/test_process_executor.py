@@ -36,7 +36,6 @@ from repro.config import (
     DatasetConfig,
     DefenseConfig,
     ExperimentConfig,
-    FaultConfig,
     ModelConfig,
     ShardingConfig,
     TrainConfig,
@@ -323,21 +322,17 @@ class TestGuards:
         with pytest.raises(ValueError, match="batch"):
             LoopSimulation(sweep_config(sharding=SHARDED))
 
-    def test_rejected_config_leaks_no_segments(self):
+    def test_rejected_config_leaks_no_segments(self, monkeypatch):
         """The check precedes allocation: nothing to leak, even while
         the exception (whose traceback pins ``__init__``'s frame, and
         with it any store built there) is still referenced."""
+        import repro.federated.simulation as simulation
+
+        monkeypatch.setattr(simulation, "shared_memory_available", lambda: False)
         mine = f"repro_shm_{os.getpid()}_"
         before = {r["name"] for r in list_repro_segments()}
-        with pytest.raises(ValueError, match="mutually exclusive") as caught:
-            FederatedSimulation(
-                dataclasses.replace(
-                    sweep_config(
-                        sharding=SHARDED, asynchrony=AsyncConfig(enabled=True)
-                    ),
-                    faults=FaultConfig(dropout_rate=0.2),
-                )
-            )
+        with pytest.raises(RuntimeError, match="/dev/shm") as caught:
+            FederatedSimulation(sweep_config(sharding=SHARDED))
         assert caught.value is not None
         leaked = {r["name"] for r in list_repro_segments()} - before
         assert not [name for name in leaked if name.startswith(mine)]

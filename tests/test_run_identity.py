@@ -37,9 +37,8 @@ KNOB_PATHS = ["sharding", "train.eval_chunk_users", "train.kernels"]
 IDENTITY_PATHS = [
     "asynchrony.arrival_rate", "asynchrony.buffer_size",
     "asynchrony.churn_rate", "asynchrony.compute_mean", "asynchrony.enabled",
-    "asynchrony.max_staleness", "asynchrony.network_mean",
-    "asynchrony.round_deadline", "asynchrony.round_interval",
-    "asynchrony.staleness_discount", "asynchrony.trace_offsets",
+    "asynchrony.network_mean", "asynchrony.round_deadline",
+    "asynchrony.round_interval", "asynchrony.trace_offsets",
     "asynchrony.traffic",
     "attack.adaptive_margin", "attack.grad_clip", "attack.inner_lr",
     "attack.inner_steps", "attack.ipe_lambda", "attack.ipe_match_norm",
@@ -57,8 +56,8 @@ IDENTITY_PATHS = [
     "defense.mining_rounds", "defense.name", "defense.norm_bound",
     "defense.num_popular", "defense.scale_clip_factor",
     "faults.corruption_mode", "faults.corruption_rate",
-    "faults.corruption_scale", "faults.dropout_rate", "faults.max_upload_norm",
-    "faults.min_quorum", "faults.staleness_discount",
+    "faults.corruption_scale", "faults.dropout_rate", "faults.max_staleness",
+    "faults.max_upload_norm", "faults.min_quorum", "faults.staleness_discount",
     "faults.straggler_max_delay", "faults.straggler_rate",
     "model.embedding_dim", "model.init_scale", "model.kind",
     "model.mlp_layers", "model.seed",
@@ -150,7 +149,6 @@ _ASYNC = AsyncConfig(
     compute_mean=0.5,
     network_mean=0.5,
     buffer_size=6,
-    max_staleness=2,
 )
 
 
@@ -176,7 +174,8 @@ SCAN_CONFIGS = {
     ),
     "regdef": _scan_config(defense=DefenseConfig(name="regularization")),
     "faults": _scan_config(faults=_FAULTS),
-    "async": _scan_config(asynchrony=_ASYNC),
+    "async": _scan_config(asynchrony=_ASYNC, faults=FaultConfig(max_staleness=2)),
+    "faults-async": _scan_config(asynchrony=_ASYNC, faults=_FAULTS),
 }
 
 

@@ -110,7 +110,7 @@ class TestAttackedTraining:
             tiny_mf_config, attack=AttackConfig(name=attack, malicious_ratio=0.1)
         )
         sim = FederatedSimulation(cfg)
-        benign = ("server", "store", "engine", "faults", "async")
+        benign = ("server", "store", "engine", "transit", "async")
         held = sum(
             _nbytes(state_of(component))
             for name, component in sim._components().items()

@@ -17,10 +17,17 @@ rounds.  The bytes ``save_result`` writes for fixed stats are pinned
 from the same commit.  ``async-poisson-ncf`` did not move when the NCF
 tower became row-stable (row-wise projection, contiguous ``W.T``)
 after ede2f34, although runs of the default ``(32, 16)`` tower did.
+
+The POISSON cases held their digests when the staleness pair moved
+from ``AsyncConfig`` to ``FaultConfig`` (``STALENESS``) and one upload
+transit stage replaced the fault and async plans.  ``faults-async`` is
+younger: it was recorded on that change, because its parent commit
+eaaf705 refuses faults × async.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -47,8 +54,9 @@ ROUNDS = 12
 #: single arrival event fills the buffer partway through and is split.
 SPLIT = AsyncConfig(enabled=True, buffer_size=5)
 
-#: Poisson traffic, compute and network latency, churn and a staleness
-#: cap: stale discounts, drops and deadline closes all fire.
+#: Poisson traffic, compute and network latency and churn; with the
+#: staleness cap of ``STALENESS``, stale discounts, drops and deadline
+#: closes all fire.
 POISSON = AsyncConfig(
     enabled=True,
     traffic="poisson",
@@ -58,9 +66,8 @@ POISSON = AsyncConfig(
     churn_rate=0.15,
     buffer_size=8,
     round_deadline=1.5,
-    staleness_discount=0.6,
-    max_staleness=2,
 )
+STALENESS = FaultConfig(staleness_discount=0.6, max_staleness=2)
 
 FAULTS = FaultConfig(
     dropout_rate=0.15,
@@ -71,6 +78,12 @@ FAULTS = FaultConfig(
     min_quorum=11,
 )
 
+#: The fault rates under Poisson traffic: dropout joins churn in one
+#: cancel mask, stragglers land ``delay · round_interval`` late.
+FAULTS_ASYNC = dataclasses.replace(
+    FAULTS, min_quorum=3, staleness_discount=0.6, max_staleness=2
+)
+
 #: Simulation class per engine column of ``CASES``: ``"loop"`` is the
 #: per-client reference in ``tests/reference/``.
 ENGINES = {"batch": FederatedSimulation, "loop": LoopSimulation}
@@ -79,10 +92,11 @@ ENGINES = {"batch": FederatedSimulation, "loop": LoopSimulation}
 CASES = {
     "async-degenerate": ("mf", "batch", 0, {"asynchrony": AsyncConfig(enabled=True)}),
     "async-split": ("mf", "batch", 1, {"asynchrony": SPLIT}),
-    "async-poisson-mf": ("mf", "batch", 0, {"asynchrony": POISSON}),
-    "async-poisson-ncf": ("ncf", "batch", 0, {"asynchrony": POISSON}),
+    "async-poisson-mf": ("mf", "batch", 0, {"asynchrony": POISSON, "faults": STALENESS}),
+    "async-poisson-ncf": ("ncf", "batch", 0, {"asynchrony": POISSON, "faults": STALENESS}),
     "faults-batch": ("mf", "batch", 0, {"faults": FAULTS}),
     "faults-loop": ("mf", "loop", 0, {"faults": FAULTS}),
+    "faults-async": ("mf", "batch", 0, {"asynchrony": POISSON, "faults": FAULTS_ASYNC}),
 }
 
 GOLDEN = {
@@ -92,6 +106,7 @@ GOLDEN = {
     "async-poisson-ncf": "97e16ebe3bcf93a9e27aeadd8fdc45952cc2e0776c654e6bfa407f0d59795910",
     "faults-batch": "725441874305a18b9c2421363dcb6460a307e9f6a6b5f2946ccc88ed1cefbf8b",
     "faults-loop": "725441874305a18b9c2421363dcb6460a307e9f6a6b5f2946ccc88ed1cefbf8b",
+    "faults-async": "63ab477b1613ab2bbac127ce500042f6f27daf57c087bdf114335340d3e60c70",
 }
 
 
