@@ -20,8 +20,9 @@ contracts:
   executor must respawn it and the trajectory must stay bit-identical.
 * **Zero silent fallbacks.** Every round must go through the worker
   pool (``process_rounds == rounds``), the store must be on the shm
-  backend, and the sweep pool's dataset transport must be
-  shared-memory, not pickle.
+  backend, and the pooled sweep, whose workers inherit the datasets
+  with the fork, must leave no shared-memory segment and return the
+  inline run's results.
 
 ``--smoke`` (the CI job) shrinks the cohort but keeps every assertion
 except the speedup floor.
@@ -57,6 +58,7 @@ from repro.datasets.base import InteractionDataset
 from repro.experiments.backend import LocalBackend
 from repro.experiments.presets import dataset_config, experiment
 from repro.experiments.sweep import CellSpec, SweepRunner
+from repro.federated.shards import list_repro_segments
 from repro.federated.simulation import FederatedSimulation
 
 FULL = dict(
@@ -147,15 +149,16 @@ def run_rounds(sim: FederatedSimulation, rounds: int, *, kill_worker_at=None):
     started = time.perf_counter()
     for round_idx in range(rounds):
         if round_idx == kill_worker_at:
-            victim = sim.executor._pool[0].process
+            victim = sim.executor._workers.processes[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join()
         sim.run_round(round_idx)
     return time.perf_counter() - started
 
 
-def sweep_transport_leg() -> tuple[int, int]:
-    """Tiny pooled sweep proving datasets ship via shared memory."""
+def sweep_pool_leg() -> tuple[list, list, list[str]]:
+    """Tiny sweep, pooled and inline; returns both results and the
+    repro segments this process still holds after the pooled run."""
     dataset = "ml-100k"
     specs = [
         CellSpec(
@@ -166,11 +169,19 @@ def sweep_transport_leg() -> tuple[int, int]:
         )
         for defense in ("none", "norm_bound")
     ]
-    backend = LocalBackend(workers=2)
-    with tempfile.TemporaryDirectory(prefix="million-sweep-") as cache_dir:
-        runner = SweepRunner(cache_dir=cache_dir, backend=backend)
-        runner.run(specs, {dataset: dataset_config(dataset, seed=0)})
-    return backend.last_shm_datasets, backend.last_pickled_datasets
+    datasets = {dataset: dataset_config(dataset, seed=0)}
+    results = []
+    for workers in (2, 0):
+        with tempfile.TemporaryDirectory(prefix="million-sweep-") as cache_dir:
+            runner = SweepRunner(
+                cache_dir=cache_dir, backend=LocalBackend(workers=workers)
+            )
+            results.append(runner.run(specs, datasets))
+        if workers:
+            mine = f"repro_shm_{os.getpid()}_"
+            left = [r["name"] for r in list_repro_segments()
+                    if r["name"].startswith(mine)]
+    return results[0], results[1], left
 
 
 def main(argv: list[str]) -> int:
@@ -236,15 +247,11 @@ def main(argv: list[str]) -> int:
     print(f"  chaos: worker SIGKILLed, {chaos_respawns} respawn(s), "
           "trajectory bit-identical")
 
-    # -- sweep pool dataset transport ----------------------------------
-    shm_datasets, pickled_datasets = sweep_transport_leg()
-    assert pickled_datasets == 0, (
-        f"{pickled_datasets} dataset(s) fell back to pickle transport "
-        "with /dev/shm available"
-    )
-    assert shm_datasets >= 1, "pooled sweep shipped no dataset via shm"
-    print(f"  sweep pool: {shm_datasets} dataset(s) via shared memory, "
-          "0 pickled")
+    # -- sweep pool: datasets ride the fork ----------------------------
+    pooled, inline, left = sweep_pool_leg()
+    assert not left, f"pooled sweep left shared-memory segments: {left}"
+    assert pooled == inline, "pooled sweep results differ from the inline run"
+    print("  sweep pool: no shared-memory segment, results equal inline")
 
     # -- memory ---------------------------------------------------------
     peak = peak_rss_bytes()
@@ -273,8 +280,7 @@ def main(argv: list[str]) -> int:
             "speedup": round(speedup, 3),
             "rounds_per_s_multi": round(p["rounds"] / max(multi_seconds, 1e-9), 3),
             "chaos_respawns": chaos_respawns,
-            "sweep_shm_datasets": shm_datasets,
-            "sweep_pickled_datasets": pickled_datasets,
+            "sweep_segments_left": len(left),
             "rss_bound_bytes": p["rss_bound_bytes"],
             "speedup_floor_enforced": (not smoke) and cores >= 4,
         },

@@ -344,14 +344,15 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_non_negative_int,
         default=2,
         metavar="N",
-        help="pool respawns granted to crashed/stalled cells (default 2)",
+        help="extra attempts per cell whose worker crashed or timed out "
+        "(default 2)",
     )
     sweep.add_argument(
         "--cell-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="declare the pool hung after this long with no completion",
+        help="kill and retry a pooled cell running longer than this",
     )
     sweep.add_argument(
         "--backend",

@@ -491,8 +491,9 @@ class ShardingConfig:
     (``shared_memory=False``, usable only by fork-inherited children).
     ``round_workers >= 2`` additionally routes benign round computation
     through the :class:`~repro.federated.batch_engine.ProcessRoundExecutor`
-    — a pool of forked worker processes that each attach only their
-    shards.  Every layout is bit-identical to the in-process reference
+    — forked worker processes that each attach only their shards,
+    capped at the shard count (a config left with one worker is
+    refused).  Every layout is bit-identical to the in-process reference
     (asserted by the parity suites).
     """
 

@@ -105,14 +105,13 @@ class InteractionDataset:
         indices: np.ndarray,
         test_items: np.ndarray,
     ) -> "InteractionDataset":
-        """Build zero-copy from CSR arrays (shared-memory attach path).
+        """Build zero-copy from CSR arrays (million-user datasets).
 
         ``train_pos`` becomes a :class:`~repro.federated.shards.CSRRaggedList`
         facade whose per-user entries are views into ``indices`` — no
         million-element Python list, no per-user copies.  The per-user
-        validation loop of ``__post_init__`` is skipped: the arrays
-        come from an already-validated dataset on the exporting side,
-        and a single vectorised range check replaces the loop here.
+        validation loop of ``__post_init__`` is replaced by a single
+        vectorised range check.
         """
         from repro.federated.shards import CSRRaggedList
 

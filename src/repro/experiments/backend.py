@@ -6,9 +6,9 @@ pending cells execute:
 
 * :class:`LocalBackend` — the single-machine reference: cells run
   inline in the calling process (``workers <= 1``) or on a
-  self-healing ``ProcessPoolExecutor`` (crashed / hung workers are
-  respawned and their cells retried with exponential backoff).  This
-  is the path every table generator has always used.
+  self-healing pool of forked workers (a crashed or hung worker is
+  respawned and its cell retried with exponential backoff).  This is
+  the path every table generator has always used.
 * :class:`SharedCacheBackend` — N *independent* worker processes (same
   host, or many hosts over a shared filesystem) cooperatively drain
   one cell grid using **only the content-addressed cache directory**
@@ -46,15 +46,15 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import socket
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
+
+from repro.workers import Failure, Supervisor
 
 __all__ = [
     "BackendReport",
@@ -94,14 +94,10 @@ class BackendReport:
     executed: int = 0
     #: Cells completed by a peer worker (their cache entry appeared).
     peer_served: int = 0
-    #: Cell executions resubmitted after a crash / stall (local pool).
+    #: Cell executions rerun after a crash / timeout (local pool).
     retries: int = 0
     #: Stale leases of dead workers taken over by this process.
     reclaimed: int = 0
-    #: Datasets shipped to pool workers via shared-memory attach.
-    shm_datasets: int = 0
-    #: Datasets shipped to pool workers via the pickle fallback.
-    pickled_datasets: int = 0
 
 
 class SweepExecutionError(RuntimeError):
@@ -156,70 +152,27 @@ class ExecutionBackend:
 
 
 # ----------------------------------------------------------------------
-# Worker-process plumbing (top-level: pool workers import by name)
-# ----------------------------------------------------------------------
-
-#: Per-worker dataset table, installed once by the pool initializer.
-_WORKER_DATASETS: dict[str, Any] | None = None
-#: Attached shared-memory exports — kept alive for the worker's
-#: lifetime so the zero-copy dataset views stay mapped.
-_WORKER_EXPORTS: list[Any] = []
-
-
-def _pool_initializer(payload: bytes) -> None:
-    """Install the shared datasets once per worker process.
-
-    The payload maps each dataset key to a ``(transport, value)``
-    pair: ``("shm", manifest)`` attaches the parent's shared-memory
-    export zero-copy (N workers cost ~one dataset of RSS, not N);
-    ``("pickle", dataset)`` is the portable fallback used when
-    ``/dev/shm`` is unavailable.
-    """
-    global _WORKER_DATASETS
-    table = pickle.loads(payload)
-    datasets: dict[str, Any] = {}
-    for key, (transport, value) in table.items():
-        if transport == "shm":
-            from repro.federated.shards import SharedDatasetExport
-
-            export = SharedDatasetExport.attach(value)
-            _WORKER_EXPORTS.append(export)
-            datasets[key] = export.dataset
-        else:
-            datasets[key] = value
-    _WORKER_DATASETS = datasets
-
-
-def _pool_execute(index: int, spec: Any) -> tuple[int, Any]:
-    """Worker entry point: run one cell against the shipped dataset."""
-    from repro.experiments.sweep import execute_cell
-
-    assert _WORKER_DATASETS is not None, "pool initializer did not run"
-    return index, execute_cell(spec, _WORKER_DATASETS[spec.dataset_key])
-
-
-# ----------------------------------------------------------------------
-# LocalBackend: inline or self-healing process pool (the reference)
+# LocalBackend: inline or a self-healing worker pool (the reference)
 # ----------------------------------------------------------------------
 
 class LocalBackend(ExecutionBackend):
-    """Single-machine execution: inline, or a self-healing process pool.
+    """Single-machine execution: inline, or a self-healing worker pool.
 
     ``workers <= 1`` (or a single pending cell) runs everything inline
     in the calling process — the sequential reference path.  Otherwise
-    pending cells run on a ``ProcessPoolExecutor``; shared datasets
-    are pickled once and shipped through the pool initializer.
+    pending cells run on a :class:`~repro.workers.Supervisor` of forked
+    workers, each taking the next cell when idle; the workers inherit
+    the loaded datasets with the fork, so nothing is shipped to them.
 
-    The pooled path is **self-healing**: a worker crash (a killed
-    process breaks the whole pool) or a completion stall longer than
-    ``cell_timeout`` no longer kills the sweep.  The incomplete cells
-    are resubmitted on a freshly spawned pool, with exponential
-    backoff (``retry_backoff * 2**attempt`` seconds), up to
-    ``max_retries`` extra pool lifetimes; cells that still have no
-    result then are reported in a structured
-    :class:`SweepExecutionError`.  Determinism makes retrying free of
-    semantics: a cell's value never depends on which pool (or which
-    attempt) computed it.
+    The pooled path is **self-healing per cell**: a cell whose worker
+    died, or that ran longer than ``cell_timeout`` seconds (its worker
+    is then killed), is run again on a respawned worker after an
+    exponential backoff (``retry_backoff * 2**(retry - 1)`` seconds),
+    up to ``max_retries`` extra attempts; other cells carry on
+    meanwhile.  Cells that still have no result are reported in a
+    structured :class:`SweepExecutionError`.  Determinism makes
+    retrying free of semantics: a cell's value never depends on which
+    worker (or which attempt) computed it.
     """
 
     def __init__(
@@ -242,12 +195,6 @@ class LocalBackend(ExecutionBackend):
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.cell_timeout = cell_timeout
-        #: Transport accounting of the most recent pooled run — how
-        #: many datasets went to workers via shared-memory attach vs
-        #: the pickle fallback (the million-user bench asserts the
-        #: pickle count is zero when /dev/shm is available).
-        self.last_shm_datasets = 0
-        self.last_pickled_datasets = 0
 
     def run_pending(
         self,
@@ -262,171 +209,41 @@ class LocalBackend(ExecutionBackend):
     ) -> BackendReport:
         from repro.experiments.sweep import execute_cell
 
-        if self.workers >= 2 and len(pending) >= 2:
-            retries = self._run_pool(cells, loaded, pending, results, store)
-            return BackendReport(
-                executed=len(pending),
-                retries=retries,
-                shm_datasets=self.last_shm_datasets,
-                pickled_datasets=self.last_pickled_datasets,
-            )
-        for index, key in pending:
+        def run(_state, index: int):
             spec = cells[index]
-            results[index] = execute_cell(spec, loaded[spec.dataset_key])
-            store(key, spec, results[index])
-        return BackendReport(executed=len(pending))
+            return execute_cell(spec, loaded[spec.dataset_key])
 
-    # -- pooled path ---------------------------------------------------
-
-    def _run_pool(self, cells, loaded, pending, results, store) -> int:
-        """Run pending cells on a pool, respawning it on crashes.
-
-        One pool lifetime per attempt: every cell still missing a
-        result is (re)submitted, completions are cached the moment
-        they land, and whatever crashed or stalled rolls over to the
-        next attempt after an exponential backoff.  Returns the total
-        number of resubmitted cell executions; raises
-        :class:`SweepExecutionError` once ``max_retries`` pool
-        lifetimes have not been enough.
-        """
-        from repro.federated.shards import (
-            SharedDatasetExport,
-            shared_memory_available,
+        if self.workers < 2 or len(pending) < 2:
+            for index, key in pending:
+                results[index] = run(None, index)
+                store(key, cells[index], results[index])
+            return BackendReport(executed=len(pending))
+        pool = Supervisor(
+            min(self.workers, len(pending)),
+            run,
+            max_attempts=self.max_retries + 1,
+            backoff=self.retry_backoff,
+            deadline=self.cell_timeout,
         )
-
-        needed = {cells[index].dataset_key for index, _ in pending}
-        # Ship each dataset once through shared memory: workers attach
-        # the parent's segments zero-copy instead of unpickling their
-        # own private copy.  The pickle transport survives only as the
-        # explicit no-/dev/shm fallback, and both paths are counted so
-        # a silent downgrade is impossible.
-        exports: dict[str, SharedDatasetExport] = {}
-        table: dict[str, tuple[str, Any]] = {}
-        self.last_shm_datasets = 0
-        self.last_pickled_datasets = 0
-        for key in needed:
-            if shared_memory_available():
-                exports[key] = SharedDatasetExport.create(loaded[key])
-                table[key] = ("shm", exports[key].manifest)
-                self.last_shm_datasets += 1
-            else:
-                table[key] = ("pickle", loaded[key])
-                self.last_pickled_datasets += 1
-        payload = pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL)
+        failures = []
         try:
-            remaining = list(pending)
-            last_errors: dict[int, str] = {}
-            retries = 0
-            for attempt in range(self.max_retries + 1):
-                if attempt:
-                    retries += len(remaining)
-                    delay = self.retry_backoff * (2 ** (attempt - 1))
-                    if delay:
-                        time.sleep(delay)
-                remaining = self._pool_attempt(
-                    cells, payload, remaining, results, store, last_errors
-                )
-                if not remaining:
-                    return retries
-            failures = [
-                CellFailure(
-                    index=index,
-                    kind=cells[index].kind,
-                    attempts=self.max_retries + 1,
-                    error=last_errors.get(index, "unknown failure"),
-                )
-                for index, _ in remaining
-            ]
-            raise SweepExecutionError(
-                failures,
-                BackendReport(
-                    executed=len(pending),
-                    retries=retries,
-                    shm_datasets=self.last_shm_datasets,
-                    pickled_datasets=self.last_pickled_datasets,
-                ),
-            )
-        finally:
-            # Exports outlive every pool attempt (workers re-attach on
-            # respawn) and are unlinked the moment the run is over.
-            for export in exports.values():
-                export.close()
-
-    def _pool_attempt(
-        self, cells, payload, remaining, results, store, last_errors
-    ) -> list[tuple[int, str | None]]:
-        """One pool lifetime; returns the cells that still need a run.
-
-        A single dead worker breaks the whole ``ProcessPoolExecutor``
-        (every outstanding future resolves to ``BrokenProcessPool``),
-        so anything unfinished when that happens simply rolls over.  A
-        stall — ``cell_timeout`` elapsing with *zero* completions — is
-        treated the same way, with the hung workers terminated so the
-        respawned pool does not compete with them for cores.
-        """
-        workers = min(self.workers, len(remaining))
-        crashed: list[tuple[int, str | None]] = []
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_initializer,
-            initargs=(payload,),
-        )
-        try:
-            futures = {
-                pool.submit(_pool_execute, index, cells[index]): (index, key)
-                for index, key in remaining
-            }
-            outstanding = set(futures)
-            while outstanding:
-                done, outstanding = wait(
-                    outstanding,
-                    timeout=self.cell_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                if not done:
-                    # cell_timeout with no completion at all: the pool
-                    # is hung.  Kill it and roll everything over.
-                    for future in outstanding:
-                        index, key = futures[future]
-                        last_errors[index] = (
-                            f"no completion within {self.cell_timeout}s; "
-                            "pool presumed hung"
+            for task, values in pool.run([(None, index) for index, _ in pending]):
+                index, key = pending[task]
+                if isinstance(values, Failure):
+                    failures.append(
+                        CellFailure(
+                            index, cells[index].kind, values.attempts, values.error
                         )
-                        crashed.append((index, key))
-                    self._terminate_workers(pool)
-                    break
-                for future in done:
-                    index, key = futures[future]
-                    try:
-                        _, values = future.result()
-                    except Exception as exc:  # noqa: BLE001 — any worker
-                        # death surfaces here (BrokenProcessPool for
-                        # crashes, the cell's own exception otherwise).
-                        last_errors[index] = f"{type(exc).__name__}: {exc}"
-                        crashed.append((index, key))
-                    else:
-                        results[index] = values
-                        store(key, cells[index], values)
+                    )
+                    continue
+                results[index] = values
+                store(key, cells[index], values)
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return crashed
-
-    @staticmethod
-    def _terminate_workers(pool: ProcessPoolExecutor) -> None:
-        """Force-kill a hung pool's worker processes.
-
-        ``shutdown`` alone would leave hung workers running (it only
-        refuses new work); terminating them is the only way a stalled
-        attempt actually releases its cores.  ``_processes`` is
-        CPython's internal table — guarded so a future rename degrades
-        to a plain shutdown instead of an error.
-        """
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception:  # noqa: BLE001 — already-dead workers
-                pass
+            pool.close()
+        report = BackendReport(executed=len(pending), retries=pool.retries)
+        if failures:
+            raise SweepExecutionError(sorted(failures, key=lambda f: f.index), report)
+        return report
 
 
 # ----------------------------------------------------------------------

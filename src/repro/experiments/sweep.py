@@ -14,7 +14,7 @@ module parallelises one layer up:
   keys, stats) and hands the pending cells to a pluggable
   :class:`~repro.experiments.backend.ExecutionBackend`:
   :class:`~repro.experiments.backend.LocalBackend` runs them inline or
-  on a self-healing ``ProcessPoolExecutor`` (the default, single
+  on a self-healing pool of forked workers (the default, single
   machine), and
   :class:`~repro.experiments.backend.SharedCacheBackend` lets N
   independent worker processes cooperatively drain one grid using only
@@ -146,7 +146,7 @@ class SweepStats:
     """Execution accounting of one (or several accumulated) sweep runs.
 
     Every degradation path a sweep can take is counted here, never
-    silent: pool respawns (``retries``), stale-lease takeovers from
+    silent: retried pooled cells (``retries``), stale-lease takeovers from
     dead workers (``reclaimed``), corrupt cache entries moved aside
     and re-executed (``quarantined``), cells another worker finished
     for us (``peer_served``), and cells that stayed unfinished after
@@ -156,8 +156,8 @@ class SweepStats:
     total: int = 0
     cache_hits: int = 0
     executed: int = 0
-    #: Cell executions resubmitted to a respawned pool after a worker
-    #: crash, a broken pool, or a completion timeout.
+    #: Pooled cell executions rerun after their worker crashed or the
+    #: cell overran ``cell_timeout``.
     retries: int = 0
     #: Cells that still had no result when every recovery path ran out
     #: (also enumerated on the raised :class:`SweepExecutionError`).
@@ -259,11 +259,9 @@ def register_cell_kind(
 ) -> None:
     """Register a custom cell executor under ``kind``.
 
-    Pool workers see parent-registered kinds through the fork start
-    method (the Linux default); on spawn-based platforms custom kinds
-    must be registered at module import time so workers re-register
-    them.  Values returned by the executor must be JSON-serialisable
-    for the cache, like the built-in kinds.
+    Pool workers are forked, so they see every kind registered before
+    the sweep runs.  Values returned by the executor must be
+    JSON-serialisable for the cache, like the built-in kinds.
     """
     _CELL_KINDS[kind] = executor
 
@@ -362,7 +360,7 @@ class SweepRunner:
       ``cell_timeout``, preserving the historical behaviour exactly —
       ``workers <= 1`` runs every cell inline (the sequential
       reference path), ``workers >= 2`` runs pending cells on a
-      self-healing process pool.
+      self-healing pool of forked workers, retried per cell.
     * Pass ``backend=SharedCacheBackend(...)`` (with ``cache_dir``
       set) to make this process one of N independent workers
       cooperatively draining the same grid through lease files in the
@@ -405,13 +403,14 @@ class SweepRunner:
         self.backend = backend
         self.workers = workers
         self.cache_dir = cache_dir
-        #: Extra pool lifetimes granted to crashed/stalled cells.
+        #: Extra attempts granted to each cell whose worker crashed or
+        #: overran ``cell_timeout``.
         self.max_retries = max_retries
-        #: Base of the exponential backoff between pool respawns.
+        #: Base of the exponential backoff before a cell's retry.
         self.retry_backoff = retry_backoff
-        #: Longest the pooled path waits for *any* cell completion
-        #: before declaring the pool hung and respawning it; ``None``
-        #: waits indefinitely.
+        #: Longest one pooled cell may run before its worker is
+        #: presumed hung, killed and the cell retried; ``None`` waits
+        #: indefinitely.
         self.cell_timeout = cell_timeout
         self.dry_run = dry_run
         self.last_stats = SweepStats()

@@ -77,6 +77,7 @@ from repro.federated.update_batch import UpdateBatch
 from repro.models.base import RecommenderModel, segment_starts
 from repro.rng import StreamBatch, spawn_batch
 from repro.stateful import Stateful
+from repro.workers import Failure, Supervisor
 
 __all__ = ["BatchClientEngine", "ProcessRoundExecutor"]
 
@@ -517,89 +518,6 @@ class _ModelMirror:
             array[...] = view
 
 
-def _round_worker_main(
-    conn,
-    store,
-    manifest_json,
-    shard_ids,
-    model,
-    mirror,
-    train_cfg,
-    seed,
-    defense,
-    kernel_backend,
-):
-    """One executor worker: pure per-subset local steps, forever.
-
-    ``store`` arrives fork-inherited; for named-shm stores the worker
-    drops it and re-attaches *only its own shards* through the manifest
-    (the attach path the sweep backend also uses), for anonymous-mmap
-    stores the inherited ``MAP_SHARED`` mappings are the attachment.
-    Every task is a pure read of (store segments, model mirror): the
-    worker never writes shared state, so the parent can kill and
-    re-dispatch at any point without bit-drift.
-    """
-    if manifest_json is not None:
-        store = ShardedStateStore.attach(manifest_json, shard_ids=shard_ids)
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):  # parent died; nothing left to do
-            return
-        if message is None:
-            return
-        round_idx, benign_ids, mined = message
-        with kernels.use(kernel_backend) as backend:
-            fallbacks_before = backend.fallback_calls
-            mirror.load_into(model)
-            # param_owners stays behind: it is all clients or none,
-            # which the parent re-derives.
-            *stacks, _ = _compute_benign_stacks(
-                model, train_cfg, seed, store, benign_ids, round_idx,
-                defense, mined,
-            )
-            fallbacks = backend.fallback_calls - fallbacks_before
-        try:
-            conn.send((round_idx, *stacks, fallbacks))
-        except (BrokenPipeError, OSError):  # parent died mid-round
-            return
-
-
-class _RoundWorker:
-    """Handle for one forked worker process plus its pipe."""
-
-    def __init__(self, ctx, index, spawn_args):
-        self._ctx = ctx
-        self.index = index
-        self._spawn_args = spawn_args
-        self.conn = None
-        self.process = None
-        self.spawn()
-
-    def spawn(self) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_round_worker_main,
-            args=(child_conn,) + self._spawn_args,
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        self.conn = parent_conn
-        self.process = process
-
-    def stop(self) -> None:
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=5)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
-            self.process.terminate()
-            self.process.join(timeout=5)
-        self.conn.close()
-
-
 class ProcessRoundExecutor:
     """Computes benign round steps across forked worker processes.
 
@@ -634,55 +552,66 @@ class ProcessRoundExecutor:
         *,
         kernel_backend=None,
     ):
-        if num_workers < 2:
-            raise ValueError("ProcessRoundExecutor needs num_workers >= 2")
         if store.backend == "heap":
             raise ValueError(
                 "ProcessRoundExecutor requires a store in shared segments "
                 "(they are what make worker reads see live state); got a "
                 "heap-backed in-process store"
             )
-        import multiprocessing
-
+        num_shards = store.manifest.num_shards
+        if min(num_workers, num_shards) < 2:
+            raise ValueError(
+                f"ProcessRoundExecutor needs num_workers >= 2 after the cap "
+                f"to the shard count; got num_workers={num_workers} over "
+                f"{num_shards} shard(s)"
+            )
         self.model = model
         self.train_cfg = train_cfg
         self.seed = seed
         self.store = store
-        self.num_workers = min(num_workers, store.manifest.num_shards)
-        #: Workers respawned after dying mid-round (chaos counter).
-        self.respawns = 0
-        #: Rounds dispatched through the worker pool.
-        self.rounds = 0
+        self.num_workers = min(num_workers, num_shards)
         #: Kernel numpy-fallback calls reported by workers.
         self.worker_kernel_fallbacks = 0
+        self._kernel_backend = kernel_backend
         self._bounds = store.manifest.bounds()
-        self._ctx = multiprocessing.get_context("fork")
-        manifest_json = (
-            store.manifest.to_json() if store.backend == "shm" else None
-        )
         # One mirror shared by every worker; created before the forks
         # so the anonymous mapping is inherited.
         self._mirror = _ModelMirror(model)
-        self._pool = []
-        for w in range(self.num_workers):
-            shard_ids = [
-                s
-                for s in range(store.manifest.num_shards)
-                if s % self.num_workers == w
-            ]
-            spawn_args = (
-                None if manifest_json is not None else store,
-                manifest_json,
-                shard_ids,
-                model,
-                self._mirror,
-                train_cfg,
-                seed,
-                store.defense,
-                kernel_backend,
-            )
-            self._pool.append(_RoundWorker(self._ctx, w, spawn_args))
+        self._workers = Supervisor(
+            self.num_workers, self._step, init=self._attach
+        )
         self._closed = False
+
+    @property
+    def respawns(self) -> int:
+        """Workers respawned after dying mid-round (chaos counter)."""
+        return self._workers.respawns
+
+    # -- worker side (runs in the forked children) ----------------------
+
+    def _attach(self, worker: int):
+        """The worker's shards of a named-shm store, re-attached by
+        manifest; an inherited anonymous-mmap store as it is."""
+        if self.store.backend != "shm":
+            return self.store
+        shard_ids = range(worker, self.store.manifest.num_shards, self.num_workers)
+        return ShardedStateStore.attach(
+            self.store.manifest.to_json(), shard_ids=shard_ids
+        )
+
+    def _step(self, store, task):
+        """One subset's benign stacks: a pure read of store and mirror."""
+        round_idx, benign_ids, mined = task
+        with kernels.use(self._kernel_backend) as backend:
+            fallbacks_before = backend.fallback_calls
+            self._mirror.load_into(self.model)
+            # param_owners stays behind: it is all clients or none,
+            # which the parent re-derives.
+            *stacks, _ = _compute_benign_stacks(
+                self.model, self.train_cfg, self.seed, store, benign_ids,
+                round_idx, self.store.defense, mined,
+            )
+            return stacks, backend.fallback_calls - fallbacks_before
 
     # -- dispatch -------------------------------------------------------
 
@@ -709,51 +638,22 @@ class ProcessRoundExecutor:
         self._mirror.publish(self.model)
         ids = np.asarray(benign_ids, dtype=np.int64)
         owners = self._worker_of(ids)
-        tasks: list[tuple[_RoundWorker, np.ndarray, tuple]] = []
-        for w in np.unique(owners):
-            positions = np.flatnonzero(owners == w)
-            task = (
-                round_idx,
-                ids[positions],
-                None if mined is None else mined[positions],
-            )
-            tasks.append((self._pool[int(w)], positions, task))
-        # Phase 1: every worker gets its subset before any reply is
-        # awaited, so all workers compute concurrently.
-        for worker, _, task in tasks:
-            self._send(worker, task)
-        # Phase 2: collect (respawn + re-dispatch on worker death —
-        # tasks are pure reads and nothing was scattered yet, so a
-        # fresh worker recomputes the identical subset).
-        replies = [self._recv(worker, task) for worker, _, task in tasks]
-        self.rounds += 1
-        return self._reassemble(
-            benign_ids, [positions for _, positions, _ in tasks], replies
-        )
-
-    def _send(self, worker: _RoundWorker, task) -> None:
-        try:
-            worker.conn.send(task)
-        except (BrokenPipeError, OSError):
-            self.respawns += 1
-            worker.spawn()
-            worker.conn.send(task)
-
-    def _recv(self, worker: _RoundWorker, task):
-        for attempt in range(3):
-            try:
-                reply = worker.conn.recv()
-                if reply[0] != task[0]:  # pragma: no cover - stale reply
-                    raise RuntimeError("out-of-order executor reply")
-                self.worker_kernel_fallbacks += int(reply[-1])
-                return reply[1:-1]
-            except (EOFError, BrokenPipeError, OSError):
-                self.respawns += 1
-                worker.spawn()
-                worker.conn.send(task)
-        raise RuntimeError(
-            f"executor worker {worker.index} kept dying mid-round; giving up"
-        )
+        workers = np.unique(owners)
+        positions = [np.flatnonzero(owners == w) for w in workers]
+        tasks = [
+            (int(w), (round_idx, ids[at], None if mined is None else mined[at]))
+            for w, at in zip(workers, positions)
+        ]
+        replies = [None] * len(tasks)
+        for task, reply in self._workers.run(tasks):
+            if isinstance(reply, Failure):
+                raise RuntimeError(
+                    f"executor worker {tasks[task][0]} failed "
+                    f"{reply.attempts} times mid-round: {reply.error}"
+                )
+            replies[task], fallbacks = reply
+            self.worker_kernel_fallbacks += int(fallbacks)
+        return self._reassemble(benign_ids, positions, replies)
 
     def _reassemble(self, benign_ids, task_positions, replies):
         """Merge per-worker subset results back into cohort order."""
@@ -787,7 +687,5 @@ class ProcessRoundExecutor:
 
     def close(self) -> None:
         """Stop every worker (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            for worker in self._pool:
-                worker.stop()
+        self._closed = True
+        self._workers.close()

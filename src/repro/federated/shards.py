@@ -71,7 +71,6 @@ from repro.stateful import Stateful
 __all__ = [
     "ShardManifest",
     "ShardedStateStore",
-    "SharedDatasetExport",
     "CSRRaggedList",
     "EmbeddingMatrixView",
     "shard_bounds",
@@ -83,7 +82,6 @@ __all__ = [
 ]
 
 MANIFEST_VERSION = "shards-v1"
-DATASET_MANIFEST_VERSION = "dsexport-v1"
 
 #: Every segment this library creates starts with this prefix; fsck
 #: only ever looks at (and only ever unlinks) names under it.
@@ -123,8 +121,8 @@ class _Mapping:
 _MAPPINGS: dict[str, _Mapping] = {}
 
 #: SharedMemory objects whose close() failed because caller-held views
-#: still point into the buffer (e.g. a zero-copy dataset outliving its
-#: export).  Kept alive so the garbage collector never runs their
+#: still point into the buffer (e.g. a row view outliving its
+#: store).  Kept alive so the garbage collector never runs their
 #: ``__del__`` — which would retry the close and surface the same
 #: BufferError as an unraisable warning; the OS reclaims the mapping
 #: at process exit.
@@ -266,7 +264,7 @@ class _SegmentSet:
 
 
 def _cleanup_segments(segments: _SegmentSet, unlink: bool, owner_pid: int) -> None:
-    """Finalizer body shared by stores and dataset exports.
+    """Finalizer body of a store's segments.
 
     Fork-inherited copies of a creator object carry its finalizer too;
     the pid guard makes sure only the *creating process* ever unlinks —
@@ -869,14 +867,14 @@ class ShardedStateStore(Stateful):
 
 
 # ----------------------------------------------------------------------
-# Shared-memory dataset export (sweep worker pools)
+# Read-only facades over CSR arrays and the store
 # ----------------------------------------------------------------------
 
 class CSRRaggedList:
     """Read-only ragged ``train_pos`` facade over CSR arrays.
 
     ``dataset.train_pos[u]`` stays a per-user int64 array (a zero-copy
-    slice of the shared ``indices`` segment), but no per-user Python
+    slice of the ``indices`` array), but no per-user Python
     list of a million arrays is ever materialised.  Store builders
     shortcut through :meth:`csr_arrays`.
     """
@@ -935,108 +933,6 @@ class EmbeddingMatrixView:
                 raise ValueError("EmbeddingMatrixView supports step-1 slices only")
             return self._store.embedding_block(lo, hi)
         return self._store.row(int(key))
-
-
-class SharedDatasetExport:
-    """One dataset packed into named segments for worker-pool attach.
-
-    Replaces the sweep pool's pickle-once initializer payload: the
-    parent exports each dataset once (CSR ``indptr``/``indices`` plus
-    ``test_items``), workers attach by manifest and reconstruct an
-    :class:`~repro.datasets.base.InteractionDataset` whose per-user
-    arrays are zero-copy views into the shared segments — N workers
-    cost ~one dataset of RSS, not N.
-    """
-
-    def __init__(self, manifest: dict, segments: _SegmentSet, dataset, created: bool):
-        self.manifest = manifest
-        self._segments = segments
-        self.dataset = dataset
-        self._created = created
-        self._finalizer = weakref.finalize(
-            self, _cleanup_segments, segments, created, os.getpid()
-        )
-
-    @classmethod
-    def create(cls, dataset) -> "SharedDatasetExport":
-        """Export one dataset into fresh named segments."""
-        indptr, indices = dataset.train_csr()
-        token = uuid.uuid4().hex[:12]
-        pid = os.getpid()
-        prefix = segment_prefix(pid, token)
-        segments = _SegmentSet("shm")
-        try:
-            shared_indptr = segments.new(
-                f"{prefix}ds_indptr", indptr.shape, np.int64
-            )
-            shared_indptr[...] = indptr
-            shared_indices = segments.new(
-                f"{prefix}ds_indices", (max(len(indices), 0),), np.int64
-            )
-            shared_indices[...] = indices
-            test_items = np.ascontiguousarray(dataset.test_items, dtype=np.int64)
-            shared_test = segments.new(
-                f"{prefix}ds_test", test_items.shape, np.int64
-            )
-            shared_test[...] = test_items
-        except BaseException:
-            segments.release(unlink=True)
-            raise
-        manifest = {
-            "version": DATASET_MANIFEST_VERSION,
-            "token": token,
-            "pid": pid,
-            "name": dataset.name,
-            "num_users": int(dataset.num_users),
-            "num_items": int(dataset.num_items),
-            "nnz": int(len(indices)),
-            "segments": {
-                "indptr": f"{prefix}ds_indptr",
-                "indices": f"{prefix}ds_indices",
-                "test_items": f"{prefix}ds_test",
-            },
-        }
-        return cls(manifest, segments, dataset, created=True)
-
-    @classmethod
-    def attach(cls, manifest: dict) -> "SharedDatasetExport":
-        """Attach an exported dataset; zero-copy reconstruction."""
-        from repro.datasets.base import InteractionDataset
-
-        if manifest.get("version") != DATASET_MANIFEST_VERSION:
-            raise ValueError(
-                f"unsupported dataset export version "
-                f"{manifest.get('version')!r}"
-            )
-        if not _pid_alive(int(manifest["pid"])):
-            raise RuntimeError(
-                f"stale dataset export: creator pid {manifest['pid']} is dead"
-            )
-        num_users = int(manifest["num_users"])
-        nnz = int(manifest["nnz"])
-        names = manifest["segments"]
-        segments = _SegmentSet("shm")
-        try:
-            indptr = segments.attach(names["indptr"], (num_users + 1,), np.int64)
-            indices = segments.attach(names["indices"], (nnz,), np.int64)
-            test_items = segments.attach(
-                names["test_items"], (num_users,), np.int64
-            )
-        except BaseException:
-            segments.release(unlink=False)
-            raise
-        dataset = InteractionDataset.from_csr(
-            name=manifest["name"],
-            num_users=num_users,
-            num_items=int(manifest["num_items"]),
-            indptr=indptr,
-            indices=indices,
-            test_items=test_items,
-        )
-        return cls(manifest, segments, dataset, created=False)
-
-    def close(self) -> None:
-        self._finalizer()
 
 
 # ----------------------------------------------------------------------

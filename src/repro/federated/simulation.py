@@ -243,11 +243,20 @@ class FederatedSimulation:
         exception would keep them linked for as long as it is
         referenced).
         """
-        if self.config.sharding.backend == "shm" and not shared_memory_available():
+        sharding = self.config.sharding
+        if sharding.backend == "shm" and not shared_memory_available():
             raise RuntimeError(
                 "sharding.shared_memory=True but /dev/shm is not "
                 "available; set shared_memory=False for the "
                 "anonymous-mmap backend"
+            )
+        shards = sharding.resolved_shards(self.dataset.num_users)
+        if sharding.uses_executor and shards < 2:  # workers <= shards
+            raise ValueError(
+                f"sharding.round_workers={sharding.round_workers} needs at "
+                f"least 2 shards to spread over; num_shards="
+                f"{sharding.num_shards} resolves to {shards} for "
+                f"{self.dataset.num_users} users"
             )
 
     def close(self) -> None:

@@ -40,6 +40,7 @@ from repro.config import (
     ShardingConfig,
     TrainConfig,
 )
+from repro.datasets.base import InteractionDataset
 from repro.federated.batch_engine import ProcessRoundExecutor
 from repro.federated.shards import list_repro_segments, shared_memory_available
 from repro.federated.simulation import FederatedSimulation
@@ -107,7 +108,7 @@ def run_sim(config: ExperimentConfig, *, kill_worker_at: int | None = None):
     with FederatedSimulation(config) as sim:
         for round_idx in range(config.train.rounds):
             if round_idx == kill_worker_at:
-                victim = sim.executor._pool[0].process
+                victim = sim.executor._workers.processes[0]
                 os.kill(victim.pid, signal.SIGKILL)
                 victim.join()
             sim.run_round(round_idx)
@@ -336,6 +337,25 @@ class TestGuards:
         assert caught.value is not None
         leaked = {r["name"] for r in list_repro_segments()} - before
         assert not [name for name in leaked if name.startswith(mine)]
+
+    @pytest.mark.parametrize("num_shards, num_users", [(1, None), (2, 1)])
+    def test_one_worker_after_the_cap_rejected(self, num_shards, num_users):
+        """Workers are capped at the shard count, and a single one is
+        no executor: refused before any segment exists.  Two shards
+        over one user resolve to one."""
+        cfg = sweep_config(
+            sharding=ShardingConfig(num_shards=num_shards, round_workers=2)
+        )
+        dataset = None
+        if num_users == 1:
+            dataset = InteractionDataset.from_csr(
+                "one-user", 1, 10, np.array([0, 3]), np.array([1, 2, 3]),
+                np.array([4]),
+            )
+        before = {r["name"] for r in list_repro_segments()}
+        with pytest.raises(ValueError, match="round_workers=2.*num_shards="):
+            FederatedSimulation(cfg, dataset)
+        assert {r["name"] for r in list_repro_segments()} - before == set()
 
     def test_workers_capped_at_shard_count(self):
         cfg = sweep_config(

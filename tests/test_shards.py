@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import TrainConfig
+from repro.datasets.base import InteractionDataset
 from repro.datasets.sampling import ragged_csr, sample_local_batch
 from repro.datasets.synthetic import generate_longtail_dataset
 from repro.federated.batch_engine import _bce_stacks_fn, _bpr_stacks_fn
@@ -29,7 +30,6 @@ from repro.federated.shards import (
     EmbeddingMatrixView,
     ShardManifest,
     ShardedStateStore,
-    SharedDatasetExport,
     list_repro_segments,
     orphaned_segments,
     segment_prefix,
@@ -398,50 +398,25 @@ class TestLifecycle:
 
 
 # ----------------------------------------------------------------------
-# Shared dataset export (sweep pool transport)
+# Datasets over CSR arrays (million-user builds)
 # ----------------------------------------------------------------------
 
 
-class TestSharedDatasetExport:
-    def test_round_trip_preserves_dataset(self):
+class TestCSRDataset:
+    def test_from_csr_preserves_dataset(self):
         ds = make_dataset(users=30)
-        export = SharedDatasetExport.create(ds)
-        try:
-            attached = SharedDatasetExport.attach(export.manifest)
-            try:
-                got = attached.dataset
-                assert got.num_users == ds.num_users
-                assert got.num_items == ds.num_items
-                assert isinstance(got.train_pos, CSRRaggedList)
-                for u in range(ds.num_users):
-                    assert np.array_equal(got.train_pos[u], ds.train_pos[u])
-                assert np.array_equal(got.test_items, ds.test_items)
-                assert np.array_equal(got.popularity(), ds.popularity())
-                assert np.array_equal(
-                    got.covered_users(np.array([0, 1])),
-                    ds.covered_users(np.array([0, 1])),
-                )
-            finally:
-                attached.close()
-        finally:
-            export.close()
-        leftover = [
-            r
-            for r in list_repro_segments()
-            if r["name"] in set(export.manifest["segments"].values())
-        ]
-        assert leftover == []
-
-    def test_dead_creator_rejected(self):
-        ds = make_dataset(users=8)
-        export = SharedDatasetExport.create(ds)
-        manifest = dict(export.manifest)
-        manifest["pid"] = 2**22 + 1
-        try:
-            with pytest.raises(RuntimeError, match="stale"):
-                SharedDatasetExport.attach(manifest)
-        finally:
-            export.close()
+        got = InteractionDataset.from_csr(
+            ds.name, ds.num_users, ds.num_items, *ds.train_csr(), ds.test_items
+        )
+        assert isinstance(got.train_pos, CSRRaggedList)
+        for u in range(ds.num_users):
+            assert np.array_equal(got.train_pos[u], ds.train_pos[u])
+        assert np.array_equal(got.test_items, ds.test_items)
+        assert np.array_equal(got.popularity(), ds.popularity())
+        assert np.array_equal(
+            got.covered_users(np.array([0, 1])),
+            ds.covered_users(np.array([0, 1])),
+        )
 
 
 # ----------------------------------------------------------------------

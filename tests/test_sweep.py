@@ -26,8 +26,10 @@ from repro.experiments.sweep import (
     cells_from_values,
     dataset_fingerprint,
     execute_cell,
+    register_cell_kind,
 )
 from repro.datasets.loaders import load_dataset
+from repro.federated.shards import list_repro_segments
 from repro.metrics.divergence import user_coverage_ratio
 from repro.persistence import load_sweep_entry, save_sweep_entry
 
@@ -61,6 +63,16 @@ def _tiny_grid() -> tuple[list[CellSpec], dict[str, DatasetConfig]]:
     return specs, datasets
 
 
+def _parent_segments(spec: CellSpec, dataset) -> list[list[float]]:
+    """Runs in a pool worker: the segments its parent has in /dev/shm."""
+    mine = f"repro_shm_{os.getppid()}_"
+    names = [record["name"] for record in list_repro_segments()]
+    return [[float(sum(name.startswith(mine) for name in names))]]
+
+
+register_cell_kind("test_parent_segments", _parent_segments)
+
+
 @pytest.fixture(scope="module")
 def tiny_grid_sequential():
     """Sequential reference results for the shared tiny grid."""
@@ -74,6 +86,16 @@ class TestParity:
         specs, datasets = _tiny_grid()
         parallel = SweepRunner(workers=2).run(specs, datasets)
         assert parallel == tiny_grid_sequential
+
+    def test_pool_workers_inherit_datasets_without_segments(self):
+        """Datasets ride the fork: while the pooled cells run, their
+        parent holds no shared-memory segment for them to attach."""
+        specs = [
+            CellSpec(config=_tiny_config(seed=seed), kind="test_parent_segments")
+            for seed in (3, 4)
+        ]
+        datasets = {"default": DatasetConfig(name="custom", scale=0.08, seed=5)}
+        assert SweepRunner(workers=2).run(specs, datasets) == [[[0.0]], [[0.0]]]
 
     def test_results_align_with_spec_order(self, tiny_grid_sequential):
         # The ks=(5, 10) cell returns two pairs, the rest one each.
