@@ -1,4 +1,4 @@
-"""Million-user scale: sharded shared-memory store + process executor.
+"""Million-user scale: sharded store in shared mappings + process executor.
 
 Not a paper table — this benchmarks the million-user execution layer
 (``repro.federated.shards`` + ``ProcessRoundExecutor``) and pins its
@@ -6,7 +6,7 @@ contracts:
 
 * **Scale + memory.** Real attacked-and-defended federated rounds over
   >= 1M benign users (full mode), with an *asserted* peak-RSS bound:
-  client state is O(users x dim) in shared segments, never
+  client state is O(users x dim) in shared mappings, never
   O(users x items), and never N per-worker copies.
 * **Bit-identity.** The multi-process executor's trajectory (item
   embeddings + a streamed hash of every user embedding) must equal the
@@ -19,10 +19,10 @@ contracts:
 * **Chaos.** One round worker is SIGKILLed between rounds; the
   executor must respawn it and the trajectory must stay bit-identical.
 * **Zero silent fallbacks.** Every round must go through the worker
-  pool (``process_rounds == rounds``), the store must be on the shm
-  backend, and the pooled sweep, whose workers inherit the datasets
-  with the fork, must leave no shared-memory segment and return the
-  inline run's results.
+  pool (``process_rounds == rounds``), the store must be on the mmap
+  allocator, and the pooled sweep, whose workers inherit the datasets
+  with the fork, must leave no named shared-memory segment and return
+  the inline run's results.
 
 ``--smoke`` (the CI job) shrinks the cohort but keeps every assertion
 except the speedup floor.
@@ -204,7 +204,7 @@ def main(argv: list[str]) -> int:
     # -- single-process sharded reference ------------------------------
     single_cfg = bench_config(p, shards=p["shards"], workers=0)
     with FederatedSimulation(single_cfg, dataset) as single:
-        assert single.state.backend == "shm", "store not on the shm backend"
+        assert single.state.backend == "mmap", "store not on the mmap allocator"
         single_seconds = run_rounds(single, p["rounds"])
         single_items = single.model.item_embeddings.copy()
         single_hash = embedding_hash(single)

@@ -272,16 +272,16 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="split benign client state into N shared-memory shards "
-        "(pure throughput knob: the trajectory is bit-identical)",
+        help="split benign client state into N shards in anonymous shared "
+        "mappings (pure throughput knob: the trajectory is bit-identical)",
     )
     run.add_argument(
         "--round-workers",
         type=_positive_int,
         default=None,
         metavar="N",
-        help="compute benign rounds on N worker processes attached to "
-        "the shard segments (requires --shards; bit-identical)",
+        help="compute benign rounds on N forked worker processes sharing "
+        "the shard mappings (requires --shards; bit-identical)",
     )
     run.add_argument(
         "--checkpoint-dir",
@@ -677,10 +677,6 @@ def _command_fsck(args: argparse.Namespace) -> int:
     print(report.summary())
     for path in report.corrupt_paths:
         print(f"  corrupt: {path}")
-    for name in report.shm_orphan_names:
-        print(f"  orphaned shm segment: {name}")
-    if report.shm_orphans and not args.repair:
-        print("  (run with --repair to unlink orphaned segments)")
     return 0 if report.clean else 1
 
 

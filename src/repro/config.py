@@ -14,7 +14,7 @@ experiments:
 * :class:`AsyncConfig` — asynchronous-federation knobs (traffic
   process, compute/network latency, churn, FedBuff-style buffered
   aggregation with staleness discounting, round deadlines);
-* :class:`ShardingConfig` — shared-memory state sharding and the
+* :class:`ShardingConfig` — client-state sharding and the
   multi-process round executor;
 * :class:`ExperimentConfig` — one full experiment = all of the above.
 
@@ -26,8 +26,8 @@ declared with ``metadata=KNOB`` changes how fast a run computes, never
 what it computes (the knobs' parity suites assert it bit for bit).
 :func:`identity_record` is the one definition of a run's identity —
 every field except the knobs — and :func:`identity_digest` its hash;
-the sweep cache key, the checkpoint digest and the shard manifest all
-derive from it, so a knob can never split a cache or refuse a resume.
+the sweep cache key and the checkpoint digest both derive from it, so a
+knob can never split a cache or refuse a resume.
 """
 
 from __future__ import annotations
@@ -486,27 +486,22 @@ class ShardingConfig:
     :class:`~repro.federated.shards.ShardedStateStore`.  With
     ``num_shards=0`` (the default) that is one in-process heap shard.
     With ``num_shards >= 1`` it is ``num_shards`` contiguous user-id
-    ranges, each backed by named ``multiprocessing.shared_memory``
-    segments (``shared_memory=True``) or anonymous fork-shared mappings
-    (``shared_memory=False``, usable only by fork-inherited children).
-    ``round_workers >= 2`` additionally routes benign round computation
-    through the :class:`~repro.federated.batch_engine.ProcessRoundExecutor`
-    — forked worker processes that each attach only their shards,
+    ranges in anonymous ``MAP_SHARED`` mappings, which processes forked
+    after the build inherit.  ``round_workers >= 2`` additionally routes
+    benign round computation through the
+    :class:`~repro.federated.batch_engine.ProcessRoundExecutor` —
+    forked worker processes that each compute only their shards' users,
     capped at the shard count (a config left with one worker is
     refused).  Every layout is bit-identical to the in-process reference
     (asserted by the parity suites).
     """
 
-    #: Number of contiguous user-range shards in shared segments; 0 =
+    #: Number of contiguous user-range shards in shared mappings; 0 =
     #: one in-process heap shard (sharding off).
     num_shards: int = 0
     #: Worker processes for the multi-process round executor; 0 or 1 =
     #: compute rounds in-process (sharded store only).
     round_workers: int = 0
-    #: Back segments with named POSIX shared memory (attachable by
-    #: unrelated processes, survives exec) instead of anonymous
-    #: fork-shared mappings.
-    shared_memory: bool = True
 
     def __post_init__(self) -> None:
         if self.num_shards < 0:
@@ -521,10 +516,8 @@ class ShardingConfig:
 
     @property
     def backend(self) -> str:
-        """The store's segment allocator: ``heap``, ``shm`` or ``mmap``."""
-        if self.num_shards == 0:
-            return "heap"
-        return "shm" if self.shared_memory else "mmap"
+        """The store's segment allocator: ``heap`` or ``mmap``."""
+        return "heap" if self.num_shards == 0 else "mmap"
 
     @property
     def uses_executor(self) -> bool:

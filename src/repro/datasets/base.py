@@ -19,7 +19,7 @@ def pack_csr(train_pos) -> tuple[np.ndarray, np.ndarray]:
     """``(indptr, indices)`` int64 CSR arrays of ragged positive lists.
 
     ``indices[indptr[u]:indptr[u + 1]]`` equals ``train_pos[u]``.  A
-    CSR-backed ragged facade (the shared-memory attach path) hands over
+    CSR-backed ragged facade (a million-user dataset) hands over
     its arrays directly instead of re-concatenating a million per-user
     slices.
     """

@@ -209,13 +209,13 @@ class LocalBackend(ExecutionBackend):
     ) -> BackendReport:
         from repro.experiments.sweep import execute_cell
 
-        def run(_state, index: int):
+        def run(index: int):
             spec = cells[index]
             return execute_cell(spec, loaded[spec.dataset_key])
 
         if self.workers < 2 or len(pending) < 2:
             for index, key in pending:
-                results[index] = run(None, index)
+                results[index] = run(index)
                 store(key, cells[index], results[index])
             return BackendReport(executed=len(pending))
         pool = Supervisor(

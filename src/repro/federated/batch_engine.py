@@ -72,7 +72,7 @@ from repro.config import DefenseConfig, TrainConfig
 from repro.datasets.sampling import sample_local_batches, sample_negatives_batch
 from repro.defenses.regularization import regularization_terms, tower_grad_terms
 from repro.federated.server import Server
-from repro.federated.shards import ShardedStateStore, _SegmentSet
+from repro.federated.shards import _segment_copy
 from repro.federated.update_batch import UpdateBatch
 from repro.models.base import RecommenderModel, segment_starts
 from repro.rng import StreamBatch, spawn_batch
@@ -337,12 +337,12 @@ class BatchClientEngine(Stateful):
         #: the ideal-synchronous path bit-identical and overhead-free.
         self.transit = transit
         #: Optional :class:`ProcessRoundExecutor` computing each benign
-        #: local step across forked worker processes attached to the
+        #: local step across forked worker processes sharing the
         #: sharded store; ``None`` computes rounds in-process.
         self.executor = executor
         #: Rounds whose benign step ran on the multi-process executor —
         #: the anti-fallback counter the million-user CI smoke asserts
-        #: equals the round count (the shm path must actually engage).
+        #: equals the round count (the executor must actually engage).
         self.process_rounds = 0
 
     # ------------------------------------------------------------------
@@ -492,16 +492,13 @@ class _ModelMirror:
     The parent publishes ``item_embeddings`` (and any interaction
     parameters) into the segments before dispatching a round; each
     worker copies them into its private model replica before computing.
-    The segments come from the store's ``"mmap"`` allocator: anonymous
-    ``MAP_SHARED`` memory needs no names, no unlink and no tracker — it
-    dies with the last process that maps it — and is inherited by the
-    fork-spawned workers automatically.
+    The segments come from the store's ``"mmap"`` allocator, so the
+    fork-spawned workers inherit them.
     """
 
     def __init__(self, model: RecommenderModel):
-        self._segments = _SegmentSet("mmap")
         self.views = [
-            self._segments.new("", array.shape, array.dtype)
+            _segment_copy(array, "mmap")
             for array in [model.item_embeddings, *model.interaction_params()]
         ]
 
@@ -533,8 +530,9 @@ class ProcessRoundExecutor:
     to the in-process reference (pinned by the executor parity suite).
 
     Crash tolerance falls out of the dataflow: worker tasks are pure
-    reads, so a worker SIGKILLed mid-round is respawned (re-attaching
-    its shards) and its subset re-dispatched, with no state to repair.
+    reads, so a worker SIGKILLed mid-round is re-forked (inheriting the
+    store's mappings again) and its subset re-dispatched, with no state
+    to repair.
     ``respawns`` counts those events for the chaos suite.
 
     Under the client-side defense the parent feeds the round to the
@@ -558,7 +556,7 @@ class ProcessRoundExecutor:
                 "(they are what make worker reads see live state); got a "
                 "heap-backed in-process store"
             )
-        num_shards = store.manifest.num_shards
+        num_shards = len(store.bounds) - 1
         if min(num_workers, num_shards) < 2:
             raise ValueError(
                 f"ProcessRoundExecutor needs num_workers >= 2 after the cap "
@@ -573,13 +571,11 @@ class ProcessRoundExecutor:
         #: Kernel numpy-fallback calls reported by workers.
         self.worker_kernel_fallbacks = 0
         self._kernel_backend = kernel_backend
-        self._bounds = store.manifest.bounds()
+        self._bounds = store.bounds
         # One mirror shared by every worker; created before the forks
         # so the anonymous mapping is inherited.
         self._mirror = _ModelMirror(model)
-        self._workers = Supervisor(
-            self.num_workers, self._step, init=self._attach
-        )
+        self._workers = Supervisor(self.num_workers, self._step)
         self._closed = False
 
     @property
@@ -589,18 +585,9 @@ class ProcessRoundExecutor:
 
     # -- worker side (runs in the forked children) ----------------------
 
-    def _attach(self, worker: int):
-        """The worker's shards of a named-shm store, re-attached by
-        manifest; an inherited anonymous-mmap store as it is."""
-        if self.store.backend != "shm":
-            return self.store
-        shard_ids = range(worker, self.store.manifest.num_shards, self.num_workers)
-        return ShardedStateStore.attach(
-            self.store.manifest.to_json(), shard_ids=shard_ids
-        )
-
-    def _step(self, store, task):
-        """One subset's benign stacks: a pure read of store and mirror."""
+    def _step(self, task):
+        """One subset's benign stacks: a pure read of the inherited
+        store and mirror."""
         round_idx, benign_ids, mined = task
         with kernels.use(self._kernel_backend) as backend:
             fallbacks_before = backend.fallback_calls
@@ -608,7 +595,7 @@ class ProcessRoundExecutor:
             # param_owners stays behind: it is all clients or none,
             # which the parent re-derives.
             *stacks, _ = _compute_benign_stacks(
-                self.model, self.train_cfg, self.seed, store, benign_ids,
+                self.model, self.train_cfg, self.seed, self.store, benign_ids,
                 round_idx, self.store.defense, mined,
             )
             return stacks, backend.fallback_calls - fallbacks_before

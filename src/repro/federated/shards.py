@@ -16,49 +16,31 @@ each shard owns four arrays (*segments*):
   the inconsistent-rate scenario, ``(n,)`` float64, drawn once at build
   bit-identically to the scalar ``spawn(seed, "client-lr", u)`` draws.
 
-One surface, three segment allocators:
+One surface, two segment allocators:
 
 * ``"heap"`` — process-private NumPy arrays.  One heap shard is the
   default in-process store (``ShardingConfig(num_shards=0)``); row
   reads are zero-copy views of one matrix.
-* ``"shm"``  — named POSIX shared memory
-  (``multiprocessing.shared_memory``).  A small JSON
-  :class:`ShardManifest` (segment names, dtypes, shapes, user-id
-  ranges, creator pid, config digest) is the only thing that crosses
-  process boundaries: a worker attaches the segments it needs zero-copy
-  and sees the *live* state, so N workers cost ~one dataset of RSS.
-* ``"mmap"`` — anonymous ``MAP_SHARED`` mappings, shared only with
-  fork-inherited children.
+* ``"mmap"`` — anonymous ``MAP_SHARED`` mappings, the allocator of
+  every sharded store.  Each process that reads a sharded store is a
+  fork of the one that built it (the round executor forks its workers
+  after the build), so the children inherit the mappings, see the
+  *live* state, and N workers cost ~one dataset of RSS.  The kernel
+  frees a mapping when the last process that maps it exits: a crash,
+  even a SIGKILL, leaves nothing behind to reap.
 
 The client-side defense's miner block (one
 :class:`~repro.attacks.mining.CohortMiner` over the user ids) stays in
 the creating process: the multi-process executor feeds it in the parent
 and ships each task only its participants' mined sets (see
 :class:`~repro.federated.batch_engine.ProcessRoundExecutor`).
-
-Lifecycle rules for named segments:
-
-* segments are *refcounted per process* — attaching the same segment
-  twice maps it once; the last detach closes the mapping;
-* the **creator** unlinks its segments on :meth:`close`, at garbage
-  collection and at interpreter exit (``weakref.finalize`` covers both);
-  attachers only ever close, never unlink;
-* segment names embed the creator pid and a random run token
-  (``repro_shm_<pid>_<token>_...``), so a segment whose creator is dead
-  is detectably *stale*: :meth:`ShardedStateStore.attach` refuses it,
-  and ``repro fsck`` lists (and with ``--repair`` unlinks) such
-  orphans while never touching foreign /dev/shm entries.
 """
 
 from __future__ import annotations
 
 import bisect
-import dataclasses
-import json
 import mmap
 import os
-import uuid
-import weakref
 
 import numpy as np
 
@@ -69,209 +51,26 @@ from repro.rng import spawn_first_uniform, spawn_normal_rows
 from repro.stateful import Stateful
 
 __all__ = [
-    "ShardManifest",
     "ShardedStateStore",
     "CSRRaggedList",
     "EmbeddingMatrixView",
     "shard_bounds",
-    "segment_prefix",
     "list_repro_segments",
-    "orphaned_segments",
-    "unlink_segment",
-    "shared_memory_available",
 ]
 
-MANIFEST_VERSION = "shards-v1"
+def _segment_copy(values: np.ndarray, backend: str) -> np.ndarray:
+    """A copy of ``values`` in a new segment of ``backend``.
 
-#: Every segment this library creates starts with this prefix; fsck
-#: only ever looks at (and only ever unlinks) names under it.
-SEGMENT_PREFIX = "repro_shm_"
-SHM_DIR = "/dev/shm"
-
-
-def segment_prefix(pid: int | None = None, token: str | None = None) -> str:
-    """Name prefix for this process (or the given pid/token)."""
-    parts = [SEGMENT_PREFIX[:-1], str(os.getpid() if pid is None else pid)]
-    if token is not None:
-        parts.append(token)
-    return "_".join(parts) + "_"
-
-
-def shared_memory_available() -> bool:
-    """Whether named POSIX shared memory is usable on this host."""
-    return os.path.isdir(SHM_DIR)
-
-
-# ----------------------------------------------------------------------
-# Segment layer: refcounted named-shm, anonymous-mmap and heap buffers
-# ----------------------------------------------------------------------
-
-class _Mapping:
-    """One mapped segment plus its per-process refcount."""
-
-    __slots__ = ("buf", "refs", "shm")
-
-    def __init__(self, buf, shm):
-        self.buf = buf
-        self.refs = 1
-        self.shm = shm
-
-
-#: name -> _Mapping for every *named* segment mapped in this process.
-_MAPPINGS: dict[str, _Mapping] = {}
-
-#: SharedMemory objects whose close() failed because caller-held views
-#: still point into the buffer (e.g. a row view outliving its
-#: store).  Kept alive so the garbage collector never runs their
-#: ``__del__`` — which would retry the close and surface the same
-#: BufferError as an unraisable warning; the OS reclaims the mapping
-#: at process exit.
-_ZOMBIE_MAPPINGS: list[object] = []
-
-
-def _shm_open(name: str, size: int, create: bool):
-    """Create or attach one named segment, refcounted per process.
-
-    Attaching goes through :mod:`multiprocessing.shared_memory`; the
-    attach side immediately unregisters from the resource tracker —
-    only the *creator* may unlink, and the tracker would otherwise
-    unlink (and warn about) segments it merely attached on 3.10/3.11.
+    An ``"mmap"`` segment is an anonymous shared mapping that lives as
+    long as some array, in this process or a fork of it, refers to it.
     """
-    from multiprocessing import resource_tracker, shared_memory
-
-    mapping = _MAPPINGS.get(name)
-    if mapping is not None:
-        if create:
-            raise FileExistsError(f"segment {name!r} already mapped here")
-        mapping.refs += 1
-        return mapping.buf
-    shm = shared_memory.SharedMemory(
-        name=name, create=create, size=max(1, size) if create else 0
-    )
-    if not create:
-        try:  # pragma: no cover - tracker layout is an implementation detail
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-        if shm.size < size:
-            shm.close()
-            raise ValueError(
-                f"segment {name!r} holds {shm.size} bytes, "
-                f"manifest expects {size}"
-            )
-    _MAPPINGS[name] = _Mapping(shm.buf, shm=shm)
-    return shm.buf
-
-
-def _shm_release(name: str) -> None:
-    """Drop one reference; close the mapping when none remain."""
-    mapping = _MAPPINGS.get(name)
-    if mapping is None:
-        return
-    mapping.refs -= 1
-    if mapping.refs <= 0:
-        del _MAPPINGS[name]
-        try:
-            # Views into the buffer may still be alive in caller hands;
-            # memoryview release errors just mean "in use", and the
-            # mapping then lives until the process exits.
-            mapping.shm.close()
-        except BufferError:
-            _ZOMBIE_MAPPINGS.append(mapping.shm)
-
-
-def unlink_segment(name: str) -> bool:
-    """Unlink one named segment; ``True`` if it existed."""
-    if not name.startswith(SEGMENT_PREFIX):
-        raise ValueError(f"refusing to unlink foreign segment {name!r}")
-    try:
-        os.unlink(os.path.join(SHM_DIR, name))
-        removed = True
-    except (FileNotFoundError, OSError):
-        removed = False
-    # The creating process registered the segment with the resource
-    # tracker at SharedMemory() time; deregister so the tracker does
-    # not warn about (and re-attempt) already-unlinked segments at
-    # interpreter shutdown.
-    try:  # pragma: no cover - tracker layout is an implementation detail
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister("/" + name, "shared_memory")
-    except Exception:
-        pass
-    return removed
-
-
-class _SegmentSet:
-    """All segments owned or attached by one store, as ndarrays.
-
-    ``backend`` picks the allocator: ``"shm"`` (named, attachable),
-    ``"mmap"`` (anonymous, fork-inherited) or ``"heap"`` (private
-    ``np.zeros``; nothing to release).
-    """
-
-    def __init__(self, backend: str):
-        if backend not in ("shm", "mmap", "heap"):
-            raise ValueError(f"unknown segment backend {backend!r}")
-        if backend == "shm" and not shared_memory_available():
-            raise RuntimeError(
-                f"backend 'shm' requested but {SHM_DIR} is unavailable; "
-                f"use shared_memory=False (anonymous mmap) instead"
-            )
-        self.backend = backend
-        self.names: list[str] = []
-        self._anon: list[mmap.mmap] = []
-
-    def new(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """Allocate one zero-filled segment owned by this set."""
-        if self.backend == "heap":
-            return np.zeros(shape, dtype=dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-        if self.backend == "shm":
-            buf = _shm_open(name, nbytes, create=True)
-            self.names.append(name)
-        else:
-            mm = mmap.mmap(-1, max(1, nbytes))
-            self._anon.append(mm)
-            buf = mm
-        array = np.frombuffer(buf, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)))
-        return array.reshape(shape)
-
-    def attach(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """Map an existing named segment (shm backend only)."""
-        if self.backend != "shm":
-            raise RuntimeError(
-                f"{self.backend!r} segments cannot be attached by name"
-            )
-        nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-        buf = _shm_open(name, nbytes, create=False)
-        self.names.append(name)
-        array = np.frombuffer(buf, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)))
-        return array.reshape(shape)
-
-    def release(self, *, unlink: bool) -> None:
-        for name in self.names:
-            _shm_release(name)
-            if unlink:
-                unlink_segment(name)
-        self.names = []
-        for mm in self._anon:
-            try:
-                mm.close()
-            except BufferError:  # pragma: no cover - caller still holds views
-                pass
-        self._anon = []
-
-
-def _cleanup_segments(segments: _SegmentSet, unlink: bool, owner_pid: int) -> None:
-    """Finalizer body of a store's segments.
-
-    Fork-inherited copies of a creator object carry its finalizer too;
-    the pid guard makes sure only the *creating process* ever unlinks —
-    a worker dropping its inherited reference must not reap segments
-    the parent still serves.
-    """
-    segments.release(unlink=unlink and os.getpid() == owner_pid)
+    if backend == "heap":
+        return np.array(values)
+    mapping = mmap.mmap(-1, max(1, values.nbytes))
+    segment = np.frombuffer(mapping, dtype=values.dtype, count=values.size)
+    segment = segment.reshape(values.shape)
+    segment[...] = values
+    return segment
 
 
 # ----------------------------------------------------------------------
@@ -314,91 +113,6 @@ def _segment_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Manifest
-# ----------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class ShardManifest:
-    """Everything a worker needs to attach a store's segments."""
-
-    token: str
-    pid: int
-    backend: str  # "shm" | "mmap" | "heap"
-    num_users: int
-    num_items: int
-    embedding_dim: int
-    seed: int
-    #: :func:`~repro.config.identity_digest` of the run's config.
-    config_digest: str
-    #: ``(lo, hi, nnz)`` per shard, in shard order.
-    shards: tuple[tuple[int, int, int], ...]
-    #: Field -> segment name per shard (empty for the unnamed backends).
-    segments: tuple[dict[str, str], ...]
-    lr_range: tuple[float, float] | None = None
-    version: str = MANIFEST_VERSION
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    def bounds(self) -> np.ndarray:
-        return np.asarray(
-            [lo for lo, _, _ in self.shards] + [self.num_users],
-            dtype=np.int64,
-        )
-
-    def to_json(self) -> str:
-        record = dataclasses.asdict(self)
-        record["shards"] = [list(entry) for entry in self.shards]
-        record["segments"] = [dict(entry) for entry in self.segments]
-        if self.lr_range is not None:
-            record["lr_range"] = [float(v) for v in self.lr_range]
-        return json.dumps(record, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShardManifest":
-        record = json.loads(text)
-        version = record.get("version")
-        if version != MANIFEST_VERSION:
-            raise ValueError(
-                f"unsupported shard manifest version {version!r} "
-                f"(expected {MANIFEST_VERSION!r})"
-            )
-        lr_range = record.get("lr_range")
-        return cls(
-            token=record["token"],
-            pid=int(record["pid"]),
-            backend=record["backend"],
-            num_users=int(record["num_users"]),
-            num_items=int(record["num_items"]),
-            embedding_dim=int(record["embedding_dim"]),
-            seed=int(record["seed"]),
-            config_digest=record.get("config_digest", ""),
-            shards=tuple(
-                (int(lo), int(hi), int(nnz))
-                for lo, hi, nnz in record["shards"]
-            ),
-            segments=tuple(
-                {str(k): str(v) for k, v in entry.items()}
-                for entry in record["segments"]
-            ),
-            lr_range=None if lr_range is None else (
-                float(lr_range[0]), float(lr_range[1])
-            ),
-        )
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - pid exists, not ours
-        return True
-    return True
-
-
-# ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
 
@@ -432,20 +146,29 @@ class ShardedStateStore(Stateful):
 
     def __init__(
         self,
-        manifest: ShardManifest,
-        segments: _SegmentSet,
-        shards: dict[int, _Shard],
+        shards: list[_Shard],
         *,
+        num_items: int,
+        embedding_dim: int,
+        seed: int,
+        backend: str,
+        lr_range: tuple[float, float] | None = None,
         defense: DefenseConfig | None = None,
-        created: bool,
     ):
-        self.manifest = manifest
-        self._segments = segments
-        self._shards = shards
-        self._bounds = manifest.bounds()
-        self._starts = self._bounds[:-1].tolist()
-        self._created = created
-        self._closed = False
+        self._shards: list[_Shard] | None = shards
+        #: Shard ``s`` holds users ``bounds[s] : bounds[s + 1]``.
+        self.bounds = np.asarray(
+            [shard.lo for shard in shards] + [shards[-1].hi], dtype=np.int64
+        )
+        self._starts = self.bounds[:-1].tolist()
+        self.num_users = int(self.bounds[-1])
+        self.num_items = num_items
+        self.embedding_dim = embedding_dim
+        #: The run seed every row and learning rate was drawn from.
+        self.seed = seed
+        #: The segment allocator: ``"heap"`` or ``"mmap"``.
+        self.backend = backend
+        self.lr_range = lr_range
         #: The client-side defense every benign client trains with
         #: (``None``: undefended), and the one miner block all of
         #: their popular sets come from.
@@ -454,16 +177,8 @@ class ShardedStateStore(Stateful):
             None
             if defense is None
             else CohortMiner(
-                manifest.num_items,
-                defense.mining_rounds,
-                defense.num_popular,
-                manifest.num_users,
+                num_items, defense.mining_rounds, defense.num_popular, self.num_users
             )
-        )
-        # Covers explicit close, garbage collection and interpreter
-        # exit: the creator unlinks, attachers merely unmap.
-        self._finalizer = weakref.finalize(
-            self, _cleanup_segments, segments, created, os.getpid()
         )
 
     # -- construction ---------------------------------------------------
@@ -481,7 +196,6 @@ class ShardedStateStore(Stateful):
         num_shards: int = 1,
         backend: str = "heap",
         lr_range: tuple[float, float] | None = None,
-        config_digest: str = "",
     ) -> "ShardedStateStore":
         """Build from ragged positive-item lists (or a CSR-backed one).
 
@@ -491,194 +205,74 @@ class ShardedStateStore(Stateful):
         store is bit-identical to the object-per-user reference at any
         shard count.
         """
+        if backend not in ("heap", "mmap"):
+            raise ValueError(f"unknown segment backend {backend!r}")
         if lr_range is not None and not 0 < lr_range[0] <= lr_range[1]:
             raise ValueError("client_lr_range must satisfy 0 < low <= high")
         indptr, indices = pack_csr(train_pos)
-        num_users = len(indptr) - 1
-        bounds = shard_bounds(num_users, num_shards)
-        token = uuid.uuid4().hex[:12]
-        pid = os.getpid()
-        segments = _SegmentSet(backend)
-        shard_meta: list[tuple[int, int, int]] = []
-        shard_names: list[dict[str, str]] = []
-        shards: dict[int, _Shard] = {}
-        try:
-            for s in range(len(bounds) - 1):
-                lo, hi = int(bounds[s]), int(bounds[s + 1])
-                users = np.arange(lo, hi)
-                names = {}
-
-                def _segment(field, values):
-                    name = ""
-                    if backend == "shm":
-                        name = names[field] = (
-                            f"{segment_prefix(pid, token)}{field}_{s:04d}"
+        bounds = shard_bounds(len(indptr) - 1, num_shards)
+        shards: list[_Shard] = []
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            users = np.arange(lo, hi)
+            emb = _segment_copy(
+                spawn_normal_rows(
+                    seed, ("client-init",), users, embedding_dim, scale=init_scale
+                ),
+                backend,
+            )
+            local_indptr = _segment_copy(indptr[lo : hi + 1] - indptr[lo], backend)
+            local_indices = _segment_copy(indices[indptr[lo] : indptr[hi]], backend)
+            lr = None
+            if lr_range is not None:
+                low, high = lr_range
+                lr = _segment_copy(
+                    np.exp(
+                        spawn_first_uniform(
+                            seed, ("client-lr",), users,
+                            float(np.log(low)), float(np.log(high)),
                         )
-                    segment = segments.new(name, values.shape, values.dtype)
-                    segment[...] = values
-                    return segment
-
-                emb = _segment(
-                    "emb",
-                    spawn_normal_rows(
-                        seed, ("client-init",), users, embedding_dim,
-                        scale=init_scale,
                     ),
+                    backend,
                 )
-                local_indptr = _segment("indptr", indptr[lo : hi + 1] - indptr[lo])
-                local_indices = _segment("indices", indices[indptr[lo] : indptr[hi]])
-                lr = None
-                if lr_range is not None:
-                    low, high = lr_range
-                    lr = _segment(
-                        "lr",
-                        np.exp(
-                            spawn_first_uniform(
-                                seed, ("client-lr",), users,
-                                float(np.log(low)), float(np.log(high)),
-                            )
-                        ),
-                    )
-                shard_meta.append((lo, hi, len(local_indices)))
-                shard_names.append(names)
-                shards[s] = _Shard(lo, hi, emb, local_indptr, local_indices, lr)
-        except BaseException:
-            segments.release(unlink=True)
-            raise
-        manifest = ShardManifest(
-            token=token,
-            pid=pid,
-            backend=backend,
-            num_users=num_users,
+            shards.append(_Shard(lo, hi, emb, local_indptr, local_indices, lr))
+        return cls(
+            shards,
             num_items=num_items,
             embedding_dim=embedding_dim,
             seed=seed,
-            config_digest=config_digest,
-            shards=tuple(shard_meta),
-            segments=tuple(shard_names),
+            backend=backend,
             lr_range=None if lr_range is None else (
                 float(lr_range[0]), float(lr_range[1])
             ),
-        )
-        return cls(
-            manifest,
-            segments,
-            shards,
             defense=defense,
-            created=True,
-        )
-
-    @classmethod
-    def attach(
-        cls,
-        manifest: ShardManifest | str,
-        *,
-        shard_ids=None,
-        allow_stale: bool = False,
-    ) -> "ShardedStateStore":
-        """Attach an existing store's segments (shm backend only).
-
-        ``shard_ids`` restricts the attachment to a subset of shards —
-        a round worker maps only the ranges it owns.  Attaching
-        segments whose creator process is dead raises (they are stale
-        orphans fsck should reap), unless ``allow_stale`` is set.
-        """
-        if isinstance(manifest, str):
-            manifest = ShardManifest.from_json(manifest)
-        if manifest.backend != "shm":
-            raise RuntimeError(
-                f"only named shared-memory stores can be attached by "
-                f"manifest; {manifest.backend!r} segments stay in their "
-                f"creator's process tree"
-            )
-        if not allow_stale and not _pid_alive(manifest.pid):
-            raise RuntimeError(
-                f"stale shard segments: creator pid {manifest.pid} is "
-                f"dead (run `repro fsck --repair` to reap orphans)"
-            )
-        wanted = (
-            range(manifest.num_shards)
-            if shard_ids is None
-            else sorted(int(s) for s in shard_ids)
-        )
-        segments = _SegmentSet("shm")
-        shards: dict[int, _Shard] = {}
-        dim = manifest.embedding_dim
-        try:
-            for s in wanted:
-                lo, hi, nnz = manifest.shards[s]
-                names = manifest.segments[s]
-                n = hi - lo
-                emb = segments.attach(names["emb"], (n, dim), np.float64)
-                indptr = segments.attach(names["indptr"], (n + 1,), np.int64)
-                indices = segments.attach(names["indices"], (nnz,), np.int64)
-                lr = None
-                if "lr" in names:
-                    lr = segments.attach(names["lr"], (n,), np.float64)
-                shards[s] = _Shard(lo, hi, emb, indptr, indices, lr)
-        except BaseException:
-            segments.release(unlink=False)
-            raise
-        return cls(
-            manifest,
-            segments,
-            shards,
-            created=False,
         )
 
     # -- lifecycle ------------------------------------------------------
 
-    @property
-    def created(self) -> bool:
-        return self._created
-
-    @property
-    def backend(self) -> str:
-        return self.manifest.backend
-
-    @property
-    def attached_shard_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._shards))
-
     def close(self) -> None:
-        """Detach (and, for the creator, unlink) all segments."""
-        if not self._closed:
-            self._closed = True
-            self._shards = {}
-            self._finalizer()
+        """Drop the segments (idempotent); the store serves no more reads.
+
+        A mapping is freed once no array, in this process or a fork of
+        it, refers to it any more.
+        """
+        self._shards = None
+
+    def _live_shards(self) -> list[_Shard]:
+        if self._shards is None:
+            raise RuntimeError("the client state store is closed")
+        return self._shards
 
     # -- shape ----------------------------------------------------------
 
     @property
-    def num_users(self) -> int:
-        return self.manifest.num_users
-
-    @property
-    def num_items(self) -> int:
-        return self.manifest.num_items
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.manifest.embedding_dim
-
-    @property
     def dtype(self) -> np.dtype:
         """The embedding rows' dtype (outputs are allocated in it)."""
-        return next(iter(self._shards.values())).emb.dtype
-
-    def _attached(self, s: int) -> _Shard:
-        try:
-            return self._shards[s]
-        except KeyError:
-            raise KeyError(
-                f"shard {s} is not attached here; "
-                f"attached: {self.attached_shard_ids}"
-            ) from None
+        return self._live_shards()[0].emb.dtype
 
     def _shard_for_user(self, user_id: int) -> _Shard:
         if not 0 <= user_id < self.num_users:
             raise IndexError(f"user id {user_id} out of range")
-        return self._attached(bisect.bisect_right(self._starts, user_id) - 1)
+        return self._live_shards()[bisect.bisect_right(self._starts, user_id) - 1]
 
     def _groups(self, ids: np.ndarray):
         """``(shard, positions, local ids)`` per shard holding some ``ids``.
@@ -686,12 +280,13 @@ class ShardedStateStore(Stateful):
         A one-shard store skips the search: its one group has
         ``positions`` ``None``, meaning every id, in order.
         """
-        if len(self._starts) == 1:
-            return [(self._attached(0), None, ids)]
-        owners = _shard_of(self._bounds, ids)
+        shards = self._live_shards()
+        if len(shards) == 1:
+            return [(shards[0], None, ids)]
+        owners = _shard_of(self.bounds, ids)
         groups = []
         for s in np.unique(owners).tolist():
-            shard = self._attached(s)
+            shard = shards[s]
             positions = np.flatnonzero(owners == s)
             groups.append((shard, positions, ids[positions] - shard.lo))
         return groups
@@ -759,8 +354,7 @@ class ShardedStateStore(Stateful):
                 f"embedding snapshot shape {matrix.shape} does not match "
                 f"store ({self.num_users}, {self.embedding_dim})"
             )
-        for s in range(self.manifest.num_shards):
-            shard = self._attached(s)
+        for shard in self._live_shards():
             shard.emb[...] = matrix[shard.lo : shard.hi]
 
     # -- CSR positives --------------------------------------------------
@@ -842,7 +436,7 @@ class ShardedStateStore(Stateful):
         from its private ``spawn(seed, "client-lr", u)`` stream; the
         store drew every rate once, at build, from ``lr_range``.
         """
-        if self.manifest.lr_range is None:
+        if self.lr_range is None:
             raise RuntimeError("store was built without a client_lr_range")
         ids = np.asarray(user_ids, dtype=np.int64)
         out = np.empty(len(ids), dtype=np.float64)
@@ -936,15 +530,32 @@ class EmbeddingMatrixView:
 
 
 # ----------------------------------------------------------------------
-# Segment hygiene (consumed by `repro fsck`)
+# Named-segment scan
 # ----------------------------------------------------------------------
+
+# The package creates no named segment.  This scan stays because the
+# ledger runner (benchmarks/ledger/runner.py, inside the benchmark
+# fence) imports it on traced runs, and tests use it to show nothing
+# leaks into /dev/shm.
+SEGMENT_PREFIX = "repro_shm_"
+SHM_DIR = "/dev/shm"
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # pragma: no cover - pid exists, not ours
+        return True
+    return True
+
 
 def list_repro_segments(shm_dir: str = SHM_DIR) -> list[dict]:
     """Every repro-owned segment visible in ``shm_dir``.
 
     Foreign names (anything without the ``repro_shm_`` prefix) are
-    never reported, let alone unlinked.  Each record carries the
-    parsed creator pid and whether that process is still alive.
+    never reported.  Each record carries the parsed creator pid and
+    whether that process is still alive.
     """
     records: list[dict] = []
     try:
@@ -972,8 +583,3 @@ def list_repro_segments(shm_dir: str = SHM_DIR) -> list[dict]:
             }
         )
     return records
-
-
-def orphaned_segments(shm_dir: str = SHM_DIR) -> list[dict]:
-    """Repro segments whose creator process is dead (safe to unlink)."""
-    return [rec for rec in list_repro_segments(shm_dir) if not rec["alive"]]

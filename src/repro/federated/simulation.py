@@ -41,11 +41,7 @@ from repro.federated.audit import ServerAuditLog
 from repro.federated.batch_engine import BatchClientEngine, ProcessRoundExecutor
 from repro.federated.faults import FaultStats, UploadTransit
 from repro.federated.server import Server
-from repro.federated.shards import (
-    EmbeddingMatrixView,
-    ShardedStateStore,
-    shared_memory_available,
-)
+from repro.federated.shards import EmbeddingMatrixView, ShardedStateStore
 from repro.metrics.ranking import (
     exposure_counts_at_k,
     exposure_ratio_from_counts,
@@ -101,8 +97,7 @@ class FederatedSimulation:
     ):
         self.config = config
         #: What this run *is* (:func:`~repro.config.identity_digest`):
-        #: binds checkpoints and the shard manifest to the config,
-        #: ignoring throughput knobs.
+        #: binds checkpoints to the config, ignoring throughput knobs.
         self.config_digest = identity_digest(config)
         # Resolve the kernel backend up front so a missing native
         # toolchain fails at construction, not rounds into a run; every
@@ -129,7 +124,7 @@ class FederatedSimulation:
 
         # All benign client state lives in one struct-of-arrays store,
         # initialised bit-identically to the object-per-user draws: one
-        # in-process heap shard, or per-shard shared segments (row u is
+        # in-process heap shard, or per-shard shared mappings (row u is
         # bit-identical either way — sharding is a pure
         # throughput/footprint knob).
         sharding = config.sharding
@@ -143,7 +138,6 @@ class FederatedSimulation:
             num_shards=sharding.resolved_shards(self.dataset.num_users),
             backend=sharding.backend,
             lr_range=config.train.client_lr_range,
-            config_digest=self.config_digest,
         )
 
         num_malicious = num_malicious_for_ratio(
@@ -238,18 +232,9 @@ class FederatedSimulation:
     def _reject_unsupported(self) -> None:
         """Refuse an unrunnable config before anything is allocated.
 
-        Rejected loudly here — never silently degraded mid-run, and
-        never after the store's shared-memory segments exist (an
-        exception would keep them linked for as long as it is
-        referenced).
+        Rejected loudly here — never silently degraded mid-run.
         """
         sharding = self.config.sharding
-        if sharding.backend == "shm" and not shared_memory_available():
-            raise RuntimeError(
-                "sharding.shared_memory=True but /dev/shm is not "
-                "available; set shared_memory=False for the "
-                "anonymous-mmap backend"
-            )
         shards = sharding.resolved_shards(self.dataset.num_users)
         if sharding.uses_executor and shards < 2:  # workers <= shards
             raise ValueError(
@@ -260,12 +245,10 @@ class FederatedSimulation:
             )
 
     def close(self) -> None:
-        """Release round workers and shared-memory segments.
+        """Stop the round workers and close the state store.
 
-        Idempotent; a no-op for the in-process heap store.
-        Segments are also reclaimed by a store finalizer at garbage
-        collection, but long-lived processes building many simulations
-        should close explicitly.
+        Idempotent.  A closed simulation serves no more rounds or
+        evaluations: the store raises on every read.
         """
         if self.executor is not None:
             self.executor.close()

@@ -548,17 +548,10 @@ class FsckReport:
     leases: int = 0
     skipped: int = 0
     corrupt_paths: list[str] = field(default_factory=list)
-    #: Shared-memory segments whose creating process is dead (left
-    #: behind by a SIGKILLed worker); they hold tmpfs pages until
-    #: unlinked.  Only ``repro_shm_*`` names are ever considered.
-    shm_orphans: int = 0
-    #: Orphans unlinked under ``repair=True`` (subset of ``shm_orphans``).
-    shm_unlinked: int = 0
-    shm_orphan_names: list[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return self.corrupt == 0 and self.shm_orphans == self.shm_unlinked
+        return self.corrupt == 0
 
     def summary(self) -> str:
         line = (
@@ -573,11 +566,6 @@ class FsckReport:
             line += f", {self.leases} lease files"
         if self.skipped:
             line += f", {self.skipped} skipped"
-        if self.shm_orphans:
-            line += (
-                f"; {self.shm_orphans} orphaned shm segments"
-                f" ({self.shm_unlinked} unlinked)"
-            )
         return line
 
 
@@ -632,26 +620,6 @@ def _fsck_checkpoint(path: str) -> str:
     return "verified" if ok else "corrupt"
 
 
-def _fsck_shm(report: FsckReport, *, repair: bool) -> None:
-    """Account for orphaned shared-memory segments (dead creators).
-
-    A SIGKILLed round worker or sweep process cannot run its unlink
-    finalizer, so its ``/dev/shm/repro_shm_*`` segments outlive it and
-    pin tmpfs pages.  The scan is manifest-free and name-driven: only
-    segments carrying this library's prefix (which embeds the creator
-    pid) are considered, and only those whose creator is dead are
-    orphans — segments of live processes and foreign names are never
-    touched.  With ``repair=True`` every orphan is unlinked.
-    """
-    from repro.federated.shards import orphaned_segments, unlink_segment
-
-    for record in orphaned_segments():
-        report.shm_orphans += 1
-        report.shm_orphan_names.append(record["name"])
-        if repair and unlink_segment(record["name"]):
-            report.shm_unlinked += 1
-
-
 def fsck_paths(root: str, *, repair: bool = False) -> FsckReport:
     """Walk a tree and verify every artifact this module knows how to.
 
@@ -668,7 +636,6 @@ def fsck_paths(root: str, *, repair: bool = False) -> FsckReport:
     if not os.path.exists(root):
         raise FileNotFoundError(root)
     report = FsckReport()
-    _fsck_shm(report, repair=repair)
     for path in _iter_files(root):
         name = os.path.basename(path)
         report.scanned += 1

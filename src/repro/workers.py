@@ -6,11 +6,10 @@ pinned to the worker owning the shards) and the sweep pool
 (:class:`~repro.experiments.backend.LocalBackend`, cells to any idle
 worker) both run on :class:`Supervisor`.  Workers are forked, so they
 inherit the parent's memory (datasets, models, shared mappings) and
-``init``/``handle`` may be closures; only tasks and replies cross the
-one duplex pipe each worker owns::
+``handle`` may be a closure; only tasks and replies cross the one
+duplex pipe each worker owns::
 
-    state = init(index)                 # in the child, once per fork
-    reply = handle(state, task)         # in the child, one task at a time
+    reply = handle(task)                # in the child, one task at a time
 
 Failures are per task.  An exception in ``handle`` comes back as a
 failure reply and the worker lives on; a worker that dies (EOF or a
@@ -80,16 +79,14 @@ class Supervisor:
     def __init__(
         self,
         num_workers: int,
-        handle: Callable[[Any, Any], Any],
+        handle: Callable[[Any], Any],
         *,
-        init: Callable[[int], Any] = lambda index: None,
         max_attempts: int = 3,
         backoff: float = 0.0,
         deadline: float | None = None,
     ):
         if num_workers < 1 or max_attempts < 1:
             raise ValueError("num_workers and max_attempts must be >= 1")
-        self._init = init
         self._handle = handle
         self.max_attempts = max_attempts
         self.backoff = backoff
@@ -113,19 +110,18 @@ class Supervisor:
     def _spawn(self, index: int) -> None:
         parent_end, child_end = self._ctx.Pipe(duplex=True)
         self._conns[index] = parent_end
-        process = self._ctx.Process(target=self._serve, args=(index, child_end))
+        process = self._ctx.Process(target=self._serve, args=(child_end,))
         process.start()
         child_end.close()
         self.processes[index] = process
 
-    def _serve(self, index: int, conn) -> None:
+    def _serve(self, conn) -> None:
         """Worker main loop; runs in the forked child."""
         # The parent ends of every pipe, this worker's own included,
         # came along with the fork: dropping them lets a worker see EOF
         # once the parent is gone.
         for other in filter(None, self._conns):
             other.close()
-        state = self._init(index)
         while True:
             try:
                 task = conn.recv()
@@ -134,7 +130,7 @@ class Supervisor:
             if task is None:
                 return
             try:
-                reply = (True, self._handle(state, task))
+                reply = (True, self._handle(task))
             except Exception as exc:  # noqa: BLE001 - reported, not fatal
                 reply = (False, f"{type(exc).__name__}: {exc}")
             try:

@@ -87,7 +87,7 @@ class BenignClient:
         client._positive_items = None
         client._user_embedding = None
         client.regularizer = None
-        client._seed = store.manifest.seed
+        client._seed = store.seed
         return client
 
     # ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The contract: routing benign round computation through
 :class:`~repro.federated.batch_engine.ProcessRoundExecutor` (forked
-workers, each attached to its shards of the shared-memory store) is a
+workers sharing the store's fork-inherited mappings) is a
 pure throughput knob — every trajectory is bit-identical to the
 one-heap-shard single-process reference, across attacks x defenses x
 models x kernel backends, through worker crashes, and across
@@ -15,8 +15,7 @@ checkpoints) as in-process.
 
 Also here: the combinations the executor must reject *loudly* instead
 of silently degrading — too few workers, a heap-backed store, the loop
-engine — and that a rejected configuration leaves no shared memory
-behind.
+engine — and that a rejected configuration leaves no segment behind.
 """
 
 from __future__ import annotations
@@ -42,13 +41,9 @@ from repro.config import (
 )
 from repro.datasets.base import InteractionDataset
 from repro.federated.batch_engine import ProcessRoundExecutor
-from repro.federated.shards import list_repro_segments, shared_memory_available
+from repro.federated.shards import list_repro_segments
 from repro.federated.simulation import FederatedSimulation
 from repro.kernels import NativeKernelsUnavailable
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(), reason="/dev/shm not available"
-)
 
 try:
     NATIVE = kernels.resolve("native")
@@ -191,19 +186,6 @@ class TestExecutorParity:
         assert multi["process_rounds"] == 6, "a round fell back in-process"
         assert_identical(dense, multi)
 
-    def test_mmap_backend_parity(self):
-        """shared_memory=False: fork-inherited anonymous mappings."""
-        dense = run_sim(sweep_config())
-        multi = run_sim(
-            sweep_config(
-                sharding=ShardingConfig(
-                    num_shards=4, round_workers=2, shared_memory=False
-                )
-            )
-        )
-        assert multi["process_rounds"] == 6
-        assert_identical(dense, multi)
-
     def test_sharded_single_process_parity(self):
         """Sharding without workers: pure store re-layout."""
         dense = run_sim(sweep_config())
@@ -323,21 +305,6 @@ class TestGuards:
         with pytest.raises(ValueError, match="batch"):
             LoopSimulation(sweep_config(sharding=SHARDED))
 
-    def test_rejected_config_leaks_no_segments(self, monkeypatch):
-        """The check precedes allocation: nothing to leak, even while
-        the exception (whose traceback pins ``__init__``'s frame, and
-        with it any store built there) is still referenced."""
-        import repro.federated.simulation as simulation
-
-        monkeypatch.setattr(simulation, "shared_memory_available", lambda: False)
-        mine = f"repro_shm_{os.getpid()}_"
-        before = {r["name"] for r in list_repro_segments()}
-        with pytest.raises(RuntimeError, match="/dev/shm") as caught:
-            FederatedSimulation(sweep_config(sharding=SHARDED))
-        assert caught.value is not None
-        leaked = {r["name"] for r in list_repro_segments()} - before
-        assert not [name for name in leaked if name.startswith(mine)]
-
     @pytest.mark.parametrize("num_shards, num_users", [(1, None), (2, 1)])
     def test_one_worker_after_the_cap_rejected(self, num_shards, num_users):
         """Workers are capped at the shard count, and a single one is
@@ -445,7 +412,6 @@ class TestCheckpointBitIdentity:
         with FederatedSimulation(dense_cfg) as dense:
             with FederatedSimulation(sharded_cfg) as sharded:
                 assert dense.config_digest == sharded.config_digest
-                assert sharded.state.manifest.config_digest == sharded.config_digest
 
     def test_process_rounds_counter_survives_resume(self, tmp_path):
         cfg = sweep_config(rounds=6, sharding=SHARDED)

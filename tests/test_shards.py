@@ -1,16 +1,14 @@
-"""Sharded shared-memory client store: parity, lifecycle, hygiene.
+"""Sharded client store: parity, fork inheritance, lifecycle.
 
 Sharding is a pure re-layout of the client state store: row ``u``
 lives in exactly one shard segment and every read/write API is
 bit-identical to the default one-heap-shard store.  These tests pin
-that contract (shm and mmap stores at several shard counts against
-heap/1), the manifest round-trip, segment lifecycle (refcounts,
-unlink-on-close, fork-inheritance guard), orphan detection for
-``repro fsck``, and gather/scatter with narrow id dtypes.
+that contract (mmap stores at several shard counts against heap/1),
+that forked children share the live mappings, that a closed store
+refuses reads and a killed creator leaves nothing in ``/dev/shm``, and
+gather/scatter with narrow id dtypes.
 """
 
-import glob
-import json
 import multiprocessing
 import os
 import signal
@@ -20,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import TrainConfig
+from repro.config import DatasetConfig, ExperimentConfig, ShardingConfig, TrainConfig
 from repro.datasets.base import InteractionDataset
 from repro.datasets.sampling import ragged_csr, sample_local_batch
 from repro.datasets.synthetic import generate_longtail_dataset
@@ -28,21 +26,13 @@ from repro.federated.batch_engine import _bce_stacks_fn, _bpr_stacks_fn
 from repro.federated.shards import (
     CSRRaggedList,
     EmbeddingMatrixView,
-    ShardManifest,
     ShardedStateStore,
     list_repro_segments,
-    orphaned_segments,
-    segment_prefix,
     shard_bounds,
-    shared_memory_available,
-    unlink_segment,
 )
+from repro.federated.simulation import FederatedSimulation
 from repro.models.base import build_model
 from repro.rng import spawn, spawn_batch
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(), reason="/dev/shm not available"
-)
 
 
 def make_dataset(users=50, items=40, seed=5):
@@ -51,7 +41,11 @@ def make_dataset(users=50, items=40, seed=5):
     )
 
 
-def make_stores(dataset, *, num_shards=4, backend="shm", lr_range=None, seed=9):
+#: ``(num_shards, backend)``: the default store and the sharded ones.
+LAYOUTS = [(1, "heap"), (1, "mmap"), (3, "mmap"), (7, "mmap")]
+
+
+def make_stores(dataset, *, num_shards=4, backend="mmap", lr_range=None, seed=9):
     """``(heap/1 store, store under test)`` over the same dataset."""
     dense = ShardedStateStore.build(
         dataset.train_pos, dataset.num_items, 6, seed=seed, init_scale=0.1,
@@ -71,7 +65,7 @@ def make_stores(dataset, *, num_shards=4, backend="shm", lr_range=None, seed=9):
 
 
 # ----------------------------------------------------------------------
-# Shard assignment and manifest (property-based)
+# Shard assignment (property-based)
 # ----------------------------------------------------------------------
 
 
@@ -104,57 +98,14 @@ class TestShardBounds:
             shard_bounds(10, 0)
 
 
-class TestManifest:
-    @given(
-        num_users=st.integers(min_value=1, max_value=300),
-        num_shards=st.integers(min_value=1, max_value=8),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_manifest_json_round_trip(self, num_users, num_shards, seed):
-        bounds = shard_bounds(num_users, num_shards)
-        manifest = ShardManifest(
-            token="deadbeef0000",
-            pid=os.getpid(),
-            backend="shm",
-            num_users=num_users,
-            num_items=17,
-            embedding_dim=6,
-            seed=seed,
-            config_digest="d" * 64,
-            shards=tuple(
-                (int(bounds[s]), int(bounds[s + 1]), 3)
-                for s in range(len(bounds) - 1)
-            ),
-            segments=tuple(
-                {"emb": f"repro_shm_1_t_emb_{s:04d}"}
-                for s in range(len(bounds) - 1)
-            ),
-            lr_range=None,
-        )
-        restored = ShardManifest.from_json(manifest.to_json())
-        assert restored == manifest
-        assert np.array_equal(restored.bounds(), bounds)
-
-    def test_unknown_version_rejected(self):
-        ds = make_dataset(users=10)
-        _, sharded = make_stores(ds, num_shards=2)
-        record = json.loads(sharded.manifest.to_json())
-        record["version"] = "shards-v999"
-        with pytest.raises(ValueError, match="version"):
-            ShardManifest.from_json(json.dumps(record))
-        sharded.close()
-
-
 # ----------------------------------------------------------------------
 # Heap/1 vs sharded parity
 # ----------------------------------------------------------------------
 
 
 class TestStoreParity:
-    @pytest.mark.parametrize("backend", ["shm", "mmap"])
-    @pytest.mark.parametrize("num_shards", [1, 3, 7])
-    def test_full_surface_matches_dense(self, backend, num_shards):
+    @pytest.mark.parametrize("num_shards, backend", LAYOUTS[1:])
+    def test_full_surface_matches_dense(self, num_shards, backend):
         ds = make_dataset()
         dense, sharded = make_stores(
             ds, num_shards=num_shards, backend=backend, lr_range=(0.01, 0.1)
@@ -226,125 +177,92 @@ class TestStoreParity:
 
 
 # ----------------------------------------------------------------------
-# Attach semantics
+# Fork inheritance: children share the live mappings
 # ----------------------------------------------------------------------
 
 
 class TestAttach:
-    def test_subset_attach_serves_only_its_shards(self):
-        ds = make_dataset()
-        dense, sharded = make_stores(ds, num_shards=4)
-        try:
-            bounds = sharded.manifest.bounds()
-            attached = ShardedStateStore.attach(
-                sharded.manifest.to_json(), shard_ids=[2]
-            )
-            try:
-                lo, hi = int(bounds[2]), int(bounds[3])
-                ids = np.arange(lo, hi)
-                assert np.array_equal(
-                    attached.gather_rows(ids), dense.gather_rows(ids)
-                )
-                with pytest.raises(KeyError):
-                    attached.gather_rows(np.array([0]))
-            finally:
-                attached.close()
-        finally:
-            sharded.close()
-
     def test_attached_writes_are_visible_to_creator(self):
+        """A forked child writes through its inherited mapping."""
         ds = make_dataset(users=12)
         _, sharded = make_stores(ds, num_shards=2)
         try:
-            attached = ShardedStateStore.attach(sharded.manifest.to_json())
-            try:
-                attached.set_row(5, np.full(6, -1.25))
-                assert np.array_equal(sharded.row(5), np.full(6, -1.25))
-            finally:
-                attached.close()
+            proc = multiprocessing.get_context("fork").Process(
+                target=sharded.set_row, args=(5, np.full(6, -1.25))
+            )
+            proc.start()
+            proc.join(timeout=10)
+            assert proc.exitcode == 0
+            assert np.array_equal(sharded.row(5), np.full(6, -1.25))
         finally:
             sharded.close()
 
     def test_attach_in_forked_child(self):
+        """A child forked once sees the parent's later writes."""
         ds = make_dataset(users=16)
         dense, sharded = make_stores(ds, num_shards=2)
-        manifest_json = sharded.manifest.to_json()
         expected = dense.snapshot_embeddings()
+        ctx = multiprocessing.get_context("fork")
+        parent_conn, child_conn = ctx.Pipe()
 
-        def child(conn):
-            attached = ShardedStateStore.attach(manifest_json)
-            conn.send(attached.snapshot_embeddings())
-            attached.close()
+        def child():
+            child_conn.recv()  # the parent has written
+            child_conn.send(sharded.snapshot_embeddings())
 
+        proc = ctx.Process(target=child)
+        proc.start()
         try:
-            ctx = multiprocessing.get_context("fork")
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=child, args=(child_conn,))
-            proc.start()
+            expected[3] = 7.5
+            sharded.set_row(3, np.full(6, 7.5))
+            parent_conn.send(None)
             got = parent_conn.recv()
             proc.join(timeout=10)
             assert proc.exitcode == 0
             assert np.array_equal(got, expected)
-            # The child exiting must NOT have unlinked the parent's
-            # segments (the finalizer is pid-guarded against fork
-            # inheritance).
+            # The child exiting left the parent's state intact.
             assert np.array_equal(sharded.snapshot_embeddings(), expected)
         finally:
             sharded.close()
 
-    def test_stale_manifest_rejected(self):
-        ds = make_dataset(users=10)
-        _, sharded = make_stores(ds, num_shards=2)
-        record = json.loads(sharded.manifest.to_json())
-        record["pid"] = 2**22 + 1  # beyond default pid_max: never alive
-        try:
-            with pytest.raises(RuntimeError, match="stale"):
-                ShardedStateStore.attach(json.dumps(record))
-            ShardedStateStore.attach(
-                json.dumps(record), allow_stale=True
-            ).close()
-        finally:
-            sharded.close()
-
-    def test_mmap_backend_refuses_manifest_attach(self):
-        ds = make_dataset(users=10)
-        _, sharded = make_stores(ds, num_shards=2, backend="mmap")
-        try:
-            with pytest.raises(RuntimeError, match="mmap"):
-                ShardedStateStore.attach(sharded.manifest.to_json())
-        finally:
-            sharded.close()
-
 
 # ----------------------------------------------------------------------
-# Lifecycle: unlink on close, orphan hygiene
+# Lifecycle: a closed store refuses reads, a crash leaves nothing behind
 # ----------------------------------------------------------------------
 
 
-def _shm_names(token):
-    return glob.glob(f"/dev/shm/repro_shm_*{token}*")
+def _tiny_config(num_shards: int) -> ExperimentConfig:
+    return ExperimentConfig(
+        dataset=DatasetConfig(name="custom", scale=0.05, seed=3),
+        train=TrainConfig(rounds=1, users_per_round=8, eval_every=0),
+        sharding=ShardingConfig(num_shards=num_shards),
+    )
 
 
 class TestLifecycle:
-    def test_close_unlinks_every_segment(self):
-        ds = make_dataset(users=10)
-        _, sharded = make_stores(ds, num_shards=3)
-        token = sharded.manifest.token
-        assert _shm_names(token)
-        sharded.close()
-        assert _shm_names(token) == []
+    @pytest.mark.parametrize("num_shards", [0, 3])
+    def test_closed_store_raises(self, num_shards):
+        sim = FederatedSimulation(_tiny_config(num_shards))
+        sim.close()
+        sim.close()  # idempotent
+        with pytest.raises(RuntimeError, match="closed"):
+            sim.run_round(0)
+        with pytest.raises(RuntimeError, match="closed"):
+            sim.evaluate()
+        with pytest.raises(RuntimeError, match="closed"):
+            list(map(sim.state.gather_rows, [[1], [2]]))
 
-    def test_orphan_detection_and_repair(self, tmp_path):
-        from repro.persistence import fsck_paths
+    def test_sigkilled_creator_leaves_no_segment(self):
+        # A long-lived parent's resource tracker outlives the victim (as
+        # in a test session or a pooled sweep), so nothing may count on
+        # it to clean up after a crash.
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
 
         def victim():
-            ds = make_dataset(users=8)
-            store = ShardedStateStore.build(
-                ds.train_pos, ds.num_items, 4, seed=1, num_shards=2,
-                backend="shm",
-            )
-            # Die without running any finalizer, like a SIGKILLed
-            # round worker.
+            sim = FederatedSimulation(_tiny_config(4))  # noqa: F841 - held
+            # Die holding the store, without running any finalizer,
+            # like a SIGKILLed round worker.
             os.kill(os.getpid(), signal.SIGKILL)
 
         ctx = multiprocessing.get_context("fork")
@@ -352,49 +270,7 @@ class TestLifecycle:
         proc.start()
         proc.join(timeout=30)
         assert proc.exitcode == -signal.SIGKILL
-
-        orphans = [
-            r for r in orphaned_segments() if r["pid"] == proc.pid
-        ]
-        assert orphans, "SIGKILLed creator left no detectable orphans"
-        report = fsck_paths(str(tmp_path))
-        assert report.shm_orphans >= len(orphans)
-        assert not report.clean
-        repaired = fsck_paths(str(tmp_path), repair=True)
-        assert repaired.shm_unlinked >= len(orphans)
-        assert repaired.clean
-        assert [
-            r for r in orphaned_segments() if r["pid"] == proc.pid
-        ] == []
-
-    def test_live_segments_are_not_orphans(self):
-        ds = make_dataset(users=8)
-        _, sharded = make_stores(ds, num_shards=2)
-        try:
-            live = {r["name"] for r in list_repro_segments() if r["alive"]}
-            mine = set(
-                name
-                for names in sharded.manifest.segments
-                for name in names.values()
-            )
-            assert mine <= live
-            assert not any(
-                r["name"] in mine for r in orphaned_segments()
-            )
-        finally:
-            sharded.close()
-
-    def test_foreign_names_never_touched(self):
-        with pytest.raises(ValueError, match="foreign"):
-            unlink_segment("psm_something_else")
-        assert not any(
-            r["name"] == "totally_foreign"
-            for r in list_repro_segments()
-        )
-
-    def test_segment_prefix_embeds_pid(self):
-        prefix = segment_prefix(1234, "cafe")
-        assert prefix == "repro_shm_1234_cafe_"
+        assert [r for r in list_repro_segments() if r["pid"] == proc.pid] == []
 
 
 # ----------------------------------------------------------------------
@@ -422,9 +298,6 @@ class TestCSRDataset:
 # ----------------------------------------------------------------------
 # Grouped lookups: id order, dtypes, views
 # ----------------------------------------------------------------------
-
-
-LAYOUTS = [(1, "heap"), (1, "shm"), (3, "shm"), (7, "mmap")]
 
 
 class TestCompositeIndexOverflow:
@@ -498,7 +371,7 @@ class TestGroupedLookups:
             assert lengths.dtype == flat.dtype == np.int64
             assert lengths.tolist() == [len(view) for view in views]
             assert flat.tolist() == [j for view in views for j in view.tolist()]
-            for shard in store._shards.values():
+            for shard in store._shards:
                 assert not np.shares_memory(flat, shard.indices)  # a copy
         finally:
             store.close()
@@ -559,7 +432,7 @@ class TestGroupedLookups:
         ds = make_dataset(users=20)
         _, store = make_stores(ds, num_shards=num_shards, backend=backend)
         try:
-            for shard in store._shards.values():
+            for shard in store._shards:
                 shard.emb = shard.emb.astype(np.float32)
             ids = np.array([19, 0, 10], dtype=np.int64)
             assert store.gather_rows(ids).dtype == np.float32

@@ -360,7 +360,7 @@ class TestFinalEvaluationReuse:
 class TestUploadDtype:
     def _as_float32(self, sim):
         sim.model.item_embeddings = sim.model.item_embeddings.astype(np.float32)
-        for shard in sim.state._shards.values():
+        for shard in sim.state._shards:
             shard.emb = shard.emb.astype(np.float32)
 
     def test_loop_bpr_upload_keeps_model_dtype(self):

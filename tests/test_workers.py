@@ -17,8 +17,8 @@ import pytest
 from repro.workers import Failure, Supervisor
 
 
-def _work(state, task):
-    """Deterministic reply, plus the identity of the worker computing it."""
+def _work(task):
+    """Deterministic reply, plus the pid of the worker computing it."""
     kind, value = task
     if kind == "kill-once" and not os.path.exists(value):
         open(value, "w").close()
@@ -29,7 +29,7 @@ def _work(state, task):
         time.sleep(120)
     if kind == "raise":
         raise ValueError(f"bad task {value}")
-    return {"worker": state, "pid": os.getpid(), "value": sum(range(100))}
+    return {"pid": os.getpid(), "value": sum(range(100))}
 
 
 def _reaped(pid: int) -> bool:
@@ -54,15 +54,14 @@ def supervisors():
 
 
 def test_pinned_tasks_reach_their_worker(supervisors):
-    pool = supervisors(3, _work, init=lambda index: index)
+    pool = supervisors(3, _work)
+    pids = [process.pid for process in pool.processes]
     outcomes = dict(pool.run([(w, ("ok", w)) for w in (2, 0, 1, 2)]))
-    assert [outcomes[p]["worker"] for p in range(4)] == [2, 0, 1, 2]
-    pids = {outcomes[p]["worker"]: outcomes[p]["pid"] for p in range(4)}
-    assert pids == {w: pool.processes[w].pid for w in range(3)}
+    assert [outcomes[p]["pid"] for p in range(4)] == [pids[w] for w in (2, 0, 1, 2)]
 
 
 def test_sigkilled_worker_is_respawned_with_the_same_reply(supervisors, tmp_path):
-    pool = supervisors(2, _work, init=lambda index: index)
+    pool = supervisors(2, _work)
     first_pid = pool.processes[0].pid
     reference = dict(pool.run([(0, ("ok", 0))]))[0]
     marker = str(tmp_path / "killed")
@@ -128,10 +127,11 @@ def test_abandoned_run_kills_its_busy_workers(supervisors):
     assert time.perf_counter() - started < 10.0
     assert pool.processes[1] is None and _reaped(hung)
     # The next run is not handed the abandoned task's reply.
-    assert dict(pool.run([(1, ("ok", 1))]))[0]["worker"] is None
+    reply = dict(pool.run([(1, ("ok", 1))]))[0]
+    assert reply["pid"] == pool.processes[1].pid != hung
 
 
-def _nested(state, task):
+def _nested(task):
     with_child = Supervisor(1, _work)
     try:
         (_, reply), = with_child.run([(0, task)])
