@@ -58,17 +58,22 @@ __all__ = [
     "list_repro_segments",
 ]
 
-def _segment_copy(values: np.ndarray, backend: str) -> np.ndarray:
-    """A copy of ``values`` in a new segment of ``backend``.
+def _segment(shape: tuple[int, ...], dtype, backend: str) -> np.ndarray:
+    """A new C-contiguous array of ``shape`` in a segment of ``backend``.
 
     An ``"mmap"`` segment is an anonymous shared mapping that lives as
     long as some array, in this process or a fork of it, refers to it.
     """
     if backend == "heap":
-        return np.array(values)
-    mapping = mmap.mmap(-1, max(1, values.nbytes))
-    segment = np.frombuffer(mapping, dtype=values.dtype, count=values.size)
-    segment = segment.reshape(values.shape)
+        return np.empty(shape, dtype)
+    size = int(np.prod(shape))
+    mapping = mmap.mmap(-1, max(1, size * np.dtype(dtype).itemsize))
+    return np.frombuffer(mapping, dtype=dtype, count=size).reshape(shape)
+
+
+def _segment_copy(values: np.ndarray, backend: str) -> np.ndarray:
+    """A copy of ``values`` in a new segment of ``backend``."""
+    segment = _segment(values.shape, values.dtype, backend)
     segment[...] = values
     return segment
 
@@ -214,11 +219,9 @@ class ShardedStateStore(Stateful):
         shards: list[_Shard] = []
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             users = np.arange(lo, hi)
-            emb = _segment_copy(
-                spawn_normal_rows(
-                    seed, ("client-init",), users, embedding_dim, scale=init_scale
-                ),
-                backend,
+            emb = spawn_normal_rows(
+                seed, ("client-init",), users, embedding_dim, scale=init_scale,
+                out=_segment((hi - lo, embedding_dim), np.float64, backend),
             )
             local_indptr = _segment_copy(indptr[lo : hi + 1] - indptr[lo], backend)
             local_indices = _segment_copy(indices[indptr[lo] : indptr[hi]], backend)

@@ -47,8 +47,7 @@ from repro.metrics.ranking import (
     exposure_ratio_from_counts,
     hit_counts_at_k,
     hit_ratio_from_counts,
-    pack_eval_negatives,
-    sample_eval_negatives,
+    sample_packed_eval_negatives,
 )
 from repro.models.base import build_model
 from repro.rng import spawn
@@ -182,8 +181,8 @@ class FederatedSimulation:
             if config.faults.injects_faults or config.asynchrony.enabled
             else None
         )
-        self._eval_negatives, self._eval_negative_counts = pack_eval_negatives(
-            sample_eval_negatives(
+        self._eval_negatives, self._eval_negative_counts = (
+            sample_packed_eval_negatives(
                 self.dataset, config.train.eval_num_negatives, config.seed
             )
         )

@@ -24,6 +24,7 @@ __all__ = [
     "hit_ratio_from_counts",
     "hit_ratio_at_k",
     "sample_eval_negatives",
+    "sample_packed_eval_negatives",
 ]
 
 
@@ -243,6 +244,23 @@ def pack_eval_negatives(
     if width:
         padded[np.arange(width) < lengths[:, None]] = np.concatenate(eval_negatives)
     return padded, lengths
+
+
+def sample_packed_eval_negatives(
+    dataset: InteractionDataset, num_negatives: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pack_eval_negatives` of :func:`sample_eval_negatives`.
+
+    With HR evaluation disabled (``num_negatives <= 0``, the
+    million-user throughput runs) the packed form is a ``(U, 0)`` id
+    matrix and zero lengths, built directly: no per-user list at all.
+    """
+    if num_negatives <= 0:
+        return (
+            np.zeros((dataset.num_users, 0), dtype=np.int64),
+            np.zeros(dataset.num_users, dtype=np.int64),
+        )
+    return pack_eval_negatives(sample_eval_negatives(dataset, num_negatives, seed))
 
 
 def hit_counts_at_k(

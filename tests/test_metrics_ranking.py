@@ -15,6 +15,7 @@ from repro.metrics.ranking import (
     hit_ratio_at_k,
     pack_eval_negatives,
     sample_eval_negatives,
+    sample_packed_eval_negatives,
     top_k_items,
 )
 from repro.rng import spawn
@@ -103,6 +104,19 @@ class TestEvalNegatives:
         data = small_dataset()
         negatives = sample_eval_negatives(data, 99, seed=0)
         assert all(len(n) == 3 for n in negatives)  # 6 items - 2 train - 1 test
+
+    @pytest.mark.parametrize("num_negatives", [-1, 0, 2, 99])
+    def test_packed_sampler_equals_packed_lists(self, num_negatives):
+        data = small_dataset()
+        packed, lengths = sample_packed_eval_negatives(data, num_negatives, seed=4)
+        want_packed, want_lengths = pack_eval_negatives(
+            sample_eval_negatives(data, num_negatives, seed=4)
+        )
+        assert packed.dtype == lengths.dtype == np.int64
+        np.testing.assert_array_equal(packed, want_packed)
+        np.testing.assert_array_equal(lengths, want_lengths)
+        if num_negatives <= 0:
+            assert packed.shape == (data.num_users, 0) and not lengths.any()
 
 
 @st.composite

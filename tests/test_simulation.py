@@ -151,6 +151,19 @@ class TestAttackedTraining:
 
 
 class TestEvaluation:
+    def test_disabled_hit_ratio_has_no_negatives(self, tiny_mf_config):
+        # eval_num_negatives <= 0 disables HR@K: the packed negatives are
+        # a (U, 0) matrix, HR reads 0.0, and ER@K is what it is with HR on.
+        train = replace(tiny_mf_config.train, eval_num_negatives=0)
+        off = replace(tiny_mf_config, train=train)
+        sim = FederatedSimulation(off)
+        users = sim.dataset.num_users
+        assert sim._eval_negatives.shape == (users, 0)
+        assert sim._eval_negative_counts.tolist() == [0] * users
+        exposure, hit_ratio = sim.evaluate()
+        assert hit_ratio == 0.0
+        assert exposure == FederatedSimulation(tiny_mf_config).evaluate()[0]
+
     @pytest.mark.parametrize("kind", ["mf", "ncf"])
     def test_one_score_block_alive_at_a_time(
         self, kind, tiny_mf_config, tiny_ncf_config
