@@ -1,25 +1,27 @@
-"""Async smoke: an attack x defense grid under churn, latency and deadlines.
+"""Async smoke: an attack x defense grid under dropout, latency and deadlines.
 
 The CI gate for the asynchronous engine as a *system*, in two parts:
 
 **Churn grid** — every cell of a small attack x defense grid runs the
 event-driven engine under bursty Poisson traffic, compute/network
-latency, client churn and a tight round deadline, and must
+latency, client churn (fault dropout) and a tight round deadline, and
+must
 
 * finish without crashing, with a finite model;
 * actually exercise the asynchronous machinery (waves dispatched,
-  uploads cancelled, stale uploads applied — an async run where
+  uploads dropped, stale uploads applied — an async run where
   nothing was ever late tests nothing);
-* conserve every upload (dispatched == cancelled + arrived + still in
-  flight; nothing vanishes silently);
+* conserve every upload (dispatched == dropped + arrived + still in
+  flight, and arrived == applied + dropped stale + still parked;
+  nothing vanishes silently);
 * reproduce bit-identically when re-run with the same seed.
 
-One more cell runs the same traffic with client faults on top
-(dropout, stragglers, corruption — faults compose with asynchrony
-through the one upload transit) and must also count every fault kind.
+One more cell runs the same traffic with the other client faults on
+top (stragglers, corruption — faults compose with asynchrony through
+the one upload transit) and must also count every fault kind.
 
 **Sync parity** — the degenerate configuration (instant traffic, zero
-latency, no churn, buffer = cohort) must reproduce the synchronous
+latency, no faults, buffer = cohort) must reproduce the synchronous
 batch engine *bit for bit* across the same grid and both model kinds.
 This is the contract that pins the event loop's ordering semantics;
 it honours ``REPRO_KERNELS`` so the native CI leg runs it too.
@@ -51,21 +53,21 @@ from repro.federated.simulation import FederatedSimulation
 ATTACKS = ("pieck_uea", "pieck_ipe")
 DEFENSES = ("none", "median", "regularization")
 
-CHURNY = AsyncConfig(
+BUSY = AsyncConfig(
     enabled=True,
     traffic="poisson",
     arrival_rate=6.0,
     compute_mean=0.2,
     network_mean=0.5,
-    churn_rate=0.15,
     buffer_size=12,
     round_deadline=1.5,
 )
-#: The staleness discount and cap of every churn cell.
-STALENESS = FaultConfig(staleness_discount=0.6, max_staleness=4)
-#: Client faults of the faults x async cell, on top of ``STALENESS``.
+#: The churn (fault dropout), staleness discount and cap of every cell.
+CHURNY = FaultConfig(dropout_rate=0.15, staleness_discount=0.6, max_staleness=4)
+#: Client faults of the faults x async cell; its dropout is ``CHURNY``'s
+#: churn plus 0.1 of further fault dropout.
 FAULTY = FaultConfig(
-    dropout_rate=0.1,
+    dropout_rate=0.25,
     straggler_rate=0.15,
     straggler_max_delay=3,
     corruption_rate=0.1,
@@ -100,31 +102,30 @@ def _run(config: ExperimentConfig):
 
 
 def churn_grid() -> None:
-    cells = [(a, d, STALENESS) for a in ATTACKS for d in DEFENSES]
+    cells = [(a, d, CHURNY) for a in ATTACKS for d in DEFENSES]
     cells.append(("pieck_uea", "median", FAULTY))
     for attack, defense, faults in cells:
-        config = _config(attack, defense, asynchrony=CHURNY, faults=faults)
+        config = _config(attack, defense, asynchrony=BUSY, faults=faults)
         result, items = _run(config)
-        stats = result.async_stats
+        stats, fates = result.async_stats, result.fault_stats
         label = f"{attack} x {defense}" + (" x faults" if faults is FAULTY else "")
         assert np.isfinite(items).all(), f"{label}: non-finite model"
         assert stats.waves_dispatched > 0, f"{label}: no waves dispatched"
-        assert stats.uploads_cancelled > 0, f"{label}: churn never fired"
-        assert stats.stale_applied > 0, f"{label}: no stale upload landed"
+        assert fates.dropped_uploads > 0, f"{label}: churn never fired"
+        assert fates.stale_applied > 0, f"{label}: no stale upload landed"
         assert stats.uploads_applied > 0, f"{label}: nothing aggregated"
         assert stats.clients_dispatched == (
-            stats.uploads_cancelled
+            fates.dropped_uploads
             + stats.uploads_arrived
             + stats.uploads_in_flight
         ), f"{label}: upload conservation violated"
+        assert stats.uploads_arrived == (
+            stats.uploads_applied + fates.stale_dropped + fates.uploads_parked
+        ), f"{label}: arrival conservation violated"
         if faults is FAULTY:
-            counts = result.fault_stats
             for name in ("dropped_uploads", "deferred_uploads",
                          "corrupted_uploads", "rejected_nonfinite"):
-                assert getattr(counts, name) > 0, f"{label}: {name} is zero"
-            assert counts.dropped_uploads <= stats.uploads_cancelled, (
-                f"{label}: a dropped upload was not cancelled"
-            )
+                assert getattr(fates, name) > 0, f"{label}: {name} is zero"
         rerun_result, rerun_items = _run(config)
         assert rerun_items.tobytes() == items.tobytes(), (
             f"{label}: async run is not reproducible"
@@ -133,8 +134,8 @@ def churn_grid() -> None:
         assert rerun_result.fault_stats == result.fault_stats
         print(
             f"{label}: ER@K={result.exposure:.4f} HR@K={result.hit_ratio:.4f} "
-            f"cancelled={stats.uploads_cancelled} stale={stats.stale_applied} "
-            f"dropped={stats.stale_dropped} "
+            f"dropped={fates.dropped_uploads} stale={fates.stale_applied} "
+            f"stale_dropped={fates.stale_dropped} "
             f"deadline_closes={stats.rounds_closed_by_deadline} [ok]"
         )
     print("async smoke: all churn cells survived, counted, and reproduced")

@@ -6,7 +6,7 @@ Two questions, answered with numbers and asserted in CI:
   asynchronous configuration performs exactly the synchronous batch
   engine's math — same cohorts, same gradients, same aggregation —
   plus the event-queue machinery: virtual clock, one arrival event
-  per distinct arrival instant, the staleness buffer drain.  Sync and degenerate-async
+  per distinct arrival instant, the transit's staleness drain.  Sync and degenerate-async
   runs are timed pairwise-interleaved (per-repeat ratios, median —
   this cancels machine drift) and the median ratio is asserted
   ``<= OVERHEAD_CEILING``.  Both trajectories must also be
@@ -14,8 +14,8 @@ Two questions, answered with numbers and asserted in CI:
 
 * **How does the attack's reach degrade as the federation gets more
   asynchronous?**  A network-latency sweep under PIECK-IPE with
-  client churn records the ER@K / HR@K curve plus full asynchrony
-  accounting per point into ``BENCH_async_engine.json`` — the
+  client churn (fault dropout) records the ER@K / HR@K curve plus
+  both counter records per point into ``BENCH_async_engine.json`` — the
   machine-readable record of how staleness erodes (or fails to erode)
   a popularity-mining attack.
 
@@ -56,9 +56,9 @@ SMOKE = (0.15, 15, 64, 5)
 OVERHEAD_CEILING = 1.15
 
 #: Network-latency grid for the staleness curve (mean delay in units
-#: of the round interval) with churn held fixed.
+#: of the round interval) with churn (fault dropout) held fixed.
 NETWORK_GRID = (0.0, 0.5, 1.5, 3.0)
-CURVE_CHURN = 0.2
+CURVE_CHURN = FaultConfig(dropout_rate=0.2, staleness_discount=0.6, max_staleness=6)
 
 
 def _config(scale, rounds, users_per_round, **kwargs) -> ExperimentConfig:
@@ -134,30 +134,30 @@ def staleness_degradation(scale, rounds, users_per_round) -> list[dict]:
                 traffic="poisson",
                 arrival_rate=8.0,
                 network_mean=network_mean,
-                churn_rate=CURVE_CHURN,
                 round_deadline=1.5,
             ),
-            faults=FaultConfig(staleness_discount=0.6, max_staleness=6),
+            faults=CURVE_CHURN,
         )
         _, result, items = _one_run(cfg)
         assert np.isfinite(items).all()
-        stats = result.async_stats
-        assert stats.uploads_cancelled > 0  # churn fired
+        fates = result.fault_stats
+        assert fates.dropped_uploads > 0  # churn fired
         if network_mean > 0:
-            assert stats.stale_applied > 0  # latency actually made staleness
+            assert fates.stale_applied > 0  # latency actually made staleness
         point = {
             "network_mean": network_mean,
-            "churn_rate": CURVE_CHURN,
+            "dropout_rate": CURVE_CHURN.dropout_rate,
             "er_at_k": result.exposure,
             "hr_at_k": result.hit_ratio,
-            "async_stats": stats.to_dict(),
+            "fault_stats": fates.to_dict(),
+            "async_stats": result.async_stats.to_dict(),
         }
         curve.append(point)
         print(
             f"network={network_mean:.1f}: ER@K={result.exposure:.4f} "
             f"HR@K={result.hit_ratio:.4f} "
-            f"(stale {stats.stale_applied}, dropped {stats.stale_dropped}, "
-            f"max delay {stats.max_staleness_applied})"
+            f"(stale {fates.stale_applied}, dropped {fates.stale_dropped}, "
+            f"max delay {fates.max_staleness_applied})"
         )
     return curve
 

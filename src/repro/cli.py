@@ -124,7 +124,6 @@ _ASYNC_KEYS = {
     "trace": "trace_offsets",
     "compute": "compute_mean",
     "network": "network_mean",
-    "churn": "churn_rate",
     "k": "buffer_size",
     "buffer": "buffer_size",
     "interval": "round_interval",
@@ -261,9 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=parse_async_spec,
         default=None,
         help="run the event-driven asynchronous engine; key=value pairs "
-        "e.g. 'traffic=poisson,rate=8,network=0.4,churn=0.1,k=16,"
-        "deadline=1.5' — composes with --faults, which holds the "
-        "staleness discount and cap "
+        "e.g. 'traffic=poisson,rate=8,network=0.4,k=16,deadline=1.5' — "
+        "composes with --faults, which holds client dropout (churn) and "
+        "the staleness discount and cap "
         f"(keys: {', '.join(sorted(set(_ASYNC_KEYS)))}; an empty spec "
         "is the degenerate config that matches the synchronous engine)",
     )

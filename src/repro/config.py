@@ -9,11 +9,12 @@ experiments:
 * :class:`AttackConfig` — attacker knobs shared by all attacks
   (Section III-B, IV);
 * :class:`DefenseConfig` — defense knobs (Section V);
-* :class:`FaultConfig` — failure-model knobs (client dropout,
-  stragglers, payload corruption, server quorum / sanity bounds);
+* :class:`FaultConfig` — failure-model knobs (client dropout or
+  churn, stragglers, payload corruption, staleness discount and cap,
+  server quorum / sanity bounds);
 * :class:`AsyncConfig` — asynchronous-federation knobs (traffic
-  process, compute/network latency, churn, FedBuff-style buffered
-  aggregation with staleness discounting, round deadlines);
+  process, compute/network latency, FedBuff-style buffered
+  aggregation, round deadlines);
 * :class:`ShardingConfig` — client-state sharding and the
   multi-process round executor;
 * :class:`ExperimentConfig` — one full experiment = all of the above.
@@ -320,7 +321,8 @@ class FaultConfig:
     Per sampled client each round, at most one fault fires:
 
     * **dropout** (probability ``dropout_rate``) — the client trains
-      locally but its upload never reaches the server;
+      locally (its private state advances) but its upload never
+      reaches the server; under asynchrony this is client churn;
     * **straggler** (probability ``straggler_rate``) — the upload is
       deferred 1..``straggler_max_delay`` rounds (under asynchrony,
       that many round intervals of virtual time) and applied *stale*;
@@ -335,7 +337,9 @@ class FaultConfig:
     that lands after its model version moved on — is scaled by
     ``staleness_discount ** delay`` (a FedAsync-style polynomial
     staleness discount) and dropped, counted, once ``delay`` exceeds a
-    non-zero ``max_staleness``.
+    non-zero ``max_staleness``.  Each upload's fate is counted in
+    :class:`~repro.federated.faults.FaultStats`, with the same meaning
+    in both round modes.
 
     Server-side degradation knobs, in both round modes:
 
@@ -413,15 +417,16 @@ class AsyncConfig:
     sampled traffic offset + compute latency + network delay (all
     drawn from ``spawn(seed, "async-plan", wave)`` — the same spawn
     discipline as every other stream, so the whole schedule is a pure
-    function of ``(seed, config, wave)``), churned clients never
-    upload, and the server aggregates FedBuff-style: a round closes
-    when ``buffer_size`` uploads are buffered *or* its deadline
-    expires, whichever comes first.  This config is the traffic and
-    timing process only: :class:`FaultConfig` composes with it (its
-    faults, its staleness discount and cap, its server gate).
+    function of ``(seed, config, wave)``), and the server aggregates
+    FedBuff-style: a round closes when ``buffer_size`` uploads are
+    buffered *or* its deadline expires, whichever comes first.  This
+    config is the traffic and timing process only: :class:`FaultConfig`
+    composes with it (its faults — client churn is its
+    ``dropout_rate`` —, its staleness discount and cap, its server
+    gate).
 
     The *default parameter values are the degenerate configuration*:
-    instant traffic, zero latency, zero churn, ``buffer_size=0`` (=
+    instant traffic, zero latency, ``buffer_size=0`` (=
     the full cohort) and ``round_deadline == round_interval``
     reproduce the synchronous batch engine bit for bit — asserted by
     the sync-equivalence suite.
@@ -431,7 +436,8 @@ class AsyncConfig:
     #: Traffic process spreading a wave's uploads over virtual time:
     #: ``"instant"`` (all at dispatch), ``"poisson"`` (exponential
     #: inter-arrival gaps at ``arrival_rate`` clients per time unit),
-    #: or ``"trace"`` (offsets cycled from ``trace_offsets``).
+    #: or ``"trace"`` (offsets cycled from ``trace_offsets``, which no
+    #: other traffic process accepts).
     traffic: str = "instant"
     arrival_rate: float = 8.0
     trace_offsets: tuple[float, ...] = ()
@@ -439,9 +445,6 @@ class AsyncConfig:
     compute_mean: float = 0.0
     #: Mean of the exponential per-client network delay (0 = none).
     network_mean: float = 0.0
-    #: Probability a dispatched client churns mid-round: it trains
-    #: locally (private state advances) but its upload is cancelled.
-    churn_rate: float = 0.0
     #: FedBuff K — uploads buffered before aggregation fires.  0 means
     #: "the wave cohort size" (i.e. ``min(users_per_round, |U|)``).
     buffer_size: int = 0
@@ -460,16 +463,17 @@ class AsyncConfig:
             )
         if self.traffic == "trace" and not self.trace_offsets:
             raise ValueError("traffic='trace' needs non-empty trace_offsets")
+        if self.traffic != "trace" and self.trace_offsets:
+            raise ValueError(
+                f"trace_offsets is only read by traffic='trace', "
+                f"not traffic={self.traffic!r}"
+            )
         if any(offset < 0 for offset in self.trace_offsets):
             raise ValueError("trace_offsets must be >= 0")
         if self.arrival_rate <= 0:
             raise ValueError("arrival_rate must be > 0")
         if self.compute_mean < 0 or self.network_mean < 0:
             raise ValueError("latency means must be >= 0")
-        if not 0.0 <= self.churn_rate <= 1.0:
-            raise ValueError(
-                f"churn_rate must be in [0, 1], got {self.churn_rate}"
-            )
         if self.buffer_size < 0:
             raise ValueError("buffer_size must be >= 0")
         if self.round_interval <= 0:

@@ -115,7 +115,11 @@ __all__ = [
 #: v11: the staleness pair lives once, on ``FaultConfig``
 #: (``AsyncConfig`` lost ``staleness_discount`` / ``max_staleness``),
 #: so the identity record's layout changed; values are unchanged.
-CACHE_VERSION = "sweep-v11"
+#: v12: ``AsyncConfig`` lost its churn rate (churn is
+#: ``FaultConfig.dropout_rate``, drawn from the "fault-plan" stream), so
+#: churn cells move and the saved counters changed layout; other cells'
+#: values are unchanged.
+CACHE_VERSION = "sweep-v12"
 
 
 @dataclass(frozen=True)

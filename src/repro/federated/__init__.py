@@ -12,7 +12,7 @@ from repro.federated.async_engine import AsyncFederationEngine, AsyncStats
 from repro.federated.audit import ItemRoundRecord, ServerAuditLog
 from repro.federated.batch_engine import BatchClientEngine
 from repro.federated.clock import EventQueue, VirtualClock
-from repro.federated.faults import FaultStats, StalenessBuffer, UploadTransit
+from repro.federated.faults import FaultStats, UploadTransit
 from repro.federated.payload import ClientUpdate
 from repro.federated.server import Server
 from repro.federated.simulation import EvalRecord, FederatedSimulation, SimulationResult
@@ -30,7 +30,6 @@ __all__ = [
     "Server",
     "UploadTransit",
     "FaultStats",
-    "StalenessBuffer",
     "AsyncFederationEngine",
     "AsyncStats",
     "EventQueue",

@@ -4,7 +4,7 @@ The synchronous engines run the paper's idealized protocol: sample,
 train, aggregate, repeat — every upload applies in the round that
 produced it.  Real federated recommenders are asynchronous: clients
 arrive on a traffic process, train at their own speed, upload over
-slow links, churn away mid-round, and the server aggregates whatever
+slow links, drop out mid-round, and the server aggregates whatever
 it has when a buffer fills or a deadline expires.  This module makes
 that a first-class, *deterministic* execution mode:
 
@@ -21,19 +21,18 @@ compute_round_batch`, the async layer only reorders *when* the
   simulation's :class:`~repro.federated.faults.UploadTransit`, which
   cancels, corrupts and times its uploads.  Each distinct arrival
   instant becomes *one* ARRIVAL event carrying that instant's clients
-  in position order.  Arrivals park in the transit's
-  :class:`~repro.federated.faults.StalenessBuffer` at the model
+  in position order.  Arrivals park in the transit at the model
   version they trained against; a round closes when ``buffer_size``
-  clients are buffered or its deadline expires (whichever first) and
-  drains the buffer at the current version.  When the buffer fills
+  clients are parked or its deadline expires (whichever first) and
+  drains the transit at the current version.  When the buffer fills
   partway through an event, the round closes after exactly the client
   that filled it and the rest of the event is requeued under its
   original key — the order and round boundaries of a per-client event
   loop, at one event per instant.
-* :class:`AsyncStats` — full accounting in the mold of
-  :class:`~repro.federated.faults.FaultStats`: every dispatched
-  client is cancelled, in flight, buffered, applied or dropped —
-  nothing vanishes silently (conservation is asserted by the
+* :class:`AsyncStats` — the event loop's counters.  With
+  :class:`~repro.federated.faults.FaultStats` they account for every
+  dispatched client: dropped, in flight, parked, applied or dropped
+  stale — nothing vanishes silently (conservation is asserted by the
   property suite).
 
 Determinism contracts (asserted in CI):
@@ -44,7 +43,7 @@ Determinism contracts (asserted in CI):
    the wave schedules are stateless spawns, and the queue contents are
    checkpointable, so resume preserves bit-identity mid-stream.
 2. **Degenerate config ⇒ the synchronous engine, bit for bit.**  With
-   instant traffic, zero latency, zero churn, ``buffer_size = |wave|``
+   instant traffic, zero latency, ``buffer_size = |wave|``
    and ``round_deadline = round_interval``, wave ``r``'s uploads are
    the only buffer contents when round ``r`` closes, at staleness 0
    (discount skipped — not multiplied by 1.0), in the synchronous
@@ -57,7 +56,7 @@ processed while the round is open (not by the round opening itself):
 a round whose work has not started yet cannot expire, and a round
 whose wave uploads nothing still terminates — this is what makes the
 degenerate config exact in both the full-wave and partial-wave cases
-while keeping every round finite under total churn.
+while keeping every round finite under total dropout.
 """
 
 from __future__ import annotations
@@ -92,28 +91,24 @@ EVENT_ARRIVAL = "arrival"
 
 @dataclass(frozen=True)
 class AsyncStats(CounterRecord):
-    """Asynchrony accounting of one simulation run.
+    """Event-loop counters of one simulation run.
 
-    Conservation invariants (property-tested):
+    Conservation invariants, read together with
+    :class:`~repro.federated.faults.FaultStats` (property-tested):
 
-    * ``clients_dispatched == uploads_cancelled + uploads_arrived +
+    * ``clients_dispatched == dropped_uploads + uploads_arrived +
       uploads_in_flight``
     * ``uploads_arrived == uploads_applied + stale_dropped +
-      uploads_buffered``
+      uploads_parked``
     * ``rounds_closed_by_buffer + rounds_closed_by_deadline`` is the
       number of aggregations performed.
     """
 
     waves_dispatched: int = 0
     clients_dispatched: int = 0
-    uploads_cancelled: int = 0
     uploads_arrived: int = 0
+    #: Uploads drained into an aggregation, stale or not.
     uploads_applied: int = 0
-    #: Applied uploads whose staleness delay was >= 1 version.
-    stale_applied: int = 0
-    #: Uploads dropped for exceeding ``max_staleness``.
-    stale_dropped: int = 0
-    max_staleness_applied: int = 0
     rounds_closed_by_buffer: int = 0
     rounds_closed_by_deadline: int = 0
     #: Deadline closes that flushed an empty buffer (no upload made it
@@ -121,8 +116,6 @@ class AsyncStats(CounterRecord):
     empty_rounds: int = 0
     #: Uploads still travelling (scheduled arrivals) at run end.
     uploads_in_flight: int = 0
-    #: Uploads sitting in the aggregation buffer at run end.
-    uploads_buffered: int = 0
 
     @property
     def any_async(self) -> bool:
@@ -146,7 +139,7 @@ class AsyncFederationEngine(Stateful):
     "round" is one aggregation, synchronous or not.
 
     Run state: clock, event queue (in-flight uploads travel inside its
-    arrival events), version and counters; the staleness buffer is the
+    arrival events), version and counters; parked uploads are the
     transit's, and the transit draws and sampling streams are stateless
     spawns.
     """
@@ -170,7 +163,6 @@ class AsyncFederationEngine(Stateful):
         self.total_users = total_users
         self.clock = VirtualClock()
         self.queue = EventQueue()
-        self.buffer = transit.buffer
         #: FedBuff K: aggregate as soon as this many uploads buffer.
         self.k = self.config.buffer_size or min(
             train_cfg.users_per_round, total_users
@@ -179,8 +171,7 @@ class AsyncFederationEngine(Stateful):
         self.version = 0
         #: Whether the open round's deadline event has been scheduled.
         self.deadline_armed = False
-        #: Event-loop counters, keyed by :class:`AsyncStats` field names
-        #: (the buffer tallies the drain-side ones).
+        #: Event-loop counters, keyed by :class:`AsyncStats` field names.
         self.counts: Counter[str] = Counter()
         self.queue.push(0.0, PRIORITY_DISPATCH, (EVENT_DISPATCH, 0))
 
@@ -245,7 +236,6 @@ class AsyncFederationEngine(Stateful):
         batch, delays = self.transit.route(batch, sampled, wave_idx)
         self.counts["waves_dispatched"] += 1
         self.counts["clients_dispatched"] += dispatched
-        self.counts["uploads_cancelled"] += dispatched - batch.num_clients
         times = self.clock.now + delays
         # One event per distinct instant; the stable sort keeps each
         # instant's clients in position order.
@@ -266,15 +256,15 @@ class AsyncFederationEngine(Stateful):
         after exactly the client that filled it and the rest of the
         event is requeued under its original key, to land next.
         """
-        room = self.k - self.buffer.pending
+        room = self.k - self.transit.pending
         if part.num_clients > room:
             rest = part.client_slice(room, part.num_clients)
             self.queue.requeue((EVENT_ARRIVAL, rest, origin_version))
             part = part.client_slice(0, room)
         self.counts["uploads_arrived"] += part.num_clients
-        self.buffer.park(part, origin_version, origin_version)
+        self.transit.park(part, origin_version, origin_version)
         self._arm_deadline()
-        if self.buffer.pending >= self.k:
+        if self.transit.pending >= self.k:
             self._close_round(by_deadline=False)
 
     def _deadline(self, round_idx: int) -> None:
@@ -292,8 +282,9 @@ class AsyncFederationEngine(Stateful):
             self.deadline_armed = True
 
     def _close_round(self, *, by_deadline: bool) -> None:
-        """Drain the buffer through the server and advance the version."""
-        batch = self.buffer.drain(self.version)
+        """Drain the transit through the server and advance the version."""
+        batch = self.transit.drain(self.version)
+        self.counts["uploads_applied"] += batch.num_clients
         if by_deadline:
             self.counts["rounds_closed_by_deadline"] += 1
             if batch.num_clients == 0:
@@ -313,12 +304,10 @@ class AsyncFederationEngine(Stateful):
     def stats(self) -> AsyncStats:
         return AsyncStats(
             **self.counts,
-            **self.buffer.tallies,
             uploads_in_flight=sum(
                 payload[1].num_clients
                 for payload in self.queue.payloads(PRIORITY_ARRIVAL)
             ),
-            uploads_buffered=self.buffer.pending,
         )
 
     def state(self) -> dict:

@@ -8,17 +8,17 @@ models all of it, for both round modes:
 
 * :class:`UploadTransit` — applied to every wave (a synchronous round
   or an asynchronous dispatch) between local training and the server.
-  It decides one cancel mask (fault dropout, plus churn under
-  asynchrony), one corruption row mask and one delay per client, from
-  two stateless streams: ``spawn(seed, "fault-plan", wave)`` for
+  It decides one cancel mask (fault dropout), one corruption row mask
+  and one delay per client, from two stateless streams:
+  ``spawn(seed, "fault-plan", wave)`` for
   :class:`~repro.config.FaultConfig` and ``spawn(seed, "async-plan",
-  wave)`` for :class:`~repro.config.AsyncConfig`.  Same seed, same
-  transit — on any kernel backend, sharding or resume boundary.
-* :class:`StalenessBuffer` — the one holding area for late uploads,
-  spliced into a later aggregation scaled by a FedAsync-style
+  wave)`` for :class:`~repro.config.AsyncConfig`'s timing.  Same seed,
+  same transit — on any kernel backend, sharding or resume boundary.
+  It also holds every late upload until it is due, and splices it
+  into a later aggregation scaled by a FedAsync-style
   ``staleness_discount ** delay``.
-* :class:`FaultStats` — the fault/mitigation accounting; nothing is
-  ever dropped silently.
+* :class:`FaultStats` — the fate of every upload, counted the same way
+  in both round modes; nothing is ever dropped silently.
 
 A synchronous run that injects no fault builds no transit at all
 (the fault semantics are documented on ``FaultConfig``).
@@ -37,85 +37,7 @@ from repro.federated.update_batch import UpdateBatch
 from repro.rng import spawn
 from repro.stateful import Stateful
 
-__all__ = ["StalenessBuffer", "UploadTransit", "CounterRecord", "FaultStats"]
-
-
-class StalenessBuffer(Stateful):
-    """Holds late uploads as :class:`UpdateBatch` parts until they are due.
-
-    The one staleness mechanism of the runtime: synchronous stragglers
-    and asynchronous arrivals both park here.  Each entry is ``(part,
-    origin, due)`` — the uploads of one or more
-    clients, the round (model version) they trained against, and the
-    first ``now`` at which :meth:`drain` releases them.  Entries keep
-    insertion order, which both callers make deterministic, so every
-    downstream float accumulation is reproducible.
-
-    ``tallies`` accumulates what the drains did, in clients, under the
-    :class:`~repro.federated.async_engine.AsyncStats` field names
-    (``uploads_applied``, ``stale_applied``, ``stale_dropped``,
-    ``max_staleness_applied``).
-    """
-
-    STATE = ("tallies",)
-
-    def __init__(self, discount: float, max_staleness: int = 0):
-        self.discount = float(discount)
-        self.max_staleness = int(max_staleness)
-        self.entries: list[tuple[UpdateBatch, int, int]] = []
-        self.tallies: Counter[str] = Counter()
-
-    def park(self, part: UpdateBatch, origin: int, due: int) -> None:
-        self.entries.append((part, int(origin), int(due)))
-
-    @property
-    def pending(self) -> int:
-        """Clients parked and not yet drained."""
-        return sum(part.num_clients for part, _, _ in self.entries)
-
-    def drain(self, now: int) -> UpdateBatch:
-        """Every entry with ``due <= now``, in insertion order, as one batch.
-
-        A part's delay is ``now - origin``.  At delay 0 it passes
-        through untouched (same arrays — not multiplied by 1.0, which
-        keeps the degenerate asynchronous config bit-identical to the
-        synchronous engine); at a positive delay it is scaled by
-        ``discount ** delay`` via :meth:`UpdateBatch.discounted`; past
-        a non-zero ``max_staleness`` it is dropped and counted.
-        """
-        parts, waiting = [], []
-        for entry in self.entries:
-            part, origin, due = entry
-            if due > now:
-                waiting.append(entry)
-                continue
-            delay = now - origin
-            if self.max_staleness and delay > self.max_staleness:
-                self.tallies["stale_dropped"] += part.num_clients
-                continue
-            if delay:
-                part = part.discounted(self.discount**delay)
-                self.tallies["stale_applied"] += part.num_clients
-                self.tallies["max_staleness_applied"] = max(
-                    self.tallies["max_staleness_applied"], delay
-                )
-            self.tallies["uploads_applied"] += part.num_clients
-            parts.append(part)
-        self.entries = waiting
-        return UpdateBatch.concat(parts) if parts else UpdateBatch.empty()
-
-    # -- checkpoint plumbing -------------------------------------------
-
-    def state(self) -> dict:
-        entries = [(part.arrays(), origin, due) for part, origin, due in self.entries]
-        return {**super().state(), "entries": entries}
-
-    def restore(self, state: dict) -> None:
-        super().restore(state)
-        self.entries = [
-            (UpdateBatch(**arrays), origin, due)
-            for arrays, origin, due in state["entries"]
-        ]
+__all__ = ["UploadTransit", "CounterRecord", "FaultStats"]
 
 
 class CounterRecord:
@@ -133,20 +55,29 @@ class CounterRecord:
 
 @dataclass(frozen=True)
 class FaultStats(CounterRecord):
-    """Fault/mitigation accounting of one simulation run.
+    """The fate of every upload in one simulation run, in either round mode.
 
-    Injection counters come from the :class:`UploadTransit`, server
+    Transit counters come from the :class:`UploadTransit`, server
     counters from the :class:`~repro.federated.server.Server` sanity
-    gate and quorum check.  ``stale_applied`` / ``stale_pending`` follow
-    synchronous stragglers (a straggler past ``max_staleness`` counts
-    as dropped); under asynchrony every late upload is accounted in
-    :class:`~repro.federated.async_engine.AsyncStats` instead.
+    gate and quorum check.  Every counter means the same in both round
+    modes.  Under synchronous rounds a deferred upload (a straggler)
+    ends up in exactly one of ``stale_applied``, ``stale_dropped`` and
+    ``uploads_parked``; under asynchrony those three also count uploads
+    made late by traffic and latency alone, and a deferred upload may
+    still be in flight.
     """
 
+    #: Uploads cancelled by fault dropout.
     dropped_uploads: int = 0
+    #: Straggler uploads, deferred ``1..straggler_max_delay`` versions.
     deferred_uploads: int = 0
+    #: Uploads applied at a delay of at least 1 model version.
     stale_applied: int = 0
-    stale_pending: int = 0
+    #: Uploads dropped for exceeding a non-zero ``max_staleness``.
+    stale_dropped: int = 0
+    max_staleness_applied: int = 0
+    #: Uploads the transit still holds at run end.
+    uploads_parked: int = 0
     corrupted_uploads: int = 0
     rejected_nonfinite: int = 0
     rejected_oversized: int = 0
@@ -166,24 +97,71 @@ class FaultStats(CounterRecord):
 class UploadTransit(Stateful):
     """The one stage every wave's uploads cross on their way to the server.
 
-    One per simulation, for either round mode: it owns the
-    :class:`StalenessBuffer` (with ``FaultConfig``'s discount /
-    ``max_staleness`` pair) and the injection counters (``counts``,
-    keyed by :class:`FaultStats` field names).  :meth:`route` is the
-    transit of one wave; synchronous rounds go through
-    :meth:`sync_round`, the asynchronous engine turns the delays into
-    arrival events.  A fault is keyed by *user id*, so a client that
-    uploads nothing this wave consumes its fault as a no-op.
+    One per simulation, for either round mode, and the one owner of an
+    upload's fate: :meth:`route` cancels, corrupts and delays one
+    wave's uploads, :meth:`park` holds late ones and :meth:`drain`
+    releases them, and ``counts`` (keyed by :class:`FaultStats` field
+    names) counts all of it.  Synchronous rounds go through
+    :meth:`sync_round`; the asynchronous engine turns the delays into
+    arrival events and parks what arrives.  A fault is keyed by *user
+    id*, so a client that uploads nothing this wave consumes its fault
+    as a no-op.
+
+    Parked entries are ``(part, origin, due)``: the uploads of one or
+    more clients, the model version they trained against, and the
+    first ``now`` at which :meth:`drain` releases them.  Entries keep
+    insertion order, which both callers make deterministic, so every
+    downstream float accumulation is reproducible.
     """
 
-    STATE = ("buffer", "counts")
+    STATE = ("counts",)
 
     def __init__(self, faults: FaultConfig, asynchrony: AsyncConfig, seed: int):
         self.faults = faults
         self.asynchrony = asynchrony
         self.seed = seed
-        self.buffer = StalenessBuffer(faults.staleness_discount, faults.max_staleness)
+        self.entries: list[tuple[UpdateBatch, int, int]] = []
         self.counts: Counter[str] = Counter()
+
+    def park(self, part: UpdateBatch, origin: int, due: int) -> None:
+        self.entries.append((part, int(origin), int(due)))
+
+    @property
+    def pending(self) -> int:
+        """Clients parked and not yet drained."""
+        return sum(part.num_clients for part, _, _ in self.entries)
+
+    def drain(self, now: int) -> UpdateBatch:
+        """Every entry with ``due <= now``, in insertion order, as one batch.
+
+        A part's delay is ``now - origin``.  At delay 0 it passes
+        through untouched (same arrays — not multiplied by 1.0, which
+        keeps the degenerate asynchronous config bit-identical to the
+        synchronous engine); at a positive delay it is scaled by
+        ``staleness_discount ** delay`` via
+        :meth:`UpdateBatch.discounted`; past a non-zero
+        ``max_staleness`` it is dropped and counted.
+        """
+        cfg, counts = self.faults, self.counts
+        parts, waiting = [], []
+        for entry in self.entries:
+            part, origin, due = entry
+            if due > now:
+                waiting.append(entry)
+                continue
+            delay = now - origin
+            if cfg.max_staleness and delay > cfg.max_staleness:
+                counts["stale_dropped"] += part.num_clients
+                continue
+            if delay:
+                part = part.discounted(cfg.staleness_discount**delay)
+                counts["stale_applied"] += part.num_clients
+                counts["max_staleness_applied"] = max(
+                    counts["max_staleness_applied"], delay
+                )
+            parts.append(part)
+        self.entries = waiting
+        return UpdateBatch.concat(parts) if parts else UpdateBatch.empty()
 
     def fault_schedule(self, wave: int, n: int) -> tuple[np.ndarray, ...]:
         """``(dropout, corrupt, delay)`` of ``wave``'s ``n`` sampled positions.
@@ -206,11 +184,11 @@ class UploadTransit(Stateful):
         )
         return dropout, corrupt, delay
 
-    def timing_schedule(self, wave: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Arrival offsets and churn mask of an asynchronous wave's uploads.
+    def timing_schedule(self, wave: int, n: int) -> np.ndarray:
+        """Arrival offsets of an asynchronous wave's uploads.
 
         Drawn from ``spawn(seed, "async-plan", wave)`` in a fixed order:
-        traffic offsets, compute latency, network delay, churn.
+        traffic offsets, compute latency, network delay.
         """
         cfg = self.asynchrony
         rng = spawn(self.seed, "async-plan", wave)
@@ -223,20 +201,22 @@ class UploadTransit(Stateful):
         for mean in (cfg.compute_mean, cfg.network_mean):
             if mean > 0:
                 offsets = offsets + rng.exponential(mean, n)
-        return offsets, rng.random(n) < cfg.churn_rate
+        return offsets
 
     def route(
         self, batch: UpdateBatch, sampled: Sequence[int], wave: int
     ) -> tuple[UpdateBatch, np.ndarray]:
         """One wave's uploads in transit: ``(surviving batch, delays)``.
 
-        Cancelled clients leave through one ``select_clients``;
+        Dropped clients leave through one ``select_clients``;
         corrupted clients' rows are overwritten in one fresh array
         (inputs are never mutated — the batch may hold views of the
         engine's round stacks).  ``delays`` holds straggler versions
         under synchronous rounds, virtual time (traffic + compute +
         network + ``delay · round_interval``) under asynchrony.  A wave
-        nothing happens to returns its input batch.
+        nothing happens to returns its input batch.  The three fault
+        masks are disjoint, so a dropped client is never also late or
+        corrupted.
         """
         n = batch.num_clients
         dropout = corrupt = np.zeros(n, dtype=bool)
@@ -247,22 +227,17 @@ class UploadTransit(Stateful):
             at = order[np.searchsorted(sampled, batch.user_ids, sorter=order)]
             schedule = self.fault_schedule(wave, len(sampled))
             dropout, corrupt, delay = (mask[at] for mask in schedule)
-        cancel, late = dropout, delay > 0
-        if self.asynchrony.enabled:
-            offsets, churn = self.timing_schedule(wave, n)
-            cancel = cancel | churn
-            delay = offsets + delay * self.asynchrony.round_interval
-        kept = ~cancel
-        corrupt = corrupt & kept
         self.counts["dropped_uploads"] += int(dropout.sum())
-        self.counts["deferred_uploads"] += int((late & kept).sum())
+        self.counts["deferred_uploads"] += int((delay > 0).sum())
         self.counts["corrupted_uploads"] += int(corrupt.sum())
+        if self.asynchrony.enabled:
+            delay = self.timing_schedule(wave, n) + delay * self.asynchrony.round_interval
         if corrupt.any():
             item_grads = batch.item_grads.copy()
             self._corrupt(item_grads, np.repeat(corrupt, batch.lengths))
             batch = batch.with_item_grads(item_grads)
-        if cancel.any():
-            batch, delay = batch.select_clients(kept), delay[kept]
+        if dropout.any():
+            batch, delay = batch.select_clients(~dropout), delay[~dropout]
         return batch, delay
 
     def sync_round(
@@ -271,16 +246,15 @@ class UploadTransit(Stateful):
         """What the server sees of synchronous round ``round_idx``.
 
         Stragglers park as one copied part per distinct delay with
-        ``due = round + delay`` and the buffer drains at ``now =
+        ``due = round + delay`` and the transit drains at ``now =
         round``, so a straggler lands exactly ``delay`` rounds late,
         after the round's own uploads.
         """
-        arrivals = self.buffer.drain(round_idx)
+        arrivals = self.drain(round_idx)
         batch, delay = self.route(batch, sampled, round_idx)
         if delay.any():
             for d in np.unique(delay[delay > 0]):
-                part = batch.select_clients(delay == d)
-                self.buffer.park(part, round_idx, round_idx + int(d))
+                self.park(batch.select_clients(delay == d), round_idx, round_idx + int(d))
             batch = batch.select_clients(delay == 0)
         if not arrivals.num_clients:
             return batch
@@ -288,15 +262,20 @@ class UploadTransit(Stateful):
 
     def fault_counts(self) -> dict[str, int]:
         """The transit's share of :class:`FaultStats`."""
-        if self.asynchrony.enabled:
-            return dict(self.counts)
-        tallies = self.buffer.tallies
-        return {
-            **self.counts,
-            "dropped_uploads": self.counts["dropped_uploads"] + tallies["stale_dropped"],
-            "stale_applied": tallies["stale_applied"],
-            "stale_pending": self.buffer.pending,
-        }
+        return {**self.counts, "uploads_parked": self.pending}
+
+    # -- checkpoint plumbing -------------------------------------------
+
+    def state(self) -> dict:
+        entries = [(part.arrays(), origin, due) for part, origin, due in self.entries]
+        return {**super().state(), "entries": entries}
+
+    def restore(self, state: dict) -> None:
+        super().restore(state)
+        self.entries = [
+            (UpdateBatch(**arrays), origin, due)
+            for arrays, origin, due in state["entries"]
+        ]
 
     def _corrupt(self, grads: np.ndarray, rows: np.ndarray) -> None:
         """In-transit corruption of ``grads[rows]``, in place."""

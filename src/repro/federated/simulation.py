@@ -76,10 +76,10 @@ class SimulationResult:
     history: list[EvalRecord] = field(default_factory=list)
     item_history: list[np.ndarray] = field(default_factory=list)
     seconds_per_round: float = 0.0
-    #: Fault/mitigation accounting of the run — all-zero (and
-    #: ``not fault_stats.any_fault``) for an ideal-synchronous run.
+    #: Every upload's fate and the server gate's counters — all-zero
+    #: (and ``not fault_stats.any_fault``) for an ideal-synchronous run.
     fault_stats: FaultStats = field(default_factory=FaultStats)
-    #: Asynchrony accounting — all-zero (``not async_stats.any_async``)
+    #: Event-loop counters — all-zero (``not async_stats.any_async``)
     #: for a synchronous run.
     async_stats: AsyncStats = field(default_factory=AsyncStats)
 

@@ -98,7 +98,12 @@ __all__ = [
 #: v10: one ``transit`` component (the upload transit's staleness
 #: buffer and fault counters) replaces ``faults``, and the ``async``
 #: component no longer carries a buffer of its own.
-CHECKPOINT_VERSION = "ckpt-v10"
+#: v11: the transit holds its parked ``entries`` and its one ``counts``
+#: itself (no nested buffer component with counters of its own), the
+#: ``async`` counters lost the cancel count that equalled fault
+#: dropout, and churn is fault dropout, drawn from the "fault-plan"
+#: stream.
+CHECKPOINT_VERSION = "ckpt-v11"
 
 #: Suffix appended (atomically, via ``os.replace``) to files that fail
 #: their integrity check.  A quarantined file is out of every loader's

@@ -94,7 +94,8 @@ def derive_seed_batch(
             for ch in label.encode("utf-8"):
                 acc = (acc ^ np.uint64(ch)) * mix
         else:
-            acc = (acc ^ np.uint64(int(label))) * mix
+            # Two's complement, as the scalar ``acc ^ label`` mod 2**64.
+            acc = (acc ^ np.uint64(int(label) & 0xFFFFFFFFFFFFFFFF)) * mix
         return acc ^ (acc >> shift)
 
     with np.errstate(over="ignore"):

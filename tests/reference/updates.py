@@ -16,7 +16,7 @@ the package works on a whole round's
 * :func:`to_updates` — the inverse of ``UpdateBatch.from_updates``.
 
 They operate on the package's own objects (server counters, audit
-records, the transit's fault schedule and buffer), so a reference run
+records, the transit's fault schedule and parked uploads), so a reference run
 and a batched run are compared on the same state.  The arithmetic is the
 executable specification the parity suites hold the batched path to,
 bit for bit.
@@ -134,7 +134,7 @@ def apply_to_updates(
     """Faulted view of one round's materialised uploads.
 
     The same fault schedule as the batched path assigned one upload at
-    a time, the same corruption values, and the same buffer (one part
+    a time, the same corruption values, and the same parking (one part
     per straggler).
     """
     dropout, corrupt, delays = transit.fault_schedule(round_idx, len(sampled))
@@ -143,7 +143,7 @@ def apply_to_updates(
         [FAULT_DROPOUT, FAULT_STRAGGLER, FAULT_CORRUPTION],
         FAULT_NONE,
     )
-    arrivals = transit.buffer.drain(round_idx)
+    arrivals = transit.drain(round_idx)
     if not kinds.any() and not arrivals.num_clients:
         return updates
 
@@ -160,7 +160,7 @@ def apply_to_updates(
         elif kind == FAULT_DROPOUT:
             transit.counts["dropped_uploads"] += 1
         elif kind == FAULT_STRAGGLER:
-            transit.buffer.park(
+            transit.park(
                 UpdateBatch.from_updates([update]), round_idx, round_idx + delay
             )
             transit.counts["deferred_uploads"] += 1

@@ -1,20 +1,21 @@
 """Asynchronous event-driven federation: the two contracts.
 
 Contract 1 (sync equivalence): the *degenerate* asynchronous
-configuration — instant traffic, zero compute/network latency, no
-churn, buffer = wave cohort — reproduces the synchronous batch engine
+configuration — instant traffic, zero compute/network latency,
+buffer = wave cohort — reproduces the synchronous batch engine
 **bit for bit**: item embeddings, interaction parameters, user
 embeddings and eval history, across attacks x defenses x model kinds.
 ``AsyncConfig(enabled=True)`` with no other arguments IS that
 degenerate configuration by design.
 
 Contract 2 (determinism): the same seed replays the identical event
-interleaving — arrivals, cancellations, deadline closures — so two
+interleaving — arrivals, dropouts, deadline closures — so two
 runs of any asynchronous configuration are bit-identical, including
 every ``AsyncStats`` counter.
 
-Also here: churn/staleness semantics, counter conservation (no upload
-is silently dropped), checkpoint/resume mid-stream, configuration
+Also here: churn (fault dropout) and staleness semantics, counter
+conservation (no upload is silently dropped), one late-upload record
+for both round modes, checkpoint/resume mid-stream, configuration
 validation, and engine-compatibility guards.
 """
 
@@ -40,25 +41,24 @@ from repro.federated.clock import PRIORITY_ARRIVAL, EventQueue, VirtualClock
 from repro.federated.faults import UploadTransit
 from repro.federated.simulation import FederatedSimulation
 
-#: A busy non-degenerate configuration: bursty arrivals, real latency,
-#: churn and a buffer smaller than the cohort; runs pair it with the
-#: staleness discount and cap of ``STALENESS``.
-CHURNY = AsyncConfig(
+#: A busy non-degenerate configuration: bursty arrivals, real latency
+#: and a buffer smaller than the cohort; runs pair it with the churn
+#: (fault dropout), staleness discount and cap of ``CHURN``.
+BUSY = AsyncConfig(
     enabled=True,
     traffic="poisson",
     arrival_rate=6.0,
     compute_mean=0.2,
     network_mean=0.4,
-    churn_rate=0.15,
     buffer_size=8,
     round_deadline=1.5,
 )
-STALENESS = FaultConfig(staleness_discount=0.6, max_staleness=4)
+CHURN = FaultConfig(dropout_rate=0.15, staleness_discount=0.6, max_staleness=4)
 
-#: Dropout, stragglers and corruption at once, on top of ``STALENESS``.
+#: Dropout, stragglers and corruption at once, on top of ``CHURN``.
 FAULTY = dataclasses.replace(
-    STALENESS,
-    dropout_rate=0.15,
+    CHURN,
+    dropout_rate=0.3,
     straggler_rate=0.2,
     straggler_max_delay=3,
     corruption_rate=0.1,
@@ -87,6 +87,7 @@ def _snapshot(sim: FederatedSimulation, result) -> dict:
         "history": result.history,
         "exposure": result.exposure,
         "hit_ratio": result.hit_ratio,
+        "fault_stats": result.fault_stats,
         "async_stats": result.async_stats,
     }
 
@@ -115,8 +116,8 @@ class TestSyncEquivalence:
         # Every upload arrived and applied un-discounted.
         stats = got["async_stats"]
         assert stats.uploads_applied == stats.clients_dispatched > 0
-        assert stats.uploads_cancelled == 0
-        assert stats.stale_applied == 0
+        assert got["fault_stats"].dropped_uploads == 0
+        assert got["fault_stats"].stale_applied == 0
 
     @pytest.mark.slow
     @pytest.mark.parametrize("model_kind", ["mf", "ncf"])
@@ -138,7 +139,6 @@ class TestSyncEquivalence:
             traffic="instant",
             compute_mean=0.0,
             network_mean=0.0,
-            churn_rate=0.0,
             buffer_size=0,
             round_interval=1.0,
             round_deadline=1.0,
@@ -184,45 +184,57 @@ class TestFaultsCompose:
         assert async_result.fault_stats == sync_result.fault_stats
         assert sync_result.fault_stats.any_fault
         stats = async_result.async_stats
-        assert stats.uploads_cancelled == async_result.fault_stats.dropped_uploads
+        assert stats.clients_dispatched == (
+            async_result.fault_stats.dropped_uploads
+            + stats.uploads_arrived
+            + stats.uploads_in_flight
+        )
 
     @pytest.mark.parametrize(
-        "asyn",
-        [AsyncConfig(enabled=True), AsyncConfig(enabled=True, buffer_size=5), CHURNY],
+        "asyn,faults",
+        [
+            (AsyncConfig(enabled=True), FaultConfig()),
+            (AsyncConfig(enabled=True, buffer_size=5), FaultConfig()),
+            (BUSY, CHURN),
+        ],
         ids=["degenerate", "split", "churny"],
     )
-    def test_zero_rate_faults_change_nothing(self, tiny_dataset, asyn):
-        cfg = _config("mf", asynchrony=asyn)
+    def test_zero_rate_faults_change_nothing(self, tiny_dataset, asyn, faults):
+        cfg = _config("mf", asynchrony=asyn, faults=faults)
         alone = FederatedSimulation(cfg, tiny_dataset)
         ref = _snapshot(alone, alone.run())
-        zero_rate = FaultConfig(
-            straggler_max_delay=5, corruption_mode="overscale", corruption_scale=3.0
+        zero_rate = dataclasses.replace(
+            faults,
+            straggler_max_delay=5,
+            corruption_mode="overscale",
+            corruption_scale=3.0,
         )
         composed = FederatedSimulation(
             dataclasses.replace(cfg, faults=zero_rate), tiny_dataset
         )
         got = _snapshot(composed, composed.run())
         _assert_bit_identical(got, ref)
+        assert got["fault_stats"] == ref["fault_stats"]
         assert got["async_stats"] == ref["async_stats"]
 
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self, tiny_dataset):
         cfg = _config("mf", attack="pieck_ipe", defense="median",
-                      asynchrony=CHURNY, faults=STALENESS)
+                      asynchrony=BUSY, faults=CHURN)
         a = FederatedSimulation(cfg, tiny_dataset)
         ra = _snapshot(a, a.run())
         b = FederatedSimulation(cfg, tiny_dataset)
         rb = _snapshot(b, b.run())
         _assert_bit_identical(ra, rb)
+        assert ra["fault_stats"] == rb["fault_stats"]
         assert ra["async_stats"] == rb["async_stats"]
         # The run actually exercised the asynchronous paths.
-        stats = ra["async_stats"]
-        assert stats.uploads_cancelled > 0
-        assert stats.stale_applied > 0
+        assert ra["fault_stats"].dropped_uploads > 0
+        assert ra["fault_stats"].stale_applied > 0
 
     def test_different_seed_diverges(self, tiny_dataset):
-        cfg = _config("mf", asynchrony=CHURNY, faults=STALENESS)
+        cfg = _config("mf", asynchrony=BUSY, faults=CHURN)
         a = FederatedSimulation(cfg, tiny_dataset)
         a.run()
         other = dataclasses.replace(cfg, seed=11)
@@ -233,28 +245,27 @@ class TestDeterminism:
         )
 
     def test_plan_is_pure_function_of_seed_and_wave(self):
-        transit = UploadTransit(FaultConfig(), CHURNY, seed=5)
+        transit = UploadTransit(FaultConfig(), BUSY, seed=5)
         a = transit.timing_schedule(3, 12)
-        b = UploadTransit(FaultConfig(), CHURNY, seed=5).timing_schedule(3, 12)
-        for part_a, part_b in zip(a, b):
-            assert part_a.tobytes() == part_b.tobytes()
+        b = UploadTransit(FaultConfig(), BUSY, seed=5).timing_schedule(3, 12)
+        assert a.tobytes() == b.tobytes()
         # Waves draw from independent spawned streams.
         c = transit.timing_schedule(4, 12)
-        assert a[0].tobytes() != c[0].tobytes()
+        assert a.tobytes() != c.tobytes()
 
 
 class TestChurnAndStaleness:
-    def test_total_churn_cancels_everything(self, tiny_dataset):
+    def test_total_dropout_cancels_everything(self, tiny_dataset):
         cfg = _config(
             "mf",
-            asynchrony=dataclasses.replace(CHURNY, churn_rate=1.0),
-            faults=STALENESS,
+            asynchrony=BUSY,
+            faults=dataclasses.replace(CHURN, dropout_rate=1.0),
         )
         sim = FederatedSimulation(cfg, tiny_dataset)
         before = sim.model.item_embeddings.copy()
         result = sim.run()
         stats = result.async_stats
-        assert stats.uploads_cancelled == stats.clients_dispatched > 0
+        assert result.fault_stats.dropped_uploads == stats.clients_dispatched > 0
         assert stats.uploads_arrived == 0
         assert stats.uploads_applied == 0
         assert stats.empty_rounds == result.rounds_run
@@ -268,8 +279,7 @@ class TestChurnAndStaleness:
                 enabled=True, network_mean=3.0, round_deadline=0.5
             ),
         )
-        result = FederatedSimulation(cfg, tiny_dataset).run()
-        stats = result.async_stats
+        stats = FederatedSimulation(cfg, tiny_dataset).run().fault_stats
         assert stats.stale_applied > 0
         assert stats.max_staleness_applied >= 1
 
@@ -281,26 +291,53 @@ class TestChurnAndStaleness:
             ),
             faults=FaultConfig(max_staleness=1),
         )
-        stats = FederatedSimulation(cfg, tiny_dataset).run().async_stats
+        stats = FederatedSimulation(cfg, tiny_dataset).run().fault_stats
         assert stats.stale_dropped > 0
         assert stats.max_staleness_applied <= 1
 
     def test_counter_conservation(self, tiny_dataset):
-        for asyn in (CHURNY, AsyncConfig(enabled=True),
-                     dataclasses.replace(CHURNY, churn_rate=0.5)):
-            cfg = _config("mf", asynchrony=asyn, faults=STALENESS)
-            stats = FederatedSimulation(cfg, tiny_dataset).run().async_stats
+        for asyn, faults in (
+            (BUSY, CHURN),
+            (AsyncConfig(enabled=True), CHURN),
+            (BUSY, dataclasses.replace(CHURN, dropout_rate=0.5)),
+        ):
+            cfg = _config("mf", asynchrony=asyn, faults=faults)
+            result = FederatedSimulation(cfg, tiny_dataset).run()
+            stats, fates = result.async_stats, result.fault_stats
             assert stats.clients_dispatched == (
-                stats.uploads_cancelled
+                fates.dropped_uploads
                 + stats.uploads_arrived
                 + stats.uploads_in_flight
             )
             assert stats.uploads_arrived == (
                 stats.uploads_applied
-                + stats.stale_dropped
-                + stats.uploads_buffered
+                + fates.stale_dropped
+                + fates.uploads_parked
             )
             assert stats.rounds_closed_by_buffer + stats.rounds_closed_by_deadline == 8
+
+    @pytest.mark.parametrize("asynchronous", [False, True], ids=["sync", "async"])
+    def test_one_late_upload_record(self, tiny_dataset, asynchronous):
+        # Stragglers under a staleness cap: in both round modes dropout
+        # alone is "dropped", and a straggler past the cap counts as a
+        # stale drop, not as a dropout.
+        cfg = _config(
+            "mf",
+            asynchrony=AsyncConfig(enabled=asynchronous),
+            faults=FaultConfig(straggler_rate=0.3, max_staleness=1),
+        )
+        result = FederatedSimulation(cfg, tiny_dataset).run()
+        fates, stats = result.fault_stats, result.async_stats
+        assert fates.dropped_uploads == 0
+        assert fates.stale_dropped > 0
+        if asynchronous:
+            assert stats.uploads_arrived == (
+                stats.uploads_applied + fates.stale_dropped + fates.uploads_parked
+            )
+        else:
+            assert fates.deferred_uploads == (
+                fates.stale_applied + fates.stale_dropped + fates.uploads_parked
+            )
 
 
 class TestBatchedTransit:
@@ -318,9 +355,7 @@ class TestBatchedTransit:
         instant._step()  # wave 0's dispatch
         assert [e[1].num_clients for e in self._arrivals(instant)] == [16]
 
-        poisson = self._engine(
-            tiny_dataset, dataclasses.replace(CHURNY, churn_rate=0.0)
-        )
+        poisson = self._engine(tiny_dataset, BUSY)
         poisson._step()
         # Continuous offsets: every client lands at its own instant.
         assert [e[1].num_clients for e in self._arrivals(poisson)] == [1] * 16
@@ -347,16 +382,15 @@ class TestBatchedTransit:
         assert stats.uploads_applied == 5
         assert len(self._arrivals(engine)) == 1
         assert stats.uploads_in_flight == 11
-        assert stats.clients_dispatched == (
-            stats.uploads_cancelled + stats.uploads_arrived + stats.uploads_in_flight
-        )
+        assert engine.transit.counts["dropped_uploads"] == 0
+        assert stats.clients_dispatched == stats.uploads_arrived + stats.uploads_in_flight
 
     def test_parked_wave_unchanged_after_next_wave_trains(self, tiny_dataset):
         asyn = AsyncConfig(enabled=True, buffer_size=100, round_deadline=5.0)
         engine = self._engine(tiny_dataset, asyn, "ncf", "pieck_uea")
-        while not engine.buffer.pending:
+        while not engine.transit.pending:
             engine._step()
-        parked = engine.buffer.entries[0][0]
+        parked = engine.transit.entries[0][0]
 
         def snapshot():
             arrays = [parked.item_ids, parked.item_grads, *parked.param_stacks]
@@ -365,7 +399,7 @@ class TestBatchedTransit:
         before = snapshot()
         while engine.counts["waves_dispatched"] < 3:
             engine._step()
-        assert engine.buffer.entries[0][0] is parked
+        assert engine.transit.entries[0][0] is parked
         assert snapshot() == before
 
 
@@ -374,7 +408,7 @@ class TestCheckpointResume:
         # The hard case: in-flight uploads and a part-filled buffer
         # cross the checkpoint boundary inside the pickled event heap.
         cfg = _config("mf", attack="pieck_ipe", defense="median",
-                      asynchrony=CHURNY, faults=STALENESS)
+                      asynchrony=BUSY, faults=CHURN)
         reference = FederatedSimulation(cfg, tiny_dataset)
         ref = _snapshot(reference, reference.run())
         assert ref["async_stats"].uploads_in_flight > 0  # heap non-empty
@@ -386,6 +420,7 @@ class TestCheckpointResume:
         got = _snapshot(resumed, resumed.run(checkpoint_dir=ckpt_dir,
                                              checkpoint_every=2))
         _assert_bit_identical(got, ref)
+        assert got["fault_stats"] == ref["fault_stats"]
         assert got["async_stats"] == ref["async_stats"]
 
     def test_sync_checkpoint_rejected_by_async_sim(self, tiny_dataset, tmp_path):
@@ -408,10 +443,10 @@ class TestGuards:
             LoopSimulation(cfg, tiny_dataset)
 
     def test_faults_and_async_compose(self, tiny_dataset):
-        # Every fault kind fires under asynchrony: dropout joins churn
-        # in the cancel count, stragglers land late, corrupted uploads
-        # reach the server gate; both stats stay conserved.
-        cfg = _config("mf", asynchrony=CHURNY, faults=FAULTY)
+        # Every fault kind fires under asynchrony: dropout cancels,
+        # stragglers land late, corrupted uploads reach the server gate;
+        # both records stay conserved.
+        cfg = _config("mf", asynchrony=BUSY, faults=FAULTY)
         sim = FederatedSimulation(cfg, tiny_dataset)
         result = sim.run()
         faults, stats = result.fault_stats, result.async_stats
@@ -419,9 +454,11 @@ class TestGuards:
         assert faults.deferred_uploads > 0
         assert faults.corrupted_uploads > 0
         assert faults.rejected_nonfinite > 0
-        assert stats.uploads_cancelled > faults.dropped_uploads
         assert stats.clients_dispatched == (
-            stats.uploads_cancelled + stats.uploads_arrived + stats.uploads_in_flight
+            faults.dropped_uploads + stats.uploads_arrived + stats.uploads_in_flight
+        )
+        assert stats.uploads_arrived == (
+            stats.uploads_applied + faults.stale_dropped + faults.uploads_parked
         )
         assert np.isfinite(sim.model.item_embeddings).all()
 
@@ -472,7 +509,9 @@ class TestConfigValidation:
             {"arrival_rate": 0.0},
             {"compute_mean": -0.1},
             {"network_mean": -0.1},
-            {"churn_rate": 1.5},
+            # Offsets only the trace process reads would split one run
+            # into two identities.
+            {"trace_offsets": (0.5,)},
             {"buffer_size": -1},
             {"round_interval": 0.0},
             {"round_deadline": 0.0},
@@ -485,7 +524,7 @@ class TestConfigValidation:
             {"round_deadline": math.nan},
             {"compute_mean": math.nan},
             {"network_mean": math.inf},
-            {"churn_rate": math.nan},
+            {"arrival_rate": math.inf},
             {"trace_offsets": (math.inf,)},
         ],
     )
@@ -507,9 +546,10 @@ class TestConfigValidation:
     def test_results_roundtrip_async_stats(self, tiny_dataset, tmp_path):
         from repro import persistence
 
-        cfg = _config("mf", asynchrony=CHURNY, faults=STALENESS)
+        cfg = _config("mf", asynchrony=BUSY, faults=CHURN)
         result = FederatedSimulation(cfg, tiny_dataset).run()
         path = str(tmp_path / "result.json")
         persistence.save_result(result, path)
         loaded = persistence.load_result(path)
+        assert loaded.fault_stats == result.fault_stats
         assert loaded.async_stats == result.async_stats

@@ -1,20 +1,26 @@
-"""Property-based tests for the staleness buffer.
+"""Property-based tests for the upload transit's staleness buffer.
 
-:class:`repro.federated.faults.StalenessBuffer` holds every late upload
-of the runtime — the fault layer's stragglers and the asynchronous
-engine's arrivals — as ``(UpdateBatch part, origin, due)`` entries, and
-must never lose, duplicate or reorder a client.  Hypothesis drives it
-with randomized park/drain schedules and asserts the invariants both
-callers rely on: conservation (every parked client applied or dropped
-exactly once, ``pending`` counted in clients), FIFO among due entries,
-a discount that never grows with delay, delay-0 parts returned as the
-same arrays, the ``max_staleness`` boundary, and parts that keep their
-own precision.
+:class:`repro.federated.faults.UploadTransit` holds every late upload
+of the runtime — synchronous stragglers and the asynchronous engine's
+arrivals — as ``(UpdateBatch part, origin, due)`` entries, and must
+never lose, duplicate or reorder a client.  Hypothesis drives its
+``park`` / ``drain`` with randomized schedules and asserts the
+invariants both round modes rely on: conservation (every parked client
+applied or dropped exactly once, ``pending`` counted in clients), FIFO
+among due entries, a discount that never grows with delay, delay-0
+parts returned as the same arrays, the ``max_staleness`` boundary, and
+parts that keep their own precision.
 
-Whole runs of faults × asynchrony close the loop: whatever the fault
-rates and traffic, every dispatched client lands in exactly one
-:class:`~repro.federated.async_engine.AsyncStats` bucket, and a
-fault-dropped client is counted both as cancelled and as dropped.
+Whole runs close the loop with one set of conservation laws over
+:class:`~repro.federated.faults.FaultStats` and
+:class:`~repro.federated.async_engine.AsyncStats`:
+
+* synchronous, with stragglers and a staleness cap: ``deferred_uploads
+  == stale_applied + stale_dropped + uploads_parked``;
+* asynchronous, faults included: ``clients_dispatched ==
+  dropped_uploads + uploads_arrived + uploads_in_flight`` and
+  ``uploads_arrived == uploads_applied + stale_dropped +
+  uploads_parked``.
 """
 
 from __future__ import annotations
@@ -24,12 +30,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import AsyncConfig, ExperimentConfig, FaultConfig, ModelConfig, TrainConfig
-from repro.federated.faults import StalenessBuffer
+from repro.federated.faults import UploadTransit
 from repro.federated.payload import ClientUpdate
 from repro.federated.simulation import FederatedSimulation
 from repro.federated.update_batch import UpdateBatch
 
 FAST = settings(max_examples=60, deadline=None)
+
+
+def _buffer(discount: float, max_staleness: int = 0) -> UploadTransit:
+    """A transit used only for its staleness buffer."""
+    faults = FaultConfig(staleness_discount=discount, max_staleness=max_staleness)
+    return UploadTransit(faults, AsyncConfig(), seed=0)
 
 
 def _part(tag: int, clients: int = 1, dtype=np.float64, params: bool = False) -> UpdateBatch:
@@ -63,7 +75,7 @@ class TestStalenessBufferProperties:
     @FAST
     @given(schedule=schedules, max_staleness=st.integers(0, 8))
     def test_conservation(self, schedule, max_staleness):
-        buffer = StalenessBuffer(0.5, max_staleness)
+        buffer = _buffer(0.5, max_staleness)
         for tag, (clients, origin, wait) in enumerate(schedule):
             buffer.park(_part(tag, clients), origin, origin + wait)
         parked = sum(clients for clients, _, _ in schedule)
@@ -72,16 +84,14 @@ class TestStalenessBufferProperties:
         for now in range(12):
             drained += buffer.drain(now).num_clients
         assert buffer.pending == 0
-        tallies = buffer.tallies
-        assert drained == tallies["uploads_applied"]
-        assert tallies["uploads_applied"] + tallies["stale_dropped"] == parked
+        assert drained + buffer.counts["stale_dropped"] == parked
         # A drained buffer yields nothing more, not a replay.
         assert buffer.drain(12).num_clients == 0
 
     @FAST
     @given(schedule=schedules)
     def test_every_deferral_pops_exactly_once(self, schedule):
-        buffer = StalenessBuffer(0.5)
+        buffer = _buffer(0.5)
         for tag, (clients, origin, wait) in enumerate(schedule):
             buffer.park(_part(tag, clients), origin, origin + wait)
         seen = []
@@ -99,7 +109,7 @@ class TestStalenessBufferProperties:
     @FAST
     @given(schedule=schedules)
     def test_fifo_within_each_due_round(self, schedule):
-        buffer = StalenessBuffer(0.5)
+        buffer = _buffer(0.5)
         for tag, (clients, origin, wait) in enumerate(schedule):
             buffer.park(_part(tag, clients), origin, origin + wait)
         for now in range(12):
@@ -111,7 +121,7 @@ class TestStalenessBufferProperties:
     @given(schedule=schedules, now=st.integers(9, 12))
     def test_drain_deterministic_and_order_preserving(self, schedule, now):
         def run():
-            buffer = StalenessBuffer(0.5)
+            buffer = _buffer(0.5)
             for tag, (clients, origin, _) in enumerate(schedule):
                 buffer.park(_part(tag, clients, params=True), origin, origin)
             return buffer.drain(now)
@@ -136,7 +146,7 @@ class TestStalenessBufferProperties:
     )
     def test_discount_monotone_in_delay(self, origin, delay, discount):
         def drained_norm(now):
-            buffer = StalenessBuffer(discount)
+            buffer = _buffer(discount)
             buffer.park(_part(1, params=True), origin, origin)
             batch = buffer.drain(now)
             return np.abs(batch.item_grads).sum() + np.abs(batch.param_stacks[0]).sum()
@@ -149,7 +159,7 @@ class TestStalenessBufferProperties:
         # An arrival due one round after its origin, drained on time or
         # ``extra`` rounds late: the later drain is never larger.
         def drained_norm(now):
-            buffer = StalenessBuffer(0.5, max_staleness=0)
+            buffer = _buffer(0.5, max_staleness=0)
             buffer.park(_part(tag), origin, origin + 1)
             return np.abs(buffer.drain(now).item_grads).sum()
 
@@ -158,12 +168,12 @@ class TestStalenessBufferProperties:
     @FAST
     @given(schedule=schedules)
     def test_fresh_uploads_pass_through_untouched(self, schedule):
-        buffer = StalenessBuffer(0.25)
+        buffer = _buffer(0.25)
         parts = [_part(tag, clients) for tag, (clients, _, _) in enumerate(schedule)]
         for part in parts:
             buffer.park(part, 7, 7)  # origin == drain instant: delay 0
         drained = buffer.drain(7)
-        assert buffer.tallies["stale_applied"] == 0
+        assert buffer.counts["stale_applied"] == 0
         if len(parts) == 1:
             assert drained is parts[0]  # same arrays, no multiply
         row = 0
@@ -175,19 +185,19 @@ class TestStalenessBufferProperties:
     @FAST
     @given(now=st.integers(3, 8), max_staleness=st.integers(1, 5))
     def test_max_staleness_boundary(self, now, max_staleness):
-        buffer = StalenessBuffer(0.5, max_staleness)
+        buffer = _buffer(0.5, max_staleness)
         buffer.park(_part(1, clients=2), now - max_staleness, now)  # kept
         buffer.park(_part(2, clients=3), now - max_staleness - 1, now)  # dropped
         drained = buffer.drain(now)
         assert drained.num_clients == 2
-        assert buffer.tallies["uploads_applied"] == 2
-        assert buffer.tallies["stale_dropped"] == 3
-        assert buffer.tallies["max_staleness_applied"] == max_staleness
+        assert buffer.counts["stale_applied"] == 2
+        assert buffer.counts["stale_dropped"] == 3
+        assert buffer.counts["max_staleness_applied"] == max_staleness
 
     @FAST
     @given(delay=st.integers(0, 4), discount=st.floats(0.05, 1.0))
     def test_float32_parts_stay_float32(self, delay, discount):
-        buffer = StalenessBuffer(discount)
+        buffer = _buffer(discount)
         part = _part(3, clients=2, dtype=np.float32, params=True)
         buffer.park(part, 0, 0)
         drained = buffer.drain(delay)
@@ -204,52 +214,78 @@ fault_rates = st.tuples(
 )
 
 
+def _run(faults: FaultConfig, asynchrony: AsyncConfig, tiny_dataset):
+    config = ExperimentConfig(
+        model=ModelConfig(kind="mf", embedding_dim=4, seed=3),
+        train=TrainConfig(rounds=6, users_per_round=12, lr=1.0, eval_every=0),
+        faults=faults,
+        asynchrony=asynchrony,
+        seed=3,
+    )
+    return FederatedSimulation(config, tiny_dataset).run()
+
+
+class TestSyncStragglers:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        rates=fault_rates,
+        max_delay=st.integers(1, 3),
+        max_staleness=st.integers(0, 3),
+    )
+    def test_conservation(self, tiny_dataset, rates, max_delay, max_staleness):
+        dropout, straggler, corruption = rates
+        faults = FaultConfig(
+            dropout_rate=dropout,
+            straggler_rate=straggler,
+            straggler_max_delay=max_delay,
+            corruption_rate=corruption,
+            max_staleness=max_staleness,
+        )
+        fates = _run(faults, AsyncConfig(), tiny_dataset).fault_stats
+        # Every straggler is applied late, dropped stale or still parked.
+        assert fates.deferred_uploads == (
+            fates.stale_applied + fates.stale_dropped + fates.uploads_parked
+        )
+        assert fates.max_staleness_applied <= max_delay
+        if max_staleness:
+            assert fates.max_staleness_applied <= max_staleness
+
+
 class TestFaultsUnderAsynchrony:
     @settings(max_examples=12, deadline=None)
     @given(
         rates=fault_rates,
         max_delay=st.integers(1, 3),
         max_staleness=st.integers(0, 3),
-        churn=st.sampled_from([0.0, 0.2]),
         traffic=st.sampled_from(["instant", "poisson"]),
         buffer_size=st.sampled_from([0, 5]),
     )
     def test_conservation_with_faults(
-        self, tiny_dataset, rates, max_delay, max_staleness, churn, traffic, buffer_size
+        self, tiny_dataset, rates, max_delay, max_staleness, traffic, buffer_size
     ):
         dropout, straggler, corruption = rates
-        config = ExperimentConfig(
-            model=ModelConfig(kind="mf", embedding_dim=4, seed=3),
-            train=TrainConfig(rounds=6, users_per_round=12, lr=1.0, eval_every=0),
-            faults=FaultConfig(
-                dropout_rate=dropout,
-                straggler_rate=straggler,
-                straggler_max_delay=max_delay,
-                corruption_rate=corruption,
-                max_staleness=max_staleness,
-            ),
-            asynchrony=AsyncConfig(
-                enabled=True,
-                traffic=traffic,
-                network_mean=0.3,
-                churn_rate=churn,
-                buffer_size=buffer_size,
-            ),
-            seed=3,
+        faults = FaultConfig(
+            dropout_rate=dropout,
+            straggler_rate=straggler,
+            straggler_max_delay=max_delay,
+            corruption_rate=corruption,
+            max_staleness=max_staleness,
         )
-        result = FederatedSimulation(config, tiny_dataset).run()
-        stats, faults = result.async_stats, result.fault_stats
+        asynchrony = AsyncConfig(
+            enabled=True,
+            traffic=traffic,
+            network_mean=0.3,
+            buffer_size=buffer_size,
+        )
+        result = _run(faults, asynchrony, tiny_dataset)
+        stats, fates = result.async_stats, result.fault_stats
         assert stats.clients_dispatched == (
-            stats.uploads_cancelled + stats.uploads_arrived + stats.uploads_in_flight
+            fates.dropped_uploads + stats.uploads_arrived + stats.uploads_in_flight
         )
         assert stats.uploads_arrived == (
-            stats.uploads_applied + stats.stale_dropped + stats.uploads_buffered
+            stats.uploads_applied + fates.stale_dropped + fates.uploads_parked
         )
         assert stats.rounds_closed_by_buffer + stats.rounds_closed_by_deadline == 6
-        # Dropout is one source of cancellation, churn the other.
-        assert faults.dropped_uploads <= stats.uploads_cancelled
-        if churn == 0.0:
-            assert faults.dropped_uploads == stats.uploads_cancelled
-        assert faults.deferred_uploads + faults.corrupted_uploads <= (
-            stats.clients_dispatched - stats.uploads_cancelled
+        assert fates.deferred_uploads + fates.corrupted_uploads <= (
+            stats.clients_dispatched - fates.dropped_uploads
         )

@@ -189,16 +189,16 @@ class TestResumeBitIdentity:
 
     def test_faults_async_resume(self, tiny_dataset, tmp_path):
         # Faults × async: in-flight stragglers in the event heap and
-        # the transit's counters cross the boundary mid-stream.
+        # the transit's counters cross the boundary mid-stream; churn is
+        # the extra dropout.
         cfg = _config(
             "mf",
-            faults=dataclasses.replace(FAULTS, max_staleness=3),
+            faults=dataclasses.replace(FAULTS, dropout_rate=0.25, max_staleness=3),
             asynchrony=AsyncConfig(
                 enabled=True,
                 traffic="poisson",
                 arrival_rate=6.0,
                 network_mean=0.4,
-                churn_rate=0.1,
                 buffer_size=8,
             ),
         )
@@ -541,6 +541,10 @@ class TestCorruptionFallback:
             # v9 kept the fault buffer under "faults" and the async
             # buffer inside "async"; v10 holds one under "transit".
             "ckpt-v9",
+            # v10 nested the transit's buffer with counters of its own
+            # and drew async churn from the "async-plan" stream; v11's
+            # transit holds its entries itself and churn is dropout.
+            "ckpt-v10",
         ],
     )
     def test_old_checkpoint_is_refused_by_name(self, tmp_path, version):

@@ -82,11 +82,11 @@ class TestSpecParsing:
         assert cfg.min_quorum == 4
 
     def test_async_spec_parses_and_forces_enabled(self):
-        cfg = parse_async_spec("traffic=poisson,rate=6,churn=0.1,k=8,deadline=1.5")
+        cfg = parse_async_spec("traffic=poisson,rate=6,network=0.4,k=8,deadline=1.5")
         assert cfg.enabled is True
         assert cfg.traffic == "poisson"
         assert cfg.arrival_rate == 6.0
-        assert cfg.churn_rate == 0.1
+        assert cfg.network_mean == 0.4
         assert cfg.buffer_size == 8
         assert cfg.round_deadline == 1.5
 
@@ -149,8 +149,8 @@ class TestSpecParsing:
     def test_invalid_config_value_reported(self):
         import argparse
 
-        with pytest.raises(argparse.ArgumentTypeError, match="churn"):
-            parse_async_spec("churn=2.0")
+        with pytest.raises(argparse.ArgumentTypeError, match="buffer_size"):
+            parse_async_spec("k=-1")
 
     def test_cli_rejects_bad_spec_with_clean_exit(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -162,14 +162,15 @@ class TestSpecParsing:
         code = main(
             [
                 "run", "--attack", "pieck_uea", "--rounds", "3",
-                "--async", "traffic=poisson,rate=8,network=0.5,churn=0.2",
+                "--async", "traffic=poisson,rate=8,network=0.5",
+                "--faults", "dropout=0.2",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "runtime counters:" in out
         assert "waves dispatched" in out
-        assert "uploads cancelled" in out
+        assert "dropped uploads" in out
 
     def test_run_degenerate_async_matches_sync_output(self, capsys):
         main(["run", "--rounds", "2", "--seed", "5"])

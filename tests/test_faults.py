@@ -30,7 +30,7 @@ from repro.config import (
     ModelConfig,
     TrainConfig,
 )
-from repro.federated.faults import StalenessBuffer, UploadTransit
+from repro.federated.faults import UploadTransit
 from repro.federated.payload import ClientUpdate
 from repro.federated.server import Server
 from repro.federated.simulation import FederatedSimulation
@@ -298,21 +298,21 @@ class TestDegradationSemantics:
             UpdateBatch.from_updates([update]), [0], round_idx=0
         )
         assert first.num_clients == 0  # deferred, not applied
-        assert transit.buffer.pending == 1
+        assert transit.pending == 1
         arrivals = transit.sync_round(UpdateBatch.empty(2), [], round_idx=1)
         assert arrivals.num_clients == 1
         assert np.array_equal(arrivals.item_grads, grad * 0.5)
         assert transit.fault_counts()["stale_applied"] == 1
 
-    def test_stale_pending_counts_in_flight(self, tiny_dataset):
+    def test_uploads_parked_counts_in_flight(self, tiny_dataset):
         cfg = _config(
             rounds=3,
             faults=FaultConfig(straggler_rate=0.5, straggler_max_delay=3),
         )
         result = FederatedSimulation(cfg, tiny_dataset).run()
         stats = result.fault_stats
-        assert stats.deferred_uploads == stats.stale_applied + stats.stale_pending
-        assert stats.stale_pending > 0
+        assert stats.deferred_uploads == stats.stale_applied + stats.uploads_parked
+        assert stats.uploads_parked > 0
 
 
 # ----------------------------------------------------------------------
@@ -427,12 +427,16 @@ class TestSelectClients:
 
 
 # ----------------------------------------------------------------------
-# StalenessBuffer bookkeeping (properties: tests/test_async_properties.py)
+# The transit's staleness buffer (properties: tests/test_async_properties.py)
 # ----------------------------------------------------------------------
+
+def _buffer() -> UploadTransit:
+    return UploadTransit(FaultConfig(staleness_discount=0.5), AsyncConfig(), seed=0)
+
 
 class TestStalenessBuffer:
     def test_fifo_per_round(self):
-        buffer = StalenessBuffer(0.5)
+        buffer = _buffer()
         for tag in range(3):
             buffer.park(_part(tag), origin=4, due=5)
         buffer.park(_part(9), origin=4, due=6)
@@ -442,9 +446,9 @@ class TestStalenessBuffer:
         assert buffer.drain(5).num_clients == 0
 
     def test_state_roundtrip(self):
-        buffer = StalenessBuffer(0.5)
+        buffer = _buffer()
         buffer.park(_part(9), origin=1, due=2)
-        restored = StalenessBuffer(0.5)
+        restored = _buffer()
         restored.restore(buffer.state())
         assert restored.pending == 1
         assert restored.drain(2).user_ids.tolist() == [9]

@@ -97,7 +97,9 @@ class TestFaultStatsRoundtrip:
                 dropped_uploads=5,
                 deferred_uploads=3,
                 stale_applied=2,
-                stale_pending=1,
+                stale_dropped=1,
+                max_staleness_applied=2,
+                uploads_parked=1,
                 corrupted_uploads=4,
                 rejected_nonfinite=4,
                 rejected_oversized=1,

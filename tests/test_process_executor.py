@@ -35,6 +35,7 @@ from repro.config import (
     DatasetConfig,
     DefenseConfig,
     ExperimentConfig,
+    FaultConfig,
     ModelConfig,
     ShardingConfig,
     TrainConfig,
@@ -72,6 +73,7 @@ def sweep_config(
     negative_ratio: int = 1,
     rounds: int = 6,
     asynchrony: AsyncConfig = AsyncConfig(),
+    faults: FaultConfig = FaultConfig(),
 ) -> ExperimentConfig:
     """Seconds-scale config still exercising mining, poison, defense."""
     return ExperimentConfig(
@@ -94,6 +96,7 @@ def sweep_config(
         defense=DefenseConfig(name=defense, assumed_malicious_ratio=0.15),
         sharding=sharding,
         asynchrony=asynchrony,
+        faults=faults,
         seed=11,
     )
 
@@ -206,18 +209,18 @@ class TestExecutorParity:
 # Executor x asynchrony: waves train on the workers, same bits
 # ----------------------------------------------------------------------
 
-#: Uploads spread over virtual time, some lost, rounds closing early:
-#: stale uploads, a live event heap and a non-empty buffer at every
-#: checkpoint boundary.
+#: Uploads spread over virtual time, some lost (``CHURN``), rounds
+#: closing early: stale uploads, a live event heap and a non-empty
+#: buffer at every checkpoint boundary.
 BUSY_ASYNC = AsyncConfig(
     enabled=True,
     traffic="poisson",
     arrival_rate=6.0,
     compute_mean=0.4,
     network_mean=0.3,
-    churn_rate=0.15,
     buffer_size=8,
 )
+CHURN = FaultConfig(dropout_rate=0.15)
 
 
 class TestExecutorUnderAsynchrony:
@@ -235,16 +238,19 @@ class TestExecutorUnderAsynchrony:
     @pytest.mark.parametrize("attack", ["none", "pieck_uea"])
     def test_busy_schedule_equals_in_process_async(self, attack):
         with FederatedSimulation(
-            sweep_config(attack=attack, asynchrony=BUSY_ASYNC)
+            sweep_config(attack=attack, asynchrony=BUSY_ASYNC, faults=CHURN)
         ) as sim:
             in_process = _final_state(sim, sim.run())
-            stats = sim.async_stats()
-        assert stats.stale_applied and stats.uploads_cancelled
+            stats, fates = sim.async_stats(), sim.fault_stats()
+        assert fates.stale_applied and fates.dropped_uploads
         with FederatedSimulation(
-            sweep_config(attack=attack, asynchrony=BUSY_ASYNC, sharding=SHARDED)
+            sweep_config(
+                attack=attack, asynchrony=BUSY_ASYNC, faults=CHURN, sharding=SHARDED
+            )
         ) as sim:
             multi = _final_state(sim, sim.run())
             assert sim.async_stats() == stats
+            assert sim.fault_stats() == fates
             assert sim._batch_engine.process_rounds == stats.waves_dispatched
         _assert_final_identical(multi, in_process)
 

@@ -13,6 +13,7 @@ from repro.rng import (
     _JUMP_CHUNK,
     _seed_sequence_states,
     derive_seed,
+    derive_seed_batch,
     make_rng,
     spawn,
     spawn_batch,
@@ -56,6 +57,18 @@ class TestDeriveSeed:
 
     def test_extra_label_changes_seed(self):
         assert derive_seed(7, "a") != derive_seed(7, "a", 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        ids=st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
+        suffix=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=3),
+    )
+    def test_batch_folds_any_int_suffix_like_scalar(self, seed, ids, suffix):
+        # Negative and wider-than-64-bit suffix labels fold as the
+        # scalar ``acc ^ label`` does, modulo 2**64.
+        batch = derive_seed_batch(seed, ("x",), np.array(ids), tuple(suffix))
+        assert batch.tolist() == [derive_seed(seed, "x", i, *suffix) for i in ids]
 
 
 class TestSpawn:

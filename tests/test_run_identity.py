@@ -36,7 +36,7 @@ KNOB_PATHS = ["sharding", "train.eval_chunk_users", "train.kernels"]
 
 IDENTITY_PATHS = [
     "asynchrony.arrival_rate", "asynchrony.buffer_size",
-    "asynchrony.churn_rate", "asynchrony.compute_mean", "asynchrony.enabled",
+    "asynchrony.compute_mean", "asynchrony.enabled",
     "asynchrony.network_mean", "asynchrony.round_deadline",
     "asynchrony.round_interval", "asynchrony.trace_offsets",
     "asynchrony.traffic",
