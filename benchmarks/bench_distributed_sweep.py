@@ -1,23 +1,23 @@
-"""Distributed sweep backend: multi-worker throughput, chaos, integrity.
+"""Runs sharing one sweep cache: multi-worker throughput, chaos, integrity.
 
-Not a paper table — this benchmarks the crash-tolerant distributed
-execution layer (``repro.experiments.backend``) and its integrity
-guarantees:
+Not a paper table — this benchmarks the crash-tolerant lease drain
+every cached ``SweepRunner`` runs (``repro.experiments.backend`` holds
+the leases) and its integrity guarantees:
 
-* **Chaos drill.** Two independent ``SharedCacheBackend`` worker
-  processes drain a reduced Table IV grid against one cache directory;
-  one of them is SIGKILLed mid-cell.  Acceptance: the survivor (plus a
-  relaunched worker) finishes the grid, at least one stale lease is
-  reclaimed, the cache is byte-identical to the sequential reference,
-  and ``repro fsck`` reports zero corruption.
-* **2-worker throughput.** Wall-clock of two cooperating shared-cache
-  workers vs a single worker on the same grid.  Acceptance on a
+* **Chaos drill.** Independent cached ``SweepRunner`` processes drain
+  a reduced Table IV grid against one cache directory; the first is
+  SIGKILLed mid-cell.  Acceptance: a relaunched runner finishes the
+  grid, at least one stale lease is reclaimed (a retry), the cache is
+  byte-identical to the sequential reference, and ``repro fsck``
+  reports zero corruption.
+* **2-worker throughput.** Wall-clock of two cooperating runner
+  processes vs a single one on the same grid.  Acceptance on a
   >= 4-core machine: ``>= 1.8x`` speedup; on smaller machines the
   ratio is recorded but not enforced (two processes cannot beat the
   physics of one core).
-* **Coordination overhead.** Single shared-cache worker vs
-  ``LocalBackend`` inline on the same grid — the lease/heartbeat cost
-  per cell is recorded (never enforced; it is information, not a
+* **Coordination overhead.** A single runner process vs the inline
+  runner of this process on the same grid — the process and lease
+  cost is recorded (never enforced; it is information, not a
   contract).
 * **Warm-cache floor.** A re-run over the populated cache must be
   served >= 90% from cache, same floor as the local sweep bench.
@@ -42,7 +42,6 @@ import tempfile
 import time
 
 from _harness import emit_bench_json
-from repro.experiments.backend import SharedCacheBackend
 from repro.experiments.presets import dataset_config, experiment
 from repro.experiments.sweep import CellSpec, SweepRunner
 from repro.persistence import fsck_paths
@@ -76,13 +75,12 @@ def _grid(attacks, defenses, rounds):
     return specs, {dataset: dataset_config(dataset, seed=0)}
 
 
-def _worker_main(attacks, defenses, rounds, cache_dir, owner, stats_path):
-    """One shared-cache worker process draining the benchmark grid."""
+def _worker_main(attacks, defenses, rounds, cache_dir, stats_path):
+    """One cached runner process draining the benchmark grid."""
     specs, datasets = _grid(attacks, defenses, rounds)
-    backend = SharedCacheBackend(
-        owner=owner, lease_ttl=LEASE_TTL, poll_interval=0.05, wait_timeout=600.0
+    runner = SweepRunner(
+        cache_dir=cache_dir, lease_ttl=LEASE_TTL, cell_timeout=600.0
     )
-    runner = SweepRunner(cache_dir=cache_dir, backend=backend)
     runner.run(specs, datasets)
     stats = runner.last_stats
     with open(stats_path, "w") as handle:
@@ -90,7 +88,7 @@ def _worker_main(attacks, defenses, rounds, cache_dir, owner, stats_path):
             {
                 "executed": stats.executed,
                 "peer_served": stats.peer_served,
-                "reclaimed": stats.reclaimed,
+                "retries": stats.retries,
                 "cache_hits": stats.cache_hits,
                 "quarantined": stats.quarantined,
             },
@@ -98,10 +96,10 @@ def _worker_main(attacks, defenses, rounds, cache_dir, owner, stats_path):
         )
 
 
-def _spawn(ctx, attacks, defenses, rounds, cache_dir, owner, stats_path):
+def _spawn(ctx, attacks, defenses, rounds, cache_dir, stats_path):
     proc = ctx.Process(
         target=_worker_main,
-        args=(attacks, defenses, rounds, cache_dir, owner, stats_path),
+        args=(attacks, defenses, rounds, cache_dir, stats_path),
     )
     proc.start()
     return proc
@@ -115,7 +113,7 @@ def _drain_with_workers(attacks, defenses, rounds, cache_dir, count, tag):
     procs = [
         _spawn(
             ctx, attacks, defenses, rounds, cache_dir,
-            f"{tag}-{i}", os.path.join(stats_dir, f"{tag}-{i}.json"),
+            os.path.join(stats_dir, f"{tag}-{i}.json"),
         )
         for i in range(count)
     ]
@@ -145,7 +143,7 @@ def _chaos_drill(attacks, defenses, rounds, seq_bytes):
     stats_dir = tempfile.mkdtemp(prefix="dist-chaos-stats-")
     victim = _spawn(
         ctx, attacks, defenses, rounds, cache_dir,
-        "victim", os.path.join(stats_dir, "victim.json"),
+        os.path.join(stats_dir, "victim.json"),
     )
     # Let the victim claim its first lease, then kill it dead mid-cell.
     deadline = time.time() + 300
@@ -159,8 +157,7 @@ def _chaos_drill(attacks, defenses, rounds, seq_bytes):
 
     survivor_stats_path = os.path.join(stats_dir, "survivor.json")
     survivor = _spawn(
-        ctx, attacks, defenses, rounds, cache_dir, "survivor",
-        survivor_stats_path,
+        ctx, attacks, defenses, rounds, cache_dir, survivor_stats_path,
     )
     survivor.join()
     assert survivor.exitcode == 0, "survivor failed to finish the grid"
@@ -168,7 +165,7 @@ def _chaos_drill(attacks, defenses, rounds, seq_bytes):
 
     leases = [n for n in os.listdir(cache_dir) if n.endswith(".lease")]
     assert leases == [], f"leases left after recovery: {leases}"
-    assert stats["reclaimed"] >= 1, (
+    assert stats["retries"] >= 1, (
         "the survivor reclaimed no lease — the SIGKILL landed between "
         "cells; rerun the drill"
     )
@@ -179,7 +176,8 @@ def _chaos_drill(attacks, defenses, rounds, seq_bytes):
     assert report.clean, f"fsck found corruption after chaos: {report.summary()}"
     print(
         f"  chaos: survivor executed {stats['executed']} cells, "
-        f"reclaimed {stats['reclaimed']} lease(s); fsck: {report.summary()}"
+        f"retried {stats['retries']} after a stale lease; "
+        f"fsck: {report.summary()}"
     )
     return stats
 
@@ -204,20 +202,20 @@ def main(argv: list[str]) -> int:
     seq_results = seq_runner.run(specs, datasets)
     local_seconds = time.perf_counter() - started
     seq_bytes = _cache_bytes(seq_dir)
-    print(f"  LocalBackend inline: {local_seconds:.2f}s")
+    print(f"  inline runner: {local_seconds:.2f}s")
 
-    # -- single shared-cache worker: coordination overhead -------------
+    # -- single runner process: coordination overhead ------------------
     one_dir = tempfile.mkdtemp(prefix="dist-one-")
     one_seconds, _ = _drain_with_workers(
         attacks, defenses, rounds, one_dir, 1, "solo"
     )
     assert _cache_bytes(one_dir) == seq_bytes, (
-        "single shared-cache worker cache differs from sequential"
+        "single runner process cache differs from sequential"
     )
     overhead = one_seconds / max(local_seconds, 1e-9)
     print(
-        f"  SharedCacheBackend x1: {one_seconds:.2f}s "
-        f"(coordination overhead {overhead:.2f}x vs LocalBackend)"
+        f"  runner processes x1: {one_seconds:.2f}s "
+        f"(coordination overhead {overhead:.2f}x vs inline)"
     )
 
     # -- two cooperating workers: throughput ---------------------------
@@ -232,16 +230,13 @@ def main(argv: list[str]) -> int:
     assert executed >= len(specs), "workers under-account executed cells"
     speedup = one_seconds / max(two_seconds, 1e-9)
     print(
-        f"  SharedCacheBackend x2: {two_seconds:.2f}s "
+        f"  runner processes x2: {two_seconds:.2f}s "
         f"(speedup {speedup:.2f}x vs one worker; "
         f"split {[s['executed'] for s in two_stats]})"
     )
 
     # -- warm re-run over the populated cache --------------------------
-    warm_runner = SweepRunner(
-        cache_dir=two_dir,
-        backend=SharedCacheBackend(owner="warm", lease_ttl=LEASE_TTL),
-    )
+    warm_runner = SweepRunner(cache_dir=two_dir, lease_ttl=LEASE_TTL)
     started = time.perf_counter()
     warm_results = warm_runner.run(specs, datasets)
     warm_seconds = time.perf_counter() - started
@@ -269,7 +264,7 @@ def main(argv: list[str]) -> int:
             "two_worker_speedup": round(speedup, 3),
             "cache_warm_s": round(warm_seconds, 3),
             "cache_hit_ratio": round(warm_stats.hit_ratio, 3),
-            "chaos_reclaimed": chaos_stats["reclaimed"],
+            "chaos_retries": chaos_stats["retries"],
             "chaos_survivor_executed": chaos_stats["executed"],
             "speedup_floor_enforced": (not smoke) and cores >= 4,
         },

@@ -55,7 +55,6 @@ from repro.config import (
     TrainConfig,
 )
 from repro.datasets.base import InteractionDataset
-from repro.experiments.backend import LocalBackend
 from repro.experiments.presets import dataset_config, experiment
 from repro.experiments.sweep import CellSpec, SweepRunner
 from repro.federated.shards import list_repro_segments
@@ -173,9 +172,7 @@ def sweep_pool_leg() -> tuple[list, list, list[str]]:
     results = []
     for workers in (2, 0):
         with tempfile.TemporaryDirectory(prefix="million-sweep-") as cache_dir:
-            runner = SweepRunner(
-                cache_dir=cache_dir, backend=LocalBackend(workers=workers)
-            )
+            runner = SweepRunner(cache_dir=cache_dir, workers=workers)
             results.append(runner.run(specs, datasets))
         if workers:
             mine = f"repro_shm_{os.getpid()}_"

@@ -16,7 +16,8 @@ Commands
     orchestrator: cells run on a process pool (``--workers``) and
     completed cells are recalled from a content-addressed on-disk
     cache (``--cache-dir``), so re-runs skip finished work and
-    interrupted sweeps resume.
+    interrupted sweeps resume.  Invocations on one ``--cache-dir``
+    share the grid through lease files.
 
 ``audit``
     Run one attacked experiment with the server audit log enabled and
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from typing import Callable, Sequence
@@ -99,6 +101,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be a finite number of seconds > 0")
     return value
 
 
@@ -348,33 +357,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--cell-timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
-        help="kill and retry a pooled cell running longer than this",
-    )
-    sweep.add_argument(
-        "--backend",
-        choices=("local", "shared"),
-        default="local",
-        help="'local' = this process only (inline or pool); 'shared' = "
-        "cooperate with other workers pointed at the same --cache-dir "
-        "through lease files (requires --cache-dir)",
-    )
-    sweep.add_argument(
-        "--owner",
-        metavar="ID",
-        default=None,
-        help="worker identity recorded in lease files (--backend shared; "
-        "default: hostname-pid)",
+        help="kill and retry a pooled cell running longer than this, and "
+        "give up on cells peers hold after this long without progress",
     )
     sweep.add_argument(
         "--lease-ttl",
-        type=float,
+        type=_positive_seconds,
         default=30.0,
         metavar="SECONDS",
-        help="a lease not heartbeated for this long is considered "
-        "abandoned and reclaimed (--backend shared; default 30)",
+        help="a peer's cell lease not heartbeated for this long is taken "
+        "to be abandoned and reclaimed (--cache-dir; default 30)",
     )
     sweep.add_argument(
         "--dry-run",
@@ -589,11 +584,7 @@ def _print_dry_run_plan(table_id: str, plan: list[dict]) -> None:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.sweep import (
-        SharedCacheBackend,
-        SweepDryRun,
-        SweepRunner,
-    )
+    from repro.experiments.sweep import SweepDryRun, SweepRunner
 
     error = _unknown_table_ids(args.ids)
     if error:
@@ -601,31 +592,20 @@ def _command_sweep(args: argparse.Namespace) -> int:
         raise SystemExit(2)
     ids = list(args.ids) or sorted(_TABLES, key=lambda x: int(x))
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    backend = None
-    if args.backend == "shared":
-        if not args.cache_dir:
-            print(
-                "--backend shared coordinates through the cache directory; "
-                "pass --cache-dir",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-        backend = SharedCacheBackend(owner=args.owner, lease_ttl=args.lease_ttl)
     runner = SweepRunner(
         workers=workers,
         cache_dir=args.cache_dir,
         max_retries=args.max_retries,
         cell_timeout=args.cell_timeout,
-        backend=backend,
+        lease_ttl=args.lease_ttl,
         dry_run=args.dry_run,
     )
-    if args.backend == "shared":
-        mode = f"shared cache, worker {backend.owner}"
-    elif workers >= 2:
-        mode = f"{workers} workers"
-    else:
-        mode = "sequential"
-    cache = args.cache_dir if args.cache_dir else "disabled"
+    mode = f"{workers} workers" if workers >= 2 else "sequential"
+    cache = (
+        f"{args.cache_dir}, cells leased with peers"
+        if args.cache_dir
+        else "disabled"
+    )
     action = "dry run" if args.dry_run else "sweep"
     print(f"{action}: tables {', '.join(ids)} ({mode}, cache: {cache})\n")
     if args.dry_run:
@@ -652,11 +632,9 @@ def _command_sweep(args: argparse.Namespace) -> int:
         f"{stats.cache_hits} from cache, {stats.executed} executed"
     )
     if stats.peer_served:
-        line += f", {stats.peer_served} served by peer workers"
+        line += f", {stats.peer_served} served by peer runs"
     if stats.retries:
-        line += f", {stats.retries} retried after worker failures"
-    if stats.reclaimed:
-        line += f", {stats.reclaimed} leases reclaimed from dead workers"
+        line += f", {stats.retries} run again after their executor died"
     if stats.quarantined:
         line += f", {stats.quarantined} corrupt entries quarantined"
     if args.cache_dir:

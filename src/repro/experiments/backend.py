@@ -1,68 +1,47 @@
-"""Pluggable execution backends for the sweep orchestrator.
+"""Cell leases and failures of a sweep's drain.
 
-:class:`~repro.experiments.sweep.SweepRunner` decides *what* runs (cell
-specs, cache keys, stats); a backend decides *where and how* the
-pending cells execute:
-
-* :class:`LocalBackend` — the single-machine reference: cells run
-  inline in the calling process (``workers <= 1``) or on a
-  self-healing pool of forked workers (a crashed or hung worker is
-  respawned and its cell retried with exponential backoff).  This is
-  the path every table generator has always used.
-* :class:`SharedCacheBackend` — N *independent* worker processes (same
-  host, or many hosts over a shared filesystem) cooperatively drain
-  one cell grid using **only the content-addressed cache directory**
-  for coordination.  No scheduler, no sockets: a worker claims a cell
-  by atomically creating ``<entry>.lease`` (``O_CREAT | O_EXCL``),
-  heartbeats the lease's mtime while executing, and releases it after
-  the entry lands.  A worker that dies mid-cell stops heartbeating;
-  once the lease goes stale (``lease_ttl`` without a refresh) any
-  peer reclaims it through an atomic token-confirmed takeover and
-  re-runs the cell.  Cell execution is idempotent and deterministic,
-  so the rare reclaim race that leaves two workers executing the same
-  cell is harmless: both produce byte-identical entries and the last
-  atomic ``os.replace`` wins.
-
-Every degradation path is counted, never silent: reclaimed leases and
-peer-served cells flow back through :class:`BackendReport` into
-:class:`~repro.experiments.sweep.SweepStats`.
+:meth:`~repro.experiments.sweep.SweepRunner.run` executes every cell
+that has a cache key under a lease file next to its entry, so any
+number of runs pointed at one cache directory (terminals, hosts over a
+shared filesystem) partition the grid among themselves with no
+coordinator.  This module holds the lease primitives and the failure
+types of that drain.
 
 Lease protocol state machine (per cell)::
 
     UNCLAIMED --O_CREAT|O_EXCL succeeds--> CLAIMED(owner A)
-    CLAIMED   --heartbeat (mtime refresh every interval)--> CLAIMED
+    CLAIMED   --heartbeat (mtime refresh every ttl / 4)--> CLAIMED
     CLAIMED   --entry written, lease unlinked--> COMPLETE
+    CLAIMED   --A's retry after its worker died--> CLAIMED(owner A)
     CLAIMED   --owner dies; ttl elapses--> STALE
     STALE     --atomic os.replace takeover + token read-back--> CLAIMED(owner B)
 
-The token read-back after a takeover confirms ownership: when two
-peers race to reclaim the same stale lease, the file holds exactly one
-token, so at most one reclaimer *confirms*; a loser that confirmed
-against an already-overwritten read executes the cell redundantly —
-covered by idempotency, and bounded by the backoff.
+The owner is one run of one runner, not a worker process.  Its own
+lease it takes over at once (the supervisor never runs one task twice
+at the same time); another owner's lease only once it is stale.  The
+token read-back after a takeover confirms ownership: when two peers
+race to reclaim the same stale lease, the file holds exactly one
+token, so at most one reclaimer *confirms*.  Cell execution is
+idempotent and deterministic, so a rare race that leaves two
+executors on one cell is harmless: both write byte-identical entries
+and the last atomic ``os.replace`` wins.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
-
-import numpy as np
-
-from repro.workers import Failure, Supervisor
+from typing import Any, Iterator, Sequence
 
 __all__ = [
-    "BackendReport",
     "CellFailure",
-    "ExecutionBackend",
-    "LocalBackend",
-    "SharedCacheBackend",
     "SweepExecutionError",
+    "acquire_lease",
+    "hold_lease",
     "lease_path_for",
     "try_claim_lease",
     "try_reclaim_lease",
@@ -78,7 +57,7 @@ LEASE_SUFFIX = ".lease"
 
 @dataclass(frozen=True)
 class CellFailure:
-    """One cell a backend could not complete."""
+    """One cell a sweep could not complete."""
 
     index: int  # position in the submitted cell list
     kind: str
@@ -86,36 +65,16 @@ class CellFailure:
     error: str  # last failure observed for this cell
 
 
-@dataclass
-class BackendReport:
-    """Execution accounting one backend run hands back to the runner."""
-
-    #: Cells this process executed itself.
-    executed: int = 0
-    #: Cells completed by a peer worker (their cache entry appeared).
-    peer_served: int = 0
-    #: Cell executions rerun after a crash / timeout (local pool).
-    retries: int = 0
-    #: Stale leases of dead workers taken over by this process.
-    reclaimed: int = 0
-
-
 class SweepExecutionError(RuntimeError):
     """Raised when cells remain unfinished after every recovery path.
 
     Completed cells are already in the cache (entries are written the
     moment each cell finishes), so rerunning the same sweep resumes
-    from them; ``failures`` lists exactly what is missing and why, and
-    ``report`` carries the accounting up to the failure.
+    from them; ``failures`` lists exactly what is missing and why.
     """
 
-    def __init__(
-        self,
-        failures: Sequence[CellFailure],
-        report: BackendReport | None = None,
-    ):
+    def __init__(self, failures: Sequence[CellFailure]):
         self.failures = tuple(failures)
-        self.report = report if report is not None else BackendReport()
         detail = "; ".join(
             f"cell {f.index} ({f.kind}) after {f.attempts} attempts: {f.error}"
             for f in self.failures
@@ -124,131 +83,6 @@ class SweepExecutionError(RuntimeError):
             f"{len(self.failures)} sweep cell(s) failed permanently: {detail}"
         )
 
-
-class ExecutionBackend:
-    """Strategy interface: execute the cells the cache could not serve.
-
-    ``pending`` is a list of ``(index, key)`` pairs (``key`` is ``None``
-    without a cache); the backend fills ``results[index]`` for each,
-    persisting finished cells through ``store`` the moment they land.
-    ``load_cached`` re-checks the cache (used by coordinating backends
-    to pick up peers' results) and ``entry_path`` maps a key to its
-    cache-entry path (for lease placement).  Raises
-    :class:`SweepExecutionError` when cells remain unfinished.
-    """
-
-    def run_pending(
-        self,
-        *,
-        cells: Sequence[Any],
-        loaded: dict[str, Any],
-        pending: list[tuple[int, str | None]],
-        results: list[Any],
-        store: Callable[[str | None, Any, Any], None],
-        load_cached: Callable[[str], Any | None],
-        entry_path: Callable[[str], str] | None = None,
-    ) -> BackendReport:
-        raise NotImplementedError
-
-
-# ----------------------------------------------------------------------
-# LocalBackend: inline or a self-healing worker pool (the reference)
-# ----------------------------------------------------------------------
-
-class LocalBackend(ExecutionBackend):
-    """Single-machine execution: inline, or a self-healing worker pool.
-
-    ``workers <= 1`` (or a single pending cell) runs everything inline
-    in the calling process — the sequential reference path.  Otherwise
-    pending cells run on a :class:`~repro.workers.Supervisor` of forked
-    workers, each taking the next cell when idle; the workers inherit
-    the loaded datasets with the fork, so nothing is shipped to them.
-
-    The pooled path is **self-healing per cell**: a cell whose worker
-    died, or that ran longer than ``cell_timeout`` seconds (its worker
-    is then killed), is run again on a respawned worker after an
-    exponential backoff (``retry_backoff * 2**(retry - 1)`` seconds),
-    up to ``max_retries`` extra attempts; other cells carry on
-    meanwhile.  Cells that still have no result are reported in a
-    structured :class:`SweepExecutionError`.  Determinism makes
-    retrying free of semantics: a cell's value never depends on which
-    worker (or which attempt) computed it.
-    """
-
-    def __init__(
-        self,
-        *,
-        workers: int = 0,
-        max_retries: int = 2,
-        retry_backoff: float = 0.5,
-        cell_timeout: float | None = None,
-    ):
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise ValueError("cell_timeout must be positive")
-        self.workers = workers
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.cell_timeout = cell_timeout
-
-    def run_pending(
-        self,
-        *,
-        cells,
-        loaded,
-        pending,
-        results,
-        store,
-        load_cached,
-        entry_path=None,
-    ) -> BackendReport:
-        from repro.experiments.sweep import execute_cell
-
-        def run(index: int):
-            spec = cells[index]
-            return execute_cell(spec, loaded[spec.dataset_key])
-
-        if self.workers < 2 or len(pending) < 2:
-            for index, key in pending:
-                results[index] = run(index)
-                store(key, cells[index], results[index])
-            return BackendReport(executed=len(pending))
-        pool = Supervisor(
-            min(self.workers, len(pending)),
-            run,
-            max_attempts=self.max_retries + 1,
-            backoff=self.retry_backoff,
-            deadline=self.cell_timeout,
-        )
-        failures = []
-        try:
-            for task, values in pool.run([(None, index) for index, _ in pending]):
-                index, key = pending[task]
-                if isinstance(values, Failure):
-                    failures.append(
-                        CellFailure(
-                            index, cells[index].kind, values.attempts, values.error
-                        )
-                    )
-                    continue
-                results[index] = values
-                store(key, cells[index], values)
-        finally:
-            pool.close()
-        report = BackendReport(executed=len(pending), retries=pool.retries)
-        if failures:
-            raise SweepExecutionError(sorted(failures, key=lambda f: f.index), report)
-        return report
-
-
-# ----------------------------------------------------------------------
-# Lease primitives (shared filesystem, POSIX-atomic operations only)
-# ----------------------------------------------------------------------
 
 def lease_path_for(entry_path: str) -> str:
     """The lease filename guarding one cache entry."""
@@ -331,9 +165,10 @@ class _Heartbeat:
 
     Runs in a daemon thread while the cell executes (the work is
     numpy-heavy and releases the GIL, so the timer fires on schedule).
-    Stops by itself if the lease vanishes — e.g. a peer completed the
-    cell and swept the lease — because refreshing a recreated file
-    would fence out a legitimate new owner.
+    Stops by itself if the lease vanishes — e.g. a peer took it over
+    while this run stalled past the ttl, then finished and released it
+    — because refreshing a recreated file would fence out a legitimate
+    new owner.
     """
 
     def __init__(self, path: str, interval: float):
@@ -356,218 +191,43 @@ class _Heartbeat:
         self._thread.join()
 
 
-# ----------------------------------------------------------------------
-# SharedCacheBackend: multi-worker coordination over the cache dir
-# ----------------------------------------------------------------------
+def acquire_lease(path: str, owner: str, ttl: float) -> str | None:
+    """Own a cell's lease for ``owner``; how, or ``None`` when busy.
 
-class SharedCacheBackend(ExecutionBackend):
-    """Drain a cell grid cooperatively with unrelated worker processes.
-
-    Launch the *same sweep* from N independent processes (terminals,
-    hosts, a job scheduler) pointed at one ``cache_dir``; each process
-    uses this backend and they partition the grid dynamically via
-    lease files, each executing cells one at a time in its own
-    process.  There is no leader: the cache directory is the only
-    shared state, so adding or losing workers at any point is safe.
-
-    ``lease_ttl`` bounds how long a dead worker can pin a cell: pick
-    it comfortably above the heartbeat interval (default ``ttl / 4``)
-    and filesystem timestamp granularity, and below the cost of the
-    cheapest cell you mind re-running.  On claim contention the drain
-    loop backs off exponentially (capped at ``max_backoff``) with
-    multiplicative jitter from a generator seeded by ``jitter_seed``
-    (derived from ``owner`` by default), so workers desynchronise
-    deterministically per owner instead of stampeding the directory.
-
-    ``wait_timeout`` guards the pathological tail: if *nothing*
-    progresses for that long (every remaining cell leased by workers
-    that neither finish nor die), the drain gives up with a
-    structured :class:`SweepExecutionError`.  ``None`` waits forever.
+    Returns ``"claimed"`` for a fresh ``O_EXCL`` claim, ``"retaken"``
+    for ``owner``'s own lease (its previous attempt died), and
+    ``"reclaimed"`` for another owner's lease older than ``ttl``.  A
+    live peer's lease, or one that vanished meanwhile, is ``None``.
     """
-
-    def __init__(
-        self,
-        *,
-        owner: str | None = None,
-        lease_ttl: float = 30.0,
-        heartbeat_interval: float | None = None,
-        poll_interval: float = 0.05,
-        max_backoff: float = 2.0,
-        jitter_seed: int | None = None,
-        wait_timeout: float | None = None,
-    ):
-        if lease_ttl <= 0:
-            raise ValueError("lease_ttl must be positive")
-        if heartbeat_interval is not None and heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
-        if max_backoff < poll_interval:
-            raise ValueError("max_backoff must be >= poll_interval")
-        if wait_timeout is not None and wait_timeout <= 0:
-            raise ValueError("wait_timeout must be positive")
-        self.owner = (
-            owner
-            if owner is not None
-            else f"{socket.gethostname()}-{os.getpid()}"
-        )
-        self.lease_ttl = lease_ttl
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None else lease_ttl / 4
-        )
-        self.poll_interval = poll_interval
-        self.max_backoff = max_backoff
-        if jitter_seed is None:
-            import hashlib
-
-            jitter_seed = int.from_bytes(
-                hashlib.sha256(self.owner.encode()).digest()[:8], "little"
-            )
-        self._rng = np.random.default_rng(jitter_seed)
-        self.wait_timeout = wait_timeout
-        self._claims = 0
-
-    # -- lease bookkeeping ---------------------------------------------
-
-    def _owner_record(self, token: str) -> dict[str, Any]:
-        return {
-            "owner": self.owner,
-            "pid": os.getpid(),
-            "host": socket.gethostname(),
-            "token": token,
-        }
-
-    def _next_token(self) -> str:
-        self._claims += 1
-        return f"{self.owner}#{self._claims}"
-
-    def _acquire(self, lease_path: str) -> tuple[str, bool] | None:
-        """Try to own a cell's lease; ``(token, was_reclaimed)`` or None.
-
-        Fresh claims go through ``O_CREAT | O_EXCL``; leases older
-        than ``lease_ttl`` (their owner stopped heartbeating — dead,
-        or wedged badly enough to count as dead) are taken over with
-        the token-confirmed atomic replace.
-        """
-        token = self._next_token()
-        record = self._owner_record(token)
-        if try_claim_lease(lease_path, record):
-            return token, False
-        age = lease_age(lease_path)
-        if age is None or age <= self.lease_ttl:
-            return None  # vanished (retry next pass) or held live
-        if try_reclaim_lease(lease_path, record, token):
-            return token, True
+    token = f"{owner}#{os.getpid()}#{os.urandom(4).hex()}"
+    record = {"owner": owner, "pid": os.getpid(), "token": token}
+    if try_claim_lease(path, record):
+        return "claimed"
+    held = read_lease(path)
+    age = lease_age(path)
+    ours = held is not None and held.get("owner") == owner
+    if age is None or (not ours and age <= ttl):
         return None
+    if try_reclaim_lease(path, record, token):
+        return "retaken" if ours else "reclaimed"
+    return None
 
-    def _sweep_completed_lease(self, lease_path: str) -> None:
-        """Clear the stale lease of a cell whose entry already landed.
 
-        A worker killed *between* storing the entry and releasing the
-        lease leaves a permanent orphan; once stale it is garbage (the
-        entry is the source of truth) and unlinking it keeps the cache
-        directory clean.  Fresh leases are left alone — they belong to
-        a live redundant executor whose rewrite is byte-identical.
-        """
-        age = lease_age(lease_path)
-        if age is not None and age > self.lease_ttl:
-            release_lease(lease_path)
+@contextlib.contextmanager
+def hold_lease(path: str, owner: str, ttl: float) -> Iterator[str | None]:
+    """Hold a cell's lease for the ``with`` body, heartbeating it.
 
-    # -- the drain loop ------------------------------------------------
-
-    def run_pending(
-        self,
-        *,
-        cells,
-        loaded,
-        pending,
-        results,
-        store,
-        load_cached,
-        entry_path=None,
-    ) -> BackendReport:
-        from repro.experiments.sweep import execute_cell
-
-        if entry_path is None or any(key is None for _, key in pending):
-            raise ValueError(
-                "SharedCacheBackend coordinates through the cache directory; "
-                "construct the SweepRunner with cache_dir="
-            )
-        if pending:
-            # Leases live next to the entries; the cache directory must
-            # exist before the first claim (entries themselves create it
-            # lazily through the atomic-write helper).
-            first_dir = os.path.dirname(
-                os.path.abspath(entry_path(pending[0][1]))
-            )
-            os.makedirs(first_dir, exist_ok=True)
-        report = BackendReport()
-        remaining = list(pending)
-        backoff = self.poll_interval
-        idle_since: float | None = None
-        while remaining:
-            progressed = False
-            next_remaining: list[tuple[int, str | None]] = []
-            for index, key in remaining:
-                lease_path = lease_path_for(entry_path(key))
-                cached = load_cached(key)
-                if cached is not None:
-                    # A peer finished this cell (now or in a previous
-                    # run); adopt its entry and sweep lease orphans.
-                    results[index] = cached
-                    report.peer_served += 1
-                    self._sweep_completed_lease(lease_path)
-                    progressed = True
-                    continue
-                acquired = self._acquire(lease_path)
-                if acquired is None:
-                    next_remaining.append((index, key))
-                    continue
-                _, was_reclaimed = acquired
-                if was_reclaimed:
-                    report.reclaimed += 1
-                spec = cells[index]
-                try:
-                    with _Heartbeat(lease_path, self.heartbeat_interval):
-                        values = execute_cell(spec, loaded[spec.dataset_key])
-                    store(key, spec, values)
-                finally:
-                    # Entry before release: a crash in between leaves a
-                    # stale lease next to a complete entry, swept by
-                    # whichever peer reads the entry next.
-                    release_lease(lease_path)
-                results[index] = values
-                report.executed += 1
-                progressed = True
-            remaining = next_remaining
-            if not remaining:
-                break
-            if progressed:
-                backoff = self.poll_interval
-                idle_since = None
-            else:
-                now = time.monotonic()
-                idle_since = idle_since if idle_since is not None else now
-                if (
-                    self.wait_timeout is not None
-                    and now - idle_since > self.wait_timeout
-                ):
-                    failures = [
-                        CellFailure(
-                            index=index,
-                            kind=cells[index].kind,
-                            attempts=1,
-                            error=(
-                                f"no progress within {self.wait_timeout}s; "
-                                "cell leased by a live worker that never "
-                                "completed"
-                            ),
-                        )
-                        for index, _ in remaining
-                    ]
-                    raise SweepExecutionError(failures, report)
-                # Multiplicative jitter in [0.5, 1.5) de-synchronises
-                # contending workers; deterministic per owner seed.
-                time.sleep(backoff * (0.5 + float(self._rng.random())))
-                backoff = min(backoff * 2.0, self.max_backoff)
-        return report
+    Yields how the lease was acquired (see :func:`acquire_lease`), or
+    ``None``, holding nothing, when a live peer holds it.  The
+    heartbeat refreshes the lease every ``ttl / 4`` seconds, and the
+    lease is released however the body exits.
+    """
+    how = acquire_lease(path, owner, ttl)
+    if how is None:
+        yield None
+        return
+    try:
+        with _Heartbeat(path, ttl / 4):
+            yield how
+    finally:
+        release_lease(path)

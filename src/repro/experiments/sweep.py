@@ -1,4 +1,4 @@
-"""Parallel sweep orchestrator: pluggable cell execution with caching.
+"""Parallel sweep orchestrator: one drain path with caching and leases.
 
 The paper's evaluation is a grid of dozens of *independent* cells
 (attacks x models x datasets, defenses x models x attacks, ...).  With
@@ -10,39 +10,41 @@ module parallelises one layer up:
   :class:`CellSpec` holding one :class:`~repro.config.ExperimentConfig`,
   the key of a shared dataset, the evaluation cutoffs and a cell
   *kind*;
-* a :class:`SweepRunner` decides what needs to run (cache hits, cell
-  keys, stats) and hands the pending cells to a pluggable
-  :class:`~repro.experiments.backend.ExecutionBackend`:
-  :class:`~repro.experiments.backend.LocalBackend` runs them inline or
-  on a self-healing pool of forked workers (the default, single
-  machine), and
-  :class:`~repro.experiments.backend.SharedCacheBackend` lets N
-  independent worker processes cooperatively drain one grid using only
-  the cache directory — atomic lease files with heartbeats, stale-lease
-  reclamation when a worker dies mid-cell;
+* a :class:`SweepRunner` serves what the cache holds and drains the
+  rest through one cell handler, run inline (``workers <= 1``) or on a
+  :class:`~repro.workers.Supervisor` of forked workers that retries a
+  crashed or hung cell;
 * a content-addressed on-disk cache (``cache_dir``) keyed by a stable
   hash of the experiment config, the dataset *content* fingerprint,
   the evaluation cutoffs and a code-version tag lets re-runs skip
   completed cells and interrupted sweeps resume — cache entries are
   written through :mod:`repro.persistence` (atomically, with a sha256
-  digest verified on every read) as each cell finishes.
+  digest verified on every read) as each cell finishes;
+* with a cache, every cell runs under a lease file next to its entry
+  (:mod:`repro.experiments.backend`), so any number of runs pointed at
+  one cache directory drain one grid together, and a run that dies
+  mid-cell has its cell reclaimed by a peer once the lease goes stale.
 
 Per-cell determinism already holds (every stream is seeded per cell),
 so parallel execution order cannot leak into results: a cell's
 value depends only on its spec and its dataset, never on which worker
 ran it or when.  The parity suite in ``tests/test_sweep.py`` asserts
 byte-identical cells between the pooled and sequential paths, and
-``tests/test_distributed_backend.py`` extends the same contract to the
-multi-worker shared-cache path.
+``tests/test_distributed_backend.py`` extends the same contract to
+several runs sharing one cache directory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+import random
+import socket
+import time
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,26 +52,23 @@ from repro.config import DatasetConfig, ExperimentConfig, identity_record
 from repro.datasets.base import InteractionDataset
 from repro.datasets.loaders import load_dataset
 from repro.experiments.backend import (
-    BackendReport,
     CellFailure,
-    ExecutionBackend,
-    LocalBackend,
-    SharedCacheBackend,
     SweepExecutionError,
+    hold_lease,
+    lease_path_for,
+    read_lease,
+    release_lease,
 )
 from repro.experiments.runner import Cell, run_cells
 from repro.federated.simulation import FederatedSimulation
 from repro.metrics.divergence import pairwise_kl, user_coverage_ratio
 from repro.persistence import read_sweep_entry, save_sweep_entry
+from repro.workers import Failure, Supervisor
 
 __all__ = [
     "CACHE_VERSION",
-    "BackendReport",
     "CellSpec",
     "CellFailure",
-    "ExecutionBackend",
-    "LocalBackend",
-    "SharedCacheBackend",
     "SweepDryRun",
     "SweepExecutionError",
     "SweepStats",
@@ -150,30 +149,28 @@ class SweepStats:
     """Execution accounting of one (or several accumulated) sweep runs.
 
     Every degradation path a sweep can take is counted here, never
-    silent: retried pooled cells (``retries``), stale-lease takeovers from
-    dead workers (``reclaimed``), corrupt cache entries moved aside
-    and re-executed (``quarantined``), cells another worker finished
-    for us (``peer_served``), and cells that stayed unfinished after
-    every recovery path (``failed``).
+    silent: cells run again because their last executor died
+    (``retries``), corrupt cache entries moved aside and re-executed
+    (``quarantined``), cells a peer run finished for us
+    (``peer_served``), and cells that stayed unfinished after every
+    recovery path (``failed``).
     """
 
     total: int = 0
     cache_hits: int = 0
     executed: int = 0
-    #: Pooled cell executions rerun after their worker crashed or the
-    #: cell overran ``cell_timeout``.
+    #: Cell executions run again because the last one died: a pool
+    #: worker that crashed or overran ``cell_timeout``, or a peer run
+    #: whose lease went stale.
     retries: int = 0
     #: Cells that still had no result when every recovery path ran out
     #: (also enumerated on the raised :class:`SweepExecutionError`).
     failed: int = 0
-    #: Stale leases of dead workers taken over by this process
-    #: (shared-cache backend only).
-    reclaimed: int = 0
     #: Corrupt or torn cache entries moved aside on read and
     #: re-executed (counted as misses, never trusted).
     quarantined: int = 0
-    #: Cells completed by a cooperating peer worker while this process
-    #: was draining the same grid (shared-cache backend only).
+    #: Cells completed by a peer run on the same cache directory while
+    #: this run was draining the grid.
     peer_served: int = 0
 
     @property
@@ -183,14 +180,10 @@ class SweepStats:
 
     def merged(self, other: "SweepStats") -> "SweepStats":
         return SweepStats(
-            total=self.total + other.total,
-            cache_hits=self.cache_hits + other.cache_hits,
-            executed=self.executed + other.executed,
-            retries=self.retries + other.retries,
-            failed=self.failed + other.failed,
-            reclaimed=self.reclaimed + other.reclaimed,
-            quarantined=self.quarantined + other.quarantined,
-            peer_served=self.peer_served + other.peer_served,
+            **{
+                f.name: getattr(self, f.name) + getattr(other, f.name)
+                for f in fields(self)
+            }
         )
 
 
@@ -352,31 +345,60 @@ def cell_cache_key(spec: CellSpec, dataset_fp: str) -> str:
 # The orchestrator
 # ----------------------------------------------------------------------
 
+#: First wait before a pass over cells live peers hold, and its cap; the
+#: wait doubles after every pass that makes no progress.
+_FIRST_WAIT_S = 0.05
+_MAX_WAIT_S = 2.0
+
+
+def _waits(owner: str) -> Iterator[float]:
+    """Backoff before each pass over busy cells, jittered per owner.
+
+    The multiplicative jitter in [0.5, 1.5) comes from a generator
+    seeded by the owner string, so contending runs desynchronise
+    instead of stampeding the cache directory.
+    """
+    jitter = random.Random(owner)
+    wait = _FIRST_WAIT_S
+    while True:
+        yield wait * (0.5 + jitter.random())
+        wait = min(2 * wait, _MAX_WAIT_S)
+
+
 class SweepRunner:
-    """Executes a list of cell specs, from cache and/or a backend.
+    """Executes a list of cell specs, from cache and through one drain.
 
-    The runner owns the *what*: cache keys, hit/miss accounting,
-    dataset loading and fingerprinting.  The *how* is delegated to an
-    :class:`~repro.experiments.backend.ExecutionBackend`:
+    The runner serves what the cache holds and drains the rest through
+    one cell handler, :meth:`_handle`:
 
-    * By default a :class:`~repro.experiments.backend.LocalBackend` is
-      built from ``workers`` / ``max_retries`` / ``retry_backoff`` /
-      ``cell_timeout``, preserving the historical behaviour exactly —
-      ``workers <= 1`` runs every cell inline (the sequential
-      reference path), ``workers >= 2`` runs pending cells on a
-      self-healing pool of forked workers, retried per cell.
-    * Pass ``backend=SharedCacheBackend(...)`` (with ``cache_dir``
-      set) to make this process one of N independent workers
-      cooperatively draining the same grid through lease files in the
-      cache directory.
+    * ``workers <= 1`` (or a single pending cell) runs the handler
+      inline, the sequential reference path.  ``workers >= 2`` runs it
+      as the ``handle`` of a :class:`~repro.workers.Supervisor` of
+      forked workers, which inherit the loaded datasets with the fork.
+      A cell whose worker died, or that ran longer than
+      ``cell_timeout`` seconds (its worker is then killed), runs again
+      on a respawned worker after ``retry_backoff * 2**(k-1)`` seconds,
+      up to ``max_retries`` extra attempts.
+    * With ``cache_dir`` set, the handler runs each cell under a lease
+      next to its entry: claim, heartbeat every ``lease_ttl / 4``,
+      write the entry, release.  The owner is this run of this runner,
+      so a retry takes over its own lease at once.  Runs pointed at one
+      cache directory therefore drain one grid together: a cell a live
+      peer holds comes back busy, goes into the next pass after a
+      jittered exponential backoff, and is served from the peer's entry
+      once it lands (``peer_served``).  A peer's lease not refreshed
+      for ``lease_ttl`` seconds belongs to a dead run and is reclaimed
+      (a retry).  Waiting on live peers gives up after ``cell_timeout``
+      seconds without progress.
 
-    With ``cache_dir`` set, each finished cell is written to a
-    content-addressed JSON entry (atomic, digest-stamped) the moment
-    it completes, so an interrupted sweep resumes from what it
-    finished, and a repeated sweep is served from cache entirely.
-    Entries are verified on read: a torn or bit-flipped entry is
-    quarantined (moved aside), counted in ``SweepStats.quarantined``
-    and re-executed — never trusted, never fatal.  ``last_stats`` /
+    Each finished cell is written to a content-addressed JSON entry
+    (atomic, digest-stamped) the moment it completes, so an
+    interrupted sweep resumes from what it finished, and a repeated
+    sweep is served from cache entirely.  Entries are verified on
+    read: a torn or bit-flipped entry is quarantined (moved aside),
+    counted in ``SweepStats.quarantined`` and re-executed — never
+    trusted, never fatal.  Cells that stay unfinished raise a
+    structured :class:`SweepExecutionError`; ``last_stats`` /
     ``total_stats`` expose the full accounting.
 
     ``dry_run=True`` stops :meth:`run` right after the cache pass: the
@@ -392,19 +414,19 @@ class SweepRunner:
         max_retries: int = 2,
         retry_backoff: float = 0.5,
         cell_timeout: float | None = None,
-        backend: ExecutionBackend | None = None,
+        lease_ttl: float = 30.0,
         dry_run: bool = False,
     ):
-        if backend is None:
-            backend = LocalBackend(
-                workers=workers,
-                max_retries=max_retries,
-                retry_backoff=retry_backoff,
-                cell_timeout=cell_timeout,
-            )
-        elif isinstance(backend, SharedCacheBackend) and cache_dir is None:
-            raise ValueError("SharedCacheBackend requires cache_dir")
-        self.backend = backend
+        if workers < 0:
+            raise ValueError("workers must be >= 0")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if retry_backoff < 0:
+            raise ValueError("retry_backoff must be >= 0")
+        if cell_timeout is not None and not 0 < cell_timeout < math.inf:
+            raise ValueError(f"cell_timeout must be finite and > 0, got {cell_timeout!r}")
+        if not 0 < lease_ttl < math.inf:
+            raise ValueError(f"lease_ttl must be finite and > 0, got {lease_ttl!r}")
         self.workers = workers
         self.cache_dir = cache_dir
         #: Extra attempts granted to each cell whose worker crashed or
@@ -413,9 +435,13 @@ class SweepRunner:
         #: Base of the exponential backoff before a cell's retry.
         self.retry_backoff = retry_backoff
         #: Longest one pooled cell may run before its worker is
-        #: presumed hung, killed and the cell retried; ``None`` waits
+        #: presumed hung, killed and the cell retried, and longest the
+        #: drain waits on live peers without progress; ``None`` waits
         #: indefinitely.
         self.cell_timeout = cell_timeout
+        #: Seconds without a heartbeat after which a peer's lease is
+        #: taken to belong to a dead run.
+        self.lease_ttl = lease_ttl
         self.dry_run = dry_run
         self.last_stats = SweepStats()
         self.total_stats = SweepStats()
@@ -428,8 +454,6 @@ class SweepRunner:
         # dataset once, not once per table.
         self._loaded: dict[DatasetConfig, InteractionDataset] = {}
         self._fingerprints: dict[DatasetConfig, str] = {}
-        # Corrupt entries moved aside during the current run().
-        self._quarantined_this_run = 0
 
     # -- cache helpers -------------------------------------------------
 
@@ -437,20 +461,13 @@ class SweepRunner:
         assert self.cache_dir is not None
         return os.path.join(self.cache_dir, f"{key}.json")
 
-    def _load_cached(self, key: str) -> Any | None:
+    def _read_entry(self, key: str) -> tuple[Any | None, int]:
+        """The entry's verified values or ``None``, and 1 if quarantined."""
         entry, status = read_sweep_entry(self._entry_path(key))
-        if status == "quarantined":
-            self._quarantined_this_run += 1
+        quarantined = int(status == "quarantined")
         if entry is None or entry.get("key") != key:
-            return None
-        return entry["values"]
-
-    def _store(self, key: str | None, spec: CellSpec, values: Any) -> None:
-        if key is None:
-            return
-        save_sweep_entry(
-            self._entry_path(key), key=key, kind=spec.kind, values=values
-        )
+            return None, quarantined
+        return entry["values"], quarantined
 
     # -- execution -----------------------------------------------------
 
@@ -495,15 +512,15 @@ class SweepRunner:
                     # the runner cannot know they were left unmutated.
                     fingerprints[key] = dataset_fingerprint(value)
 
-        self._quarantined_this_run = 0
         results: list[Any] = [None] * len(cells)
         pending: list[tuple[int, str | None]] = []
-        hits = 0
+        hits = quarantined = 0
         for index, spec in enumerate(cells):
             key = None
             if self.cache_dir is not None:
                 key = cell_cache_key(spec, fingerprints[spec.dataset_key])
-                cached = self._load_cached(key)
+                cached, found = self._read_entry(key)
+                quarantined += found
                 if cached is not None:
                     results[index] = cached
                     hits += 1
@@ -528,43 +545,138 @@ class SweepRunner:
             ]
             raise SweepDryRun(self.last_plan)
 
-        report = BackendReport()
+        drained, failures = SweepStats(), []
         if pending:
-            try:
-                report = self.backend.run_pending(
-                    cells=cells,
-                    loaded=loaded,
-                    pending=pending,
-                    results=results,
-                    store=self._store,
-                    load_cached=(
-                        self._load_cached
-                        if self.cache_dir is not None
-                        else lambda key: None
-                    ),
-                    entry_path=(
-                        self._entry_path if self.cache_dir is not None else None
-                    ),
-                )
-            except SweepExecutionError as exc:
-                self._record_stats(
-                    len(cells), hits, exc.report, failed=len(exc.failures)
-                )
-                raise
-        self._record_stats(len(cells), hits, report)
-        return results
-
-    def _record_stats(
-        self, total: int, hits: int, report: BackendReport, *, failed: int = 0
-    ) -> None:
-        self.last_stats = SweepStats(
-            total=total,
+            if self.cache_dir is not None:
+                # Leases sit next to the entries, so the directory must
+                # exist before the first claim.
+                os.makedirs(self.cache_dir, exist_ok=True)
+            drained, failures = self._drain(cells, loaded, pending, results)
+        self.last_stats = replace(
+            drained,
+            total=len(cells),
             cache_hits=hits,
-            executed=report.executed,
-            retries=report.retries,
-            failed=failed,
-            reclaimed=report.reclaimed,
-            quarantined=self._quarantined_this_run,
-            peer_served=report.peer_served,
+            failed=len(failures),
+            quarantined=quarantined + drained.quarantined,
         )
         self.total_stats = self.total_stats.merged(self.last_stats)
+        if failures:
+            raise SweepExecutionError(sorted(failures, key=lambda f: f.index))
+        return results
+
+    def _handle(self, owner, cells, loaded, task) -> tuple[str, Any, int, int]:
+        """Run one pending cell; ``(status, values, quarantined, reclaimed)``.
+
+        The same handler runs inline and in a pool worker, so whatever it
+        counts travels back in its reply.  ``status`` is ``"executed"``,
+        ``"peer"`` (a peer's entry landed first) or ``"busy"`` (a live
+        peer holds the lease).  ``execute_cell`` and the entry I/O are
+        looked up in this module when the handler runs, so a hook
+        installed on the module sees every cell.
+        """
+        index, key = task
+        spec = cells[index]
+        if key is None:
+            return "executed", execute_cell(spec, loaded[spec.dataset_key]), 0, 0
+        values, quarantined = self._read_entry(key)
+        if values is not None:
+            return "peer", values, quarantined, 0
+        lease = lease_path_for(self._entry_path(key))
+        with hold_lease(lease, owner, self.lease_ttl) as how:
+            if how is None:
+                return "busy", None, quarantined, 0
+            # The holder may have written the entry and released the
+            # lease between the read above and the claim.
+            values, found = self._read_entry(key)
+            quarantined += found
+            if values is not None:
+                return "peer", values, quarantined, 0
+            values = execute_cell(spec, loaded[spec.dataset_key])
+            save_sweep_entry(
+                self._entry_path(key), key=key, kind=spec.kind, values=values
+            )
+        return "executed", values, quarantined, int(how == "reclaimed")
+
+    def _drain(
+        self, cells, loaded, pending, results
+    ) -> tuple[SweepStats, list[CellFailure]]:
+        """Run every pending cell to a result, a failure, or a timeout.
+
+        Each pass hands the cells still pending to the handler, inline
+        or on the pool; the cells that came back busy make the next
+        pass.  Fills ``results`` in place and returns the drain's
+        counts and its failures.
+        """
+        owner = f"{socket.gethostname()}-{os.getpid()}-{os.urandom(4).hex()}"
+
+        def handle(task):
+            return self._handle(owner, cells, loaded, task)
+
+        pool = None
+        if self.workers >= 2 and len(pending) >= 2:
+            pool = Supervisor(
+                min(self.workers, len(pending)),
+                handle,
+                max_attempts=self.max_retries + 1,
+                backoff=self.retry_backoff,
+                deadline=self.cell_timeout,
+            )
+        counts = {"executed": 0, "peer": 0, "quarantined": 0, "reclaimed": 0}
+        failures: list[CellFailure] = []
+        waits, idle_since = _waits(owner), time.monotonic()
+        try:
+            while pending:
+                if pool is None:
+                    outcomes = enumerate(map(handle, pending))
+                else:
+                    outcomes = pool.run([(None, task) for task in pending])
+                busy = []
+                for position, reply in outcomes:
+                    index, key = pending[position]
+                    if isinstance(reply, Failure):
+                        failures.append(
+                            CellFailure(
+                                index, cells[index].kind, reply.attempts, reply.error
+                            )
+                        )
+                        if key is not None:
+                            lease = lease_path_for(self._entry_path(key))
+                            if (read_lease(lease) or {}).get("owner") == owner:
+                                release_lease(lease)
+                        continue
+                    status, values, quarantined, reclaimed = reply
+                    counts["quarantined"] += quarantined
+                    counts["reclaimed"] += reclaimed
+                    if status == "busy":
+                        busy.append((index, key))
+                        continue
+                    results[index] = values
+                    counts[status] += 1
+                now = time.monotonic()
+                if len(busy) < len(pending):
+                    waits, idle_since = _waits(owner), now
+                elif self.cell_timeout is not None and now - idle_since > self.cell_timeout:
+                    failures += [
+                        CellFailure(
+                            index,
+                            cells[index].kind,
+                            1,
+                            f"no progress within {self.cell_timeout}s; cell "
+                            "leased by a live peer that never completed",
+                        )
+                        for index, _ in busy
+                    ]
+                    break
+                pending = busy
+                if pending:
+                    time.sleep(next(waits))
+        finally:
+            if pool is not None:
+                pool.close()
+        stats = SweepStats(
+            executed=counts["executed"],
+            retries=counts["reclaimed"] + (pool.retries if pool else 0),
+            quarantined=counts["quarantined"],
+            peer_served=counts["peer"],
+        )
+        return stats, failures

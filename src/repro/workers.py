@@ -3,11 +3,11 @@
 The round executor
 (:class:`~repro.federated.batch_engine.ProcessRoundExecutor`, tasks
 pinned to the worker owning the shards) and the sweep pool
-(:class:`~repro.experiments.backend.LocalBackend`, cells to any idle
-worker) both run on :class:`Supervisor`.  Workers are forked, so they
-inherit the parent's memory (datasets, models, shared mappings) and
-``handle`` may be a closure; only tasks and replies cross the one
-duplex pipe each worker owns::
+(:class:`~repro.experiments.sweep.SweepRunner` with ``workers >= 2``,
+cells to any idle worker) both run on :class:`Supervisor`.  Workers
+are forked, so they inherit the parent's memory (datasets, models,
+shared mappings) and ``handle`` may be a closure; only tasks and
+replies cross the one duplex pipe each worker owns::
 
     reply = handle(task)                # in the child, one task at a time
 
@@ -17,11 +17,15 @@ broken pipe) or overruns ``deadline`` is reaped (killed first if it
 hangs) and re-forked on its next dispatch, and only its own task goes
 again.  A task gets at most ``max_attempts`` dispatches, the ``k``-th
 retry after ``backoff * 2**(k-1)`` seconds; then it is a
-:class:`Failure`.
+:class:`Failure`.  A task never runs twice at the same time: its retry
+is dispatched only once the previous attempt replied or its worker was
+reaped, which is why a sweep cell's retry may take over its own lease
+at once.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import multiprocessing.util
 import time
@@ -87,6 +91,8 @@ class Supervisor:
     ):
         if num_workers < 1 or max_attempts < 1:
             raise ValueError("num_workers and max_attempts must be >= 1")
+        if deadline is not None and not 0 < deadline < math.inf:
+            raise ValueError(f"deadline must be finite and > 0, got {deadline!r}")
         self._handle = handle
         self.max_attempts = max_attempts
         self.backoff = backoff

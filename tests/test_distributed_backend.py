@@ -1,15 +1,18 @@
-"""Shared-cache backend: lease coordination, chaos, and parity.
+"""Runs sharing one cache directory: lease coordination, chaos, parity.
 
-Workers here are *real processes* (forked, or SIGKILLed mid-cell) so
-the lease reclamation path is exercised against actual process death,
+Every cached sweep runs its cells under lease files next to the
+entries, so runs pointed at one cache directory drain one grid
+together.  Runners here are *real processes* (forked, or SIGKILLed
+mid-cell) so lease recovery is exercised against actual process death,
 not a simulated exception.  The contract under test is the standing
-invariant: however many workers drain the grid, and however many of
-them die, the cache ends up with entries byte-identical to the
-sequential reference, and every degradation path is counted.
+invariant: however many runs drain the grid, and however many of them
+die, the cache ends up with entries byte-identical to the sequential
+reference, and every degradation path is counted.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -19,9 +22,9 @@ import time
 import pytest
 
 from repro.config import DatasetConfig, ExperimentConfig, ModelConfig, TrainConfig
+from repro.datasets.loaders import load_dataset
 from repro.experiments.backend import (
-    LocalBackend,
-    SharedCacheBackend,
+    acquire_lease,
     lease_age,
     lease_path_for,
     read_lease,
@@ -34,6 +37,9 @@ from repro.experiments.sweep import (
     CellSpec,
     SweepExecutionError,
     SweepRunner,
+    _waits,
+    cell_cache_key,
+    dataset_fingerprint,
     register_cell_kind,
 )
 
@@ -64,8 +70,32 @@ def _slow(spec: CellSpec, dataset) -> list[list[float]]:
     return [[float(index), float(index) ** 2]]
 
 
+def _nap(spec: CellSpec, dataset) -> list[list[float]]:
+    """Long enough for a peer run to find the cell leased."""
+    time.sleep(0.3)
+    return _fast(spec, dataset)
+
+
+def _killed_once(spec: CellSpec, dataset) -> list[list[float]]:
+    """SIGKILL the hosting process the first time each cell runs."""
+    marker_dir, index = spec.payload
+    marker = os.path.join(marker_dir, f"killed-{index}")
+    if not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        os.kill(os.getpid(), signal.SIGKILL)
+    return [[float(index), float(index) ** 2]]
+
+
+def _always_crash(spec: CellSpec, dataset) -> list[list[float]]:
+    os._exit(1)
+
+
 register_cell_kind("test_dist_fast", _fast)
 register_cell_kind("test_dist_slow", _slow)
+register_cell_kind("test_dist_nap", _nap)
+register_cell_kind("test_dist_killed_once", _killed_once)
+register_cell_kind("test_dist_always_crash", _always_crash)
 
 
 def _cells(kind: str, marker_dir: str, count: int) -> list[CellSpec]:
@@ -91,28 +121,40 @@ def _cache_bytes(cache_dir: str) -> dict[str, bytes]:
     }
 
 
-def _worker_main(
+def _leases(cache_dir: str) -> list[str]:
+    return [name for name in os.listdir(cache_dir) if name.endswith(".lease")]
+
+
+def _lease_of(cache_dir: str, spec: CellSpec) -> str:
+    key = cell_cache_key(spec, dataset_fingerprint(load_dataset(DATASET)))
+    return lease_path_for(os.path.join(cache_dir, f"{key}.json"))
+
+
+def _runner_main(
     kind: str,
     marker_dir: str,
     count: int,
     cache_dir: str,
-    owner: str,
     stats_path: str,
     lease_ttl: float = 2.0,
+    workers: int = 0,
+    dataset=DATASET,
+    barrier=None,
 ) -> None:
-    """One independent worker process draining the shared grid."""
-    backend = SharedCacheBackend(
-        owner=owner, lease_ttl=lease_ttl, poll_interval=0.02, wait_timeout=60.0
+    """One independent runner process draining the shared grid."""
+    runner = SweepRunner(
+        workers=workers, cache_dir=cache_dir, lease_ttl=lease_ttl, cell_timeout=60.0
     )
-    runner = SweepRunner(cache_dir=cache_dir, backend=backend)
-    runner.run(_cells(kind, marker_dir, count), {"default": DATASET})
+    if barrier is not None:
+        barrier.wait()
+    runner.run(_cells(kind, marker_dir, count), {"default": dataset})
     stats = runner.last_stats
     with open(stats_path, "w") as handle:
         json.dump(
             {
                 "executed": stats.executed,
                 "peer_served": stats.peer_served,
-                "reclaimed": stats.reclaimed,
+                "retries": stats.retries,
                 "cache_hits": stats.cache_hits,
             },
             handle,
@@ -180,133 +222,188 @@ class TestLeasePrimitives:
     def test_lease_path_sits_next_to_entry(self):
         assert lease_path_for("/cache/abc.json") == "/cache/abc.json.lease"
 
+    def test_own_lease_is_retaken_at_once(self, tmp_path):
+        # A live lease of the same owner belongs to a dead attempt of
+        # the same task: the supervisor never runs a task twice at once.
+        path = str(tmp_path / "cell.json.lease")
+        assert acquire_lease(path, "run-a", ttl=30.0) == "claimed"
+        assert acquire_lease(path, "run-a", ttl=30.0) == "retaken"
+        assert read_lease(path)["owner"] == "run-a"
+
+    def test_peer_lease_is_busy_until_stale(self, tmp_path):
+        path = str(tmp_path / "cell.json.lease")
+        assert acquire_lease(path, "run-a", ttl=30.0) == "claimed"
+        assert acquire_lease(path, "run-b", ttl=30.0) is None
+        os.utime(path, (time.time() - 60, time.time() - 60))
+        assert acquire_lease(path, "run-b", ttl=30.0) == "reclaimed"
+        assert read_lease(path)["owner"] == "run-b"
+
 
 class TestSharedBackendSingleWorker:
+    """One runner on a cache directory that peers could share."""
+
     def test_matches_sequential_reference_byte_identical(self, tmp_path):
         seq_dir = str(tmp_path / "seq")
         shared_dir = str(tmp_path / "shared")
         cells = _cells("test_dist_fast", str(tmp_path), 4)
         SweepRunner(workers=0, cache_dir=seq_dir).run(cells, {"default": DATASET})
-        backend = SharedCacheBackend(owner="w1", lease_ttl=5.0)
-        runner = SweepRunner(cache_dir=shared_dir, backend=backend)
+        runner = SweepRunner(workers=2, cache_dir=shared_dir, lease_ttl=5.0)
         results = runner.run(cells, {"default": DATASET})
         assert results == _expected(4)
         assert _cache_bytes(shared_dir) == _cache_bytes(seq_dir)
         assert runner.last_stats.executed == 4
-        assert runner.last_stats.reclaimed == 0
+        assert runner.last_stats.retries == 0
 
     def test_no_leases_left_behind(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        backend = SharedCacheBackend(owner="w1", lease_ttl=5.0)
-        runner = SweepRunner(cache_dir=cache_dir, backend=backend)
-        runner.run(_cells("test_dist_fast", str(tmp_path), 3), {"default": DATASET})
-        assert not [n for n in os.listdir(cache_dir) if n.endswith(".lease")]
-
-    def test_requires_cache_dir(self):
-        with pytest.raises(ValueError, match="cache_dir"):
-            SweepRunner(backend=SharedCacheBackend(owner="w1"))
+        for workers in (0, 2):
+            cache_dir = str(tmp_path / f"cache-{workers}")
+            runner = SweepRunner(workers=workers, cache_dir=cache_dir, lease_ttl=5.0)
+            runner.run(
+                _cells("test_dist_fast", str(tmp_path), 3), {"default": DATASET}
+            )
+            assert _leases(cache_dir) == []
 
     def test_warm_cache_serves_everything(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         cells = _cells("test_dist_fast", str(tmp_path), 3)
-        backend = SharedCacheBackend(owner="w1", lease_ttl=5.0)
-        SweepRunner(cache_dir=cache_dir, backend=backend).run(
+        SweepRunner(cache_dir=cache_dir, lease_ttl=5.0).run(
             cells, {"default": DATASET}
         )
-        rerun = SweepRunner(
-            cache_dir=cache_dir,
-            backend=SharedCacheBackend(owner="w2", lease_ttl=5.0),
-        )
+        rerun = SweepRunner(cache_dir=cache_dir, lease_ttl=5.0)
         rerun.run(cells, {"default": DATASET})
         assert rerun.last_stats.cache_hits == 3
         assert rerun.last_stats.executed == 0
 
     def test_stale_lease_of_dead_worker_is_reclaimed(self, tmp_path):
         # Plant a lease nobody heartbeats, older than the ttl: the
-        # drain must take it over (counted), run the cell, and finish.
+        # drain must take it over (a retry), run the cell, and finish.
         cache_dir = str(tmp_path / "cache")
         os.makedirs(cache_dir)
         cells = _cells("test_dist_fast", str(tmp_path), 2)
-        from repro.experiments.sweep import cell_cache_key, dataset_fingerprint
-        from repro.datasets.loaders import load_dataset
-
-        fp = dataset_fingerprint(load_dataset(DATASET))
-        key = cell_cache_key(cells[0], fp)
-        lease = lease_path_for(os.path.join(cache_dir, f"{key}.json"))
+        lease = _lease_of(cache_dir, cells[0])
         try_claim_lease(lease, {"owner": "dead", "token": "dead#1"})
         stale = time.time() - 60
         os.utime(lease, (stale, stale))
-        backend = SharedCacheBackend(owner="w1", lease_ttl=2.0, poll_interval=0.02)
-        runner = SweepRunner(cache_dir=cache_dir, backend=backend)
+        runner = SweepRunner(cache_dir=cache_dir, lease_ttl=2.0)
         results = runner.run(cells, {"default": DATASET})
         assert results == _expected(2)
-        assert runner.last_stats.reclaimed == 1
+        assert runner.last_stats.retries == 1
+        assert _leases(cache_dir) == []
 
-    def test_live_lease_blocks_until_wait_timeout(self, tmp_path):
+    def test_live_lease_fails_at_cell_timeout(self, tmp_path):
         # A fresh lease that is never released and never goes stale
-        # (we keep it heartbeated from the test) must end in a
-        # structured error, not an infinite spin.
+        # must end in a structured error after cell_timeout without
+        # progress, not an infinite spin.
         cache_dir = str(tmp_path / "cache")
         os.makedirs(cache_dir)
         cells = _cells("test_dist_fast", str(tmp_path), 1)
-        from repro.experiments.sweep import cell_cache_key, dataset_fingerprint
-        from repro.datasets.loaders import load_dataset
-
-        fp = dataset_fingerprint(load_dataset(DATASET))
-        key = cell_cache_key(cells[0], fp)
-        lease = lease_path_for(os.path.join(cache_dir, f"{key}.json"))
-        try_claim_lease(lease, {"owner": "wedged", "token": "wedged#1"})
-        backend = SharedCacheBackend(
-            owner="w1", lease_ttl=30.0, poll_interval=0.02, wait_timeout=0.5
+        try_claim_lease(
+            _lease_of(cache_dir, cells[0]), {"owner": "wedged", "token": "wedged#1"}
         )
-        runner = SweepRunner(cache_dir=cache_dir, backend=backend)
+        runner = SweepRunner(cache_dir=cache_dir, lease_ttl=30.0, cell_timeout=0.5)
         with pytest.raises(SweepExecutionError, match="no progress"):
             runner.run(cells, {"default": DATASET})
         assert runner.last_stats.failed == 1
 
     def test_jitter_is_deterministic_per_owner(self):
-        a = SharedCacheBackend(owner="worker-a")
-        b = SharedCacheBackend(owner="worker-a")
-        c = SharedCacheBackend(owner="worker-b")
-        draws_a = [float(a._rng.random()) for _ in range(4)]
-        draws_b = [float(b._rng.random()) for _ in range(4)]
-        draws_c = [float(c._rng.random()) for _ in range(4)]
+        draws_a = list(itertools.islice(_waits("worker-a"), 8))
+        draws_b = list(itertools.islice(_waits("worker-a"), 8))
+        draws_c = list(itertools.islice(_waits("worker-b"), 8))
         assert draws_a == draws_b
         assert draws_a != draws_c
+        # Jitter in [0.5, 1.5) around a doubling wait capped at 2 s.
+        assert 0.025 <= draws_a[0] < 0.075
+        assert all(1.0 <= wait < 3.0 for wait in draws_a[6:])
+
+    def test_sigkilled_pool_worker_retakes_its_own_lease(self, tmp_path):
+        # The retry of a cell whose worker was SIGKILLed holding its
+        # lease takes that lease over at once, in the same run(), far
+        # inside lease_ttl.
+        cache_dir = str(tmp_path / "cache")
+        cells = _cells("test_dist_killed_once", str(tmp_path), 3)
+        runner = SweepRunner(
+            workers=2, cache_dir=cache_dir, lease_ttl=30.0, retry_backoff=0.01
+        )
+        started = time.perf_counter()
+        results = runner.run(cells, {"default": DATASET})
+        assert time.perf_counter() - started < 10.0
+        assert results == _expected(3)
+        assert runner.last_stats.retries >= 3
+        assert runner.last_stats.failed == 0
+        assert _leases(cache_dir) == []
+
+    def test_failed_cell_releases_its_lease(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        cells = _cells("test_dist_always_crash", str(tmp_path), 2)
+        runner = SweepRunner(
+            workers=2, cache_dir=cache_dir, max_retries=1, retry_backoff=0.01
+        )
+        with pytest.raises(SweepExecutionError):
+            runner.run(cells, {"default": DATASET})
+        assert runner.last_stats.failed == 2
+        assert _leases(cache_dir) == []
+
+    def test_quarantine_found_in_a_worker_travels_back(self, tmp_path, monkeypatch):
+        # The parent's cache pass misses; the pool worker's re-check
+        # finds a corrupt entry, quarantines it, and says so in its reply.
+        import repro.experiments.sweep as sweep_mod
+
+        cache_dir = str(tmp_path / "cache")
+        os.makedirs(cache_dir)
+        cells = _cells("test_dist_fast", str(tmp_path), 2)
+        entry = _lease_of(cache_dir, cells[0])[: -len(".lease")]
+        with open(entry, "w") as handle:
+            handle.write('{"key": "torn')
+        real_read = sweep_mod.read_sweep_entry
+        reads: dict[str, int] = {}
+
+        def read_after_the_cache_pass(path):
+            reads[path] = reads.get(path, 0) + 1
+            return (None, "missing") if reads[path] == 1 else real_read(path)
+
+        monkeypatch.setattr(sweep_mod, "read_sweep_entry", read_after_the_cache_pass)
+        runner = SweepRunner(workers=2, cache_dir=cache_dir)
+        assert runner.run(cells, {"default": DATASET}) == _expected(2)
+        assert runner.last_stats.quarantined == 1
+        assert runner.last_stats.executed == 2
 
 
 class TestSharedBackendMultiWorker:
     def test_two_workers_cooperatively_drain_the_grid(self, tmp_path):
+        # Two pooled runners on one grid execute each cell exactly once
+        # between them; the other runner is served by the peer's entry.
         cache_dir = str(tmp_path / "cache")
         marker_dir = str(tmp_path / "markers")
         os.makedirs(marker_dir)
         count = 6
+        dataset = load_dataset(DATASET)
         ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2)
         stats_paths = [str(tmp_path / f"stats-{i}.json") for i in range(2)]
-        workers = [
+        runners = [
             ctx.Process(
-                target=_worker_main,
+                target=_runner_main,
                 args=(
-                    "test_dist_fast", marker_dir, count, cache_dir,
-                    f"w{i}", stats_paths[i],
+                    "test_dist_nap", marker_dir, count, cache_dir,
+                    stats_paths[i], 30.0, 2, dataset, barrier,
                 ),
             )
             for i in range(2)
         ]
-        for proc in workers:
+        for proc in runners:
             proc.start()
-        for proc in workers:
+        for proc in runners:
             proc.join(timeout=120)
             assert proc.exitcode == 0
         stats = [json.load(open(path)) for path in stats_paths]
-        # Between them the two workers account for every cell, and
-        # nothing ran in this (parent) process.
-        assert sum(s["executed"] + s["peer_served"] + s["cache_hits"] for s in stats) == 2 * count
-        assert sum(s["executed"] for s in stats) >= count
+        assert sum(s["executed"] for s in stats) == count
+        assert sum(s["peer_served"] for s in stats) == count
+        assert sum(s["cache_hits"] + s["retries"] for s in stats) == 0
+        assert _leases(cache_dir) == []
         # The shared cache matches the sequential reference bit for bit.
         seq_dir = str(tmp_path / "seq")
         SweepRunner(workers=0, cache_dir=seq_dir).run(
-            _cells("test_dist_fast", marker_dir, count), {"default": DATASET}
+            _cells("test_dist_nap", marker_dir, count), {"default": DATASET}
         )
         assert _cache_bytes(cache_dir) == _cache_bytes(seq_dir)
 
@@ -320,10 +417,10 @@ class TestSharedBackendMultiWorker:
         victim_stats = str(tmp_path / "stats-victim.json")
         survivor_stats = str(tmp_path / "stats-survivor.json")
         victim = ctx.Process(
-            target=_worker_main,
+            target=_runner_main,
             args=(
                 "test_dist_slow", marker_dir, count, cache_dir,
-                "victim", victim_stats, 1.0,
+                victim_stats, 1.0,
             ),
         )
         victim.start()
@@ -338,10 +435,10 @@ class TestSharedBackendMultiWorker:
         victim.join(timeout=30)
         assert not os.path.exists(victim_stats)
         survivor = ctx.Process(
-            target=_worker_main,
+            target=_runner_main,
             args=(
                 "test_dist_slow", marker_dir, count, cache_dir,
-                "survivor", survivor_stats, 1.0,
+                survivor_stats, 1.0,
             ),
         )
         survivor.start()
@@ -349,9 +446,7 @@ class TestSharedBackendMultiWorker:
         assert survivor.exitcode == 0
         stats = json.load(open(survivor_stats))
         # The survivor finished the whole grid, reclaiming the dead
-        # worker's lease (unless the kill landed between cells, in
-        # which case the lease was already released — assert on the
-        # grid, and on the counter when a lease was actually held).
+        # runner's lease once it went stale: a retry.
         leases_left = [
             n for n in os.listdir(cache_dir) if n.endswith(".lease")
         ]
@@ -359,7 +454,7 @@ class TestSharedBackendMultiWorker:
         entries = [n for n in os.listdir(cache_dir) if n.endswith(".json")]
         assert len(entries) == count
         assert stats["executed"] + stats["cache_hits"] == count
-        assert stats["reclaimed"] >= 1
+        assert stats["retries"] >= 1
         # Byte-identical to the sequential reference despite the chaos
         # (same specs — the marker dir is part of the payload, hence of
         # the cache key).
@@ -368,13 +463,3 @@ class TestSharedBackendMultiWorker:
             _cells("test_dist_slow", marker_dir, count), {"default": DATASET}
         )
         assert _cache_bytes(cache_dir) == _cache_bytes(seq_dir)
-
-
-class TestLocalBackendExplicit:
-    def test_local_backend_injection_matches_default(self, tmp_path):
-        cells = _cells("test_dist_fast", str(tmp_path), 3)
-        default = SweepRunner(workers=0).run(cells, {"default": DATASET})
-        explicit = SweepRunner(backend=LocalBackend(workers=0)).run(
-            cells, {"default": DATASET}
-        )
-        assert explicit == default

@@ -5,8 +5,8 @@ Two families of randomised contracts:
 * **Lease claim/expiry/reclaim** — under any interleaving of claims,
   releases, expiries and reclaims by any number of owners, the lease
   file holds at most one owner record, at most one reclaimer confirms
-  per read window, and a drain over a grid with arbitrarily planted
-  stale leases loses no cell.
+  per read window, and a ``SweepRunner`` drain over a grid with
+  arbitrarily planted stale and live leases loses no cell.
 * **Verify-on-read** — for any truncation or bit-flip of a
   digest-stamped artifact, the loader either returns the original
   values or refuses (quarantine / miss); it never crashes with an
@@ -15,7 +15,7 @@ Two families of randomised contracts:
 
 from __future__ import annotations
 
-import json
+import functools
 import os
 import time
 
@@ -23,12 +23,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import DatasetConfig, ExperimentConfig, ModelConfig, TrainConfig
+from repro.datasets.loaders import load_dataset
 from repro.experiments.backend import (
     lease_path_for,
     read_lease,
     release_lease,
     try_claim_lease,
     try_reclaim_lease,
+)
+from repro.experiments.sweep import (
+    CellSpec,
+    SweepRunner,
+    cell_cache_key,
+    dataset_fingerprint,
+    register_cell_kind,
 )
 from repro.persistence import (
     IntegrityError,
@@ -41,6 +50,21 @@ from repro.persistence import (
 )
 
 FAST = settings(max_examples=60, deadline=None)
+
+
+_DATASET = DatasetConfig(name="custom", scale=0.08, seed=5)
+
+
+@functools.lru_cache(maxsize=1)
+def _dataset():
+    return load_dataset(_DATASET)
+
+
+def _payload_index(spec: CellSpec, dataset) -> list[list[float]]:
+    return [[float(spec.payload[0])]]
+
+
+register_cell_kind("test_prop_index", _payload_index)
 
 
 # ----------------------------------------------------------------------
@@ -105,88 +129,69 @@ class TestLeaseProtocolInvariants:
     def test_drain_loses_no_cell(self, tmp_path_factory, stale_cells, live_cells):
         """Any mix of stale (dead-owner) and unclaimed cells drains fully.
 
-        Cells with a *live* lease are drained by "the peer" (we
-        complete them out-of-band), modelling a healthy worker: the
-        drain must adopt those results rather than spin on them.
+        Cells with a *live* lease are finished by "the peer" out of band
+        on the drain's second pass, modelling a healthy run: the drain
+        must adopt those results rather than spin on them.
         """
-        from repro.experiments.backend import SharedCacheBackend
-        from repro.experiments.sweep import SweepExecutionError
+        import repro.experiments.sweep as sweep_mod
 
         tmp_path = tmp_path_factory.mktemp("grid")
         cache_dir = str(tmp_path / "cache")
         os.makedirs(cache_dir)
         live_cells = live_cells - stale_cells
         total = 8
-        keys = [f"cell{i:02d}" for i in range(total)]
-        paths = {key: os.path.join(cache_dir, f"{key}.json") for key in keys}
+        dataset = _dataset()
+        config = ExperimentConfig(
+            dataset=_DATASET,
+            model=ModelConfig(kind="mf", embedding_dim=8, seed=3),
+            train=TrainConfig(rounds=2, users_per_round=8, lr=1.0),
+            seed=3,
+        )
+        specs = [
+            CellSpec(config=config, kind="test_prop_index", payload=(index,))
+            for index in range(total)
+        ]
+        fp = dataset_fingerprint(dataset)
+        keys = [cell_cache_key(spec, fp) for spec in specs]
+        paths = [os.path.join(cache_dir, f"{key}.json") for key in keys]
         for index in stale_cells:
-            lease = lease_path_for(paths[keys[index]])
+            lease = lease_path_for(paths[index])
             try_claim_lease(lease, {"owner": "dead", "token": f"dead#{index}"})
             stale = time.time() - 3600
             os.utime(lease, (stale, stale))
         for index in live_cells:
-            lease = lease_path_for(paths[keys[index]])
+            lease = lease_path_for(paths[index])
             try_claim_lease(lease, {"owner": "live", "token": f"live#{index}"})
 
-        class _Spec:
-            def __init__(self, index):
-                self.kind = "prop"
-                self.dataset_key = "default"
-                self.index = index
+        real_read = sweep_mod.read_sweep_entry
+        reads: dict[str, int] = {}
 
-        specs = [_Spec(i) for i in range(total)]
-        done: dict[str, list] = {}
+        def read(path):
+            # Reads of a cell: the cache pass, the first pass's re-check
+            # (the lease is live: busy), then the second pass's.
+            reads[path] = reads.get(path, 0) + 1
+            index = paths.index(path)
+            if index in live_cells and reads[path] == 3:
+                save_sweep_entry(
+                    path, key=keys[index], kind="test_prop_index",
+                    values=[[float(index)]],
+                )
+                release_lease(lease_path_for(path))
+            return real_read(path)
 
-        def store(key, spec, values):
-            done[key] = values
-            with open(paths[key], "w") as handle:
-                json.dump({"key": key, "values": values}, handle)
-
-        served = 0
-
-        def load_cached(key):
-            nonlocal served
-            if key in done:
-                return done[key]
-            # Model the live peers finishing their cells while we wait.
-            index = keys.index(key)
-            if index in live_cells and served < len(live_cells):
-                served += 1
-                values = [[float(index)]]
-                store(key, specs[index], values)
-                release_lease(lease_path_for(paths[key]))
-                return values
-            return None
-
-        import repro.experiments.sweep as sweep_mod
-
-        original = sweep_mod.execute_cell
-        sweep_mod.execute_cell = lambda spec, dataset: [[float(spec.index)]]
+        sweep_mod.read_sweep_entry = read
         try:
-            backend = SharedCacheBackend(
-                owner="prop-worker",
-                lease_ttl=5.0,
-                poll_interval=0.001,
-                wait_timeout=30.0,
-            )
-            results = [None] * total
-            report = backend.run_pending(
-                cells=specs,
-                loaded={"default": None},
-                pending=[(i, keys[i]) for i in range(total)],
-                results=results,
-                store=store,
-                load_cached=load_cached,
-                entry_path=lambda key: paths[key],
-            )
+            runner = SweepRunner(cache_dir=cache_dir, lease_ttl=5.0, cell_timeout=30.0)
+            results = runner.run(specs, {"default": dataset})
         finally:
-            sweep_mod.execute_cell = original
+            sweep_mod.read_sweep_entry = real_read
         # No cell lost: every slot filled with its own value.
         assert results == [[[float(i)]] for i in range(total)]
-        # Every dead worker's lease was reclaimed and counted.
-        assert report.reclaimed == len(stale_cells)
-        assert report.peer_served == len(live_cells)
-        assert report.executed == total - len(live_cells)
+        # Every dead run's lease was reclaimed and counted as a retry.
+        stats = runner.last_stats
+        assert stats.retries == len(stale_cells)
+        assert stats.peer_served == len(live_cells)
+        assert stats.executed == total - len(live_cells)
         # No lease survives a finished drain.
         assert not [
             name for name in os.listdir(cache_dir) if name.endswith(".lease")

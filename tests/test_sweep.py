@@ -313,6 +313,13 @@ class TestErrors:
         with pytest.raises(ValueError, match="workers"):
             SweepRunner(workers=-1)
 
+    @pytest.mark.parametrize("field", ["cell_timeout", "lease_ttl"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_timeouts_must_be_finite_and_positive(self, field, value):
+        # nan <= 0 is false, so a sign test alone lets NaN through.
+        with pytest.raises(ValueError, match=field):
+            SweepRunner(**{field: value})
+
 
 class TestCoverageVectorization:
     def test_covered_users_matches_bruteforce(self, tiny_dataset):
@@ -462,15 +469,19 @@ class TestCliSweep:
         assert cli_main(["sweep", "3", "--dry-run"]) == 0
         assert "0 cached, 2 pending" in capsys.readouterr().out
 
-    def test_shared_backend_requires_cache_dir(self, capsys):
+    @pytest.mark.parametrize("flag", ["--cell-timeout", "--lease-ttl"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_timeouts_must_be_finite_and_positive(self, flag, value, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            cli_main(["sweep", "3", "--backend", "shared"])
+            cli_main(["sweep", "3", flag, value])
         assert excinfo.value.code == 2
-        assert "--cache-dir" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     def test_shared_backend_runs_table_to_completion(
         self, monkeypatch, capsys, tmp_path
     ):
+        # A plain cached sweep is the shared one: every cell runs
+        # under a lease in the cache directory, released when done.
         import repro.cli as cli
 
         def fake_table(*, runner=None):
@@ -483,16 +494,11 @@ class TestCliSweep:
 
         monkeypatch.setattr(cli, "_TABLES", {"3": fake_table})
         code = cli_main(
-            [
-                "sweep", "3",
-                "--backend", "shared",
-                "--owner", "test-worker",
-                "--cache-dir", str(tmp_path),
-            ]
+            ["sweep", "3", "--workers", "2", "--cache-dir", str(tmp_path)]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "shared cache, worker test-worker" in out
+        assert "2 workers, cache: " in out and "cells leased with peers" in out
         assert "2 executed" in out
         assert not [n for n in os.listdir(tmp_path) if n.endswith(".lease")]
 

@@ -1,10 +1,11 @@
 """Self-healing sweep pool: crash retry, permanent failure, hang detection.
 
 Worker processes are killed for real (``os._exit``) — these tests
-exercise the actual ``BrokenProcessPool`` recovery path, not a
-simulated exception.  The executors are module-level and keyed by
-marker files under the cell's ``payload`` directory, so behaviour is
-per-cell and survives the respawned pools.
+exercise the supervisor's respawn-and-retry path, not a simulated
+exception; with a cache, a retry takes over its own lease at once.
+The executors are module-level and keyed by marker files under the
+cell's ``payload`` directory, so behaviour is per-cell and survives
+the respawned workers.
 """
 
 from __future__ import annotations

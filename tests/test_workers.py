@@ -87,6 +87,15 @@ def test_task_past_its_deadline_is_killed_and_reported(supervisors):
     assert pool.respawns >= 1
 
 
+@pytest.mark.parametrize("deadline", [float("nan"), float("inf"), 0.0, -1.0])
+def test_deadline_must_be_finite_and_positive(deadline):
+    # A NaN deadline used to be accepted: max(0.0, nan) is 0.0, so the
+    # parent busy-polled its workers and never killed one.  Checked
+    # before any worker is forked.
+    with pytest.raises(ValueError, match="deadline"):
+        Supervisor(1, _work, deadline=deadline)
+
+
 def test_exception_in_handle_is_a_failure_reply(supervisors):
     pool = supervisors(1, _work, max_attempts=1)
     pid = pool.processes[0].pid
