@@ -59,6 +59,10 @@ CACHE_HIT_FLOOR = 0.9
 LEASE_TTL = 3.0
 
 
+def _subdir(root, prefix):
+    return tempfile.mkdtemp(prefix=prefix, dir=root)
+
+
 def _grid(attacks, defenses, rounds):
     dataset = "ml-100k"
     specs = [
@@ -105,10 +109,10 @@ def _spawn(ctx, attacks, defenses, rounds, cache_dir, stats_path):
     return proc
 
 
-def _drain_with_workers(attacks, defenses, rounds, cache_dir, count, tag):
+def _drain_with_workers(attacks, defenses, rounds, cache_dir, count, tag, root):
     """Run ``count`` cooperating workers to completion; returns seconds."""
     ctx = multiprocessing.get_context("fork")
-    stats_dir = tempfile.mkdtemp(prefix="dist-stats-")
+    stats_dir = _subdir(root, "dist-stats-")
     started = time.perf_counter()
     procs = [
         _spawn(
@@ -136,11 +140,11 @@ def _cache_bytes(cache_dir):
     }
 
 
-def _chaos_drill(attacks, defenses, rounds, seq_bytes):
+def _chaos_drill(attacks, defenses, rounds, seq_bytes, root):
     """SIGKILL one of two workers mid-cell; assert full recovery."""
     ctx = multiprocessing.get_context("fork")
-    cache_dir = tempfile.mkdtemp(prefix="dist-chaos-")
-    stats_dir = tempfile.mkdtemp(prefix="dist-chaos-stats-")
+    cache_dir = _subdir(root, "dist-chaos-")
+    stats_dir = _subdir(root, "dist-chaos-stats-")
     victim = _spawn(
         ctx, attacks, defenses, rounds, cache_dir,
         os.path.join(stats_dir, "victim.json"),
@@ -183,6 +187,13 @@ def _chaos_drill(attacks, defenses, rounds, seq_bytes):
 
 
 def main(argv: list[str]) -> int:
+    # Every directory the run makes lives under one root, removed on
+    # exit (assertion failures included).
+    with tempfile.TemporaryDirectory(prefix="dist-sweep-") as root:
+        return _run(argv, root)
+
+
+def _run(argv: list[str], root: str) -> int:
     smoke = "--smoke" in argv
     attacks = SMOKE_ATTACKS if smoke else FULL_ATTACKS
     defenses = SMOKE_DEFENSES if smoke else FULL_DEFENSES
@@ -196,7 +207,7 @@ def main(argv: list[str]) -> int:
     )
 
     # -- sequential reference (also the byte-identity oracle) ----------
-    seq_dir = tempfile.mkdtemp(prefix="dist-seq-")
+    seq_dir = _subdir(root, "dist-seq-")
     started = time.perf_counter()
     seq_runner = SweepRunner(workers=0, cache_dir=seq_dir)
     seq_results = seq_runner.run(specs, datasets)
@@ -205,9 +216,9 @@ def main(argv: list[str]) -> int:
     print(f"  inline runner: {local_seconds:.2f}s")
 
     # -- single runner process: coordination overhead ------------------
-    one_dir = tempfile.mkdtemp(prefix="dist-one-")
+    one_dir = _subdir(root, "dist-one-")
     one_seconds, _ = _drain_with_workers(
-        attacks, defenses, rounds, one_dir, 1, "solo"
+        attacks, defenses, rounds, one_dir, 1, "solo", root
     )
     assert _cache_bytes(one_dir) == seq_bytes, (
         "single runner process cache differs from sequential"
@@ -219,9 +230,9 @@ def main(argv: list[str]) -> int:
     )
 
     # -- two cooperating workers: throughput ---------------------------
-    two_dir = tempfile.mkdtemp(prefix="dist-two-")
+    two_dir = _subdir(root, "dist-two-")
     two_seconds, two_stats = _drain_with_workers(
-        attacks, defenses, rounds, two_dir, 2, "duo"
+        attacks, defenses, rounds, two_dir, 2, "duo", root
     )
     assert _cache_bytes(two_dir) == seq_bytes, (
         "2-worker shared cache differs from the sequential reference"
@@ -248,7 +259,7 @@ def main(argv: list[str]) -> int:
     )
 
     # -- chaos drill ---------------------------------------------------
-    chaos_stats = _chaos_drill(attacks, defenses, rounds, seq_bytes)
+    chaos_stats = _chaos_drill(attacks, defenses, rounds, seq_bytes, root)
 
     emit_bench_json(
         "distributed_sweep",

@@ -13,7 +13,7 @@ Usage::
 
 import numpy as np
 
-from repro.attacks.mining import PopularItemMiner
+from repro.attacks.mining import CohortMiner
 from repro.experiments import experiment
 from repro.federated.simulation import FederatedSimulation
 
@@ -27,16 +27,19 @@ def main() -> None:
         f"{data.num_train_interactions} interactions"
     )
 
-    # The "attacker": observes the global model every round it would be
-    # sampled; here we let it observe every round for clarity.
-    miner = PopularItemMiner(data.num_items, mining_rounds=2, num_popular=10)
+    # The "attacker" (a team of one, row 0): observes the global model
+    # every round it would be sampled; here we let it observe every
+    # round for clarity.
+    miner = CohortMiner(
+        data.num_items, mining_rounds=2, num_popular=10, num_clients=1
+    )
     round_idx = 0
-    while not miner.ready:
-        miner.observe(sim.model.item_embeddings)
+    while not miner.all_ready:
+        miner.observe([0], sim.model.item_embeddings, round_idx)
         sim.run_round(round_idx)
         round_idx += 1
 
-    mined = miner.popular_items()
+    mined = miner.mined[0]
     rank_of = data.popularity_rank_of()
     true_top = set(data.popularity_ranking()[:10].tolist())
 

@@ -88,7 +88,7 @@ def mining_window_study(
     the share is the fraction of the mined top-N that belongs to the
     head (top ``head_fraction``) of the true popularity ranking.
     """
-    from repro.attacks.mining import PopularItemMiner
+    from repro.attacks.mining import CohortMiner
 
     if config.attack is not None:
         raise ValueError("the mining-window study uses a clean run")
@@ -96,7 +96,7 @@ def mining_window_study(
         raise ValueError("need at least one window")
     sim = FederatedSimulation(config, dataset=dataset)
     miners = {
-        window: PopularItemMiner(sim.dataset.num_items, window, num_popular)
+        window: CohortMiner(sim.dataset.num_items, window, num_popular, 1)
         for window in windows
     }
     total_rounds = start_round + max(windows) + 1
@@ -105,11 +105,10 @@ def mining_window_study(
         if round_idx < start_round:
             continue
         for miner in miners.values():
-            if not miner.ready:
-                miner.observe(sim.model.item_embeddings)
+            miner.observe([0], sim.model.item_embeddings, round_idx)
     pop_rank = sim.dataset.popularity_rank_of()
     head = max(1, int(round(sim.dataset.num_items * head_fraction)))
     return {
-        window: float((pop_rank[miner.popular_items()] < head).mean())
+        window: float((pop_rank[miner.mined[0]] < head).mean())
         for window, miner in miners.items()
     }

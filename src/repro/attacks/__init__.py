@@ -24,7 +24,7 @@ from repro.attacks.base import (
     stacked_step_gradients,
 )
 from repro.attacks.cohort import CohortUpload, MaliciousCohort
-from repro.attacks.mining import CohortMiner, DeltaNormTracker, PopularItemMiner
+from repro.attacks.mining import CohortMiner
 from repro.attacks.pieck_ipe import PieckIPE, ipe_loss_and_grad
 from repro.attacks.pieck_uea import PieckUEA
 from repro.attacks.registry import ATTACK_NAMES, build_malicious_cohort
@@ -39,9 +39,7 @@ __all__ = [
     "select_target_items",
     "CohortMiner",
     "CohortUpload",
-    "DeltaNormTracker",
     "MaliciousCohort",
-    "PopularItemMiner",
     "PieckIPE",
     "PieckUEA",
     "ipe_loss_and_grad",

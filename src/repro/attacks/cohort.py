@@ -61,24 +61,43 @@ from repro.attacks.pieck_uea import PieckUEA, lockstep_payloads
 from repro.config import AttackConfig, TrainConfig
 from repro.datasets.base import InteractionDataset
 from repro.datasets.sampling import ragged_csr, sample_local_batches
-from repro.federated.payload import clip_scale
 from repro.models.base import RecommenderModel, segment_starts
 from repro.rng import spawn, spawn_batch
 from repro.stateful import Stateful
 
-__all__ = ["CohortUpload", "MaliciousCohort"]
+__all__ = ["CohortUpload", "MaliciousCohort", "clip_scale"]
+
+
+def clip_scale(
+    item_grads: np.ndarray, param_grads: list[np.ndarray], max_norm: float
+) -> float | None:
+    """Uniform down-scale bringing a whole upload to ``max_norm``.
+
+    ``None`` means the upload is already within bounds (or clipping is
+    disabled) and must be passed through untouched.  This is the single
+    definition of the clip arithmetic — accumulation order included
+    (item block first, then each parameter block left to right) — that
+    the cohort and the per-client reference in ``tests/reference`` share,
+    so the two cannot drift apart bit-wise.
+    """
+    if max_norm <= 0:
+        return None
+    total = float(np.sum(item_grads**2))
+    total += sum(float(np.sum(grad**2)) for grad in param_grads)
+    norm = float(np.sqrt(total))
+    if norm <= max_norm:
+        return None
+    return max_norm / norm
 
 
 @dataclass
 class CohortUpload:
     """One malicious client's upload as views into the round's stacks.
 
-    Duck-type-compatible with the attributes the batch engine's splice
-    reads from a :class:`~repro.federated.payload.ClientUpdate`
-    (``user_id`` / ``item_ids`` / ``item_grads`` / ``param_grads`` /
-    ``malicious``), but without the per-object validation, copies or
-    dataclass machinery — ``item_ids`` and ``item_grads`` are slices
-    of the cohort's stacked round arrays.
+    ``item_ids`` and ``item_grads`` are slices of the cohort's stacked
+    round arrays; the batch engine splices each upload into the
+    round's :class:`~repro.federated.update_batch.UpdateBatch` at the
+    member's sampled position.
     """
 
     user_id: int
@@ -349,12 +368,11 @@ class MaliciousCohort(Stateful):
     def _clip(
         self, item_grads: np.ndarray, param_grads: list[np.ndarray]
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Apply ``ClientUpdate.clipped`` to one client's round slice.
+        """Clip one client's round slice to ``config.grad_clip``.
 
-        Shares the single :func:`~repro.federated.payload.clip_scale`
-        definition with ``ClientUpdate``; the slice is contiguous and
-        the flat pairwise reduction depends only on the element count,
-        so the norm is the one a materialised update would take.
+        Uses :func:`clip_scale`; the slice is contiguous and the flat
+        pairwise reduction depends only on the element count, so the
+        norm is the one a materialised per-client upload would take.
         """
         scale = clip_scale(item_grads, param_grads, self.config.grad_clip)
         if scale is None:

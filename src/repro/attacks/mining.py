@@ -6,23 +6,19 @@ so accumulating the per-item L2 change of the received item matrix
 across the rounds a client is sampled (Δ-Norm, Eq. 7) ranks popular
 items at the top — with no prior knowledge whatsoever.
 
-Two executions of Algorithm 1 live here:
-
-* the per-client objects (:class:`DeltaNormTracker` wrapped by
-  :class:`PopularItemMiner`) — one miner per client, as the per-client
-  defense oracle ``ClientRegularizer`` and the Fig. 4 analysis use it;
-* the team-level :class:`CohortMiner` — for the malicious team and,
-  under the client-side defense, for every benign client — as
-  struct-of-arrays state (one
-  ``(num_clients, num_items)`` accumulator matrix, vectorised
-  observation counters) plus a shared per-round observation ledger:
-  each round's received item matrix is snapshotted **once** for the
-  whole team, ``||v_j^r − v_j^{r'}||`` is computed once per distinct
-  previous-observation round ``r'`` and fancy-indexed into every
-  sampled client's accumulator row.  Bit-identical to running one
-  :class:`DeltaNormTracker` per client (asserted by the property suite
-  in ``tests/test_attack_cohort.py``) at O(1) item-matrix copies per
-  round instead of O(num_malicious).
+:class:`CohortMiner` runs Algorithm 1 for a team of clients — the
+malicious team, every benign client under the client-side defense, or
+a team of one (the per-client defense oracle ``ClientRegularizer``,
+the mining-window analysis) — as struct-of-arrays state (one
+``(num_clients, num_items)`` accumulator matrix, vectorised
+observation counters) plus a shared per-round observation ledger:
+each round's received item matrix is snapshotted **once** for the
+whole team, ``||v_j^r − v_j^{r'}||`` is computed once per distinct
+previous-observation round ``r'`` and fancy-indexed into every
+sampled client's accumulator row.  Bit-identical to one Δ-Norm
+accumulator per client (``tests/reference/attack.ReferenceMiner``,
+asserted by ``tests/test_attack_cohort.py``) at O(1) item-matrix
+copies per round instead of O(num_clients).
 """
 
 from __future__ import annotations
@@ -32,114 +28,7 @@ import numpy as np
 from repro import kernels
 from repro.stateful import Stateful
 
-__all__ = ["DeltaNormTracker", "PopularItemMiner", "CohortMiner"]
-
-
-class DeltaNormTracker(Stateful):
-    """Accumulates per-item Δ-Norm across successive model observations.
-
-    ``observe`` is called with the item embedding matrix the client
-    received this round; the first call initialises the baseline
-    (Algorithm 1 line 3) and each later call adds
-    ``||v_j^r - v_j^{r-1}||_2`` per item (line 4).
-    """
-
-    STATE = ("accumulated", "observations", "_last", "_order")
-
-    def __init__(self, num_items: int):
-        self.num_items = num_items
-        self.accumulated = np.zeros(num_items)
-        self.observations = 0
-        self._last: np.ndarray | None = None
-        self._order: np.ndarray | None = None
-
-    @property
-    def num_deltas(self) -> int:
-        """How many Δ-Norm increments have been accumulated."""
-        return max(self.observations - 1, 0)
-
-    def observe(self, item_matrix: np.ndarray) -> None:
-        """Record one received item embedding matrix."""
-        if item_matrix.shape[0] != self.num_items:
-            raise ValueError(
-                f"expected {self.num_items} items, got {item_matrix.shape[0]}"
-            )
-        if self._last is not None:
-            # The per-item ||v_j^r - v_j^{r-1}|| vector is the dispatched
-            # row_diff_norms kernel (sequential per-row accumulation).
-            self.accumulated += kernels.row_diff_norms(item_matrix, self._last)
-        self._last = item_matrix.copy()
-        self.observations += 1
-        self._order = None
-
-    def release_baseline(self) -> None:
-        """Drop the retained matrix once no further delta will be taken.
-
-        A frozen :class:`PopularItemMiner` would otherwise pin one
-        ``(num_items, dim)`` copy per miner for the rest of the run.
-        """
-        self._last = None
-
-    def top_items(self, count: int) -> np.ndarray:
-        """Item ids with the highest accumulated Δ-Norm, descending.
-
-        The requested prefix of the descending order is cached between
-        observations: repeated calls on a frozen accumulator (e.g.
-        analysis code reading a mined ranking every round) do not
-        re-sort.  Only the prefix is retained — a full ``(num_items,)``
-        permutation per tracker would dwarf the mined set at catalogue
-        scale — so a *larger* request after a smaller one re-sorts
-        once.
-        """
-        count = min(count, self.num_items)
-        if self._order is None or len(self._order) < count:
-            self._order = np.argsort(-self.accumulated, kind="stable")[
-                :count
-            ].copy()
-        return self._order[:count]
-
-
-class PopularItemMiner(Stateful):
-    """Algorithm 1: mine the popular set P after R-tilde accumulations.
-
-    The miner is *ready* once it has seen ``mining_rounds + 1`` model
-    snapshots (i.e. accumulated ``mining_rounds`` Δ-Norm increments);
-    afterwards the mined set is frozen, matching Algorithm 1's
-    one-shot output.
-    """
-
-    STATE = ("_tracker", "_mined")
-
-    def __init__(self, num_items: int, mining_rounds: int, num_popular: int):
-        if mining_rounds < 1:
-            raise ValueError("mining_rounds must be >= 1")
-        if num_popular < 1:
-            raise ValueError("num_popular must be >= 1")
-        self.num_items = num_items
-        self.mining_rounds = mining_rounds
-        self.num_popular = num_popular
-        self._tracker = DeltaNormTracker(num_items)
-        self._mined: np.ndarray | None = None
-
-    @property
-    def ready(self) -> bool:
-        """Whether the popular set has been mined."""
-        return self._mined is not None
-
-    def observe(self, item_matrix: np.ndarray) -> None:
-        """Feed one received item matrix; freezes P when R-tilde is hit."""
-        if self.ready:
-            return
-        self._tracker.observe(item_matrix)
-        if self._tracker.num_deltas >= self.mining_rounds:
-            self._mined = self._tracker.top_items(self.num_popular)
-            self._tracker.release_baseline()
-
-    def popular_items(self) -> np.ndarray:
-        """The mined popular set P, most-popular-first (by Δ-Norm)."""
-        if self._mined is None:
-            raise RuntimeError("popular items not mined yet (miner not ready)")
-        return self._mined
+__all__ = ["CohortMiner"]
 
 
 class CohortMiner(Stateful):
@@ -147,10 +36,7 @@ class CohortMiner(Stateful):
 
     The malicious team's miners live in one (``MaliciousCohort``), and
     so do all benign clients' under the client-side defense (the client
-    store's ``miner``).
-
-    Mirrors one :class:`DeltaNormTracker` + :class:`PopularItemMiner`
-    per client as flat arrays:
+    store's ``miner``).  Per-client state is held as flat arrays:
 
     * ``accumulated`` — ``(num_clients, num_items)``; row ``i`` is
       client ``i``'s Δ-Norm accumulator (Eq. 7), ``None`` until the
@@ -229,8 +115,10 @@ class CohortMiner(Stateful):
     ) -> None:
         """Feed this round's item matrix to the sampled clients ``rows``.
 
-        Already-ready rows are skipped (their sets are frozen, exactly
-        like :meth:`PopularItemMiner.observe` returning early).
+        Already-ready rows are skipped (their sets are frozen).
+        ``round_idx`` keys the shared snapshot, so it must differ
+        between observations; a caller without rounds passes its
+        observation count.
         """
         rows = np.asarray(rows, dtype=np.int64)
         rows = rows[~self.ready[rows]]

@@ -40,11 +40,8 @@ counter.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.federated.payload import ClientUpdate
 from repro.federated.update_batch import UpdateBatch
 
 __all__ = ["ItemScaleClip"]
@@ -95,23 +92,6 @@ class ItemScaleClip:
     # Scale calibration
     # ------------------------------------------------------------------
 
-    def _round_median(self, updates: Sequence[ClientUpdate]) -> float:
-        """Median-of-medians benign row scale for one round.
-
-        Each client contributes exactly one value — the median norm of
-        its own rows — so a single client cannot move the statistic no
-        matter how many (or how extreme) rows it uploads.
-        """
-        client_medians = []
-        for update in updates:
-            norms = np.linalg.norm(update.item_grads, axis=1)
-            positive = norms[norms > 0]
-            if len(positive):
-                client_medians.append(_lower_median(positive))
-        if not client_medians:
-            return 0.0
-        return _lower_median(np.asarray(client_medians))
-
     def _update_scale(self, round_median: float) -> float:
         if self._smoothed_median is None or self.history == 0.0:
             self._smoothed_median = round_median
@@ -126,40 +106,18 @@ class ItemScaleClip:
     # Filtering
     # ------------------------------------------------------------------
 
-    def __call__(self, updates: Sequence[ClientUpdate]) -> Sequence[ClientUpdate]:
-        if not updates:
-            return updates
-        scale = self._update_scale(self._round_median(updates))
-        if scale <= 0.0:
-            return updates
-        bound = self.factor * scale
-        clipped: list[ClientUpdate] = []
-        for update in updates:
-            item_grads = self._clip_rows(update.item_grads, bound)
-            if item_grads is None:
-                clipped.append(update)
-                continue
-            clipped.append(
-                ClientUpdate(
-                    user_id=update.user_id,
-                    item_ids=update.item_ids,
-                    item_grads=item_grads,
-                    param_grads=update.param_grads,
-                    malicious=update.malicious,
-                )
-            )
-        return clipped
-
     def filter_batch(self, batch: UpdateBatch) -> UpdateBatch:
-        """Batched equivalent of ``__call__`` on an :class:`UpdateBatch`.
+        """Clip the round's item-gradient rows.
 
         Row norms are computed once over the whole round stack (a
         row-wise reduction, so each value matches the per-client
         computation bit for bit); the median-of-medians calibration
-        walks client segments of that norm vector; the row clip is one
-        masked multiply over the stack.  The EMA state advances exactly
-        as in the per-update path, so a filter instance may serve either
-        entry point across rounds.
+        walks client segments of that norm vector — each client
+        contributes the median norm of its own rows, so a single client
+        cannot move the statistic however many (or however extreme)
+        rows it uploads; the row clip is one masked multiply over the
+        stack.  The per-client reference filter in
+        ``tests/reference/updates.py`` advances the same EMA state.
         """
         if batch.num_clients == 0:
             return batch
@@ -185,16 +143,3 @@ class ItemScaleClip:
         item_grads = batch.item_grads.copy()
         item_grads[over] *= (bound / row_norms[over])[:, None]
         return batch.with_item_grads(item_grads)
-
-    @staticmethod
-    def _clip_rows(grads: np.ndarray, bound: float) -> np.ndarray | None:
-        """Rows clipped to ``bound``, or ``None`` when nothing changes."""
-        if bound <= 0.0 or len(grads) == 0:
-            return None
-        row_norms = np.linalg.norm(grads, axis=1)
-        over = row_norms > bound
-        if not over.any():
-            return None
-        out = grads.copy()
-        out[over] *= (bound / row_norms[over])[:, None]
-        return out

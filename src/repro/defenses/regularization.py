@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.mining import PopularItemMiner
+from repro.attacks.mining import CohortMiner
 from repro.config import DefenseConfig
 from repro.metrics.divergence import softmax
 from repro.models.losses import sigmoid
@@ -228,7 +228,8 @@ class ClientRegularizer:
     ``tests/reference/client.py`` runs, hook by hook:
 
     * ``observe(item_matrix)`` — feed the received global item matrix
-      into the client's own popular item miner;
+      into the client's own popular item miner (a one-member
+      :class:`~repro.attacks.mining.CohortMiner`);
     * ``item_grad_terms(item_ids, item_matrix)`` — extra gradient rows
       for the local batch implementing ``-beta * dRe1/dv_j``;
     * ``user_grad_term(user_emb, item_matrix)`` — extra user-embedding
@@ -244,30 +245,28 @@ class ClientRegularizer:
 
     def __init__(self, num_items: int, config: DefenseConfig):
         self.config = config
-        self.miner = PopularItemMiner(
-            num_items, config.mining_rounds, config.num_popular
+        self.miner = CohortMiner(
+            num_items, config.mining_rounds, config.num_popular, 1
         )
-
-    def _mined_row(self) -> np.ndarray:
-        """The miner's popular set as one ``mined`` row (``-1`` if not ready)."""
-        if not self.miner.ready:
-            return np.full((1, 1), -1, dtype=np.int64)
-        return self.miner.popular_items()[None, :]
 
     # ------------------------------------------------------------------
     # Hook protocol
     # ------------------------------------------------------------------
 
     def observe(self, item_matrix: np.ndarray) -> None:
-        """Feed one received item matrix into the miner."""
-        self.miner.observe(item_matrix)
+        """Feed one received item matrix into the miner.
+
+        There is no round index here, so the observation count keys
+        the miner's snapshot.
+        """
+        self.miner.observe([0], item_matrix, int(self.miner.observations[0]))
 
     def item_grad_terms(
         self, item_ids: np.ndarray, item_matrix: np.ndarray
     ) -> np.ndarray:
         """Gradient of ``-beta * Re1`` w.r.t. the local batch items."""
         item_terms, _ = regularization_terms(
-            self._mined_row(),
+            self.miner.mined,
             np.zeros((1, item_matrix.shape[1])),
             item_ids,
             np.array([len(item_ids)]),
@@ -282,7 +281,7 @@ class ClientRegularizer:
     ) -> np.ndarray:
         """Gradient of ``-gamma * Re2`` w.r.t. the user embedding."""
         _, user_terms = regularization_terms(
-            self._mined_row(),
+            self.miner.mined,
             user_emb[None, :],
             np.empty(0, dtype=np.int64),
             np.zeros(1, dtype=np.int64),
@@ -294,8 +293,8 @@ class ClientRegularizer:
 
     def param_grad_terms(self, model, item_ids: np.ndarray) -> list[np.ndarray]:
         """:func:`tower_grad_terms` for this client's mined set."""
-        if not self.miner.ready:
+        if not self.miner.ready[0]:
             return [np.zeros_like(p) for p in model.interaction_params()]
         return tower_grad_terms(
-            model, self.miner.popular_items(), item_ids, self.config.gamma
+            model, self.miner.mined[0], item_ids, self.config.gamma
         )

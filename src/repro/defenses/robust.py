@@ -30,13 +30,11 @@ select-then-trim stages instead of being rebuilt per item.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from repro import kernels
 from repro.federated.aggregation import Aggregator
-from repro.federated.payload import ClientUpdate
 from repro.federated.update_batch import UpdateBatch
 
 __all__ = [
@@ -61,22 +59,13 @@ class NormBoundFilter:
     def __init__(self, threshold: float = 0.0):
         self.threshold = threshold
 
-    def __call__(self, updates: Sequence[ClientUpdate]) -> Sequence[ClientUpdate]:
-        if not updates:
-            return updates
-        bound = self.threshold
-        if bound <= 0:
-            bound = float(np.median([u.total_norm for u in updates]))
-        return [u.clipped(bound) for u in updates]
-
     def filter_batch(self, batch: UpdateBatch) -> UpdateBatch:
-        """Batched equivalent of ``__call__``, one pass over the stacks.
+        """Clip the round's uploads, one pass over the stacks.
 
-        Per-client norms come from :meth:`UpdateBatch.client_total_norms`
-        (bit-identical to ``ClientUpdate.total_norm``); unclipped
-        clients are scaled by exactly 1.0, which is the identity on
-        every float, so the result matches the reference filter bit
-        for bit.
+        Per-client norms come from :meth:`UpdateBatch.client_total_norms`;
+        unclipped clients are scaled by exactly 1.0, which is the
+        identity on every float, so the result matches the per-client
+        reference filter in ``tests/reference/updates.py`` bit for bit.
         """
         if batch.num_clients == 0:
             return batch

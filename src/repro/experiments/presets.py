@@ -9,7 +9,7 @@ Scale-downs and hyper-parameters were tuned once (see DESIGN.md) so the
   tied to its full-size batches);
 * on DL-FRS the client-side defense additionally applies Re2 at the
   interaction-function level (see
-  :meth:`repro.defenses.ClientRegularizer.param_grad_terms`).
+  :func:`repro.defenses.regularization.tower_grad_terms`).
 """
 
 from __future__ import annotations

@@ -13,14 +13,12 @@ from repro.federated.audit import ItemRoundRecord, ServerAuditLog
 from repro.federated.batch_engine import BatchClientEngine
 from repro.federated.clock import EventQueue, VirtualClock
 from repro.federated.faults import FaultStats, UploadTransit
-from repro.federated.payload import ClientUpdate
 from repro.federated.server import Server
 from repro.federated.simulation import EvalRecord, FederatedSimulation, SimulationResult
 from repro.federated.shards import ShardedStateStore
 from repro.federated.update_batch import UpdateBatch
 
 __all__ = [
-    "ClientUpdate",
     "UpdateBatch",
     "Aggregator",
     "SumAggregator",

@@ -35,8 +35,7 @@ passes over all sampled participants at once:
    dense :class:`~repro.federated.update_batch.UpdateBatch` to
    :meth:`~repro.federated.server.Server.apply_batch`, which runs the
    whole server side — audit log, defense filters, robust or fused-sum
-   aggregation — on the stacked tensors.  No per-client
-   ``ClientUpdate`` objects are materialised.
+   aggregation — on the stacked tensors.
 
 Each step has one implementation.  The malicious half of the round
 runs through the simulation's
@@ -179,6 +178,20 @@ def _bpr_stacks_fn(
 def _all_owners(num_clients: int, param_stacks: list[np.ndarray]) -> np.ndarray:
     """``param_owners`` when every client (or none) owns a stack row."""
     return np.arange(num_clients if param_stacks else 0, dtype=np.int64)
+
+
+def _upload_batch(upload) -> UpdateBatch:
+    """One :class:`~repro.attacks.cohort.CohortUpload` as a one-client
+    batch, its arrays copied out of the cohort's round stacks."""
+    return UpdateBatch(
+        user_ids=np.array([upload.user_id], dtype=np.int64),
+        item_ids=upload.item_ids.copy(),
+        item_grads=upload.item_grads.copy(),
+        lengths=np.array([len(upload.item_ids)], dtype=np.int64),
+        param_stacks=[grad[None].copy() for grad in upload.param_grads],
+        param_owners=_all_owners(1, upload.param_grads),
+        malicious=np.array([upload.malicious], dtype=bool),
+    )
 
 
 def _bpr_param_stacks(
@@ -429,7 +442,7 @@ class BatchClientEngine(Stateful):
             if run_end > run_begin:
                 parts.append(benign.client_slice(run_begin, run_end))
                 run_begin = run_end
-            parts.append(UpdateBatch.from_updates([upload]))
+            parts.append(_upload_batch(upload))
         if not parts:
             return benign
         if benign.num_clients > run_begin:

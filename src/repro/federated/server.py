@@ -14,7 +14,7 @@ aggregation (one fused :func:`~repro.federated.aggregation.scatter_sum`
 and a single dense SGD step under plain sum, grouped
 ``aggregate_stacks`` kernels under robust aggregation) all run on the
 stacked tensors.  The per-client reference the parity suites compare
-it against (one ``ClientUpdate`` per participant, gradients grouped
+it against (one upload object per participant, gradients grouped
 per item, one ``Agg`` call per touched item) lives in
 ``tests/reference/``.
 """

@@ -7,8 +7,9 @@ arrays in which client ``k`` owns a contiguous segment of
 ``lengths[k]`` rows, plus one ``(contributors, *param_shape)`` stack
 per learnable interaction parameter.  It is the server-side dual of
 the engine's training stacks — robust aggregators, update filters and
-the audit log consume these tensors directly instead of a list of
-materialised :class:`~repro.federated.payload.ClientUpdate` objects.
+the audit log consume these tensors directly.  It is the package's only
+upload representation; the per-client upload list the parity suites
+compare against lives in ``tests/reference/updates.py``.
 
 Layout invariants (everything downstream relies on them):
 
@@ -24,9 +25,8 @@ Layout invariants (everything downstream relies on them):
   positions — only :meth:`UpdateBatch.client_slice`,
   :meth:`UpdateBatch.concat` and :meth:`UpdateBatch.select_clients`
   do that;
-* ``malicious`` is ground-truth bookkeeping mirrored from
-  ``ClientUpdate.malicious`` — read by the audit log and analysis
-  code only, never by a defense.
+* ``malicious`` is ground-truth bookkeeping — read by the audit log
+  and analysis code only, never by a defense.
 
 Filters return *new* batches (or the input unchanged); the arrays of a
 batch handed to :meth:`repro.federated.server.Server.apply_batch` are
@@ -41,7 +41,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.federated.payload import ClientUpdate
 from repro.models.base import segment_starts
 
 __all__ = ["UpdateBatch"]
@@ -87,7 +86,7 @@ class UpdateBatch:
         return np.repeat(np.arange(self.num_clients), self.lengths)
 
     # ------------------------------------------------------------------
-    # Norms (bit-identical to the ClientUpdate equivalents)
+    # Norms (bit-identical to the per-client reference's)
     # ------------------------------------------------------------------
 
     def row_norms(self) -> np.ndarray:
@@ -98,8 +97,8 @@ class UpdateBatch:
     def client_total_norms(self) -> np.ndarray:
         """Per-client whole-upload L2 norm.
 
-        Matches :attr:`ClientUpdate.total_norm` bit for bit.  The
-        reference sums each client's squared gradients with one
+        Matches the per-client reference's ``total_norm`` bit for bit.
+        The reference sums each client's squared gradients with one
         ``np.sum`` over its contiguous ``(rows, dim)`` segment — a
         pairwise reduction over ``rows * dim`` flat elements whose
         blocking depends only on the element count.  Clients with
@@ -139,8 +138,8 @@ class UpdateBatch:
 
         ``scales`` has one float64 factor per client; a factor of
         exactly 1.0 leaves that client's values bit-identical (IEEE
-        ``x * 1.0 == x``), mirroring :meth:`ClientUpdate.clipped`
-        returning the update untouched.
+        ``x * 1.0 == x``), mirroring the per-client reference's
+        ``clipped`` returning the update untouched.
         """
         row_scales = np.repeat(scales, self.lengths)
         item_grads = self.item_grads * row_scales[:, None]
@@ -276,40 +275,8 @@ class UpdateBatch:
             malicious=np.concatenate([part.malicious for part in parts]),
         )
 
-    # ------------------------------------------------------------------
-    # ClientUpdate interop
-    # ------------------------------------------------------------------
-
     @classmethod
     def empty(cls, dim: int = 0) -> "UpdateBatch":
         """A batch of no clients (``dim`` columns of gradient rows)."""
         zero = np.empty(0, dtype=np.int64)
         return cls(zero, zero, np.empty((0, dim)), zero)
-
-    @classmethod
-    def from_updates(cls, updates: list[ClientUpdate]) -> "UpdateBatch":
-        """Stack a list of per-client uploads into one dense batch."""
-        if not updates:
-            return cls.empty()
-        user_ids = np.array([u.user_id for u in updates], dtype=np.int64)
-        lengths = np.array([len(u.item_ids) for u in updates], dtype=np.int64)
-        item_ids = np.concatenate([u.item_ids for u in updates])
-        item_grads = np.concatenate([u.item_grads for u in updates], axis=0)
-        malicious = np.array([u.malicious for u in updates], dtype=bool)
-        owners = [k for k, u in enumerate(updates) if u.param_grads]
-        param_stacks: list[np.ndarray] = []
-        if owners:
-            num_params = len(updates[owners[0]].param_grads)
-            param_stacks = [
-                np.stack([updates[k].param_grads[i] for k in owners])
-                for i in range(num_params)
-            ]
-        return cls(
-            user_ids=user_ids,
-            item_ids=item_ids,
-            item_grads=item_grads,
-            lengths=lengths,
-            param_stacks=param_stacks,
-            param_owners=np.array(owners, dtype=np.int64),
-            malicious=malicious,
-        )

@@ -59,7 +59,7 @@ DISPATCH_TABLE = {
     "segment_sums": ("models/base.py (batch_local_step[_bpr])", "attacks/pieck_uea.py"),
     "pairwise_sq_dists": ("defenses/robust.py (Krum/MultiKrum/Bulyan)",),
     "stacked_step_gradients": ("attacks/base.py",),
-    "row_diff_norms": ("attacks/mining.py (DeltaNormTracker, CohortMiner)",),
+    "row_diff_norms": ("attacks/mining.py (CohortMiner)",),
 }
 
 _instances: dict[str, object] = {}

@@ -81,8 +81,7 @@ class BatchStepResult:
     row-aligned with the stacked item ids, and ``param_grads`` holds
     one stacked array of shape ``(clients, *param_shape)`` per
     learnable interaction parameter — the same per-client values the
-    loop engine uploads one
-    :class:`~repro.federated.payload.ClientUpdate` at a time.
+    reference loop in ``tests/reference`` uploads one client at a time.
     """
 
     user_grads: np.ndarray

@@ -13,10 +13,10 @@ import numpy as np
 
 from repro import kernels
 from repro.attacks.base import PieckClient
-from repro.federated.payload import ClientUpdate
 from repro.stateful import Stateful
 
 from reference.uea import per_client
+from reference.updates import ClientUpdate
 
 __all__ = ["ReferenceAttacker", "ReferenceMiner", "attackers"]
 

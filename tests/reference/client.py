@@ -42,10 +42,11 @@ import numpy as np
 
 from repro.config import TrainConfig
 from repro.datasets.sampling import sample_local_batch, sample_negatives
-from repro.federated.payload import ClientUpdate
 from repro.models.base import RecommenderModel
 from repro.models.losses import bce_loss_and_grad, bpr_loss_and_grad
 from repro.rng import spawn
+
+from reference.updates import ClientUpdate
 
 __all__ = ["BenignClient"]
 

@@ -1,10 +1,14 @@
 """Per-client twins of the package's batched server-side stages.
 
-Each function here consumes or produces one
-:class:`~repro.federated.payload.ClientUpdate` per participant, where
-the package works on a whole round's
+Each function here consumes or produces one :class:`ClientUpdate` per
+participant, where the package works on a whole round's
 :class:`~repro.federated.update_batch.UpdateBatch`:
 
+* :class:`ClientUpdate` — one client's upload, with ``total_norm`` and
+  ``clipped`` (the twins of ``UpdateBatch.client_total_norms`` and
+  ``scaled_by_client``);
+* :func:`filter_updates` — ``filter_batch`` of the server's update
+  filters (``NormBoundFilter``, ``ItemScaleClip``);
 * :func:`apply_updates` — :meth:`Server.apply_batch
   <repro.federated.server.Server.apply_batch>`: sanity gate, quorum,
   update filter, then gradients grouped per item with one ``Agg`` call
@@ -13,7 +17,8 @@ the package works on a whole round's
   <repro.federated.audit.ServerAuditLog.record_batch>`;
 * :func:`apply_to_updates` — :meth:`UploadTransit.sync_round
   <repro.federated.faults.UploadTransit.sync_round>`;
-* :func:`to_updates` — the inverse of ``UpdateBatch.from_updates``.
+* :func:`from_updates` / :func:`to_updates` — a list of uploads to a
+  batch and back.
 
 They operate on the package's own objects (server counters, audit
 records, the transit's fault schedule and parked uploads), so a reference run
@@ -24,25 +29,113 @@ bit for bit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from repro.attacks.cohort import clip_scale
+from repro.defenses.coordinated import ItemScaleClip, _lower_median
+from repro.defenses.robust import NormBoundFilter
 from repro.federated.audit import ItemRoundRecord, ServerAuditLog
 from repro.federated.faults import UploadTransit
-from repro.federated.payload import ClientUpdate
 from repro.federated.server import Server
 from repro.federated.update_batch import UpdateBatch
 
-__all__ = ["apply_to_updates", "apply_updates", "record", "to_updates"]
+__all__ = [
+    "ClientUpdate",
+    "apply_to_updates",
+    "apply_updates",
+    "filter_updates",
+    "from_updates",
+    "record",
+    "to_updates",
+]
 
 #: Per-client fault kinds of :func:`apply_to_updates`.
 FAULT_NONE, FAULT_DROPOUT, FAULT_STRAGGLER, FAULT_CORRUPTION = range(4)
 
 
+@dataclass
+class ClientUpdate:
+    """One client's upload for one communication round.
+
+    ``item_ids`` / ``item_grads`` are row-aligned; ``param_grads``
+    covers the learnable interaction function (DL-FRS only; empty list
+    means the client does not contribute to interaction parameters).
+    ``malicious`` is ground-truth bookkeeping used only by analysis
+    code, never by the server or defenses.
+    """
+
+    user_id: int
+    item_ids: np.ndarray
+    item_grads: np.ndarray
+    param_grads: list[np.ndarray] = field(default_factory=list)
+    malicious: bool = False
+
+    def __post_init__(self) -> None:
+        self.item_ids = np.asarray(self.item_ids, dtype=np.int64)
+        # Floating gradients upload at the model's own precision;
+        # anything else is promoted to float64.
+        grads = np.asarray(self.item_grads)
+        if not np.issubdtype(grads.dtype, np.floating):
+            grads = grads.astype(np.float64)
+        self.item_grads = grads
+        if self.item_grads.ndim != 2 or len(self.item_ids) != len(self.item_grads):
+            raise ValueError(
+                f"item_grads {self.item_grads.shape} does not align with "
+                f"{len(self.item_ids)} item ids"
+            )
+        if len(np.unique(self.item_ids)) != len(self.item_ids):
+            raise ValueError("duplicate item ids in a single update")
+
+    @property
+    def total_norm(self) -> float:
+        """L2 norm of the full uploaded gradient (items + parameters)."""
+        total = float(np.sum(self.item_grads**2))
+        total += sum(float(np.sum(g**2)) for g in self.param_grads)
+        return float(np.sqrt(total))
+
+    def clipped(self, max_norm: float) -> "ClientUpdate":
+        """Copy of this update clipped to a maximum total L2 norm."""
+        scale = clip_scale(self.item_grads, self.param_grads, max_norm)
+        if scale is None:
+            return self
+        return ClientUpdate(
+            user_id=self.user_id,
+            item_ids=self.item_ids.copy(),
+            item_grads=self.item_grads * scale,
+            param_grads=[g * scale for g in self.param_grads],
+            malicious=self.malicious,
+        )
+
+
 # ----------------------------------------------------------------------
-# UpdateBatch -> ClientUpdate list
+# ClientUpdate list <-> UpdateBatch
 # ----------------------------------------------------------------------
+
+
+def from_updates(updates: Sequence[ClientUpdate]) -> UpdateBatch:
+    """Stack a list of per-client uploads into one dense batch."""
+    if not updates:
+        return UpdateBatch.empty()
+    owners = [k for k, u in enumerate(updates) if u.param_grads]
+    param_stacks: list[np.ndarray] = []
+    if owners:
+        num_params = len(updates[owners[0]].param_grads)
+        param_stacks = [
+            np.stack([updates[k].param_grads[i] for k in owners])
+            for i in range(num_params)
+        ]
+    return UpdateBatch(
+        user_ids=np.array([u.user_id for u in updates], dtype=np.int64),
+        item_ids=np.concatenate([u.item_ids for u in updates]),
+        item_grads=np.concatenate([u.item_grads for u in updates], axis=0),
+        lengths=np.array([len(u.item_ids) for u in updates], dtype=np.int64),
+        param_stacks=param_stacks,
+        param_owners=np.array(owners, dtype=np.int64),
+        malicious=np.array([u.malicious for u in updates], dtype=bool),
+    )
 
 
 def _trusted(
@@ -161,7 +254,7 @@ def apply_to_updates(
             transit.counts["dropped_uploads"] += 1
         elif kind == FAULT_STRAGGLER:
             transit.park(
-                UpdateBatch.from_updates([update]), round_idx, round_idx + delay
+                from_updates([update]), round_idx, round_idx + delay
             )
             transit.counts["deferred_uploads"] += 1
         else:  # FAULT_CORRUPTION
@@ -196,7 +289,7 @@ def apply_updates(server: Server, updates: Sequence[ClientUpdate]) -> None:
     if not updates:
         return
     if server.update_filter is not None:
-        updates = server.update_filter(updates)
+        updates = filter_updates(server.update_filter, updates)
     _apply_item_updates(server, updates)
     _apply_param_updates(server, updates)
 
@@ -264,3 +357,78 @@ def _apply_param_updates(server: Server, updates: Sequence[ClientUpdate]) -> Non
             )
         deltas.append(-server.lr * server.aggregator.aggregate(stack))
     server.model.apply_param_update(deltas)
+
+
+# ----------------------------------------------------------------------
+# Update filters
+# ----------------------------------------------------------------------
+
+
+def filter_updates(
+    update_filter: NormBoundFilter | ItemScaleClip, updates: Sequence[ClientUpdate]
+) -> Sequence[ClientUpdate]:
+    """Per-upload twin of ``update_filter.filter_batch``.
+
+    Clipped uploads are new objects; the others, and an empty round,
+    pass through as the same objects.  ``ItemScaleClip``'s smoothed
+    scale advances exactly as under ``filter_batch``.
+    """
+    if not updates:
+        return updates
+    if isinstance(update_filter, NormBoundFilter):
+        bound = update_filter.threshold
+        if bound <= 0:
+            bound = float(np.median([u.total_norm for u in updates]))
+        return [u.clipped(bound) for u in updates]
+    if isinstance(update_filter, ItemScaleClip):
+        return _scale_clip(update_filter, updates)
+    raise TypeError(f"no per-upload twin for {type(update_filter).__name__}")
+
+
+def _scale_clip(
+    clip: ItemScaleClip, updates: Sequence[ClientUpdate]
+) -> Sequence[ClientUpdate]:
+    # Median-of-medians: each client votes with the median norm of its
+    # own (non-zero) rows.
+    client_medians = []
+    for update in updates:
+        norms = np.linalg.norm(update.item_grads, axis=1)
+        positive = norms[norms > 0]
+        if len(positive):
+            client_medians.append(_lower_median(positive))
+    round_median = (
+        _lower_median(np.asarray(client_medians)) if client_medians else 0.0
+    )
+    scale = clip._update_scale(round_median)
+    if scale <= 0.0:
+        return updates
+    bound = clip.factor * scale
+    clipped: list[ClientUpdate] = []
+    for update in updates:
+        item_grads = _clip_rows(update.item_grads, bound)
+        if item_grads is None:
+            clipped.append(update)
+            continue
+        clipped.append(
+            ClientUpdate(
+                user_id=update.user_id,
+                item_ids=update.item_ids,
+                item_grads=item_grads,
+                param_grads=update.param_grads,
+                malicious=update.malicious,
+            )
+        )
+    return clipped
+
+
+def _clip_rows(grads: np.ndarray, bound: float) -> np.ndarray | None:
+    """Rows clipped to ``bound``, or ``None`` when nothing changes."""
+    if bound <= 0.0 or len(grads) == 0:
+        return None
+    row_norms = np.linalg.norm(grads, axis=1)
+    over = row_norms > bound
+    if not over.any():
+        return None
+    out = grads.copy()
+    out[over] *= (bound / row_norms[over])[:, None]
+    return out

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import ClientUpdate, filter_updates
 from repro.defenses.robust import (
     BulyanAggregator,
     KrumAggregator,
@@ -12,7 +13,6 @@ from repro.defenses.robust import (
     TrimmedMeanAggregator,
 )
 from repro.federated.aggregation import SumAggregator
-from repro.federated.payload import ClientUpdate
 from repro.rng import make_rng
 
 
@@ -104,7 +104,7 @@ class TestNormBound:
     def test_clips_to_threshold(self):
         big = ClientUpdate(0, np.array([0]), np.full((1, 4), 10.0))
         small = ClientUpdate(1, np.array([0]), np.full((1, 4), 0.01))
-        out = NormBoundFilter(1.0)([big, small])
+        out = filter_updates(NormBoundFilter(1.0), [big, small])
         assert out[0].total_norm == pytest.approx(1.0)
         assert out[1].total_norm == small.total_norm
 
@@ -113,12 +113,12 @@ class TestNormBound:
             ClientUpdate(i, np.array([0]), np.full((1, 2), float(v)))
             for i, v in enumerate([1, 1, 1, 100])
         ]
-        out = NormBoundFilter(0.0)(updates)
+        out = filter_updates(NormBoundFilter(0.0), updates)
         median_norm = updates[0].total_norm
         assert out[3].total_norm == pytest.approx(median_norm)
 
     def test_empty_passthrough(self):
-        assert NormBoundFilter(1.0)([]) == []
+        assert filter_updates(NormBoundFilter(1.0), []) == []
 
 
 class TestSumScaleConvention:

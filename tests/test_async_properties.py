@@ -29,9 +29,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import ClientUpdate, from_updates
 from repro.config import AsyncConfig, ExperimentConfig, FaultConfig, ModelConfig, TrainConfig
 from repro.federated.faults import UploadTransit
-from repro.federated.payload import ClientUpdate
 from repro.federated.simulation import FederatedSimulation
 from repro.federated.update_batch import UpdateBatch
 
@@ -59,7 +59,7 @@ def _part(tag: int, clients: int = 1, dtype=np.float64, params: bool = False) ->
                 malicious=bool(k % 3 == 0),
             )
         )
-    return UpdateBatch.from_updates(updates)
+    return from_updates(updates)
 
 
 #: A randomized parking schedule: (clients, origin, extra delay until

@@ -16,7 +16,7 @@ step kernel).
 import numpy as np
 import pytest
 
-from reference import LoopSimulation, attackers, per_client
+from reference import LoopSimulation, ReferenceMiner, attackers, per_client
 from repro.attacks.base import (
     MaliciousClient,
     bounded_step_gradient,
@@ -24,7 +24,7 @@ from repro.attacks.base import (
 )
 from repro.attacks.cohort import CohortUpload
 from repro.attacks.pieck_uea import lockstep_payloads
-from repro.attacks.mining import CohortMiner, PopularItemMiner
+from repro.attacks.mining import CohortMiner
 from repro.attacks.registry import build_malicious_cohort
 
 # Cross-product parity sweeps (attack x model x ratio, end to end) are
@@ -438,24 +438,24 @@ class TestCohortMiner:
 
         miner = CohortMiner(self.NUM_ITEMS, mining_rounds, 4, num_clients)
         references = [
-            PopularItemMiner(self.NUM_ITEMS, mining_rounds, 4)
+            ReferenceMiner(self.NUM_ITEMS, mining_rounds, 4)
             for _ in range(num_clients)
         ]
         for round_idx, rows in enumerate(schedule):
+            matrix = matrices[round_idx]
             if len(rows):
-                miner.observe(rows, matrices[round_idx], round_idx)
+                miner.observe(rows, matrix, round_idx)
             for row in rows:
-                references[int(row)].observe(matrices[round_idx])
+                if references[int(row)].mined is None:
+                    references[int(row)].observe(matrix, matrix.copy())
             for row in range(num_clients):
-                assert miner.ready[row] == references[row].ready
-                if references[row].ready:
-                    assert np.array_equal(
-                        miner.mined[row], references[row].popular_items()
-                    )
+                mined = references[row].mined
+                assert miner.ready[row] == (mined is not None)
+                if mined is not None:
+                    assert np.array_equal(miner.mined[row], mined)
                 else:
                     assert np.array_equal(
-                        miner.accumulated[row],
-                        references[row]._tracker.accumulated,
+                        miner.accumulated[row], references[row].accumulated
                     )
 
     def test_snapshot_copies_independent_of_team_size(self):

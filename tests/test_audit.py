@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+from reference import ClientUpdate, from_updates
 from repro.analysis.audit import poison_share_summary, theory_vs_measured
 from repro.experiments import experiment
 from repro.federated.audit import ItemRoundRecord, ServerAuditLog
-from repro.federated.payload import ClientUpdate
 from repro.federated.simulation import FederatedSimulation
-from repro.federated.update_batch import UpdateBatch
 
 
 def _update(user_id, item_ids, norm=1.0, malicious=False):
@@ -21,7 +20,7 @@ def _update(user_id, item_ids, norm=1.0, malicious=False):
 
 
 def _record(log, updates):
-    log.record_batch(UpdateBatch.from_updates(updates))
+    log.record_batch(from_updates(updates))
 
 
 class TestItemRoundRecord:

@@ -32,9 +32,15 @@ from repro.defenses.robust import (
     NormBoundFilter,
     TrimmedMeanAggregator,
 )
-from reference import LoopSimulation, record, to_updates
+from reference import (
+    ClientUpdate,
+    LoopSimulation,
+    filter_updates,
+    from_updates,
+    record,
+    to_updates,
+)
 from repro.federated.aggregation import Aggregator
-from repro.federated.payload import ClientUpdate
 from repro.federated.simulation import FederatedSimulation
 from repro.federated.update_batch import UpdateBatch
 
@@ -201,8 +207,8 @@ def test_norm_bound_filter_batch_matches_reference(threshold, with_params):
     updates = random_round(
         np.random.default_rng(3), with_params=with_params, scale=2.0
     )
-    reference = NormBoundFilter(threshold)(updates)
-    batch = NormBoundFilter(threshold).filter_batch(UpdateBatch.from_updates(updates))
+    reference = filter_updates(NormBoundFilter(threshold), updates)
+    batch = NormBoundFilter(threshold).filter_batch(from_updates(updates))
     assert_updates_equal(list(reference), to_updates(batch))
 
 
@@ -221,8 +227,8 @@ def test_scale_clip_filter_batch_matches_reference():
     reference_filter = ItemScaleClip(factor=0.5, history=0.5)
     batch_filter = ItemScaleClip(factor=0.5, history=0.5)
     for _ in range(3):  # EMA state must advance identically across rounds
-        reference = reference_filter(updates)
-        filtered = batch_filter.filter_batch(UpdateBatch.from_updates(updates))
+        reference = filter_updates(reference_filter, updates)
+        filtered = batch_filter.filter_batch(from_updates(updates))
         assert_updates_equal(list(reference), to_updates(filtered))
     assert reference_filter._smoothed_median == batch_filter._smoothed_median
 
@@ -240,7 +246,7 @@ def test_record_batch_matches_record():
     for round_idx in range(3):
         updates = random_round(rng, clients=7)
         record(reference, updates)
-        batched.record_batch(UpdateBatch.from_updates(updates))
+        batched.record_batch(from_updates(updates))
     assert reference.rounds_recorded == batched.rounds_recorded
     assert reference.records == batched.records
 
@@ -253,25 +259,25 @@ def test_record_batch_matches_record():
 class TestUpdateBatch:
     def test_roundtrip(self):
         updates = random_round(np.random.default_rng(7), with_params=True)
-        batch = UpdateBatch.from_updates(updates)
+        batch = from_updates(updates)
         assert_updates_equal(updates, to_updates(batch))
 
     def test_client_total_norms_match_updates(self):
         updates = random_round(np.random.default_rng(8), with_params=True)
-        batch = UpdateBatch.from_updates(updates)
+        batch = from_updates(updates)
         norms = batch.client_total_norms()
         for update, norm in zip(updates, norms):
             assert norm == update.total_norm
 
     def test_scaled_by_client_identity_is_bitwise_noop(self):
         updates = random_round(np.random.default_rng(9), with_params=True)
-        batch = UpdateBatch.from_updates(updates)
+        batch = from_updates(updates)
         scaled = batch.scaled_by_client(np.ones(batch.num_clients))
         assert np.array_equal(scaled.item_grads, batch.item_grads)
         for a, b in zip(scaled.param_stacks, batch.param_stacks):
             assert np.array_equal(a, b)
 
     def test_empty(self):
-        batch = UpdateBatch.from_updates([])
+        batch = from_updates([])
         assert batch.num_clients == 0
         assert to_updates(batch) == []

@@ -11,6 +11,7 @@ batch stacking, the fused scatter, the batched local step).
 import numpy as np
 import pytest
 
+from reference import ClientUpdate, LoopSimulation, apply_updates, from_updates
 from repro.config import (
     AttackConfig,
     DatasetConfig,
@@ -27,12 +28,9 @@ from repro.datasets.sampling import (
     sample_negatives,
     sample_negatives_batch,
 )
-from reference import LoopSimulation, apply_updates
 from repro.federated.aggregation import SumAggregator, scatter_sum
-from repro.federated.payload import ClientUpdate
 from repro.federated.server import Server
 from repro.federated.simulation import FederatedSimulation
-from repro.federated.update_batch import UpdateBatch
 from repro.models.base import build_model, segment_sums
 from repro.models.losses import bce_loss_and_grad
 from repro.rng import (
@@ -272,7 +270,7 @@ class TestScatter:
         model_a = build_model("mf", 30, 6, seed=2)
         model_b = build_model("mf", 30, 6, seed=2)
         apply_updates(Server(model_a, lr=0.5), updates)
-        Server(model_b, lr=0.5).apply_batch(UpdateBatch.from_updates(updates))
+        Server(model_b, lr=0.5).apply_batch(from_updates(updates))
         assert np.array_equal(model_a.item_embeddings, model_b.item_embeddings)
 
     def test_sum_aggregator_advertises_scatter(self):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import ClientUpdate, filter_updates
 from repro.defenses.coordinated import ItemScaleClip
-from repro.federated.payload import ClientUpdate
 
 
 def _update(user_id, grads, item_ids=None, malicious=False):
@@ -36,19 +36,21 @@ class TestConstruction:
 class TestClipping:
     def test_empty_round_passes_through(self):
         clip = ItemScaleClip()
-        assert clip([]) == []
+        assert filter_updates(clip, []) == []
 
     def test_benign_scale_rows_untouched(self):
         # All rows share the same norm: nothing exceeds factor * median.
         updates = [_update(i, np.ones((3, 4))) for i in range(5)]
-        clipped = ItemScaleClip(factor=2.0)(updates)
+        clipped = filter_updates(ItemScaleClip(factor=2.0), updates)
         for original, after in zip(updates, clipped):
             assert after is original
 
     def test_oversized_row_clipped_to_bound(self):
         benign = [_update(i, np.ones((4, 2))) for i in range(9)]
         poison = _update(99, [[100.0, 0.0]], item_ids=[7], malicious=True)
-        clipped = ItemScaleClip(factor=2.0, history=0.0)(benign + [poison])
+        clipped = filter_updates(
+            ItemScaleClip(factor=2.0, history=0.0), benign + [poison]
+        )
         poisoned_row = clipped[-1].item_grads[0]
         median = np.sqrt(2.0)  # norm of a ones(2) row
         assert np.linalg.norm(poisoned_row) == pytest.approx(2.0 * median)
@@ -61,7 +63,7 @@ class TestClipping:
         benign = [_update(i, np.ones((10, 2))) for i in range(8)]
         poison = _update(99, [[1e6, 0.0]], item_ids=[0])
         clip = ItemScaleClip(factor=2.0, history=0.0)
-        clipped = clip(benign + [poison])
+        clipped = filter_updates(clip, benign + [poison])
         assert np.linalg.norm(clipped[-1].item_grads[0]) == pytest.approx(
             2.0 * np.sqrt(2.0)
         )
@@ -72,14 +74,14 @@ class TestClipping:
             _update(1, np.ones((2, 2))),
             _update(2, [[10.0, 0.0], [0.0, 0.1]]),
         ]
-        clipped = ItemScaleClip(factor=1.0, history=0.0)(updates)
+        clipped = filter_updates(ItemScaleClip(factor=1.0, history=0.0), updates)
         # Median over positive norms only; the zero update is untouched.
         assert np.allclose(clipped[0].item_grads, 0.0)
         assert np.isfinite(clipped[2].item_grads).all()
 
     def test_all_zero_round_passes_through(self):
         updates = [_update(0, np.zeros((3, 2)))]
-        clipped = ItemScaleClip()(updates)
+        clipped = filter_updates(ItemScaleClip(), updates)
         assert clipped[0] is updates[0]
 
     def test_param_grads_preserved(self):
@@ -90,7 +92,9 @@ class TestClipping:
             param_grads=[np.ones(3)],
         )
         small = [_update(i + 1, np.ones((6, 2))) for i in range(4)]
-        clipped = ItemScaleClip(factor=1.0, history=0.0)(small + [update])
+        clipped = filter_updates(
+            ItemScaleClip(factor=1.0, history=0.0), small + [update]
+        )
         assert np.allclose(clipped[-1].param_grads[0], np.ones(3))
         assert clipped[-1].malicious == update.malicious
         assert clipped[-1].user_id == update.user_id
@@ -105,7 +109,7 @@ class TestAdversarialCalibration:
         benign = [_update(i, np.ones((5, 2))) for i in range(4)]
         flood = _update(99, 1e-4 * np.ones((500, 2)), item_ids=np.arange(500))
         clip = ItemScaleClip(factor=2.0, history=0.0)
-        clipped = clip(benign + [flood])
+        clipped = filter_updates(clip, benign + [flood])
         benign_scale = np.sqrt(2.0)
         assert clip._smoothed_median == pytest.approx(benign_scale)
         # Benign rows untouched at the benign-calibrated bound.
@@ -116,7 +120,7 @@ class TestAdversarialCalibration:
         benign = [_update(i, np.ones((5, 2))) for i in range(4)]
         heavy = _update(99, 50.0 * np.ones((500, 2)), item_ids=np.arange(500))
         clip = ItemScaleClip(factor=2.0, history=0.0)
-        clip(benign + [heavy])
+        filter_updates(clip, benign + [heavy])
         assert clip._smoothed_median == pytest.approx(np.sqrt(2.0))
 
 
@@ -137,28 +141,30 @@ class TestParamClipping:
         # coordinated.py docstring): parameter gradients pass untouched.
         benign = [self._with_params(i, 1.0) for i in range(5)]
         poison = self._with_params(99, 100.0, malicious=True)
-        clipped = ItemScaleClip(factor=2.0, history=0.0)(benign + [poison])
+        clipped = filter_updates(
+            ItemScaleClip(factor=2.0, history=0.0), benign + [poison]
+        )
         assert np.linalg.norm(clipped[-1].param_grads[0]) == pytest.approx(100.0)
 
     def test_clients_without_params_are_fine(self):
         mixed = [self._with_params(0, 1.0), _update(1, np.ones((3, 2)))]
-        clipped = ItemScaleClip(factor=2.0, history=0.0)(mixed)
+        clipped = filter_updates(ItemScaleClip(factor=2.0, history=0.0), mixed)
         assert clipped[1].param_grads == []
 
 
 class TestSmoothing:
     def test_history_smooths_across_rounds(self):
         clip = ItemScaleClip(factor=1.0, history=0.5)
-        clip([_update(0, np.ones((4, 4)))])  # median 2.0
+        filter_updates(clip, [_update(0, np.ones((4, 4)))])  # median 2.0
         first = clip._smoothed_median
-        clip([_update(0, 4.0 * np.ones((4, 4)))])  # round median 8.0
+        filter_updates(clip, [_update(0, 4.0 * np.ones((4, 4)))])  # round median 8.0
         assert first == pytest.approx(2.0)
         assert clip._smoothed_median == pytest.approx(0.5 * 2.0 + 0.5 * 8.0)
 
     def test_zero_history_tracks_round_median(self):
         clip = ItemScaleClip(factor=1.0, history=0.0)
-        clip([_update(0, np.ones((4, 4)))])
-        clip([_update(0, 4.0 * np.ones((4, 4)))])
+        filter_updates(clip, [_update(0, np.ones((4, 4)))])
+        filter_updates(clip, [_update(0, 4.0 * np.ones((4, 4)))])
         assert clip._smoothed_median == pytest.approx(8.0)
 
     @given(st.floats(0.1, 10.0), st.floats(0.0, 0.9))
@@ -170,7 +176,7 @@ class TestSmoothing:
             _update(i, row_scale * rng.normal(0, 1, (5, 3))) for i in range(4)
         ]
         updates.append(_update(9, [[1e4, 0.0, 0.0]], item_ids=[1]))
-        clipped = clip(updates)
+        clipped = filter_updates(clip, updates)
         bound = 2.0 * clip._smoothed_median + 1e-9
         for update in clipped:
             assert (np.linalg.norm(update.item_grads, axis=1) <= bound).all()

@@ -21,7 +21,13 @@ import math
 import numpy as np
 import pytest
 
-from reference import LoopSimulation, apply_updates, to_updates
+from reference import (
+    ClientUpdate,
+    LoopSimulation,
+    apply_updates,
+    from_updates,
+    to_updates,
+)
 from repro.config import (
     AsyncConfig,
     AttackConfig,
@@ -31,7 +37,6 @@ from repro.config import (
     TrainConfig,
 )
 from repro.federated.faults import UploadTransit
-from repro.federated.payload import ClientUpdate
 from repro.federated.server import Server
 from repro.federated.simulation import FederatedSimulation
 from repro.federated.update_batch import UpdateBatch
@@ -295,7 +300,7 @@ class TestDegradationSemantics:
             user_id=0, item_ids=np.array([1]), item_grads=grad.copy()
         )
         first = transit.sync_round(
-            UpdateBatch.from_updates([update]), [0], round_idx=0
+            from_updates([update]), [0], round_idx=0
         )
         assert first.num_clients == 0  # deferred, not applied
         assert transit.pending == 1
@@ -345,7 +350,7 @@ class TestServerSanityGate:
         server = Server(model, lr=1.0)
         poison = self._update(0, np.full((2, 2), np.inf))
         honest = self._update(1, np.ones((2, 2)))
-        server.apply_batch(UpdateBatch.from_updates([poison, honest]))
+        server.apply_batch(from_updates([poison, honest]))
         assert np.isfinite(model.item_embeddings).all()
         assert server.rejected_nonfinite == 1
 
@@ -362,7 +367,7 @@ class TestServerSanityGate:
             if ingest == "updates":
                 apply_updates(server, [u for u in updates])
             else:
-                server.apply_batch(UpdateBatch.from_updates(updates))
+                server.apply_batch(from_updates(updates))
             servers.append(server)
         ref, batch = servers
         assert ref.rejected_nonfinite == batch.rejected_nonfinite == 1
@@ -375,7 +380,7 @@ class TestServerSanityGate:
         model = MFModel(num_items=6, embedding_dim=2, init_scale=0.1, seed=0)
         server = Server(model, lr=1.0, min_quorum=3)
         before = model.snapshot_items()
-        server.apply_batch(UpdateBatch.from_updates([self._update(0, np.ones((2, 2)))]))
+        server.apply_batch(from_updates([self._update(0, np.ones((2, 2)))]))
         assert np.array_equal(model.item_embeddings, before)
         assert server.quorum_failed_rounds == 1
         assert server.quorum_dropped_uploads == 1
@@ -396,7 +401,7 @@ class TestSelectClients:
             )
             for k in range(4)
         ]
-        return UpdateBatch.from_updates(updates)
+        return from_updates(updates)
 
     def test_all_true_returns_same_object(self):
         batch = self._batch()
@@ -406,7 +411,7 @@ class TestSelectClients:
         batch = self._batch()
         keep = np.array([True, False, True, True])
         selected = batch.select_clients(keep)
-        expected = UpdateBatch.from_updates(
+        expected = from_updates(
             [u for u, k in zip(to_updates(batch), keep) if k]
         )
         assert np.array_equal(selected.user_ids, expected.user_ids)
@@ -455,6 +460,6 @@ class TestStalenessBuffer:
 
 
 def _part(user_id: int) -> UpdateBatch:
-    return UpdateBatch.from_updates(
+    return from_updates(
         [ClientUpdate(user_id=user_id, item_ids=np.array([0]), item_grads=np.zeros((1, 2)))]
     )

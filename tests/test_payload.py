@@ -1,9 +1,9 @@
-"""Tests for the client gradient payload."""
+"""Tests for the per-client upload, ``reference.updates.ClientUpdate``."""
 
 import numpy as np
 import pytest
 
-from repro.federated.payload import ClientUpdate
+from reference import ClientUpdate
 
 
 class TestValidation:

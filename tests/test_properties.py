@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference import ReferenceMiner
 from repro.analysis.poison_proportion import expected_poison_proportion
 from repro.attacks.base import bounded_step_gradient
-from repro.attacks.mining import DeltaNormTracker
 from repro.datasets.sampling import sample_negatives
 from repro.defenses.robust import (
     MedianAggregator,
@@ -194,10 +194,12 @@ class TestTrackerProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_accumulated_non_negative_and_monotone(self, matrices):
-        tracker = DeltaNormTracker(6)
+        # A window longer than the run: the accumulator never freezes.
+        tracker = ReferenceMiner(6, mining_rounds=len(matrices), num_popular=1)
         previous = np.zeros(6)
         for matrix in matrices:
-            tracker.observe(matrix)
+            tracker.observe(matrix, matrix.copy())
             assert (tracker.accumulated >= previous - 1e-12).all()
             previous = tracker.accumulated.copy()
-        assert tracker.num_deltas == len(matrices) - 1
+        assert tracker.observations == len(matrices)
+        assert tracker.mined is None

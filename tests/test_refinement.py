@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from reference import ReferenceAttacker
-from repro.attacks.mining import PopularItemMiner
+from reference import ReferenceAttacker, ReferenceMiner
 from repro.attacks.pieck_uea import PieckUEA
 from repro.attacks.refinement import PseudoUserRefiner
 from repro.config import AttackConfig, TrainConfig
@@ -97,13 +96,14 @@ class TestPseudoUserSource:
     def _popular(self, client: PieckUEA, model) -> np.ndarray:
         """The client's mined set minus its targets, mined on ``model``."""
         config = client.config
-        miner = PopularItemMiner(
+        miner = ReferenceMiner(
             client.num_items, config.mining_rounds, config.num_popular
         )
-        while not miner.ready:
-            miner.observe(model.item_embeddings)
+        while miner.mined is None:
+            matrix = model.item_embeddings
+            miner.observe(matrix, matrix.copy())
             model.item_embeddings += 0.01
-        return client._popular_excluding_targets(miner.popular_items())
+        return client._popular_excluding_targets(miner.mined)
 
     def test_popular_source_returns_item_rows(self):
         model, _ = _trained_mf()

@@ -67,7 +67,7 @@ class TestBeforeReady:
 class TestRe1:
     def test_item_grads_increase_re1(self):
         reg, matrix, hot = ready_regularizer()
-        popular = reg.miner.popular_items()
+        popular = reg.miner.mined[0]
         weights = exponential_rank_weights(len(popular))
         batch = np.array([7, 8, 9])
         grads = reg.item_grad_terms(batch, matrix)
@@ -80,7 +80,7 @@ class TestRe1:
 
     def test_popular_items_in_batch_get_zero_grad(self):
         reg, matrix, hot = ready_regularizer()
-        popular = reg.miner.popular_items()
+        popular = reg.miner.mined[0]
         batch = np.array([int(popular[0]), 9])
         grads = reg.item_grad_terms(batch, matrix)
         np.testing.assert_array_equal(grads[0], 0.0)
@@ -88,7 +88,7 @@ class TestRe1:
 
     def test_grad_matches_numeric(self):
         reg, matrix, hot = ready_regularizer(beta=1.0)
-        popular = reg.miner.popular_items()
+        popular = reg.miner.mined[0]
         weights = exponential_rank_weights(len(popular))
         batch = np.array([7, 8])
 
@@ -110,7 +110,7 @@ class TestRe1:
 class TestRe2:
     def test_user_grad_increases_re2(self):
         reg, matrix, hot = ready_regularizer(gamma=1.0)
-        popular = reg.miner.popular_items()
+        popular = reg.miner.mined[0]
         weights = exponential_rank_weights(len(popular))
         user = make_rng(3).normal(size=4)
         grad = reg.user_grad_term(user, matrix)
@@ -120,7 +120,7 @@ class TestRe2:
 
     def test_grad_matches_numeric(self):
         reg, matrix, _ = ready_regularizer(gamma=1.0)
-        popular = reg.miner.popular_items()
+        popular = reg.miner.mined[0]
         weights = exponential_rank_weights(len(popular))
         user = make_rng(4).normal(size=4)
         grad = reg.user_grad_term(user, matrix)
@@ -189,7 +189,7 @@ class TestTowerTerm:
         reg, matrix, _ = ready_regularizer(num_items=12, dim=4, gamma=1.0)
         model = NCFModel(12, 4, mlp_layers=(8,), seed=3)
         model.item_embeddings[...] = matrix
-        popular = reg.miner.popular_items()
+        popular = reg.miner.mined[0]
         pseudo = model.item_embeddings[popular]
         items = model.item_embeddings[[7, 8, 9]]
         users_rep = np.repeat(pseudo, len(items), axis=0)
@@ -281,7 +281,8 @@ def _oracle(num_items, mined_row, beta, gamma):
         ),
     )
     if mined_row[0] >= 0:
-        reg.miner._mined = mined_row.copy()
+        reg.miner.mined[0] = mined_row
+        reg.miner.ready[0] = True
     return reg
 
 
@@ -316,7 +317,7 @@ class TestBatchedTermsEqualOracle:
 
     def test_not_ready_popular_and_disabled_rows_are_positive_zero(self):
         reg, matrix, _ = ready_regularizer()
-        popular = reg.miner.popular_items()
+        popular = reg.miner.mined[0]
         mined = np.stack([popular, np.full_like(popular, -1)])
         item_ids = np.array([int(popular[0]), 9, 10], dtype=np.int64)
         lengths = np.array([2, 1])

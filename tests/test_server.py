@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.federated.payload import ClientUpdate
+from reference import ClientUpdate, from_updates
 from repro.federated.server import Server
-from repro.federated.update_batch import UpdateBatch
 from repro.models.mf import MFModel
 from repro.models.ncf import NCFModel
 
@@ -48,7 +47,7 @@ class TestItemUpdates:
             ClientUpdate(0, np.array([3]), np.ones((1, 4))),
             ClientUpdate(1, np.array([3]), np.ones((1, 4))),
         ]
-        server.apply_batch(UpdateBatch.from_updates(updates))
+        server.apply_batch(from_updates(updates))
         np.testing.assert_allclose(model.item_embeddings[3], before - 0.5 * 2.0)
 
     def test_untouched_items_unchanged(self):
@@ -56,7 +55,7 @@ class TestItemUpdates:
         before = model.item_embeddings.copy()
         server = Server(model, lr=0.5)
         server.apply_batch(
-            UpdateBatch.from_updates([ClientUpdate(0, np.array([3]), np.ones((1, 4)))])
+            from_updates([ClientUpdate(0, np.array([3]), np.ones((1, 4)))])
         )
         unchanged = np.delete(np.arange(10), 3)
         np.testing.assert_array_equal(
@@ -66,7 +65,7 @@ class TestItemUpdates:
     def test_empty_updates_noop(self):
         model = MFModel(10, 4, seed=1)
         before = model.item_embeddings.copy()
-        Server(model, lr=0.5).apply_batch(UpdateBatch.from_updates([]))
+        Server(model, lr=0.5).apply_batch(from_updates([]))
         np.testing.assert_array_equal(model.item_embeddings, before)
 
     def test_update_filter_applied(self):
@@ -81,7 +80,7 @@ class TestItemUpdates:
         server = Server(model, lr=0.5, update_filter=SpyFilter())
         before = model.item_embeddings.copy()
         server.apply_batch(
-            UpdateBatch.from_updates([ClientUpdate(0, np.array([1]), np.ones((1, 4)))])
+            from_updates([ClientUpdate(0, np.array([1]), np.ones((1, 4)))])
         )
         assert calls == [1]
         np.testing.assert_array_equal(model.item_embeddings, before)
@@ -101,7 +100,7 @@ class TestParamUpdates:
         params_before = [p.copy() for p in model.interaction_params()]
         grads = [np.ones_like(p) for p in params_before]
         update = ClientUpdate(0, np.array([0]), np.zeros((1, 4)), param_grads=grads)
-        server.apply_batch(UpdateBatch.from_updates([update]))
+        server.apply_batch(from_updates([update]))
         for before, current in zip(params_before, model.interaction_params()):
             np.testing.assert_allclose(current, before - 0.1)
 
@@ -110,7 +109,7 @@ class TestParamUpdates:
         server = Server(model, lr=0.1)
         params_before = [p.copy() for p in model.interaction_params()]
         server.apply_batch(
-            UpdateBatch.from_updates([ClientUpdate(0, np.array([0]), np.zeros((1, 4)))])
+            from_updates([ClientUpdate(0, np.array([0]), np.zeros((1, 4)))])
         )
         for before, current in zip(params_before, model.interaction_params()):
             np.testing.assert_array_equal(current, before)
@@ -125,6 +124,6 @@ class TestParamUpdates:
             ClientUpdate(1, np.array([1]), np.zeros((1, 4))),  # no params
             ClientUpdate(2, np.array([2]), np.zeros((1, 4)), param_grads=grads),
         ]
-        server.apply_batch(UpdateBatch.from_updates(updates))
+        server.apply_batch(from_updates(updates))
         for before, current in zip(params_before, model.interaction_params()):
             np.testing.assert_allclose(current, before - 2.0)
