@@ -142,9 +142,11 @@ class TrainConfig:
     eval_num_negatives: int = 99
     top_k: int = 10
     #: Users scored per block during evaluation. Evaluation streams
-    #: over user blocks (peak memory O(block x items) instead of
-    #: O(users x items)) with results independent of the block size;
-    #: ``None`` picks a memory-bounded default from the catalogue size.
+    #: over user blocks with results independent of the block size;
+    #: on the full path (every model but MF, and MF blocks its walk
+    #: cannot decide) peak memory is O(block x items) instead of
+    #: O(users x items).  ``None`` picks a memory-bounded default from
+    #: the catalogue size.
     eval_chunk_users: int | None = field(default=None, metadata=KNOB)
     #: Kernel backend for the dispatched hot kernels
     #: (:mod:`repro.kernels`): ``"numpy"`` (reference), ``"native"``
@@ -165,6 +167,17 @@ class TrainConfig:
         if self.eval_chunk_users is not None and self.eval_chunk_users <= 0:
             raise ValueError(
                 f"eval_chunk_users must be positive, got {self.eval_chunk_users}"
+            )
+        if self.users_per_round < 1:
+            raise ValueError(
+                f"users_per_round must be >= 1, got {self.users_per_round}"
+            )
+        if self.top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
+        # 0 is legal: it turns HR@K evaluation off.
+        if self.eval_num_negatives < 0:
+            raise ValueError(
+                f"eval_num_negatives must be >= 0, got {self.eval_num_negatives}"
             )
 
     @property

@@ -18,8 +18,8 @@ parity suites compare against lives in ``tests/reference/``.
 All benign client state is held by one struct-of-arrays
 :class:`~repro.federated.shards.ShardedStateStore` (user-embedding rows
 + CSR interactions per shard), built in vectorised passes; evaluation
-streams over user blocks so peak memory stays O(block x items)
-regardless of the user count.
+streams over user blocks, and MF scores only the pairs that can decide
+ER@K and HR@K (:meth:`~repro.models.mf.MFModel.ranking_counts`).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.federated.faults import FaultStats, UploadTransit
 from repro.federated.server import Server
 from repro.federated.shards import EmbeddingMatrixView, ShardedStateStore
 from repro.metrics.ranking import (
+    RankingTally,
     exposure_counts_at_k,
     exposure_ratio_from_counts,
     hit_counts_at_k,
@@ -186,6 +187,9 @@ class FederatedSimulation:
                 self.dataset, config.train.eval_num_negatives, config.seed
             )
         )
+        #: User blocks MF's pruned walk could not decide and handed to
+        #: full scoring, over every :meth:`evaluate` of this run.
+        self.eval_fallback_blocks = 0
         # Multi-process round executor — a compute provider to the
         # batch engine, synchronous or asynchronous: benign stacks are
         # computed by per-shard worker processes reading the shared
@@ -529,12 +533,14 @@ class FederatedSimulation:
         view.flags.writeable = False
         return view
 
-    #: Divisor that auto-sizes evaluation blocks.  The footprint is 11
-    #: bytes a cell (one float64 score row, the bool train mask and the
-    #: two bool work buffers of ``exposure_counts_at_k``); the value
-    #: stays at the 17 of the partition-based ranking because block
-    #: boundaries decide which rows share a GEMM, and moving them could
-    #: move evaluation scores in the last ulp.
+    #: Divisor that auto-sizes evaluation blocks.  A fully scored block
+    #: costs 11 bytes a cell (the float64 scores, the bool train mask
+    #: and the two bool work buffers of ``exposure_counts_at_k``), but
+    #: the value stays at the 17 of the old partition-based ranking:
+    #: block boundaries decide which rows share a GEMM, and moving them
+    #: could move full-path scores in the last ulp.  It sizes the full
+    #: path only; MF's walk keeps the boundaries (its undecidable
+    #: blocks are scored in full) and bounds its own tiles.
     _EVAL_BYTES_PER_CELL = 17
     #: Auto-sized evaluation blocks target this peak footprint.
     _EVAL_BLOCK_BYTES = 128 * 2**20
@@ -550,48 +556,58 @@ class FederatedSimulation:
     def evaluate(self, k: int | None = None) -> tuple[float, float]:
         """Compute (ER@K, HR@K) over benign users, streaming in blocks.
 
-        Users are scored in blocks of ``train.eval_chunk_users`` (or a
+        Users are counted in blocks of ``train.eval_chunk_users`` (or a
         memory-bounded default): each block contributes integer
         hit/eligibility counts that accumulate into the final ratios,
         so no ``num_users x num_items`` array — scores *or* train mask
         — is ever materialised, and the results are bit-identical to
         the dense single-pass evaluation (scoring and ranking are
         row-wise; the final divisions see the same integer counts).
+        The model decides how a block is counted
+        (:meth:`~repro.models.base.RecommenderModel.ranking_counts`):
+        in full, or, for MF, by the exact pruned walk, whose
+        undecidable blocks are counted in full and tallied in
+        :attr:`eval_fallback_blocks`.
         """
         k = self.config.train.top_k if k is None else k
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         with kernels.use(self.kernel_backend):
             return self._evaluate_scoped(k)
 
     def _evaluate_scoped(self, k: int) -> tuple[float, float]:
         test_items = self.dataset.test_items
-        er_hits = np.zeros(len(self.targets), dtype=np.int64)
-        er_eligible = np.zeros(len(self.targets), dtype=np.int64)
-        hr_hits = 0
-        hr_total = 0
+
+        def count_scores(lo: int, hi: int, scores: np.ndarray):
+            train_mask = self.state.train_mask_block(lo, hi)
+            return (
+                *exposure_counts_at_k(scores, train_mask, self.targets, k),
+                *hit_counts_at_k(
+                    scores,
+                    test_items[lo:hi],
+                    self._eval_negatives[lo:hi],
+                    self._eval_negative_counts[lo:hi],
+                    k,
+                ),
+            )
+
+        tally = RankingTally(
+            self.targets,
+            k,
+            test_items,
+            self._eval_negatives,
+            self._eval_negative_counts,
+            positives=lambda lo, hi: self.state.positives_csr(np.arange(lo, hi)),
+            count_scores=count_scores,
+        )
         # Blocks stream straight out of the store (for a sharded one,
         # out of the shard segments): same rows, same block boundaries,
         # so scores do not depend on where the rows live.
-        for lo, hi, scores in self.model.score_blocks(
-            EmbeddingMatrixView(self.state), self._eval_block_users()
-        ):
-            train_mask = self.state.train_mask_block(lo, hi)
-            hits, eligible = exposure_counts_at_k(
-                scores, train_mask, self.targets, k
-            )
-            er_hits += hits
-            er_eligible += eligible
-            hits, total = hit_counts_at_k(
-                scores,
-                test_items[lo:hi],
-                self._eval_negatives[lo:hi],
-                self._eval_negative_counts[lo:hi],
-                k,
-            )
-            hr_hits += hits
-            hr_total += total
-            # Freed before the next block is scored: one alive at a time.
-            del scores, train_mask
+        self.model.ranking_counts(
+            EmbeddingMatrixView(self.state), self._eval_block_users(), tally
+        )
+        self.eval_fallback_blocks += tally.fallback_blocks
         return (
-            exposure_ratio_from_counts(er_hits, er_eligible),
-            hit_ratio_from_counts(hr_hits, hr_total),
+            exposure_ratio_from_counts(tally.er_hits, tally.er_eligible),
+            hit_ratio_from_counts(tally.hr_hits, tally.hr_total),
         )

@@ -10,7 +10,10 @@ library — the property ROADMAP item 1 is after.
 The build deliberately uses plain ``-O3``: no ``-ffast-math`` /
 ``-fassociative-math``, because the compiler must not reassociate the
 sequential accumulations that :mod:`repro.kernels._numpy` defines as
-the bit-parity contract.
+the bit-parity contract.  It also pins ``-ffp-contract=off``: where the
+target has FMA (aarch64's baseline, or x86-64 with ``-mfma``), GCC
+would otherwise fuse ``acc + x * y`` into one fused multiply-add,
+rounding once where NumPy rounds twice.
 
 If any ingredient is missing — cffi, a C compiler, a writable cache
 directory — loading raises :class:`NativeKernelsUnavailable`.  There is
@@ -55,7 +58,7 @@ void repro_row_diff_norms_f64(const double *a, const double *b,
 """
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
-_CFLAGS = ["-O3", "-fPIC", "-shared"]
+_CFLAGS = ["-O3", "-ffp-contract=off", "-fPIC", "-shared"]
 
 
 class NativeKernelsUnavailable(RuntimeError):

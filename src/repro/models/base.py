@@ -145,6 +145,20 @@ class RecommenderModel(ABC):
             hi = min(lo + block_users, len(user_matrix))
             yield lo, hi, self.score_matrix(user_matrix[lo:hi])
 
+    def ranking_counts(self, user_matrix, block_users: int, tally) -> None:
+        """Count ER@K and HR@K over all users into ``tally``.
+
+        ``tally`` is a :class:`~repro.metrics.ranking.RankingTally`.
+        The default scores every user block in full
+        (:meth:`score_blocks`) and counts it with
+        ``tally.count_scores``; a model with a cheaper exact path
+        overrides this (MF's pruned walk).
+        """
+        for lo, hi, scores in self.score_blocks(user_matrix, block_users):
+            tally.add(*tally.count_scores(lo, hi, scores))
+            # Freed before the next block is scored: one alive at a time.
+            del scores
+
     # ------------------------------------------------------------------
     # Global parameter plumbing (item table + interaction parameters)
     # ------------------------------------------------------------------

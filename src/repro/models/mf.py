@@ -10,6 +10,10 @@ Being parameter-free also means MF-FRS needs no override of
 class's generic row-stacked implementation (einsum dot products are
 independent per row) already runs a whole round of clients in one
 vectorised pass, bit-identical to the per-client loop.
+
+Its scores being dot products, MF-FRS evaluates by an exact pruned
+walk (:meth:`MFModel.ranking_counts`): ``|u| * |v|`` bounds every
+score, so items visited in descending norm stop mattering early.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.metrics.ranking import NormOrderedItems, walk_block_counts
 from repro.models.base import GradientBundle, RecommenderModel
 from repro.rng import spawn
 
@@ -58,3 +63,27 @@ class MFModel(RecommenderModel):
 
     def score_matrix(self, user_matrix: np.ndarray) -> np.ndarray:
         return user_matrix @ self.item_embeddings.T
+
+    def ranking_counts(self, user_matrix, block_users: int, tally) -> None:
+        """ER@K and HR@K counts by the pruned walk.
+
+        The item table is prepared once per call
+        (:class:`~repro.metrics.ranking.NormOrderedItems`); each user
+        block of ``block_users`` rows is counted by
+        :func:`~repro.metrics.ranking.walk_block_counts`, which scores
+        only the pairs that can decide it.  A block the walk cannot
+        certify is scored in full, at the same boundaries as the
+        default path, and counted in ``tally.fallback_blocks`` — so the
+        counts equal the default path's exactly.
+        """
+        if block_users <= 0:
+            raise ValueError("block_users must be positive")
+        items = NormOrderedItems(self.item_embeddings)
+        for lo in range(0, len(user_matrix), block_users):
+            hi = min(lo + block_users, len(user_matrix))
+            users = user_matrix[lo:hi]
+            counts = walk_block_counts(items, users, tally, lo, hi)
+            if counts is None:
+                tally.fallback_blocks += 1
+                counts = tally.count_scores(lo, hi, self.score_matrix(users))
+            tally.add(*counts)

@@ -34,6 +34,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="client_lr_range"):
             TrainConfig(client_lr_range=lr_range)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("top_k", 0), ("eval_num_negatives", -1), ("users_per_round", 0)],
+    )
+    def test_bad_evaluation_and_round_sizes_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_eval_negatives_turns_hr_off(self):
+        assert TrainConfig(eval_num_negatives=0).eval_num_negatives == 0
+
     def test_valid_knobs_accepted(self):
         cfg = TrainConfig(client_lr_range=(0.1, 0.1), eval_chunk_users=1)
         assert cfg.client_lr_range == (0.1, 0.1)

@@ -15,8 +15,13 @@ compared with in ``tests/test_models.py`` (to a few ulp):
 * ``COUNT_GOLDEN``: the integer ER/HR counts that
   :meth:`FederatedSimulation.evaluate` divides, after a short PIECK-UEA
   run, scored in one block and in blocks of seven users.
+* ``MF_COUNT_GOLDEN``: the same counts for MF runs (BCE and BPR, one
+  and three targets), which evaluate through the pruned walk: each
+  block in one tile, and walked in norm-ordered tiles.
+  They were recorded at 9f21bdb, before the walk, from full score
+  blocks.
 
-All values were recorded at bee73ef, where both ReLUs of the tile loop
+The NCF values were recorded at bee73ef, where both ReLUs of the tile loop
 still took the scalar operand ``0.0``.  The zero-array operand that
 replaced it gives the same bytes, so nothing here moved.  The byte
 contract rests on NumPy's ``maximum`` and OpenBLAS's kernel choice, so
@@ -26,14 +31,17 @@ the CI ``numpy-compat`` legs run this file too.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
 
 import repro.federated.simulation as simulation_module
+import repro.models.mf as mf_module
 import repro.models.ncf as ncf_module
 from repro.config import AttackConfig, ExperimentConfig, ModelConfig, TrainConfig
 from repro.federated.simulation import FederatedSimulation
+from repro.metrics.ranking import walk_block_counts
 from repro.models.ncf import NCFModel
 
 NUM_USERS, NUM_ITEMS, DIM = 13, 37, 8
@@ -58,6 +66,19 @@ COUNT_GOLDEN = {
     7: ([18, 36, 27], [38, 36, 35], 9, 40),
 }
 
+#: (loss, num_targets, eval_chunk_users) -> the same counts for an MF
+#: run, recorded at 9f21bdb, where every MF block was scored in full.
+MF_COUNT_GOLDEN = {
+    ("bce", 1, None): ([10], [37], 7, 40),
+    ("bce", 1, 7): ([10], [37], 7, 40),
+    ("bce", 3, None): ([7, 7, 8], [36, 36, 35], 9, 40),
+    ("bce", 3, 7): ([7, 7, 8], [36, 36, 35], 9, 40),
+    ("bpr", 1, None): ([13], [37], 9, 40),
+    ("bpr", 1, 7): ([13], [37], 9, 40),
+    ("bpr", 3, None): ([7, 9, 10], [36, 36, 35], 9, 40),
+    ("bpr", 3, 7): ([7, 9, 10], [36, 36, 35], 9, 40),
+}
+
 
 def _score_digest(monkeypatch, tower, tile) -> str:
     if tile == "3 users":
@@ -76,8 +97,8 @@ def test_score_bytes_match_history(monkeypatch, tower, tile):
     assert _score_digest(monkeypatch, tower, tile) == SCORE_GOLDEN[tower, tile]
 
 
-def _eval_counts(dataset, monkeypatch, eval_chunk_users):
-    config = ExperimentConfig(
+def _ncf_config(eval_chunk_users):
+    return ExperimentConfig(
         model=ModelConfig(kind="ncf", embedding_dim=16, mlp_layers=(32, 16), seed=3),
         train=TrainConfig(
             rounds=8,
@@ -91,6 +112,30 @@ def _eval_counts(dataset, monkeypatch, eval_chunk_users):
         ),
         seed=3,
     )
+
+
+def _mf_config(loss, num_targets, eval_chunk_users):
+    return ExperimentConfig(
+        model=ModelConfig(kind="mf", embedding_dim=16, seed=5),
+        train=TrainConfig(
+            rounds=8,
+            users_per_round=16,
+            lr=1.0,
+            loss=loss,
+            eval_every=0,
+            eval_chunk_users=eval_chunk_users,
+        ),
+        attack=AttackConfig(
+            name="pieck_uea",
+            malicious_ratio=0.1,
+            mining_rounds=2,
+            num_targets=num_targets,
+        ),
+        seed=5,
+    )
+
+
+def _eval_counts(dataset, monkeypatch, config):
     sim = FederatedSimulation(config, dataset)
     sim.run()
     counts = {}
@@ -108,15 +153,38 @@ def _eval_counts(dataset, monkeypatch, eval_chunk_users):
     monkeypatch.setattr(simulation_module, "exposure_ratio_from_counts", exposure_spy)
     monkeypatch.setattr(simulation_module, "hit_ratio_from_counts", hit_spy)
     result = sim.evaluate()
-    return (*counts["er"], *counts["hr"]), result
+    return (*counts["er"], *counts["hr"]), result, sim
+
+
+def _assert_ratios(counts, exposure, hit_ratio):
+    er_hits, er_eligible, hr_hits, hr_total = counts
+    assert exposure == np.mean(np.divide(er_hits, er_eligible))
+    assert hit_ratio == hr_hits / hr_total
 
 
 @pytest.mark.parametrize("eval_chunk_users", [None, 7])
 def test_eval_counts_match_history(tiny_dataset, monkeypatch, eval_chunk_users):
-    counts, (exposure, hit_ratio) = _eval_counts(
-        tiny_dataset, monkeypatch, eval_chunk_users
+    counts, (exposure, hit_ratio), _ = _eval_counts(
+        tiny_dataset, monkeypatch, _ncf_config(eval_chunk_users)
     )
     assert counts == COUNT_GOLDEN[eval_chunk_users]
-    er_hits, er_eligible, hr_hits, hr_total = counts
-    assert exposure == np.mean(np.divide(er_hits, er_eligible))
-    assert hit_ratio == hr_hits / hr_total
+    _assert_ratios(counts, exposure, hit_ratio)
+
+
+@pytest.mark.parametrize("tiles", ["one tile", "walked"])
+@pytest.mark.parametrize("eval_chunk_users", [None, 7])
+@pytest.mark.parametrize("num_targets", [1, 3])
+@pytest.mark.parametrize("loss", ["bce", "bpr"])
+def test_mf_eval_counts_match_history(
+    tiny_dataset, monkeypatch, loss, num_targets, eval_chunk_users, tiles
+):
+    if tiles == "walked":  # no block fits one tile: walk them all
+        monkeypatch.setattr(
+            mf_module, "walk_block_counts", partial(walk_block_counts, tile_bytes=0)
+        )
+    counts, (exposure, hit_ratio), sim = _eval_counts(
+        tiny_dataset, monkeypatch, _mf_config(loss, num_targets, eval_chunk_users)
+    )
+    assert counts == MF_COUNT_GOLDEN[loss, num_targets, eval_chunk_users]
+    assert sim.eval_fallback_blocks == 0
+    _assert_ratios(counts, exposure, hit_ratio)

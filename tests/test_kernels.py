@@ -19,6 +19,8 @@ an end-to-end numpy-vs-native simulation parity check.
 
 from __future__ import annotations
 
+import platform
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -569,3 +571,56 @@ class TestEndToEndBackendParity:
         assert res_nat.exposure == res_np.exposure
         assert res_nat.hit_ratio == res_np.hit_ratio
         assert sim_nat._batch_engine.kernel_fallback_rounds == 0
+
+
+def _cpu_has_fma() -> bool:
+    """x86-64 with the FMA3 extension (``-mfma`` code can run here)."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return False
+    try:
+        with open("/proc/cpuinfo") as info:
+            return any(
+                line.startswith("flags") and " fma " in f"{line} "
+                for line in info
+            )
+    except OSError:
+        return False
+
+
+@needs_native
+@pytest.mark.skipif(not _cpu_has_fma(), reason="CPU without FMA3")
+class TestFusedMultiplyAddBuild:
+    """A build allowed to emit FMA instructions keeps bit parity.
+
+    With ``-mfma`` the compiler would fuse ``acc + x * y`` into one
+    FMA (one rounding instead of two) unless ``-ffp-contract=off``
+    forbids it; the x86-64 baseline has no FMA and so hides the
+    difference, targets whose baseline has it (aarch64) do not.
+    """
+
+    def test_every_kernel_matches_reference(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(_native, "_CFLAGS", [*_native._CFLAGS, "-mfma"])
+        monkeypatch.setenv("REPRO_KERNELS_CACHE", str(tmp_path))
+        backend = _native.NativeBackend(
+            *_native._dlopen(_native._build_shared_library())
+        )
+        rng = np.random.default_rng(29)
+        lengths = rng.integers(0, 6, size=40)
+        rows = rng.standard_normal((int(lengths.sum()), 16))
+        ids = rng.integers(0, 50, size=300)
+        grads = rng.standard_normal((300, 16))
+        old = rng.standard_normal((64, 16))
+        new = old + rng.standard_normal((64, 16))
+        flat = rng.standard_normal((3, 9, 16))
+        values = rng.standard_normal(int(lengths.sum()))
+        for name, args in [
+            ("scatter_sum", (ids, grads, 50)),
+            ("segment_div", (values, lengths)),
+            ("segment_sums", (rows, lengths, 16)),
+            ("pairwise_sq_dists", (flat,)),
+            ("stacked_step_gradients", (old, new, 0.5, 1.5)),
+            ("row_diff_norms", (old, new)),
+        ]:
+            assert_bit_identical(
+                getattr(backend, name)(*args), getattr(REFERENCE, name)(*args)
+            )

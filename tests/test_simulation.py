@@ -173,6 +173,11 @@ class TestEvaluation:
         cfg = tiny_mf_config if kind == "mf" else tiny_ncf_config
         cfg = replace(cfg, train=replace(cfg.train, eval_chunk_users=7))
         sim = FederatedSimulation(cfg)
+        if kind == "mf":
+            # MF scores a block in full only where its walk cannot decide
+            # the block; zero users (every score ties at 0.0) make each
+            # block such a fallback.
+            sim.state.load_embeddings(np.zeros_like(sim.state.snapshot_embeddings()))
         score_matrix = sim.model.score_matrix
         blocks = []
 
@@ -187,6 +192,13 @@ class TestEvaluation:
         del sim.model.score_matrix
         assert len(blocks) > 2
         assert result == sim.evaluate()
+        if kind == "mf":
+            assert sim.eval_fallback_blocks == 2 * len(blocks)
+
+    def test_evaluate_rejects_k_below_one(self, tiny_mf_config):
+        sim = FederatedSimulation(tiny_mf_config)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            sim.evaluate(k=0)
 
     def test_evaluate_with_custom_k(self, tiny_mf_config):
         sim = FederatedSimulation(tiny_mf_config)
