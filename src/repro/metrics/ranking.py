@@ -13,8 +13,6 @@ which scores only the pairs that can decide them.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from repro.datasets.base import InteractionDataset
@@ -343,17 +341,13 @@ def hit_ratio_from_counts(hits: int, total: int) -> float:
 
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
-#: Largest ``|u| * |v|`` the walk takes on: far below overflow, so no
-#: score of either path can become infinite.
-_WALK_MAX_PRODUCT = 2.0**1000
 #: Multiply-adds per walk tile (undecided users x item block x dim).
 #: OpenBLAS serves a GEMM of at most 10**6 with its single-threaded
 #: small-matrix kernel; a little above that its threaded path costs
 #: more than the product itself.
 _WALK_TILE_MACS = 10**6
-#: A user block whose scores fit in this many bytes is scored as one
-#: tile; larger blocks gather HR@K candidate rows in chunks of it.
-_TILE_BYTES = 2 * 2**20
+#: HR@K candidates' rows are gathered in chunks of this many bytes.
+_CANDIDATE_BYTES = 2 * 2**20
 
 
 class RankingTally:
@@ -394,78 +388,70 @@ class RankingTally:
 
 
 def norms_rounded_up(rows: np.ndarray) -> np.ndarray:
-    """Row norms, each at least the exact Euclidean norm of its row.
+    """Float64 row norms, each at least the exact Euclidean norm of its row.
 
-    The sum of squares is inflated past its rounding error (relative
-    ``dim * eps``, plus the absolute error of squares that underflow),
-    and the root past its own.
+    Squares are summed in float64 whatever the rows' type (a float32
+    row converts exactly), and the sum is inflated past its rounding
+    error (relative ``dim * eps``, plus the absolute error of squares
+    that underflow), and the root past its own.
     """
     dim = rows.shape[1]
-    squares = np.einsum("ij,ij->i", rows, rows)
+    squares = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
     return np.sqrt(squares * (1 + (dim + 4) * _EPS) + (dim + 1) * _TINY) * (
         1 + 4 * _EPS
     )
 
 
-def _margin_terms(dim: int) -> tuple[float, float]:
+def _margin_terms(users: np.ndarray, items: np.ndarray) -> tuple[float, float]:
     """``(scale, floor)`` of the rounding margin between two scores.
 
-    Any float evaluation of ``u . v`` over ``dim`` terms (any summation
-    order, with or without FMA) is within ``dim * eps / 2 * |u||v|``
-    plus a few subnormal units of the exact dot product.  Two scores
-    from two evaluations each (the walk's and the full block's) are
-    therefore ordered alike once they differ by more than
-    ``scale * |u| * (|v_j| + |v_t|) + floor``; ``scale`` is twice what
-    that needs, which also absorbs the rounding of the margin and of
-    the thresholds ``s_t ± margin`` the walk compares against.
+    Scores of ``users`` against ``items`` are computed in their common
+    type, float32 for a reduced-precision model; ``eps`` and ``tiny``
+    are that type's.  Any float evaluation of ``u . v`` over ``dim``
+    terms (any summation order, with or without FMA) is within ``dim *
+    eps / 2 * |u||v|`` plus a few subnormal units of the exact dot
+    product.  Two scores from two evaluations each (the walk's and the
+    full block's) are therefore ordered alike once they differ by more
+    than ``scale * |u| * (|v_j| + |v_t|) + floor``; ``scale`` is twice
+    what that needs, which also absorbs the rounding of the margin and
+    of the thresholds ``s_t ± margin`` the walk compares against.
     """
-    return (2 * dim + 8) * _EPS, (dim + 2) * _TINY
+    dim = users.shape[1]
+    info = np.finfo(np.result_type(users, items))
+    return (2 * dim + 8) * float(info.eps), (dim + 2) * float(info.tiny)
 
 
-def _column_counts(mask: np.ndarray) -> np.ndarray:
-    """True cells per column of a 2-D bool array.
+def _counts(mask: np.ndarray, axis: int = 0) -> np.ndarray:
+    """True cells along ``axis`` of a 2-D bool array.
 
-    Scores are held items x users throughout, so a user's threshold
-    broadcasts along the contiguous axis (NumPy's fast loop) and its
-    counts are column sums.
+    A walk tile is held items x users, so a user's threshold broadcasts
+    along the contiguous axis (NumPy's fast loop) and its counts are
+    column sums; HR@K candidates are held users x candidates and
+    counted along rows.
     """
-    return np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.int32)
+    return np.add.reduce(mask.view(np.uint8), axis=axis, dtype=np.int32)
 
 
 class NormOrderedItems:
     """An item table sorted by norm, descending, for the pruned walk.
 
     ``norms`` are rounded up (:func:`norms_rounded_up`); ``rank[j]`` is
-    item ``j``'s position in the walk order and ``sorted_rows`` the
-    table in that order (built on first use: a block scored in one
-    tile needs no order).  ``walkable`` is false when a row or norm is
-    not finite: then no block can be walked.
+    item ``j``'s position in the walk order, ``sorted_rows`` and
+    ``sorted_norms`` the table and its norms in that order.
+    ``walkable`` is false when a row or norm is not finite: then no
+    block can be walked.
     """
 
     def __init__(self, items: np.ndarray):
         self.items = items
         self.norms = norms_rounded_up(items)
-        # A NaN or infinite entry (or a square that overflows) leaves
-        # its row's norm non-finite.
+        # A NaN or infinite entry leaves its row's norm non-finite.
         self.walkable = bool(np.isfinite(self.norms).all())
-
-    @cached_property
-    def _order(self) -> np.ndarray:
-        return np.argsort(-self.norms, kind="stable")
-
-    @cached_property
-    def sorted_rows(self) -> np.ndarray:
-        return self.items[self._order]
-
-    @cached_property
-    def sorted_norms(self) -> np.ndarray:
-        return self.norms[self._order]
-
-    @cached_property
-    def rank(self) -> np.ndarray:
-        rank = np.empty(len(self._order), dtype=np.int64)
-        rank[self._order] = np.arange(len(self._order))
-        return rank
+        order = np.argsort(-self.norms, kind="stable")
+        self.sorted_rows = items[order]
+        self.sorted_norms = self.norms[order]
+        self.rank = np.empty(len(order), dtype=np.int64)
+        self.rank[order] = np.arange(len(order))
 
 
 def walk_block_counts(
@@ -476,7 +462,7 @@ def walk_block_counts(
     hi: int,
     *,
     tile_cells: int | None = None,
-    tile_bytes: int = _TILE_BYTES,
+    chunk_bytes: int = _CANDIDATE_BYTES,
 ):
     """Exact ER@K and HR@K counts of users ``lo..hi`` from few scores.
 
@@ -486,41 +472,35 @@ def walk_block_counts(
     ``users @ items.T`` — or ``None`` when that cannot be certified:
 
     * a row of ``users`` or ``items`` is not finite, a user's norm is
-      zero, or a norm product is near overflow;
+      zero, or a norm product is near overflow in the scores' type;
     * a decision depends on a pair whose two scores lie within the
       rounding margin (:func:`_margin_terms`) — an exact tie included.
 
     Every comparison carries that margin, so a pair the walk classifies
     is classified alike by any float evaluation of the full block; the
-    caller resolves a ``None`` block from full scores.  A block whose
-    scores fit in ``tile_bytes`` is scored as one tile
-    (:func:`_one_tile_counts`); a larger one is walked target by target
-    in tiles of ``tile_cells`` scores (:func:`_walk_target`, default
-    ``_WALK_TILE_MACS / dim``) and its HR@K candidates' rows are
-    gathered in chunks of ``tile_bytes`` (:func:`_hit_counts`).
+    caller resolves a ``None`` block from full scores.  The block is
+    walked target by target in tiles of ``tile_cells`` scores
+    (:func:`_walk_target`, default ``_WALK_TILE_MACS / dim``), and its
+    HR@K candidates' rows are gathered in chunks of ``chunk_bytes``
+    (:func:`_hit_counts`).
     """
     if not items.walkable:
         return None
     user_norms = norms_rounded_up(users)
+    # Every score and partial sum of either path stays below |u| * |v|
+    # (plus rounding), so a product this far below the type's largest
+    # value cannot overflow.
+    max_product = 2.0 ** (np.finfo(np.result_type(users, items.items)).maxexp - 24)
     if len(users) and (
         not np.isfinite(user_norms).all()
         or not users.any(axis=1).all()
-        or user_norms.max() * items.norms.max(initial=0.0) > _WALK_MAX_PRODUCT
+        or user_norms.max() * items.norms.max(initial=0.0) > max_product
     ):
         return None
-    lengths, flat = tally.positives(lo, hi)
-    rows = np.repeat(np.arange(len(users)), lengths)
-    candidates = (
-        tally.test_items[lo:hi],
-        tally.negatives[lo:hi],
-        tally.negative_counts[lo:hi],
-    )
-    if 8 * len(users) * len(items.norms) <= tile_bytes:
-        return _one_tile_counts(
-            items, users, user_norms, (rows, flat), tally.targets, tally.k, candidates
-        )
     if tile_cells is None:
         tile_cells = max(1, _WALK_TILE_MACS // users.shape[1])
+    lengths, flat = tally.positives(lo, hi)
+    rows = np.repeat(np.arange(len(users)), lengths)
     masked = (items.rank[flat], rows)  # (walk position, user row) pairs
     hits = np.empty(len(tally.targets), dtype=np.int64)
     eligible = np.empty(len(tally.targets), dtype=np.int64)
@@ -536,12 +516,14 @@ def walk_block_counts(
         eligible[row] = np.count_nonzero(open_users)
     width = max(tally.negatives.shape[1], 1)
     hr = _hit_counts(
-        _gathered_scores(items, users),
-        user_norms,
         items,
-        *candidates,
+        users,
+        user_norms,
+        tally.test_items[lo:hi],
+        tally.negatives[lo:hi],
+        tally.negative_counts[lo:hi],
         tally.k,
-        tile_bytes // (8 * width * users.shape[1]),
+        max(1, chunk_bytes // (8 * width * users.shape[1])),
     )
     return None if hr is None else (hits, eligible, *hr)
 
@@ -552,45 +534,30 @@ def _walk_target(items, users, user_norms, open_users, masked, target, k, tile_c
     Items are visited in tiles of descending norm.  An open user keeps
     two counts of unmasked items: those certainly ahead of the target
     (score above ``s_t + margin``) and those that may be (score at or
-    above ``s_t - margin``).  The user is settled as *not exposed* once
-    ``k`` are certainly ahead, and as *exposed iff fewer than k may be*
-    once ``|u| * max|v|`` of the items left falls below ``s_t - margin``
-    — no item left can reach the target.
+    above ``s_t - margin``).  After each tile a user is settled as *not
+    exposed* once ``k`` are certainly ahead, and as *exposed iff fewer
+    than k may be* once ``|u| * max|v|`` of the items left falls below
+    ``s_t - margin`` — no item left can reach the target.  ``masked``
+    holds the block's (walk position, user row) training pairs.
     """
-    scale, floor = _margin_terms(users.shape[1])
+    scale, floor = _margin_terms(users, items.items)
     num_items = len(items.rank)
     mask_rank, mask_rows = masked
-    target_norm = items.norms[target]
     target_rank = int(items.rank[target])
     active = np.flatnonzero(open_users)
     rows = users[active]
     norms = user_norms[active]
     target_scores = rows @ items.items[target]
-    ahead = np.zeros(len(active), dtype=np.int64)
-    within = np.zeros(len(active), dtype=np.int64)
+    # The largest item norm bounds every pair the walk meets.
+    margin = scale * norms * (items.sorted_norms[0] + items.norms[target]) + floor
+    high = target_scores + margin
+    low = target_scores - margin
+    ahead = np.zeros(len(active), dtype=np.int32)
+    within = np.zeros(len(active), dtype=np.int32)
     slot = np.full(len(users), -1, dtype=np.int64)
     exposed = 0
     start = 0
     while len(active):
-        top = items.sorted_norms[start] if start < num_items else 0.0
-        margin = scale * norms * (top + target_norm) + floor
-        low = target_scores - margin
-        settled = norms * top < low
-        if start == num_items:
-            settled[:] = True
-        # Every active user has fewer than k certainly ahead: a settled
-        # one with k or more that may be ahead hangs on a pair in the
-        # margin.
-        if (settled & (within >= k)).any():
-            return None
-        if settled.any():
-            exposed += np.count_nonzero(settled)
-            keep = ~settled
-            active, rows, norms = active[keep], rows[keep], norms[keep]
-            target_scores, ahead, within = target_scores[keep], ahead[keep], within[keep]
-            low, margin = low[keep], margin[keep]
-            if not len(active):
-                break
         stop = min(num_items, start + max(1, tile_cells // len(active)))
         scores = _product(items.sorted_rows[start:stop], rows)
         # Masked pairs and the target itself compete with nothing.
@@ -602,55 +569,23 @@ def _walk_target(items, users, user_norms, open_users, masked, target, k, tile_c
         slot[active] = -1
         if start <= target_rank < stop:
             scores[target_rank - start] = -np.inf
-        ahead += _column_counts(scores > target_scores + margin)
-        within += _column_counts(scores >= low)
-        unexposed = ahead >= k
-        if unexposed.any():
-            keep = ~unexposed
-            active, rows, norms = active[keep], rows[keep], norms[keep]
-            target_scores, ahead, within = target_scores[keep], ahead[keep], within[keep]
+        ahead += _counts(scores > high)
+        within += _counts(scores >= low)
         start = stop
+        # Past the last item every user is settled: |u| * -inf < low.
+        top = items.sorted_norms[start] if start < num_items else -np.inf
+        unexposed = ahead >= k
+        settled = (norms * top < low) & ~unexposed
+        # A settled user with k or more that may be ahead hangs on a
+        # pair in the margin.
+        if (settled & (within >= k)).any():
+            return None
+        exposed += np.count_nonzero(settled)
+        keep = ~(unexposed | settled)
+        if not keep.all():
+            active, rows, norms = active[keep], rows[keep], norms[keep]
+            high, low, ahead, within = high[keep], low[keep], ahead[keep], within[keep]
     return exposed
-
-
-def _one_tile_counts(items, users, user_norms, positives, targets, k, candidates):
-    """Block counts from one tile holding every score of the block.
-
-    The same certified comparisons as the walk, with the largest item
-    norm in every margin.
-    """
-    scale, floor = _margin_terms(users.shape[1])
-    tile = _product(items.items, users)
-    stride = len(users)
-
-    def read_tile(who, tests, negatives):
-        flat = tile.ravel()
-        return flat.take(tests * stride + who), flat.take(negatives * stride + who)
-
-    hr = _hit_counts(read_tile, user_norms, items, *candidates, k, stride)
-    if hr is None:
-        return None
-    rows, flat = positives
-    tile[flat, rows] = -np.inf  # masked pairs compete with nothing
-    top = items.norms.max()
-    hits = np.empty(len(targets), dtype=np.int64)
-    eligible = np.empty(len(targets), dtype=np.int64)
-    for row, target in enumerate(targets.tolist()):
-        # A user who interacted with the target reads -inf here and is
-        # not open.
-        target_scores = tile[target]
-        open_users = target_scores > -np.inf
-        margin = scale * user_norms * (top + items.norms[target]) + floor
-        # The target's own row is within its margin of itself.
-        within = _column_counts(tile >= target_scores - margin) - 1
-        maybe_out = open_users & (within >= k)
-        if maybe_out.any():
-            ahead = _column_counts(tile > target_scores + margin)
-            if (maybe_out & (ahead < k)).any():
-                return None
-        hits[row] = np.count_nonzero(open_users & (within < k))
-        eligible[row] = np.count_nonzero(open_users)
-    return (hits, eligible, *hr)
 
 
 def _product(rows: np.ndarray, users: np.ndarray) -> np.ndarray:
@@ -658,9 +593,10 @@ def _product(rows: np.ndarray, users: np.ndarray) -> np.ndarray:
     of at most ``_WALK_TILE_MACS`` multiply-adds.
 
     Each chunk is a plain ``(n, dim) @ (dim, users)`` product, the
-    layout OpenBLAS's small-matrix kernel takes.
+    layout OpenBLAS's small-matrix kernel takes, in the type the full
+    block is scored in.
     """
-    out = np.empty((len(rows), len(users)))
+    out = np.empty((len(rows), len(users)), dtype=np.result_type(rows, users))
     user_columns = np.ascontiguousarray(users.T)
     step = max(1, _WALK_TILE_MACS // max(len(users) * users.shape[1], 1))
     for first in range(0, len(rows), step):
@@ -668,24 +604,11 @@ def _product(rows: np.ndarray, users: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gathered_scores(items, users):
-    """HR@K candidate scores computed from their gathered rows."""
-
-    def score(who, tests, negatives):
-        rows = users[who]
-        test_scores = np.einsum("nd,nd->n", rows, items.items[tests])
-        scores = np.matmul(items.items.take(negatives.T, axis=0), rows[:, :, None])
-        return test_scores, scores[:, :, 0].T
-
-    return score
-
-
-def _hit_counts(score, user_norms, items, test_items, negatives, lengths, k, step):
+def _hit_counts(items, users, user_norms, test_items, negatives, lengths, k, step):
     """HR@K ``(hits, evaluable users)`` from the candidates' own scores.
 
-    ``score(who, tests, negatives)`` returns the test-item scores of
-    users ``who`` and their candidates' scores, candidates x users;
-    ``step`` users are scored at a time.  A user's rank ``greater +
+    Each evaluable user's test item and negatives are scored from their
+    gathered rows, ``step`` users at a time.  A user's rank ``greater +
     equal / 2`` lies between the candidates certainly above ``test +
     margin`` and those at or above ``test - margin``, the margin taking
     the largest item norm for every candidate.  A user whose rank
@@ -694,20 +617,23 @@ def _hit_counts(score, user_norms, items, test_items, negatives, lengths, k, ste
     evaluable = np.flatnonzero((test_items >= 0) & (lengths > 0))
     if not len(evaluable):
         return 0, 0
-    scale, floor = _margin_terms(items.items.shape[1])
+    scale, floor = _margin_terms(users, items.items)
     width = int(lengths[evaluable].max())
     ragged = bool((lengths[evaluable] < width).any())
     top_norm = items.norms.max()
     hits = 0
-    for first in range(0, len(evaluable), max(1, step)):
-        who = evaluable[first : first + max(1, step)]
+    for first in range(0, len(evaluable), step):
+        who = evaluable[first : first + step]
+        rows = users[who]
         tests = test_items[who]
-        test_scores, scores = score(who, tests, negatives[who, :width].T)
+        test_scores = np.einsum("nd,nd->n", rows, items.items[tests])[:, None]
+        candidates = items.items.take(negatives[who, :width], axis=0)
+        scores = np.matmul(candidates, rows[:, :, None])[:, :, 0]
         if ragged:  # padding competes with nothing
-            scores[np.arange(width)[:, None] >= lengths[who]] = -np.inf
+            scores[np.arange(width) >= lengths[who, None]] = -np.inf
         margin = scale * user_norms[who] * (top_norm + items.norms[tests]) + floor
-        greater = _column_counts(scores > test_scores + margin)
-        within = _column_counts(scores >= test_scores - margin)
+        greater = _counts(scores > test_scores + margin[:, None], axis=1)
+        within = _counts(scores >= test_scores - margin[:, None], axis=1)
         if ((greater < k) & (within >= k)).any():
             return None
         hits += int(np.count_nonzero(within < k))

@@ -16,10 +16,9 @@ compared with in ``tests/test_models.py`` (to a few ulp):
   :meth:`FederatedSimulation.evaluate` divides, after a short PIECK-UEA
   run, scored in one block and in blocks of seven users.
 * ``MF_COUNT_GOLDEN``: the same counts for MF runs (BCE and BPR, one
-  and three targets), which evaluate through the pruned walk: each
-  block in one tile, and walked in norm-ordered tiles.
-  They were recorded at 9f21bdb, before the walk, from full score
-  blocks.
+  and three targets), scored in full (blocks this small are) and
+  through the pruned walk.  They were recorded at 9f21bdb, before the
+  walk, from full score blocks.
 
 The NCF values were recorded at bee73ef, where both ReLUs of the tile loop
 still took the scalar operand ``0.0``.  The zero-array operand that
@@ -31,7 +30,6 @@ the CI ``numpy-compat`` legs run this file too.
 from __future__ import annotations
 
 import hashlib
-from functools import partial
 
 import numpy as np
 import pytest
@@ -41,7 +39,6 @@ import repro.models.mf as mf_module
 import repro.models.ncf as ncf_module
 from repro.config import AttackConfig, ExperimentConfig, ModelConfig, TrainConfig
 from repro.federated.simulation import FederatedSimulation
-from repro.metrics.ranking import walk_block_counts
 from repro.models.ncf import NCFModel
 
 NUM_USERS, NUM_ITEMS, DIM = 13, 37, 8
@@ -171,17 +168,15 @@ def test_eval_counts_match_history(tiny_dataset, monkeypatch, eval_chunk_users):
     _assert_ratios(counts, exposure, hit_ratio)
 
 
-@pytest.mark.parametrize("tiles", ["one tile", "walked"])
+@pytest.mark.parametrize("path", ["full", "walked"])
 @pytest.mark.parametrize("eval_chunk_users", [None, 7])
 @pytest.mark.parametrize("num_targets", [1, 3])
 @pytest.mark.parametrize("loss", ["bce", "bpr"])
 def test_mf_eval_counts_match_history(
-    tiny_dataset, monkeypatch, loss, num_targets, eval_chunk_users, tiles
+    tiny_dataset, monkeypatch, loss, num_targets, eval_chunk_users, path
 ):
-    if tiles == "walked":  # no block fits one tile: walk them all
-        monkeypatch.setattr(
-            mf_module, "walk_block_counts", partial(walk_block_counts, tile_bytes=0)
-        )
+    if path == "walked":
+        monkeypatch.setattr(mf_module, "_FULL_SCORE_BYTES", 0)
     counts, (exposure, hit_ratio), sim = _eval_counts(
         tiny_dataset, monkeypatch, _mf_config(loss, num_targets, eval_chunk_users)
     )

@@ -3,13 +3,17 @@
 :meth:`MFModel.ranking_counts` scores only the (user, item) pairs that
 can decide ER@K and HR@K, and hands a block it cannot certify to full
 scoring.  These tests hold it to the default full path
-(:meth:`RecommenderModel.ranking_counts`), which scores every pair:
+(:meth:`RecommenderModel.ranking_counts`), which scores every pair.
+Their blocks are small enough for MF to score them in full, so every
+test here lowers ``_FULL_SCORE_BYTES`` to walk them:
 
 * a hypothesis property over exact ties (duplicated item rows), zero
   users, non-finite rows, masked targets, K past the catalogue, one to
   five targets and every user-block and item-tile size;
-* on untied data every block is decided (no fallback), in one tile
-  and walked;
+* on untied data every block is decided (no fallback), in float64 and
+  in float32;
+* a float32 table of duplicated rows and near-ties counts what the
+  float32 full path counts;
 * a ``tracemalloc`` bound: at an ``mf-plain``-like shape an MF
   evaluation peaks below an eighth of one full score block.
 
@@ -38,8 +42,16 @@ from repro.metrics.ranking import (
     hit_counts_at_k,
     walk_block_counts,
 )
+from repro.models import mf as mf_module
 from repro.models.base import RecommenderModel
 from repro.models.mf import MFModel
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _walk_every_block():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mf_module, "_FULL_SCORE_BYTES", 0)
+        yield
 
 
 def _tally(case) -> RankingTally:
@@ -86,6 +98,7 @@ def _counts(tally: RankingTally):
 @st.composite
 def walk_cases(draw):
     """Small MF evaluations built to tie, vanish and overflow."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
     num_users = draw(st.integers(1, 8))
     num_items = draw(st.integers(1, 12))
     dim = draw(st.integers(1, 4))
@@ -117,8 +130,8 @@ def walk_cases(draw):
     lengths = draw(arrays(np.int64, num_users, elements=st.integers(0, width)))
     test_items = draw(arrays(np.int64, num_users, elements=st.integers(-1, num_items - 1)))
     return {
-        "users": users,
-        "items": items,
+        "users": users.astype(dtype),
+        "items": items.astype(dtype),
         "mask": mask,
         "targets": targets,
         "k": draw(st.integers(1, num_items + 2)),  # past the catalogue too
@@ -127,7 +140,7 @@ def walk_cases(draw):
         "lengths": lengths,
         "block_users": draw(st.integers(1, num_users)),
         "tile_cells": draw(st.integers(1, num_users * num_items)),
-        "tile_bytes": draw(st.integers(1, 16 * num_users * num_items)),
+        "chunk_bytes": draw(st.integers(1, 8 * max(width, 1) * dim * num_users)),
     }
 
 
@@ -144,9 +157,8 @@ class TestWalkCounts:
         walked = _tally(case)
         model.ranking_counts(users, block, walked)
         assert _counts(walked) == _counts(full)
-        # Every item-tile and candidate-chunk size, and one tile for
-        # the whole block, decides alike: a block the walk certifies
-        # holds the full block's counts.
+        # Every item-tile and candidate-chunk size decides alike: a
+        # block the walk certifies holds the full block's counts.
         items = NormOrderedItems(case["items"])
         for lo in range(0, len(users), block):
             hi = min(lo + block, len(users))
@@ -157,7 +169,7 @@ class TestWalkCounts:
                 lo,
                 hi,
                 tile_cells=case["tile_cells"],
-                tile_bytes=case["tile_bytes"],
+                chunk_bytes=case["chunk_bytes"],
             )
             if certified is None:
                 continue
@@ -166,12 +178,12 @@ class TestWalkCounts:
             hits, eligible, hr_hits, hr_total = certified
             assert (hits.tolist(), eligible.tolist(), hr_hits, hr_total) == _counts(one)
 
-    # 64-user blocks fit one tile; one 300-user block is walked in tiles.
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("block_users", [64, 300])
-    def test_untied_blocks_are_decided(self, block_users):
+    def test_untied_blocks_are_decided(self, block_users, dtype):
         rng = np.random.default_rng(4)
         num_users, num_items = 300, 1000
-        items = rng.normal(size=(num_items, 8))
+        items = rng.normal(size=(num_items, 8)).astype(dtype)
         mask = rng.random((num_users, num_items)) < 0.02
         test_items = rng.integers(0, num_items, num_users)
         negatives = (test_items[:, None] + rng.integers(1, num_items, (num_users, 20))) % num_items
@@ -183,7 +195,7 @@ class TestWalkCounts:
             "negatives": negatives,
             "lengths": np.full(num_users, 20),
         }
-        users = rng.normal(size=(num_users, 8))
+        users = rng.normal(size=(num_users, 8)).astype(dtype)
         model = _model(items)
         full = _tally(case)
         RecommenderModel.ranking_counts(model, users, block_users, full)
@@ -210,9 +222,7 @@ class TestWalkCounts:
         assert walked.fallback_blocks == 1
         assert _counts(walked) == ([0], [1], 0, 0)
 
-
-    @pytest.mark.parametrize("tile_bytes", [0, 2**20], ids=["walked", "one tile"])
-    def test_cancellation_inside_the_margin_falls_back(self, tile_bytes):
+    def test_cancellation_inside_the_margin_falls_back(self):
         # The target's exact score is 1.0, a tie with item 0, but a float
         # dot product in most orders rounds 1e16 + 1 to 1e16 and returns
         # 0.0: the pair lies inside the margin, so its top-1 decision is
@@ -228,7 +238,7 @@ class TestWalkCounts:
         }
         users = np.ones((1, 3))
         certified = walk_block_counts(
-            NormOrderedItems(items), users, _tally(case), 0, 1, tile_bytes=tile_bytes
+            NormOrderedItems(items), users, _tally(case), 0, 1
         )
         assert certified is None
         full = _tally(case)
@@ -237,6 +247,61 @@ class TestWalkCounts:
         _model(items).ranking_counts(users, 1, walked)
         assert walked.fallback_blocks == 1
         assert _counts(walked) == _counts(full)
+
+    def test_no_settling_while_an_item_left_may_reach_the_target(self):
+        # Item 1 scores 2**-50 above the target (item 2), inside the
+        # margin, and comes after item 0 in norm order.  Once item 0 is
+        # walked, |u| * |v_1| reaches the target within the margin, so
+        # the user cannot be settled as exposed yet; walked on, the
+        # top-1 decision hangs on that pair and goes to the full path,
+        # where item 1 is ahead.
+        items = np.array([[0.0, 5.0], [1.0 + 2.0**-50, 0.0], [1.0, 0.0]])
+        case = {
+            "mask": np.zeros((1, 3), dtype=bool),
+            "targets": np.array([2]),
+            "k": 1,
+            "test_items": np.array([-1]),
+            "negatives": np.zeros((1, 0), dtype=np.int64),
+            "lengths": np.zeros(1, dtype=np.int64),
+        }
+        users = np.array([[1.0, 0.0]])
+        certified = walk_block_counts(
+            NormOrderedItems(items), users, _tally(case), 0, 1, tile_cells=1
+        )
+        assert certified is None
+        full = _tally(case)
+        RecommenderModel.ranking_counts(_model(items), users, 1, full)
+        assert _counts(full) == ([0], [1], 0, 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_float32_ties_and_near_ties_count_as_the_full_path(self, seed):
+        # A float32 model scores in float32, where two evaluations of one
+        # dot product (the walk's GEMM tile and its target matvec) differ
+        # by about dim * 2**-24 * |u||v|: the margin is float32's.  Rows
+        # copy the target (exact ties) or nudge it by one float32 ulp
+        # (near-ties); K lands among them.
+        rng = np.random.default_rng(seed)
+        num_users, num_items, dim = 60, 48, 64
+        items = rng.normal(size=(num_items, dim)).astype(np.float32)
+        items[24:36] = items[3]
+        items[36:] = np.nextafter(items[3], np.float32(np.inf))
+        users = rng.normal(size=(num_users, dim)).astype(np.float32)
+        test_items = rng.integers(0, num_items, num_users)
+        case = {
+            "mask": rng.random((num_users, num_items)) < 0.05,
+            "targets": np.array([3, 30, 40]),
+            "k": int(rng.integers(2, 30)),
+            "test_items": test_items,
+            "negatives": rng.integers(0, num_items, (num_users, 12)),
+            "lengths": np.full(num_users, 12),
+        }
+        model = _model(items)
+        for block_users in (7, num_users):
+            full = _tally(case)
+            RecommenderModel.ranking_counts(model, users, block_users, full)
+            walked = _tally(case)
+            model.ranking_counts(users, block_users, walked)
+            assert _counts(walked) == _counts(full)
 
 
 def test_mf_evaluation_peak_is_an_eighth_of_a_score_block():

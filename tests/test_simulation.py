@@ -8,6 +8,7 @@ import pytest
 from repro.config import AttackConfig, DefenseConfig, replace
 from repro.datasets.loaders import load_dataset
 from repro.federated.simulation import FederatedSimulation
+from repro.models import mf as mf_module
 from repro.stateful import state_of
 
 
@@ -166,7 +167,7 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("kind", ["mf", "ncf"])
     def test_one_score_block_alive_at_a_time(
-        self, kind, tiny_mf_config, tiny_ncf_config
+        self, kind, tiny_mf_config, tiny_ncf_config, monkeypatch
     ):
         """A block is freed before the next is scored, so evaluation's
         peak is one block whatever free memory the heap has."""
@@ -174,9 +175,10 @@ class TestEvaluation:
         cfg = replace(cfg, train=replace(cfg.train, eval_chunk_users=7))
         sim = FederatedSimulation(cfg)
         if kind == "mf":
-            # MF scores a block in full only where its walk cannot decide
-            # the block; zero users (every score ties at 0.0) make each
-            # block such a fallback.
+            # Walked, MF scores a block in full only where the walk
+            # cannot decide it; zero users (every score ties at 0.0)
+            # make each block such a fallback.
+            monkeypatch.setattr(mf_module, "_FULL_SCORE_BYTES", 0)
             sim.state.load_embeddings(np.zeros_like(sim.state.snapshot_embeddings()))
         score_matrix = sim.model.score_matrix
         blocks = []

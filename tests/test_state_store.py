@@ -7,8 +7,6 @@ streaming (chunked) evaluation reproduces the dense single-pass metrics
 exactly.
 """
 
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -25,10 +23,9 @@ from repro.metrics.ranking import (
     hit_ratio_at_k,
     pack_eval_negatives,
     sample_eval_negatives,
-    walk_block_counts,
 )
 from repro.models import mf as mf_module
-from repro.models.base import RecommenderModel, build_model
+from repro.models.base import build_model
 from repro.rng import (
     _pcg64_words,
     _seed_sequence_states,
@@ -290,9 +287,10 @@ class TestChunkedEvaluation:
     def test_evaluate_independent_of_chunk_size(
         self, tiny_mf_config, tiny_ncf_config, kind, monkeypatch
     ):
-        # MF evaluates through the pruned walk, on one shard and on
-        # three, each block in one tile and walked in tiles; no block
-        # may fall back, and the results must equal the full path's.
+        # MF also evaluates through the pruned walk (blocks this small
+        # are otherwise scored in full), on one shard and on three; no
+        # block may fall back, and the results must equal the full
+        # path's.
         base = tiny_mf_config if kind == "mf" else tiny_ncf_config
         results = []
         for num_shards in (0, 3):
@@ -307,18 +305,9 @@ class TestChunkedEvaluation:
                     results.append(sim.evaluate())
                     if kind == "mf":
                         with monkeypatch.context() as walked:
-                            walked.setattr(
-                                mf_module,
-                                "walk_block_counts",
-                                partial(walk_block_counts, tile_bytes=0),
-                            )
+                            walked.setattr(mf_module, "_FULL_SCORE_BYTES", 0)
                             results.append(sim.evaluate())
                         assert sim.eval_fallback_blocks == 0
-                        model = sim.model
-                        model.ranking_counts = partial(
-                            RecommenderModel.ranking_counts, model
-                        )
-                        results.append(sim.evaluate())
         assert all(r == results[0] for r in results[1:])
 
     def test_bad_chunk_size_rejected(self, tiny_mf_config):
