@@ -220,6 +220,6 @@ def _segment_calls(
         shifted = logits[rows] - row_margins[rows]
         dlogits = (sigmoid(shifted) - 1.0) / row_counts[rows]
         grads[segs] = segment_sums(
-            model.backward(cache, dlogits).items, counts, users.shape[1]
+            model.item_grads(cache, dlogits), counts, users.shape[1]
         )
     return logits, grads

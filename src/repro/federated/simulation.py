@@ -18,8 +18,9 @@ parity suites compare against lives in ``tests/reference/``.
 All benign client state is held by one struct-of-arrays
 :class:`~repro.federated.shards.ShardedStateStore` (user-embedding rows
 + CSR interactions per shard), built in vectorised passes; evaluation
-streams over user blocks, and MF scores only the pairs that can decide
-ER@K and HR@K (:meth:`~repro.models.mf.MFModel.ranking_counts`).
+streams over user blocks, and MF and NCF score only the pairs that can
+decide ER@K and HR@K (:meth:`~repro.models.mf.MFModel.ranking_counts`,
+:meth:`~repro.models.ncf.NCFModel.ranking_counts`).
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ class FederatedSimulation:
                 self.dataset, config.train.eval_num_negatives, config.seed
             )
         )
-        #: User blocks MF's pruned walk could not decide and handed to
+        #: User blocks a model's pruned walk could not decide and handed to
         #: full scoring, over every :meth:`evaluate` of this run.
         self.eval_fallback_blocks = 0
         # Multi-process round executor — a compute provider to the
@@ -539,8 +540,8 @@ class FederatedSimulation:
     #: the value stays at the 17 of the old partition-based ranking:
     #: block boundaries decide which rows share a GEMM, and moving them
     #: could move full-path scores in the last ulp.  It sizes the full
-    #: path only; MF's walk keeps the boundaries (its undecidable
-    #: blocks are scored in full) and bounds its own tiles.
+    #: path only; the walks keep the boundaries (their undecidable
+    #: blocks are scored in full) and bound their own tiles.
     _EVAL_BYTES_PER_CELL = 17
     #: Auto-sized evaluation blocks target this peak footprint.
     _EVAL_BLOCK_BYTES = 128 * 2**20
@@ -565,7 +566,7 @@ class FederatedSimulation:
         row-wise; the final divisions see the same integer counts).
         The model decides how a block is counted
         (:meth:`~repro.models.base.RecommenderModel.ranking_counts`):
-        in full, or, for MF, by the exact pruned walk, whose
+        in full, or, for MF and NCF, by an exact pruned walk, whose
         undecidable blocks are counted in full and tallied in
         :attr:`eval_fallback_blocks`.
         """

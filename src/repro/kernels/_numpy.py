@@ -96,12 +96,18 @@ class NumpyKernels:
         the rows sequentially (an empty segment is the identity, and a
         leading ``-0.0`` row does not keep its sign bit).  This is
         exactly the per-client reduction the loop engine performs.
+        One column is the exception: NumPy sums an ``(L, 1)`` segment
+        along its contiguous axis, pairwise once ``L >= 8``, so it is
+        reduced beside a zero column, which restores the outer-axis
+        order.
         """
         out = np.empty((len(lengths), dim), dtype=rows.dtype)
+        if dim == 1:
+            rows = np.concatenate([rows, np.zeros_like(rows)], axis=1)
         reduce_rows = np.add.reduce
         start = 0
         for index, length in enumerate(lengths.tolist()):
-            out[index] = reduce_rows(rows[start : start + length], axis=0)
+            out[index] = reduce_rows(rows[start : start + length], axis=0)[:dim]
             start += length
         return out
 

@@ -29,6 +29,14 @@ __all__ = [
 ]
 
 
+#: User blocks whose full score block takes at most this many bytes are
+#: counted from full scores by every model: scoring a small block
+#: outright costs less than a pruned walk's per-tile and per-candidate
+#: overheads (a 189 x 336 ml-100k MF block evaluates in about half the
+#: time of its walk).
+_FULL_SCORE_BYTES = 2 * 2**20
+
+
 def segment_starts(lengths: np.ndarray) -> np.ndarray:
     """Row offset of each client's segment in a ragged row-stack.
 
@@ -123,6 +131,11 @@ class RecommenderModel(ABC):
     def backward(self, cache: Any, dlogits: np.ndarray) -> GradientBundle:
         """Backprop logit gradients to user/item/parameter gradients."""
 
+    def item_grads(self, cache: Any, dlogits: np.ndarray) -> np.ndarray:
+        """The ``items`` of :meth:`backward`, the same bytes; a model
+        with interaction parameters skips their gradients."""
+        return self.backward(cache, dlogits).items
+
     @abstractmethod
     def score_matrix(self, user_matrix: np.ndarray) -> np.ndarray:
         """Logits for every (user, item) pair: shape (U, num_items)."""
@@ -152,12 +165,43 @@ class RecommenderModel(ABC):
         The default scores every user block in full
         (:meth:`score_blocks`) and counts it with
         ``tally.count_scores``; a model with a cheaper exact path
-        overrides this (MF's pruned walk).
+        overrides this with :meth:`_walked_counts` (MF's and NCF's
+        pruned walks).
         """
         for lo, hi, scores in self.score_blocks(user_matrix, block_users):
             tally.add(*tally.count_scores(lo, hi, scores))
             # Freed before the next block is scored: one alive at a time.
             del scores
+
+    def _walked_counts(
+        self, user_matrix, block_users: int, tally, prepare, walk
+    ) -> None:
+        """:meth:`ranking_counts` by an exact pruned walk.
+
+        Blocks of ``block_users`` rows whose full score block fits in
+        ``_FULL_SCORE_BYTES`` take the full path.  Otherwise the items
+        are prepared once per call (``prepare()``) and each block is
+        counted by ``walk(items, users, tally, lo, hi)``, which scores
+        only the pairs that can decide it.  A block the walk cannot
+        certify (``None``) is scored in full, at the same boundaries as
+        the full path, and counted in ``tally.fallback_blocks`` — so
+        the counts equal the full path's exactly.
+        """
+        if block_users <= 0:
+            raise ValueError("block_users must be positive")
+        largest = min(block_users, len(user_matrix))
+        if 8 * largest * self.num_items <= _FULL_SCORE_BYTES:
+            RecommenderModel.ranking_counts(self, user_matrix, block_users, tally)
+            return
+        items = prepare()
+        for lo in range(0, len(user_matrix), block_users):
+            hi = min(lo + block_users, len(user_matrix))
+            users = user_matrix[lo:hi]
+            counts = walk(items, users, tally, lo, hi)
+            if counts is None:
+                tally.fallback_blocks += 1
+                counts = tally.count_scores(lo, hi, self.score_matrix(users))
+            tally.add(*counts)
 
     # ------------------------------------------------------------------
     # Global parameter plumbing (item table + interaction parameters)

@@ -28,13 +28,6 @@ from repro.rng import spawn
 
 __all__ = ["MFModel"]
 
-#: User blocks whose full score block takes at most this many bytes are
-#: counted from full scores: scoring a small block outright costs less
-#: than the walk's per-tile and per-candidate overheads (a 189 x 336
-#: ml-100k block evaluates in about half the time of its walk).
-_FULL_SCORE_BYTES = 2 * 2**20
-
-
 class MFModel(RecommenderModel):
     """Matrix-factorisation global model: just the item embedding table."""
 
@@ -71,31 +64,14 @@ class MFModel(RecommenderModel):
         return user_matrix @ self.item_embeddings.T
 
     def ranking_counts(self, user_matrix, block_users: int, tally) -> None:
-        """ER@K and HR@K counts by the pruned walk.
-
-        Blocks of ``block_users`` rows whose full score block fits in
-        ``_FULL_SCORE_BYTES`` take the default full path.  Otherwise the
-        item table is prepared once per call
-        (:class:`~repro.metrics.ranking.NormOrderedItems`) and each
-        block is counted by
-        :func:`~repro.metrics.ranking.walk_block_counts`, which scores
-        only the pairs that can decide it.  A block the walk cannot
-        certify is scored in full, at the same boundaries as the
-        default path, and counted in ``tally.fallback_blocks`` — so the
-        counts equal the default path's exactly.
-        """
-        if block_users <= 0:
-            raise ValueError("block_users must be positive")
-        largest = min(block_users, len(user_matrix))
-        if 8 * largest * len(self.item_embeddings) <= _FULL_SCORE_BYTES:
-            super().ranking_counts(user_matrix, block_users, tally)
-            return
-        items = NormOrderedItems(self.item_embeddings)
-        for lo in range(0, len(user_matrix), block_users):
-            hi = min(lo + block_users, len(user_matrix))
-            users = user_matrix[lo:hi]
-            counts = walk_block_counts(items, users, tally, lo, hi)
-            if counts is None:
-                tally.fallback_blocks += 1
-                counts = tally.count_scores(lo, hi, self.score_matrix(users))
-            tally.add(*counts)
+        """ER@K and HR@K counts by the pruned walk
+        (:func:`~repro.metrics.ranking.walk_block_counts` over a
+        :class:`~repro.metrics.ranking.NormOrderedItems` table, through
+        :meth:`_walked_counts`)."""
+        self._walked_counts(
+            user_matrix,
+            block_users,
+            tally,
+            lambda: NormOrderedItems(self.item_embeddings),
+            walk_block_counts,
+        )

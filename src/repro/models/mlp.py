@@ -153,19 +153,33 @@ class MLPTower:
         )
         for k, seg in enumerate(segs):
             dproj[k] = final_act[seg].T @ dlogits[seg]
-        dact = np.outer(dlogits, self.projection)
 
         param_stacks = [dproj]
-        for index in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[index]
+
+        def reduce_segments(index: int, dz: np.ndarray) -> None:
             act_in = cache[index]
-            dz = dact * (cache[index + 1] > 0.0)
             dtype = np.result_type(act_in, dz)
-            dw = np.empty((len(segs),) + layer.weight.shape, dtype=dtype)
-            db = np.empty((len(segs),) + layer.bias.shape, dtype=dtype)
+            dw = np.empty((len(segs),) + self.layers[index].weight.shape, dtype=dtype)
+            db = np.empty((len(segs),) + self.layers[index].bias.shape, dtype=dtype)
             for k, seg in enumerate(segs):
                 dw[k] = act_in[seg].T @ dz[seg]
                 db[k] = dz[seg].sum(axis=0)
-            dact = layer.input_grad(dz)
             param_stacks[:0] = [dw, db]
-        return dact, param_stacks
+
+        return self.input_grad(cache, dlogits, reduce_segments), param_stacks
+
+    def input_grad(self, cache: list[np.ndarray], dlogits: np.ndarray, visit=None):
+        """Gradient of the logits with respect to the input rows.
+
+        The row-wise half of :meth:`backward_segmented`, which passes
+        ``visit(index, dz)`` to take each layer's pre-activation
+        gradient (last layer first) for its parameter reductions;
+        without it no parameter gradient is computed.
+        """
+        dact = np.outer(dlogits, self.projection)
+        for index in range(len(self.layers) - 1, -1, -1):
+            dz = dact * (cache[index + 1] > 0.0)
+            if visit is not None:
+                visit(index, dz)
+            dact = self.layers[index].input_grad(dz)
+        return dact

@@ -4,6 +4,10 @@
 (Eq. 1). The MLP parameters are part of the shared global model and
 are trained collaboratively — and therefore poisonable, which is what
 makes DL-FRS the softer target in Table III.
+
+NCF evaluates by an exact bounded walk (:meth:`NCFModel.ranking_counts`):
+interval bounds of the tower over clusters of items settle most
+clusters whole, so only the items near each target's score are scored.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.metrics.ranking import ClusteredItems, walk_tower_block_counts
 from repro.models.base import (
     BatchStepResult,
     GradientBundle,
@@ -73,6 +78,9 @@ class NCFModel(RecommenderModel):
         dx, param_grads = self.tower.backward(cache, dlogits)
         d = self.embedding_dim
         return GradientBundle(users=dx[:, :d], items=dx[:, d:], params=param_grads)
+
+    def item_grads(self, cache: Any, dlogits: np.ndarray) -> np.ndarray:
+        return self.tower.input_grad(cache, dlogits)[:, self.embedding_dim :]
 
     def batch_local_step(
         self,
@@ -170,3 +178,18 @@ class NCFModel(RecommenderModel):
                 act = np.maximum(out, zeros[:pairs], out=out)
             np.matmul(self.tower.projection, act, out=scores[lo:hi].reshape(-1))
         return scores
+
+    def ranking_counts(self, user_matrix, block_users: int, tally) -> None:
+        """ER@K and HR@K counts by the bounded walk
+        (:func:`~repro.metrics.ranking.walk_tower_block_counts` over a
+        :class:`~repro.metrics.ranking.ClusteredItems` catalogue, through
+        :meth:`_walked_counts`)."""
+        layers = [(layer.weight, layer.bias) for layer in self.tower.layers]
+        layers.append((self.tower.projection[:, None], np.zeros(1)))
+        self._walked_counts(
+            user_matrix,
+            block_users,
+            tally,
+            lambda: ClusteredItems(layers, self.item_embeddings),
+            walk_tower_block_counts,
+        )

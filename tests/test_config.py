@@ -36,7 +36,14 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("top_k", 0), ("eval_num_negatives", -1), ("users_per_round", 0)],
+        [
+            ("top_k", 0),
+            ("eval_num_negatives", -1),
+            ("users_per_round", 0),
+            ("rounds", -1),
+            ("eval_every", -1),
+            ("negative_ratio", 0),
+        ],
     )
     def test_bad_evaluation_and_round_sizes_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -14,7 +14,8 @@ compared with in ``tests/test_models.py`` (to a few ulp):
   tile boundaries are part of the scores (see ``_SCORE_TILE_PAIRS``).
 * ``COUNT_GOLDEN``: the integer ER/HR counts that
   :meth:`FederatedSimulation.evaluate` divides, after a short PIECK-UEA
-  run, scored in one block and in blocks of seven users.
+  run, in one block and in blocks of seven users, scored in full
+  (blocks this small are) and through the bounded walk.
 * ``MF_COUNT_GOLDEN``: the same counts for MF runs (BCE and BPR, one
   and three targets), scored in full (blocks this small are) and
   through the pruned walk.  They were recorded at 9f21bdb, before the
@@ -35,7 +36,7 @@ import numpy as np
 import pytest
 
 import repro.federated.simulation as simulation_module
-import repro.models.mf as mf_module
+import repro.models.base as model_base
 import repro.models.ncf as ncf_module
 from repro.config import AttackConfig, ExperimentConfig, ModelConfig, TrainConfig
 from repro.federated.simulation import FederatedSimulation
@@ -159,12 +160,16 @@ def _assert_ratios(counts, exposure, hit_ratio):
     assert hit_ratio == hr_hits / hr_total
 
 
+@pytest.mark.parametrize("path", ["full", "walked"])
 @pytest.mark.parametrize("eval_chunk_users", [None, 7])
-def test_eval_counts_match_history(tiny_dataset, monkeypatch, eval_chunk_users):
-    counts, (exposure, hit_ratio), _ = _eval_counts(
+def test_eval_counts_match_history(tiny_dataset, monkeypatch, eval_chunk_users, path):
+    if path == "walked":
+        monkeypatch.setattr(model_base, "_FULL_SCORE_BYTES", 0)
+    counts, (exposure, hit_ratio), sim = _eval_counts(
         tiny_dataset, monkeypatch, _ncf_config(eval_chunk_users)
     )
     assert counts == COUNT_GOLDEN[eval_chunk_users]
+    assert sim.eval_fallback_blocks == 0
     _assert_ratios(counts, exposure, hit_ratio)
 
 
@@ -176,7 +181,7 @@ def test_mf_eval_counts_match_history(
     tiny_dataset, monkeypatch, loss, num_targets, eval_chunk_users, path
 ):
     if path == "walked":
-        monkeypatch.setattr(mf_module, "_FULL_SCORE_BYTES", 0)
+        monkeypatch.setattr(model_base, "_FULL_SCORE_BYTES", 0)
     counts, (exposure, hit_ratio), sim = _eval_counts(
         tiny_dataset, monkeypatch, _mf_config(loss, num_targets, eval_chunk_users)
     )

@@ -42,7 +42,7 @@ from repro.metrics.ranking import (
     hit_counts_at_k,
     walk_block_counts,
 )
-from repro.models import mf as mf_module
+from repro.models import base as model_base
 from repro.models.base import RecommenderModel
 from repro.models.mf import MFModel
 
@@ -50,7 +50,7 @@ from repro.models.mf import MFModel
 @pytest.fixture(autouse=True, scope="module")
 def _walk_every_block():
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mf_module, "_FULL_SCORE_BYTES", 0)
+        patch.setattr(model_base, "_FULL_SCORE_BYTES", 0)
         yield
 
 

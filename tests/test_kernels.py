@@ -172,6 +172,30 @@ class TestSegmentSumsParity:
             REFERENCE.segment_sums(rows, lengths, dim),
         )
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_long_segments_sum_row_by_row(self, dim, dtype):
+        # Segments past NumPy's eight-way pairwise unroll: one column is
+        # contiguous along the summed axis, where np.add.reduce would go
+        # pairwise; both backends must add the rows in order, each from
+        # the identity.
+        rng = np.random.default_rng(dim)
+        lengths = np.array([16, 9, 40, 0, 1], dtype=np.int64)
+        rows = (
+            rng.standard_normal((int(lengths.sum()), dim))
+            * 10.0 ** rng.integers(-12, 12, (int(lengths.sum()), dim))
+        ).astype(dtype)
+        rows[:16] = 2.0**-53
+        rows[0] = 1.0
+        expected = np.zeros((len(lengths), dim), dtype=dtype)
+        start = 0
+        for index, length in enumerate(lengths.tolist()):
+            for row in rows[start : start + length]:
+                expected[index] += row
+            start += length
+        assert_bit_identical(REFERENCE.segment_sums(rows, lengths, dim), expected)
+        assert_bit_identical(NATIVE.segment_sums(rows, lengths, dim), expected)
+
     def test_negative_zero_rows_sum_to_positive_zero(self):
         # np.add.reduce(axis=0) seeds with the additive identity +0.0,
         # so even a single -0.0 row reduces to +0.0 (identity + row
@@ -556,6 +580,27 @@ class TestEndToEndBackendParity:
         sim = FederatedSimulation(config, dataset=tiny_dataset)
         result = sim.run()
         return sim, result
+
+    def test_one_dimensional_embeddings_bit_identical(self, tiny_dataset):
+        # At embedding_dim=1 every client's user-gradient sum is an
+        # (L, 1) segment: the case NumPy would reduce pairwise.
+        digests = []
+        for backend in ("numpy", "native"):
+            config = ExperimentConfig(
+                dataset=DatasetConfig(name="custom"),
+                model=ModelConfig(kind="mf", embedding_dim=1, seed=3),
+                train=TrainConfig(rounds=5, users_per_round=24, lr=1.0, kernels=backend),
+                seed=3,
+            )
+            sim = FederatedSimulation(config, dataset=tiny_dataset)
+            sim.run()
+            digests.append(
+                (
+                    sim.model.item_embeddings.tobytes(),
+                    sim.user_embedding_matrix().tobytes(),
+                )
+            )
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("defense", ["none", "multi_krum"])
     def test_trajectories_bit_identical(self, tiny_dataset, defense):

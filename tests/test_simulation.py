@@ -8,7 +8,7 @@ import pytest
 from repro.config import AttackConfig, DefenseConfig, replace
 from repro.datasets.loaders import load_dataset
 from repro.federated.simulation import FederatedSimulation
-from repro.models import mf as mf_module
+from repro.models import base as model_base
 from repro.stateful import state_of
 
 
@@ -178,7 +178,7 @@ class TestEvaluation:
             # Walked, MF scores a block in full only where the walk
             # cannot decide it; zero users (every score ties at 0.0)
             # make each block such a fallback.
-            monkeypatch.setattr(mf_module, "_FULL_SCORE_BYTES", 0)
+            monkeypatch.setattr(model_base, "_FULL_SCORE_BYTES", 0)
             sim.state.load_embeddings(np.zeros_like(sim.state.snapshot_embeddings()))
         score_matrix = sim.model.score_matrix
         blocks = []

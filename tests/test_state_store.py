@@ -24,7 +24,7 @@ from repro.metrics.ranking import (
     pack_eval_negatives,
     sample_eval_negatives,
 )
-from repro.models import mf as mf_module
+from repro.models import base as model_base
 from repro.models.base import build_model
 from repro.rng import (
     _pcg64_words,
@@ -287,10 +287,10 @@ class TestChunkedEvaluation:
     def test_evaluate_independent_of_chunk_size(
         self, tiny_mf_config, tiny_ncf_config, kind, monkeypatch
     ):
-        # MF also evaluates through the pruned walk (blocks this small
-        # are otherwise scored in full), on one shard and on three; no
-        # block may fall back, and the results must equal the full
-        # path's.
+        # Both models also evaluate through their pruned walks (blocks
+        # this small are otherwise scored in full), on one shard and on
+        # three; no block may fall back, and the results must equal the
+        # full path's.
         base = tiny_mf_config if kind == "mf" else tiny_ncf_config
         results = []
         for num_shards in (0, 3):
@@ -303,11 +303,10 @@ class TestChunkedEvaluation:
                 with FederatedSimulation(cfg) as sim:
                     sim.run(rounds=3)
                     results.append(sim.evaluate())
-                    if kind == "mf":
-                        with monkeypatch.context() as walked:
-                            walked.setattr(mf_module, "_FULL_SCORE_BYTES", 0)
-                            results.append(sim.evaluate())
-                        assert sim.eval_fallback_blocks == 0
+                    with monkeypatch.context() as walked:
+                        walked.setattr(model_base, "_FULL_SCORE_BYTES", 0)
+                        results.append(sim.evaluate())
+                    assert sim.eval_fallback_blocks == 0
         assert all(r == results[0] for r in results[1:])
 
     def test_bad_chunk_size_rejected(self, tiny_mf_config):
