@@ -735,7 +735,7 @@ def _kmeans(points: np.ndarray, count: int) -> np.ndarray:
 
     Centres start at the points of evenly spaced ranks along the
     points' widest coordinate, and ``_KMEANS_ROUNDS`` Lloyd rounds
-    follow, each one GEMM of squared distances.  Any partition keeps
+    follow, each one tiled GEMM of squared distances.  Any partition keeps
     the walk exact; a tighter one only prunes more.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -745,8 +745,13 @@ def _kmeans(points: np.ndarray, count: int) -> np.ndarray:
     centres = points[order[(np.arange(count) * len(points)) // count]]
     labels = np.zeros(len(points), dtype=np.int64)
     for _ in range(_KMEANS_ROUNDS):
-        distances = (centres * centres).sum(axis=1) - 2.0 * _product(points, centres)
-        labels = np.argmin(distances, axis=1)
+        # Rows per distance tile: the row chunk ``_product`` itself
+        # takes, so no points x centres array spans the catalogue.
+        step = max(1, _WALK_TILE_MACS // max(centres.size, 1))
+        squares = (centres * centres).sum(axis=1)
+        for first in range(0, len(points), step):
+            tile = _product(points[first : first + step], centres)
+            labels[first : first + step] = np.argmin(squares - 2.0 * tile, axis=1)
         sizes = np.bincount(labels, minlength=len(centres))
         filled = sizes > 0
         sizes = sizes[filled]
@@ -857,8 +862,6 @@ def walk_tower_block_counts(
     tally: RankingTally,
     lo: int,
     hi: int,
-    *,
-    chunk_bytes: int = _CANDIDATE_BYTES,
 ):
     """Exact ER@K and HR@K counts of users ``lo..hi`` from few scores.
 
@@ -872,7 +875,7 @@ def walk_tower_block_counts(
     cluster (:func:`_cluster_bounds`) settle whole clusters; only the
     items of clusters that straddle the target are scored
     (:func:`_walk_tower_target`), and for HR@K only the users'
-    candidates, ``chunk_bytes`` of first-layer activations at a time.
+    candidates, ``_CANDIDATE_BYTES`` of first-layer activations at a time.
     """
     if not items.walkable:
         return None
@@ -915,7 +918,7 @@ def walk_tower_block_counts(
     # A user's candidates are its test item and its negatives.
     width = max(tally.negatives.shape[1], 1) + 1
     step = min(
-        chunk_bytes // (8 * width * user_parts.shape[1]), items.tile_rows // width
+        _CANDIDATE_BYTES // (8 * width * user_parts.shape[1]), items.tile_rows // width
     )
     hr = _tower_hit_counts(
         items,

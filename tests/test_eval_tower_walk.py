@@ -321,6 +321,38 @@ class TestTowerWalkCounts:
         assert _counts(walked) == _counts(full)
 
 
+def _untiled_kmeans(points, count):
+    # The clustering with the whole points x centres distance array at
+    # once, to hold the tiled one to.
+    count = min(count, len(points))
+    spread = points.max(axis=0) - points.min(axis=0)
+    order = np.argsort(points[:, int(np.argmax(spread))], kind="stable")
+    centres = points[order[(np.arange(count) * len(points)) // count]]
+    for _ in range(ranking._KMEANS_ROUNDS):
+        distances = (centres * centres).sum(axis=1) - 2.0 * (points @ centres.T)
+        labels = np.argmin(distances, axis=1)
+        sizes = np.bincount(labels, minlength=len(centres))
+        filled = sizes > 0
+        sizes = sizes[filled]
+        centres = np.add.reduceat(
+            points[np.argsort(labels, kind="stable")], np.cumsum(sizes) - sizes
+        ) / sizes[:, None]
+        labels = np.cumsum(filled)[labels] - 1
+    return labels
+
+
+@pytest.mark.parametrize("tile_macs", [1, 7, 40, 10**6])
+def test_kmeans_distance_tiles_keep_the_labels(tile_macs, monkeypatch):
+    # Small integer points keep every distance exact, so the labels of
+    # any tiling must be the untiled ones, duplicated points included.
+    rng = np.random.default_rng(tile_macs)
+    points = rng.integers(-8, 9, size=(97, 3)).astype(np.float64)
+    points[50:60] = points[0]
+    monkeypatch.setattr(ranking, "_WALK_TILE_MACS", tile_macs)
+    labels = ranking._kmeans(points, 10)
+    np.testing.assert_array_equal(labels, _untiled_kmeans(points, 10))
+
+
 def test_scaled_ncf_run_walks_every_block():
     # ncf-run's shape at a third of its catalogue: PIECK-UEA through the
     # tower at lr 0.01, then one evaluation; the walk must decide every
