@@ -18,8 +18,6 @@ from repro.attacks.base import (
     AttackPayload,
     MaliciousClient,
     PieckClient,
-    bounded_step_gradient,
-    delta_as_gradient,
     select_target_items,
     stacked_step_gradients,
 )
@@ -33,8 +31,6 @@ __all__ = [
     "AttackPayload",
     "MaliciousClient",
     "PieckClient",
-    "delta_as_gradient",
-    "bounded_step_gradient",
     "stacked_step_gradients",
     "select_target_items",
     "CohortMiner",

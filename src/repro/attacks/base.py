@@ -12,7 +12,7 @@ Algorithm 1 miner; it scales, clips and stacks every upload.  What a
 :class:`MaliciousClient` keeps is what differs per member: the
 attack's payload (:meth:`MaliciousClient._round_payload`) and the
 warm state that payload reads and advances (surrogates, classifiers,
-refiners, fake profiles).
+refiners).
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ __all__ = [
     "AttackPayload",
     "MaliciousClient",
     "PieckClient",
-    "delta_as_gradient",
-    "bounded_step_gradient",
     "stacked_step_gradients",
     "select_target_items",
 ]
@@ -146,32 +144,23 @@ class PieckClient(MaliciousClient):
         return filtered if len(filtered) else popular
 
 
-def bounded_step_gradient(
-    old: np.ndarray, new: np.ndarray, server_lr: float, max_step: float
-) -> np.ndarray:
-    """Gradient steering ``old`` towards ``new`` by at most ``max_step``.
-
-    Uploading the full jump ``(old - new) / eta`` is unstable: when ``k``
-    malicious clients land in the same round their uploads sum and the
-    parameter overshoots to ``(1 - k) * old + k * new``, which diverges
-    for ``k >= 2``. Capping each client's contribution to a bounded step
-    keeps the dynamics stable while many poisonous gradients still
-    dominate the count for cold items (Eq. 11).
-    """
-    delta = new - old
-    norm = float(np.linalg.norm(delta))
-    if max_step > 0 and norm > max_step:
-        delta = delta * (max_step / norm)
-    return delta_as_gradient(old, old + delta, server_lr)
-
-
 def stacked_step_gradients(
     old_rows: np.ndarray,
     new_rows: np.ndarray,
     server_lr: float,
     max_step: float,
 ) -> np.ndarray:
-    """Row-stacked :func:`bounded_step_gradient` in one tensor pass.
+    """Gradients steering each row of ``old_rows`` towards ``new_rows``.
+
+    The server updates ``param <- param - eta * Agg(grads)``; since the
+    attacker knows ``eta`` (attacker knowledge item 1 in Section
+    III-B), uploading ``(old - new) / eta`` steers a parameter towards
+    ``new`` when the poisonous gradient dominates the aggregate, which
+    Eq. 11 shows it does for cold target items.  The full jump is
+    unstable: when ``k`` malicious clients land in the same round their
+    uploads sum and the parameter overshoots to ``(1 - k) * old + k *
+    new``.  So each row's move ``new - old`` is first capped at norm
+    ``max_step`` (``max_step <= 0`` disables the cap).
 
     ``old_rows`` / ``new_rows`` are ``(rows, dim)`` stacks of current
     and desired embeddings; every row is clipped and encoded
@@ -189,20 +178,6 @@ def stacked_step_gradients(
     return kernels.stacked_step_gradients(
         old_rows, new_rows, server_lr, max_step
     )
-
-
-def delta_as_gradient(old: np.ndarray, new: np.ndarray, server_lr: float) -> np.ndarray:
-    """Encode a desired parameter move as an uploadable gradient.
-
-    The server updates ``param <- param - eta * Agg(grads)``; since the
-    attacker knows ``eta`` (attacker knowledge item 1 in Section III-B),
-    uploading ``(old - new) / eta`` steers the parameter towards ``new``
-    when the poisonous gradient dominates the aggregate — which Eq. 11
-    shows it does for cold target items.
-    """
-    if server_lr <= 0:
-        raise ValueError("server learning rate must be positive")
-    return (old - new) / server_lr
 
 
 def select_target_items(

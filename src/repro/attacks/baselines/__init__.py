@@ -6,9 +6,8 @@ interactions, PipAttack loses the popularity levels) — the setting used
 in Table III — as well as the original with-prior mode for reference.
 """
 
-from repro.attacks.baselines.fedattack import FedAttack
 from repro.attacks.baselines.fedrecattack import FedRecAttack
 from repro.attacks.baselines.interaction import AHum, ARa
 from repro.attacks.baselines.pipattack import PipAttack
 
-__all__ = ["FedAttack", "FedRecAttack", "PipAttack", "ARa", "AHum"]
+__all__ = ["FedRecAttack", "PipAttack", "ARa", "AHum"]

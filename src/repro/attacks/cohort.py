@@ -24,9 +24,6 @@ state as flat arrays, mirroring the benign
 Each member (a :class:`~repro.attacks.base.MaliciousClient`) keeps
 only its payload and its warm state:
 
-* ``fedattack`` is fully batched — team-wide ``spawn_batch`` RNG
-  streams, one ``sample_local_batches`` stack and one
-  ``batch_local_step`` over all sampled members;
 * ``pieck_uea`` members run in lockstep, one stacked model call per
   inner step (:func:`~repro.attacks.pieck_uea.lockstep_payloads`);
 * ``pieck_ipe`` rounds are deterministic in the mined set, so the
@@ -51,7 +48,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.attacks.base import AttackPayload, MaliciousClient
-from repro.attacks.baselines.fedattack import FedAttack
 from repro.attacks.baselines.fedrecattack import FedRecAttack
 from repro.attacks.baselines.interaction import AHum, ARa
 from repro.attacks.baselines.pipattack import PipAttack
@@ -60,9 +56,8 @@ from repro.attacks.pieck_ipe import PieckIPE
 from repro.attacks.pieck_uea import PieckUEA, lockstep_payloads
 from repro.config import AttackConfig, TrainConfig
 from repro.datasets.base import InteractionDataset
-from repro.datasets.sampling import ragged_csr, sample_local_batches
-from repro.models.base import RecommenderModel, segment_starts
-from repro.rng import spawn, spawn_batch
+from repro.models.base import RecommenderModel
+from repro.rng import spawn
 from repro.stateful import Stateful
 
 __all__ = ["CohortUpload", "MaliciousCohort", "clip_scale"]
@@ -114,9 +109,9 @@ class MaliciousCohort(Stateful):
     ``first_user_id`` onwards.  ``masked_prior`` selects the paper's
     fair-comparison mode (Table III), in which FedRecAttack's
     interactions and PipAttack's popularity levels are withheld from
-    the attacker.  Every member's construction-time RNG draws (fake
-    profiles, surrogate embeddings, masked priors) happen here, once,
-    in member order.
+    the attacker.  Every member's construction-time RNG draws
+    (surrogate embeddings, masked priors) happen here, once, in member
+    order.
     """
 
     STATE = ("times_sampled", "miner", "clients")
@@ -212,19 +207,10 @@ class MaliciousCohort(Stateful):
         if not len(active):
             return uploads
 
-        if self.name == "fedattack":
-            self._fedattack_uploads(
-                model, train_cfg, round_idx, rows, active, scales, uploads
-            )
-        else:
-            self._delta_uploads(
-                model, train_cfg, round_idx, rows, active, scales, uploads
-            )
+        self._delta_uploads(
+            model, train_cfg, round_idx, rows, active, scales, uploads
+        )
         return uploads
-
-    # ------------------------------------------------------------------
-    # Delta-based attacks (everything except FedAttack)
-    # ------------------------------------------------------------------
 
     def _delta_uploads(
         self,
@@ -289,76 +275,6 @@ class MaliciousCohort(Stateful):
                 item_ids=payloads[k].item_ids,
                 item_grads=item_grads,
                 param_grads=param_grads,
-            )
-
-    # ------------------------------------------------------------------
-    # FedAttack: the whole team's local steps as one tensor pass
-    # ------------------------------------------------------------------
-
-    def _fedattack_uploads(
-        self,
-        model: RecommenderModel,
-        train_cfg: TrainConfig,
-        round_idx: int,
-        rows: np.ndarray,
-        active: np.ndarray,
-        scales: np.ndarray,
-        uploads: list[CohortUpload | None],
-    ) -> None:
-        """Batched inverted local steps for every sampled client.
-
-        Exactly the benign engine's stack recipe with flipped labels:
-        per-client RNG streams via ``spawn_batch`` (bit-identical to
-        each client's ``spawn(seed, "fedattack", user_id, round)``),
-        one ragged ``sample_local_batches`` stack over the fake
-        profiles, and one ``batch_local_step`` whose per-segment
-        reductions resolve item and interaction-parameter gradients
-        per client.
-        """
-        clients: list[FedAttack] = [self.clients[rows[j]] for j in active]
-        user_ids = np.array([client.user_id for client in clients], dtype=np.int64)
-        rngs = spawn_batch(
-            clients[0]._seed, ("fedattack",), user_ids, (round_idx,)
-        )
-        item_ids, labels, lengths = sample_local_batches(
-            rngs,
-            *ragged_csr([client.fake_positives for client in clients]),
-            clients[0].num_items,
-            train_cfg.negative_ratio,
-        )
-        item_vecs = model.item_embeddings[item_ids]
-        user_vecs = np.stack([client.user_embedding for client in clients])
-        # Label inversion is FedAttack's whole trick; the rest is a
-        # verbatim benign local step, so the stacked benign kernel
-        # applies unchanged.
-        result = model.batch_local_step(user_vecs, item_vecs, 1.0 - labels, lengths)
-        self.last_round_payloads = len(clients)
-
-        # Scales are applied at the gradient dtype (see _delta_uploads):
-        # reduced-precision models upload at their own precision.
-        seg_scales = scales[active]
-        row_scales = np.repeat(seg_scales, lengths).astype(
-            result.item_grads.dtype, copy=False
-        )
-        item_grads = result.item_grads * row_scales[:, None]
-        param_stacks = [
-            seg_scales.astype(stack.dtype, copy=False).reshape(
-                (len(clients),) + (1,) * (stack.ndim - 1)
-            )
-            * stack
-            for stack in result.param_grads
-        ]
-        starts = segment_starts(lengths)
-        for k, j in enumerate(active.tolist()):
-            seg = slice(int(starts[k]), int(starts[k]) + int(lengths[k]))
-            grads, params = self._clip(
-                item_grads[seg], [stack[k] for stack in param_stacks]
-            )
-            uploads[j] = CohortUpload(
-                user_id=int(user_ids[k]),
-                item_ids=item_ids[seg],
-                item_grads=grads,
-                param_grads=params,
             )
 
     # ------------------------------------------------------------------
@@ -438,9 +354,7 @@ def _build_members(
     members: list[MaliciousClient] = []
     for user_id in user_ids:
         args = (user_id, targets, config, dataset.num_items)
-        if name == "fedattack":
-            member = FedAttack(*args, **shape)
-        elif name == "pieck_ipe":
+        if name == "pieck_ipe":
             member = PieckIPE(*args)
         elif name == "pieck_uea":
             member = PieckUEA(*args, seed=seed)

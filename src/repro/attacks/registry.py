@@ -19,7 +19,6 @@ __all__ = [
 #: All attacks runnable by name ("none" means no malicious users).
 ATTACK_NAMES = (
     "none",
-    "fedattack",
     "fedrecattack",
     "pipattack",
     "a_ra",

@@ -290,6 +290,8 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.num_targets < 1:
+            raise ValueError(f"num_targets must be >= 1, got {self.num_targets}")
         for k, item in enumerate(self.target_items or ()):
             if item < 0:
                 raise ValueError(f"target item {item} is negative")

@@ -9,7 +9,7 @@ dataset's statistics, optionally scaled down.
 
 from repro.datasets.base import InteractionDataset
 from repro.datasets.loaders import DATASET_STATS, DatasetStats, load_dataset
-from repro.datasets.sampling import sample_local_batch, sample_negatives
+from repro.datasets.sampling import sample_negatives
 from repro.datasets.synthetic import generate_longtail_dataset
 
 __all__ = [
@@ -19,5 +19,4 @@ __all__ = [
     "load_dataset",
     "generate_longtail_dataset",
     "sample_negatives",
-    "sample_local_batch",
 ]

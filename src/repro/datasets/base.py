@@ -190,10 +190,6 @@ class InteractionDataset:
             self._train_sets = [set(p.tolist()) for p in self.train_pos]
         return self._train_sets[user]
 
-    def has_interacted(self, user: int, item: int) -> bool:
-        """Whether ``item`` is in ``user``'s training interactions."""
-        return item in self.train_set(user)
-
     def train_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, indices)`` CSR view of ``train_pos`` (cached).
 
@@ -218,20 +214,6 @@ class InteractionDataset:
         cumulative = np.concatenate(([0], np.cumsum(member)))
         per_user = cumulative[indptr[1:]] - cumulative[indptr[:-1]]
         return np.flatnonzero(per_user > 0).astype(np.int64)
-
-    def train_mask(self) -> np.ndarray:
-        """Boolean (num_users, num_items) mask of training interactions."""
-        mask = np.zeros((self.num_users, self.num_items), dtype=bool)
-        for i, items in enumerate(self.train_pos):
-            mask[i, items] = True
-        return mask
-
-    def uninteracted_items(self, user: int) -> np.ndarray:
-        """Item ids the user has neither trained on nor held out."""
-        banned = self.train_set(user) | {int(self.test_items[user])}
-        return np.array(
-            [j for j in range(self.num_items) if j not in banned], dtype=np.int64
-        )
 
     def coldest_items(self, count: int) -> np.ndarray:
         """The ``count`` least-popular items (typical attack targets)."""

@@ -5,20 +5,18 @@ Each client's private training set ``D_i`` is its interacted items
 (Section III-A; the paper uses ``q = 1`` by default and studies larger
 ``q`` in Section VI-G and supplementary B).
 
-Two code paths produce *bit-identical* batches:
-
-* :func:`sample_negatives` / :func:`sample_local_batch` — the scalar
-  per-client oracle, run by the reference loop engine;
-* :func:`sample_negatives_batch` / :func:`sample_local_batches` — the
-  cohort-wide sampler every batched caller uses (benign BCE and BPR
-  rounds, the ``fedattack`` team, evaluation negatives).  It takes the
-  cohort's positives as one CSR pair ``(lengths, flat)``.  Each client
-  still owns its private RNG stream (so loop/batch trajectories
-  match), but the draw, the rejection filter and the packing into
-  ragged row stacks (client ``k`` owns the contiguous row segment
-  delimited by ``lengths`` — a CSR-style layout that, unlike padding
-  to the longest client, wastes nothing under long-tail activity) are
-  each one NumPy pass over the whole cohort.
+:func:`sample_negatives_batch` / :func:`sample_local_batches` are the
+cohort-wide sampler every caller uses (benign BCE and BPR rounds,
+evaluation negatives).  It takes the cohort's positives as one CSR
+pair ``(lengths, flat)``.  Each client still owns its private RNG
+stream, and its rows are bit for bit those of the scalar per-client
+:func:`sample_negatives` (and of the scalar batch oracle in
+``tests/reference/``, which the reference loop engine runs), but the
+draw, the rejection filter and the packing into ragged row stacks
+(client ``k`` owns the contiguous row segment delimited by
+``lengths`` — a CSR-style layout that, unlike padding to the longest
+client, wastes nothing under long-tail activity) are each one NumPy
+pass over the whole cohort.
 """
 
 from __future__ import annotations
@@ -31,10 +29,8 @@ from repro.rng import StreamBatch
 
 __all__ = [
     "sample_negatives",
-    "sample_local_batch",
     "sample_negatives_batch",
     "sample_local_batches",
-    "ragged_csr",
 ]
 
 
@@ -80,43 +76,8 @@ def sample_negatives(
     return np.asarray(out, dtype=np.int64)
 
 
-def sample_local_batch(
-    rng: np.random.Generator,
-    positive_items: np.ndarray,
-    num_items: int,
-    negative_ratio: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build one round's local training batch for a client.
-
-    Returns ``(items, labels)`` where labels are 1.0 for the client's
-    interacted items and 0.0 for the ``negative_ratio * |D_i+|``
-    freshly-sampled negatives.
-    """
-    negatives = sample_negatives(
-        rng, positive_items, num_items, negative_ratio * len(positive_items)
-    )
-    items = np.concatenate([positive_items, negatives])
-    labels = np.concatenate(
-        [np.ones(len(positive_items)), np.zeros(len(negatives))]
-    )
-    return items, labels
-
-
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-
-
-def ragged_csr(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``(lengths, flat)`` int64 CSR pair of a list of id arrays.
-
-    The form the cohort samplers take their positives in; the client
-    store hands it over directly
-    (:meth:`~repro.federated.shards.ShardedStateStore.positives_csr`).
-    """
-    lengths = np.fromiter((len(a) for a in arrays), dtype=np.int64, count=len(arrays))
-    if not len(arrays):
-        return lengths, np.empty(0, dtype=np.int64)
-    return lengths, np.concatenate(arrays).astype(np.int64, copy=False)
 
 
 def sample_negatives_batch(
@@ -132,7 +93,7 @@ def sample_negatives_batch(
     """Every client's negatives at once, each from its private stream.
 
     Client ``k``'s positives are the ``num_pos[k]`` ids of its segment
-    of ``flat_positives`` (the CSR pair of :func:`ragged_csr`).
+    of ``flat_positives`` (one CSR pair).
     Returns ``(negatives, num_neg)``: the flat negatives in client
     order and how many each client received.  Client ``k``'s slice is
     ``fallback(streams[k], positives_k, num_items, counts[k])`` bit for
@@ -238,12 +199,13 @@ def sample_local_batches(
     """Build every sampled client's local batch as ragged row stacks.
 
     Client ``k``'s positives are the ``num_pos[k]`` ids of its segment
-    of ``flat_positives`` (the CSR pair of :func:`ragged_csr`).
+    of ``flat_positives`` (one CSR pair).
     Returns ``(item_ids, labels, lengths)`` where ``item_ids`` and
     ``labels`` are flat ``(total_rows,)`` arrays and client ``k`` owns
     the contiguous segment ``[sum(lengths[:k]) : sum(lengths[:k+1])]``
     — positives first (label 1.0), then its freshly sampled negatives
-    (label 0.0), exactly the rows of :func:`sample_local_batch`.  The
+    (label 0.0), exactly the rows of the scalar
+    per-client batch oracle in ``tests/reference/``.  The
     CSR-style layout wastes no memory on padding however ragged the
     per-client interaction counts are.
     """

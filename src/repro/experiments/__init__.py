@@ -23,7 +23,7 @@ from repro.experiments.figures import (
     fig7_sample_ratio,
 )
 from repro.experiments.reporting import TableResult, format_table
-from repro.experiments.plotting import bar_chart, line_plot, scatter_plot
+from repro.experiments.plotting import bar_chart, line_plot
 from repro.experiments.runner import Cell, run_cell, run_cells
 from repro.experiments.stability import SeedSweep, sweep_seeds
 from repro.experiments.sweep import CellSpec, SweepRunner, SweepStats
@@ -43,7 +43,6 @@ __all__ = [
     "SeedSweep",
     "sweep_seeds",
     "line_plot",
-    "scatter_plot",
     "bar_chart",
     "table2_pkl_ucr",
     "table3_attacks",

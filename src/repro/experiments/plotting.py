@@ -3,9 +3,9 @@
 The figure generators in :mod:`repro.experiments.figures` return
 :class:`~repro.experiments.reporting.TableResult` data series; these
 helpers render such series as terminal plots so the *shape* of each
-figure — the long-tail knee of Fig. 3, the Δ-Norm/popularity scatter of
-Fig. 4, the ER decay of Fig. 6a, the HR curve of Fig. 7 — is visible
-at a glance without a plotting stack (no matplotlib offline).
+figure — the ER decay of Fig. 6a, the per-round cost of Fig. 6b, the
+HR curve of Fig. 7 — is visible at a glance without a plotting stack
+(no matplotlib offline).
 
 All functions return plain strings; nothing is printed here.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-__all__ = ["line_plot", "scatter_plot", "bar_chart", "render_figure"]
+__all__ = ["line_plot", "bar_chart", "render_figure"]
 
 #: Glyphs assigned to successive series in multi-series plots.
 _SERIES_GLYPHS = "*o+x@#%&"
@@ -132,34 +132,6 @@ def line_plot(
         grid, x_low, x_high, y_low, y_high,
         title=title, x_label=x_label, y_label=y_label,
         legend=legend if len(series) > 1 else None,
-    )
-
-
-def scatter_plot(
-    points: Sequence[tuple[float, float]],
-    *,
-    width: int = 60,
-    height: int = 16,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    marker: str = "*",
-) -> str:
-    """Render an unconnected point cloud (e.g. Fig. 4's rank scatter)."""
-    if not points:
-        raise ValueError("need at least one point")
-    if len(marker) != 1:
-        raise ValueError("marker must be a single character")
-    x_low, x_high = _axis_limits([x for x, _ in points])
-    y_low, y_high = _axis_limits([y for _, y in points])
-    grid = [[" "] * width for _ in range(height)]
-    for x, y in points:
-        col = _scale(x, x_low, x_high, width)
-        row = height - 1 - _scale(y, y_low, y_high, height)
-        grid[row][col] = marker
-    return _render_grid(
-        grid, x_low, x_high, y_low, y_high,
-        title=title, x_label=x_label, y_label=y_label,
     )
 
 

@@ -418,8 +418,8 @@ class ShardedStateStore(Stateful):
     def train_mask_block(self, lo: int, hi: int) -> np.ndarray:
         """Boolean ``(hi - lo, num_items)`` training-interaction mask.
 
-        Equals ``dataset.train_mask()[lo:hi]`` without ever building
-        the dense ``(num_users, num_items)`` matrix — the piece that
+        Rows ``lo:hi`` of the dense ``(num_users, num_items)`` mask,
+        without ever building that matrix — the piece that
         lets evaluation stream over user blocks in bounded memory.
         """
         block = np.zeros((hi - lo, self.num_items), dtype=bool)

@@ -280,6 +280,11 @@ class FederatedSimulation:
                     f"catalogue of {self.dataset.num_items} items"
                 )
             return targets
+        if attack_cfg.num_targets > self.dataset.num_items:
+            raise ValueError(
+                f"num_targets {attack_cfg.num_targets} exceeds a catalogue "
+                f"of {self.dataset.num_items} items"
+            )
         rng = spawn(self.config.seed, "targets")
         return select_target_items(self.dataset, attack_cfg.num_targets, rng)
 

@@ -1,21 +1,12 @@
 """Evaluation metrics: exposure ratio, hit ratio, distribution closeness."""
 
-from repro.metrics.divergence import (
-    pairwise_kl,
-    softmax_kl,
-    user_coverage_ratio,
-)
-from repro.metrics.extra import exposure_distribution, exposure_gini, ndcg_at_k
+from repro.metrics.divergence import pairwise_kl, user_coverage_ratio
 from repro.metrics.ranking import exposure_ratio_at_k, hit_ratio_at_k, top_k_items
 
 __all__ = [
     "exposure_ratio_at_k",
     "hit_ratio_at_k",
     "top_k_items",
-    "softmax_kl",
-    "ndcg_at_k",
-    "exposure_distribution",
-    "exposure_gini",
     "pairwise_kl",
     "user_coverage_ratio",
 ]

@@ -1,4 +1,4 @@
-"""Distribution-closeness metrics: softmax-KL, PKL (Eq. 9), UCR.
+"""Distribution-closeness metrics: PKL (Eq. 9) and UCR.
 
 The paper treats an embedding vector as a categorical distribution via
 softmax and measures KL divergence between such distributions. PKL
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.datasets.base import InteractionDataset
 
-__all__ = ["softmax", "softmax_kl", "softmax_kl_grad_q", "pairwise_kl", "user_coverage_ratio"]
+__all__ = ["softmax", "pairwise_kl", "user_coverage_ratio"]
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -22,23 +22,6 @@ def softmax(x: np.ndarray) -> np.ndarray:
     shifted = x - np.max(x, axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)
-
-
-def softmax_kl(p_vec: np.ndarray, q_vec: np.ndarray) -> float:
-    """``KL(softmax(p_vec) || softmax(q_vec))`` for two embeddings."""
-    p = softmax(p_vec)
-    q = softmax(q_vec)
-    return float(np.sum(p * (np.log(p) - np.log(q))))
-
-
-def softmax_kl_grad_q(p_vec: np.ndarray, q_vec: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`softmax_kl` w.r.t. the *second* embedding.
-
-    With ``q = softmax(q_vec)`` and ``p`` fixed, the analytic gradient
-    collapses to ``q - p`` (the classic cross-entropy identity); this is
-    what the defense's Re2 term backpropagates into the user embedding.
-    """
-    return softmax(q_vec) - softmax(p_vec)
 
 
 def pairwise_kl(p_matrix: np.ndarray, q_matrix: np.ndarray) -> float:

@@ -14,7 +14,7 @@ no deep-learning framework is available offline.
 """
 
 from repro.models.base import GradientBundle, RecommenderModel, build_model
-from repro.models.losses import bce_loss_and_grad, bpr_loss_and_grad, sigmoid
+from repro.models.losses import sigmoid
 from repro.models.mf import MFModel
 from repro.models.mlp import Linear, MLPTower
 from repro.models.ncf import NCFModel
@@ -28,6 +28,4 @@ __all__ = [
     "Linear",
     "MLPTower",
     "sigmoid",
-    "bce_loss_and_grad",
-    "bpr_loss_and_grad",
 ]

@@ -2,8 +2,9 @@
 
 All models output raw *logits*; predicted scores are ``sigmoid(logit)``
 so that scores fall in [0, 1] as the paper's BCE formulation requires
-(Eq. 2). Working in logit space gives the numerically stable
-log-sum-exp forms below.
+(Eq. 2).  The gradients below are taken over a ragged stack of client
+batches at once; the scalar per-client losses they equal bit for bit
+are the oracles in ``tests/reference/scalar.py``.
 """
 
 from __future__ import annotations
@@ -12,14 +13,7 @@ import numpy as np
 
 from repro import kernels
 
-__all__ = [
-    "sigmoid",
-    "log_sigmoid",
-    "bce_loss_and_grad",
-    "bce_grad_segmented",
-    "bpr_loss_and_grad",
-    "bpr_grad_segmented",
-]
+__all__ = ["sigmoid", "bce_grad_segmented", "bpr_grad_segmented"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -39,32 +33,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable ``log(sigmoid(x))``."""
-    return -np.logaddexp(0.0, -x)
-
-
-def bce_loss_and_grad(
-    logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy (Eq. 2) and its gradient w.r.t. logits.
-
-    The mean over the local batch matches the ``1/|D_i|`` factor in the
-    paper's per-client loss. Gradient: ``(sigmoid(logit) - label) / n``.
-    """
-    if logits.shape != labels.shape:
-        raise ValueError("logits and labels must have matching shapes")
-    n = max(len(logits), 1)
-    # BCE(logit, y) = -y*log(sig) - (1-y)*log(1-sig)
-    #              = logaddexp(0, logit) - y*logit   (stable form)
-    loss = float(np.mean(np.logaddexp(0.0, logits) - labels * logits))
-    probs = sigmoid(logits)
-    # 0/1 labels cast exactly, keeping reduced-precision logit
-    # gradients at their own precision; float64 results unchanged.
-    grad = (probs - labels.astype(probs.dtype)) / n
-    return loss, grad
-
-
 def bce_grad_segmented(
     logits: np.ndarray, labels: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
@@ -73,10 +41,11 @@ def bce_grad_segmented(
     ``logits``/``labels`` are flat ``(total_rows,)`` arrays where
     client ``k`` owns a contiguous segment of ``lengths[k]`` rows.
     Every row receives ``(sigmoid(logit) - label) / lengths[k]`` — the
-    same value :func:`bce_loss_and_grad` produces for that client's
-    scalar batch, because dividing by the identical float64 divisor is
-    the identical IEEE operation.  Returns the flat gradient aligned
-    with ``logits``.
+    gradient of that client's mean binary cross-entropy (Eq. 2), and
+    the same value the scalar BCE oracle in ``tests/reference/``
+    produces for its batch alone, because dividing by the identical
+    float64 divisor is the identical IEEE operation.  Returns the flat
+    gradient aligned with ``logits``.
     """
     probs = sigmoid(logits)
     # Exactly-cast 0/1 labels keep reduced-precision logit gradients at
@@ -84,24 +53,6 @@ def bce_grad_segmented(
     # to float64); the per-segment division is the dispatched
     # segment_div kernel, whose divisors are cast the same exact way.
     return kernels.segment_div(probs - labels.astype(probs.dtype), lengths)
-
-
-def bpr_loss_and_grad(
-    pos_logits: np.ndarray, neg_logits: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Bayesian Personalised Ranking loss (supplementary E).
-
-    BPR maximises ``log sigmoid(s_pos - s_neg)`` over paired positive /
-    negative items. Returns ``(loss, d/d pos_logits, d/d neg_logits)``.
-    """
-    if pos_logits.shape != neg_logits.shape:
-        raise ValueError("BPR requires paired positives and negatives")
-    n = max(len(pos_logits), 1)
-    diff = pos_logits - neg_logits
-    loss = float(np.mean(np.logaddexp(0.0, -diff)))
-    # d/d diff of -log sigmoid(diff) is sigmoid(diff) - 1.
-    ddiff = (sigmoid(diff) - 1.0) / n
-    return loss, ddiff, -ddiff
 
 
 def bpr_grad_segmented(
@@ -112,9 +63,11 @@ def bpr_grad_segmented(
     ``pos_logits``/``neg_logits`` are flat ``(total_pairs,)`` arrays in
     which client ``k`` owns a contiguous segment of ``lengths[k]``
     paired rows.  Each pair receives ``(sigmoid(diff) - 1) /
-    lengths[k]`` — the same value :func:`bpr_loss_and_grad` computes
-    for that client's pairs alone, because dividing by the identical
-    float64 divisor is the identical IEEE operation.  Returns
+    lengths[k]`` — the gradient of the mean BPR loss ``-log
+    sigmoid(s_pos - s_neg)`` (supplementary E), and the same value the
+    scalar BPR oracle in ``tests/reference/`` computes for that
+    client's pairs alone, because dividing by the identical float64
+    divisor is the identical IEEE operation.  Returns
     ``(d/d pos_logits, d/d neg_logits)`` aligned with the inputs.
     """
     diff = pos_logits - neg_logits

@@ -19,7 +19,9 @@ for bit:
   and the ``ClientUpdate``-list twins of the server, its update
   filters, audit log and fault controller's batched stages;
 * :mod:`reference.loop` — ``LoopSimulation``, a ``FederatedSimulation``
-  whose rounds run those pieces one participant at a time.
+  whose rounds run those pieces one participant at a time;
+* :mod:`reference.scalar` — the scalar oracles (bounded step, losses,
+  local batch, softmax-KL, dense train mask) of stacked kernels.
 
 Tests import it as ``reference`` (pytest puts ``tests/`` on
 ``sys.path``); benchmark scripts add ``tests/`` to ``sys.path``

@@ -41,11 +41,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import TrainConfig
-from repro.datasets.sampling import sample_local_batch, sample_negatives
+from repro.datasets.sampling import sample_negatives
 from repro.models.base import RecommenderModel
-from repro.models.losses import bce_loss_and_grad, bpr_loss_and_grad
 from repro.rng import spawn
 
+from reference.scalar import bce_loss_and_grad, bpr_loss_and_grad, sample_local_batch
 from reference.updates import ClientUpdate
 
 __all__ = ["BenignClient"]

@@ -1,0 +1,101 @@
+"""Scalar oracles of the package's stacked and batched kernels.
+
+Each function here is the one-client (or one-row, or dense) form of a
+computation the package only runs stacked.  The parity and property
+suites compare the package against them:
+
+* :func:`bounded_step_gradient` — one row of
+  ``repro.attacks.base.stacked_step_gradients``;
+* :func:`bce_loss_and_grad` / :func:`bpr_loss_and_grad` — one client's
+  segment of ``repro.models.losses.bce_grad_segmented`` /
+  ``bpr_grad_segmented``, plus the loss values;
+* :func:`sample_local_batch` — one client's rows of
+  ``repro.datasets.sampling.sample_local_batches``, whose positives
+  come as the CSR pair :func:`ragged_csr` builds;
+* :func:`softmax_kl` — one entry of ``repro.metrics.divergence.pairwise_kl``;
+* :func:`train_mask` — the dense matrix whose row blocks
+  ``ShardedStateStore.train_mask_block`` returns.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.datasets.sampling import sample_negatives
+from repro.metrics.divergence import softmax
+from repro.models.losses import sigmoid
+
+
+def bounded_step_gradient(
+    old: np.ndarray, new: np.ndarray, server_lr: float, max_step: float
+) -> np.ndarray:
+    """The upload ``(old - new) / eta`` with the move capped at ``max_step``."""
+    delta = new - old
+    norm = float(np.linalg.norm(delta))
+    if max_step > 0 and norm > max_step:
+        delta = delta * (max_step / norm)
+    return (old - (old + delta)) / server_lr
+
+
+def bce_loss_and_grad(
+    logits: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy (Eq. 2) and its gradient w.r.t. logits."""
+    if logits.shape != labels.shape:
+        raise ValueError("logits and labels must have matching shapes")
+    n = max(len(logits), 1)
+    # BCE(logit, y) = logaddexp(0, logit) - y * logit (stable form).
+    loss = float(np.mean(np.logaddexp(0.0, logits) - labels * logits))
+    probs = sigmoid(logits)
+    return loss, (probs - labels.astype(probs.dtype)) / n
+
+
+def bpr_loss_and_grad(
+    pos_logits: np.ndarray, neg_logits: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean BPR loss (supplementary E) and its two logit gradients."""
+    if pos_logits.shape != neg_logits.shape:
+        raise ValueError("BPR requires paired positives and negatives")
+    n = max(len(pos_logits), 1)
+    diff = pos_logits - neg_logits
+    loss = float(np.mean(np.logaddexp(0.0, -diff)))
+    ddiff = (sigmoid(diff) - 1.0) / n
+    return loss, ddiff, -ddiff
+
+
+def sample_local_batch(
+    rng: np.random.Generator,
+    positive_items: np.ndarray,
+    num_items: int,
+    negative_ratio: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One client's ``(items, labels)``: positives, then fresh negatives."""
+    negatives = sample_negatives(
+        rng, positive_items, num_items, negative_ratio * len(positive_items)
+    )
+    items = np.concatenate([positive_items, negatives])
+    labels = np.concatenate([np.ones(len(positive_items)), np.zeros(len(negatives))])
+    return items, labels
+
+
+def ragged_csr(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(lengths, flat)`` int64 CSR pair of a list of id arrays."""
+    lengths = np.fromiter((len(a) for a in arrays), dtype=np.int64, count=len(arrays))
+    if not len(arrays):
+        return lengths, np.empty(0, dtype=np.int64)
+    return lengths, np.concatenate(arrays).astype(np.int64, copy=False)
+
+
+def softmax_kl(p_vec: np.ndarray, q_vec: np.ndarray) -> float:
+    """``KL(softmax(p_vec) || softmax(q_vec))`` for two embeddings."""
+    p = softmax(p_vec)
+    q = softmax(q_vec)
+    return float(np.sum(p * (np.log(p) - np.log(q))))
+
+
+def train_mask(dataset) -> np.ndarray:
+    """Boolean ``(num_users, num_items)`` mask of training interactions."""
+    mask = np.zeros((dataset.num_users, dataset.num_items), dtype=bool)
+    for user, items in enumerate(dataset.train_pos):
+        mask[user, items] = True
+    return mask

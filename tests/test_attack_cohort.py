@@ -17,11 +17,8 @@ import numpy as np
 import pytest
 
 from reference import LoopSimulation, ReferenceMiner, attackers, per_client
-from repro.attacks.base import (
-    MaliciousClient,
-    bounded_step_gradient,
-    stacked_step_gradients,
-)
+from reference.scalar import bounded_step_gradient
+from repro.attacks.base import MaliciousClient, stacked_step_gradients
 from repro.attacks.cohort import CohortUpload
 from repro.attacks.pieck_uea import lockstep_payloads
 from repro.attacks.mining import CohortMiner
@@ -46,7 +43,6 @@ from repro.models.base import build_model
 RATIOS = (0.003, 0.01, 0.05)
 ATTACKS = (
     "none",
-    "fedattack",
     "fedrecattack",
     "pipattack",
     "a_ra",
@@ -277,30 +273,30 @@ class TestCohortUploadsMatchObjects:
     def test_reduced_precision_uploads_keep_dtype(self, cohort_dataset):
         """float32 models upload float32 poison on both paths, bitwise.
 
-        FedAttack's gradients flow straight out of ``model.backward``,
-        so they carry the model's own precision; the cohort's scale
-        broadcast must not promote them to float64 (the object path's
-        Python-float scale does not).
+        PIECK-UEA's target steps keep the item embeddings' precision;
+        the cohort's scale broadcast must not promote them to float64
+        (the object path's Python-float scale does not).  A one-item
+        mined set keeps every step batch one row tall, where stacked
+        and per-client float32 rows round alike.
         """
         kwargs = dict(
             dataset=cohort_dataset,
-            config=AttackConfig(name="fedattack", malicious_ratio=0.05),
+            config=AttackConfig(name="pieck_uea", mining_rounds=1, num_popular=1),
             targets=np.array([3]),
             embedding_dim=6,
             num_malicious=3,
             first_user_id=cohort_dataset.num_users,
             seed=2,
         )
-        objects = attackers(build_malicious_cohort("fedattack", **kwargs))
-        cohort = build_malicious_cohort("fedattack", **kwargs)
+        objects = attackers(build_malicious_cohort("pieck_uea", **kwargs))
+        cohort = build_malicious_cohort("pieck_uea", **kwargs)
         model_a = build_model("mf", cohort_dataset.num_items, 6, seed=1)
         model_a.item_embeddings = model_a.item_embeddings.astype(np.float32)
         model_b = build_model("mf", cohort_dataset.num_items, 6, seed=1)
         model_b.item_embeddings = model_b.item_embeddings.astype(np.float32)
-        for client in [oracle.client for oracle in objects] + cohort.clients:
-            client.user_embedding = client.user_embedding.astype(np.float32)
         rows = np.arange(3)
-        for round_idx in range(2):
+        checked = 0
+        for round_idx in range(3):
             reference = [
                 objects[row].participate(model_a, TrainConfig(lr=1.0), round_idx)
                 for row in rows
@@ -309,9 +305,14 @@ class TestCohortUploadsMatchObjects:
                 model_b, TrainConfig(lr=1.0), round_idx, rows
             )
             for upload, expected in zip(uploads, reference):
+                if expected is None:  # round 0 mines
+                    assert upload is None
+                    continue
+                checked += 1
                 assert upload.item_grads.dtype == np.float32
                 assert expected.item_grads.dtype == np.float32
                 assert np.array_equal(upload.item_grads, expected.item_grads)
+        assert checked == 6
 
     def test_payload_telemetry_resets_on_mining_round(self, cohort_dataset):
         """A round with zero payloads reports zero, not the last count."""
@@ -338,14 +339,14 @@ class TestCohortUploadsMatchObjects:
     def test_times_sampled_mirrors_objects(self, cohort_dataset):
         kwargs = dict(
             dataset=cohort_dataset,
-            config=AttackConfig(name="fedattack", malicious_ratio=0.05),
+            config=AttackConfig(name="a_ra", malicious_ratio=0.05),
             targets=np.array([3]),
             embedding_dim=4,
             num_malicious=4,
             first_user_id=cohort_dataset.num_users,
         )
-        objects = attackers(build_malicious_cohort("fedattack", **kwargs))
-        cohort = build_malicious_cohort("fedattack", **kwargs)
+        objects = attackers(build_malicious_cohort("a_ra", **kwargs))
+        cohort = build_malicious_cohort("a_ra", **kwargs)
         model = build_model("mf", cohort_dataset.num_items, 4, seed=0)
         rng = np.random.default_rng(7)
         for round_idx in range(12):

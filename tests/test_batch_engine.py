@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from reference import ClientUpdate, LoopSimulation, apply_updates, from_updates
+from reference.scalar import bce_loss_and_grad, ragged_csr, sample_local_batch
 from repro.config import (
     AttackConfig,
     DatasetConfig,
@@ -22,8 +23,6 @@ from repro.config import (
     replace,
 )
 from repro.datasets.sampling import (
-    ragged_csr,
-    sample_local_batch,
     sample_local_batches,
     sample_negatives,
     sample_negatives_batch,
@@ -32,7 +31,6 @@ from repro.federated.aggregation import SumAggregator, scatter_sum
 from repro.federated.server import Server
 from repro.federated.simulation import FederatedSimulation
 from repro.models.base import build_model, segment_sums
-from repro.models.losses import bce_loss_and_grad
 from repro.rng import (
     _seed_sequence_states,
     derive_seed,

@@ -59,7 +59,6 @@ RESUME_ATTACKS = [
     {"name": "fedrecattack"},
     {"name": "a_ra"},
     {"name": "a_hum"},
-    {"name": "fedattack"},
     {"name": "pieck_ipe"},
     {"name": "pieck_uea", "uea_pseudo_source": "refined"},
 ]

@@ -94,6 +94,11 @@ class TestAttackConfig:
         with pytest.raises(ValueError, match=f"target item {bad} "):
             AttackConfig(target_items=items)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_nonpositive_num_targets_rejected(self, count):
+        with pytest.raises(ValueError, match=f"num_targets must be >= 1, got {count}"):
+            AttackConfig(num_targets=count)
+
 
 class TestDefenseConfig:
     def test_defaults(self):

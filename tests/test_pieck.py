@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reference import ReferenceAttacker
-from repro.attacks.base import bounded_step_gradient, delta_as_gradient, select_target_items
+from repro.attacks.base import select_target_items, stacked_step_gradients
 from repro.attacks.pieck_ipe import PieckIPE, ipe_loss_and_grad
 from repro.attacks.pieck_uea import PieckUEA
 from repro.config import AttackConfig, TrainConfig, replace
@@ -14,29 +14,31 @@ from tests.conftest import numeric_gradient
 
 
 class TestDeltaAsGradient:
+    """The attack's upload encoding, through ``stacked_step_gradients``."""
+
     def test_roundtrip(self):
-        old = np.array([1.0, 2.0])
-        new = np.array([0.5, 3.0])
-        grad = delta_as_gradient(old, new, server_lr=0.5)
+        old = np.array([[1.0, 2.0]])
+        new = np.array([[0.5, 3.0]])
+        grad = stacked_step_gradients(old, new, server_lr=0.5, max_step=0.0)
         np.testing.assert_allclose(old - 0.5 * grad, new)
 
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
-            delta_as_gradient(np.zeros(2), np.ones(2), 0.0)
+            stacked_step_gradients(np.zeros((1, 2)), np.ones((1, 2)), 0.0, 0.0)
 
     def test_bounded_step_caps_move(self):
-        old = np.zeros(3)
-        new = np.array([10.0, 0.0, 0.0])
-        grad = bounded_step_gradient(old, new, server_lr=1.0, max_step=2.0)
-        moved = old - grad
-        assert np.linalg.norm(moved - old) == pytest.approx(2.0)
+        old = np.zeros((1, 3))
+        new = np.array([[10.0, 0.0, 0.0]])
+        grad = stacked_step_gradients(old, new, server_lr=1.0, max_step=2.0)
+        moved = (old - grad)[0]
+        assert np.linalg.norm(moved) == pytest.approx(2.0)
         # Direction towards the target preserved.
         assert moved[0] > 0
 
     def test_bounded_step_noop_within_bound(self):
-        old = np.zeros(2)
-        new = np.array([0.5, 0.0])
-        grad = bounded_step_gradient(old, new, 1.0, max_step=2.0)
+        old = np.zeros((1, 2))
+        new = np.array([[0.5, 0.0]])
+        grad = stacked_step_gradients(old, new, 1.0, max_step=2.0)
         np.testing.assert_allclose(old - grad, new)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.plotting import bar_chart, line_plot, scatter_plot
+from repro.experiments.plotting import bar_chart, line_plot
 
 
 class TestLinePlot:
@@ -63,27 +63,6 @@ class TestLinePlot:
         assert len(body_rows) == 8
         assert all(len(row.split("|", 1)[1]) <= 30 for row in body_rows)
         assert "*" in out
-
-
-class TestScatterPlot:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            scatter_plot([])
-
-    def test_rejects_multichar_marker(self):
-        with pytest.raises(ValueError):
-            scatter_plot([(0, 0)], marker="**")
-
-    def test_corner_points_land_in_corners(self):
-        out = scatter_plot([(0, 0), (1, 1)], width=10, height=5)
-        rows = [line.split("|", 1)[1] for line in out.splitlines() if "|" in line]
-        assert rows[0][9] == "*"   # (1, 1): top-right
-        assert rows[4][0] == "*"   # (0, 0): bottom-left
-
-    def test_axis_limits_printed(self):
-        out = scatter_plot([(2.0, 10.0), (8.0, 50.0)])
-        assert "2" in out and "8" in out
-        assert "10" in out and "50" in out
 
 
 class TestBarChart:

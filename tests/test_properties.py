@@ -6,17 +6,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reference import ReferenceMiner
+from reference.scalar import bce_loss_and_grad
 from repro.analysis.poison_proportion import expected_poison_proportion
-from repro.attacks.base import bounded_step_gradient
+from repro.attacks.base import stacked_step_gradients
 from repro.datasets.sampling import sample_negatives
 from repro.defenses.robust import (
     MedianAggregator,
     TrimmedMeanAggregator,
 )
 from repro.federated.aggregation import SumAggregator
-from repro.metrics.divergence import softmax, softmax_kl
+from repro.metrics.divergence import pairwise_kl, softmax
 from repro.metrics.ranking import top_k_items
-from repro.models.losses import bce_loss_and_grad, sigmoid
+from repro.models.losses import bce_grad_segmented, sigmoid
 from repro.rng import make_rng
 
 finite_floats = st.floats(
@@ -87,7 +88,7 @@ class TestLossProperties:
     @settings(max_examples=50, deadline=None)
     def test_bce_grad_bounded(self, logits, positive):
         labels = np.full(len(logits), 1.0 if positive else 0.0)
-        _, grad = bce_loss_and_grad(logits, labels)
+        grad = bce_grad_segmented(logits, labels, np.array([len(logits)]))
         # Per-element gradient magnitude can never exceed 1/n.
         assert np.abs(grad).max() <= 1.0 / len(logits) + 1e-12
 
@@ -99,7 +100,7 @@ class TestDivergenceProperties:
     )
     @settings(max_examples=80, deadline=None)
     def test_kl_non_negative(self, p, q):
-        assert softmax_kl(p, q) >= -1e-10
+        assert pairwise_kl(p[None], q[None]) >= -1e-10
 
     @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.just(4)), elements=finite_floats))
     @settings(max_examples=50, deadline=None)
@@ -156,7 +157,7 @@ class TestAttackStepProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_bounded_step_never_exceeds_cap(self, old, new, cap):
-        grad = bounded_step_gradient(old, new, server_lr=1.0, max_step=cap)
+        grad = stacked_step_gradients(old[None], new[None], 1.0, max_step=cap)[0]
         moved = old - grad
         assert np.linalg.norm(moved - old) <= cap + 1e-9
 
@@ -166,7 +167,7 @@ class TestAttackStepProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_bounded_step_moves_towards_target(self, old, new):
-        grad = bounded_step_gradient(old, new, server_lr=1.0, max_step=1.0)
+        grad = stacked_step_gradients(old[None], new[None], 1.0, max_step=1.0)[0]
         moved = old - grad
         assert np.linalg.norm(moved - new) <= np.linalg.norm(old - new) + 1e-9
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.scalar import ragged_csr, sample_local_batch
 from repro.datasets.sampling import (
-    ragged_csr,
-    sample_local_batch,
     sample_local_batches,
     sample_negatives,
     sample_negatives_batch,

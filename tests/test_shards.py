@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.scalar import ragged_csr, sample_local_batch
 from repro.config import DatasetConfig, ExperimentConfig, ShardingConfig, TrainConfig
 from repro.datasets.base import InteractionDataset
-from repro.datasets.sampling import ragged_csr, sample_local_batch
 from repro.datasets.synthetic import generate_longtail_dataset
 from repro.federated.batch_engine import _bce_stacks_fn, _bpr_stacks_fn
 from repro.federated.shards import (

@@ -98,9 +98,18 @@ class TestAttackedTraining:
         num_items = load_dataset(tiny_mf_config.dataset).num_items
         cfg = replace(
             tiny_mf_config,
-            attack=AttackConfig(name="fedattack", target_items=(2, num_items)),
+            attack=AttackConfig(name="a_ra", target_items=(2, num_items)),
         )
         with pytest.raises(ValueError, match=f"target item {num_items} "):
+            FederatedSimulation(cfg)
+
+    def test_num_targets_beyond_catalogue_rejected(self, tiny_mf_config):
+        num_items = load_dataset(tiny_mf_config.dataset).num_items
+        cfg = replace(
+            tiny_mf_config,
+            attack=AttackConfig(name="pieck_uea", num_targets=num_items + 1),
+        )
+        with pytest.raises(ValueError, match=f"num_targets {num_items + 1} "):
             FederatedSimulation(cfg)
 
     @pytest.mark.parametrize("attack", ["pieck_ipe", "pieck_uea"])

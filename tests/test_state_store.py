@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from reference import BenignClient, ClientViewList, LoopSimulation
+from reference.scalar import train_mask
 from repro.config import DefenseConfig, ShardingConfig, TrainConfig, replace
 from repro.datasets.base import pack_csr
 from repro.datasets.synthetic import generate_longtail_dataset
@@ -143,7 +144,7 @@ class TestCsrRoundTrip:
     def test_train_mask_blocks_match_dense_mask(self, seed):
         dataset = generate_longtail_dataset(23, 31, 200, seed=seed)
         store = ShardedStateStore.build(dataset.train_pos, dataset.num_items, 4)
-        dense = dataset.train_mask()
+        dense = train_mask(dataset)
         for lo, hi in [(0, 23), (0, 5), (5, 9), (22, 23), (7, 7)]:
             assert np.array_equal(store.train_mask_block(lo, hi), dense[lo:hi])
 
@@ -252,7 +253,7 @@ class TestChunkedEvaluation:
         dataset = generate_longtail_dataset(30, 40, 300, seed=4)
         rng = np.random.default_rng(1)
         scores = rng.normal(size=(30, 40))
-        mask = dataset.train_mask()
+        mask = train_mask(dataset)
         targets = np.array([3, 17])
         negatives = sample_eval_negatives(dataset, 10, seed=0)
         packed, lengths = pack_eval_negatives(negatives)
