@@ -121,7 +121,7 @@ class PseudoUserRefiner(Stateful):
             logits, cache = model.forward(users, items)
             targets = np.tile(labels, self.count)
             dlogits = (sigmoid(logits) - targets) / batch
-            bundle = model.backward(cache, dlogits)
-            user_grads = bundle.users.reshape(self.count, batch, -1).sum(axis=1)
+            grads = model.user_grads(cache, dlogits)
+            user_grads = grads.reshape(self.count, batch, -1).sum(axis=1)
             self._vecs = self._vecs - self.lr * user_grads
         return self.vectors

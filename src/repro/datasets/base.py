@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["InteractionDataset", "pack_csr"]
+__all__ = ["InteractionDataset", "csr_rows", "hold_out_one", "pack_csr"]
 
 
 def pack_csr(train_pos) -> tuple[np.ndarray, np.ndarray]:
@@ -41,6 +41,28 @@ def pack_csr(train_pos) -> tuple[np.ndarray, np.ndarray]:
         else np.empty(0, dtype=np.int64)
     )
     return indptr, indices
+
+
+def csr_rows(indptr: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
+    """The list of row views ``indices[indptr[u]:indptr[u + 1]]``."""
+    return [
+        indices[lo:hi] for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())
+    ]
+
+
+def hold_out_one(
+    indptr: np.ndarray, indices: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leave-one-out split of CSR rows: ``(indptr, indices, test_items)``.
+
+    Row ``u``'s test item is its entry at ``rng.integers(row length)``;
+    one array call draws what one scalar call per row, in row order,
+    would.  The training rows keep the other entries in order.
+    """
+    held = indptr[:-1] + rng.integers(np.diff(indptr))
+    keep = np.ones(len(indices), dtype=bool)
+    keep[held] = False
+    return indptr - np.arange(len(indptr)), indices[keep], indices[held]
 
 
 @dataclass
@@ -83,12 +105,12 @@ class InteractionDataset:
                 f"test_items has {len(self.test_items)} entries for "
                 f"{self.num_users} users"
             )
-        for i, items in enumerate(self.train_pos):
-            if len(items) and (items.min() < 0 or items.max() >= self.num_items):
-                raise ValueError(f"user {i} has out-of-range item ids")
-        tests = self.test_items
-        valid = tests[tests >= 0]
-        if len(valid) and valid.max() >= self.num_items:
+        indptr, indices = self.train_csr()
+        if len(indices) and (indices.min() < 0 or indices.max() >= self.num_items):
+            first = np.flatnonzero((indices < 0) | (indices >= self.num_items))[0]
+            user = int(np.searchsorted(indptr, first, side="right")) - 1
+            raise ValueError(f"user {user} has out-of-range item ids")
+        if len(self.test_items) and self.test_items.max() >= self.num_items:
             raise ValueError("test item id out of range")
 
     # ------------------------------------------------------------------
@@ -109,9 +131,7 @@ class InteractionDataset:
 
         ``train_pos`` becomes a :class:`~repro.federated.shards.CSRRaggedList`
         facade whose per-user entries are views into ``indices`` — no
-        million-element Python list, no per-user copies.  The per-user
-        validation loop of ``__post_init__`` is replaced by a single
-        vectorised range check.
+        million-element Python list, no per-user copies.
         """
         from repro.federated.shards import CSRRaggedList
 
@@ -119,22 +139,14 @@ class InteractionDataset:
             raise ValueError(
                 f"indptr has {len(indptr)} entries for {num_users} users"
             )
-        if len(test_items) != num_users:
-            raise ValueError(
-                f"test_items has {len(test_items)} entries for "
-                f"{num_users} users"
-            )
-        if len(indices) and (indices.min() < 0 or indices.max() >= num_items):
-            raise ValueError("train item id out of range")
-        dataset = cls.__new__(cls)
-        dataset.name = name
-        dataset.num_users = num_users
-        dataset.num_items = num_items
-        dataset.train_pos = CSRRaggedList(indptr, indices)
-        dataset.test_items = test_items
-        dataset._train_sets = None
-        dataset._train_csr = (indptr, indices)
-        return dataset
+        return cls(
+            name,
+            num_users,
+            num_items,
+            CSRRaggedList(indptr, indices),
+            test_items,
+            _train_csr=(indptr, indices),
+        )
 
     # ------------------------------------------------------------------
     # Derived statistics

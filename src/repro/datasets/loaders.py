@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import DatasetConfig
-from repro.datasets.base import InteractionDataset
+from repro.datasets.base import InteractionDataset, csr_rows, hold_out_one
 from repro.datasets.synthetic import generate_longtail_dataset
 from repro.rng import spawn
 
@@ -69,28 +69,25 @@ def interactions_to_dataset(
         raise ValueError("users and items must have equal length")
     rng = spawn(seed, "loo-split", name)
 
-    # Dense remap.
+    # Dense remap, then each distinct (user, item) pair once, sorted by
+    # user and then item.
     unique_users, user_idx = np.unique(users, return_inverse=True)
     unique_items, item_idx = np.unique(items, return_inverse=True)
-    per_user: dict[int, set[int]] = {}
-    for u, i in zip(user_idx, item_idx):
-        per_user.setdefault(int(u), set()).add(int(i))
-
-    kept = [u for u in range(len(unique_users)) if len(per_user[u]) >= min_interactions_per_user]
-    train_pos: list[np.ndarray] = []
-    test_items = np.full(len(kept), -1, dtype=np.int64)
-    for new_u, old_u in enumerate(kept):
-        its = np.array(sorted(per_user[old_u]), dtype=np.int64)
-        held = int(rng.integers(len(its)))
-        test_items[new_u] = its[held]
-        train_pos.append(np.delete(its, held))
-
+    num_items = len(unique_items)
+    pairs = np.unique(user_idx.reshape(-1) * num_items + item_idx.reshape(-1))
+    counts = np.bincount(pairs // num_items, minlength=len(unique_users))
+    kept = counts >= min_interactions_per_user
+    indptr = np.zeros(int(kept.sum()) + 1, dtype=np.int64)
+    np.cumsum(counts[kept], out=indptr[1:])
+    indices = (pairs % num_items)[np.repeat(kept, counts)].astype(np.int64)
+    indptr, indices, test_items = hold_out_one(indptr, indices, rng)
     return InteractionDataset(
-        name=name,
-        num_users=len(kept),
-        num_items=len(unique_items),
-        train_pos=train_pos,
-        test_items=test_items,
+        name,
+        len(indptr) - 1,
+        num_items,
+        csr_rows(indptr, indices),
+        test_items,
+        _train_csr=(indptr, indices),
     )
 
 

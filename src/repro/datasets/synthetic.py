@@ -14,16 +14,26 @@ The generator below reproduces all three: items get Zipf popularity
 weights, users get log-normal activity levels, and both live in a small
 latent preference space so that co-interaction structure is realistic
 rather than independent random sampling.
+
+Users are generated a block at a time: one GEMV a user for the taste
+scores, then row-wise array ops for the sampling weights and their
+cdf, and NumPy's own without-replacement ``choice`` loop replayed on
+them, so every dataset is byte for byte the one a per-user
+``rng.choice(..., replace=False, p=...)`` loop draws
+(``tests/reference/datasets.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets.base import InteractionDataset
+from repro.datasets.base import InteractionDataset, csr_rows, hold_out_one
 from repro.rng import spawn
 
 __all__ = ["generate_longtail_dataset"]
+
+#: Users whose sampling weights are built as one row block.
+_BLOCK_USERS = 32
 
 
 def _zipf_weights(num_items: int, exponent: float, rng: np.random.Generator) -> np.ndarray:
@@ -50,6 +60,33 @@ def _latent_affinity(
     users /= np.linalg.norm(users, axis=1, keepdims=True)
     items /= np.linalg.norm(items, axis=1, keepdims=True)
     return users, items
+
+
+def _choice_without_replacement(
+    rng: np.random.Generator, probs: np.ndarray, cdf: np.ndarray, count: int
+) -> set[int]:
+    """The ids of ``rng.choice(len(probs), count, replace=False, p=probs)``.
+
+    NumPy's own loop, replayed on the precomputed ``cdf`` (``cumsum(probs)``
+    over its last entry): draw ``count - found`` uniforms and map each
+    through ``cdf.searchsorted(x, side="right")``; on a shortfall, zero the
+    found ids' weights, rebuild the cdf and draw again.  The same
+    uniforms give the same ids.  Each pass finds at least one new id, so
+    weights with fewer than ``count`` non-zero entries run out of mass
+    before the ids run short, and raise ``choice``'s error there.
+    """
+    found = set(cdf.searchsorted(rng.random(count), side="right").tolist())
+    if len(found) < count:
+        probs = probs.copy()
+        while len(found) < count:
+            draws = rng.random(count - len(found))
+            probs[list(found)] = 0
+            cdf = np.cumsum(probs)
+            if cdf[-1] == 0:
+                raise ValueError("Fewer non-zero entries in p than size")
+            cdf /= cdf[-1]
+            found.update(cdf.searchsorted(draws, side="right").tolist())
+    return found
 
 
 def generate_longtail_dataset(
@@ -96,32 +133,45 @@ def generate_longtail_dataset(
     counts = np.maximum(min_interactions_per_user, np.round(activity)).astype(np.int64)
     counts = np.minimum(counts, num_items - 1)
 
-    per_user_items: list[np.ndarray] = []
+    indptr = np.zeros(num_users + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    bounds = indptr.tolist()
     log_pop = np.log(base_pop)
-    for user in range(num_users):
-        # Mixture of global popularity and personal taste in log space.
-        logits = log_pop + affinity_strength * (item_latent @ user_latent[user])
-        logits -= logits.max()
-        probs = np.exp(logits)
-        probs /= probs.sum()
-        chosen = rng.choice(num_items, size=counts[user], replace=False, p=probs)
-        per_user_items.append(np.sort(chosen))
+    probs = np.empty((min(_BLOCK_USERS, num_users), num_items))
+    cdf = np.empty_like(probs)
+    for lo in range(0, num_users, _BLOCK_USERS):
+        block = probs[: min(_BLOCK_USERS, num_users - lo)]
+        # Mixture of global popularity and personal taste in log space,
+        # one user's GEMV a row (a batched GEMM rounds differently).
+        for row, user_vec in enumerate(user_latent[lo : lo + len(block)]):
+            np.matmul(item_latent, user_vec, out=block[row])
+        block *= affinity_strength
+        block += log_pop
+        block -= block.max(axis=1, keepdims=True)
+        np.exp(block, out=block)
+        block /= block.sum(axis=1, keepdims=True)
+        block_cdf = np.cumsum(block, axis=1, out=cdf[: len(block)])
+        block_cdf /= block_cdf[:, -1:].copy()
+        rows = zip(bounds[lo : lo + len(block)], bounds[lo + 1 : lo + 1 + len(block)])
+        for row, (start, stop) in enumerate(rows):
+            chosen = _choice_without_replacement(
+                rng, block[row], block_cdf[row], stop - start
+            )
+            indices[start:stop] = sorted(chosen)
 
     # Leave-one-out split: hold out one uniformly random interaction per
-    # user as the test item (He et al. protocol used by the paper).
-    train_pos: list[np.ndarray] = []
-    test_items = np.full(num_users, -1, dtype=np.int64)
-    for user, items in enumerate(per_user_items):
-        if len(items) > min_interactions_per_user - 1:
-            held = int(rng.integers(len(items)))
-            test_items[user] = items[held]
-            items = np.delete(items, held)
-        train_pos.append(items)
-
+    # user as the test item (He et al. protocol used by the paper); with
+    # a catalogue too small for the minimum, nobody is held out.
+    if num_items - 1 >= min_interactions_per_user:
+        indptr, indices, test_items = hold_out_one(indptr, indices, rng)
+    else:
+        test_items = np.full(num_users, -1, dtype=np.int64)
     return InteractionDataset(
-        name=name,
-        num_users=num_users,
-        num_items=num_items,
-        train_pos=train_pos,
-        test_items=test_items,
+        name,
+        num_users,
+        num_items,
+        csr_rows(indptr, indices),
+        test_items,
+        _train_csr=(indptr, indices),
     )

@@ -1,12 +1,11 @@
 """Evaluation metrics: exposure ratio, hit ratio, distribution closeness."""
 
 from repro.metrics.divergence import pairwise_kl, user_coverage_ratio
-from repro.metrics.ranking import exposure_ratio_at_k, hit_ratio_at_k, top_k_items
+from repro.metrics.ranking import exposure_ratio_at_k, hit_ratio_at_k
 
 __all__ = [
     "exposure_ratio_at_k",
     "hit_ratio_at_k",
-    "top_k_items",
     "pairwise_kl",
     "user_coverage_ratio",
 ]

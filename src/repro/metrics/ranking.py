@@ -27,7 +27,6 @@ __all__ = [
     "walk_block_counts",
     "ClusteredItems",
     "walk_tower_block_counts",
-    "top_k_items",
     "exposure_counts_at_k",
     "exposure_ratio_from_counts",
     "exposure_ratio_at_k",
@@ -38,28 +37,6 @@ __all__ = [
     "sample_eval_negatives",
     "sample_packed_eval_negatives",
 ]
-
-
-def top_k_items(scores: np.ndarray, train_mask: np.ndarray, k: int) -> np.ndarray:
-    """Per-user top-K uninteracted items from a score matrix.
-
-    ``scores`` is (U, m) logits; training interactions are excluded from
-    recommendation (users are only recommended new items). Returns an
-    (U, k) array of item ids; slots beyond a user's recommendable pool
-    (when K exceeds it) hold the sentinel ``-1``.
-    """
-    if scores.shape != train_mask.shape:
-        raise ValueError("scores and train_mask shapes differ")
-    masked = np.where(train_mask, -np.inf, scores)
-    k = min(k, scores.shape[1])
-    part = np.argpartition(-masked, kth=k - 1, axis=1)[:, :k]
-    row_scores = np.take_along_axis(masked, part, axis=1)
-    order = np.argsort(-row_scores, axis=1, kind="stable")
-    top = np.take_along_axis(part, order, axis=1)
-    # Never recommend a masked item, even when K exceeds the pool.
-    top_scores = np.take_along_axis(masked, top, axis=1)
-    top[np.isneginf(top_scores)] = -1
-    return top
 
 
 def exposure_counts_at_k(
@@ -186,6 +163,31 @@ def _banned_sets(
     return num_train + appended, np.insert(flat, ends[appended], test_items[appended])
 
 
+def _eval_negative_blocks(dataset: InteractionDataset, num_negatives: int, seed: int):
+    """``(lo, hi, negatives, num_neg)`` of each block of users, in order.
+
+    Blocks of users bound the sampler's cohort-wide sort keys (~2 *
+    ``num_negatives`` per user) however many users there are.
+    """
+    indptr, indices = dataset.train_csr()
+    test_items = np.asarray(dataset.test_items, dtype=np.int64)
+    for lo in range(0, dataset.num_users, _EVAL_NEGATIVES_BLOCK):
+        hi = min(lo + _EVAL_NEGATIVES_BLOCK, dataset.num_users)
+        tests = test_items[lo:hi]
+        num_banned, banned = _banned_sets(indptr[lo : hi + 1], indices, tests)
+        # An absent (-1) test item still costs the pool one slot: the
+        # reference banned set is positives | {test_item}.
+        pool_sizes = dataset.num_items - num_banned - (tests < 0)
+        yield (lo, hi) + sample_negatives_batch(
+            spawn_batch(seed, ("eval-neg",), np.arange(lo, hi)),
+            num_banned,
+            banned,
+            dataset.num_items,
+            np.clip(pool_sizes, 0, num_negatives),
+            fallback=_redraw_eval_negatives,
+        )
+
+
 def sample_eval_negatives(
     dataset: InteractionDataset, num_negatives: int, seed: int
 ) -> list[np.ndarray]:
@@ -210,26 +212,8 @@ def sample_eval_negatives(
         # array keeps the per-user list O(pointers).
         empty = np.empty(0, dtype=np.int64)
         return [empty] * dataset.num_users
-    indptr, indices = dataset.train_csr()
-    test_items = np.asarray(dataset.test_items, dtype=np.int64)
     out: list[np.ndarray] = []
-    # Blocks of users bound the sampler's cohort-wide sort keys
-    # (~2 * num_negatives per user) however many users there are.
-    for lo in range(0, dataset.num_users, _EVAL_NEGATIVES_BLOCK):
-        hi = min(lo + _EVAL_NEGATIVES_BLOCK, dataset.num_users)
-        tests = test_items[lo:hi]
-        num_banned, banned = _banned_sets(indptr[lo : hi + 1], indices, tests)
-        # An absent (-1) test item still costs the pool one slot: the
-        # reference banned set is positives | {test_item}.
-        pool_sizes = dataset.num_items - num_banned - (tests < 0)
-        negatives, num_neg = sample_negatives_batch(
-            spawn_batch(seed, ("eval-neg",), np.arange(lo, hi)),
-            num_banned,
-            banned,
-            dataset.num_items,
-            np.clip(pool_sizes, 0, num_negatives),
-            fallback=_redraw_eval_negatives,
-        )
+    for _, _, negatives, num_neg in _eval_negative_blocks(dataset, num_negatives, seed):
         ends = np.cumsum(num_neg)
         out.extend(
             negatives[end - n : end] for end, n in zip(ends.tolist(), num_neg.tolist())
@@ -261,18 +245,28 @@ def pack_eval_negatives(
 def sample_packed_eval_negatives(
     dataset: InteractionDataset, num_negatives: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`pack_eval_negatives` of :func:`sample_eval_negatives`.
+    """:func:`pack_eval_negatives` of :func:`sample_eval_negatives`, in value.
 
-    With HR evaluation disabled (``num_negatives <= 0``, the
-    million-user throughput runs) the packed form is a ``(U, 0)`` id
-    matrix and zero lengths, built directly: no per-user list at all.
+    Each block of users is written straight into one ``(U, n)`` matrix
+    of the narrowest unsigned dtype that holds every item id (``uint16``
+    below 65 536 items): no per-user list, and a quarter of int64's
+    bytes.  With HR evaluation disabled (``num_negatives <= 0``, the
+    million-user throughput runs) it is ``(U, 0)`` and no stream is
+    spawned.
     """
-    if num_negatives <= 0:
-        return (
-            np.zeros((dataset.num_users, 0), dtype=np.int64),
-            np.zeros(dataset.num_users, dtype=np.int64),
-        )
-    return pack_eval_negatives(sample_eval_negatives(dataset, num_negatives, seed))
+    num_items = dataset.num_items
+    # A uint64 id would not promote with the int64 test items to an index.
+    dtype = np.min_scalar_type(max(num_items - 1, 0)) if num_items <= 2**32 else np.int64
+    # No pool holds more than the catalogue.
+    packed = np.zeros((dataset.num_users, max(min(num_negatives, num_items), 0)), dtype)
+    lengths = np.zeros(dataset.num_users, dtype=np.int64)
+    if packed.shape[1]:
+        columns = np.arange(packed.shape[1])
+        for lo, hi, negatives, num_neg in _eval_negative_blocks(dataset, num_negatives, seed):
+            packed[lo:hi][columns < num_neg[:, None]] = negatives
+            lengths[lo:hi] = num_neg
+    width = int(lengths.max(initial=0))
+    return (packed if width == packed.shape[1] else packed[:, :width].copy()), lengths
 
 
 def hit_counts_at_k(
@@ -286,10 +280,11 @@ def hit_counts_at_k(
 
     The streaming building block of HR@K: ``scores`` rows,
     ``test_items`` and the packed ``negatives``/``lengths`` rows
-    (:func:`pack_eval_negatives`) are aligned slices of the same user
-    block.  Ranks are computed per row, so block boundaries cannot
-    change them; accumulating the integer counts over blocks and
-    dividing once reproduces the whole-matrix mean exactly.
+    (:func:`sample_packed_eval_negatives`; the ids may be of any integer
+    dtype) are aligned slices of the same user block.  Ranks are
+    computed per row, so block boundaries cannot change them;
+    accumulating the integer counts over blocks and dividing once
+    reproduces the whole-matrix mean exactly.
     """
     test_items = np.asarray(test_items, dtype=np.int64)
     users = np.flatnonzero((test_items >= 0) & (lengths > 0))
@@ -633,7 +628,8 @@ def _ranked_hits(test_items, negatives, lengths, k, step, score):
     ``step`` evaluable users at a time, ``score(who, candidates)``
     returns the test items' scores, the negatives' scores and each
     user's margin for ``candidates``, one row a user: its test item,
-    then its negatives.  A user's rank ``greater + equal / 2`` lies
+    then its negatives (``negatives``' narrow ids widen to the test
+    items' int64 there).  A user's rank ``greater + equal / 2`` lies
     between the negatives certainly above ``test + margin`` and those at
     or above ``test - margin``; a user whose rank cannot be placed on
     one side of ``k`` makes the result ``None``.

@@ -136,6 +136,10 @@ class RecommenderModel(ABC):
         with interaction parameters skips their gradients."""
         return self.backward(cache, dlogits).items
 
+    def user_grads(self, cache: Any, dlogits: np.ndarray) -> np.ndarray:
+        """The ``users`` of :meth:`backward`, likewise."""
+        return self.backward(cache, dlogits).users
+
     @abstractmethod
     def score_matrix(self, user_matrix: np.ndarray) -> np.ndarray:
         """Logits for every (user, item) pair: shape (U, num_items)."""

@@ -82,6 +82,9 @@ class NCFModel(RecommenderModel):
     def item_grads(self, cache: Any, dlogits: np.ndarray) -> np.ndarray:
         return self.tower.input_grad(cache, dlogits)[:, self.embedding_dim :]
 
+    def user_grads(self, cache: Any, dlogits: np.ndarray) -> np.ndarray:
+        return self.tower.input_grad(cache, dlogits)[:, : self.embedding_dim]
+
     def batch_local_step(
         self,
         user_vecs: np.ndarray,

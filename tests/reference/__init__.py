@@ -21,7 +21,10 @@ for bit:
 * :mod:`reference.loop` — ``LoopSimulation``, a ``FederatedSimulation``
   whose rounds run those pieces one participant at a time;
 * :mod:`reference.scalar` — the scalar oracles (bounded step, losses,
-  local batch, softmax-KL, dense train mask) of stacked kernels.
+  local batch, softmax-KL, dense train mask, top-K lists) of stacked
+  kernels;
+* :mod:`reference.datasets` — the per-user loops of the long-tail
+  generator and the raw-pair leave-one-out split.
 
 Tests import it as ``reference`` (pytest puts ``tests/`` on
 ``sys.path``); benchmark scripts add ``tests/`` to ``sys.path``

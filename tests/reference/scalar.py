@@ -14,7 +14,9 @@ suites compare the package against them:
   come as the CSR pair :func:`ragged_csr` builds;
 * :func:`softmax_kl` — one entry of ``repro.metrics.divergence.pairwise_kl``;
 * :func:`train_mask` — the dense matrix whose row blocks
-  ``ShardedStateStore.train_mask_block`` returns.
+  ``ShardedStateStore.train_mask_block`` returns;
+* :func:`top_k_items` — the per-user top-K lists whose target hits
+  ``repro.metrics.ranking.exposure_counts_at_k`` counts.
 """
 
 from __future__ import annotations
@@ -99,3 +101,25 @@ def train_mask(dataset) -> np.ndarray:
     for user, items in enumerate(dataset.train_pos):
         mask[user, items] = True
     return mask
+
+
+def top_k_items(scores: np.ndarray, train_mask: np.ndarray, k: int) -> np.ndarray:
+    """Per-user top-K uninteracted items from a score matrix.
+
+    ``scores`` is (U, m) logits; training interactions are excluded from
+    recommendation (users are only recommended new items). Returns an
+    (U, k) array of item ids; slots beyond a user's recommendable pool
+    (when K exceeds it) hold the sentinel ``-1``.
+    """
+    if scores.shape != train_mask.shape:
+        raise ValueError("scores and train_mask shapes differ")
+    masked = np.where(train_mask, -np.inf, scores)
+    k = min(k, scores.shape[1])
+    part = np.argpartition(-masked, kth=k - 1, axis=1)[:, :k]
+    row_scores = np.take_along_axis(masked, part, axis=1)
+    order = np.argsort(-row_scores, axis=1, kind="stable")
+    top = np.take_along_axis(part, order, axis=1)
+    # Never recommend a masked item, even when K exceeds the pool.
+    top_scores = np.take_along_axis(masked, top, axis=1)
+    top[np.isneginf(top_scores)] = -1
+    return top

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference.datasets import interactions_to_dataset as per_user_split
 from repro.config import DatasetConfig
 from repro.datasets.loaders import (
     DATASET_STATS,
@@ -73,3 +76,31 @@ class TestRealFileLoading:
     def test_interactions_to_dataset_mismatched_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
             interactions_to_dataset(np.array([0]), np.array([1, 2]), name="t")
+
+
+class TestPerUserOracle:
+    """The vectorised split equals the per-user loop over dicts of sets."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(-3, 25), st.integers(-10, 40)), max_size=200
+        ),
+        min_interactions=st.integers(0, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_same_dataset(self, pairs, min_interactions, seed):
+        # Unsorted raw ids with repeated pairs; some users fall below the
+        # minimum and are dropped.
+        users = np.array([u * 7 for u, _ in pairs], dtype=np.int64)
+        items = np.array([i * 3 for _, i in pairs], dtype=np.int64)
+        kwargs = dict(name="raw", min_interactions_per_user=min_interactions, seed=seed)
+        want = per_user_split(users, items, **kwargs)
+        got = interactions_to_dataset(users, items, **kwargs)
+        assert (got.num_users, got.num_items) == (want.num_users, want.num_items)
+        assert got.test_items.dtype == want.test_items.dtype
+        np.testing.assert_array_equal(got.test_items, want.test_items)
+        assert len(got.train_pos) == len(want.train_pos)
+        for mine, theirs in zip(got.train_pos, want.train_pos):
+            assert mine.dtype == theirs.dtype
+            np.testing.assert_array_equal(mine, theirs)

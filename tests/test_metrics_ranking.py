@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference.scalar import top_k_items
 from repro.datasets.base import InteractionDataset
 from repro.metrics import ranking
 from repro.metrics.ranking import (
@@ -16,7 +17,6 @@ from repro.metrics.ranking import (
     pack_eval_negatives,
     sample_eval_negatives,
     sample_packed_eval_negatives,
-    top_k_items,
 )
 from repro.rng import spawn
 
@@ -112,11 +112,35 @@ class TestEvalNegatives:
         want_packed, want_lengths = pack_eval_negatives(
             sample_eval_negatives(data, num_negatives, seed=4)
         )
-        assert packed.dtype == lengths.dtype == np.int64
+        # Six items: the ids fit one byte.
+        assert packed.dtype == np.uint8 and lengths.dtype == np.int64
         np.testing.assert_array_equal(packed, want_packed)
         np.testing.assert_array_equal(lengths, want_lengths)
         if num_negatives <= 0:
             assert packed.shape == (data.num_users, 0) and not lengths.any()
+
+    @pytest.mark.parametrize(
+        "num_items, dtype",
+        [(256, np.uint8), (257, np.uint16), (6000, np.uint16), (65536, np.uint16),
+         (65537, np.uint32)],
+    )
+    def test_packed_sampler_takes_the_narrowest_id_dtype(self, num_items, dtype):
+        rng = np.random.default_rng(num_items)
+        train_pos = [
+            np.sort(rng.choice(num_items, size=size, replace=False))
+            for size in (0, 3, 40, 1)
+        ]
+        # The top id is a positive, a test item, or free to be drawn.
+        train_pos[1][-1] = num_items - 1
+        test_items = np.array([num_items - 1, 5, -1, num_items - 2])
+        data = InteractionDataset("wide", 4, num_items, train_pos, test_items)
+        packed, lengths = sample_packed_eval_negatives(data, 99, seed=2)
+        want_packed, want_lengths = pack_eval_negatives(
+            sample_eval_negatives(data, 99, seed=2)
+        )
+        assert packed.dtype == dtype and packed.shape == want_packed.shape
+        np.testing.assert_array_equal(packed, want_packed)
+        np.testing.assert_array_equal(lengths, want_lengths)
 
 
 @st.composite

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reference import ReferenceMiner
-from reference.scalar import bce_loss_and_grad
+from reference.scalar import bce_loss_and_grad, top_k_items
 from repro.analysis.poison_proportion import expected_poison_proportion
 from repro.attacks.base import stacked_step_gradients
 from repro.datasets.sampling import sample_negatives
@@ -16,7 +16,6 @@ from repro.defenses.robust import (
 )
 from repro.federated.aggregation import SumAggregator
 from repro.metrics.divergence import pairwise_kl, softmax
-from repro.metrics.ranking import top_k_items
 from repro.models.losses import bce_grad_segmented, sigmoid
 from repro.rng import make_rng
 

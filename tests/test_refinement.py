@@ -1,5 +1,7 @@
 """Tests for PIECK-UEA pseudo-user refinement (repro.attacks.refinement)."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from reference import ReferenceAttacker, ReferenceMiner
 from repro.attacks.pieck_uea import PieckUEA
 from repro.attacks.refinement import PseudoUserRefiner
 from repro.config import AttackConfig, TrainConfig
+from repro.models.base import RecommenderModel
 from repro.models.mf import MFModel
 from repro.models.ncf import NCFModel
 
@@ -74,6 +77,19 @@ class TestPseudoUserRefiner:
         assert vecs.shape == before.shape
         assert not np.allclose(vecs, before)
         assert np.isfinite(vecs).all()
+
+    @pytest.mark.parametrize("kind", ["mf", "ncf"])
+    def test_user_grads_refine_like_the_full_backward(self, kind):
+        if kind == "mf":
+            model, _ = _trained_mf()
+        else:
+            model = NCFModel(40, 8, mlp_layers=(16, 8), init_scale=0.1, seed=0)
+        refined = PseudoUserRefiner(40, 8, np.arange(10), steps=20, seed=7).refine(model)
+        # The default hook: the users of the whole backward pass, tower
+        # parameter gradients included.
+        model.user_grads = functools.partial(RecommenderModel.user_grads, model)
+        want = PseudoUserRefiner(40, 8, np.arange(10), steps=20, seed=7).refine(model)
+        np.testing.assert_array_equal(refined, want)
 
     def test_degenerate_all_popular_catalogue(self):
         model, _ = _trained_mf()
