@@ -125,12 +125,15 @@ def _pairwise_sq_dists(flat: np.ndarray) -> np.ndarray:
     neighbour).  The single distance computation shared by the whole
     Krum family: each grouped call builds it exactly once and every
     selection stage reads from it.  Dispatched through
-    :mod:`repro.kernels`, whose contract accumulates every dot product
-    sequentially over the feature axis (replacing the earlier batched
-    BLAS GEMM, whose blocking no native port could reproduce bit for
-    bit).  The per-``d`` accumulation touches each lane independently,
-    so each lane's distances remain bit-identical whether the item is
-    aggregated alone or inside a thousand-item group — the
+    :mod:`repro.kernels`, whose contract accumulates every pair's dot
+    product sequentially over the feature axis, seeded with the
+    ``d = 0`` term.  A BLAS GEMM is not used: its blocking no native
+    port reproduces, and ``X @ X.T`` changes bits between one and two
+    OpenBLAS threads.  The native kernel runs groups of 16 or more rows
+    eight pairs at a time, each pair in its own accumulator, so the
+    order per pair, and every bit, is the scalar loop's.  No sum mixes
+    groups, so each group's distances are bit-identical whether the
+    item is aggregated alone or inside a thousand-item group — the
     lane-stability property the parity suite
     (``tests/test_batch_defended.py``) asserts per contributor count.
     """
@@ -187,8 +190,7 @@ class MultiKrumAggregator(Aggregator):
         drop = min(2 * f, n - 1)
         scores = _krum_scores(_pairwise_sq_dists(flat), f)
         kept = np.argsort(scores, axis=1, kind="stable")[:, : n - drop]
-        selected = np.take_along_axis(flat, kept[:, :, None], axis=1)
-        out = selected.mean(axis=1) * n
+        out = flat[np.arange(groups)[:, None], kept].mean(axis=1) * n
         return out.reshape((groups,) + stacks.shape[2:])
 
 
@@ -211,8 +213,9 @@ class BulyanAggregator(Aggregator):
         keep = max(n - 2 * f, 2)
         scores = _krum_scores(_pairwise_sq_dists(flat), f)
         selected = np.argsort(scores, axis=1, kind="stable")[:, :keep]
-        chosen = np.take_along_axis(flat, selected[:, :, None], axis=1)
-        trimmed = self._trimmed.aggregate_stacks(chosen)
+        trimmed = self._trimmed.aggregate_stacks(
+            flat[np.arange(groups)[:, None], selected]
+        )
         # aggregate_stacks returns robust-mean * keep; rescale to the
         # full contributor count.
         out = trimmed / keep * n

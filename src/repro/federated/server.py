@@ -252,12 +252,22 @@ class Server(Stateful):
         counts are few (bounded by the round's activity profile), so a
         defended round costs a handful of vectorised kernel calls
         instead of one Python ``aggregate`` per touched item.
+
+        A round whose ids all lie in ``[0, 65 536)`` sorts them as
+        ``uint16``, where NumPy's stable sort is a radix sort: the same
+        order, at a tenth of the int64 merge sort's cost.  Any other id
+        keeps the int64 sort, so an out-of-range id fails as before
+        instead of wrapping onto a real item.  Each count class gathers
+        its rows straight from the round's gradients, with no sorted
+        copy of the whole round in between.
         """
         if len(batch.item_ids) == 0:
             return
-        order = np.argsort(batch.item_ids, kind="stable")
-        sorted_ids = batch.item_ids[order]
-        sorted_grads = batch.item_grads[order]
+        keys = batch.item_ids
+        if keys.min() >= 0 and keys.max() < 1 << 16:
+            keys = keys.astype(np.uint16)
+        order = np.argsort(keys, kind="stable")
+        sorted_ids = keys[order]
         # Group boundaries straight off the sorted ids (np.unique would
         # sort a second time).
         change = np.empty(len(sorted_ids), dtype=bool)
@@ -270,7 +280,9 @@ class Server(Stateful):
         for count in np.unique(counts):
             group = np.flatnonzero(counts == count)
             gather = first_rows[group][:, None] + np.arange(count)[None, :]
-            deltas[group] = self.aggregator.aggregate_stacks(sorted_grads[gather])
+            deltas[group] = self.aggregator.aggregate_stacks(
+                batch.item_grads[order[gather]]
+            )
         deltas *= -self.lr
         # The ids are unique, so an indexed add gives the bytes of the
         # duplicate-accumulating ``np.add.at`` at a sixth of its cost.

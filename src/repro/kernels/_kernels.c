@@ -9,13 +9,14 @@
  * breaks the bit-parity contract the differential suite
  * (tests/test_kernels.py) enforces.
  *
- * All entry points are pure C on caller-owned buffers (no Python API,
- * no allocation), so the cffi ABI-mode caller releases the GIL for the
- * duration of every call.
+ * All entry points are pure C on caller-owned buffers (no Python API;
+ * the only allocation is pairwise's scratch tile), so the cffi ABI-mode
+ * caller releases the GIL for the duration of every call.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 /* out[ids[r], :] += grads[r, :], sequentially in row order (the order
  * np.bincount accumulates composite (item, dim) indices in). `out` is
@@ -94,35 +95,87 @@ void repro_segment_sums_f32(const float *rows_, const int64_t *lengths,
 
 /* Pairwise squared distances per group: dists[g, i, j] =
  * (dot(i,i) + dot(j,j)) - 2 * dot(i,j) with every dot accumulated
- * sequentially over d, and +inf on each diagonal.  dot(i,j) == dot(j,i)
+ * sequentially over d, and +inf on each diagonal.  Each dot is seeded
+ * with the d=0 term — the same seeding the NumPy reference uses — so
+ * leading -0.0 products keep their sign bit.  dot(i,j) == dot(j,i)
  * exactly (IEEE multiplication commutes, addition order is identical),
- * so the upper triangle is mirrored. */
+ * so only the upper triangle is computed: first its dots (the squared
+ * norms on the diagonal), then the distances, mirrored. */
+static void upper_dots_scalar(const double *base, int64_t n, int64_t dim,
+                              double *dists)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *xi = base + i * dim;
+        for (int64_t j = i; j < n; j++) {
+            const double *xj = base + j * dim;
+            double dot = dim > 0 ? xi[0] * xj[0] : 0.0;
+            for (int64_t d = 1; d < dim; d++)
+                dot = dot + xi[d] * xj[d];
+            dists[i * n + j] = dot;
+        }
+    }
+}
+
+/* Two doubles: one SSE2 register, x86-64's baseline vector. */
+typedef double v2d __attribute__((vector_size(16)));
+
+enum { LANES = 8, LANE_MIN_N = 16 };
+
+/* upper_dots_scalar's dots, eight j lanes at a time.  `tile` holds the
+ * group transposed, tile[d][j] = x_j[d], in rows `width` (n rounded up
+ * to LANES) wide and zero past n.  Each lane is one pair's own
+ * accumulator, seeded with x_i[0] * x_j[0] and then added x_i[d] * x_j[d]
+ * for d = 1..dim-1 in order, operands in the scalar loop's order: every
+ * pair's dot has the scalar loop's bits.  The lanes only run pairs side
+ * by side; no sum crosses a lane. */
+static void upper_dots_lanes(const double *base, int64_t n, int64_t dim,
+                             int64_t width, v2d *tile, double *dists)
+{
+    const int64_t vwidth = width / 2;
+    for (int64_t j = 0; j < width; j++)
+        for (int64_t d = 0; d < dim; d++)
+            tile[d * vwidth + j / 2][j % 2] = j < n ? base[j * dim + d] : 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        const double *xi = base + i * dim;
+        for (int64_t jb = i - i % LANES; jb < n; jb += LANES) {
+            const v2d *t = tile + jb / 2;
+            v2d s = {xi[0], xi[0]};
+            v2d acc[LANES / 2];
+            for (int k = 0; k < LANES / 2; k++)
+                acc[k] = s * t[k];
+            for (int64_t d = 1; d < dim; d++) {
+                t += vwidth;
+                s = (v2d){xi[d], xi[d]};
+                for (int k = 0; k < LANES / 2; k++)
+                    acc[k] = acc[k] + s * t[k];
+            }
+            for (int64_t k = i > jb ? i - jb : 0; k < LANES && jb + k < n; k++)
+                dists[i * n + jb + k] = acc[k / 2][k % 2];
+        }
+    }
+}
+
+/* Groups of at least LANE_MIN_N rows take the lanes, through one tile
+ * of dim x width doubles allocated for the call; smaller groups (or a
+ * failed allocation) take the scalar loop.  Both give the same bits. */
 void repro_pairwise_sq_dists_f64(const double *flat, int64_t groups,
                                  int64_t n, int64_t dim, double *out)
 {
+    const int64_t width = (n + LANES - 1) / LANES * LANES;
+    v2d *tile = NULL;
+    if (n >= LANE_MIN_N && dim > 0)
+        tile = aligned_alloc(64, (size_t)(dim * width) * sizeof(double));
     for (int64_t g = 0; g < groups; g++) {
         const double *base = flat + g * n * dim;
         double *dists = out + g * n * n;
-        /* Diagonal first: squared norms, parked in place.  Every
-         * accumulator is seeded with the d=0 term — the same seeding
-         * the NumPy reference uses — so leading -0.0 products keep
-         * their sign bit. */
+        if (tile != NULL)
+            upper_dots_lanes(base, n, dim, width, tile, dists);
+        else
+            upper_dots_scalar(base, n, dim, dists);
         for (int64_t i = 0; i < n; i++) {
-            const double *xi = base + i * dim;
-            double acc = dim > 0 ? xi[0] * xi[0] : 0.0;
-            for (int64_t d = 1; d < dim; d++)
-                acc = acc + xi[d] * xi[d];
-            dists[i * n + i] = acc;
-        }
-        for (int64_t i = 0; i < n; i++) {
-            const double *xi = base + i * dim;
             for (int64_t j = i + 1; j < n; j++) {
-                const double *xj = base + j * dim;
-                double dot = dim > 0 ? xi[0] * xj[0] : 0.0;
-                for (int64_t d = 1; d < dim; d++)
-                    dot = dot + xi[d] * xj[d];
-                double dist =
-                    (dists[i * n + i] + dists[j * n + j]) - 2.0 * dot;
+                double dist = (dists[i * n + i] + dists[j * n + j]) -
+                              2.0 * dists[i * n + j];
                 dists[i * n + j] = dist;
                 dists[j * n + i] = dist;
             }
@@ -130,6 +183,7 @@ void repro_pairwise_sq_dists_f64(const double *flat, int64_t groups,
         for (int64_t i = 0; i < n; i++)
             dists[i * n + i] = INFINITY;
     }
+    free(tile);
 }
 
 /* Row-stacked bounded-step attack gradients: per row, delta = new - old,

@@ -29,12 +29,8 @@ __all__ = [
     "walk_tower_block_counts",
     "exposure_counts_at_k",
     "exposure_ratio_from_counts",
-    "exposure_ratio_at_k",
-    "pack_eval_negatives",
     "hit_counts_at_k",
     "hit_ratio_from_counts",
-    "hit_ratio_at_k",
-    "sample_eval_negatives",
     "sample_packed_eval_negatives",
 ]
 
@@ -102,24 +98,7 @@ def exposure_ratio_from_counts(
     return float(np.mean(ratios))
 
 
-def exposure_ratio_at_k(
-    scores: np.ndarray,
-    train_mask: np.ndarray,
-    target_items: np.ndarray,
-    k: int,
-) -> float:
-    """ER@K (Eq. 3), averaged over target items.
-
-    For each target ``v_j``: the fraction of benign users who have *not*
-    interacted with ``v_j`` whose top-K list contains ``v_j``. Rows of
-    ``scores`` should cover benign users only.
-    """
-    return exposure_ratio_from_counts(
-        *exposure_counts_at_k(scores, train_mask, target_items, k)
-    )
-
-
-#: Users per cohort-sampler call in :func:`sample_eval_negatives`.
+#: Users per cohort-sampler call in :func:`_eval_negative_blocks`.
 _EVAL_NEGATIVES_BLOCK = 256
 
 
@@ -188,14 +167,15 @@ def _eval_negative_blocks(dataset: InteractionDataset, num_negatives: int, seed:
         )
 
 
-def sample_eval_negatives(
+def sample_packed_eval_negatives(
     dataset: InteractionDataset, num_negatives: int, seed: int
-) -> list[np.ndarray]:
-    """Fixed per-user negative samples for HR@K evaluation.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed per-user negative samples for HR@K, as a padded id matrix.
 
-    The NCF protocol ranks the held-out test item against ``num_negatives``
-    items the user has not interacted with. Sampling once (deterministic
-    in the seed) keeps HR@K comparable across rounds and methods.
+    The NCF protocol ranks the held-out test item against
+    ``num_negatives`` items the user has not interacted with.  Sampling
+    once (deterministic in the seed) keeps HR@K comparable across rounds
+    and methods.
 
     Each user owns its private labelled RNG stream (``spawn(seed,
     "eval-neg", user)``) and receives, in draw order, the first ids of
@@ -205,54 +185,15 @@ def sample_eval_negatives(
     set = positives plus the test item, a block's sets built as one CSR
     from the dataset's by :func:`_banned_sets`); a user it cannot serve
     is redrawn by :func:`_redraw_eval_negatives`.
-    """
-    if num_negatives <= 0:
-        # HR evaluation disabled (million-user throughput runs): skip
-        # spawning a per-user RNG for every user.  One shared empty
-        # array keeps the per-user list O(pointers).
-        empty = np.empty(0, dtype=np.int64)
-        return [empty] * dataset.num_users
-    out: list[np.ndarray] = []
-    for _, _, negatives, num_neg in _eval_negative_blocks(dataset, num_negatives, seed):
-        ends = np.cumsum(num_neg)
-        out.extend(
-            negatives[end - n : end] for end, n in zip(ends.tolist(), num_neg.tolist())
-        )
-    return out
 
-
-def pack_eval_negatives(
-    eval_negatives: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user negative lists as a padded ``(U, n)`` id matrix + lengths.
-
-    Row ``u`` holds user ``u``'s negatives in its first ``lengths[u]``
-    columns (zeros beyond), the form :func:`hit_counts_at_k` slices by
-    user block.
-    """
-    lengths = np.fromiter(
-        (len(negs) for negs in eval_negatives),
-        dtype=np.int64,
-        count=len(eval_negatives),
-    )
-    width = int(lengths.max(initial=0))
-    padded = np.zeros((len(lengths), width), dtype=np.int64)
-    if width:
-        padded[np.arange(width) < lengths[:, None]] = np.concatenate(eval_negatives)
-    return padded, lengths
-
-
-def sample_packed_eval_negatives(
-    dataset: InteractionDataset, num_negatives: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`pack_eval_negatives` of :func:`sample_eval_negatives`, in value.
-
-    Each block of users is written straight into one ``(U, n)`` matrix
-    of the narrowest unsigned dtype that holds every item id (``uint16``
-    below 65 536 items): no per-user list, and a quarter of int64's
-    bytes.  With HR evaluation disabled (``num_negatives <= 0``, the
-    million-user throughput runs) it is ``(U, 0)`` and no stream is
-    spawned.
+    Returns ``(negatives, lengths)``: row ``u`` holds user ``u``'s ids
+    in its first ``lengths[u]`` columns (zeros beyond), the form
+    :func:`hit_counts_at_k` slices by user block.  Each block of users
+    is written straight into one matrix of the narrowest unsigned dtype
+    that holds every item id (``uint16`` below 65 536 items): no
+    per-user list, and a quarter of int64's bytes.  With HR evaluation
+    disabled (``num_negatives <= 0``, the million-user throughput runs)
+    it is ``(U, 0)`` and no stream is spawned.
     """
     num_items = dataset.num_items
     # A uint64 id would not promote with the int64 test items to an index.
@@ -299,34 +240,6 @@ def hit_counts_at_k(
     equal = ((neg_scores == test_scores[:, None]) & mask).sum(axis=1)
     ranks = greater + 0.5 * equal
     return int((ranks < k).sum()), len(users)
-
-
-def hit_ratio_at_k(
-    scores: np.ndarray,
-    dataset: InteractionDataset,
-    eval_negatives: list[np.ndarray],
-    k: int,
-) -> float:
-    """HR@K under leave-one-out with sampled negatives.
-
-    For each user with a held-out test item: hit if the test item's
-    score beats all but at most ``k - 1`` of the sampled negatives.
-    Ties count half a loss each, so a degenerate constant-output model
-    scores ~k/(negatives+1) instead of a spurious 100%.
-
-    Computed as one batched rank pass over all evaluable users
-    (:func:`hit_counts_at_k`): the per-user negative lists
-    (equal-length in the standard protocol, padded and masked
-    otherwise) gather into a ``(users, negatives)`` score matrix and
-    the win/tie counts reduce along its rows — the same integer
-    counts, and therefore the same ranks and mean, as the per-user
-    reference loop.
-    """
-    return hit_ratio_from_counts(
-        *hit_counts_at_k(
-            scores, dataset.test_items, *pack_eval_negatives(eval_negatives), k
-        )
-    )
 
 
 def hit_ratio_from_counts(hits: int, total: int) -> float:

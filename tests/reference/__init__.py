@@ -21,8 +21,8 @@ for bit:
 * :mod:`reference.loop` — ``LoopSimulation``, a ``FederatedSimulation``
   whose rounds run those pieces one participant at a time;
 * :mod:`reference.scalar` — the scalar oracles (bounded step, losses,
-  local batch, softmax-KL, dense train mask, top-K lists) of stacked
-  kernels;
+  local batch, softmax-KL, dense train mask, top-K lists, whole-matrix
+  ER@K and HR@K, per-user evaluation negatives) of stacked kernels;
 * :mod:`reference.datasets` — the per-user loops of the long-tail
   generator and the raw-pair leave-one-out split.
 

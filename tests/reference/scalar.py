@@ -16,15 +16,30 @@ suites compare the package against them:
 * :func:`train_mask` — the dense matrix whose row blocks
   ``ShardedStateStore.train_mask_block`` returns;
 * :func:`top_k_items` — the per-user top-K lists whose target hits
-  ``repro.metrics.ranking.exposure_counts_at_k`` counts.
+  ``repro.metrics.ranking.exposure_counts_at_k`` counts;
+* :func:`exposure_ratio_at_k` / :func:`hit_ratio_at_k` — ER@K and
+  HR@K over one whole score matrix, which the package only counts
+  block by block;
+* :func:`sample_eval_negatives` / :func:`pack_eval_negatives` — the
+  per-user lists of evaluation negatives and their padding, whose
+  value ``repro.metrics.ranking.sample_packed_eval_negatives`` writes
+  straight into one matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.datasets.base import InteractionDataset
 from repro.datasets.sampling import sample_negatives
 from repro.metrics.divergence import softmax
+from repro.metrics.ranking import (
+    _eval_negative_blocks,
+    exposure_counts_at_k,
+    exposure_ratio_from_counts,
+    hit_counts_at_k,
+    hit_ratio_from_counts,
+)
 from repro.models.losses import sigmoid
 
 
@@ -123,3 +138,92 @@ def top_k_items(scores: np.ndarray, train_mask: np.ndarray, k: int) -> np.ndarra
     top_scores = np.take_along_axis(masked, top, axis=1)
     top[np.isneginf(top_scores)] = -1
     return top
+
+
+def exposure_ratio_at_k(
+    scores: np.ndarray,
+    train_mask: np.ndarray,
+    target_items: np.ndarray,
+    k: int,
+) -> float:
+    """ER@K (Eq. 3), averaged over target items.
+
+    For each target ``v_j``: the fraction of benign users who have *not*
+    interacted with ``v_j`` whose top-K list contains ``v_j``. Rows of
+    ``scores`` should cover benign users only.
+    """
+    return exposure_ratio_from_counts(
+        *exposure_counts_at_k(scores, train_mask, target_items, k)
+    )
+
+
+def sample_eval_negatives(
+    dataset: InteractionDataset, num_negatives: int, seed: int
+) -> list[np.ndarray]:
+    """Per-user evaluation negatives, one array a user, in draw order.
+
+    The list form of ``repro.metrics.ranking.sample_packed_eval_negatives``
+    (same streams and blocks, same values).
+    """
+    if num_negatives <= 0:
+        # HR evaluation disabled (million-user throughput runs): skip
+        # spawning a per-user RNG for every user.  One shared empty
+        # array keeps the per-user list O(pointers).
+        empty = np.empty(0, dtype=np.int64)
+        return [empty] * dataset.num_users
+    out: list[np.ndarray] = []
+    for _, _, negatives, num_neg in _eval_negative_blocks(dataset, num_negatives, seed):
+        ends = np.cumsum(num_neg)
+        out.extend(
+            negatives[end - n : end] for end, n in zip(ends.tolist(), num_neg.tolist())
+        )
+    return out
+
+
+def pack_eval_negatives(
+    eval_negatives: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user negative lists as a padded ``(U, n)`` id matrix + lengths.
+
+    Row ``u`` holds user ``u``'s negatives in its first ``lengths[u]``
+    columns (zeros beyond), the form :func:`hit_counts_at_k` slices by
+    user block.
+    """
+    lengths = np.fromiter(
+        (len(negs) for negs in eval_negatives),
+        dtype=np.int64,
+        count=len(eval_negatives),
+    )
+    width = int(lengths.max(initial=0))
+    padded = np.zeros((len(lengths), width), dtype=np.int64)
+    if width:
+        padded[np.arange(width) < lengths[:, None]] = np.concatenate(eval_negatives)
+    return padded, lengths
+
+
+def hit_ratio_at_k(
+    scores: np.ndarray,
+    dataset: InteractionDataset,
+    eval_negatives: list[np.ndarray],
+    k: int,
+) -> float:
+    """HR@K under leave-one-out with sampled negatives.
+
+    For each user with a held-out test item: hit if the test item's
+    score beats all but at most ``k - 1`` of the sampled negatives.
+    Ties count half a loss each, so a degenerate constant-output model
+    scores ~k/(negatives+1) instead of a spurious 100%.
+
+    Computed as one batched rank pass over all evaluable users
+    (:func:`hit_counts_at_k`): the per-user negative lists
+    (equal-length in the standard protocol, padded and masked
+    otherwise) gather into a ``(users, negatives)`` score matrix and
+    the win/tie counts reduce along its rows — the same integer
+    counts, and therefore the same ranks and mean, as the per-user
+    reference loop.
+    """
+    return hit_ratio_from_counts(
+        *hit_counts_at_k(
+            scores, dataset.test_items, *pack_eval_negatives(eval_negatives), k
+        )
+    )

@@ -13,13 +13,17 @@ Also here: the dispatcher semantics (``resolve`` / ``use`` /
 ``active`` / ``REPRO_KERNELS``), the no-silent-fallback guard
 (requesting ``"native"`` without a toolchain raises), the counted
 per-call dtype fallbacks, the engine's ``kernel_fallback_rounds``
-accounting, the ``scatter_sum`` int32 index-overflow regression, and
-an end-to-end numpy-vs-native simulation parity check.
+accounting, the ``scatter_sum`` int32 index-overflow regression, an
+end-to-end numpy-vs-native simulation parity check, and two more
+builds of the library held to the reference: one allowed to emit FMA
+instructions, and one built with ``-Werror`` that traps on undefined
+behaviour.
 """
 
 from __future__ import annotations
 
 import platform
+import subprocess
 
 import numpy as np
 import pytest
@@ -212,14 +216,41 @@ class TestPairwiseSqDistsParity:
     @given(
         data=st.data(),
         groups=st.integers(0, 4),
-        n=st.integers(0, 7),
-        dim=st.integers(0, 12),
+        n=st.integers(0, 40),
+        dim=st.integers(0, 70),
     )
     @SWEEP
     def test_matches_reference(self, data, groups, n, dim):
+        # n spans the scalar loop (n < 16) and the eight-lane blocks,
+        # full and ragged.
         flat = data.draw(
             arrays(np.float64, (groups, n, dim), elements=floats_for(np.float64))
         )
+        assert_bit_identical(
+            NATIVE.pairwise_sq_dists(flat), REFERENCE.pairwise_sq_dists(flat)
+        )
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 23, 24, 25])
+    @pytest.mark.parametrize("dim", [1, 2, 9, 64])
+    def test_lane_and_threshold_edges(self, n, dim):
+        # Magnitudes spread over 24 decades make any reordering of a
+        # dot's terms visible in its last bits.
+        rng = np.random.default_rng(n * 100 + dim)
+        flat = rng.standard_normal((3, n, dim)) * 10.0 ** rng.integers(
+            -12, 12, (3, n, dim)
+        )
+        assert_bit_identical(
+            NATIVE.pairwise_sq_dists(flat), REFERENCE.pairwise_sq_dists(flat)
+        )
+
+    def test_large_group_with_negative_zeros(self):
+        # mf-krum's largest contributor count, with -0.0 entries, a
+        # -0.0 row and a -0.0 first column.
+        rng = np.random.default_rng(443)
+        flat = rng.standard_normal((1, 443, 64))
+        flat[rng.random(flat.shape) < 0.05] = -0.0
+        flat[:, 7] = -0.0
+        flat[:, :, 0] = -0.0
         assert_bit_identical(
             NATIVE.pairwise_sq_dists(flat), REFERENCE.pairwise_sq_dists(flat)
         )
@@ -632,6 +663,33 @@ def _cpu_has_fma() -> bool:
         return False
 
 
+def _every_kernel_call(rng) -> list[tuple[str, tuple]]:
+    """One call of every dispatched kernel, pairwise on both its paths."""
+    lengths = rng.integers(0, 6, size=40)
+    rows = rng.standard_normal((int(lengths.sum()), 16))
+    ids = rng.integers(0, 50, size=300)
+    grads = rng.standard_normal((300, 16))
+    old = rng.standard_normal((64, 16))
+    new = old + rng.standard_normal((64, 16))
+    values = rng.standard_normal(int(lengths.sum()))
+    return [
+        ("scatter_sum", (ids, grads, 50)),
+        ("segment_div", (values, lengths)),
+        ("segment_sums", (rows, lengths, 16)),
+        ("pairwise_sq_dists", (rng.standard_normal((3, 9, 16)),)),
+        ("pairwise_sq_dists", (rng.standard_normal((2, 21, 16)),)),
+        ("stacked_step_gradients", (old, new, 0.5, 1.5)),
+        ("row_diff_norms", (old, new)),
+    ]
+
+
+def _build_with(monkeypatch, cache, flags: list[str]) -> _native.NativeBackend:
+    """The native backend compiled with ``flags`` added, into ``cache``."""
+    monkeypatch.setattr(_native, "_CFLAGS", [*_native._CFLAGS, *flags])
+    monkeypatch.setenv("REPRO_KERNELS_CACHE", str(cache))
+    return _native.NativeBackend(*_native._dlopen(_native._build_shared_library()))
+
+
 @needs_native
 @pytest.mark.skipif(not _cpu_has_fma(), reason="CPU without FMA3")
 class TestFusedMultiplyAddBuild:
@@ -644,28 +702,58 @@ class TestFusedMultiplyAddBuild:
     """
 
     def test_every_kernel_matches_reference(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(_native, "_CFLAGS", [*_native._CFLAGS, "-mfma"])
-        monkeypatch.setenv("REPRO_KERNELS_CACHE", str(tmp_path))
-        backend = _native.NativeBackend(
-            *_native._dlopen(_native._build_shared_library())
+        backend = _build_with(monkeypatch, tmp_path, ["-mfma"])
+        for name, args in _every_kernel_call(np.random.default_rng(29)):
+            assert_bit_identical(
+                getattr(backend, name)(*args), getattr(REFERENCE, name)(*args)
+            )
+
+
+#: Warnings as errors, and every undefined-behaviour check compiled in
+#: as a trap instruction, so the library needs no sanitizer runtime.
+UNDEFINED_BEHAVIOUR_FLAGS = [
+    "-Wall",
+    "-Wextra",
+    "-Werror",
+    "-fsanitize=undefined",
+    "-fsanitize-undefined-trap-on-error",
+]
+
+
+@needs_native
+class TestUndefinedBehaviourBuild:
+    """A warning-free build that traps on undefined behaviour keeps parity.
+
+    Misaligned vector loads, signed overflow in an index and
+    out-of-bounds shifts stop the process with a trap instead of
+    passing silently; a compiler without these flags skips the test.
+    """
+
+    def test_every_kernel_matches_reference(self, monkeypatch, tmp_path):
+        probe = tmp_path / "probe.c"
+        probe.write_text("int repro_probe(int x) { return x + 1; }\n")
+        compiler = _native._find_compiler()
+        accepted = subprocess.run(
+            [
+                compiler,
+                *_native._CFLAGS,
+                *UNDEFINED_BEHAVIOUR_FLAGS,
+                "-o",
+                str(tmp_path / "probe.so"),
+                str(probe),
+            ],
+            capture_output=True,
+            text=True,
         )
-        rng = np.random.default_rng(29)
-        lengths = rng.integers(0, 6, size=40)
-        rows = rng.standard_normal((int(lengths.sum()), 16))
-        ids = rng.integers(0, 50, size=300)
-        grads = rng.standard_normal((300, 16))
-        old = rng.standard_normal((64, 16))
-        new = old + rng.standard_normal((64, 16))
-        flat = rng.standard_normal((3, 9, 16))
-        values = rng.standard_normal(int(lengths.sum()))
-        for name, args in [
-            ("scatter_sum", (ids, grads, 50)),
-            ("segment_div", (values, lengths)),
-            ("segment_sums", (rows, lengths, 16)),
-            ("pairwise_sq_dists", (flat,)),
-            ("stacked_step_gradients", (old, new, 0.5, 1.5)),
-            ("row_diff_norms", (old, new)),
-        ]:
+        if accepted.returncode != 0:
+            pytest.skip(
+                f"{compiler} rejects {' '.join(UNDEFINED_BEHAVIOUR_FLAGS)}: "
+                f"{accepted.stderr.strip()}"
+            )
+        backend = _build_with(
+            monkeypatch, tmp_path / "cache", UNDEFINED_BEHAVIOUR_FLAGS
+        )
+        for name, args in _every_kernel_call(np.random.default_rng(31)):
             assert_bit_identical(
                 getattr(backend, name)(*args), getattr(REFERENCE, name)(*args)
             )

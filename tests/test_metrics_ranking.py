@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reference.scalar import top_k_items
+from reference.scalar import (
+    exposure_ratio_at_k,
+    hit_ratio_at_k,
+    pack_eval_negatives,
+    sample_eval_negatives,
+    top_k_items,
+)
 from repro.datasets.base import InteractionDataset
 from repro.metrics import ranking
 from repro.metrics.ranking import (
     exposure_counts_at_k,
-    exposure_ratio_at_k,
     hit_counts_at_k,
-    hit_ratio_at_k,
-    pack_eval_negatives,
-    sample_eval_negatives,
     sample_packed_eval_negatives,
 )
 from repro.rng import spawn

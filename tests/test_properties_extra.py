@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reference import ClientUpdate, filter_updates
-from reference.scalar import top_k_items
+from reference.scalar import exposure_ratio_at_k, top_k_items
 from repro.attacks.refinement import PseudoUserRefiner
 from repro.defenses.coordinated import ItemScaleClip
 from repro.experiments.runner import Cell
 from repro.experiments.stability import SeedSweep
 from repro.federated.update_batch import UpdateBatch
-from repro.metrics.ranking import exposure_ratio_at_k
 from repro.models.mf import MFModel
 
 _finite = st.floats(-50.0, 50.0, allow_nan=False)

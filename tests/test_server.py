@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from reference import ClientUpdate, from_updates
+from reference import ClientUpdate, apply_updates, from_updates
+from repro.defenses.robust import MedianAggregator, MultiKrumAggregator
 from repro.federated.server import Server
 from repro.models.mf import MFModel
 from repro.models.ncf import NCFModel
@@ -91,6 +92,49 @@ class TestItemUpdates:
 
         with pytest.raises(TypeError, match="filter_batch"):
             Server(MFModel(10, 4), lr=0.5, update_filter=per_update_filter)
+
+
+class TestGroupedCatalogueWidth:
+    """Robust grouping is exact on both sides of the uint16 sort key."""
+
+    @pytest.mark.parametrize("num_items", [65_536, 70_000])
+    @pytest.mark.parametrize(
+        "aggregator", [MultiKrumAggregator(0.1), MedianAggregator()]
+    )
+    def test_matches_per_item_reference(self, num_items, aggregator):
+        rng = np.random.default_rng(num_items)
+        # Ids that a wrapped 16-bit key would merge (0 with 65 536),
+        # the largest ids, and a spread over the catalogue.
+        edges = [0, 1, 2, 65_534, 65_535, num_items - 2, num_items - 1]
+        edges += [65_536, 65_537] if num_items > 65_537 else []
+        pool = np.unique(
+            np.concatenate([edges, rng.integers(0, num_items, size=40)])
+        )
+        updates = []
+        for user_id in range(48):
+            ids = rng.choice(pool, size=int(rng.integers(4, 20)), replace=False)
+            updates.append(
+                ClientUpdate(user_id, ids, rng.normal(size=(len(ids), 4)))
+            )
+        reference = MFModel(num_items, 4, seed=3)
+        batched = MFModel(num_items, 4, seed=3)
+        initial = batched.item_embeddings[pool].copy()
+        apply_updates(Server(reference, lr=0.5, aggregator=aggregator), updates)
+        Server(batched, lr=0.5, aggregator=aggregator).apply_batch(
+            from_updates(updates)
+        )
+        assert np.array_equal(batched.item_embeddings, reference.item_embeddings)
+        assert (batched.item_embeddings[pool] != initial).any(axis=1).all()
+
+    def test_out_of_range_id_is_not_wrapped(self):
+        # 65 539 as a 16-bit key would be item 3 of this catalogue.
+        updates = [
+            ClientUpdate(user, np.array([3, 65_539]), np.ones((2, 4)))
+            for user in range(3)
+        ]
+        server = Server(MFModel(10, 4, seed=1), lr=0.5, aggregator=MedianAggregator())
+        with pytest.raises(IndexError):
+            server.apply_batch(from_updates(updates))
 
 
 class TestParamUpdates:

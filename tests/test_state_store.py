@@ -11,20 +11,19 @@ import numpy as np
 import pytest
 
 from reference import BenignClient, ClientViewList, LoopSimulation
-from reference.scalar import train_mask
+from reference.scalar import (
+    exposure_ratio_at_k,
+    hit_ratio_at_k,
+    pack_eval_negatives,
+    sample_eval_negatives,
+    train_mask,
+)
 from repro.config import DefenseConfig, ShardingConfig, TrainConfig, replace
 from repro.datasets.base import pack_csr
 from repro.datasets.synthetic import generate_longtail_dataset
 from repro.federated.shards import ShardedStateStore
 from repro.federated.simulation import FederatedSimulation
-from repro.metrics.ranking import (
-    exposure_counts_at_k,
-    exposure_ratio_at_k,
-    hit_counts_at_k,
-    hit_ratio_at_k,
-    pack_eval_negatives,
-    sample_eval_negatives,
-)
+from repro.metrics.ranking import exposure_counts_at_k, hit_counts_at_k
 from repro.models import base as model_base
 from repro.models.base import build_model
 from repro.rng import (
