@@ -139,9 +139,21 @@ class PieckClient(MaliciousClient):
         Falls back to the full mined set when every mined item is a
         target (degenerate catalogues).
         """
-        mask = ~np.isin(popular, self.targets)
-        filtered = popular[mask]
-        return filtered if len(filtered) else popular
+        return popular_excluding_targets([popular], self.targets)[0]
+
+
+def popular_excluding_targets(
+    popular: list[np.ndarray], targets: np.ndarray
+) -> list[np.ndarray]:
+    """Each mined set in ``popular`` with ``targets`` removed, by one
+    ``isin`` over the stacked sets.
+
+    A set whose every item is a target is kept whole (degenerate
+    catalogues).
+    """
+    keep = ~np.isin(np.concatenate(popular), targets)
+    masks = np.split(keep, np.cumsum([len(p) for p in popular])[:-1])
+    return [p[mask] if mask.any() else p for p, mask in zip(popular, masks)]
 
 
 def stacked_step_gradients(

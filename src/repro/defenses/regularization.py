@@ -88,15 +88,17 @@ def re2_value(
     return float(weights @ kls)
 
 
-def _rank_weighted_sum(weights: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """``sum_k weights[k] * stacked[:, k]``, summed in rank order.
+def _rank_weighted_sum(
+    weights: np.ndarray, rows: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """``sum_k weights[k] * rows[index[:, k]]``, summed in rank order.
 
-    An explicit sequential sum instead of a GEMV: the result for a row
-    does not depend on how many rows are computed together.
+    An explicit sequential sum instead of a GEMV: the result for a
+    client does not depend on how many clients are computed together.
     """
-    total = weights[0] * stacked[:, 0]
+    total = weights[0] * rows[index[:, 0]]
     for k in range(1, len(weights)):
-        total += weights[k] * stacked[:, k]
+        total += weights[k] * rows[index[:, k]]
     return total
 
 
@@ -120,12 +122,14 @@ def regularization_terms(
     result to a gradient turns its ``-0.0`` entries into ``+0.0``
     exactly like adding the per-client zero block does.
 
-    Every quantity is per client or per row (elementwise ops, sums
-    over a contiguous last axis, rank-ordered sums over ``k``), so any
-    split of the cohort computes the same bits.
+    Work is done once where it can be: a popular item's unit vector
+    and softmax once per distinct mined item, a client's rank-weighted
+    sums once per client, and the rest per row.  Every quantity is
+    elementwise, a sum over a contiguous last axis or a rank-ordered
+    sum over ``k``, so any split of the cohort computes the same bits.
     """
     num_clients = len(lengths)
-    dim = item_matrix.shape[1]
+    num_items, dim = item_matrix.shape
     item_terms = np.zeros((len(item_ids), dim))
     user_terms = np.zeros((num_clients, dim))
     ready = np.flatnonzero(mined[:, 0] >= 0)
@@ -133,22 +137,32 @@ def regularization_terms(
         return item_terms, user_terms
     popular = mined[ready]
     weights = exponential_rank_weights(popular.shape[1])
-    popular_vecs = item_matrix[popular]  # (ready, P, d)
+    # One row per distinct mined item; ``rank_rows[c, k]`` is the row of
+    # ready client c's k-th popular item.
+    distinct, rank_rows = np.unique(popular, return_inverse=True)
+    rank_rows = rank_rows.reshape(popular.shape)
+    popular_vecs = item_matrix[distinct]
 
     if beta != 0.0:
         slot = np.full(num_clients, -1, dtype=np.int64)
         slot[ready] = np.arange(len(ready))
         row_slot = np.repeat(slot, lengths)
         rows = np.flatnonzero(row_slot >= 0)
-        is_popular = (item_ids[rows, None] == popular[row_slot[rows]]).any(axis=1)
-        rows = rows[~is_popular]
+        # Drop the rows that are one of their client's mined items: one
+        # lookup of ``slot * num_items + item`` in the sorted mined keys.
+        keys = np.sort(popular, axis=1)
+        keys += np.arange(0, len(ready) * num_items, num_items)[:, None]
+        keys = keys.ravel()
+        row_keys = row_slot[rows] * num_items + item_ids[rows]
+        found = np.minimum(np.searchsorted(keys, row_keys), len(keys) - 1)
+        rows = rows[keys[found] != row_keys]
         if len(rows):
             owner = row_slot[rows]
             count = np.bincount(owner, minlength=len(ready))[owner]
             p_norms = np.linalg.norm(popular_vecs, axis=-1) + _EPS
             # a_c = sum_k kappa'_k * p_k / ||p_k||.
             weighted_pop = _rank_weighted_sum(
-                weights, popular_vecs / p_norms[..., None]
+                weights, popular_vecs / p_norms[:, None], rank_rows
             )[owner]
             vecs = item_matrix[item_ids[rows]]  # (m, d)
             v_norms = np.linalg.norm(vecs, axis=1) + _EPS
@@ -169,7 +183,7 @@ def regularization_terms(
     if gamma != 0.0:
         # sum_k kappa'_k * (softmax(u) - softmax(v_k)) collapses to
         # softmax(u) - sum_k kappa'_k softmax(v_k) since weights sum to 1.
-        p_mean = _rank_weighted_sum(weights, softmax(popular_vecs))
+        p_mean = _rank_weighted_sum(weights, softmax(popular_vecs), rank_rows)
         user_terms[ready] = -gamma * (softmax(user_vecs[ready]) - p_mean)
     return item_terms, user_terms
 

@@ -143,13 +143,16 @@ def _pairwise_sq_dists(flat: np.ndarray) -> np.ndarray:
 def _krum_scores(dists: np.ndarray, num_malicious: int) -> np.ndarray:
     """Krum score per gradient: sum of its closest squared distances.
 
-    ``dists`` is the precomputed ``(groups, n, n)`` distance tensor;
-    each gradient is scored on its ``n - f - 2`` nearest neighbours.
+    ``dists`` is the precomputed ``(groups, n, n)`` distance tensor,
+    which every caller builds for this call alone, so it is partitioned
+    in place (``np.partition`` is a copy plus the same
+    ``ndarray.partition``); each gradient is scored on its
+    ``n - f - 2`` nearest neighbours.
     """
     n = dists.shape[1]
     keep = max(n - num_malicious - 2, 1)
-    part = np.partition(dists, kth=keep - 1, axis=2)[:, :, :keep]
-    return part.sum(axis=2)
+    dists.partition(keep - 1, axis=2)
+    return dists[:, :, :keep].sum(axis=2)
 
 
 class KrumAggregator(Aggregator):

@@ -223,8 +223,11 @@ def _add_tower_terms(
 
     One forward/backward per ready client; a client whose set is not
     mined yet (every client when ``gamma == 0``) adds its zero block,
-    exactly as the per-client hook does.
+    exactly as the per-client hook does.  A model without interaction
+    parameters (MF) has no stacks and no term to compute.
     """
+    if not param_stacks:
+        return
     ready = (mined[:, 0] >= 0) & (defense.gamma != 0.0)
     for stack in param_stacks:
         stack[~ready] += 0.0

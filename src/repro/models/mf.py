@@ -60,6 +60,11 @@ class MFModel(RecommenderModel):
         ditems = dlogits[:, None] * users
         return GradientBundle(users=dusers, items=ditems, params=[])
 
+    def item_grads(self, cache: Any, dlogits: np.ndarray) -> np.ndarray:
+        """The item half of :meth:`backward` alone, the same bytes."""
+        users, _ = cache
+        return dlogits[:, None] * users
+
     def score_matrix(self, user_matrix: np.ndarray) -> np.ndarray:
         return user_matrix @ self.item_embeddings.T
 

@@ -15,6 +15,8 @@ for bit:
   payload;
 * :mod:`reference.uea` — ``PerClientPieckUEA``, PIECK-UEA's inner
   loop run one client and one target at a time;
+* :mod:`reference.regularization` — the batched L_def terms as one
+  ``(ready, P, d)`` popular block per round, before per-item dedup;
 * :mod:`reference.updates` — ``ClientUpdate``, the per-client upload,
   and the ``ClientUpdate``-list twins of the server, its update
   filters, audit log and fault controller's batched stages;

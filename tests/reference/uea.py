@@ -1,11 +1,12 @@
 """The per-client PIECK-UEA round (Algorithm 3, Eq. 10), one client at a time.
 
 The package runs a round's UEA attackers in lockstep: one stacked
-forward/backward per inner step over every client's pseudo-user batch
-(:func:`repro.attacks.pieck_uea.lockstep_payloads`).  This module keeps
-the original formulation — each client optimises each target alone,
-recomputing the reference norm and the adaptive margin per target — as
-the oracle the lockstep must reproduce bit for bit.
+forward/backward per inner step over every running client's
+pseudo-user batch (:func:`repro.attacks.pieck_uea.lockstep_payloads`).
+This module keeps the original formulation — each client optimises
+each target alone, recomputing the reference norm and the adaptive
+margin per target — as the oracle the lockstep must reproduce bit for
+bit.
 
 :func:`per_client` turns the ``PieckUEA`` members of a team into
 :class:`PerClientPieckUEA` in place, keeping their refiners; every

@@ -20,7 +20,7 @@ from reference import LoopSimulation, ReferenceMiner, attackers, per_client
 from reference.scalar import bounded_step_gradient
 from repro.attacks.base import MaliciousClient, stacked_step_gradients
 from repro.attacks.cohort import CohortUpload
-from repro.attacks.pieck_uea import lockstep_payloads
+from repro.attacks.pieck_uea import _pseudo_sets, lockstep_payloads
 from repro.attacks.mining import CohortMiner
 from repro.attacks.registry import build_malicious_cohort
 
@@ -403,6 +403,101 @@ class TestUEALockstep:
                 )
                 assert payload.item_grads.tobytes() == expected.item_grads.tobytes()
             model.item_embeddings[[3, 11]] -= 0.1 * got[0].item_grads
+
+    @pytest.mark.parametrize("kind", ["mf", "ncf"])
+    @pytest.mark.parametrize("margin", [None, 0.05], ids=str)
+    @pytest.mark.parametrize("target_scale", [1.0, 40.0])
+    def test_float32_tables_match_per_client(
+        self, cohort_dataset, kind, margin, target_scale
+    ):
+        """With a float32 model (item table and any tower) the
+        per-client loop stays in float32 (its margin, step size, count
+        and norm are Python scalars, weak beside a float32 array), so
+        the lockstep's buffers, margins, counts and steps must too.
+        ``target_scale`` 40 starts the targets beyond the norm cap."""
+        fixed = {} if margin is None else {
+            "adaptive_margin": False, "promotion_margin": margin
+        }
+        config = AttackConfig(
+            name="pieck_uea",
+            num_targets=2,
+            multi_target_strategy="together",
+            **fixed,
+        )
+        kwargs = dict(
+            dataset=cohort_dataset,
+            config=config,
+            targets=np.array([3, 11]),
+            embedding_dim=8,
+            num_malicious=4,
+            first_user_id=cohort_dataset.num_users,
+            seed=7,
+        )
+        team = build_malicious_cohort("pieck_uea", **kwargs).clients
+        oracles = per_client(build_malicious_cohort("pieck_uea", **kwargs).clients)
+        model = build_model(kind, cohort_dataset.num_items, 8, seed=3)
+        model.item_embeddings[[3, 11]] *= target_scale
+        _to_float32(model)
+        populars = [np.arange(20, 20 + size) for size in (2, 7, 4, 7)]
+        train_cfg = TrainConfig(lr=0.5)
+        for round_idx in range(3):
+            got = lockstep_payloads(team, populars, model, train_cfg, round_idx)
+            for payload, oracle, popular in zip(got, oracles, populars):
+                expected = oracle._round_payload(
+                    model, train_cfg, round_idx, popular=popular
+                )
+                assert payload.item_grads.dtype == expected.item_grads.dtype
+                assert payload.item_grads.tobytes() == expected.item_grads.tobytes()
+            model.item_embeddings[[3, 11]] -= 0.1 * got[0].item_grads
+
+    @pytest.mark.parametrize("kind", ["mf", "ncf"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batched_setup_equals_per_client(self, cohort_dataset, kind, dtype):
+        """The set-up shared by clients of one width — mean norm, norm
+        cap, adaptive margin — equals each client's own computation,
+        also for one-item sets, whose one (user, item) pair is a lone
+        model row (a GEMV on NCF).  A zero base margin keeps the mean
+        logit's last bits, which a larger one would round away."""
+        config = AttackConfig(name="pieck_uea", num_targets=1, promotion_margin=0.0)
+        team = build_malicious_cohort(
+            "pieck_uea",
+            dataset=cohort_dataset,
+            config=config,
+            targets=np.array([3]),
+            embedding_dim=8,
+            num_malicious=6,
+            first_user_id=cohort_dataset.num_users,
+            seed=5,
+        ).clients
+        model = build_model(kind, cohort_dataset.num_items, 8, seed=4)
+        if dtype == np.float32:
+            _to_float32(model)
+        ids = [np.arange(20 + k, 20 + k + size) for k, size in
+               enumerate((1, 1, 4, 2, 4, 1))]
+        pseudo, reference, caps, margins = _pseudo_sets(team, ids, model, config)
+        for k, popular_ids in enumerate(ids):
+            users = model.item_embeddings[popular_ids]
+            assert pseudo[k].tobytes() == users.tobytes()
+            norms = np.linalg.norm(users, axis=1)
+            assert reference[k] == float(np.mean(norms))
+            assert caps[k] == config.norm_cap_factor * float(norms.max())
+            logits, _ = model.forward(
+                np.repeat(users, len(users), axis=0),
+                np.tile(users, (len(users), 1)),
+            )
+            best = logits.reshape(len(users), len(users)).mean(axis=0).max()
+            assert margins[k] == config.promotion_margin + float(best)
+
+
+def _to_float32(model):
+    """Cast a model's item table and any tower to float32, in place."""
+    model.item_embeddings = model.item_embeddings.astype(np.float32)
+    tower = getattr(model, "tower", None)
+    if tower is not None:
+        for layer in tower.layers:
+            layer.weight = layer.weight.astype(np.float32)
+            layer.bias = layer.bias.astype(np.float32)
+        tower.projection = tower.projection.astype(np.float32)
 
 
 # ----------------------------------------------------------------------

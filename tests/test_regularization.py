@@ -17,6 +17,7 @@ from repro.defenses.regularization import (
 from repro.federated.simulation import FederatedSimulation
 from repro.metrics.divergence import softmax
 from repro.rng import make_rng
+from reference import regularization as reference_regularization
 from tests.conftest import numeric_gradient
 
 
@@ -236,36 +237,53 @@ class TestRoundSnapshotSharing:
 
 
 @st.composite
-def ragged_cohorts(draw):
+def ragged_cohorts(draw, dtypes=(np.float64, np.float32)):
     """A random cohort: ragged item segments, some clients not ready.
 
     Covers empty segments, segments made only of the client's mined
-    items, ids (popular ones included) repeated across clients, and
-    ``beta`` / ``gamma`` equal to zero.
+    items or mixing them with other ids, ids (popular ones included)
+    repeated across clients, many clients whose mined sets are drawn
+    from a few shared items (or are one set), catalogues smaller and
+    larger than the round's rows, item tables of each of ``dtypes``,
+    and ``beta`` / ``gamma`` equal to zero.
     """
-    num_items = draw(st.integers(2, 12))
+    num_items = draw(st.integers(2, 40))
     # Up to 20 wide: NumPy's contiguous-axis sums take a plain loop
     # below 8 elements and 8 unrolled accumulators from 8 on.
     dim = draw(st.integers(1, 20))
-    width = draw(st.integers(1, num_items))
-    num_clients = draw(st.integers(1, 6))
+    width = draw(st.integers(1, min(num_items, 12)))
+    sharing = draw(st.sampled_from(["none", "pool", "same"]))
+    num_clients = draw(st.integers(1, 6 if sharing == "none" else 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = rng.permutation(num_items)[: min(num_items, width + 2)]
     mined = np.full((num_clients, width), -1, dtype=np.int64)
     segments = []
     for client in range(num_clients):
         if draw(st.booleans()):
-            mined[client] = rng.permutation(num_items)[:width]
-        kind = draw(st.sampled_from(["empty", "popular", "any"]))
+            if sharing == "same":
+                mined[client] = shared[:width]
+            elif sharing == "pool":
+                mined[client] = rng.permutation(shared)[:width]
+            else:
+                mined[client] = rng.permutation(num_items)[:width]
+        kind = draw(st.sampled_from(["empty", "popular", "mixed", "any"]))
         length = 0 if kind == "empty" else draw(st.integers(1, 8))
-        pool = mined[client] if kind == "popular" and mined[client, 0] >= 0 else None
-        if pool is None:
+        if kind == "any" or mined[client, 0] < 0:
             segments.append(rng.integers(0, num_items, size=length))
+        elif kind == "popular":
+            segments.append(rng.choice(mined[client], size=length))
         else:
-            segments.append(rng.choice(pool, size=length))
+            own = rng.random(length) < 0.5
+            segments.append(np.where(
+                own,
+                rng.choice(mined[client], size=length),
+                rng.integers(0, num_items, size=length),
+            ))
     item_ids = np.concatenate(segments).astype(np.int64)
     lengths = np.array([len(seg) for seg in segments], dtype=np.int64)
-    item_matrix = rng.normal(size=(num_items, dim))
-    user_vecs = rng.normal(size=(num_clients, dim))
+    dtype = draw(st.sampled_from(dtypes))
+    item_matrix = rng.normal(size=(num_items, dim)).astype(dtype)
+    user_vecs = rng.normal(size=(num_clients, dim)).astype(dtype)
     beta = draw(st.sampled_from([0.0, 0.5, 1.7]))
     gamma = draw(st.sampled_from([0.0, 0.5, 3.0]))
     return mined, user_vecs, item_ids, lengths, item_matrix, beta, gamma
@@ -337,6 +355,42 @@ class TestBatchedTermsEqualOracle:
             assert zero.tobytes() == np.zeros_like(zero).tobytes()
 
 
+class TestTermsEqualPerClientBlockOracle:
+    """The package function against ``reference.regularization``, the
+    ``(ready, P, d)`` formulation it replaced, on whole cohorts: per
+    distinct item, per client and per row, the same bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ragged_cohorts())
+    def test_cohort_terms_bytewise_equal(self, cohort):
+        got = regularization_terms(*cohort)
+        expected = reference_regularization.regularization_terms(*cohort)
+        for terms, oracle in zip(got, expected):
+            assert terms.dtype == oracle.dtype
+            assert terms.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("num_items", [50, 5000])
+    def test_shared_sets_across_a_round(self, num_items):
+        """A round's shape: many clients, few distinct popular items,
+        with a catalogue smaller and one larger than the round's row
+        count, so mined items recur across clients and rows."""
+        rng = np.random.default_rng(num_items)
+        shared = rng.permutation(num_items)[:14]
+        mined = np.stack([rng.permutation(shared)[:10] for _ in range(60)])
+        mined[::7] = -1
+        lengths = rng.integers(0, 40, size=60)
+        item_ids = rng.integers(0, num_items, size=lengths.sum())
+        item_ids[::5] = shared[0]
+        matrix = rng.normal(size=(num_items, 16))
+        users = rng.normal(size=(60, 16))
+        args = (mined, users, item_ids, lengths, matrix, 0.5, 0.5)
+        for got, expected in zip(
+            regularization_terms(*args),
+            reference_regularization.regularization_terms(*args),
+        ):
+            assert got.tobytes() == expected.tobytes()
+
+
 def _gemm_item_terms(popular, item_ids, item_matrix, beta):
     """Re1 item terms as the per-client hook computed them before the
     collapse: a popular x batch cosine GEMM and a GEMV over it."""
@@ -365,7 +419,7 @@ def _gemv_user_term(popular, user_emb, item_matrix, gamma):
 
 class TestCollapsedFormAgreesWithMatrixForm:
     @settings(max_examples=100, deadline=None)
-    @given(ragged_cohorts())
+    @given(ragged_cohorts(dtypes=(np.float64,)))
     def test_within_1e12_of_the_gemm_gemv_form(self, cohort):
         """Relative to the size of the summands: where ``first - second``
         cancels (exactly so at ``d = 1``, where Re1 is flat), an entry
